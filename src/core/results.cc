@@ -99,11 +99,21 @@ void RunSpec::validate() const {
   if (!(confidence_level > 0.0 && confidence_level < 1.0)) {
     fail("confidence_level must be in (0, 1)");
   }
-  if (batch == 0) fail("batch must be >= 1");
   if (snapshot_every_events > 0 && snapshot_dir.empty()) {
     fail("snapshot_every_events needs snapshot_dir");
   }
   sequential.validate();
+}
+
+void RunSpec::reject_per_replication_knobs(const std::string& driver) const {
+  auto fail = [&driver](const std::string& knob) {
+    throw std::invalid_argument(driver + ": " + knob + " is not supported");
+  };
+  if (on_failure.mode != FailurePolicy::Mode::kFailFast) {
+    fail("on_failure retry/skip (--on-failure)");
+  }
+  if (snapshot_every_events > 0) fail("snapshot_every_events (--snapshot-every-events)");
+  if (fault_injection) fail("fault_injection");
 }
 
 RunSpec RunSpec::quick() {

@@ -123,21 +123,13 @@ struct RunSpec {
   double confidence_level = 0.95;
   ExecSpec exec;  ///< worker threads; results are identical for any jobs
 
-  /// Event-queue backend every replication runs on (binary heap / calendar
-  /// queue).  Like `exec`, a pure performance knob: both backends fire the
-  /// same events in the same order, so results are bit-identical and the
-  /// choice stays out of sweep-journal fingerprints.
+  /// Event-queue backend (binary heap / calendar queue) of the engines that
+  /// have one: SAN, snapshotted or trace-driven DES, proactive and K > 1
+  /// interference.  Plain DES replications run on DesBatch's fixed-slot
+  /// scheduler and ignore it.  Like `exec`, a pure performance knob: both
+  /// backends fire the same events in the same order, so results are
+  /// bit-identical and the choice stays out of sweep-journal fingerprints.
   sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
-
-  /// Replications one worker advances in lockstep (DES engine only).  1 =
-  /// the classic one-model-at-a-time path; > 1 enables the batched
-  /// structure-of-arrays engine, which walks `batch` replications through
-  /// their timelines together sharing dispatch and bulk RNG draws.
-  /// Replication r draws from sim::replication_seed(seed, r) regardless of
-  /// batch placement, so results are bit-identical for any value; like
-  /// `exec.jobs` it never enters journal fingerprints.  Ignored (treated
-  /// as 1) for the SAN engine, job mode, and fault-injection runs.
-  std::size_t batch = 1;
 
   /// Precision-driven replication control.  When enabled
   /// (rel_precision > 0), the drivers ignore `replications` and instead run
@@ -171,9 +163,10 @@ struct RunSpec {
   /// same post-fire boundary the watchdog uses) and, on a later identical
   /// run, resumes from the snapshot instead of starting over — snapshot/
   /// restore/continue is bit-identical to an uninterrupted run.  A snapshot
-  /// is deleted when its replication completes.  Like `exec`/`batch` this
-  /// never enters journal fingerprints (it cannot change results); it does
-  /// force the non-batched DES path.  0 = off.
+  /// is deleted when its replication completes.  Like `exec` this never
+  /// enters journal fingerprints (it cannot change results); it does move
+  /// DES replications from DesBatch onto DesModel, the engine that can
+  /// save its state.  0 = off.
   std::uint64_t snapshot_every_events = 0;
 
   /// Directory for snapshot files (one per in-flight replication).  Must
@@ -196,6 +189,14 @@ struct RunSpec {
   /// Throws std::invalid_argument naming the first violated constraint.
   /// Called once at every driver entry (run_model / sweep).
   void validate() const;
+
+  /// For drivers that run each replication once, fail-fast, with no state
+  /// capture (run_proactive, K > 1 run_interference): throws
+  /// std::invalid_argument, prefixed by `driver`, naming the first of
+  /// `on_failure` (retry/skip), `snapshot_every_events` or
+  /// `fault_injection` that is set — a knob such a driver would otherwise
+  /// silently ignore.
+  void reject_per_replication_knobs(const std::string& driver) const;
 
   /// Scaled-down spec for CI / quick runs.
   [[nodiscard]] static RunSpec quick();

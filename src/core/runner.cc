@@ -150,6 +150,17 @@ ReplicationResult run_replication(const Parameters& params, EngineKind engine, s
         return run_des_snapshotted(params, seed, transient, horizon, probe, max_events,
                                    scheduler, *snapshot);
       }
+      if (!params.trace_driven()) {
+        // The fixed-slot engine, one replication wide: bit-identical to
+        // DesModel and ~2.5x cheaper per event (no heap, no type-erased
+        // callbacks).  Snapshots and trace replay exist only on DesModel.
+        DesBatch batch(params, {seed});
+        batch.set_event_budget(max_events);
+        if (probe != nullptr) batch.set_event_counts(0, &probe->events);
+        const ReplicationResult r = batch.run(transient, horizon).front();
+        if (probe != nullptr) probe->queue = batch.queue_stats(0);
+        return r;
+      }
       DesModel model(params, seed, scheduler);
       model.set_event_budget(max_events);
       if (probe != nullptr) model.set_event_counts(&probe->events);
@@ -295,31 +306,6 @@ RunResult collect_outcomes(const std::vector<detail::ReplicationOutcome>& outcom
   return result;
 }
 
-/// Record replication `i`'s outcome into the shared bookkeeping (bail flag,
-/// metrics shard, progress tick) — the tail every dispatch path shares.
-void finish_outcome(const RunSpec& spec, std::vector<detail::ReplicationOutcome>& outcomes,
-                    std::size_t i, std::size_t worker, const obs::ReplicationProbe& probe,
-                    std::atomic<bool>& bail) {
-  if (!outcomes[i].ok && spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
-    bail.store(true, std::memory_order_relaxed);
-  }
-  if (outcomes[i].ok && spec.metrics != nullptr) spec.metrics->shard(worker).absorb(probe);
-  if (spec.progress != nullptr) spec.progress->tick();
-}
-
-/// The batched lockstep path applies only where DesBatch reproduces the
-/// sequential engine bit-for-bit without the per-attempt machinery: the DES
-/// engine, batch width > 1, and no fault-injection hook (which must run
-/// between attempts of individual replications).
-bool use_batched(const RunSpec& spec, EngineKind engine, const Parameters& params) {
-  // Snapshots force the non-batched path: a lockstep batch has no single
-  // per-replication state to capture at an event boundary.  Trace-driven
-  // failure injection is a DesModel feature the SoA batch engine does not
-  // implement, so it also takes the sequential path.
-  return engine == EngineKind::kDes && spec.batch > 1 && !spec.fault_injection &&
-         spec.snapshot_every_events == 0 && !params.trace_driven();
-}
-
 /// Per-replication SnapshotSpec under `spec` (disabled when snapshots are
 /// off).  One file per replication index, context bound to this exact run.
 SnapshotSpec replication_snapshot(const Parameters& params, const RunSpec& spec,
@@ -333,61 +319,6 @@ SnapshotSpec replication_snapshot(const Parameters& params, const RunSpec& spec,
   return snap;
 }
 
-/// Run replications [lo, hi) of the grid as one DesBatch.  Replication r
-/// still draws from sim::replication_seed(spec.seed, r) (attempt 0), so a
-/// clean batch reproduces the sequential outcomes bit-identically.  Any
-/// batch-level throw or non-finite result falls back to the per-replication
-/// guarded path, which re-runs each replication deterministically and
-/// reproduces the sequential retry/skip/fail-fast behaviour exactly — a
-/// failing replication costs one extra run, a clean batch costs nothing.
-void run_batch_range(const Parameters& params, const RunSpec& spec,
-                     std::vector<detail::ReplicationOutcome>& outcomes, std::size_t lo,
-                     std::size_t hi, std::size_t worker, std::atomic<bool>& bail) {
-  const std::size_t width = hi - lo;
-  std::vector<std::uint64_t> seeds(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    seeds[k] = sim::replication_attempt_seed(spec.seed, lo + k, 0);
-  }
-  std::vector<obs::ReplicationProbe> probes;
-  bool batch_ok = true;
-  std::vector<ReplicationResult> results;
-  try {
-    DesBatch batch(params, std::move(seeds));
-    batch.set_event_budget(spec.watchdog.max_events);
-    if (spec.metrics != nullptr) {
-      probes.resize(width);
-      for (std::size_t k = 0; k < width; ++k) batch.set_event_counts(k, &probes[k].events);
-    }
-    results = batch.run(spec.transient, spec.horizon);
-    if (spec.metrics != nullptr) {
-      for (std::size_t k = 0; k < width; ++k) probes[k].queue = batch.queue_stats(k);
-    }
-  } catch (const std::exception&) {
-    // A budget blow-up / model error anywhere in the batch: retry every
-    // replication individually below, where failures are attributed.
-    batch_ok = false;
-  }
-  for (std::size_t k = 0; k < width; ++k) {
-    const std::size_t i = lo + k;
-    obs::ReplicationProbe guarded_probe;
-    if (batch_ok && finite_result(results[k])) {
-      outcomes[i].ok = true;
-      outcomes[i].result = results[k];
-      outcomes[i].attempts = 1;
-    } else {
-      outcomes[i] = detail::run_replication_guarded(
-          params, EngineKind::kDes, spec.seed, i, spec.transient, spec.horizon, spec.on_failure,
-          spec.watchdog, spec.metrics != nullptr ? &guarded_probe : nullptr,
-          spec.fault_injection, spec.scheduler);
-    }
-    finish_outcome(spec, outcomes, i, worker,
-                   batch_ok && spec.metrics != nullptr && outcomes[i].attempts == 1
-                       ? probes[k]
-                       : guarded_probe,
-                   bail);
-  }
-}
-
 /// Run replications [begin, begin + count) of the grid into `outcomes`
 /// (already sized), bailing early once `bail` is set.  Shared verbatim by
 /// the fixed path (one call covering everything) and the adaptive path
@@ -395,18 +326,6 @@ void run_batch_range(const Parameters& params, const RunSpec& spec,
 void run_round(const Parameters& params, const RunSpec& spec, EngineKind engine,
                std::vector<detail::ReplicationOutcome>& outcomes, std::size_t begin,
                std::size_t count, std::atomic<bool>& bail) {
-  if (use_batched(spec, engine, params)) {
-    const std::size_t tasks = (count + spec.batch - 1) / spec.batch;
-    parallel_for_workers(obs_jobs(spec), tasks, [&](std::size_t worker, std::size_t j) {
-      if (bail.load(std::memory_order_relaxed)) return;
-      if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) return;
-      const obs::WorkerTimer timer(spec.metrics, worker);
-      const std::size_t lo = begin + j * spec.batch;
-      const std::size_t hi = std::min(begin + count, lo + spec.batch);
-      run_batch_range(params, spec, outcomes, lo, hi, worker, bail);
-    });
-    return;
-  }
   parallel_for_workers(obs_jobs(spec), count, [&](std::size_t worker, std::size_t k) {
     const std::size_t i = begin + k;
     if (bail.load(std::memory_order_relaxed)) return;

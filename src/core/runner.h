@@ -47,6 +47,12 @@ enum class EngineKind {
 /// from (bit-identically), and the file is removed once the replication
 /// completes.  A snapshot that fails validation throws
 /// snapshot::SnapshotError — never a partial restore.
+///
+/// A DES replication runs on DesBatch's fixed-slot scheduler (one
+/// replication wide) unless it needs what only DesModel has: an enabled
+/// `snapshot` or a failure trace.  Both engines give the same bits; the
+/// fixed-slot one is ~2.5x cheaper per event.  `scheduler` selects the
+/// event-queue backend of DesModel and the SAN engine.
 [[nodiscard]] ReplicationResult run_replication(
     const Parameters& params, EngineKind engine, std::uint64_t seed, double transient,
     double horizon, obs::ReplicationProbe* probe = nullptr, std::uint64_t max_events = 0,

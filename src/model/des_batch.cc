@@ -28,6 +28,18 @@ constexpr const char* kSeedNames[] = {"fail_compute", "fail_io", "fail_master", 
 DesBatch::DesBatch(const Parameters& params, std::vector<std::uint64_t> seeds)
     : p_(params), io_timing_(params), workload_(params), rates_(params), reps_(seeds.size()) {
   p_.validate();
+  // The slot array ports neither DesModel's trace cursor nor its proactive
+  // hooks; running anyway would silently simulate the stochastic reactive
+  // model in their place.
+  if (p_.trace_driven()) {
+    throw std::invalid_argument(
+        "DesBatch: trace-driven failure injection runs on DesModel (run_replication "
+        "routes it there)");
+  }
+  if (p_.proactive_enabled()) {
+    throw std::invalid_argument(
+        "DesBatch: proactive fault tolerance runs under proactive::run_proactive");
+  }
   if (p_.failure_distribution == FailureDistribution::kWeibull &&
       rates_.independent_rate > 0.0) {
     const double mean = 1.0 / rates_.independent_rate;

@@ -15,8 +15,10 @@
 
 namespace ckptsim {
 
-/// Batched lockstep variant of DesModel: one worker advances a batch of
-/// independent replications through their timelines together.
+/// Fixed-slot variant of DesModel: the engine run_replication runs every
+/// plain DES replication on (one replication wide).  It can also advance a
+/// batch of independent replications through their timelines together,
+/// though measured widths of 8 and 64 are no faster per event than 1.
 ///
 /// Semantics are exactly DesModel's — the handlers below are line-by-line
 /// ports — but the per-replication state lives in structure-of-arrays form
@@ -35,16 +37,18 @@ namespace ckptsim {
 /// exactly one uniform from the same named substream, and block-buffering
 /// only prefetches engine state — the values delivered in order are the
 /// ones uniform() would have returned.  tests/test_des_batch.cc pins the
-/// equivalence per replication and through run_model.
+/// equivalence per replication and through run_replication / sweep.
 ///
-/// Not supported here (the drivers fall back to DesModel): job-completion
-/// mode (run_until_work), the node-level extension hooks, and fault
-/// injection between attempts.
+/// Not supported here (run_replication and the other drivers use DesModel
+/// instead): snapshots, job-completion mode (run_until_work), the
+/// node-level and proactive extension hooks, and trace-driven failures.
+/// The constructor rejects proactive and trace-driven parameters.
 class DesBatch {
  public:
   /// One replication per entry of `seeds`; `params` is validated once and
   /// shared.  All replication state is allocated up front — the run loop
-  /// itself performs no heap allocation.
+  /// itself performs no heap allocation.  Throws std::invalid_argument for
+  /// parameters it cannot honour (trace_driven(), proactive_enabled()).
   DesBatch(const Parameters& params, std::vector<std::uint64_t> seeds);
   DesBatch(const DesBatch&) = delete;
   DesBatch& operator=(const DesBatch&) = delete;

@@ -319,6 +319,12 @@ InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec) {
     return from_single_application(mix, run_model(mix.jobs.front().params, spec,
                                                   EngineKind::kDes));
   }
+  spec.reject_per_replication_knobs("run_interference (K > 1 jobs)");
+  if (spec.sequential.enabled()) {
+    throw std::invalid_argument(
+        "run_interference (K > 1 jobs): sequential stopping (--rel-precision) is not "
+        "supported");
+  }
   std::size_t jobs = spec.exec.resolve();
   if (spec.metrics != nullptr) jobs = std::min(jobs, spec.metrics->workers());
   if (spec.progress != nullptr) spec.progress->begin("run_interference", spec.replications);

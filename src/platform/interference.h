@@ -160,12 +160,13 @@ struct InterferenceResult {
 ///
 /// A K=1 mix delegates every replication to the existing single-
 /// application checkpoint model via run_model (same seeds, same rewards,
-/// bit-identical — including spec.batch / scheduler / failure-policy
+/// bit-identical — including failure-policy, snapshot and sequential
 /// handling); its interference-only rewards read as the uncontended ideal
 /// (stretch 1, PFS utilization 0).  For K > 1 the interference engine
 /// honours spec.exec / scheduler / watchdog / cancel / metrics and runs
-/// fail-fast with fixed replications (sequential stopping, retry/skip
-/// policies, and snapshots stay single-application features).
+/// fail-fast with fixed replications: it throws std::invalid_argument for
+/// spec.on_failure retry/skip, snapshot_every_events, fault_injection and
+/// sequential stopping, which stay single-application features.
 [[nodiscard]] InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec);
 
 }  // namespace ckptsim::platform

@@ -51,6 +51,7 @@ std::string ProactiveResult::describe() const {
 ProactiveResult run_proactive(const Parameters& params, const RunSpec& spec) {
   params.validate();
   spec.validate();
+  spec.reject_per_replication_knobs("run_proactive");
   std::size_t jobs = spec.exec.resolve();
   if (spec.metrics != nullptr) jobs = std::min(jobs, spec.metrics->workers());
   const std::size_t planned =

@@ -43,7 +43,9 @@ struct ProactiveResult {
 /// Honours spec.exec / scheduler / watchdog / cancel / metrics / progress
 /// and sequential stopping (deterministic rounds on the useful-work
 /// fraction; out.run.rounds records the round sizes).  Runs fail-fast:
-/// retry/skip policies, batching, and snapshots stay base-model features.
+/// throws std::invalid_argument for spec.on_failure retry/skip,
+/// snapshot_every_events and fault_injection, which stay base-model
+/// features.
 [[nodiscard]] ProactiveResult run_proactive(const Parameters& params, const RunSpec& spec);
 
 }  // namespace ckptsim::proactive

@@ -109,13 +109,11 @@ RunSpec bench_spec(const Cli& cli) {
       "--min-replications", static_cast<double>(spec.sequential.min_replications)));
   spec.sequential.max_replications = static_cast<std::size_t>(cli.number(
       "--max-replications", static_cast<double>(spec.sequential.max_replications)));
-  // Engine performance knobs: both leave results bit-identical (pinned by
-  // tests/test_des_batch.cc), so they parse here next to --jobs rather than
-  // anywhere that could touch journal fingerprints.
+  // Engine performance knob: results are bit-identical for either backend
+  // (pinned by tests/test_scheduler_diff.cc), so it parses here next to
+  // --jobs rather than anywhere that could touch journal fingerprints.
   const std::string scheduler = cli.value("--scheduler");
   if (!scheduler.empty()) spec.scheduler = sim::parse_scheduler_kind(scheduler);
-  spec.batch =
-      static_cast<std::size_t>(cli.number("--batch", static_cast<double>(spec.batch)));
   return spec;
 }
 

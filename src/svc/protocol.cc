@@ -137,8 +137,8 @@ void apply_params(const obs::JsonValue& obj, Parameters* p) {
 }
 
 /// Apply a "spec" object onto the RunSpec defaults.  Only the knobs a
-/// remote client may set: observers, cancel, exec, and batch stay under the
-/// server's control (they never enter fingerprints, so the cache is
+/// remote client may set: observers, cancel, exec and snapshots stay under
+/// the server's control (they never enter fingerprints, so the cache is
 /// oblivious either way).
 void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
   for (const auto& [key, v] : obj.members) {

@@ -1,21 +1,30 @@
-// DesBatch ↔ DesModel equivalence: the batched lockstep engine must be
-// bit-identical to the sequential engine per replication seed — same
+// DesBatch ↔ DesModel equivalence: the fixed-slot engine must be
+// bit-identical to the event-queue engine per replication seed — same
 // ReplicationResult down to the last bit, same event trajectory, same
 // per-kind event tallies, same queue telemetry — for every model
 // configuration and any batch width/placement.  These tests pin that
-// contract directly (engine vs engine) and end-to-end through run_model.
+// contract directly (engine vs engine) and end-to-end through
+// run_replication, run_model and sweep, whose plain DES replications run
+// on DesBatch while snapshotted ones run on DesModel.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "src/core/journal.h"
 #include "src/core/runner.h"
+#include "src/core/sweep.h"
 #include "src/model/des_batch.h"
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
+#include "src/obs/metrics.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/trace/event_log.h"
@@ -269,76 +278,234 @@ void expect_run_result_eq(const RunResult& a, const RunResult& b) {
   expect_counters_eq(a.totals, b.totals);
 }
 
-TEST(DesBatch, RunModelIsBatchWidthInvariant) {
-  // batch ∈ {1, 2, 4, 16} over 6 replications: uneven tails, widths larger
-  // than the replication count, and the sequential path must all aggregate
-  // to the same bits, serial and parallel.
-  RunSpec base = quick_spec(6);
-  base.batch = 1;
-  const RunResult ref = run_model(Parameters{}, base);
-  for (const std::size_t width : {std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE("batch=" + std::to_string(width) + " jobs=" + std::to_string(jobs));
-      RunSpec spec = quick_spec(6);
-      spec.batch = width;
-      spec.exec.jobs = jobs;
-      expect_run_result_eq(run_model(Parameters{}, spec), ref);
+/// A private snapshot directory: setting `snapshot_every_events` is what
+/// moves DES replications onto DesModel's event queue.  The period is far
+/// beyond any test's event count, so nothing is ever written — the spec
+/// only selects the engine.
+struct EventQueuePath {
+  std::string dir;
+  explicit EventQueuePath(const std::string& name)
+      : dir(std::string(::testing::TempDir()) + "ckptsim_desbatch_" + name + "_" +
+            std::to_string(::getpid())) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+  }
+  ~EventQueuePath() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+  [[nodiscard]] RunSpec apply(RunSpec spec) const {
+    spec.snapshot_every_events = std::uint64_t{1} << 40;
+    spec.snapshot_dir = dir;
+    return spec;
+  }
+};
+
+void expect_failures_eq(const std::vector<ckptsim::ReplicationFailure>& a,
+                        const std::vector<ckptsim::ReplicationFailure>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].replication, b[i].replication);
+    EXPECT_EQ(a[i].attempts, b[i].attempts);
+    EXPECT_EQ(a[i].code, b[i].code);
+    EXPECT_EQ(a[i].message, b[i].message);
+  }
+}
+
+TEST(DesBatch, RunReplicationMatchesDesModelAcrossConfigs) {
+  // run_replication without a snapshot runs the fixed-slot engine; it must
+  // report exactly what DesModel::run does, telemetry included.
+  constexpr std::uint64_t kMaster = 0xB417ULL;
+  constexpr double kTransient = 2.0 * kHour;
+  constexpr double kHorizon = 40.0 * kHour;
+  for (const auto& [name, params] : grid()) {
+    SCOPED_TRACE(name);
+    for (std::size_t r = 0; r < 2; ++r) {
+      SCOPED_TRACE("rep " + std::to_string(r));
+      const std::uint64_t seed = ckptsim::sim::replication_seed(kMaster, r);
+      ckptsim::obs::ReplicationProbe probe;
+      const ReplicationResult fixed = ckptsim::run_replication(
+          params, EngineKind::kDes, seed, kTransient, kHorizon, &probe);
+      EventCounts ref_counts;
+      DesModel model(params, seed);
+      model.set_event_counts(&ref_counts);
+      const ReplicationResult seq = model.run(kTransient, kHorizon);
+      expect_result_eq(fixed, seq);
+      for (std::size_t k = 0; k < ref_counts.counts.size(); ++k) {
+        EXPECT_EQ(probe.events.counts[k], ref_counts.counts[k]) << "kind " << k;
+      }
+      const ckptsim::sim::QueueStats ss = model.queue_stats();
+      EXPECT_EQ(probe.queue.scheduled, ss.scheduled);
+      EXPECT_EQ(probe.queue.fired, ss.fired);
+      EXPECT_EQ(probe.queue.cancelled, ss.cancelled);
+      EXPECT_EQ(probe.queue.peak_size, ss.peak_size);
     }
   }
 }
 
-TEST(DesBatch, RunModelBatchMatchesUnderAdaptiveStopping) {
+TEST(DesBatch, RunModelMatchesEventQueuePathAcrossJobs) {
+  // Fixed-slot run_model at 1 and 4 workers against the event-queue path:
+  // uneven work per worker must still aggregate to the same bits.
+  const EventQueuePath eq("jobs");
+  const RunResult ref = run_model(Parameters{}, eq.apply(quick_spec(6)));
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    RunSpec spec = quick_spec(6);
+    spec.exec.jobs = jobs;
+    expect_run_result_eq(run_model(Parameters{}, spec), ref);
+  }
+}
+
+TEST(DesBatch, RunModelMatchesEventQueuePathUnderAdaptiveStopping) {
+  const EventQueuePath eq("adaptive");
   RunSpec a = quick_spec(4);
   a.sequential.rel_precision = 0.2;
   a.sequential.min_replications = 3;
   a.sequential.max_replications = 12;
   RunSpec b = a;
-  b.batch = 4;
   b.exec.jobs = 2;
-  const RunResult ra = run_model(Parameters{}, a);
+  const RunResult ra = run_model(Parameters{}, eq.apply(a));
   const RunResult rb = run_model(Parameters{}, b);
   EXPECT_EQ(ra.rounds, rb.rounds);
   expect_run_result_eq(ra, rb);
 }
 
-TEST(DesBatch, RunModelBudgetFallbackMatchesSequentialPolicy) {
-  // A watchdog tight enough to trip every replication: the batched path
-  // must fall back per replication and report the same skip accounting the
-  // sequential path does.
-  RunSpec a = quick_spec(3);
-  a.watchdog.max_events = 50;
-  a.on_failure.mode = ckptsim::FailurePolicy::Mode::kSkip;
-  RunSpec b = a;
-  b.batch = 3;
-  const RunResult ra = run_model(Parameters{}, a);
-  const RunResult rb = run_model(Parameters{}, b);
-  EXPECT_EQ(ra.replications, rb.replications);
-  ASSERT_EQ(ra.failures.skipped.size(), rb.failures.skipped.size());
-  for (std::size_t i = 0; i < ra.failures.skipped.size(); ++i) {
-    EXPECT_EQ(ra.failures.skipped[i].replication, rb.failures.skipped[i].replication);
-    EXPECT_EQ(ra.failures.skipped[i].code, rb.failures.skipped[i].code);
+TEST(DesBatch, SweepMatchesEventQueuePathFieldByField) {
+  const EventQueuePath eq("sweep");
+  const std::vector<double> xs = {8192.0, 65536.0, 262144.0};
+  const auto apply = [](Parameters p, double x) {
+    p.num_processors = static_cast<std::uint64_t>(x);
+    return p;
+  };
+  RunSpec spec = quick_spec(3);
+  spec.exec.jobs = 2;
+  const ckptsim::SweepSeries fixed = ckptsim::sweep("procs", Parameters{}, xs, apply, spec);
+  const ckptsim::SweepSeries queued =
+      ckptsim::sweep("procs", Parameters{}, xs, apply, eq.apply(spec));
+  EXPECT_EQ(fixed.label, queued.label);
+  ASSERT_EQ(fixed.points.size(), queued.points.size());
+  for (std::size_t p = 0; p < fixed.points.size(); ++p) {
+    SCOPED_TRACE("point " + std::to_string(p));
+    expect_bits_eq(fixed.points[p].x, queued.points[p].x, "x");
+    EXPECT_EQ(ckptsim::parameters_field_string(fixed.points[p].params),
+              ckptsim::parameters_field_string(queued.points[p].params));
+    expect_run_result_eq(fixed.points[p].result, queued.points[p].result);
+    EXPECT_EQ(fixed.points[p].result.rounds, queued.points[p].result.rounds);
+    EXPECT_TRUE(fixed.points[p].result.failures.clean());
+    EXPECT_TRUE(queued.points[p].result.failures.clean());
+  }
+}
+
+/// run_model's result, or the SimError it threw.
+struct Captured {
+  bool threw = false;
+  ckptsim::ErrorCode code = ckptsim::ErrorCode::kModelError;
+  std::string message;
+  RunResult result;
+};
+
+Captured capture_run(const RunSpec& spec) {
+  Captured c;
+  try {
+    c.result = run_model(Parameters{}, spec);
+  } catch (const ckptsim::SimError& e) {
+    c.threw = true;
+    c.code = e.code();
+    c.message = e.what();
+  }
+  return c;
+}
+
+TEST(DesBatch, WatchdogTripsAtSameEventOnBothPathsUnderEachPolicy) {
+  // Budget = the exact event count of a middle replication: replications
+  // needing more trip, the rest (that one included) finish.  Both engines
+  // must draw that line at the same replications under every policy.
+  constexpr std::size_t kReps = 6;
+  const RunSpec base = quick_spec(kReps);
+  std::vector<std::uint64_t> fired(kReps);
+  for (std::size_t r = 0; r < kReps; ++r) {
+    ckptsim::obs::ReplicationProbe probe;
+    (void)ckptsim::run_replication(Parameters{}, EngineKind::kDes,
+                                   ckptsim::sim::replication_seed(base.seed, r), base.transient,
+                                   base.horizon, &probe);
+    fired[r] = probe.queue.fired;
+  }
+  std::vector<std::uint64_t> sorted = fired;
+  std::sort(sorted.begin(), sorted.end());
+  const std::uint64_t budget = sorted[kReps / 2];
+  std::vector<std::size_t> over;
+  for (std::size_t r = 0; r < kReps; ++r) {
+    if (fired[r] > budget) over.push_back(r);
+  }
+  ASSERT_FALSE(over.empty());
+  ASSERT_LT(over.size(), kReps);
+
+  const EventQueuePath eq("watchdog");
+  using Mode = ckptsim::FailurePolicy::Mode;
+  for (const Mode mode : {Mode::kFailFast, Mode::kRetry, Mode::kSkip}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(mode)));
+    RunSpec spec = base;
+    spec.watchdog.max_events = budget;
+    spec.on_failure.mode = mode;
+    const Captured fixed = capture_run(spec);
+    const Captured queued = capture_run(eq.apply(spec));
+    ASSERT_EQ(fixed.threw, queued.threw);
+    EXPECT_EQ(fixed.code, queued.code);
+    EXPECT_EQ(fixed.message, queued.message);
+    if (mode == Mode::kFailFast) {
+      ASSERT_TRUE(fixed.threw);
+      EXPECT_EQ(fixed.code, ckptsim::ErrorCode::kEventBudgetExceeded);
+      EXPECT_NE(fixed.message.find("replication " + std::to_string(over.front()) + " "),
+                std::string::npos)
+          << fixed.message;
+    }
+    if (mode == Mode::kSkip) {
+      ASSERT_FALSE(fixed.threw);
+      ASSERT_EQ(fixed.result.failures.skipped.size(), over.size());
+      for (std::size_t i = 0; i < over.size(); ++i) {
+        EXPECT_EQ(fixed.result.failures.skipped[i].replication, over[i]);
+      }
+    }
+    if (fixed.threw) continue;
+    expect_run_result_eq(fixed.result, queued.result);
+    expect_failures_eq(fixed.result.failures.skipped, queued.result.failures.skipped);
+    expect_failures_eq(fixed.result.failures.recovered, queued.result.failures.recovered);
   }
 }
 
 TEST(DesBatch, SchedulerKindIsResultInvariantThroughRunModel) {
   // The calendar queue is a pure performance knob: heap and calendar runs
-  // of both engines aggregate to identical bits.
+  // of both event-queue engines aggregate to identical bits.  Plain DES
+  // runs on fixed slots, so the DES half forces the event-queue path.
+  const EventQueuePath eq("scheduler");
   Parameters small;
   small.num_processors = 4096;
   for (const EngineKind engine : {EngineKind::kDes, EngineKind::kSan}) {
     SCOPED_TRACE(engine == EngineKind::kDes ? "des" : "san");
     RunSpec heap = quick_spec(3);
-    RunSpec cal = quick_spec(3);
-    if (engine == EngineKind::kSan) heap.horizon = cal.horizon = 30.0 * kHour;
+    if (engine == EngineKind::kSan) heap.horizon = 30.0 * kHour;
+    if (engine == EngineKind::kDes) heap = eq.apply(heap);
+    RunSpec cal = heap;
     cal.scheduler = ckptsim::sim::SchedulerKind::kCalendar;
     expect_run_result_eq(run_model(small, cal, engine), run_model(small, heap, engine));
   }
 }
 
-TEST(DesBatch, RejectsZeroBatchInSpecValidation) {
-  RunSpec spec = quick_spec(2);
-  spec.batch = 0;
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+TEST(DesBatch, RejectsTraceDrivenParameters) {
+  // The slot array has no trace cursor: it must refuse rather than
+  // simulate random failures in place of the recorded ones.
+  Parameters p;
+  p.failure_trace_path = "failures.csv";
+  EXPECT_THROW(DesBatch(p, {1ULL}), std::invalid_argument);
+}
+
+TEST(DesBatch, RejectsProactiveParameters) {
+  Parameters p;
+  p.predictor_enabled = true;
+  EXPECT_THROW(DesBatch(p, {1ULL}), std::invalid_argument);
+  Parameters q;
+  q.proactive_policy = ckptsim::ProactivePolicy::kMigrate;
+  EXPECT_THROW(DesBatch(q, {1ULL}), std::invalid_argument);
 }
 
 }  // namespace

@@ -237,6 +237,60 @@ TEST(Interference, SingleJobMixReproducesRunModelBitIdentically) {
   EXPECT_DOUBLE_EQ(inter.pfs_utilization.mean(), 0.0);
 }
 
+/// run_interference's std::invalid_argument message for the three-job mix
+/// under `spec`, or "" when it ran.
+std::string multi_job_error(const RunSpec& spec) {
+  try {
+    (void)run_interference(three_job_mix(PfsPolicy::kFairShare), spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Interference, MultiJobRejectsRetryAndSkipPolicies) {
+  for (const auto mode : {ckptsim::FailurePolicy::Mode::kRetry,
+                          ckptsim::FailurePolicy::Mode::kSkip}) {
+    RunSpec spec = small_spec();
+    spec.on_failure.mode = mode;
+    EXPECT_NE(multi_job_error(spec).find("on_failure"), std::string::npos);
+  }
+}
+
+TEST(Interference, MultiJobRejectsSnapshots) {
+  RunSpec spec = small_spec();
+  spec.snapshot_every_events = 1000;
+  spec.snapshot_dir = "snaps";
+  EXPECT_NE(multi_job_error(spec).find("snapshot_every_events"), std::string::npos);
+}
+
+TEST(Interference, MultiJobRejectsFaultInjection) {
+  RunSpec spec = small_spec();
+  spec.fault_injection = [](std::size_t, std::size_t) {};
+  EXPECT_NE(multi_job_error(spec).find("fault_injection"), std::string::npos);
+}
+
+TEST(Interference, MultiJobRejectsSequentialStopping) {
+  RunSpec spec = small_spec();
+  spec.sequential.rel_precision = 0.05;
+  EXPECT_NE(multi_job_error(spec).find("sequential"), std::string::npos);
+}
+
+TEST(Interference, SingleJobMixHonoursRunModelKnobs) {
+  // K = 1 hands off to run_model, which honours what K > 1 rejects.
+  const Parameters base;
+  RunSpec spec = small_spec();
+  spec.on_failure.mode = ckptsim::FailurePolicy::Mode::kSkip;
+  spec.sequential.rel_precision = 0.05;
+  spec.sequential.min_replications = 3;
+  spec.sequential.max_replications = 6;
+  const InterferenceResult inter = run_interference(parse_job_mix("solo", base), spec);
+  const RunResult direct = ckptsim::run_model(base, spec, EngineKind::kDes);
+  ASSERT_EQ(inter.jobs.size(), 1u);
+  EXPECT_EQ(inter.jobs[0].useful_fraction.mean, direct.useful_fraction.mean);
+  EXPECT_EQ(inter.replications, direct.replications);
+}
+
 TEST(Interference, WorkerCountDoesNotChangeResults) {
   const JobMix mix = three_job_mix(PfsPolicy::kFairShare);
   RunSpec one = small_spec();

@@ -184,6 +184,39 @@ TEST(ProactiveValidation, RunModelRejectsProactiveParameters) {
                std::invalid_argument);
 }
 
+/// run_proactive's std::invalid_argument message under `spec`, or "" when
+/// it ran.
+std::string proactive_error(const RunSpec& spec) {
+  try {
+    (void)run_proactive(predictor_params(0.8, 0.5, 300.0), spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ProactiveValidation, RejectsRetryAndSkipPolicies) {
+  for (const auto mode : {ckptsim::FailurePolicy::Mode::kRetry,
+                          ckptsim::FailurePolicy::Mode::kSkip}) {
+    RunSpec spec = fast_spec();
+    spec.on_failure.mode = mode;
+    EXPECT_NE(proactive_error(spec).find("on_failure"), std::string::npos);
+  }
+}
+
+TEST(ProactiveValidation, RejectsSnapshots) {
+  RunSpec spec = fast_spec();
+  spec.snapshot_every_events = 1000;
+  spec.snapshot_dir = "snaps";
+  EXPECT_NE(proactive_error(spec).find("snapshot_every_events"), std::string::npos);
+}
+
+TEST(ProactiveValidation, RejectsFaultInjection) {
+  RunSpec spec = fast_spec();
+  spec.fault_injection = [](std::size_t, std::size_t) {};
+  EXPECT_NE(proactive_error(spec).find("fault_injection"), std::string::npos);
+}
+
 TEST(ProactiveValidation, PolicyNamesRoundTrip) {
   for (const ProactivePolicy policy :
        {ProactivePolicy::kNone, ProactivePolicy::kProactiveCheckpoint,

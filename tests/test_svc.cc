@@ -589,6 +589,38 @@ TEST(SvcServer, InterferenceRequestStreamsJobAndPlatformLines) {
   EXPECT_EQ(platform.find("policy")->scalar, "fair");
 }
 
+TEST(SvcServer, InterferenceRequestRejectsIgnoredKnobWithErrorLine) {
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  Collector out;
+  server.handle_line(
+      R"({"op":"interference","id":"ix","jobs":"a:procs=4096;b:procs=8192",)"
+      R"("spec":{"reps":2,"horizon_hours":12,"on_failure":"skip"}})",
+      out.sink());
+  ASSERT_EQ(out.lines.size(), 2u);
+  EXPECT_EQ(out.type(0), "accepted");
+  EXPECT_EQ(out.type(1), "error");
+  EXPECT_NE(out.lines[1].find("on_failure"), std::string::npos) << out.lines[1];
+}
+
+TEST(SvcServer, OptimizeRequestRejectsIgnoredKnobWithErrorLine) {
+  // A proactive candidate runs under run_proactive, which has no retry.
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  Collector out;
+  server.handle_line(
+      R"({"op":"optimize","id":"opt","grid":3,"refine":0,"policies":["migrate"],)"
+      R"("params":{"processors":8192,"predictor_recall":0.5},)"
+      R"("spec":{"reps":2,"horizon_hours":12,"on_failure":"retry"}})",
+      out.sink());
+  ASSERT_EQ(out.lines.size(), 2u);
+  EXPECT_EQ(out.type(0), "accepted");
+  EXPECT_EQ(out.type(1), "error");
+  EXPECT_NE(out.lines[1].find("on_failure"), std::string::npos) << out.lines[1];
+}
+
 TEST(SvcServer, DuplicateActiveCampaignIdIsRejected) {
   ServerConfig config;
   config.workers = 1;
