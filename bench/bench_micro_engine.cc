@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/model/des_batch.h"
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/model/san_model.h"
@@ -116,25 +115,6 @@ void BM_DesModelSimYear(benchmark::State& state) {
   state.SetLabel("items = simulated hours");
 }
 BENCHMARK(BM_DesModelSimYear);
-
-void BM_DesBatchSimYear(benchmark::State& state) {
-  // The batched lockstep engine: one worker advancing `range(0)`
-  // replications together.  Items are aggregate simulated hours, so the
-  // ratio to BM_DesModelSimYear is the per-worker speedup.
-  const auto width = static_cast<std::size_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t r = 0; r < width; ++r) seeds.push_back(seed++);
-    ckptsim::DesBatch batch(Parameters{}, std::move(seeds));
-    const auto results = batch.run(0.0, 100.0 * kHour);
-    benchmark::DoNotOptimize(results[0].useful_fraction);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(width) * 100);
-  state.SetLabel("items = aggregate simulated hours");
-}
-BENCHMARK(BM_DesBatchSimYear)->Arg(4)->Arg(16);
 
 void BM_SanModelSimYear(benchmark::State& state) {
   const ckptsim::SanCheckpointModel model{Parameters{}};
@@ -294,36 +274,17 @@ EngineSample run_queue_window(std::uint64_t events, ckptsim::sim::SchedulerKind 
   return s;
 }
 
-/// One sequential DES replication per seed, the per-replication driver's
-/// cost model (construct + run); events aggregate over the replications.
-EngineSample run_des_sequential(const Parameters& p, std::size_t reps, double horizon,
-                                ckptsim::sim::SchedulerKind kind) {
+/// One DesModel per replication seed, the per-replication driver's cost
+/// model (construct + run); events aggregate over the replications.
+EngineSample run_des(const Parameters& p, std::size_t reps, double horizon) {
   EngineSample s;
   const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
   const auto t0 = Clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
-    ckptsim::DesModel model(p, ckptsim::sim::replication_seed(20260808, r), kind);
+    ckptsim::DesModel model(p, ckptsim::sim::replication_seed(20260808, r));
     const auto result = model.run(0.0, horizon);
     benchmark::DoNotOptimize(result.useful_fraction);
     s.events += model.queue_stats().fired;
-  }
-  s.seconds = seconds_since(t0);
-  s.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
-  s.firings = s.events;
-  return s;
-}
-
-/// The same replications on the fixed-slot engine, one DesBatch per
-/// replication — what run_replication does for every plain DES replication.
-EngineSample run_des_fixed_slot(const Parameters& p, std::size_t reps, double horizon) {
-  EngineSample s;
-  const auto allocs0 = g_alloc_count.load(std::memory_order_relaxed);
-  const auto t0 = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) {
-    ckptsim::DesBatch batch(p, {ckptsim::sim::replication_seed(20260808, r)});
-    const auto results = batch.run(0.0, horizon);
-    benchmark::DoNotOptimize(results[0].useful_fraction);
-    s.events += batch.queue_stats(0).fired;
   }
   s.seconds = seconds_since(t0);
   s.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
@@ -358,26 +319,14 @@ int run_engine_report(const std::string& path, ckptsim::sim::SchedulerKind kind)
   w.kv("san_wide_128_speedup_vs_full_rescan",
        wide_inc.seconds > 0.0 ? wide_full.seconds / wide_inc.seconds : 0.0);
 
-  // The DES engine at the paper's largest machine (256K processors): the
-  // event-queue DesModel vs the fixed-slot DesBatch the drivers run, one
-  // replication at a time over the same seeds (bit-identical results —
-  // tests/test_des_batch.cc pins that; this section tracks the events/sec
-  // ratio).  These windows include model construction, the cost the
-  // replication drivers actually pay, so allocs_per_event is
-  // amortized-small instead of zero.
+  // The DES engine at the paper's largest machine (256K processors), one
+  // replication at a time as the drivers run it.  The window includes
+  // model construction, the cost the replication drivers actually pay, so
+  // allocs_per_event is amortized-small instead of zero.  The DES engine
+  // has no event queue: --scheduler does not reach this section.
   Parameters big;
   big.num_processors = 262144;
-  constexpr std::size_t kDesReps = 8;
-  constexpr double kDesHorizon = 600.0 * kHour;
-  const auto des_seq = run_des_sequential(big, kDesReps, kDesHorizon, kind);
-  const auto des_fixed = run_des_fixed_slot(big, kDesReps, kDesHorizon);
-  write_sample(w, "des_sequential_256k", des_seq);
-  write_sample(w, "des_fixed_slot_256k", des_fixed);
-  w.kv("des_fixed_slot_speedup_vs_sequential",
-       des_fixed.seconds > 0.0 && des_seq.events > 0
-           ? (static_cast<double>(des_fixed.events) / des_fixed.seconds) /
-                 (static_cast<double>(des_seq.events) / des_seq.seconds)
-           : 0.0);
+  write_sample(w, "des_256k", run_des(big, /*reps=*/8, /*horizon=*/600.0 * kHour));
 
   w.end_object();
   std::FILE* f = std::fopen(path.c_str(), "w");

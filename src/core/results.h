@@ -124,11 +124,11 @@ struct RunSpec {
   ExecSpec exec;  ///< worker threads; results are identical for any jobs
 
   /// Event-queue backend (binary heap / calendar queue) of the engines that
-  /// have one: SAN, snapshotted or trace-driven DES, proactive and K > 1
-  /// interference.  Plain DES replications run on DesBatch's fixed-slot
-  /// scheduler and ignore it.  Like `exec`, a pure performance knob: both
-  /// backends fire the same events in the same order, so results are
-  /// bit-identical and the choice stays out of sweep-journal fingerprints.
+  /// have one: SAN and K > 1 interference.  The DES engine keeps fixed
+  /// event slots instead of a queue and ignores it.  Like `exec`, a pure
+  /// performance knob: both backends fire the same events in the same
+  /// order, so results are bit-identical and the choice stays out of
+  /// sweep-journal fingerprints.
   sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
 
   /// Precision-driven replication control.  When enabled
@@ -164,9 +164,7 @@ struct RunSpec {
   /// run, resumes from the snapshot instead of starting over — snapshot/
   /// restore/continue is bit-identical to an uninterrupted run.  A snapshot
   /// is deleted when its replication completes.  Like `exec` this never
-  /// enters journal fingerprints (it cannot change results); it does move
-  /// DES replications from DesBatch onto DesModel, the engine that can
-  /// save its state.  0 = off.
+  /// enters journal fingerprints (it cannot change results).  0 = off.
   std::uint64_t snapshot_every_events = 0;
 
   /// Directory for snapshot files (one per in-flight replication).  Must

@@ -10,7 +10,6 @@
 
 #include "src/core/journal.h"
 #include "src/core/thread_pool.h"
-#include "src/model/des_batch.h"
 #include "src/model/des_model.h"
 #include "src/model/san_model.h"
 #include "src/obs/metrics.h"
@@ -61,15 +60,23 @@ ErrorCode snapshot_error_code(snapshot::SnapshotFault fault) noexcept {
   return ErrorCode::kSnapshotCorrupt;
 }
 
-/// DES replication under event-granular crash-resume: resume from an
-/// existing snapshot (whole-file validation first, then context check,
-/// then state restore — any failure rejects the file outright), install
-/// the periodic capture hook, run, and retire the snapshot on completion.
-ReplicationResult run_des_snapshotted(const Parameters& params, std::uint64_t seed,
-                                      double transient, double horizon,
-                                      obs::ReplicationProbe* probe, std::uint64_t max_events,
-                                      sim::SchedulerKind scheduler, const SnapshotSpec& snap) {
-  DesModel model(params, seed, scheduler);
+/// One DES replication.  Under an enabled `snap` it is crash-resumable:
+/// resume from an existing snapshot (whole-file validation first, then
+/// context check, then state restore — any failure rejects the file
+/// outright), install the periodic capture hook, run, and retire the
+/// snapshot on completion.
+ReplicationResult run_des(const Parameters& params, std::uint64_t seed, double transient,
+                          double horizon, obs::ReplicationProbe* probe, std::uint64_t max_events,
+                          const SnapshotSpec* snapshot) {
+  DesModel model(params, seed);
+  model.set_event_budget(max_events);
+  if (probe != nullptr) model.set_event_counts(&probe->events);
+  if (snapshot == nullptr || !snapshot->enabled()) {
+    const ReplicationResult r = model.run(transient, horizon);
+    if (probe != nullptr) probe->queue = model.queue_stats();
+    return r;
+  }
+  const SnapshotSpec& snap = *snapshot;
   bool resumed = false;
   if (snapshot::snapshot_exists(snap.path)) {
     const std::string payload = snapshot::read_snapshot_file(snap.path, snapshot::kKindDesModel);
@@ -82,8 +89,6 @@ ReplicationResult run_des_snapshotted(const Parameters& params, std::uint64_t se
     r.expect_end();
     resumed = true;
   }
-  model.set_event_budget(max_events);
-  if (probe != nullptr) model.set_event_counts(&probe->events);
   model.set_fire_hook(snap.every, [&model, &snap] {
     snapshot::StateWriter w;
     w.str(snap.context);
@@ -145,29 +150,8 @@ ReplicationResult run_replication(const Parameters& params, EngineKind engine, s
                                   std::uint64_t max_events, sim::SchedulerKind scheduler,
                                   const SnapshotSpec* snapshot) {
   switch (engine) {
-    case EngineKind::kDes: {
-      if (snapshot != nullptr && snapshot->enabled()) {
-        return run_des_snapshotted(params, seed, transient, horizon, probe, max_events,
-                                   scheduler, *snapshot);
-      }
-      if (!params.trace_driven()) {
-        // The fixed-slot engine, one replication wide: bit-identical to
-        // DesModel and ~2.5x cheaper per event (no heap, no type-erased
-        // callbacks).  Snapshots and trace replay exist only on DesModel.
-        DesBatch batch(params, {seed});
-        batch.set_event_budget(max_events);
-        if (probe != nullptr) batch.set_event_counts(0, &probe->events);
-        const ReplicationResult r = batch.run(transient, horizon).front();
-        if (probe != nullptr) probe->queue = batch.queue_stats(0);
-        return r;
-      }
-      DesModel model(params, seed, scheduler);
-      model.set_event_budget(max_events);
-      if (probe != nullptr) model.set_event_counts(&probe->events);
-      ReplicationResult r = model.run(transient, horizon);
-      if (probe != nullptr) probe->queue = model.queue_stats();
-      return r;
-    }
+    case EngineKind::kDes:
+      return run_des(params, seed, transient, horizon, probe, max_events, snapshot);
     case EngineKind::kSan: {
       SanCheckpointModel model(params);
       return model.run_replication(seed, transient, horizon, probe, max_events, scheduler,
@@ -177,15 +161,17 @@ ReplicationResult run_replication(const Parameters& params, EngineKind engine, s
   throw std::logic_error("run_replication: unknown engine");
 }
 
-namespace detail {
+namespace {
 
-ReplicationOutcome run_replication_guarded(
-    const Parameters& params, EngineKind engine, std::uint64_t master_seed, std::size_t rep,
-    double transient, double horizon, const FailurePolicy& policy, const WatchdogSpec& watchdog,
+/// The policy loop of detail::run_replication_guarded around one callable
+/// attempt; a template so the runner's own lambda is called directly.
+template <typename Attempt>
+detail::ReplicationOutcome guard_attempts(
+    std::uint64_t master_seed, std::size_t rep, const FailurePolicy& policy,
     obs::ReplicationProbe* probe,
     const std::function<void(std::size_t, std::size_t)>& fault_injection,
-    sim::SchedulerKind scheduler, const SnapshotSpec* snapshot) {
-  ReplicationOutcome out;
+    const SnapshotSpec* snapshot, const Attempt& run_attempt) {
+  detail::ReplicationOutcome out;
   const std::size_t max_attempts =
       policy.mode == FailurePolicy::Mode::kRetry ? 1 + policy.max_retries : 1;
   // Seed-derivation step: stays at the canonical replication seed across
@@ -208,9 +194,7 @@ ReplicationOutcome run_replication_guarded(
       // A fresh probe per attempt: a failed attempt's partial counts must
       // not leak into the telemetry of the attempt that succeeds.
       obs::ReplicationProbe attempt_probe;
-      ReplicationResult r = run_replication(params, engine, seed, transient, horizon,
-                                            probe != nullptr ? &attempt_probe : nullptr,
-                                            watchdog.max_events, scheduler, snapshot);
+      ReplicationResult r = run_attempt(seed, probe != nullptr ? &attempt_probe : nullptr);
       if (!finite_result(r)) {
         last_code = ErrorCode::kNonFiniteReward;
         last_message = "useful_fraction = " + std::to_string(r.useful_fraction);
@@ -266,6 +250,32 @@ ReplicationOutcome run_replication_guarded(
     snapshot::remove_snapshot_file(snapshot->path);
   }
   return out;
+}
+
+}  // namespace
+
+namespace detail {
+
+ReplicationOutcome run_replication_guarded(
+    const Parameters& params, EngineKind engine, std::uint64_t master_seed, std::size_t rep,
+    double transient, double horizon, const FailurePolicy& policy, const WatchdogSpec& watchdog,
+    obs::ReplicationProbe* probe,
+    const std::function<void(std::size_t, std::size_t)>& fault_injection,
+    sim::SchedulerKind scheduler, const SnapshotSpec* snapshot) {
+  return guard_attempts(master_seed, rep, policy, probe, fault_injection, snapshot,
+                        [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
+                          return run_replication(params, engine, seed, transient, horizon,
+                                                 attempt_probe, watchdog.max_events, scheduler,
+                                                 snapshot);
+                        });
+}
+
+ReplicationOutcome run_replication_guarded(
+    std::uint64_t master_seed, std::size_t rep, const FailurePolicy& policy,
+    obs::ReplicationProbe* probe,
+    const std::function<void(std::size_t, std::size_t)>& fault_injection,
+    const SnapshotSpec* snapshot, const ReplicationAttempt& run_attempt) {
+  return guard_attempts(master_seed, rep, policy, probe, fault_injection, snapshot, run_attempt);
 }
 
 }  // namespace detail

@@ -48,11 +48,9 @@ enum class EngineKind {
 /// completes.  A snapshot that fails validation throws
 /// snapshot::SnapshotError — never a partial restore.
 ///
-/// A DES replication runs on DesBatch's fixed-slot scheduler (one
-/// replication wide) unless it needs what only DesModel has: an enabled
-/// `snapshot` or a failure trace.  Both engines give the same bits; the
-/// fixed-slot one is ~2.5x cheaper per event.  `scheduler` selects the
-/// event-queue backend of DesModel and the SAN engine.
+/// A DES replication runs on one DesModel (fixed-slot scheduler), with or
+/// without snapshots and trace replay.  `scheduler` selects the event-queue
+/// backend of the SAN engine; the DES engine has no event queue.
 [[nodiscard]] ReplicationResult run_replication(
     const Parameters& params, EngineKind engine, std::uint64_t seed, double transient,
     double horizon, obs::ReplicationProbe* probe = nullptr, std::uint64_t max_events = 0,
@@ -97,6 +95,20 @@ struct ReplicationOutcome {
     const std::function<void(std::size_t, std::size_t)>& fault_injection,
     sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap,
     const SnapshotSpec* snapshot = nullptr);
+
+/// One attempt of a replication: simulate with `seed`, reporting telemetry
+/// into `probe` when it is non-null.
+using ReplicationAttempt =
+    std::function<ReplicationResult(std::uint64_t seed, obs::ReplicationProbe* probe)>;
+
+/// The policy loop above around any model: `run_attempt` replaces
+/// run_replication (the overload above passes exactly that), with the same
+/// seeds, failure classification, retries and snapshot cleanup.
+[[nodiscard]] ReplicationOutcome run_replication_guarded(
+    std::uint64_t master_seed, std::size_t rep, const FailurePolicy& policy,
+    obs::ReplicationProbe* probe,
+    const std::function<void(std::size_t, std::size_t)>& fault_injection,
+    const SnapshotSpec* snapshot, const ReplicationAttempt& run_attempt);
 
 }  // namespace detail
 

@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstdint>
-
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include "src/core/results.h"
@@ -12,6 +13,7 @@
 #include "src/model/workload.h"
 #include "src/sim/distributions.h"
 #include "src/sim/engine.h"
+#include "src/sim/rng.h"
 #include "src/trace/event_log.h"
 
 namespace ckptsim::snapshot {
@@ -43,14 +45,19 @@ namespace ckptsim {
 /// Useful-work accounting: rate 1 accrues while the compute nodes execute
 /// (computation or application I/O); a rollback charges a negative impulse
 /// equal to the work accrued since the rollback target's quiesce point.
+///
+/// Scheduling: the model keeps at most one pending event per kind, so the
+/// pending set is a fixed array of slots, one per event kind, each holding
+/// a (time, insertion-sequence) pair.  The next event is the argmin over
+/// the armed slots (ties in time fire in insertion order, exactly like
+/// sim::EventQueue) and is dispatched by a switch — no heap, no type-erased
+/// callbacks, no allocation.  Subclasses get kExtensionSlots more slots,
+/// fired through on_extension_event().
 class DesModel {
  public:
   /// `params` is validated on construction; `seed` drives all stochastic
-  /// processes of this replication.  `scheduler` selects the event-queue
-  /// backend (binary heap / calendar queue) — results are bit-identical
-  /// either way.
-  DesModel(const Parameters& params, std::uint64_t seed,
-           sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap);
+  /// processes of this replication.
+  DesModel(const Parameters& params, std::uint64_t seed);
   virtual ~DesModel() = default;
   DesModel(const DesModel&) = delete;
   DesModel& operator=(const DesModel&) = delete;
@@ -67,26 +74,34 @@ class DesModel {
   /// fell on.
   ReplicationResult continue_run(double transient, double horizon);
 
-  /// Install the event-queue post-fire hook (the snapshot layer's periodic
-  /// capture point; same boundary as the fire-budget watchdog).  Set before
-  /// the run starts.
+  /// Install the post-fire hook: invoked right after an event's handler
+  /// returns whenever the lifetime fired count is a multiple of `every`
+  /// (0 disables) — the snapshot layer's periodic capture point, on the
+  /// same boundary as the fire-budget watchdog.  Set before the run starts.
   void set_fire_hook(std::uint64_t every, std::function<void()> hook) {
-    engine_.queue().set_fire_hook(every, std::move(hook));
+    hook_every_ = every;
+    hook_ = std::move(hook);
   }
 
   /// Serialize the full mid-replication state: all eight RNG streams, the
   /// protocol/application/I-O/master state machines, checkpoint and
   /// correlation bookkeeping, reward integrals, counters, warm-up
-  /// baselines, event-handle ids, and the event queue.  Requires a started
-  /// model (throws std::logic_error otherwise).
+  /// baselines, the trace cursor and content hash (trace-driven runs), and
+  /// the pending-event slots.  Requires a started model with no armed
+  /// extension slot — subclass state is not serialized (throws
+  /// std::logic_error otherwise).
   void save_state(snapshot::StateWriter& w) const;
 
   /// Restore onto a freshly constructed model built from the *same*
-  /// parameters and scheduler (the constructor seed is irrelevant — stream
-  /// positions are restored).  Queue callbacks are rebuilt from the saved
-  /// handle ids; any inconsistency throws snapshot::SnapshotError and the
-  /// caller must discard the object.  Attach event log / counts before
-  /// calling if the continued run should trace.
+  /// parameters (the constructor seed is irrelevant — stream positions are
+  /// restored).  Everything is validated before the model counts as
+  /// restored: slot times must be finite and >= the clock (or empty), slot
+  /// sequence numbers below the restored counter and distinct, and a
+  /// trace-driven snapshot must carry the hash of the trace this model
+  /// loaded (kContextMismatch otherwise).  Any inconsistency throws
+  /// snapshot::SnapshotError and the caller must discard the object.
+  /// Attach event log / counts before calling if the continued run should
+  /// trace.
   void restore_state(snapshot::StateReader& r);
 
   /// Job-completion mode: simulate from a fresh start until `useful_work`
@@ -111,17 +126,70 @@ class DesModel {
   /// per replication.  Must be set before the run starts.
   void set_event_counts(trace::EventCounts* counts) noexcept { event_counts_ = counts; }
 
-  /// Event-queue statistics of this replication (obs metrics registry).
-  [[nodiscard]] sim::QueueStats queue_stats() const noexcept { return engine_.queue().stats(); }
+  /// Pending-set statistics of this replication (obs metrics registry):
+  /// scheduled / fired / cancelled and the live-event peak, counted as
+  /// sim::EventQueue counts them.  compactions and peak_dead are always 0
+  /// (a slot array has no tombstones).
+  [[nodiscard]] sim::QueueStats queue_stats() const noexcept;
 
   /// Watchdog: cap this replication at `max_events` fired events (0 =
   /// unlimited); the run throws sim::EventBudgetExceeded past the cap.
   /// Must be set before the run starts.
-  void set_event_budget(std::uint64_t max_events) noexcept {
-    engine_.queue().set_fire_budget(max_events);
-  }
+  void set_event_budget(std::uint64_t max_events) noexcept { fire_budget_ = max_events; }
 
  protected:
+  /// One pending-event slot per event kind.  A recovery has two slots (the
+  /// stage-1 file-system read and the stage-2 recovery); at most one of
+  /// them is armed at a time.  The last kExtensionSlots slots belong to
+  /// subclasses.
+  enum Slot : std::uint32_t {
+    kSlotCkptInit = 0,
+    kSlotTimeout,
+    kSlotBcast,
+    kSlotCoord,
+    kSlotDump,
+    kSlotFsWrite,
+    kSlotAppWrite,
+    kSlotAppToggle,
+    kSlotStage1Done,
+    kSlotRecoveryDone,
+    kSlotReboot,
+    kSlotIoRestart,
+    kSlotFailCompute,
+    kSlotFailIo,
+    kSlotFailMaster,
+    kSlotFailExtra,
+    kSlotWindowEnd,
+    kSlotGenericToggle,
+    kSlotJobDone,
+    kNumBaseSlots,
+    kNumSlots = kNumBaseSlots + 4,
+  };
+  static constexpr std::size_t kExtensionSlots = kNumSlots - kNumBaseSlots;
+  /// Subclass slot `k` (< kExtensionSlots); fires on_extension_event(k).
+  [[nodiscard]] static constexpr Slot extension_slot(std::size_t k) noexcept {
+    return static_cast<Slot>(kNumBaseSlots + k);
+  }
+
+  /// Current simulation time.
+  [[nodiscard]] double now() const noexcept { return now_; }
+  /// Arm `slot` at absolute time `t`.  Like sim::EventQueue::schedule, a
+  /// non-finite or past time throws std::invalid_argument; arming a slot
+  /// that is already armed throws std::logic_error.
+  void schedule_at(Slot slot, double t);
+  void schedule_in(Slot slot, double dt) { schedule_at(slot, now_ + dt); }
+  /// Disarm `slot`; a no-op when it is not armed.
+  void cancel(Slot slot) noexcept {
+    if (slot_time_[slot] != kEmpty) {
+      slot_time_[slot] = kEmpty;
+      ++cancelled_;
+      --live_;
+    }
+  }
+  /// Handler of the subclass slots.  The base model arms none and throws
+  /// std::logic_error if one ever fires.
+  virtual void on_extension_event(std::size_t k);
+
   // The engine is designed for extension: src/nodelevel builds the
   // disaggregated per-node variant on these hooks.
   enum class ComputeState {
@@ -164,18 +232,20 @@ class DesModel {
   void resume_execution();
   void schedule_next_init();
   void reset_app();
+  /// Disarm whichever recovery stage is pending.
+  void cancel_recovery() noexcept {
+    cancel(kSlotStage1Done);
+    cancel(kSlotRecoveryDone);
+  }
 
   // --- application workload ---
   void on_app_toggle();
 
   // --- failures & recovery ---
-  void on_compute_failure_independent_trampoline();
-  void on_compute_failure_extra_trampoline();
   void on_compute_failure(bool independent);
   void on_io_failure();
   void on_master_failure();
   void start_recovery();
-  void restart_recovery();
   void on_stage1_done();
   void on_recovery_done();
   void start_reboot();
@@ -203,7 +273,7 @@ class DesModel {
   /// its absolute fire time.  The proactive engine's failure predictor
   /// hangs off this hook; the base model does nothing.  Overrides must not
   /// draw from the base streams (CRN contract) — use separately named
-  /// engine substreams.
+  /// pool_ substreams.
   virtual void on_independent_failure_armed(double fire_time) { (void)fire_time; }
 
   /// Proactive extension point, called for every compute failure after the
@@ -224,8 +294,15 @@ class DesModel {
 
   // --- plumbing ---
   void start();
+  /// Fire the next event if it is due at or before `t_end`; false (nothing
+  /// fired) otherwise.
+  bool fire_next(double t_end);
+  void dispatch(Slot slot);
+  /// Advance the clock to `t_end` (finite), firing every event due by then;
+  /// on return now() == t_end, like sim::EventQueue::run_until.
+  void run_until(double t_end);
   void schedule_failure_processes();
-  void reschedule(sim::EventHandle& h, sim::Rng& rng, double rate, void (DesModel::*handler)());
+  void reschedule(Slot slot, sim::Rng& rng, double rate);
   /// Arm the next independent compute failure (exponential or Weibull
   /// renewal inter-arrival, per Parameters::failure_distribution).
   void schedule_independent_failure();
@@ -244,7 +321,7 @@ class DesModel {
   void set_useful_rate(double rate) {
     // useful_scale_ is 1.0 outside the malleable proactive policy, and
     // rate * 1.0 == rate bit-exactly, so the base model is unaffected.
-    useful_.set_rate(engine_.now(), rate * useful_scale_);
+    useful_.set_rate(now_, rate * useful_scale_);
     refresh_job_event();
   }
   /// Charge `loss` seconds of rolled-back work against the useful integral.
@@ -258,13 +335,8 @@ class DesModel {
   [[nodiscard]] double stage1_read_time() const noexcept;
   /// Keep the job-completion event aligned with the useful-work integral.
   void refresh_job_event();
-  /// Map a live event id back to its handler during restore_state; the
-  /// saved handle ids identify which member event the id belongs to.
-  /// Returns an empty callback for unknown ids (the queue then rejects the
-  /// restore as corrupt).
-  [[nodiscard]] sim::EventQueue::Callback rebuild_event(std::uint64_t id);
   void note(trace::EventKind kind, double value = 0.0) {
-    if (log_ != nullptr) log_->record(engine_.now(), kind, value);
+    if (log_ != nullptr) log_->record(now_, kind, value);
     if (event_counts_ != nullptr) event_counts_->bump(kind);
   }
 
@@ -272,7 +344,7 @@ class DesModel {
   IoTiming io_timing_;
   WorkloadProfile workload_;
   CorrelatedRates rates_;
-  sim::Engine engine_;
+  sim::RngPool pool_;  ///< named substreams of this replication's seed
   // One RNG substream per stochastic process: keeps replications
   // reproducible and supports common-random-number comparisons.
   struct Streams {
@@ -317,13 +389,6 @@ class DesModel {
   bool prop_window_active_ = false;
   bool generic_correlated_phase_ = false;
 
-  // events
-  sim::EventHandle ev_ckpt_init_, ev_timeout_, ev_bcast_, ev_coord_, ev_dump_;
-  sim::EventHandle ev_fs_write_, ev_app_write_, ev_app_toggle_;
-  sim::EventHandle ev_recovery_, ev_reboot_, ev_io_restart_;
-  sim::EventHandle ev_fail_compute_, ev_fail_io_, ev_fail_master_, ev_fail_extra_;
-  sim::EventHandle ev_window_end_, ev_generic_toggle_;
-
   sim::RateIntegral useful_;
   sim::RateIntegral executing_;  // gross execution time (no loss charges)
   sim::RateIntegral state_time_[kStateCategories];  // StateBreakdown integrals
@@ -341,8 +406,24 @@ class DesModel {
   // job-completion mode
   double job_target_ = 0.0;  // 0 = not in job mode
   bool job_completed_ = false;
-  sim::EventHandle ev_job_done_;
   bool started_ = false;
+
+ private:
+  static constexpr double kEmpty = std::numeric_limits<double>::infinity();
+
+  // Pending set: slot s is armed iff slot_time_[s] != kEmpty; its sequence
+  // number orders it among events scheduled for the same time.
+  double slot_time_[kNumSlots];
+  std::uint64_t slot_seq_[kNumSlots] = {};
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;  ///< = events scheduled so far
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::uint64_t live_ = 0;
+  std::uint64_t peak_live_ = 0;
+  std::uint64_t fire_budget_ = 0;  ///< 0 = unlimited
+  std::uint64_t hook_every_ = 0;   ///< 0 = no post-fire hook
+  std::function<void()> hook_;
 };
 
 }  // namespace ckptsim

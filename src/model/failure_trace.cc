@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "src/obs/json_value.h"
+#include "src/sim/rng.h"
 
 namespace ckptsim {
 
@@ -52,6 +53,7 @@ void check_event(std::vector<TraceEvent>& events, TraceEvent ev, std::size_t lin
 
 FailureTrace FailureTrace::parse_csv(std::string_view text) {
   FailureTrace trace;
+  trace.content_hash_ = sim::fnv1a64(text);
   std::size_t line_no = 0;
   for (std::string_view line : split_lines_strict(text)) {
     ++line_no;
@@ -74,6 +76,7 @@ FailureTrace FailureTrace::parse_csv(std::string_view text) {
 
 FailureTrace FailureTrace::parse_jsonl(std::string_view text) {
   FailureTrace trace;
+  trace.content_hash_ = sim::fnv1a64(text);
   std::size_t line_no = 0;
   for (std::string_view line : split_lines_strict(text)) {
     ++line_no;

@@ -55,6 +55,9 @@ class FailureTrace {
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept { return events_; }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
+  /// FNV-1a hash of the text this trace was parsed from: DES snapshots
+  /// carry it, so a resume against a rewritten file is rejected.
+  [[nodiscard]] std::uint64_t content_hash() const noexcept { return content_hash_; }
 
   /// Throws std::invalid_argument when any event names a node id >= `nodes`
   /// (`what` identifies the trace in the message, e.g. its path).
@@ -62,6 +65,7 @@ class FailureTrace {
 
  private:
   std::vector<TraceEvent> events_;
+  std::uint64_t content_hash_ = 0;
 };
 
 }  // namespace ckptsim

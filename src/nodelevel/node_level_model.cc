@@ -9,9 +9,9 @@ NodeLevelModel::NodeLevelModel(const Parameters& params, const SpatialCorrelatio
                                std::uint64_t seed)
     : DesModel(params, seed),
       spatial_(spatial),
-      rng_victim_(engine_.stream("node_victim")),
-      rng_quiesce_(engine_.stream("node_quiesce")),
-      rng_spatial_(engine_.stream("node_spatial")),
+      rng_victim_(pool_.stream("node_victim")),
+      rng_quiesce_(pool_.stream("node_quiesce")),
+      rng_spatial_(pool_.stream("node_spatial")),
       node_failures_(params.nodes(), 0),
       spatial_failures_(params.nodes(), 0),
       straggler_counts_(params.nodes(), 0) {
@@ -82,8 +82,7 @@ void NodeLevelModel::open_spatial_window(std::uint64_t group) {
   ++spatial_windows_;
   spatial_window_active_ = true;
   spatial_group_ = group;
-  ev_spatial_end_ =
-      engine_.schedule_in(spatial_.window, [this] { on_spatial_window_end(); });
+  schedule_in(extension_slot(kSpatialEnd), spatial_.window);
   // Elevated rate for the *other* nodes of the group.
   const std::uint64_t first = group * p_.compute_nodes_per_io_node;
   const std::uint64_t size =
@@ -91,14 +90,21 @@ void NodeLevelModel::open_spatial_window(std::uint64_t group) {
   const double rate =
       spatial_.factor * static_cast<double>(size > 0 ? size - 1 : 0) / p_.mttf_node;
   if (rate > 0.0) {
-    ev_spatial_fail_ = engine_.schedule_in(rng_spatial_.exponential_rate(rate),
-                                           [this] { on_spatial_failure(); });
+    schedule_in(extension_slot(kSpatialFail), rng_spatial_.exponential_rate(rate));
+  }
+}
+
+void NodeLevelModel::on_extension_event(std::size_t k) {
+  if (k == kSpatialEnd) {
+    on_spatial_window_end();
+  } else {
+    on_spatial_failure();
   }
 }
 
 void NodeLevelModel::on_spatial_window_end() {
   spatial_window_active_ = false;
-  engine_.cancel(ev_spatial_fail_);
+  cancel(extension_slot(kSpatialFail));
 }
 
 void NodeLevelModel::on_spatial_failure() {
@@ -108,8 +114,7 @@ void NodeLevelModel::on_spatial_failure() {
       std::min<std::uint64_t>(p_.compute_nodes_per_io_node, p_.nodes() - first);
   const double rate =
       spatial_.factor * static_cast<double>(size > 0 ? size - 1 : 0) / p_.mttf_node;
-  ev_spatial_fail_ = engine_.schedule_in(rng_spatial_.exponential_rate(rate),
-                                         [this] { on_spatial_failure(); });
+  schedule_in(extension_slot(kSpatialFail), rng_spatial_.exponential_rate(rate));
   const std::uint64_t victim = first + rng_spatial_.below(size);
   record_victim(victim, /*spatial=*/true);
   // Inject into the shared failure machinery as a correlated (non-

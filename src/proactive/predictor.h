@@ -3,7 +3,7 @@
 #include <optional>
 
 #include "src/model/parameters.h"
-#include "src/sim/engine.h"
+#include "src/sim/rng.h"
 
 namespace ckptsim::proactive {
 
@@ -23,7 +23,7 @@ namespace ckptsim::proactive {
 /// genuine failure equals `precision` (precision 1 => no false alarms).
 ///
 /// CRN contract: all three stochastic decisions draw from dedicated named
-/// engine substreams ("proactive/tp", "proactive/lead", "proactive/false")
+/// substreams ("proactive/tp", "proactive/lead", "proactive/false")
 /// that no other process touches, and exactly two draws happen per armed
 /// failure regardless of outcome — so prediction quality NEVER perturbs
 /// the failure seed streams, and the warning sequence itself is identical
@@ -33,7 +33,7 @@ class FailurePredictor {
   /// `base_failure_rate` is the independent compute-failure rate used to
   /// size the false-alarm process (for trace-driven runs this is still the
   /// parametric rate implied by the MTTF — documented in DESIGN.md).
-  FailurePredictor(const Parameters& params, const sim::Engine& engine,
+  FailurePredictor(const Parameters& params, const sim::RngPool& pool,
                    double base_failure_rate);
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }

@@ -57,8 +57,7 @@ struct ProactiveReplication {
 /// to DesModel.
 class ProactiveModel : public DesModel {
  public:
-  ProactiveModel(const Parameters& params, std::uint64_t seed,
-                 sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap);
+  ProactiveModel(const Parameters& params, std::uint64_t seed);
 
   /// Run one replication (same window semantics as DesModel::run) and
   /// report the base rewards plus windowed proactive tallies.
@@ -72,9 +71,11 @@ class ProactiveModel : public DesModel {
   bool consume_failure(bool independent) override;
   void on_warmup_captured() override;
   void cancel_protocol_events() override;
+  void on_extension_event(std::size_t k) override;
 
  private:
   enum class PauseKind : std::uint8_t { kNone, kMigration, kRescale };
+  enum : std::size_t { kWarning, kFalseAlarm, kPause, kRepair };  ///< extension slots
 
   static constexpr double kNever = std::numeric_limits<double>::infinity();
 
@@ -95,6 +96,7 @@ class ProactiveModel : public DesModel {
 
   // predictor / migrate state
   double armed_fire_time_ = kNever;   ///< fire time of the armed failure
+  double warning_for_time_ = kNever;  ///< fire time the pending warning predicts
   bool shield_ready_ = false;         ///< evacuation completed in time
   double shield_fire_time_ = -1.0;    ///< exact fire time the shield covers
   double migration_for_time_ = kNever;  ///< fire time the in-flight migration
@@ -105,8 +107,6 @@ class ProactiveModel : public DesModel {
 
   // malleable state
   std::uint64_t down_nodes_ = 0;
-
-  sim::EventHandle ev_warning_, ev_false_alarm_, ev_pause_, ev_repair_;
 };
 
 }  // namespace ckptsim::proactive

@@ -40,7 +40,7 @@ struct ProactiveResult {
 /// draw-for-draw identical to DesModel, so `out.run` matches run_model's
 /// output bit-exactly (same seeds, same aggregation).
 ///
-/// Honours spec.exec / scheduler / watchdog / cancel / metrics / progress
+/// Honours spec.exec / watchdog / cancel / metrics / progress
 /// and sequential stopping (deterministic rounds on the useful-work
 /// fraction; out.run.rounds records the round sizes).  Runs fail-fast:
 /// throws std::invalid_argument for spec.on_failure retry/skip,

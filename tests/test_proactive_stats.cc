@@ -12,7 +12,7 @@
 #include "src/model/parameters.h"
 #include "src/proactive/predictor.h"
 #include "src/proactive/run.h"
-#include "src/sim/engine.h"
+#include "src/sim/rng.h"
 
 namespace {
 
@@ -22,7 +22,7 @@ using ckptsim::RunSpec;
 using ckptsim::proactive::FailurePredictor;
 using ckptsim::proactive::ProactiveResult;
 using ckptsim::proactive::run_proactive;
-using ckptsim::sim::Engine;
+using ckptsim::sim::RngPool;
 using ckptsim::units::kHour;
 using ckptsim::units::kMinute;
 
@@ -43,11 +43,11 @@ TEST(ProactiveStats, BernoulliHitProcessPassesChiSquare) {
   const double recalls[] = {0.2, 0.5, 0.9};
   const std::size_t n = 10000;
   double chi2 = 0.0;
-  std::uint64_t engine_seed = 40;
+  std::uint64_t pool_seed = 40;
   for (const double recall : recalls) {
     const Parameters p = predictor_params(1.0, recall);
-    Engine engine(engine_seed++);
-    FailurePredictor pred(p, engine, 1e-3);
+    RngPool pool(pool_seed++);
+    FailurePredictor pred(p, pool, 1e-3);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (pred.predict(0.0, 1e9).has_value()) ++hits;

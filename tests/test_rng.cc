@@ -207,15 +207,4 @@ TEST(Rng, UniformIsStrictlyBelowOne) {
   }
 }
 
-TEST(Rng, UniformNMatchesRepeatedUniform) {
-  // The bulk entry point exists so the batched engine can amortize draws;
-  // it must consume the stream exactly like n single draws.
-  Rng bulk(77), single(77);
-  double out[129];
-  bulk.uniform_n(out, 129);
-  for (int i = 0; i < 129; ++i) EXPECT_EQ(out[i], single.uniform()) << "draw " << i;
-  // And both generators sit at the same position afterwards.
-  EXPECT_EQ(bulk.uniform(), single.uniform());
-}
-
 }  // namespace

@@ -4,7 +4,8 @@
 // QueueStats.  The scripts are seeded std::mt19937_64 so failures replay
 // exactly; they deliberately stress the calendar's weak spots — equal-time
 // ties, cancel-heavy churn, far-future outliers parked in the overflow
-// year, and window jumps across empty stretches.
+// year, and window jumps across empty stretches.  One end-to-end check runs
+// the SAN engine (the main user of the backend choice) through run_model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "src/core/result_json.h"
+#include "src/core/runner.h"
+#include "src/model/parameters.h"
+#include "src/obs/json.h"
 #include "src/sim/event_queue.h"
 
 namespace {
@@ -195,6 +200,24 @@ TEST(SchedulerDiff, RecursiveSchedulingAgrees) {
   const std::vector<double> heap_times = run_chains(SchedulerKind::kBinaryHeap);
   ASSERT_FALSE(heap_times.empty());
   EXPECT_EQ(run_chains(SchedulerKind::kCalendar), heap_times);
+}
+
+TEST(SchedulerDiff, SanRunModelIsResultInvariant) {
+  // End to end: the SAN engine's replications aggregate to the same bits
+  // under either backend (canonical JSON renders every double %.17g).
+  ckptsim::Parameters small;
+  small.num_processors = 4096;
+  ckptsim::RunSpec heap;
+  heap.transient = 5.0 * ckptsim::units::kHour;
+  heap.horizon = 30.0 * ckptsim::units::kHour;
+  heap.replications = 3;
+  heap.seed = 20260808;
+  ckptsim::RunSpec cal = heap;
+  cal.scheduler = SchedulerKind::kCalendar;
+  ckptsim::obs::JsonWriter a, b;
+  ckptsim::write_run_result(a, ckptsim::run_model(small, heap, ckptsim::EngineKind::kSan));
+  ckptsim::write_run_result(b, ckptsim::run_model(small, cal, ckptsim::EngineKind::kSan));
+  EXPECT_EQ(a.str(), b.str());
 }
 
 }  // namespace

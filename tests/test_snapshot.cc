@@ -1,12 +1,13 @@
 // Snapshot layer (src/snapshot) and event-granular crash-resume: the
 // load-bearing properties are (1) restore is bit-identical — a replication
 // killed at any event count and resumed from its snapshot produces exactly
-// the golden trajectory and %.17g results of an uninterrupted run, under
-// both scheduler backends — and (2) restore is all-or-nothing — a snapshot
-// truncated or corrupted at ANY byte offset, or taken under a different
-// format version / state kind / scheduler / run context, is rejected with a
-// structured SnapshotError, never partially loaded (the mirror of the
-// torn-journal tests in test_journal.cc).
+// the golden trajectory and %.17g results of an uninterrupted run (the SAN
+// executor under both scheduler backends) — and (2) restore is
+// all-or-nothing — a snapshot truncated or corrupted at ANY byte offset, or
+// taken under a different format version / state kind / scheduler / run
+// context / failure-trace content, is rejected with a structured
+// SnapshotError, never partially loaded (the mirror of the torn-journal
+// tests in test_journal.cc).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,8 +17,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -33,6 +36,7 @@
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/model/san_model.h"
+#include "src/nodelevel/node_level_model.h"
 #include "src/obs/json.h"
 #include "src/obs/json_value.h"
 #include "src/san/executor.h"
@@ -289,9 +293,9 @@ struct KilledRun {
 /// events with the state captured at that boundary, then resume a freshly
 /// constructed model (different constructor seed — stream positions travel
 /// in the snapshot) and splice the two event logs.
-KilledRun kill_and_resume(std::uint64_t kill_at, SchedulerKind scheduler) {
+KilledRun kill_and_resume(std::uint64_t kill_at) {
   EventLog before(1 << 18);
-  DesModel m1(Parameters{}, /*seed=*/20260805, scheduler);
+  DesModel m1(Parameters{}, /*seed=*/20260805);
   m1.set_event_log(&before);
   std::string payload;
   m1.set_fire_hook(kill_at, [&] {
@@ -304,7 +308,7 @@ KilledRun kill_and_resume(std::uint64_t kill_at, SchedulerKind scheduler) {
   EXPECT_FALSE(payload.empty());
 
   EventLog after(1 << 18);
-  DesModel m2(Parameters{}, /*seed=*/1, scheduler);
+  DesModel m2(Parameters{}, /*seed=*/1);
   m2.set_event_log(&after);
   StateReader r(payload);
   m2.restore_state(r);
@@ -327,24 +331,7 @@ TEST(SnapshotDesResume, KillAtVariedEventCountsReproducesGoldenTrajectory) {
   // on the same pinned baseline the uninterrupted run produces.
   for (const std::uint64_t kill_at : {1ULL, 97ULL, 1000ULL, 2500ULL}) {
     SCOPED_TRACE("kill_at=" + std::to_string(kill_at));
-    const KilledRun killed = kill_and_resume(kill_at, SchedulerKind::kBinaryHeap);
-    EXPECT_EQ(killed.checksum, kDesGoldenChecksum);
-    expect_same_replication(killed.result, full_result);
-  }
-}
-
-TEST(SnapshotDesResume, CalendarQueueResumesBitIdenticallyToo) {
-  EventLog full_log(1 << 18);
-  DesModel full(Parameters{}, 20260805, SchedulerKind::kCalendar);
-  full.set_event_log(&full_log);
-  const ReplicationResult full_result = full.run(0.0, 60.0 * kHour);
-  // Scheduler equivalence (pinned elsewhere): the calendar full run already
-  // matches the heap baseline; the resumed run must match both.
-  ASSERT_EQ(merged_log_checksum({&full_log}), kDesGoldenChecksum);
-
-  for (const std::uint64_t kill_at : {97ULL, 1000ULL}) {
-    SCOPED_TRACE("kill_at=" + std::to_string(kill_at));
-    const KilledRun killed = kill_and_resume(kill_at, SchedulerKind::kCalendar);
+    const KilledRun killed = kill_and_resume(kill_at);
     EXPECT_EQ(killed.checksum, kDesGoldenChecksum);
     expect_same_replication(killed.result, full_result);
   }
@@ -400,23 +387,134 @@ TEST(SnapshotDesResume, ChainedKillsResumeAcrossMultipleSnapshots) {
   expect_same_replication(result, full.run(0.0, 60.0 * kHour));
 }
 
-TEST(SnapshotDesResume, SchedulerMismatchIsRejected) {
+/// The state of the golden replication after exactly `at` fired events.
+std::string des_payload_at(std::uint64_t at) {
   std::string payload;
-  DesModel m1(Parameters{}, 20260805, SchedulerKind::kBinaryHeap);
-  m1.set_fire_hook(100, [&] {
+  DesModel m(Parameters{}, 20260805);
+  m.set_fire_hook(at, [&] {
     StateWriter w;
-    m1.save_state(w);
+    m.save_state(w);
     payload = w.take();
   });
-  m1.set_event_budget(100);
-  EXPECT_THROW((void)m1.run(0.0, 60.0 * kHour), EventBudgetExceeded);
+  m.set_event_budget(at);
+  EXPECT_THROW((void)m.run(0.0, 60.0 * kHour), EventBudgetExceeded);
+  return payload;
+}
 
-  DesModel m2(Parameters{}, 20260805, SchedulerKind::kCalendar);
-  EXPECT_EQ(fault_of([&] {
-              StateReader r(payload);
-              m2.restore_state(r);
-            }),
-            SnapshotFault::kSchedulerMismatch);
+// The v2 payload ends with the pending set: the clock, four counters
+// (scheduled, fired, cancelled, live peak), then 19 (time, seq) slots.
+constexpr std::size_t kPendingSlots = 19;
+constexpr std::size_t kPendingBytes = 5 * 8 + kPendingSlots * 16;
+
+std::uint64_t get_u64(const std::string& s, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int b = 7; b >= 0; --b) v = (v << 8) | static_cast<unsigned char>(s[at + b]);
+  return v;
+}
+void put_u64(std::string& s, std::size_t at, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) s[at + b] = static_cast<char>((v >> (8 * b)) & 0xFF);
+}
+double get_f64(const std::string& s, std::size_t at) {
+  const std::uint64_t bits = get_u64(s, at);
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+void put_f64(std::string& s, std::size_t at, double d) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof d);
+  put_u64(s, at, bits);
+}
+
+SnapshotFault restore_fault(const std::string& payload) {
+  return fault_of([&] {
+    DesModel m(Parameters{}, 1);
+    StateReader r(payload);
+    m.restore_state(r);
+    r.expect_end();
+  });
+}
+
+TEST(SnapshotDesResume, PendingSetIsValidatedBeforeRestore) {
+  // The checks sim::EventQueue::restore_state made on its entries, on the
+  // slot array: armed times finite and >= the clock, sequence numbers below
+  // the counter and distinct, counters consistent with the armed slots.
+  const std::string good = des_payload_at(1000);
+  const std::size_t base = good.size() - kPendingBytes;
+  const std::size_t slots = base + 5 * 8;
+  const double now = get_f64(good, base);
+  const std::uint64_t next_seq = get_u64(good, base + 8);
+  std::vector<std::size_t> armed, empty;
+  for (std::size_t s = 0; s < kPendingSlots; ++s) {
+    (std::isinf(get_f64(good, slots + 16 * s)) ? empty : armed).push_back(slots + 16 * s);
+  }
+  ASSERT_GE(armed.size(), 2u);
+  ASSERT_FALSE(empty.empty());
+  {
+    DesModel m(Parameters{}, 1);
+    StateReader r(good);
+    m.restore_state(r);
+    r.expect_end();
+  }
+
+  const auto mutated = [&good](const std::function<void(std::string&)>& edit) {
+    std::string bad = good;
+    edit(bad);
+    return bad;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"nan clock", mutated([&](std::string& s) { put_f64(s, base, nan); })},
+      {"nan time", mutated([&](std::string& s) { put_f64(s, armed[0], nan); })},
+      {"-inf time", mutated([&](std::string& s) { put_f64(s, armed[0], -inf); })},
+      {"past time", mutated([&](std::string& s) { put_f64(s, armed[0], now - 1.0); })},
+      {"seq at counter", mutated([&](std::string& s) { put_u64(s, armed[0] + 8, next_seq); })},
+      {"duplicate seq",
+       mutated([&](std::string& s) { put_u64(s, armed[1] + 8, get_u64(s, armed[0] + 8)); })},
+      {"empty slot seq", mutated([&](std::string& s) { put_u64(s, empty[0] + 8, 1); })},
+      // seq 0 (the first interval timer, long fired) is unique: only the
+      // counters can reject this one.
+      {"extra armed slot", mutated([&](std::string& s) { put_f64(s, empty[0], now); })},
+      {"scheduled count", mutated([&](std::string& s) { put_u64(s, base + 8, next_seq + 1); })},
+      {"live peak", mutated([&](std::string& s) { put_u64(s, base + 32, 1); })},
+  };
+  for (const auto& [name, payload] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(restore_fault(payload), SnapshotFault::kCorrupt);
+  }
+}
+
+TEST(SnapshotDesResume, TruncationInsideThePayloadIsRejected) {
+  // Every prefix that cuts the fixed-width state or the pending set fails
+  // as truncated (the RNG streams before them are length-prefixed text).
+  const std::string good = des_payload_at(97);
+  for (std::size_t len = good.size() - kPendingBytes - 400; len < good.size(); ++len) {
+    EXPECT_EQ(restore_fault(good.substr(0, len)), SnapshotFault::kTruncated) << len;
+  }
+}
+
+TEST(SnapshotDesResume, ModelWithArmedExtensionEventsRefusesToSave) {
+  // Subclass events and their state are not part of the DES payload; a
+  // snapshot of them must fail loudly instead of dropping them.
+  Parameters p;
+  p.num_processors = 8192;
+  ckptsim::SpatialCorrelation spatial;
+  spatial.probability = 1.0;
+  spatial.factor = 500.0;
+  ckptsim::NodeLevelModel model(p, spatial, 7);
+  bool refused = false;
+  model.set_fire_hook(1, [&] {
+    StateWriter w;
+    try {
+      model.save_state(w);
+    } catch (const std::logic_error&) {
+      refused = true;
+      throw;
+    }
+  });
+  EXPECT_THROW((void)model.run(0.0, 2000.0 * kHour), std::logic_error);
+  EXPECT_TRUE(refused);
 }
 
 // --- SAN executor: same property on the 12-submodel SAN ------------------
@@ -466,6 +564,25 @@ TEST(SnapshotSanResume, CalendarQueueResumesBitIdenticallyToo) {
   ckptsim::san::Executor full(san.model(), 20260805, SchedulerKind::kCalendar);
   const std::uint64_t full_sum = fnv1a64(san_step_trace(full, 5000));
   EXPECT_EQ(san_resumed_checksum(777, 5000, SchedulerKind::kCalendar), full_sum);
+}
+
+TEST(SnapshotSanResume, SchedulerMismatchIsRejected) {
+  // Executor state records its event-queue backend: a heap snapshot must
+  // not restore into a calendar-queue executor.
+  const ckptsim::SanCheckpointModel san1{Parameters{}};
+  ckptsim::san::Executor e1(san1.model(), 20260805, SchedulerKind::kBinaryHeap);
+  (void)san_step_trace(e1, 100);
+  StateWriter w;
+  e1.save_state(w);
+  const std::string payload = w.take();
+
+  const ckptsim::SanCheckpointModel san2{Parameters{}};
+  ckptsim::san::Executor e2(san2.model(), 20260805, SchedulerKind::kCalendar);
+  EXPECT_EQ(fault_of([&] {
+              StateReader r(payload);
+              e2.restore_state(r);
+            }),
+            SnapshotFault::kSchedulerMismatch);
 }
 
 TEST(SnapshotSanResume, KindMismatchRejectsDesSnapshotInSanReader) {
@@ -635,6 +752,71 @@ TEST(SnapshotRunner, StaleContextIsRejectedNotResumed) {
   (void)ckptsim::run_replication(params, EngineKind::kDes, 7, transient, horizon, nullptr, 0,
                                  SchedulerKind::kBinaryHeap, &snap);
   EXPECT_FALSE(snapshot_exists(snap.path));
+}
+
+TEST(SnapshotRunner, VersionOneSnapshotIsMismatchNotCorrupt) {
+  // A .snap left by a build that wrote format version 1 (event-queue DES
+  // state) is a clean version mismatch after an upgrade, never "corrupt".
+  const RunResult clean = ckptsim::run_model(Parameters{}, fast_spec());
+  TempDir dir("v1");
+  const auto plant_v1 = [&dir] {
+    std::string file = encode_snapshot(kKindDesModel, sample_payload());
+    file[8] = 1;  // u32 LE format version at bytes 8..11
+    file[9] = file[10] = file[11] = 0;
+    std::ofstream(dir.file("rep-0.snap"), std::ios::binary) << file;
+  };
+  plant_v1();
+  RunSpec spec = fast_spec();
+  spec.snapshot_every_events = 250;
+  spec.snapshot_dir = dir.path;
+  try {
+    (void)ckptsim::run_model(Parameters{}, spec);
+    FAIL() << "a version-1 snapshot should fail the run under fail-fast";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kSnapshotMismatch) << e.what();
+  }
+
+  // Retry removes the stale file and reruns replication 0 on its canonical
+  // seed: the aggregate is bit-identical to a plain run.
+  plant_v1();
+  spec.on_failure.mode = ckptsim::FailurePolicy::Mode::kRetry;
+  spec.on_failure.max_retries = 1;
+  const RunResult recovered = ckptsim::run_model(Parameters{}, spec);
+  ASSERT_EQ(recovered.failures.recovered.size(), 1u);
+  EXPECT_EQ(recovered.failures.recovered[0].replication, 0u);
+  EXPECT_EQ(recovered.failures.recovered[0].code, ErrorCode::kSnapshotMismatch);
+  RunResult stripped = recovered;
+  stripped.failures = {};
+  expect_same_run(stripped, clean);
+}
+
+TEST(SnapshotRunner, RewrittenFailureTraceIsRejectedOnResume) {
+  // The run context names the trace by path only; the snapshot also carries
+  // a hash of the trace contents, so a trace rewritten in place between the
+  // kill and the resume cannot splice two different traces into one run.
+  TempDir dir("trace");
+  const std::string trace = dir.file("failures.csv");
+  std::ofstream(trace, std::ios::binary) << "0,3600\n1,36000\n2,200000\n3,600000\n";
+  Parameters params;
+  params.failure_trace_path = trace;
+  RunSpec spec = fast_spec();
+  spec.replications = 1;
+  spec.snapshot_every_events = 250;
+  spec.snapshot_dir = dir.path;
+  spec.watchdog.max_events = 700;
+  EXPECT_THROW((void)ckptsim::run_model(params, spec), SimError);
+  ASSERT_TRUE(snapshot_exists(dir.file("rep-0.snap")));
+
+  std::ofstream(trace, std::ios::binary) << "0,3700\n1,36100\n2,200100\n3,600100\n";
+  spec.watchdog.max_events = 0;
+  try {
+    (void)ckptsim::run_model(params, spec);
+    FAIL() << "resuming against a rewritten trace must fail";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kSnapshotMismatch) << e.what();
+    EXPECT_NE(std::string(e.what()).find("changed since the snapshot"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SnapshotSweep, KilledSweepResumesBitIdentically) {

@@ -87,8 +87,8 @@ Simulation:
   --jobs N                replication worker threads    [auto: CKPTSIM_JOBS,
                           then hardware]; results identical for any N
   --scheduler KIND        event-queue backend: heap | calendar   [heap]
-                          (SAN, snapshotted or trace-driven DES, proactive,
-                          interference; plain DES runs on fixed slots);
+                          (SAN and multi-job interference; the DES engine
+                          has fixed event slots and no queue);
                           results are bit-identical either way
   --job-hours W           job-completion mode: makespan of W useful hours
 
