@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -168,6 +169,7 @@ class DesModel {
   static constexpr std::size_t kExtensionSlots = kNumSlots - kNumBaseSlots;
   /// Subclass slot `k` (< kExtensionSlots); fires on_extension_event(k).
   [[nodiscard]] static constexpr Slot extension_slot(std::size_t k) noexcept {
+    assert(k < kExtensionSlots);
     return static_cast<Slot>(kNumBaseSlots + k);
   }
 
