@@ -12,6 +12,7 @@
 
 #include "src/core/fault.h"
 #include "src/core/result_json.h"
+#include "src/model/failure_trace.h"
 #include "src/obs/json.h"
 #include "src/obs/json_value.h"
 #include "src/sim/rng.h"
@@ -140,6 +141,12 @@ std::uint64_t journal_fingerprint(const std::string& label, const Parameters& p,
   s += label;
   s += ';';
   s += parameters_field_string(p);
+  // The trace's contents, not just its path (parameters_field_string): a
+  // trace rewritten in place must not resume or hit stale entries.
+  if (p.trace_driven()) {
+    append_field(s, "failure_trace_hash",
+                 FailureTrace::shared(p.failure_trace_path)->content_hash());
+  }
   // Result-affecting RunSpec knobs (exec/metrics/progress never change
   // results and are deliberately excluded).
   append_field(s, "transient", spec.transient);

@@ -12,8 +12,9 @@
 namespace ckptsim {
 
 /// Identity of one sweep point for journal lookup: an FNV-1a hash of a
-/// canonical serialization of the series label, every Parameters field,
-/// the result-affecting RunSpec knobs (transient/horizon/replications/
+/// canonical serialization of the series label, every Parameters field
+/// (plus a failure trace's content hash, not only its path), the
+/// result-affecting RunSpec knobs (transient/horizon/replications/
 /// seed/confidence/failure policy/watchdog — not exec or observers), the
 /// engine, and the swept x.  Any change to what would be simulated changes
 /// the fingerprint, so resuming against a stale journal recomputes instead

@@ -156,7 +156,7 @@ struct RunSpec {
   FailurePolicy on_failure;
 
   /// Per-replication progress guard (0 = unlimited events).
-  WatchdogSpec watchdog;
+  WatchdogSpec watchdog{};
 
   /// Event-granular crash-resume.  When > 0, every replication serializes
   /// its full simulator state into `snapshot_dir` every N fired events (the
@@ -169,7 +169,7 @@ struct RunSpec {
 
   /// Directory for snapshot files (one per in-flight replication).  Must
   /// exist and be non-empty when snapshot_every_events > 0.
-  std::string snapshot_dir;
+  std::string snapshot_dir{};
 
   /// Cooperative cancellation (e.g. a SIGINT flag).  Not owned.  When the
   /// pointee becomes true, replications not yet started are abandoned and
@@ -182,7 +182,7 @@ struct RunSpec {
   /// treated as that attempt failing with kInjectedFault and handled by
   /// `on_failure` — the hook the fault-tolerance tests use to script
   /// failures on chosen replications.
-  std::function<void(std::size_t replication, std::size_t attempt)> fault_injection;
+  std::function<void(std::size_t replication, std::size_t attempt)> fault_injection{};
 
   /// Throws std::invalid_argument naming the first violated constraint.
   /// Called once at every driver entry (run_model / sweep).

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "src/core/fault.h"
+#include "src/core/replicate.h"
 #include "src/core/results.h"
 #include "src/model/parameters.h"
 
@@ -35,13 +36,13 @@ enum class EngineKind {
                                   EngineKind engine = EngineKind::kDes);
 
 /// One independent replication of `params` under `engine` with its own
-/// seed.  The unit of work the parallel drivers (run_model, sweep)
-/// dispatch; callers derive `seed` via sim::replication_seed.  When `probe`
-/// is non-null the replication additionally reports its telemetry (per-
-/// EventKind counts, activity firings/aborts, event-queue stats) into it;
-/// collection never perturbs the simulation.  `max_events` is the watchdog
-/// budget (0 = unlimited): past it the run throws
-/// sim::EventBudgetExceeded.  A non-null enabled `snapshot` turns on
+/// seed.  The attempt run_model, sweep and the campaign server hand to the
+/// replication driver; callers derive `seed` via sim::replication_seed.
+/// When `probe` is non-null the replication additionally reports its
+/// telemetry (per-EventKind counts, activity firings/aborts, event-queue
+/// stats) into it; collection never perturbs the simulation.
+/// `max_events` is the watchdog budget (0 = unlimited): past it the run
+/// throws sim::EventBudgetExceeded.  A non-null enabled `snapshot` turns on
 /// event-granular crash-resume: the state is captured every
 /// `snapshot->every` fired events, an existing snapshot file is resumed
 /// from (bit-identically), and the file is removed once the replication
@@ -66,51 +67,24 @@ enum class EngineKind {
                                                double transient, double horizon, EngineKind engine,
                                                std::size_t rep);
 
-namespace detail {
+/// Parameters::validate(), plus the check that `params` carries no
+/// proactive parameters: the base engines would silently ignore the
+/// predictor and policy, so run_model, sweep and the service's sweep
+/// validation refuse them (std::invalid_argument prefixed by `driver`).
+void validate_reactive_point(const Parameters& params, const std::string& driver);
 
-/// Outcome of one replication executed under a FailurePolicy: either a
-/// result (possibly after retries — then `failure` records what was
-/// recovered from), or a permanent failure.  `attempts == 0` marks a
-/// replication abandoned before its first attempt (fail-fast bail-out or
-/// cancellation).
-struct ReplicationOutcome {
-  bool ok = false;
-  ReplicationResult result;     ///< valid when ok
-  ReplicationFailure failure;   ///< last failure; meaningful when !ok or attempts > 1
-  std::size_t attempts = 0;     ///< attempts consumed
-};
+/// Snapshot control of replication `rep` of one point: a capture every
+/// `every` fired events (0 = off) into `<path_prefix>rep-<rep>.snap`, with
+/// the context bound to this exact run (snapshot_run_context).
+[[nodiscard]] SnapshotSpec replication_snapshot(const Parameters& params, const RunSpec& spec,
+                                                EngineKind engine, std::size_t rep,
+                                                std::uint64_t every,
+                                                const std::string& path_prefix);
 
-/// Run replication `rep` with retry/watchdog handling.  Catches every
-/// attempt failure and classifies it into the ErrorCode taxonomy — the
-/// parallel drivers' tasks never throw, so failures reach the caller as
-/// structured accounting instead of being torn out of ThreadPool::wait.
-/// Attempt seeds: the canonical sim::replication_seed stream, advanced to
-/// a fresh sim::replication_attempt_seed substream only after failures
-/// that are deterministic in (params, seed) — so a transient failure
-/// retried successfully reproduces a clean run bit-identically.
-[[nodiscard]] ReplicationOutcome run_replication_guarded(
-    const Parameters& params, EngineKind engine, std::uint64_t master_seed, std::size_t rep,
-    double transient, double horizon, const FailurePolicy& policy, const WatchdogSpec& watchdog,
-    obs::ReplicationProbe* probe,
-    const std::function<void(std::size_t, std::size_t)>& fault_injection,
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap,
-    const SnapshotSpec* snapshot = nullptr);
-
-/// One attempt of a replication: simulate with `seed`, reporting telemetry
-/// into `probe` when it is non-null.
-using ReplicationAttempt =
-    std::function<ReplicationResult(std::uint64_t seed, obs::ReplicationProbe* probe)>;
-
-/// The policy loop above around any model: `run_attempt` replaces
-/// run_replication (the overload above passes exactly that), with the same
-/// seeds, failure classification, retries and snapshot cleanup.
-[[nodiscard]] ReplicationOutcome run_replication_guarded(
-    std::uint64_t master_seed, std::size_t rep, const FailurePolicy& policy,
-    obs::ReplicationProbe* probe,
-    const std::function<void(std::size_t, std::size_t)>& fault_injection,
-    const SnapshotSpec* snapshot, const ReplicationAttempt& run_attempt);
-
-}  // namespace detail
+/// A finished point's RunResult: its successes aggregated in replication-
+/// index order, its failure accounting and its round sizes.
+[[nodiscard]] RunResult aggregate_point(const PointRounds<ReplicationResult>& point,
+                                        double confidence_level, const Parameters& params);
 
 /// Combine per-replication results (in replication-index order) into the
 /// aggregate RunResult.  Order matters for bit-identical CIs.

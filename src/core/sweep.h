@@ -34,7 +34,8 @@ struct SweepSeries {
 };
 
 /// Evaluate one series: for each x, `apply(base, x)` produces the point's
-/// parameters, which are simulated under `spec`.
+/// parameters, which are simulated under `spec`; a point with proactive
+/// parameters throws std::invalid_argument, as in run_model.
 ///
 /// When `journal` is non-null the sweep is checkpointed: points whose
 /// fingerprint (params + spec + engine + x + label) is already journaled
@@ -42,9 +43,9 @@ struct SweepSeries {
 /// appended and fsync'd as its last replication finishes — so a killed
 /// sweep resumed with the same journal recomputes only unfinished points
 /// and produces bit-identical results.  `spec.on_failure` / `spec.watchdog`
-/// / `spec.cancel` behave exactly as in run_model; on cancellation the
-/// driver journals every completed point before throwing
-/// SimError(kInterrupted).
+/// / `spec.cancel` behave exactly as in run_model: both run on
+/// ckptsim::replicate, and a cancelled sweep has journaled every finished
+/// point before it throws SimError(kInterrupted).
 [[nodiscard]] SweepSeries sweep(std::string label, const Parameters& base,
                                 const std::vector<double>& xs,
                                 const std::function<Parameters(Parameters, double)>& apply,

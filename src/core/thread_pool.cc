@@ -88,9 +88,11 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for_workers(std::size_t jobs, std::size_t count,
-                          const std::function<void(std::size_t, std::size_t)>& body) {
-  if (!body) throw std::invalid_argument("parallel_for_workers: empty body");
+namespace {
+
+/// The loop behind parallel_for_workers and parallel_for_indexed.
+void for_each_index(std::size_t jobs, std::size_t count,
+                    const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) return;
   const std::size_t workers = std::min(jobs == 0 ? std::size_t{1} : jobs, count);
   if (workers <= 1) {
@@ -116,10 +118,18 @@ void parallel_for_workers(std::size_t jobs, std::size_t count,
   pool.wait();
 }
 
+}  // namespace
+
+void parallel_for_workers(std::size_t jobs, std::size_t count,
+                          const std::function<void(std::size_t, std::size_t)>& body) {
+  if (!body) throw std::invalid_argument("parallel_for_workers: empty body");
+  for_each_index(jobs, count, body);
+}
+
 void parallel_for_indexed(std::size_t jobs, std::size_t count,
                           const std::function<void(std::size_t)>& body) {
   if (!body) throw std::invalid_argument("parallel_for_indexed: empty body");
-  parallel_for_workers(jobs, count, [&body](std::size_t, std::size_t i) { body(i); });
+  for_each_index(jobs, count, [&body](std::size_t, std::size_t i) { body(i); });
 }
 
 }  // namespace ckptsim

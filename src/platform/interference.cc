@@ -1,14 +1,12 @@
 #include "src/platform/interference.h"
 
-#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
 
+#include "src/core/replicate.h"
 #include "src/core/runner.h"
-#include "src/core/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/obs/progress.h"
 #include "src/sim/distributions.h"
 #include "src/sim/rng.h"
 #include "src/stats/confidence.h"
@@ -325,53 +323,44 @@ InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec) {
         "run_interference (K > 1 jobs): sequential stopping (--rel-precision) is not "
         "supported");
   }
-  std::size_t jobs = spec.exec.resolve();
-  if (spec.metrics != nullptr) jobs = std::min(jobs, spec.metrics->workers());
-  if (spec.progress != nullptr) spec.progress->begin("run_interference", spec.replications);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<InterferenceReplication> reps(spec.replications);
-  parallel_for_workers(jobs, spec.replications, [&](std::size_t worker, std::size_t r) {
-    if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) return;
-    const obs::WorkerTimer timer(spec.metrics, worker);
-    InterferenceModel model(mix, sim::replication_seed(spec.seed, r), spec.scheduler);
-    obs::ReplicationProbe probe;
-    if (spec.metrics != nullptr) model.set_event_counts(&probe.events);
-    model.set_event_budget(spec.watchdog.max_events);
-    reps[r] = model.run(spec.transient, spec.horizon);
-    if (spec.metrics != nullptr) {
-      probe.queue = model.queue_stats();
-      spec.metrics->shard(worker).absorb(probe);
-    }
-    if (spec.progress != nullptr) spec.progress->tick();
-  });
-  if (spec.metrics != nullptr) {
-    spec.metrics->add_wall_seconds(std::chrono::duration_cast<std::chrono::duration<double>>(
-                                       std::chrono::steady_clock::now() - t0)
-                                       .count());
-  }
-  if (spec.progress != nullptr) spec.progress->finish();
-  if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) {
-    throw SimError(ErrorCode::kInterrupted, "run_interference: cancelled");
-  }
-  // Aggregate in replication-index order (bit-identical CIs for any
-  // spec.exec job count).
   InterferenceResult out;
-  out.replications = reps.size();
-  out.jobs.resize(mix.jobs.size());
-  for (std::size_t j = 0; j < mix.jobs.size(); ++j) out.jobs[j].name = mix.jobs[j].name;
-  for (const InterferenceReplication& rep : reps) {
-    out.pfs_utilization.add(rep.pfs_utilization);
-    for (std::size_t j = 0; j < rep.jobs.size(); ++j) {
-      InterferenceJobResult& agg = out.jobs[j];
-      agg.fraction_replicates.add(rep.jobs[j].useful_fraction);
-      agg.stretch_replicates.add(rep.jobs[j].dump_stretch);
-      agg.commits += rep.jobs[j].commits;
-      agg.failures += rep.jobs[j].failures;
-    }
-  }
-  for (InterferenceJobResult& agg : out.jobs) {
-    agg.useful_fraction = stats::mean_confidence(agg.fraction_replicates, spec.confidence_level);
-  }
+  replicate<InterferenceReplication>(
+      spec,
+      {.attempt = [&](std::size_t, std::uint64_t seed, obs::ReplicationProbe* probe,
+                      const SnapshotSpec*) {
+         InterferenceModel model(mix, seed, spec.scheduler);
+         if (probe != nullptr) model.set_event_counts(&probe->events);
+         model.set_event_budget(spec.watchdog.max_events);
+         InterferenceReplication r = model.run(spec.transient, spec.horizon);
+         if (probe != nullptr) probe->queue = model.queue_stats();
+         return r;
+       },
+       .finish = [&](std::size_t, const PointRounds<InterferenceReplication>& point) {
+         // Aggregate in replication-index order (bit-identical CIs for
+         // any spec.exec job count).
+         FailureAccounting unused;  // fail-fast: every replication succeeded
+         const std::vector<InterferenceReplication> reps = point.successes(&unused);
+         out.replications = reps.size();
+         out.jobs.resize(mix.jobs.size());
+         for (std::size_t j = 0; j < mix.jobs.size(); ++j) out.jobs[j].name = mix.jobs[j].name;
+         for (const InterferenceReplication& rep : reps) {
+           out.pfs_utilization.add(rep.pfs_utilization);
+           for (std::size_t j = 0; j < rep.jobs.size(); ++j) {
+             InterferenceJobResult& agg = out.jobs[j];
+             agg.fraction_replicates.add(rep.jobs[j].useful_fraction);
+             agg.stretch_replicates.add(rep.jobs[j].dump_stretch);
+             agg.commits += rep.jobs[j].commits;
+             agg.failures += rep.jobs[j].failures;
+           }
+         }
+         for (InterferenceJobResult& agg : out.jobs) {
+           agg.useful_fraction =
+               stats::mean_confidence(agg.fraction_replicates, spec.confidence_level);
+         }
+       },
+       .progress_label = "run_interference",
+       .cancelled = "run_interference: cancelled",
+       .failure_context = [](std::size_t) { return std::string("run_interference: "); }});
   return out;
 }
 

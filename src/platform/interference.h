@@ -162,11 +162,12 @@ struct InterferenceResult {
 /// application checkpoint model via run_model (same seeds, same rewards,
 /// bit-identical — including failure-policy, snapshot and sequential
 /// handling); its interference-only rewards read as the uncontended ideal
-/// (stretch 1, PFS utilization 0).  For K > 1 the interference engine
-/// honours spec.exec / scheduler / watchdog / cancel / metrics and runs
-/// fail-fast with fixed replications: it throws std::invalid_argument for
-/// spec.on_failure retry/skip, snapshot_every_events, fault_injection and
-/// sequential stopping, which stay single-application features.
+/// (stretch 1, PFS utilization 0).  For K > 1 the interference engine runs
+/// on ckptsim::replicate, honouring spec.exec / scheduler / watchdog /
+/// cancel / metrics, fail-fast with fixed replications: a failed
+/// replication throws SimError naming it, and spec.on_failure retry/skip,
+/// snapshot_every_events, fault_injection and sequential stopping throw
+/// std::invalid_argument.
 [[nodiscard]] InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec);
 
 }  // namespace ckptsim::platform

@@ -40,12 +40,12 @@ struct ProactiveResult {
 /// draw-for-draw identical to DesModel, so `out.run` matches run_model's
 /// output bit-exactly (same seeds, same aggregation).
 ///
-/// Honours spec.exec / watchdog / cancel / metrics / progress
-/// and sequential stopping (deterministic rounds on the useful-work
-/// fraction; out.run.rounds records the round sizes).  Runs fail-fast:
-/// throws std::invalid_argument for spec.on_failure retry/skip,
-/// snapshot_every_events and fault_injection, which stay base-model
-/// features.
+/// Runs on ckptsim::replicate, honouring spec.exec / watchdog / cancel /
+/// metrics / progress and sequential stopping (rounds on the useful-work
+/// fraction; out.run.rounds records them).  Fail-fast: a failed
+/// replication (e.g. the watchdog) throws SimError naming it, and
+/// spec.on_failure retry/skip, snapshot_every_events and fault_injection
+/// throw std::invalid_argument.
 [[nodiscard]] ProactiveResult run_proactive(const Parameters& params, const RunSpec& spec);
 
 }  // namespace ckptsim::proactive

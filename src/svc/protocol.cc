@@ -6,6 +6,7 @@
 
 #include "src/core/result_json.h"
 #include "src/core/sweep.h"
+#include "src/model/failure_trace.h"
 #include "src/obs/json.h"
 #include "src/obs/json_value.h"
 
@@ -228,8 +229,11 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
   try {
     out->spec.validate();
     for (const double x : out->values) {
-      apply_axis(out->axis, out->params, x).validate();
+      validate_reactive_point(apply_axis(out->axis, out->params, x), "sweep");
     }
+    // The trace's content keys the cache: an unreadable or malformed file
+    // is answered here, not thrown on the connection thread.
+    if (out->params.trace_driven()) (void)FailureTrace::load(out->params.failure_trace_path);
   } catch (const std::invalid_argument& e) {
     fail(e.what());
   }

@@ -93,22 +93,28 @@ void CampaignServer::handle_line(std::string_view line, const Sink& sink) {
   }
 }
 
-void CampaignServer::run_interference_request(Request&& req, const Sink& sink) {
+bool CampaignServer::admit_synchronous(const Request& req, const Sink& sink) {
   obs::ServiceCounters& svcc = metrics_->service();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       svcc.errors.fetch_add(1, std::memory_order_relaxed);
       sink(response_error(req.id, "server is stopping"));
-      return;
+      return false;
     }
     if (draining_) {
       svcc.rejected.fetch_add(1, std::memory_order_relaxed);
       sink(response_draining(req.id));
-      return;
+      return false;
     }
   }
   svcc.accepted.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void CampaignServer::run_interference_request(Request&& req, const Sink& sink) {
+  if (!admit_synchronous(req, sink)) return;
+  obs::ServiceCounters& svcc = metrics_->service();
   sink(response_accepted(req.id, req.mix.jobs.size(), /*cached=*/0));
   try {
     const platform::InterferenceResult result = platform::run_interference(req.mix, req.spec);
@@ -127,21 +133,8 @@ void CampaignServer::run_interference_request(Request&& req, const Sink& sink) {
 }
 
 void CampaignServer::run_optimize_request(Request&& req, const Sink& sink) {
+  if (!admit_synchronous(req, sink)) return;
   obs::ServiceCounters& svcc = metrics_->service();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      svcc.errors.fetch_add(1, std::memory_order_relaxed);
-      sink(response_error(req.id, "server is stopping"));
-      return;
-    }
-    if (draining_) {
-      svcc.rejected.fetch_add(1, std::memory_order_relaxed);
-      sink(response_draining(req.id));
-      return;
-    }
-  }
-  svcc.accepted.fetch_add(1, std::memory_order_relaxed);
   // Candidate count is search-dependent (memo hits shrink it), so the
   // accepted line reports the planned upper bound per (policy, procs) pair:
   // the coarse grid plus the golden-section evaluations.
@@ -225,6 +218,7 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
   std::vector<std::pair<std::size_t, RunResult>> restored;
   for (std::size_t i = 0; i < r.values.size(); ++i) {
     PointState& ps = c->points[i];
+    ps.reps = PointRounds<ReplicationResult>(c->stopper ? &*c->stopper : nullptr);
     ps.x = r.values[i];
     ps.params = apply_axis(r.axis, r.params, ps.x);
     ps.fingerprint = journal_fingerprint(r.label, ps.params, r.spec, r.engine, ps.x);
@@ -259,9 +253,7 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
 
   for (std::size_t i = 0; i < c->points.size(); ++i) {
     if (c->points[i].finalized) continue;
-    schedule_round(c, i,
-                   c->stopper.has_value() ? c->stopper->initial_round()
-                                          : r.spec.replications);
+    schedule_round(c, i, c->stopper ? c->stopper->initial_round() : r.spec.replications);
   }
   campaigns_.push_back(c);
   svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
@@ -322,7 +314,7 @@ void CampaignServer::worker_loop(std::size_t worker) {
       continue;
     }
     lock.unlock();
-    detail::ReplicationOutcome outcome;
+    detail::Outcome<ReplicationResult> outcome;
     if (!c->cancelled.load(std::memory_order_relaxed)) {
       const Request& r = c->req;
       const PointState& ps = c->points[t.point];
@@ -330,24 +322,23 @@ void CampaignServer::worker_loop(std::size_t worker) {
       // (unique per simulated work, filename-safe for any campaign id) plus
       // the replication index; drain_stop_ parks the replication at its
       // next snapshot boundary when the daemon drains.
-      SnapshotSpec snap;
-      if (config_.snapshot_every_events > 0) {
-        char fp_hex[17];
-        std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
-                      static_cast<unsigned long long>(ps.fingerprint));
-        snap.every = config_.snapshot_every_events;
-        snap.path = config_.snapshot_dir + "/" + fp_hex + "-rep-" + std::to_string(t.rep) +
-                    ".snap";
-        snap.context = snapshot_run_context(ps.params, r.spec.seed, r.spec.transient,
-                                            r.spec.horizon, r.engine, t.rep);
-        snap.stop = &drain_stop_;
-      }
+      char fp_hex[17];
+      std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
+                    static_cast<unsigned long long>(ps.fingerprint));
+      SnapshotSpec snap =
+          replication_snapshot(ps.params, r.spec, r.engine, t.rep, config_.snapshot_every_events,
+                               config_.snapshot_dir + "/" + fp_hex + "-");
+      snap.stop = &drain_stop_;
+      const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
       const obs::WorkerTimer timer(metrics_, worker);
       obs::ReplicationProbe probe;
-      outcome = detail::run_replication_guarded(
-          ps.params, r.engine, r.spec.seed, t.rep, r.spec.transient, r.spec.horizon,
-          r.spec.on_failure, r.spec.watchdog, &probe, r.spec.fault_injection, r.spec.scheduler,
-          snap.enabled() ? &snap : nullptr);
+      outcome = detail::guard_attempts(
+          r.spec.seed, t.rep, r.spec.on_failure, &probe, r.spec.fault_injection, snap_ptr,
+          [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
+            return run_replication(ps.params, r.engine, seed, r.spec.transient, r.spec.horizon,
+                                   attempt_probe, r.spec.watchdog.max_events, r.spec.scheduler,
+                                   snap_ptr);
+          });
       metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
       if (outcome.ok) metrics_->shard(worker).absorb(probe);
     }
@@ -389,17 +380,14 @@ bool CampaignServer::pick_task(CampaignPtr* campaign, Task* task) {
 }
 
 void CampaignServer::schedule_round(const CampaignPtr& c, std::size_t point, std::size_t batch) {
-  PointState& ps = c->points[point];
-  const std::size_t begin = ps.outcomes.size();
-  ps.outcomes.resize(begin + batch);
-  if (c->stopper.has_value()) ps.rounds.push_back(static_cast<std::uint32_t>(batch));
-  for (std::size_t rep = begin; rep < begin + batch; ++rep) {
+  PointRounds<ReplicationResult>& reps = c->points[point].reps;
+  for (std::size_t rep = reps.open(batch); rep < reps.scheduled(); ++rep) {
     c->ready.push_back(Task{point, rep});
   }
 }
 
 void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
-                                  detail::ReplicationOutcome&& outcome) {
+                                  detail::Outcome<ReplicationResult>&& outcome) {
   --c->inflight;
   if (!outcome.ok && outcome.failure.code == ErrorCode::kInterrupted) {
     // Drain stop: the replication parked itself in its snapshot.  Nothing
@@ -415,34 +403,17 @@ void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
     maybe_retire(c);
     return;
   }
-  PointState& ps = c->points[t.point];
-  ps.outcomes[t.rep] = std::move(outcome);
-  ++ps.completed;
-  if (ps.completed != ps.outcomes.size()) return;
-  if (c->stopper.has_value()) {
-    // Round complete.  The stopper is a pure function of (spec, scheduled,
-    // aggregate) — identical to sweep_adaptive's per-point decision — so no
-    // cross-point barrier is needed and replication counts reproduce the
-    // CLI's adaptive sweeps bit-identically.
-    bool point_failed = false;
-    for (const auto& o : ps.outcomes) {
-      if (!o.ok && c->req.spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
-        point_failed = true;
-        break;
-      }
-    }
-    if (!point_failed) {
-      stats::Summary agg;
-      for (const auto& o : ps.outcomes) {
-        if (o.ok) agg.add(o.result.useful_fraction);
-      }
-      const stats::SequentialDecision d =
-          c->stopper->decide(ps.outcomes.size(), agg, c->req.spec.confidence_level);
-      if (!d.stop) {
-        schedule_round(c, t.point, d.next_batch);
-        work_cv_.notify_all();
-        return;
-      }
+  PointRounds<ReplicationResult>& reps = c->points[t.point].reps;
+  if (!reps.land(t.rep, std::move(outcome))) return;
+  // Round complete: the stop/continue decision of ckptsim::replicate.
+  if (reps.fatal(c->req.spec.on_failure) == nullptr) {
+    const std::size_t next = reps.next_round(
+        [](const ReplicationResult& r) { return r.useful_fraction; },
+        c->req.spec.confidence_level);
+    if (next != 0) {
+      schedule_round(c, t.point, next);
+      work_cv_.notify_all();
+      return;
     }
   }
   finalize_point(c, t.point);
@@ -455,36 +426,20 @@ void CampaignServer::finalize_point(const CampaignPtr& c, std::size_t point) {
   obs::ServiceCounters& svcc = metrics_->service();
   ps.finalized = true;
   --c->unfinalized;
-  for (const auto& o : ps.outcomes) {
-    if (o.ok || r.spec.on_failure.mode == FailurePolicy::Mode::kSkip) continue;
+  if (const auto* f = ps.reps.fatal(r.spec.on_failure)) {
     // Unlike sweep(), one bad point fails alone: its error line carries the
     // sweep-style context and the campaign's other points proceed.
     ++c->failed;
     svcc.errors.fetch_add(1, std::memory_order_relaxed);
     c->outbox.push_back(response_error(
-        c->id, "point x = " + std::to_string(ps.x) + ": replication " +
-                   std::to_string(o.failure.replication) + " failed after " +
-                   std::to_string(o.failure.attempts) + " attempt(s): " + o.failure.message));
+        c->id, "point x = " + std::to_string(ps.x) + ": " + describe_failure(f->failure)));
     return;
   }
-  std::vector<ReplicationResult> successes;
-  successes.reserve(ps.outcomes.size());
-  FailureAccounting accounting;
-  for (const auto& o : ps.outcomes) {
-    if (o.ok) {
-      successes.push_back(o.result);
-      if (o.attempts > 1) accounting.recovered.push_back(o.failure);
-    } else {
-      accounting.skipped.push_back(o.failure);
-    }
-  }
-  RunResult result = aggregate_replications(successes, r.spec.confidence_level, ps.params);
-  result.failures = std::move(accounting);
-  result.rounds = ps.rounds;
+  const RunResult result = aggregate_point(ps.reps, r.spec.confidence_level, ps.params);
   // Insert before the "point" line is queued: by the time a client reads
   // the response, the entry is fsync'd and survives a daemon restart.
   cache_.insert(ps.fingerprint, ps.x, result);
-  metrics_->record_point(obs::PointRecord{r.label, ps.x, result.replications, ps.rounds});
+  metrics_->record_point(obs::PointRecord{r.label, ps.x, result.replications, result.rounds});
   svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
   c->outbox.push_back(response_point(c->id, ps.x, /*cached=*/false, result));
 }

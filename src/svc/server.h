@@ -57,8 +57,8 @@ struct ServerConfig {
 /// the --once stdin mode both drive this same object, as do the in-process
 /// tests and the throughput bench.
 ///
-/// Scheduling: the unit of work is one replication
-/// (detail::run_replication_guarded), not one campaign, so concurrent
+/// Scheduling: the unit of work is one replication (the driver's guarded
+/// attempt around run_replication), not one campaign, so concurrent
 /// campaigns share the pool fairly instead of convoying: workers always
 /// pick from the highest-priority campaign with ready work and round-robin
 /// among equals (least recently served first).  Each point finalizes —
@@ -68,12 +68,12 @@ struct ServerConfig {
 /// sweep for the same request (and therefore to the cache entries a CLI
 /// --journal run would have produced).
 ///
-/// Adaptive campaigns (spec.rel_precision > 0) run per-point sequential
-/// rounds: when a point's round completes, its stopper — a pure function of
-/// (spec, scheduled count, aggregate) — either stops the point or schedules
-/// the next geometric batch.  No cross-point barrier is needed, so adaptive
+/// Adaptive campaigns (spec.rel_precision > 0) keep each point's rounds in
+/// the driver's PointRounds: when a round completes, the stopper either
+/// stops the point or schedules the next batch, exactly as in
+/// ckptsim::replicate.  No cross-point barrier is needed, so adaptive
 /// campaigns interleave with fixed ones on the same pool and still
-/// reproduce sweep_adaptive's replication counts bit-identically.
+/// reproduce an adaptive sweep's replication counts bit-identically.
 ///
 /// Failure semantics differ from sweep() deliberately: a replication
 /// failure under the fail/retry policies fails *that point* (an "error"
@@ -157,9 +157,7 @@ class CampaignServer {
     double x = 0.0;
     Parameters params;
     std::uint64_t fingerprint = 0;
-    std::vector<detail::ReplicationOutcome> outcomes;  ///< by replication index
-    std::size_t completed = 0;          ///< outcomes finished
-    std::vector<std::uint32_t> rounds;  ///< adaptive round sizes, in order
+    PointRounds<ReplicationResult> reps;  ///< outcomes, rounds, stop decision
     bool finalized = false;
   };
 
@@ -187,6 +185,9 @@ class CampaignServer {
   using CampaignPtr = std::shared_ptr<Campaign>;
 
   void submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink);
+  /// Admission of a synchronous (non-campaign) request: false after
+  /// answering a stopping or draining server's error/"draining" line.
+  bool admit_synchronous(const Request& req, const Sink& sink);
   /// Run one interference request synchronously on the caller's thread and
   /// stream accepted / job / platform / done lines through `sink`.  The run
   /// is not a campaign: no cache entry, no ledger record, no cancel handle
@@ -204,7 +205,7 @@ class CampaignServer {
   /// Record a completed task, finalizing its point / campaign as needed.
   /// Caller holds mu_; emissions go to the campaign outbox.
   void on_task_done(const CampaignPtr& c, const Task& t,
-                    detail::ReplicationOutcome&& outcome);
+                    detail::Outcome<ReplicationResult>&& outcome);
   /// Aggregate + cache + emit one completed point.  Caller holds mu_.
   void finalize_point(const CampaignPtr& c, std::size_t point);
   /// Schedule the next `batch` replications of `point`.  Caller holds mu_.

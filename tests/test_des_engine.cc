@@ -478,7 +478,7 @@ TEST(DesEngine, GuardedReplicationReportsANanEventTimeAsAStructuredFailure) {
   const RunSpec spec = quick_spec(1);
   ckptsim::FailurePolicy skip;
   skip.mode = ckptsim::FailurePolicy::Mode::kSkip;
-  const ckptsim::detail::ReplicationOutcome out = ckptsim::detail::run_replication_guarded(
+  const auto out = ckptsim::detail::guard_attempts(
       spec.seed, 0, skip, nullptr, {}, nullptr,
       [&spec](std::uint64_t seed, ckptsim::obs::ReplicationProbe*) {
         FixedCoordination model(Parameters{}, seed, std::numeric_limits<double>::quiet_NaN());

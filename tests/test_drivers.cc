@@ -232,8 +232,9 @@ void expect_pinned(const std::string& text, std::uint64_t pinned, std::size_t jo
   const std::uint64_t got = fnv1a64(text);
   char hex[24];
   std::snprintf(hex, sizeof hex, "0x%016" PRIx64 "ULL", got);
-  const std::string shown =
-      text.size() <= 6000 ? text : text.substr(0, 3000) + "\n...\n" + text.substr(text.size() - 3000);
+  const std::string shown = text.size() <= 6000 ? text
+                                                 : text.substr(0, 3000) + "\n...\n" +
+                                                       text.substr(text.size() - 3000);
   EXPECT_EQ(got, pinned) << "jobs = " << jobs << ", digest " << hex << "\n" << shown;
 }
 
@@ -352,7 +353,8 @@ TEST(Drivers, SweepFixedWithJournalIsPinned) {
   for (const std::size_t jobs : kJobCounts) {
     RunSpec spec = small_spec(jobs);
     spec.replications = 4;
-    expect_pinned(sweep_text(spec, "sweep_fixed_" + std::to_string(jobs)), 0x56f1ad27e2b2e789ULL, jobs);
+    expect_pinned(sweep_text(spec, "sweep_fixed_" + std::to_string(jobs)), 0x56f1ad27e2b2e789ULL,
+                  jobs);
   }
 }
 
@@ -361,7 +363,8 @@ TEST(Drivers, SweepAdaptiveWithJournalIsPinned) {
     RunSpec spec = small_spec(jobs);
     adaptive(spec);
     spec.sequential.rel_precision = 0.03;  // points stop after 2, 3 and 4 rounds
-    expect_pinned(sweep_text(spec, "sweep_adaptive_" + std::to_string(jobs)), 0xf11e53bb79e131b5ULL, jobs);
+    expect_pinned(sweep_text(spec, "sweep_adaptive_" + std::to_string(jobs)),
+                  0xf11e53bb79e131b5ULL, jobs);
   }
 }
 
@@ -548,14 +551,40 @@ std::string interference_text(ckptsim::platform::PfsPolicy policy, std::size_t j
 
 TEST(Drivers, InterferenceFairShareIsPinned) {
   for (const std::size_t jobs : kJobCounts) {
-    expect_pinned(interference_text(ckptsim::platform::PfsPolicy::kFairShare, jobs), 0xffd3e06554e18a84ULL,
-                  jobs);
+    expect_pinned(interference_text(ckptsim::platform::PfsPolicy::kFairShare, jobs),
+                  0xffd3e06554e18a84ULL, jobs);
   }
 }
 
 TEST(Drivers, InterferenceFcfsIsPinned) {
   for (const std::size_t jobs : kJobCounts) {
-    expect_pinned(interference_text(ckptsim::platform::PfsPolicy::kFcfs, jobs), 0x117e8ce1f1c53c2fULL, jobs);
+    expect_pinned(interference_text(ckptsim::platform::PfsPolicy::kFcfs, jobs),
+                  0x117e8ce1f1c53c2fULL, jobs);
+  }
+}
+
+TEST(Drivers, ProactiveAndInterferenceWatchdogKillsAreStructuredErrors) {
+  // A watchdog kill surfaces as SimError(kEventBudgetExceeded) naming the
+  // replication — the smallest failing index, so replication 0 at any job
+  // count — never as the engine's raw exception.
+  const auto expect_budget_error = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "the watchdog did not fire";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kEventBudgetExceeded);
+      EXPECT_NE(std::string(e.what()).find("replication 0 failed"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::size_t jobs : kJobCounts) {
+    RunSpec spec = proactive_spec(jobs);
+    spec.watchdog.max_events = 200;
+    expect_budget_error([&] { (void)ckptsim::proactive::run_proactive(migrate_params(), spec); });
+    expect_budget_error([&] {
+      (void)ckptsim::platform::run_interference(
+          three_job_mix(ckptsim::platform::PfsPolicy::kFairShare), spec);
+    });
   }
 }
 
@@ -632,8 +661,8 @@ TEST(Drivers, DaemonSnapshotFilesAndPointErrorsArePinned) {
         out.sink());
     server.drain();
     server.stop();
-    expect_pinned(sorted_lines(out.lines) + directory_listing(config.snapshot_dir), 0xa303398d818bbf10ULL,
-                  jobs);
+    expect_pinned(sorted_lines(out.lines) + directory_listing(config.snapshot_dir),
+                  0xa303398d818bbf10ULL, jobs);
   }
 }
 

@@ -208,6 +208,43 @@ TEST(SweepJournal, PartialJournalRecomputesOnlyMissingPoints) {
   }
 }
 
+TEST(SweepJournal, RewrittenFailureTraceReRunsOnResume) {
+  // The fingerprint keys on the trace's contents, not its path: a trace
+  // rewritten in place re-runs its point instead of resuming a stale one.
+  const TempFile tmp("trace");
+  const std::string trace = tmp.path + ".csv";
+  const auto write_trace = [&trace](const std::string& text) {
+    std::ofstream(trace, std::ios::binary) << text;
+  };
+  Parameters base;
+  base.num_processors = 4096;
+  base.failure_trace_path = trace;
+  const RunSpec spec = fast_spec();
+  write_trace("0,3600\n5,90000\n");
+  RunResult stale;
+  {
+    SweepJournal journal(tmp.path);
+    stale = ckptsim::sweep("t", base, {30.0}, apply_interval, spec, EngineKind::kDes, &journal)
+                .points[0]
+                .result;
+  }
+  write_trace("0,3600\n5,90000\n7,200000\n11,400000\n");
+  const RunResult fresh =
+      ckptsim::sweep("t", base, {30.0}, apply_interval, spec).points[0].result;
+  ASSERT_NE(fresh.useful_fraction.mean, stale.useful_fraction.mean);
+
+  std::atomic<std::size_t> simulated{0};
+  RunSpec counting = spec;
+  counting.fault_injection = [&simulated](std::size_t, std::size_t) { simulated.fetch_add(1); };
+  SweepJournal journal(tmp.path);
+  EXPECT_EQ(journal.loaded(), 1u);
+  const auto resumed =
+      ckptsim::sweep("t", base, {30.0}, apply_interval, counting, EngineKind::kDes, &journal);
+  EXPECT_EQ(simulated.load(), spec.replications);
+  EXPECT_EQ(resumed.points[0].result.useful_fraction.mean, fresh.useful_fraction.mean);
+  std::remove(trace.c_str());
+}
+
 TEST(SweepJournal, CancelledSweepJournalsCompletedPoints) {
   const TempFile tmp("cancel");
   const std::vector<double> xs{15.0, 30.0};

@@ -17,6 +17,7 @@
 #include "src/core/runner.h"
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
+#include "src/core/sweep.h"
 #include "src/proactive/predictor.h"
 #include "src/proactive/proactive_model.h"
 #include "src/proactive/run.h"
@@ -181,6 +182,23 @@ TEST(ProactiveValidation, RunModelRejectsProactiveParameters) {
   const Parameters p = predictor_params(0.8, 0.5, 300.0);
   EXPECT_THROW((void)ckptsim::run_model(p, fast_spec(), EngineKind::kDes),
                std::invalid_argument);
+}
+
+TEST(ProactiveValidation, SweepRejectsProactiveParameters) {
+  // A sweep runs the base engines, which would ignore the predictor and
+  // policy; like run_model it refuses rather than report the plain model.
+  Parameters p = predictor_params(0.9, 0.9, 300.0);
+  p.proactive_policy = ProactivePolicy::kMigrate;
+  const auto apply = [](Parameters q, double minutes) {
+    q.checkpoint_interval = minutes * kMinute;
+    return q;
+  };
+  try {
+    (void)ckptsim::sweep("proactive", p, {30.0, 60.0}, apply, fast_spec());
+    FAIL() << "sweep accepted proactive parameters";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep: proactive"), std::string::npos) << e.what();
+  }
 }
 
 /// run_proactive's std::invalid_argument message under `spec`, or "" when

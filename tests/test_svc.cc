@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "src/obs/json_value.h"
 #include "src/obs/metrics.h"
 #include "src/svc/cache.h"
+#include "src/svc/ledger.h"
 #include "src/svc/protocol.h"
 #include "src/svc/server.h"
 
@@ -365,6 +367,75 @@ TEST(SvcServer, CacheSurvivesServerRestart) {
   std::sort(cold_points.begin(), cold_points.end());
   std::sort(warm_points.begin(), warm_points.end());
   EXPECT_EQ(warm_points, cold_points);
+}
+
+TEST(SvcServer, SweepWithProactiveParametersIsRejectedUpFront) {
+  // The sweep op runs the base engines: proactive parameters are one error
+  // line, before the ledger or the cache is touched.
+  TempFile cache("proactive_cache");
+  TempFile ledger("proactive_ledger");
+  ServerConfig config;
+  config.cache_path = cache.path;
+  config.ledger_path = ledger.path;
+  CampaignServer server(config);
+  Collector out;
+  server.handle_line(
+      R"({"op":"sweep","id":"p1","axis":"interval","values":[15,30],)"
+      R"("params":{"processors":4096,"proactive_policy":"migrate","predictor_recall":0.9},)"
+      R"("spec":{"reps":2,"horizon_hours":20,"transient_hours":2}})",
+      out.sink());
+  server.drain();
+  ASSERT_EQ(out.lines.size(), 1u);
+  EXPECT_EQ(out.type(0), "error");
+  EXPECT_NE(out.lines[0].find("sweep: proactive"), std::string::npos) << out.lines[0];
+  EXPECT_EQ(server.cache().size(), 0u);
+  EXPECT_EQ(server.metrics().service().snapshot().replications_run, 0u);
+  server.stop();
+  EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger.path).pending().empty());
+}
+
+/// kTinySweep's single point over a failure trace at `trace`.
+std::string trace_sweep(const std::string& trace) {
+  return R"({"op":"sweep","id":"t1","axis":"interval","values":[30],)"
+         R"("params":{"processors":4096,"failure_trace":")" +
+         trace + R"("},"spec":{"reps":2,"horizon_hours":20,"transient_hours":2}})";
+}
+
+TEST(SvcServer, RewrittenFailureTraceMissesTheCache) {
+  // The cache keys on the trace's contents, not its path.
+  TempFile cache("trace_cache");
+  const std::string trace = cache.path + ".csv";
+  const auto write_trace = [&trace](const std::string& text) {
+    std::ofstream(trace, std::ios::binary) << text;
+  };
+  ServerConfig config;
+  config.cache_path = cache.path;
+  CampaignServer server(config);
+  const auto point_line = [&server, &trace] {
+    Collector out;
+    server.handle_line(trace_sweep(trace), out.sink());
+    server.drain();
+    EXPECT_EQ(out.lines.size(), 3u);
+    return out.lines.size() == 3 ? out.lines[1] : std::string();
+  };
+  write_trace("0,7200\n5,20000\n");
+  const std::string cold = point_line();
+  EXPECT_NE(point_line().find("\"cached\": true"), std::string::npos);
+  write_trace("0,7200\n5,20000\n7,40000\n");
+  const std::string rewritten = point_line();
+  EXPECT_NE(rewritten.find("\"cached\": false"), std::string::npos) << rewritten;
+  EXPECT_NE(rewritten, as_cached({cold})[0]);
+  std::remove(trace.c_str());
+}
+
+TEST(SvcServer, UnreadableFailureTraceIsAnErrorLine) {
+  CampaignServer server(ServerConfig{});
+  Collector out;
+  server.handle_line(trace_sweep("/nonexistent/ckptsim-trace.csv"), out.sink());
+  server.drain();
+  ASSERT_EQ(out.lines.size(), 1u);
+  EXPECT_EQ(out.type(0), "error");
+  EXPECT_NE(out.lines[0].find("failure trace"), std::string::npos) << out.lines[0];
 }
 
 TEST(SvcServer, AdaptiveCampaignMatchesAdaptiveSweep) {
