@@ -119,12 +119,9 @@ ReplicationResult run_replication(const Parameters& params, EngineKind engine, s
 void validate_reactive_point(const Parameters& params, const std::string& driver) {
   params.validate();
   if (params.proactive_enabled()) {
-    // The base engines would silently ignore the predictor and policy;
-    // refuse instead of reporting misleading results.
-    throw std::invalid_argument(
-        driver +
-        ": proactive fault tolerance runs under proactive::run_proactive "
-        "(CLI: --mode proactive)");
+    throw std::invalid_argument(driver +
+                                ": proactive fault tolerance runs under proactive::run_proactive "
+                                "(CLI: --mode proactive)");
   }
 }
 
