@@ -13,6 +13,7 @@
 #include "src/core/fault.h"
 #include "src/core/result_json.h"
 #include "src/model/failure_trace.h"
+#include "src/model/parameter_table.h"
 #include "src/obs/json.h"
 #include "src/obs/json_value.h"
 #include "src/sim/rng.h"
@@ -62,72 +63,25 @@ void append_field(std::string& s, std::string_view name, std::uint64_t v) {
   s += ';';
 }
 
-void append_field(std::string& s, std::string_view name, bool v) {
-  append_field(s, name, static_cast<std::uint64_t>(v ? 1 : 0));
-}
-
 }  // namespace
 
 std::string parameters_field_string(const Parameters& p) {
   std::string s;
   s.reserve(1024);
-  // Every Parameters field, in declaration order — keep in sync with
-  // parameters.h so any model change invalidates stale journal entries
-  // (and stale snapshots, which embed this string in their run context).
-  append_field(s, "num_processors", p.num_processors);
-  append_field(s, "processors_per_node", static_cast<std::uint64_t>(p.processors_per_node));
-  append_field(s, "compute_nodes_per_io_node",
-               static_cast<std::uint64_t>(p.compute_nodes_per_io_node));
-  append_field(s, "mttf_node", p.mttf_node);
-  append_field(s, "mttr_compute", p.mttr_compute);
-  append_field(s, "mttr_io", p.mttr_io);
-  append_field(s, "reboot_time", p.reboot_time);
-  append_field(s, "recovery_failure_threshold",
-               static_cast<std::uint64_t>(p.recovery_failure_threshold));
-  append_field(s, "compute_failures_enabled", p.compute_failures_enabled);
-  append_field(s, "io_failures_enabled", p.io_failures_enabled);
-  append_field(s, "master_failures_enabled", p.master_failures_enabled);
-  append_field(s, "failures_during_checkpointing", p.failures_during_checkpointing);
-  append_field(s, "failures_during_recovery", p.failures_during_recovery);
-  append_field(s, "failure_distribution", static_cast<std::uint64_t>(p.failure_distribution));
-  append_field(s, "weibull_shape", p.weibull_shape);
-  append_field(s, "checkpoint_interval", p.checkpoint_interval);
-  append_field(s, "mttq", p.mttq);
-  append_field(s, "coordination", static_cast<std::uint64_t>(p.coordination));
-  append_field(s, "timeout", p.timeout);
-  append_field(s, "broadcast_overhead", p.broadcast_overhead);
-  append_field(s, "software_overhead", p.software_overhead);
-  append_field(s, "checkpoint_size_per_node", p.checkpoint_size_per_node);
-  append_field(s, "bw_compute_to_io", p.bw_compute_to_io);
-  append_field(s, "bw_io_to_fs", p.bw_io_to_fs);
-  append_field(s, "background_fs_write", p.background_fs_write);
-  append_field(s, "incremental_size_fraction", p.incremental_size_fraction);
-  append_field(s, "full_checkpoint_period", static_cast<std::uint64_t>(p.full_checkpoint_period));
-  append_field(s, "app_cycle_period", p.app_cycle_period);
-  append_field(s, "compute_fraction", p.compute_fraction);
-  append_field(s, "app_io_data_per_node", p.app_io_data_per_node);
-  append_field(s, "app_io_enabled", p.app_io_enabled);
-  append_field(s, "prob_correlated", p.prob_correlated);
-  append_field(s, "correlated_factor", p.correlated_factor);
-  append_field(s, "correlated_window", p.correlated_window);
-  append_field(s, "generic_correlated_coefficient", p.generic_correlated_coefficient);
-  append_field(s, "generic_correlated_smooth", p.generic_correlated_smooth);
-  // Proactive/trace extension fields, appended only when active: a purely
-  // reactive Parameters keeps its pre-proactive fingerprint, so journals
-  // and snapshots written before the extension existed stay resumable.
-  if (p.proactive_enabled()) {
-    append_field(s, "proactive_policy", static_cast<std::uint64_t>(p.proactive_policy));
-    append_field(s, "predictor_enabled", p.predictor_enabled);
-    append_field(s, "predictor_precision", p.predictor_precision);
-    append_field(s, "predictor_recall", p.predictor_recall);
-    append_field(s, "predictor_lead_time", p.predictor_lead_time);
-    append_field(s, "migration_time", p.migration_time);
-    append_field(s, "rescale_time", p.rescale_time);
-    append_field(s, "node_repair_time", p.node_repair_time);
-  }
-  if (p.trace_driven()) {
-    s += "failure_trace_path=";
-    s += p.failure_trace_path;
+  // Every row of the parameter table, in declaration order, so any model
+  // change invalidates stale journal entries (and stale snapshots, which
+  // embed this string in their run context).  Proactive and trace fields
+  // appear only when active: a reactive Parameters keeps its pre-extension
+  // fingerprint, so journals and snapshots written before the extensions
+  // existed stay resumable.
+  for (const ParameterField& field : parameter_fields()) {
+    if ((field.group == FieldGroup::kProactive && !p.proactive_enabled()) ||
+        (field.group == FieldGroup::kTrace && !p.trace_driven())) {
+      continue;
+    }
+    s += field.name;
+    s += '=';
+    append_field_value(s, field, p);
     s += ';';
   }
   return s;

@@ -121,7 +121,7 @@ void validate_reactive_point(const Parameters& params, const std::string& driver
   if (params.proactive_enabled()) {
     throw std::invalid_argument(driver +
                                 ": proactive fault tolerance runs under proactive::run_proactive "
-                                "(CLI: --mode proactive)");
+                                "(CLI: drop --sweep; a plain run with proactive flags runs it)");
   }
 }
 

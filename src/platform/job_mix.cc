@@ -1,9 +1,14 @@
 #include "src/platform/job_mix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <set>
 #include <stdexcept>
+#include <string_view>
+
+#include "src/model/parameter_table.h"
 
 namespace ckptsim::platform {
 
@@ -11,34 +16,23 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw std::invalid_argument("job mix: " + what); }
 
-double parse_number(const std::string& key, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    if (used != text.size()) fail("trailing junk in value '" + text + "' for key '" + key + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail("malformed number '" + text + "' for key '" + key + "'");
-  } catch (const std::out_of_range&) {
-    fail("out-of-range number '" + text + "' for key '" + key + "'");
-  }
-}
+// The fields InterferenceModel reads.  A K > 1 job must leave every other
+// field at its default: the engine would silently ignore it.
+constexpr std::string_view kInterferenceFields[] = {
+    "num_processors", "processors_per_node", "compute_nodes_per_io_node", "mttf_node",
+    "mttr_compute", "checkpoint_interval", "mttq", "coordination", "broadcast_overhead",
+    "software_overhead", "checkpoint_size_per_node", "bw_io_to_fs", "failure_trace_path"};
 
-void apply_override(Parameters& p, const std::string& key, const std::string& text) {
-  const double v = parse_number(key, text);
-  if (key == "procs") p.num_processors = static_cast<std::uint64_t>(v);
-  else if (key == "procs_per_node") p.processors_per_node = static_cast<std::uint32_t>(v);
-  else if (key == "nodes_per_io") p.compute_nodes_per_io_node = static_cast<std::uint32_t>(v);
-  else if (key == "mttf_yr") p.mttf_node = v * units::kYear;
-  else if (key == "mttr_min") p.mttr_compute = v * units::kMinute;
-  else if (key == "interval_min") p.checkpoint_interval = v * units::kMinute;
-  else if (key == "ckpt_mb") p.checkpoint_size_per_node = v * units::kMB;
-  else if (key == "mttq") p.mttq = v;
-  else if (key == "compute_fraction") p.compute_fraction = v;
-  else {
-    fail("unknown key '" + key +
-         "' (procs|procs_per_node|nodes_per_io|mttf_yr|mttr_min|interval_min|ckpt_mb|mttq|"
-         "compute_fraction)");
+void reject_unmodelled_fields(const JobSpec& job) {
+  for (const ParameterField& field : parameter_fields()) {
+    std::string value, fallback;
+    append_field_value(value, field, job.params);
+    append_field_value(fallback, field, Parameters{});
+    if (value != fallback && std::ranges::find(kInterferenceFields, field.name) ==
+                                 std::end(kInterferenceFields)) {
+      fail("job '" + job.name + "': the multi-job interference engine does not model '" +
+           (field.key != nullptr ? field.key : field.name) + "'; leave it at its default");
+    }
   }
 }
 
@@ -69,6 +63,7 @@ void JobMix::validate() const {
       fail("job '" + job.name +
            "': proactive fault tolerance is a single-application feature (run_proactive)");
     }
+    if (jobs.size() > 1) reject_unmodelled_fields(job);
   }
   const double bw = resolved_bandwidth();
   if (!std::isfinite(bw) || bw <= 0.0) {
@@ -130,7 +125,16 @@ JobMix parse_job_mix(const std::string& spec, const Parameters& base) {
         if (eq == std::string::npos || eq == 0 || eq + 1 == kv.size()) {
           fail("override '" + kv + "' in job '" + job.name + "' is not key=value");
         }
-        apply_override(job.params, kv.substr(0, eq), kv.substr(eq + 1));
+        const std::string key = kv.substr(0, eq);
+        const ParameterField* field = find_parameter_key(key, /*mix_aliases=*/true);
+        if (field == nullptr) {
+          fail("unknown key '" + key + "' in job '" + job.name + "' (see ckptsim_cli --help)");
+        }
+        try {
+          set_parameter(*field, kv.substr(eq + 1), "key '" + key + "'", &job.params);
+        } catch (const std::invalid_argument& e) {
+          fail("job '" + job.name + "': " + e.what());
+        }
         if (kpos > entry.size()) break;
       }
     }

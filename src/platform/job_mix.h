@@ -39,8 +39,10 @@ struct JobMix {
 
   /// Throws std::invalid_argument naming the first violated constraint:
   /// at least one job, unique non-empty names, every job's Parameters
-  /// valid, exponential failure law (the interference engine's scope),
-  /// and a finite positive resolved PFS bandwidth.
+  /// valid, exponential failure law, no proactive policy, with K > 1 jobs
+  /// no field off its default that the interference engine does not model
+  /// (the interference engine's scope), and a finite positive resolved PFS
+  /// bandwidth.
   void validate() const;
 
   /// Multi-line "name: key = value" dump for logs and bench headers.
@@ -56,10 +58,10 @@ struct JobMix {
 ///   "a:procs=65536,mttf_yr=1;b:procs=16384,interval_min=15,ckpt_mb=512"
 ///
 /// Jobs are ';'-separated as "<name>:<key>=<value>,...".  Each job starts
-/// from `base` and applies its overrides.  Keys: procs, procs_per_node,
-/// nodes_per_io, mttf_yr, mttr_min, interval_min, ckpt_mb, mttq,
-/// compute_fraction.  An empty override list ("a" or "a:") is the base
-/// unchanged.  Unknown keys or malformed numbers throw
+/// from `base` and applies its overrides.  Keys are the parameter table's
+/// (src/model/parameter_table.h; see ckptsim_cli --help), plus two older
+/// spellings, procs and mttf_yr.  An empty override list ("a" or "a:") is
+/// the base unchanged.  Unknown keys or malformed numbers throw
 /// std::invalid_argument naming the offender — a typo must not silently
 /// simulate the default it masked.  The returned mix carries the derived
 /// default bandwidth and kFairShare; callers override `pfs` afterwards.

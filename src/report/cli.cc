@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/model/parameter_table.h"
+
 namespace ckptsim::report {
 
 Cli::Cli(int argc, const char* const* argv) {
@@ -29,13 +31,35 @@ std::string Cli::value(std::string_view key, std::string fallback) const {
 
 double Cli::number(std::string_view key, double fallback) const {
   const std::string v = value(key);
-  if (v.empty()) return fallback;
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Cli: '" + std::string(key) + "' expects a number, got '" + v +
-                                "'");
+  return v.empty() ? fallback : parse_number(v, std::string("'").append(key) + "'");
+}
+
+std::uint64_t Cli::count(std::string_view key, std::uint64_t fallback, std::uint64_t max) const {
+  const std::string v = value(key);
+  return v.empty() ? fallback : parse_count(v, std::string("'").append(key) + "'", max);
+}
+
+void apply_parameter_flags(const Cli& cli, Parameters* p) {
+  for (const ParameterField& field : parameter_fields()) {
+    if (field.key == nullptr) continue;
+    const char* flag = cli_flag(field);
+    const bool no_value = field.kind() == KeyKind::kFlag;  // --no-KEY sets KEY false
+    const std::string text = no_value ? (cli.has(flag) ? "false" : "") : cli.value(flag);
+    if (!text.empty()) set_parameter(field, text, std::string("'").append(flag) + "'", p);
   }
+  if (cli.has("--no-failures")) {
+    p->compute_failures_enabled = false;
+    p->io_failures_enabled = false;
+    p->master_failures_enabled = false;
+  }
+}
+
+std::vector<FlagSpec> parameter_flag_specs() {
+  std::vector<FlagSpec> specs{{"--no-failures", false}};
+  for (const ParameterField& field : parameter_fields()) {
+    if (field.key != nullptr) specs.push_back({cli_flag(field), field.kind() != KeyKind::kFlag});
+  }
+  return specs;
 }
 
 std::vector<std::string> Cli::unknown_flags(const std::vector<FlagSpec>& known) const {
@@ -94,21 +118,20 @@ bool quick_mode(const Cli& cli) {
 
 RunSpec bench_spec(const Cli& cli) {
   RunSpec spec = quick_mode(cli) ? RunSpec::quick() : RunSpec{};
-  spec.seed = static_cast<std::uint64_t>(cli.number("--seed", static_cast<double>(spec.seed)));
-  spec.replications =
-      static_cast<std::size_t>(cli.number("--reps", static_cast<double>(spec.replications)));
+  spec.seed = cli.count("--seed", spec.seed);
+  spec.replications = cli.count("--reps", spec.replications);
   const double horizon_hours = cli.number("--horizon-hours", spec.horizon / 3600.0);
   spec.horizon = horizon_hours * 3600.0;
   // 0 = auto: ExecSpec::resolve() falls back to CKPTSIM_JOBS, then hardware.
-  spec.exec.jobs = static_cast<std::size_t>(cli.number("--jobs", 0.0));
+  spec.exec.jobs = cli.count("--jobs", 0);
   // Precision-driven mode: --rel-precision enables the sequential stopper
   // (off by default, so plain invocations stay byte-identical); the bounds
   // flags refine the round schedule only when it is on.
   spec.sequential.rel_precision = cli.number("--rel-precision", 0.0);
-  spec.sequential.min_replications = static_cast<std::size_t>(cli.number(
-      "--min-replications", static_cast<double>(spec.sequential.min_replications)));
-  spec.sequential.max_replications = static_cast<std::size_t>(cli.number(
-      "--max-replications", static_cast<double>(spec.sequential.max_replications)));
+  spec.sequential.min_replications =
+      cli.count("--min-replications", spec.sequential.min_replications);
+  spec.sequential.max_replications =
+      cli.count("--max-replications", spec.sequential.max_replications);
   // Engine performance knob: results are bit-identical for either backend
   // (pinned by tests/test_scheduler_diff.cc), so it parses here next to
   // --jobs rather than anywhere that could touch journal fingerprints.

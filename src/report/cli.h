@@ -1,10 +1,13 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/results.h"
+#include "src/model/parameters.h"
 
 namespace ckptsim::report {
 
@@ -22,7 +25,12 @@ class Cli {
 
   [[nodiscard]] bool has(std::string_view flag) const;
   [[nodiscard]] std::string value(std::string_view key, std::string fallback = "") const;
+  /// `key`'s value through parse_number / parse_count (parameter_table.h),
+  /// or `fallback` when absent.
   [[nodiscard]] double number(std::string_view key, double fallback) const;
+  [[nodiscard]] std::uint64_t count(
+      std::string_view key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
 
   /// Arguments not covered by `known`: misspelled flags and stray
   /// positional tokens.  A known value-taking flag consumes the following
@@ -40,6 +48,12 @@ class Cli {
  private:
   std::vector<std::string> args_;
 };
+
+/// Apply the command line's flag for each settable row of the parameter
+/// table, and --no-failures (all three failure processes off), to `*p`.
+void apply_parameter_flags(const Cli& cli, Parameters* p);
+/// The flags apply_parameter_flags reads.
+[[nodiscard]] std::vector<FlagSpec> parameter_flag_specs();
 
 /// RunSpec for a bench invocation: defaults to the full-fidelity spec, and
 /// shrinks to RunSpec::quick() when `--quick` is passed or the environment

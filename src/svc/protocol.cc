@@ -1,12 +1,15 @@
 #include "src/svc/protocol.h"
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "src/core/result_json.h"
 #include "src/core/sweep.h"
 #include "src/model/failure_trace.h"
+#include "src/model/parameter_table.h"
 #include "src/obs/json.h"
 #include "src/obs/json_value.h"
 
@@ -30,13 +33,17 @@ double require_number(const obs::JsonValue& v, const std::string& key) {
   return d;
 }
 
-std::uint64_t require_uint(const obs::JsonValue& v, const std::string& key) {
+/// A count key's value through the parameter table's count conversion,
+/// read from the number's own text so "2e1" is 20 and 64-bit seeds keep
+/// every bit.
+std::uint64_t require_count(const obs::JsonValue& v, const std::string& key,
+                            std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (!v.is_number()) fail("key '" + key + "' must be a number");
-  const double d = v.number();
-  if (!(d >= 0.0) || d != std::floor(d)) {
-    fail("key '" + key + "' must be a non-negative integer");
+  try {
+    return parse_count(v.scalar, "key '" + key + "'", max);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
   }
-  return v.uint();
 }
 
 bool require_bool(const obs::JsonValue& v, const std::string& key) {
@@ -49,90 +56,25 @@ std::string require_string(const obs::JsonValue& v, const std::string& key) {
   return v.scalar;
 }
 
-/// Apply a "params" object onto the Table-3 defaults.  Key names mirror the
-/// CLI flags (interval_min <-> --interval-min) and use the same units, so a
-/// request is a mechanical rewrite of a command line.
+/// Apply a "params" object onto the Table-3 defaults: one key per settable
+/// row of the parameter table, in the CLI's units.
 void apply_params(const obs::JsonValue& obj, Parameters* p) {
   for (const auto& [key, v] : obj.members) {
-    if (key == "processors") {
-      p->num_processors = require_uint(v, key);
-    } else if (key == "procs_per_node") {
-      p->processors_per_node = static_cast<std::uint32_t>(require_uint(v, key));
-    } else if (key == "nodes_per_io") {
-      p->compute_nodes_per_io_node = static_cast<std::uint32_t>(require_uint(v, key));
-    } else if (key == "mttf_years") {
-      p->mttf_node = require_number(v, key) * units::kYear;
-    } else if (key == "mttr_min") {
-      p->mttr_compute = require_number(v, key) * units::kMinute;
-    } else if (key == "mttr_io_min") {
-      p->mttr_io = require_number(v, key) * units::kMinute;
-    } else if (key == "interval_min") {
-      p->checkpoint_interval = require_number(v, key) * units::kMinute;
-    } else if (key == "mttq") {
-      p->mttq = require_number(v, key);
-    } else if (key == "timeout") {
-      p->timeout = require_number(v, key);
-    } else if (key == "coordination") {
-      const std::string mode = require_string(v, key);
-      if (mode == "fixed") p->coordination = CoordinationMode::kFixedQuiesce;
-      else if (mode == "exp") p->coordination = CoordinationMode::kSystemExponential;
-      else if (mode == "max") p->coordination = CoordinationMode::kMaxOfExponentials;
-      else fail("unknown coordination '" + mode + "' (fixed|exp|max)");
-    } else if (key == "compute_fraction") {
-      p->compute_fraction = require_number(v, key);
-    } else if (key == "ckpt_mb") {
-      p->checkpoint_size_per_node = require_number(v, key) * units::kMB;
-    } else if (key == "background_fs_write") {
-      p->background_fs_write = require_bool(v, key);
-    } else if (key == "compute_failures") {
-      p->compute_failures_enabled = require_bool(v, key);
-    } else if (key == "io_failures") {
-      p->io_failures_enabled = require_bool(v, key);
-    } else if (key == "master_failures") {
-      p->master_failures_enabled = require_bool(v, key);
-    } else if (key == "prob_correlated") {
-      p->prob_correlated = require_number(v, key);
-    } else if (key == "correlated_factor") {
-      p->correlated_factor = require_number(v, key);
-    } else if (key == "generic_alpha") {
-      p->generic_correlated_coefficient = require_number(v, key);
-    } else if (key == "weibull_shape") {
-      const double shape = require_number(v, key);
-      if (shape > 0.0) {
-        p->failure_distribution = FailureDistribution::kWeibull;
-        p->weibull_shape = shape;
-      }
-    } else if (key == "incremental") {
-      p->incremental_size_fraction = require_number(v, key);
-    } else if (key == "full_period") {
-      p->full_checkpoint_period = static_cast<std::uint32_t>(require_uint(v, key));
-    } else if (key == "app_io") {
-      p->app_io_enabled = require_bool(v, key);
-    } else if (key == "predictor_precision") {
-      p->predictor_enabled = true;
-      p->predictor_precision = require_number(v, key);
-    } else if (key == "predictor_recall") {
-      p->predictor_enabled = true;
-      p->predictor_recall = require_number(v, key);
-    } else if (key == "predictor_lead_s") {
-      p->predictor_enabled = true;
-      p->predictor_lead_time = require_number(v, key);
-    } else if (key == "proactive_policy") {
-      try {
-        p->proactive_policy = parse_proactive_policy(require_string(v, key));
-      } catch (const std::invalid_argument& e) {
-        fail(e.what());
-      }
-    } else if (key == "migration_cost_s") {
-      p->migration_time = require_number(v, key);
-    } else if (key == "rescale_cost_s") {
-      p->rescale_time = require_number(v, key);
-    } else if (key == "node_repair_min") {
-      p->node_repair_time = require_number(v, key) * units::kMinute;
-    } else if (key == "failure_trace") {
-      p->failure_trace_path = require_string(v, key);
-    } else {
-      fail("unknown params key '" + key + "'");
+    const ParameterField* field = find_parameter_key(key);
+    if (field == nullptr) fail("unknown params key '" + key + "'");
+    const KeyKind kind = field->kind();
+    std::string text = v.scalar;  // a number's own text
+    if (kind == KeyKind::kFlag) {
+      text = require_bool(v, key) ? "true" : "false";
+    } else if (kind == KeyKind::kChoice || kind == KeyKind::kPath) {
+      text = require_string(v, key);
+    } else if (!v.is_number()) {
+      fail("key '" + key + "' must be a number");
+    }
+    try {
+      set_parameter(*field, text, "key '" + key + "'", p);
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
     }
   }
 }
@@ -144,9 +86,9 @@ void apply_params(const obs::JsonValue& obj, Parameters* p) {
 void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
   for (const auto& [key, v] : obj.members) {
     if (key == "reps") {
-      spec->replications = static_cast<std::size_t>(require_uint(v, key));
+      spec->replications = require_count(v, key);
     } else if (key == "seed") {
-      spec->seed = require_uint(v, key);
+      spec->seed = require_count(v, key);
     } else if (key == "horizon_hours") {
       spec->horizon = require_number(v, key) * 3600.0;
     } else if (key == "transient_hours") {
@@ -156,9 +98,9 @@ void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
     } else if (key == "rel_precision") {
       spec->sequential.rel_precision = require_number(v, key);
     } else if (key == "min_replications") {
-      spec->sequential.min_replications = static_cast<std::size_t>(require_uint(v, key));
+      spec->sequential.min_replications = require_count(v, key);
     } else if (key == "max_replications") {
-      spec->sequential.max_replications = static_cast<std::size_t>(require_uint(v, key));
+      spec->sequential.max_replications = require_count(v, key);
     } else if (key == "on_failure") {
       const std::string mode = require_string(v, key);
       if (mode == "fail") spec->on_failure.mode = FailurePolicy::Mode::kFailFast;
@@ -166,9 +108,9 @@ void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
       else if (mode == "skip") spec->on_failure.mode = FailurePolicy::Mode::kSkip;
       else fail("unknown on_failure '" + mode + "' (fail|retry|skip)");
     } else if (key == "max_retries") {
-      spec->on_failure.max_retries = static_cast<std::size_t>(require_uint(v, key));
+      spec->on_failure.max_retries = require_count(v, key);
     } else if (key == "max_events") {
-      spec->watchdog.max_events = require_uint(v, key);
+      spec->watchdog.max_events = require_count(v, key);
     } else if (key == "scheduler") {
       const std::string kind = require_string(v, key);
       if (kind == "heap") spec->scheduler = sim::SchedulerKind::kBinaryHeap;
@@ -188,11 +130,7 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
     } else if (key == "id") {
       out->id = require_string(v, key);
     } else if (key == "priority") {
-      const double prio = require_number(v, key);
-      if (prio != std::floor(prio) || prio < 0.0 || prio > 9.0) {
-        fail("priority must be an integer in 0..9");
-      }
-      out->priority = static_cast<int>(prio);
+      out->priority = static_cast<int>(require_count(v, key, 9));
     } else if (key == "axis") {
       out->axis = require_string(v, key);
     } else if (key == "values") {
@@ -295,13 +233,13 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
     } else if (key == "hi_min") {
       out->opt.interval_hi = require_number(v, key) * units::kMinute;
     } else if (key == "grid") {
-      out->opt.grid = static_cast<std::size_t>(require_uint(v, key));
+      out->opt.grid = require_count(v, key);
     } else if (key == "refine") {
-      out->opt.refine_iters = static_cast<std::size_t>(require_uint(v, key));
+      out->opt.refine_iters = require_count(v, key);
     } else if (key == "processors") {
       if (!v.is_array()) fail("key 'processors' must be an array of counts");
       for (const auto& item : v.items) {
-        out->opt.processor_candidates.push_back(require_uint(item, "processors[]"));
+        out->opt.processor_candidates.push_back(require_count(item, "processors[]"));
       }
     } else if (key == "policies") {
       if (!v.is_array()) fail("key 'policies' must be an array of policy names");
@@ -348,7 +286,9 @@ Parameters apply_axis(const std::string& axis, Parameters base, double x) {
   if (axis == "interval") {
     base.checkpoint_interval = x * units::kMinute;
   } else {
-    base.num_processors = static_cast<std::uint64_t>(x);
+    char text[32];
+    std::snprintf(text, sizeof text, "%.17g", x);
+    base.num_processors = parse_count(text, "processors axis value");
   }
   return base;
 }

@@ -37,7 +37,7 @@ namespace ckptsim::svc {
 ///    "label": "...",                // optional; default "sweep <axis>",
 ///                                   //   matching the CLI's journal labels
 ///    "engine": "des" | "san",       // optional [des]
-///    "params": { ... },             // optional; keys mirror the CLI flags
+///    "params": { ... },             // optional; see below
 ///    "spec": { ... }}               // optional; run controls
 ///   {"op": "optimize", "id": "<request>",
 ///    "lo_min": 15, "hi_min": 240,   // optional interval range [15, 240]
@@ -49,16 +49,9 @@ namespace ckptsim::svc {
 ///    "params": { ... },             // optional; base for every candidate
 ///    "spec": { ... }}               // optional; run controls
 ///
-/// `params` keys (all optional; defaults = the paper's Table 3, exactly the
-/// CLI's defaults): processors, procs_per_node, nodes_per_io, mttf_years,
-/// mttr_min, mttr_io_min, interval_min, mttq, timeout, coordination
-/// ("fixed"|"exp"|"max"), compute_fraction, ckpt_mb, background_fs_write,
-/// compute_failures, io_failures, master_failures, prob_correlated,
-/// correlated_factor, generic_alpha, weibull_shape, incremental,
-/// full_period, app_io, predictor_precision, predictor_recall,
-/// predictor_lead_s (any predictor_* key enables the predictor),
-/// proactive_policy ("none"|"proactive-checkpoint"|"migrate"|"malleable"),
-/// migration_cost_s, rescale_cost_s, node_repair_min, failure_trace.
+/// `params` keys (all optional; defaults = the paper's Table 3) are the keys
+/// of the parameter table (src/model/parameter_table.h), the same keys,
+/// units and defaults as ckptsim_cli's flags (see ckptsim_cli --help).
 ///
 /// `spec` keys (all optional): reps, seed, horizon_hours, transient_hours,
 /// confidence, rel_precision, min_replications, max_replications,

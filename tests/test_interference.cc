@@ -187,6 +187,12 @@ TEST(JobMix, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_job_mix("a:procs=abc", base), std::invalid_argument);
   EXPECT_THROW(parse_job_mix("a:procs", base), std::invalid_argument);
   EXPECT_THROW(parse_job_mix(":procs=1", base), std::invalid_argument);
+  // Counts are whole numbers that fit their field; numbers take no junk.
+  EXPECT_THROW(parse_job_mix("a:procs=-8", base), std::invalid_argument);
+  EXPECT_THROW(parse_job_mix("a:procs=2.5", base), std::invalid_argument);
+  EXPECT_THROW(parse_job_mix("a:procs_per_node=4294967304", base), std::invalid_argument);
+  EXPECT_THROW(parse_job_mix("a:mttf_yr=2yr", base), std::invalid_argument);
+  EXPECT_EQ(parse_job_mix("a:procs=6.5536e4", base).jobs[0].params.num_processors, 65536u);
   // Duplicate names are a validation error.
   JobMix dup = parse_job_mix("a;a", base);
   EXPECT_THROW(dup.validate(), std::invalid_argument);
@@ -274,6 +280,46 @@ TEST(Interference, MultiJobRejectsSequentialStopping) {
   RunSpec spec = small_spec();
   spec.sequential.rel_precision = 0.05;
   EXPECT_NE(multi_job_error(spec).find("sequential"), std::string::npos);
+}
+
+/// JobMix::validate's message for a two-job mix over `base` whose second job
+/// applies `overrides`, or "" when the mix is valid.
+std::string two_job_error(const Parameters& base, const std::string& overrides) {
+  try {
+    parse_job_mix("a:procs=8192;b:procs=8192" + overrides, base).validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Interference, MultiJobRejectsDisabledFailures) {
+  // What ckptsim_cli --no-failures sets.
+  Parameters base;
+  base.compute_failures_enabled = false;
+  base.io_failures_enabled = false;
+  base.master_failures_enabled = false;
+  const std::string error = two_job_error(base, "");
+  EXPECT_NE(error.find("job 'a'"), std::string::npos) << error;
+  EXPECT_NE(error.find("compute_failures"), std::string::npos) << error;
+}
+
+TEST(Interference, MultiJobRejectsCorrelatedFailuresAndTimeout) {
+  Parameters base;
+  base.prob_correlated = 0.5;
+  EXPECT_NE(two_job_error(base, "").find("prob_correlated"), std::string::npos);
+  Parameters timeout;
+  timeout.timeout = 5.0;
+  EXPECT_NE(two_job_error(timeout, "").find("timeout"), std::string::npos);
+}
+
+TEST(Interference, MultiJobRejectsComputeFractionMixKey) {
+  const std::string error = two_job_error(Parameters{}, ",compute_fraction=0.5");
+  EXPECT_NE(error.find("job 'b'"), std::string::npos) << error;
+  EXPECT_NE(error.find("compute_fraction"), std::string::npos) << error;
+  // Fields the engine models stay settable, and one job takes any field.
+  EXPECT_EQ(two_job_error(Parameters{}, ",interval_min=15,mttq=5,coordination=fixed"), "");
+  parse_job_mix("solo:compute_fraction=0.5", Parameters{}).validate();
 }
 
 TEST(Interference, SingleJobMixHonoursRunModelKnobs) {

@@ -201,6 +201,20 @@ TEST(CliTest, RejectsNonNumeric) {
   const char* argv[] = {"prog", "--seed", "abc"};
   const Cli cli(3, argv);
   EXPECT_THROW((void)cli.number("--seed", 1.0), std::invalid_argument);
+  // Trailing junk is an error, not a prefix to read.
+  const char* junk_argv[] = {"prog", "--reps", "2x", "--mttf-years", "2yr"};
+  const Cli junk(5, junk_argv);
+  EXPECT_THROW((void)junk.number("--mttf-years", 1.0), std::invalid_argument);
+  EXPECT_THROW((void)bench_spec(junk), std::invalid_argument);
+  // Counts are whole numbers, read exactly: no truncation, no wrap-around.
+  for (const char* bad : {"2.7", "-8", "1e30"}) {
+    const char* count_argv[] = {"prog", "--reps", bad};
+    EXPECT_THROW((void)bench_spec(Cli(3, count_argv)), std::invalid_argument) << bad;
+  }
+  const char* exact_argv[] = {"prog", "--reps", "2e1", "--seed", "18446744073709551615"};
+  const auto exact = bench_spec(Cli(5, exact_argv));
+  EXPECT_EQ(exact.replications, 20u);
+  EXPECT_EQ(exact.seed, 18446744073709551615ULL);
 }
 
 TEST(CliTest, BenchSpecQuickFlag) {

@@ -190,12 +190,40 @@ TEST(SvcProtocol, RejectsMalformedAndUnknown) {
       R"({"op":"sweep","id":"a","axis":"interval","values":[-5]})", &req, &error));
   EXPECT_FALSE(ckptsim::svc::parse_request(
       R"({"op":"sweep","id":"a","axis":"interval","spec":{"reps":0}})", &req, &error));
+  // Counts are whole numbers that fit their field, read from the number's
+  // own text; a negative shape is an error, not "exponential".
+  for (const char* bad :
+       {R"("spec":{"reps":2.5})", R"("params":{"processors":-8})",
+        R"("params":{"procs_per_node":4294967304})", R"("spec":{"seed":1e30})",
+        R"("params":{"weibull_shape":-1})", R"("params":{"full_period":2.9})"}) {
+    const std::string line =
+        std::string(R"({"op":"sweep","id":"a","axis":"interval","values":[30],)") + bad + "}";
+    EXPECT_FALSE(ckptsim::svc::parse_request(line, &req, &error)) << bad;
+  }
+  EXPECT_FALSE(ckptsim::svc::parse_request(
+      R"({"op":"sweep","id":"a","axis":"processors","values":[-8]})", &req, &error));
+  EXPECT_NE(error.find("-8"), std::string::npos) << error;
+  EXPECT_FALSE(ckptsim::svc::parse_request(
+      R"({"op":"sweep","id":"a","axis":"processors","values":[8192.5]})", &req, &error));
   // Structural requirements.
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"sweep","axis":"interval"})", &req, &error));
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"sweep","id":"a"})", &req, &error));
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"cancel"})", &req, &error));
   // Simple ops accept no extra keys.
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"ping","axis":"interval"})", &req, &error));
+}
+
+TEST(SvcProtocol, CountsAreReadExactly) {
+  Request req;
+  std::string error;
+  ASSERT_TRUE(ckptsim::svc::parse_request(
+      R"({"op":"sweep","id":"a","axis":"interval","values":[30],)"
+      R"("params":{"processors":6.5536e4},"spec":{"reps":2e1,"seed":18446744073709551615}})",
+      &req, &error))
+      << error;
+  EXPECT_EQ(req.params.num_processors, 65536u);
+  EXPECT_EQ(req.spec.replications, 20u);
+  EXPECT_EQ(req.spec.seed, 18446744073709551615ULL);
 }
 
 TEST(SvcProtocol, SimpleOpsParse) {
@@ -438,6 +466,31 @@ TEST(SvcServer, UnreadableFailureTraceIsAnErrorLine) {
   EXPECT_NE(out.lines[0].find("failure trace"), std::string::npos) << out.lines[0];
 }
 
+TEST(SvcServer, ExponentRepsRunThatManyReplications) {
+  CampaignServer server(ServerConfig{});
+  Collector out;
+  server.handle_line(
+      R"({"op":"sweep","id":"e","axis":"interval","values":[30],"params":{"processors":4096},)"
+      R"("spec":{"reps":2e1,"horizon_hours":5,"transient_hours":1}})",
+      out.sink());
+  server.drain();
+  ASSERT_EQ(out.lines.size(), 3u);
+  ASSERT_EQ(out.type(1), "point");
+  const JsonValue point = out.parsed(1);
+  const JsonValue* samples = point.find("result")->find("ci")->find("samples");
+  ASSERT_NE(samples, nullptr);
+  EXPECT_EQ(samples->uint(), 20u);
+}
+
+TEST(SvcServer, NegativeProcessorAxisValueIsOneErrorLine) {
+  CampaignServer server(ServerConfig{});
+  Collector out;
+  server.handle_line(R"({"op":"sweep","id":"n","axis":"processors","values":[-8]})", out.sink());
+  server.drain();
+  ASSERT_EQ(out.lines.size(), 1u);
+  EXPECT_EQ(out.type(0), "error");
+}
+
 TEST(SvcServer, AdaptiveCampaignMatchesAdaptiveSweep) {
   CampaignServer server(ServerConfig{});
   Collector out;
@@ -673,6 +726,20 @@ TEST(SvcServer, InterferenceRequestRejectsIgnoredKnobWithErrorLine) {
   EXPECT_EQ(out.type(0), "accepted");
   EXPECT_EQ(out.type(1), "error");
   EXPECT_NE(out.lines[1].find("on_failure"), std::string::npos) << out.lines[1];
+}
+
+TEST(SvcServer, MultiJobInterferenceRejectsUnmodelledFieldAtParse) {
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  Collector out;
+  server.handle_line(
+      R"({"op":"interference","id":"ix","jobs":"a:procs=4096;b:procs=8192",)"
+      R"("params":{"prob_correlated":0.5},"spec":{"reps":2,"horizon_hours":12}})",
+      out.sink());
+  ASSERT_EQ(out.lines.size(), 1u);
+  EXPECT_EQ(out.type(0), "error");
+  EXPECT_NE(out.lines[0].find("prob_correlated"), std::string::npos) << out.lines[0];
 }
 
 TEST(SvcServer, OptimizeRequestRejectsIgnoredKnobWithErrorLine) {

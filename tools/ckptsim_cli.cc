@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <filesystem>
 #include <iostream>
 #include <iterator>
 #include <optional>
@@ -29,6 +29,7 @@
 #include "src/core/runner.h"
 #include "src/core/sweep.h"
 #include "src/model/des_model.h"
+#include "src/model/parameter_table.h"
 #include "src/model/parameters.h"
 #include "src/proactive/proactive_model.h"
 #include "src/proactive/run.h"
@@ -41,6 +42,7 @@
 #include "src/report/csv.h"
 #include "src/report/table.h"
 #include "src/sim/rng.h"
+#include "src/svc/protocol.h"
 #include "src/trace/event_log.h"
 
 namespace {
@@ -61,25 +63,11 @@ void print_help() {
       R"(ckptsim_cli — coordinated-checkpointing supercomputer simulator (DSN'05 model)
 
 Machine (defaults = the paper's Table 3):
-  --processors N          compute processors            [65536]
-  --procs-per-node N      processors per node           [8]
-  --mttf-years Y          per-node MTTF                 [1]
-  --mttr-min M            compute recovery mean         [10]
-  --interval-min I        checkpoint interval           [30]
-  --mttq S                per-processor quiesce mean    [10]
-  --timeout S             master timeout, 0 = none      [0]
-  --coordination MODE     fixed | exp | max             [max]
-  --compute-fraction F    app compute fraction          [0.95]
-  --ckpt-mb MB            checkpoint size per node      [256]
-  --sync-write            disable background FS writes
-  --no-failures           disable every failure process
-  --no-io-failures / --no-master-failures
-  --prob-correlated P     error-propagation p_e         [0]
-  --correlated-factor R   rate factor r                 [400]
-  --generic-alpha A       generic correlation alpha     [0]
-  --weibull-shape K       Weibull failures (DES only)
-  --incremental F         incremental size fraction     [1 = full]
-  --full-period K         full checkpoint every K-th    [1]
+)" << ckptsim::parameter_help(false)
+            << R"(  --no-failures           turn off every failure process
+  Parameter flags (here and under "Proactive") are also the daemon's params
+  keys and --interference job keys: --interval-min 15 is interval_min=15,
+  --no-io-failures is io_failures=false, --sync-write is background_fs_write.
 
 Simulation:
   --engine des|san        implementation                [des]
@@ -122,11 +110,10 @@ Fault tolerance (run and sweep modes):
 
 Shared-platform interference (K jobs contending for one PFS):
   --interference MIX      job-mix spec: ';'-separated jobs, each
-                          "name:key=value,...". Keys: procs, procs_per_node,
-                          nodes_per_io, mttf_yr, mttr_min, interval_min,
-                          ckpt_mb, mttq, compute_fraction; unset keys
-                          inherit the machine flags above.  Example:
-                          "big:procs=65536;small:procs=8192,interval_min=15"
+                          "name:key=value,..." (parameter keys, plus procs
+                          and mttf_yr); unset keys inherit the flags above.
+                          2+ jobs reject fields the engine does not model.
+                          Example: "big:procs=65536;small:procs=8192"
   --pfs-policy P          shared-PFS contention policy   [fair]
                           fair:    processor-sharing fair share
                           fcfs:    one transfer at a time, arrival order
@@ -138,26 +125,11 @@ Shared-platform interference (K jobs contending for one PFS):
   A 1-job mix reproduces the single-application model bit-identically
   (same seeds, same rewards); --csv writes the per-job reward series.
 
-Proactive fault tolerance (DES engine):
-  --predictor-precision P fraction of warnings that are true  [0.8]
-  --predictor-recall R    fraction of failures predicted      [0.5]
-  --predictor-lead-s S    mean warning lead time (exp.)       [300]
-                          any --predictor-* flag enables the predictor;
-                          prediction quality never perturbs the failure
-                          streams (CRN contract), so runs with different
-                          predictors see bit-identical true failures
-  --proactive-policy P    none | proactive-checkpoint | migrate | malleable
-                          proactive-checkpoint: immediate coordinated dump
-                          on every warning; migrate: evacuate the flagged
-                          node (skip the rollback when the prediction was
-                          true); malleable: shrink to N-k on node failure,
-                          continue degraded, regrow after repair [none]
-  --migration-cost-s S    node-evacuation pause (migrate)     [30]
-  --rescale-cost-s S      shrink/regrow pause (malleable)     [60]
-  --node-repair-min M     mean per-node repair time           [240]
-  --failure-trace FILE    replay recorded failures (JSONL {"node":..,"t":..}
-                          or CSV node,seconds) instead of sampling them;
-                          strict validation, horizon-clipped replay
+Proactive fault tolerance and failure traces (DES engine):
+)" << ckptsim::parameter_help(true)
+            << R"(  Any --predictor-* flag enables the predictor; true failures stay
+  bit-identical for any predictor (CRN).  A failure trace is JSONL
+  {"node":..,"time":..} or CSV node,seconds, replayed up to the horizon.
 
 Optimizer (grid + golden-section, CRN-paired candidates):
   --optimize              search interval x policy x processors for the
@@ -195,21 +167,10 @@ Observability (all off by default; never changes results):
 )";
 }
 
-// Every flag the tool accepts; anything else on the command line is
-// rejected up front with a "did you mean" hint — a typo'd flag must not
-// silently run the simulation with the default it masked.
+// Every flag besides parameter_flag_specs(); anything else is rejected up
+// front with a "did you mean" hint — a typo'd flag must not silently run
+// the simulation with the default it masked.
 constexpr ckptsim::report::FlagSpec kFlags[] = {
-    {"--processors", true},     {"--procs-per-node", true},   {"--mttf-years", true},
-    {"--mttr-min", true},       {"--interval-min", true},     {"--mttq", true},
-    {"--timeout", true},        {"--coordination", true},     {"--compute-fraction", true},
-    {"--ckpt-mb", true},        {"--sync-write", false},      {"--no-failures", false},
-    {"--no-io-failures", false},{"--no-master-failures", false},
-    {"--prob-correlated", true},{"--correlated-factor", true},{"--generic-alpha", true},
-    {"--weibull-shape", true},  {"--incremental", true},      {"--full-period", true},
-    {"--predictor-precision", true},                          {"--predictor-recall", true},
-    {"--predictor-lead-s", true},                             {"--proactive-policy", true},
-    {"--migration-cost-s", true},                             {"--rescale-cost-s", true},
-    {"--node-repair-min", true},                              {"--failure-trace", true},
     {"--optimize", false},      {"--optimize-lo-min", true},  {"--optimize-hi-min", true},
     {"--optimize-grid", true},  {"--optimize-refine", true},
     {"--optimize-processors", true},                          {"--optimize-policies", true},
@@ -228,7 +189,8 @@ constexpr ckptsim::report::FlagSpec kFlags[] = {
 };
 
 int reject_unknown_flags(const ckptsim::report::Cli& cli) {
-  const std::vector<ckptsim::report::FlagSpec> known(std::begin(kFlags), std::end(kFlags));
+  std::vector<ckptsim::report::FlagSpec> known = ckptsim::report::parameter_flag_specs();
+  known.insert(known.end(), std::begin(kFlags), std::end(kFlags));
   const auto unknown = cli.unknown_flags(known);
   if (unknown.empty()) return 0;
   for (const std::string& flag : unknown) {
@@ -241,30 +203,37 @@ int reject_unknown_flags(const ckptsim::report::Cli& cli) {
   return 2;
 }
 
-std::vector<double> parse_values(const std::string& csv_list) {
-  std::vector<double> xs;
+/// The comma-separated items of `flag`'s value; empty items are skipped.
+std::vector<std::string> list_items(const std::string& csv_list, const char* flag) {
+  std::vector<std::string> items;
   std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    std::size_t used = 0;
-    const double v = std::stod(item, &used);
-    if (used != item.size()) {
-      throw std::invalid_argument("--sweep-values: '" + item + "' is not a number");
-    }
-    xs.push_back(v);
+  for (std::string item; std::getline(ss, item, ',');) {
+    if (!item.empty()) items.push_back(item);
   }
-  if (xs.empty()) throw std::invalid_argument("--sweep-values: no values given");
-  return xs;
+  if (items.empty()) throw std::invalid_argument(std::string(flag) + ": no values given");
+  return items;
 }
 
-bool file_non_empty(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  return size > 0;
+/// Open --journal into `*journal` (nothing without the flag).  False, after
+/// an error line, when the file is non-empty and --resume is absent: that
+/// protects against silently mixing runs.
+bool open_journal(const ckptsim::report::Cli& cli, const char* unit,
+                  std::optional<ckptsim::SweepJournal>* journal) {
+  const std::string path = cli.value("--journal");
+  if (path.empty()) return true;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (!cli.has("--resume") && !ec && size > 0) {
+    std::cerr << "error: journal '" << path
+              << "' exists; pass --resume to continue it or delete the file\n";
+    return false;
+  }
+  journal->emplace(path);
+  if ((*journal)->loaded() > 0) {
+    std::cout << "resuming: " << (*journal)->loaded() << " completed " << unit
+              << "(s) loaded from " << path << "\n";
+  }
+  return true;
 }
 
 ckptsim::FailurePolicy parse_policy(const ckptsim::report::Cli& cli) {
@@ -279,12 +248,14 @@ ckptsim::FailurePolicy parse_policy(const ckptsim::report::Cli& cli) {
   } else {
     throw std::invalid_argument("unknown --on-failure '" + mode + "' (fail|retry|skip)");
   }
-  policy.max_retries = static_cast<std::size_t>(cli.number("--max-retries", 2.0));
+  policy.max_retries = cli.count("--max-retries", 2);
   return policy;
 }
 
+// The run modes: one per invocation, chosen in main.
+
 int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec,
-                          const ckptsim::report::Cli& cli) {
+                          ckptsim::EngineKind, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
   platform::JobMix mix = platform::parse_job_mix(cli.value("--interference"), base);
   const std::string policy = cli.value("--pfs-policy", "fair");
@@ -336,51 +307,34 @@ int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpe
   return 0;
 }
 
-int run_sweep_mode(const ckptsim::Parameters& base, ckptsim::RunSpec spec,
+int run_sweep_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec,
                    ckptsim::EngineKind engine, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
   const std::string axis = cli.value("--sweep");
-  std::vector<double> xs;
-  std::function<Parameters(Parameters, double)> apply;
-  std::string x_name;
-  if (axis == "interval") {
-    x_name = "interval_min";
-    xs = figure4_interval_axis_minutes();
-    apply = [](Parameters pp, double x) {
-      pp.checkpoint_interval = x * units::kMinute;
-      return pp;
-    };
-  } else if (axis == "processors") {
-    x_name = "processors";
-    xs = figure4_processor_axis();
-    apply = [](Parameters pp, double x) {
-      pp.num_processors = static_cast<std::uint64_t>(x);
-      return pp;
-    };
-  } else {
+  if (axis != "interval" && axis != "processors") {
     std::cerr << "unknown --sweep '" << axis << "' (interval|processors)\n";
     return 2;
   }
+  const bool interval = axis == "interval";
+  const std::string x_name = interval ? "interval_min" : "processors";
+  std::vector<double> xs =
+      interval ? figure4_interval_axis_minutes() : figure4_processor_axis();
   const std::string values = cli.value("--sweep-values");
-  if (!values.empty()) xs = parse_values(values);
-
-  std::optional<SweepJournal> journal;
-  const std::string journal_path = cli.value("--journal");
-  if (!journal_path.empty()) {
-    if (!cli.has("--resume") && file_non_empty(journal_path)) {
-      std::cerr << "error: journal '" << journal_path
-                << "' exists; pass --resume to continue it or delete the file\n";
-      return 2;
-    }
-    journal.emplace(journal_path);
-    if (journal->loaded() > 0) {
-      std::cout << "resuming: " << journal->loaded() << " completed point(s) loaded from "
-                << journal_path << "\n";
+  if (!values.empty()) {
+    xs.clear();
+    for (const std::string& item : list_items(values, "--sweep-values")) {
+      xs.push_back(interval ? parse_number(item, "'--sweep-values'")
+                            : static_cast<double>(parse_count(item, "'--sweep-values'")));
     }
   }
 
-  const SweepSeries series = sweep("sweep " + axis, base, xs, apply, spec, engine,
-                                   journal.has_value() ? &*journal : nullptr);
+  std::optional<SweepJournal> journal;
+  if (!open_journal(cli, "point", &journal)) return 2;
+
+  const SweepSeries series = sweep(
+      "sweep " + axis, base, xs,
+      [&axis](Parameters pp, double x) { return svc::apply_axis(axis, std::move(pp), x); }, spec,
+      engine, journal.has_value() ? &*journal : nullptr);
 
   report::Table table({x_name, "useful_fraction", "ci_half_width", "total_useful_work"});
   for (const auto& point : series.points) {
@@ -419,7 +373,7 @@ int run_sweep_mode(const ckptsim::Parameters& base, ckptsim::RunSpec spec,
 }
 
 int run_proactive_mode(const ckptsim::Parameters& p, const ckptsim::RunSpec& spec,
-                       const ckptsim::report::Cli& cli) {
+                       ckptsim::EngineKind, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
   std::cout << p.describe() << "\n\n";
   const proactive::ProactiveResult r = proactive::run_proactive(p, spec);
@@ -451,52 +405,33 @@ int run_proactive_mode(const ckptsim::Parameters& p, const ckptsim::RunSpec& spe
   return 0;
 }
 
-std::vector<std::uint64_t> parse_uint_list(const std::string& csv_list, const char* flag) {
-  std::vector<std::uint64_t> out;
-  for (const double v : parse_values(csv_list)) {
-    if (!(v > 0.0) || v != std::floor(v)) {
-      throw std::invalid_argument(std::string(flag) + ": values must be positive integers");
-    }
-    out.push_back(static_cast<std::uint64_t>(v));
-  }
-  return out;
-}
-
 int run_optimize_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec,
-                      const ckptsim::report::Cli& cli) {
+                      ckptsim::EngineKind, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
   OptimizeSpec opt;
   opt.interval_lo = cli.number("--optimize-lo-min", opt.interval_lo / units::kMinute) *
                     units::kMinute;
   opt.interval_hi = cli.number("--optimize-hi-min", opt.interval_hi / units::kMinute) *
                     units::kMinute;
-  opt.grid = static_cast<std::size_t>(cli.number("--optimize-grid", 9.0));
-  opt.refine_iters = static_cast<std::size_t>(cli.number("--optimize-refine", 10.0));
+  opt.grid = cli.count("--optimize-grid", opt.grid);
+  opt.refine_iters = cli.count("--optimize-refine", opt.refine_iters);
   const std::string procs = cli.value("--optimize-processors");
-  if (!procs.empty()) opt.processor_candidates = parse_uint_list(procs, "--optimize-processors");
+  if (!procs.empty()) {
+    for (const std::string& item : list_items(procs, "--optimize-processors")) {
+      const std::uint64_t n = parse_count(item, "'--optimize-processors'");
+      if (n == 0) throw std::invalid_argument("--optimize-processors: values must be positive");
+      opt.processor_candidates.push_back(n);
+    }
+  }
   const std::string policies = cli.value("--optimize-policies");
   if (!policies.empty()) {
-    std::stringstream ss(policies);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (!item.empty()) opt.policies.push_back(parse_proactive_policy(item));
+    for (const std::string& item : list_items(policies, "--optimize-policies")) {
+      opt.policies.push_back(parse_proactive_policy(item));
     }
   }
 
   std::optional<SweepJournal> journal;
-  const std::string journal_path = cli.value("--journal");
-  if (!journal_path.empty()) {
-    if (!cli.has("--resume") && file_non_empty(journal_path)) {
-      std::cerr << "error: journal '" << journal_path
-                << "' exists; pass --resume to continue it or delete the file\n";
-      return 2;
-    }
-    journal.emplace(journal_path);
-    if (journal->loaded() > 0) {
-      std::cout << "resuming: " << journal->loaded() << " completed candidate(s) loaded from "
-                << journal_path << "\n";
-    }
-  }
+  if (!open_journal(cli, "candidate", &journal)) return 2;
 
   // Stream each candidate as it completes — the searcher's order is
   // deterministic, so this log is byte-identical across repeats.
@@ -530,6 +465,38 @@ int run_optimize_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& s
   return 0;
 }
 
+int run_plain_mode(const ckptsim::Parameters& p, const ckptsim::RunSpec& spec,
+                   ckptsim::EngineKind engine, const ckptsim::report::Cli&) {
+  std::cout << p.describe() << "\n\n";
+  std::cout << ckptsim::run_model(p, spec, engine).describe() << "\n";
+  return 0;
+}
+
+using RunMode = int (*)(const ckptsim::Parameters&, const ckptsim::RunSpec&,
+                        ckptsim::EngineKind, const ckptsim::report::Cli&);
+
+// One extra traced replication of a single run, on the model that run used
+// (the DES engine is the trace-capable one): same parameters, replication
+// 0's seed, bounded in-memory log.
+void write_traced_replication(const ckptsim::Parameters& p, const ckptsim::RunSpec& spec,
+                              const std::string& path) {
+  using namespace ckptsim;
+  trace::EventLog log(1 << 20);
+  const std::uint64_t seed = sim::replication_seed(spec.seed, 0);
+  if (p.proactive_enabled()) {
+    proactive::ProactiveModel model(p, seed);
+    model.set_event_log(&log);
+    (void)model.run_replication(spec.transient, spec.horizon);
+  } else {
+    DesModel model(p, seed);
+    model.set_event_log(&log);
+    (void)model.run(spec.transient, spec.horizon);
+  }
+  obs::write_chrome_trace(path, log);
+  std::cout << "wrote " << path << " (" << log.total_recorded()
+            << " events; open in chrome://tracing or https://ui.perfetto.dev)\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -544,71 +511,14 @@ int main(int argc, char** argv) {
 
   Parameters p;
   try {
-    p.num_processors = static_cast<std::uint64_t>(
-        cli.number("--processors", static_cast<double>(p.num_processors)));
-    p.processors_per_node = static_cast<std::uint32_t>(
-        cli.number("--procs-per-node", p.processors_per_node));
-    p.mttf_node = cli.number("--mttf-years", 1.0) * units::kYear;
-    p.mttr_compute = cli.number("--mttr-min", 10.0) * units::kMinute;
-    p.checkpoint_interval = cli.number("--interval-min", 30.0) * units::kMinute;
-    p.mttq = cli.number("--mttq", p.mttq);
-    p.timeout = cli.number("--timeout", 0.0);
-    p.compute_fraction = cli.number("--compute-fraction", p.compute_fraction);
-    p.checkpoint_size_per_node = cli.number("--ckpt-mb", 256.0) * units::kMB;
-    const std::string mode = cli.value("--coordination", "max");
-    if (mode == "fixed") {
-      p.coordination = CoordinationMode::kFixedQuiesce;
-    } else if (mode == "exp") {
-      p.coordination = CoordinationMode::kSystemExponential;
-    } else if (mode == "max") {
-      p.coordination = CoordinationMode::kMaxOfExponentials;
-    } else {
-      std::cerr << "unknown --coordination '" << mode << "' (fixed|exp|max)\n";
-      return 2;
-    }
-    if (cli.has("--sync-write")) p.background_fs_write = false;
-    if (cli.has("--no-failures")) {
-      p.compute_failures_enabled = false;
-      p.io_failures_enabled = false;
-      p.master_failures_enabled = false;
-    }
-    if (cli.has("--no-io-failures")) p.io_failures_enabled = false;
-    if (cli.has("--no-master-failures")) p.master_failures_enabled = false;
-    p.prob_correlated = cli.number("--prob-correlated", 0.0);
-    p.correlated_factor = cli.number("--correlated-factor", p.correlated_factor);
-    p.generic_correlated_coefficient = cli.number("--generic-alpha", 0.0);
-    const double weibull = cli.number("--weibull-shape", 0.0);
-    if (weibull > 0.0) {
-      p.failure_distribution = FailureDistribution::kWeibull;
-      p.weibull_shape = weibull;
-    }
-    p.incremental_size_fraction = cli.number("--incremental", 1.0);
-    p.full_checkpoint_period =
-        static_cast<std::uint32_t>(cli.number("--full-period", 1.0));
-    // Presence of any --predictor-* flag turns the predictor on; the values
-    // themselves keep their Parameters defaults when unset.
-    if (cli.has("--predictor-precision") || cli.has("--predictor-recall") ||
-        cli.has("--predictor-lead-s")) {
-      p.predictor_enabled = true;
-      p.predictor_precision = cli.number("--predictor-precision", p.predictor_precision);
-      p.predictor_recall = cli.number("--predictor-recall", p.predictor_recall);
-      p.predictor_lead_time = cli.number("--predictor-lead-s", p.predictor_lead_time);
-    }
-    const std::string policy_name = cli.value("--proactive-policy");
-    if (!policy_name.empty()) p.proactive_policy = parse_proactive_policy(policy_name);
-    p.migration_time = cli.number("--migration-cost-s", p.migration_time);
-    p.rescale_time = cli.number("--rescale-cost-s", p.rescale_time);
-    p.node_repair_time =
-        cli.number("--node-repair-min", p.node_repair_time / units::kMinute) * units::kMinute;
-    p.failure_trace_path = cli.value("--failure-trace");
-
+    report::apply_parameter_flags(cli, &p);
     p.validate();
     const double job_hours = cli.number("--job-hours", 0.0);
     if (job_hours > 0.0) {
       JobSpec job;
       job.work_hours = job_hours;
-      job.replications = static_cast<std::size_t>(cli.number("--reps", 5.0));
-      job.seed = static_cast<std::uint64_t>(cli.number("--seed", 42.0));
+      job.replications = cli.count("--reps", 5);
+      job.seed = cli.count("--seed", 42);
       const JobResult r = run_job(p, job);
       std::cout << "job: " << job_hours << " h useful work on " << p.num_processors
                 << " processors\n"
@@ -630,9 +540,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     spec.on_failure = parse_policy(cli);
-    spec.watchdog.max_events = static_cast<std::uint64_t>(cli.number("--max-events", 0.0));
-    spec.snapshot_every_events =
-        static_cast<std::uint64_t>(cli.number("--snapshot-every-events", 0.0));
+    spec.watchdog.max_events = cli.count("--max-events", 0);
+    spec.snapshot_every_events = cli.count("--snapshot-every-events", 0);
     spec.snapshot_dir = cli.value("--snapshot-dir");
     if (spec.snapshot_every_events > 0) {
       if (spec.snapshot_dir.empty()) {
@@ -652,72 +561,24 @@ int main(int argc, char** argv) {
     const std::string metrics_path = cli.value("--metrics-out");
     if (!metrics_path.empty()) spec.metrics = &metrics;
 
+    RunMode mode = run_plain_mode;
     if (!cli.value("--interference").empty()) {
-      const int rc = run_interference_mode(p, spec, cli);
-      if (rc == 0 && !metrics_path.empty()) {
-        metrics.snapshot().write_json(metrics_path);
-        std::cout << "wrote " << metrics_path << "\n";
-      }
-      return rc;
+      mode = run_interference_mode;
+    } else if (cli.has("--optimize")) {
+      mode = run_optimize_mode;
+    } else if (!cli.value("--sweep").empty()) {
+      mode = run_sweep_mode;
+    } else if (p.proactive_enabled()) {
+      mode = run_proactive_mode;
     }
-
-    if (cli.has("--optimize")) {
-      const int rc = run_optimize_mode(p, spec, cli);
-      if (rc == 0 && !metrics_path.empty()) {
-        metrics.snapshot().write_json(metrics_path);
-        std::cout << "wrote " << metrics_path << "\n";
-      }
-      return rc;
-    }
-
-    if (!cli.value("--sweep").empty()) {
-      const int rc = run_sweep_mode(p, spec, engine, cli);
-      if (rc == 0 && !metrics_path.empty()) {
-        metrics.snapshot().write_json(metrics_path);
-        std::cout << "wrote " << metrics_path << "\n";
-      }
-      return rc;
-    }
-
-    if (p.proactive_enabled()) {
-      const int rc = run_proactive_mode(p, spec, cli);
-      if (rc == 0 && !metrics_path.empty()) {
-        metrics.snapshot().write_json(metrics_path);
-        std::cout << "wrote " << metrics_path << "\n";
-      }
-      const std::string trace_path = cli.value("--chrome-trace");
-      if (rc == 0 && !trace_path.empty()) {
-        trace::EventLog log(1 << 20);
-        proactive::ProactiveModel model(p, sim::replication_seed(spec.seed, 0));
-        model.set_event_log(&log);
-        (void)model.run_replication(spec.transient, spec.horizon);
-        obs::write_chrome_trace(trace_path, log);
-        std::cout << "wrote " << trace_path << " ("
-                  << log.total_recorded() << " events; open in chrome://tracing or "
-                  << "https://ui.perfetto.dev)\n";
-      }
-      return rc;
-    }
-
-    std::cout << p.describe() << "\n\n";
-    const RunResult r = run_model(p, spec, engine);
-    std::cout << r.describe() << "\n";
+    if (const int rc = mode(p, spec, engine, cli); rc != 0) return rc;
     if (!metrics_path.empty()) {
       metrics.snapshot().write_json(metrics_path);
       std::cout << "wrote " << metrics_path << "\n";
     }
     const std::string trace_path = cli.value("--chrome-trace");
-    if (!trace_path.empty()) {
-      // A dedicated traced replication (the DES engine is the trace-capable
-      // one): same parameters, replication 0's seed, bounded in-memory log.
-      trace::EventLog log(1 << 20);
-      DesModel model(p, sim::replication_seed(spec.seed, 0));
-      model.set_event_log(&log);
-      (void)model.run(spec.transient, spec.horizon);
-      obs::write_chrome_trace(trace_path, log);
-      std::cout << "wrote " << trace_path << " ("
-                << log.total_recorded() << " events; open in chrome://tracing or "
-                << "https://ui.perfetto.dev)\n";
+    if (!trace_path.empty() && (mode == run_plain_mode || mode == run_proactive_mode)) {
+      write_traced_replication(p, spec, trace_path);
     }
     return 0;
   } catch (const SimError& e) {

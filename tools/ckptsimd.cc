@@ -104,12 +104,11 @@ int main(int argc, char** argv) {
 
   try {
     svc::ServerConfig config;
-    config.workers = static_cast<std::size_t>(cli.number("--jobs", 0.0));
-    config.max_queue_depth = static_cast<std::size_t>(cli.number("--max-queue", 8.0));
+    config.workers = cli.count("--jobs", 0);
+    config.max_queue_depth = cli.count("--max-queue", 8);
     config.cache_path = cli.value("--cache");
     config.ledger_path = cli.value("--ledger");
-    config.snapshot_every_events =
-        static_cast<std::uint64_t>(cli.number("--snapshot-every-events", 0.0));
+    config.snapshot_every_events = cli.count("--snapshot-every-events", 0);
     config.snapshot_dir = cli.value("--snapshot-dir");
     svc::CampaignServer server(config);
     if (server.cache().loaded() > 0) {
@@ -132,7 +131,7 @@ int main(int argc, char** argv) {
     if (cli.has("--once")) {
       svc::serve_stream(server, stdin, stdout);
     } else {
-      svc::TcpDaemon daemon(server, static_cast<std::uint16_t>(cli.number("--port", 0.0)));
+      svc::TcpDaemon daemon(server, static_cast<std::uint16_t>(cli.count("--port", 0, 65535)));
       // Machine-greppable banner: the CI smoke test and the client script
       // read the resolved port from this line.
       std::cout << "ckptsimd listening on 127.0.0.1:" << daemon.port() << std::endl;
