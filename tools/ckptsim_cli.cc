@@ -252,8 +252,6 @@ ckptsim::FailurePolicy parse_policy(const ckptsim::report::Cli& cli) {
   return policy;
 }
 
-// The run modes: one per invocation, chosen in main.
-
 int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec,
                           ckptsim::EngineKind, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
