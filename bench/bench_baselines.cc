@@ -5,6 +5,7 @@
 // The headline contrast: Young/Daly predict an interior optimum checkpoint
 // interval, while the full model (low overhead thanks to background
 // writes) shows none within the practical 15 min .. 4 h range.
+#include <exception>
 #include <iostream>
 
 #include "src/analytic/birth_death.h"
@@ -18,7 +19,7 @@
 #include "src/report/cli.h"
 #include "src/report/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
   const RunSpec spec = report::bench_spec(cli);
@@ -91,4 +92,7 @@ int main(int argc, char** argv) {
   }
   std::cout << timeouts.render();
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

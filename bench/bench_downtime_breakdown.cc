@@ -1,6 +1,7 @@
 // Time-budget decomposition of the paper's ">50% of system resources are
 // spent in checkpointing and recovering from failure" claim (Sec. 7.1):
 // where the machine's hours actually go as it scales.
+#include <exception>
 #include <iostream>
 
 #include "src/core/runner.h"
@@ -9,7 +10,7 @@
 #include "src/report/csv.h"
 #include "src/report/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
   const RunSpec spec = report::bench_spec(cli);
@@ -46,4 +47,7 @@ int main(int argc, char** argv) {
                "(which is why shrinking the interval keeps paying off).\n"
                "wrote downtime_breakdown.csv\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -1,6 +1,7 @@
 // Cross-engine validation bench: the hand-coded DES engine vs the Table-1
 // SAN build on representative configurations — fractions side by side with
 // confidence intervals, plus wall-clock cost of each engine.
+#include <exception>
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -20,7 +21,7 @@ struct Config {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
   RunSpec spec = report::bench_spec(cli);
@@ -84,4 +85,7 @@ int main(int argc, char** argv) {
                "should sit within the confidence intervals (they use different event\n"
                "orderings and RNG streams, so exact equality is not expected)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

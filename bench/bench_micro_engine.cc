@@ -251,8 +251,8 @@ EngineSample run_executor_window(const ckptsim::san::Model& m, bool full_rescan,
   return s;
 }
 
-EngineSample run_queue_window(std::uint64_t events, ckptsim::sim::SchedulerKind kind) {
-  ckptsim::sim::EventQueue q(kind);
+EngineSample run_queue_window(std::uint64_t events) {
+  ckptsim::sim::EventQueue q;
   std::uint64_t counter = 0;
   // Self-rescheduling payload mirroring the executor's callback shape
   // (pointer + index); warm-up settles the heap capacity and slot table.
@@ -292,13 +292,12 @@ EngineSample run_des(const Parameters& p, std::size_t reps, double horizon) {
   return s;
 }
 
-int run_engine_report(const std::string& path, ckptsim::sim::SchedulerKind kind) {
+int run_engine_report(const std::string& path) {
   ckptsim::obs::JsonWriter w;
   w.begin_object();
   w.kv("schema", "ckptsim/bench-engine/v1");
-  w.kv("scheduler", std::string(ckptsim::sim::to_string(kind)));
 
-  write_sample(w, "event_queue", run_queue_window(2'000'000, kind));
+  write_sample(w, "event_queue", run_queue_window(2'000'000));
 
   // The paper's 12-submodel checkpoint model: the real hot path.
   const ckptsim::SanCheckpointModel model{Parameters{}};
@@ -322,8 +321,7 @@ int run_engine_report(const std::string& path, ckptsim::sim::SchedulerKind kind)
   // The DES engine at the paper's largest machine (256K processors), one
   // replication at a time as the drivers run it.  The window includes
   // model construction, the cost the replication drivers actually pay, so
-  // allocs_per_event is amortized-small instead of zero.  The DES engine
-  // has no event queue: --scheduler does not reach this section.
+  // allocs_per_event is amortized-small instead of zero.
   Parameters big;
   big.num_processors = 262144;
   write_sample(w, "des_256k", run_des(big, /*reps=*/8, /*horizon=*/600.0 * kHour));
@@ -344,20 +342,15 @@ int run_engine_report(const std::string& path, ckptsim::sim::SchedulerKind kind)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --scheduler=heap|calendar selects the EventQueue backend for the
-  // engine-json harness (results are identical; throughput differs).
-  auto kind = ckptsim::sim::SchedulerKind::kBinaryHeap;
-  const char* json_path = nullptr;
+  constexpr const char* kFlag = "--engine-json=";
   for (int i = 1; i < argc; ++i) {
-    constexpr const char* kFlag = "--engine-json=";
-    constexpr const char* kSched = "--scheduler=";
-    if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-      json_path = argv[i] + std::strlen(kFlag);
-    } else if (std::strncmp(argv[i], kSched, std::strlen(kSched)) == 0) {
-      kind = ckptsim::sim::parse_scheduler_kind(argv[i] + std::strlen(kSched));
+    if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) != 0) continue;
+    if (argc != 2) {
+      std::fprintf(stderr, "error: --engine-json=FILE takes no other option\n");
+      return 1;
     }
+    return run_engine_report(argv[i] + std::strlen(kFlag));
   }
-  if (json_path != nullptr) return run_engine_report(json_path, kind);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

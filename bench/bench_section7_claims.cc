@@ -1,6 +1,7 @@
 // Self-checking reproduction of the paper's Section 7.1 bullet list ("The
 // major results are: ...") — each claim is evaluated by simulation and
 // reported as REPRODUCED / DIVERGES next to the paper's statement.
+#include <exception>
 #include <iostream>
 
 #include "src/core/optimizer.h"
@@ -23,7 +24,7 @@ std::string verdict(bool ok) { return ok ? "REPRODUCED" : "DIVERGES"; }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const report::Cli cli(argc, argv);
   const RunSpec spec = report::bench_spec(cli);
   const std::vector<std::uint64_t> grid{8192, 16384, 32768, 65536, 131072, 262144};
@@ -119,4 +120,7 @@ int main(int argc, char** argv) {
 
   std::cout << table.render() << "\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -7,6 +7,7 @@
 // *reduces* delivered computation.
 //
 //   $ ./capacity_planning [--quick] [--mttf-years Y] [--mttr-min M]
+#include <exception>
 #include <iostream>
 
 #include "src/core/optimizer.h"
@@ -14,7 +15,7 @@
 #include "src/report/cli.h"
 #include "src/report/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
 
@@ -47,4 +48,7 @@ int main(int argc, char** argv) {
             << "Beyond that, the higher failure rate destroys more work than the\n"
             << "extra processors contribute.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

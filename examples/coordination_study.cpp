@@ -8,6 +8,7 @@
 // to the timeout once it exceeds a small threshold).
 //
 //   $ ./coordination_study [--quick] [--processors N] [--abort-prob P]
+#include <exception>
 #include <iostream>
 
 #include "src/analytic/coordination.h"
@@ -18,7 +19,7 @@
 #include "src/report/table.h"
 #include "src/sim/distributions.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
 
@@ -57,4 +58,7 @@ int main(int argc, char** argv) {
                "tail, the fraction matches the no-timeout system — exactly the\n"
                "paper's threshold insensitivity.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -8,6 +8,7 @@
 // the frate_correlated_factor.
 //
 //   $ ./correlated_failures [--quick]
+#include <exception>
 #include <iostream>
 
 #include "src/analytic/birth_death.h"
@@ -16,7 +17,7 @@
 #include "src/report/cli.h"
 #include "src/report/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
   const RunSpec spec = report::bench_spec(cli);
@@ -75,4 +76,7 @@ int main(int argc, char** argv) {
                "absorbed, but any mechanism that raises the *global* failure rate\n"
                "halves delivered work long before hardware limits are reached.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -6,6 +6,7 @@
 // at scale and no practical optimum exists inside 15 min .. 4 h.
 //
 //   $ ./interval_tuning [--quick] [--processors N]
+#include <exception>
 #include <iostream>
 
 #include "src/analytic/daly.h"
@@ -16,7 +17,7 @@
 #include "src/report/cli.h"
 #include "src/report/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
 
@@ -61,4 +62,7 @@ int main(int argc, char** argv) {
                       "floor, as the paper reports for large systems.")
             << "\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

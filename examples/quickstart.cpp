@@ -2,13 +2,14 @@
 // metrics — the 60-second tour of the ckptsim public API.
 //
 //   $ ./quickstart [--quick]
+#include <exception>
 #include <iostream>
 
 #include "src/core/runner.h"
 #include "src/model/parameters.h"
 #include "src/report/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
 
@@ -36,4 +37,7 @@ int main(int argc, char** argv) {
             << static_cast<long long>(result.total_useful_work)
             << " failure-free processors (the paper's 'total useful work').\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -19,7 +19,6 @@ ErrorCode snapshot_error_code(snapshot::SnapshotFault fault) noexcept {
       return ErrorCode::kIoError;
     case snapshot::SnapshotFault::kVersionMismatch:
     case snapshot::SnapshotFault::kKindMismatch:
-    case snapshot::SnapshotFault::kSchedulerMismatch:
     case snapshot::SnapshotFault::kContextMismatch:
       return ErrorCode::kSnapshotMismatch;
     case snapshot::SnapshotFault::kTruncated:

@@ -123,13 +123,7 @@ struct RunSpec {
   double confidence_level = 0.95;
   ExecSpec exec;  ///< worker threads; results are identical for any jobs
 
-  /// Event-queue backend (binary heap / calendar queue) of the engines that
-  /// have one: SAN and K > 1 interference.  The DES engine keeps fixed
-  /// event slots instead of a queue and ignores it.  Like `exec`, a pure
-  /// performance knob: both backends fire the same events in the same
-  /// order, so results are bit-identical and the choice stays out of
-  /// sweep-journal fingerprints.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
+  sim::SchedulerKind scheduler{};  ///< read only by perfbench/src/replay.cc
 
   /// Precision-driven replication control.  When enabled
   /// (rel_precision > 0), the drivers ignore `replications` and instead run

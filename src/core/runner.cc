@@ -102,15 +102,14 @@ RunResult aggregate_replications(const std::vector<ReplicationResult>& reps,
 
 ReplicationResult run_replication(const Parameters& params, EngineKind engine, std::uint64_t seed,
                                   double transient, double horizon, obs::ReplicationProbe* probe,
-                                  std::uint64_t max_events, sim::SchedulerKind scheduler,
+                                  std::uint64_t max_events, sim::SchedulerKind,
                                   const SnapshotSpec* snapshot) {
   switch (engine) {
     case EngineKind::kDes:
       return run_des(params, seed, transient, horizon, probe, max_events, snapshot);
     case EngineKind::kSan: {
       SanCheckpointModel model(params);
-      return model.run_replication(seed, transient, horizon, probe, max_events, scheduler,
-                                   snapshot);
+      return model.run_replication(seed, transient, horizon, probe, max_events, snapshot);
     }
   }
   throw std::logic_error("run_replication: unknown engine");
@@ -156,7 +155,7 @@ RunResult run_model(const Parameters& params, const RunSpec& spec, EngineKind en
       {.attempt = [&](std::size_t, std::uint64_t seed, obs::ReplicationProbe* probe,
                       const SnapshotSpec* snapshot) {
          return run_replication(params, engine, seed, spec.transient, spec.horizon, probe,
-                                spec.watchdog.max_events, spec.scheduler, snapshot);
+                                spec.watchdog.max_events, {}, snapshot);
        },
        .reward = [](const ReplicationResult& r) { return r.useful_fraction; },
        .finish = [&](std::size_t, const PointRounds<ReplicationResult>& point) {

@@ -50,12 +50,11 @@ enum class EngineKind {
 /// snapshot::SnapshotError — never a partial restore.
 ///
 /// A DES replication runs on one DesModel (fixed-slot scheduler), with or
-/// without snapshots and trace replay.  `scheduler` selects the event-queue
-/// backend of the SAN engine; the DES engine has no event queue.
+/// without snapshots and trace replay.
 [[nodiscard]] ReplicationResult run_replication(
     const Parameters& params, EngineKind engine, std::uint64_t seed, double transient,
     double horizon, obs::ReplicationProbe* probe = nullptr, std::uint64_t max_events = 0,
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap,
+    sim::SchedulerKind = sim::SchedulerKind::kBinaryHeap,  // perfbench/src/replay.cc passes it
     const SnapshotSpec* snapshot = nullptr);
 
 /// Run-context fingerprint embedded in (and checked against) every

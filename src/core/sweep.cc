@@ -82,7 +82,7 @@ SweepSeries sweep(std::string label, const Parameters& base, const std::vector<d
                       const SnapshotSpec* snapshot) {
          return run_replication(series.points[pending[q]].params, engine, seed,
                                 spec.transient, spec.horizon, probe,
-                                spec.watchdog.max_events, spec.scheduler, snapshot);
+                                spec.watchdog.max_events, {}, snapshot);
        },
        .reward = [](const ReplicationResult& r) { return r.useful_fraction; },
        .finish = [&](std::size_t q, const PointRounds<ReplicationResult>& point) {

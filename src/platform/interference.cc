@@ -15,9 +15,8 @@ namespace ckptsim::platform {
 
 using trace::EventKind;
 
-InterferenceModel::InterferenceModel(const JobMix& mix, std::uint64_t seed,
-                                     sim::SchedulerKind scheduler)
-    : mix_(mix), engine_(seed, scheduler) {
+InterferenceModel::InterferenceModel(const JobMix& mix, std::uint64_t seed)
+    : mix_(mix), engine_(seed) {
   mix_.validate();
   pfs_ = std::make_unique<PfsServer>(engine_, mix_.resolved_bandwidth(), mix_.pfs.policy);
   const std::size_t k = mix_.jobs.size();
@@ -328,7 +327,7 @@ InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec) {
       spec,
       {.attempt = [&](std::size_t, std::uint64_t seed, obs::ReplicationProbe* probe,
                       const SnapshotSpec*) {
-         InterferenceModel model(mix, seed, spec.scheduler);
+         InterferenceModel model(mix, seed);
          if (probe != nullptr) model.set_event_counts(&probe->events);
          model.set_event_budget(spec.watchdog.max_events);
          InterferenceReplication r = model.run(spec.transient, spec.horizon);

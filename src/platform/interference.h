@@ -52,8 +52,7 @@ class InterferenceModel {
  public:
   /// `mix` is validated on construction; `seed` drives every stream of
   /// this replication (derive via sim::replication_seed).
-  InterferenceModel(const JobMix& mix, std::uint64_t seed,
-                    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap);
+  InterferenceModel(const JobMix& mix, std::uint64_t seed);
   InterferenceModel(const InterferenceModel&) = delete;
   InterferenceModel& operator=(const InterferenceModel&) = delete;
 
@@ -163,8 +162,8 @@ struct InterferenceResult {
 /// bit-identical — including failure-policy, snapshot and sequential
 /// handling); its interference-only rewards read as the uncontended ideal
 /// (stretch 1, PFS utilization 0).  For K > 1 the interference engine runs
-/// on ckptsim::replicate, honouring spec.exec / scheduler / watchdog /
-/// cancel / metrics, fail-fast with fixed replications: a failed
+/// on ckptsim::replicate, honouring spec.exec / watchdog / cancel /
+/// metrics, fail-fast with fixed replications: a failed
 /// replication throws SimError naming it, and spec.on_failure retry/skip,
 /// snapshot_every_events, fault_injection and sequential stopping throw
 /// std::invalid_argument.

@@ -20,6 +20,13 @@ bool Cli::has(std::string_view flag) const {
   return false;
 }
 
+bool Cli::given(std::string_view flag) const {
+  for (const auto& a : args_) {
+    if (a.rfind(flag, 0) == 0 && (a.size() == flag.size() || a[flag.size()] == '=')) return true;
+  }
+  return false;
+}
+
 std::string Cli::value(std::string_view key, std::string fallback) const {
   const std::string prefix = std::string(key) + "=";
   for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -132,11 +139,10 @@ RunSpec bench_spec(const Cli& cli) {
       cli.count("--min-replications", spec.sequential.min_replications);
   spec.sequential.max_replications =
       cli.count("--max-replications", spec.sequential.max_replications);
-  // Engine performance knob: results are bit-identical for either backend
-  // (pinned by tests/test_scheduler_diff.cc), so it parses here next to
-  // --jobs rather than anywhere that could touch journal fingerprints.
-  const std::string scheduler = cli.value("--scheduler");
-  if (!scheduler.empty()) spec.scheduler = sim::parse_scheduler_kind(scheduler);
+  if (cli.given("--scheduler")) {
+    throw std::invalid_argument(
+        "'--scheduler' was removed: every engine now uses the binary-heap event queue");
+  }
   return spec;
 }
 

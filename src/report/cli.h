@@ -24,6 +24,8 @@ class Cli {
   Cli(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(std::string_view flag) const;
+  /// True when `flag` appears at all: as a switch, `flag value` or `flag=value`.
+  [[nodiscard]] bool given(std::string_view flag) const;
   [[nodiscard]] std::string value(std::string_view key, std::string fallback = "") const;
   /// `key`'s value through parse_number / parse_count (parameter_table.h),
   /// or `fallback` when absent.
@@ -64,10 +66,8 @@ void apply_parameter_flags(const Cli& cli, Parameters* p);
 /// precision-driven replications (sequential stopping at relative CI
 /// half-width R, bounded by `--min-replications` / `--max-replications`);
 /// without it the fixed `--reps` count is used and output is byte-identical
-/// to earlier builds.  `--scheduler heap|calendar` selects the event-queue
-/// backend of the engines that have one (SAN and K > 1 interference; the
-/// DES engine has fixed event slots instead) — a pure performance knob
-/// whose results are bit-identical either way.
+/// to earlier builds.  The removed `--scheduler` flag throws
+/// std::invalid_argument: every engine uses the binary-heap event queue.
 [[nodiscard]] RunSpec bench_spec(const Cli& cli);
 
 /// True when quick mode is active (flag or environment).

@@ -61,10 +61,7 @@ class Executor {
   static constexpr std::uint64_t kInstantaneousGuard = 1'000'000;
 
   /// The model must outlive the executor.  `seed` drives all sampling.
-  /// `scheduler` selects the event-queue backend (results are identical
-  /// either way).
-  Executor(const Model& model, std::uint64_t seed,
-           sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap);
+  Executor(const Model& model, std::uint64_t seed);
 
   /// Reward variables to observe; configure before the first run call.
   [[nodiscard]] RewardSet& rewards() noexcept { return rewards_; }

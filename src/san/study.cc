@@ -92,7 +92,7 @@ StudyResult Study::run(const StudySpec& spec) const {
       run,
       {.attempt = [&](std::size_t, std::uint64_t seed, obs::ReplicationProbe* probe,
                       const SnapshotSpec*) {
-         Executor exec(model_, seed, spec.scheduler);
+         Executor exec(model_, seed);
          exec.set_event_budget(spec.watchdog.max_events);
          for (const auto& r : rate_rewards_) exec.rewards().add_rate(r);
          for (const auto& r : impulse_rewards_) exec.rewards().add_impulse(r);

@@ -59,11 +59,8 @@ class RateIntegral {
 class Engine {
  public:
   /// `seed` drives every stream in this replication; two engines with the
-  /// same seed replay identically.  `scheduler` selects the event-queue
-  /// backend — a pure performance choice that never changes results.
-  explicit Engine(std::uint64_t seed,
-                  SchedulerKind scheduler = SchedulerKind::kBinaryHeap)
-      : queue_(scheduler), pool_(seed) {}
+  /// same seed replay identically.
+  explicit Engine(std::uint64_t seed) : pool_(seed) {}
 
   [[nodiscard]] double now() const noexcept { return queue_.now(); }
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }

@@ -3,7 +3,6 @@
 #include "src/snapshot/state_io.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -15,22 +14,11 @@ namespace ckptsim::sim {
 namespace {
 /// Below this stored size, tombstones are too cheap to bother compacting.
 constexpr std::size_t kCompactMin = 64;
-/// Calendar ring bounds: the ring tracks the live count between these.
-constexpr std::size_t kMinBuckets = 16;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+/// Leading byte of a saved queue: the pending-set backend.  Always the
+/// binary heap now; snapshots from the removed calendar queue carry 1.
+constexpr std::uint8_t kHeapBackend = 0;
+constexpr std::uint8_t kCalendarBackend = 1;
 }  // namespace
-
-const char* to_string(SchedulerKind kind) noexcept {
-  return kind == SchedulerKind::kCalendar ? "calendar" : "heap";
-}
-
-SchedulerKind parse_scheduler_kind(std::string_view name) {
-  if (name == "heap" || name == "binary-heap") return SchedulerKind::kBinaryHeap;
-  if (name == "calendar") return SchedulerKind::kCalendar;
-  throw std::invalid_argument("unknown scheduler '" + std::string(name) +
-                              "' (expected heap|calendar)");
-}
 
 void QueueStats::merge(const QueueStats& o) noexcept {
   scheduled += o.scheduled;
@@ -64,13 +52,8 @@ EventHandle EventQueue::schedule(double t, Callback fn) {
     free_slots_.reserve(generations_.capacity());
   }
   const std::uint64_t id = make_id(slot, generations_[slot]);
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_.push_back(Entry{t, next_seq_++, id, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  } else {
-    calendar_maybe_resize();
-    calendar_insert(Entry{t, next_seq_++, id, std::move(fn)});
-  }
+  heap_.push_back(Entry{t, next_seq_++, id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   if (live_ > peak_size_) peak_size_ = live_;
   return EventHandle{id};
@@ -101,33 +84,16 @@ QueueStats EventQueue::stats() const noexcept {
   return s;
 }
 
-std::size_t EventQueue::stored_count() const noexcept {
-  return kind_ == SchedulerKind::kBinaryHeap ? heap_.size()
-                                             : ring_stored_ + overflow_.size();
-}
-
 void EventQueue::maybe_compact() noexcept {
   // Keeps storage at <= 2x the live-event count: dead entries are erased
-  // in place (no allocation) and the backend invariant rebuilt.
-  const std::size_t stored = stored_count();
+  // in place (no allocation) and the heap invariant rebuilt.
+  const std::size_t stored = heap_.size();
   if (stored < kCompactMin || stored - live_ <= stored / 2) return;
   ++compactions_;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [this](const Entry& e) { return !is_live(e.id); }),
-                heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    return;
-  }
-  for (auto& vec : buckets_) {
-    const auto it = std::remove_if(vec.begin(), vec.end(),
-                                   [this](const Entry& e) { return !is_live(e.id); });
-    ring_stored_ -= static_cast<std::size_t>(vec.end() - it);
-    vec.erase(it, vec.end());
-  }
-  overflow_.erase(std::remove_if(overflow_.begin(), overflow_.end(),
-                                 [this](const Entry& e) { return !is_live(e.id); }),
-                  overflow_.end());
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const Entry& e) { return !is_live(e.id); }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::drop_dead() const {
@@ -141,209 +107,29 @@ void EventQueue::drop_dead() const {
   }
 }
 
-// --- calendar backend ------------------------------------------------------
-
-std::size_t EventQueue::calendar_index(double t) const noexcept {
-  if (t <= origin_) return 0;
-  const double rel = (t - origin_) / width_;
-  const std::size_t n = buckets_.size();
-  if (rel >= static_cast<double>(n)) return n - 1;  // fp edge inside the window
-  return static_cast<std::size_t>(rel);
-}
-
-void EventQueue::calendar_insert(Entry&& e) const {
-  const double window_end = origin_ + width_ * static_cast<double>(buckets_.size());
-  if (e.time < window_end) {
-    buckets_[calendar_index(e.time)].push_back(std::move(e));
-    ++ring_stored_;
-  } else {
-    overflow_.push_back(std::move(e));
-  }
-}
-
-bool EventQueue::calendar_find_next(std::size_t* bucket, std::size_t* index) const {
-  if (live_ == 0) return false;
-  note_peak_dead();
-  for (;;) {
-    if (!buckets_.empty()) {
-      // Every live time is >= now(), so the scan can start at now()'s
-      // bucket; earlier buckets hold at most tombstones.  Bucket ranges
-      // are disjoint and ordered, so the first bucket with a live entry
-      // contains the global (time, seq) minimum.
-      for (std::size_t b = (now_ <= origin_) ? 0 : calendar_index(now_);
-           b < buckets_.size(); ++b) {
-        auto& vec = buckets_[b];
-        std::size_t best = kNpos;
-        for (std::size_t i = 0; i < vec.size();) {
-          if (!is_live(vec[i].id)) {  // tombstone: swap-pop, no allocation
-            vec[i] = std::move(vec.back());
-            vec.pop_back();
-            --ring_stored_;
-            if (best == vec.size()) best = i;  // best was the moved-from back
-            continue;
-          }
-          if (best == kNpos || vec[i].time < vec[best].time ||
-              (vec[i].time == vec[best].time && vec[i].seq < vec[best].seq)) {
-            best = i;
-          }
-          ++i;
-        }
-        if (best != kNpos) {
-          *bucket = b;
-          *index = best;
-          return true;
-        }
-      }
-    }
-    // No live entry in the ring yet live_ > 0: the pending events sit in
-    // the overflow year.  Jump the window forward and re-bin.
-    if (!calendar_advance_window()) return false;
-  }
-}
-
-bool EventQueue::calendar_advance_window() const {
-  if (buckets_.empty()) return false;
-  // The ring holds no live entries here, so everything stored in it is a
-  // tombstone (peak already recorded by the caller): drop it all.
-  for (auto& vec : buckets_) {
-    ring_stored_ -= vec.size();
-    vec.clear();
-  }
-  // Earliest live overflow event; overflow tombstones are dropped on the way.
-  double t_min = std::numeric_limits<double>::infinity();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < overflow_.size(); ++i) {
-    if (!is_live(overflow_[i].id)) continue;
-    if (overflow_[i].time < t_min) t_min = overflow_[i].time;
-    if (kept != i) overflow_[kept] = std::move(overflow_[i]);
-    ++kept;
-  }
-  overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(kept), overflow_.end());
-  if (kept == 0) return false;
-  // Window start aligned at/below the earliest pending event, so that event
-  // always lands in bucket 0 — the jump makes progress in one shot.
-  double o = std::floor(t_min / width_) * width_;
-  if (!(o <= t_min) || !std::isfinite(o)) o = t_min;
-  origin_ = o;
-  const double window_end = origin_ + width_ * static_cast<double>(buckets_.size());
-  kept = 0;
-  for (std::size_t i = 0; i < overflow_.size(); ++i) {
-    if (overflow_[i].time < window_end) {
-      buckets_[calendar_index(overflow_[i].time)].push_back(std::move(overflow_[i]));
-      ++ring_stored_;
-    } else {
-      if (kept != i) overflow_[kept] = std::move(overflow_[i]);
-      ++kept;
-    }
-  }
-  overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(kept), overflow_.end());
-  return true;
-}
-
-void EventQueue::calendar_rebuild() const {
-  note_peak_dead();
-  scratch_.clear();
-  for (auto& vec : buckets_) {
-    for (auto& e : vec) {
-      if (is_live(e.id)) scratch_.push_back(std::move(e));
-    }
-    vec.clear();
-  }
-  for (auto& e : overflow_) {
-    if (is_live(e.id)) scratch_.push_back(std::move(e));
-  }
-  overflow_.clear();
-  ring_stored_ = 0;
-  // Ring sized to the live count (power of two between the bounds).
-  std::size_t n = kMinBuckets;
-  while (n < live_ && n < kMaxBuckets) n <<= 1;
-  buckets_.resize(n);
-  // Bucket width from observed event spacing: the mean gap over a sorted
-  // sample of pending times, widened 3x (Brown's calendar-queue rule of
-  // thumb) so a bucket holds a few events.  Degenerate spreads (all-equal
-  // times, single event) keep the previous width.
-  if (scratch_.size() >= 2) {
-    std::array<double, 64> sample;
-    const std::size_t m = std::min(scratch_.size(), sample.size());
-    for (std::size_t i = 0; i < m; ++i) sample[i] = scratch_[i].time;
-    std::sort(sample.begin(), sample.begin() + static_cast<std::ptrdiff_t>(m));
-    const double span = sample[m - 1] - sample[0];
-    if (span > 0.0) {
-      const double w = 3.0 * span / static_cast<double>(m - 1);
-      if (std::isfinite(w) && w > 0.0) width_ = w;
-    }
-  }
-  // All pending times are >= now(), so an origin at/below now() bins
-  // everything consistently.
-  double o = std::floor(now_ / width_) * width_;
-  if (!(o <= now_) || !std::isfinite(o)) o = now_;
-  origin_ = o;
-  for (auto& e : scratch_) calendar_insert(std::move(e));
-  scratch_.clear();
-}
-
-void EventQueue::calendar_maybe_resize() const {
-  const std::size_t n = buckets_.size();
-  if (n == 0) {
-    calendar_rebuild();
-    return;
-  }
-  if (live_ > 2 * n && n < kMaxBuckets) {
-    calendar_rebuild();
-    return;
-  }
-  if (n > kMinBuckets && live_ < n / 8) calendar_rebuild();
-}
-
-// ---------------------------------------------------------------------------
-
 double EventQueue::peek_time() const noexcept {
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    drop_dead();
-    if (heap_.empty()) return std::numeric_limits<double>::infinity();
-    return heap_.front().time;
-  }
-  std::size_t b = 0;
-  std::size_t i = 0;
-  if (!calendar_find_next(&b, &i)) return std::numeric_limits<double>::infinity();
-  return buckets_[b][i].time;
+  drop_dead();
+  if (heap_.empty()) return std::numeric_limits<double>::infinity();
+  return heap_.front().time;
 }
 
 bool EventQueue::step() {
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    drop_dead();
-    if (heap_.empty()) return false;
-    if (fire_budget_ != 0 && fired_ >= fire_budget_) throw EventBudgetExceeded(fire_budget_);
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    release(e.id);
-    ++fired_;
-    now_ = e.time;
-    e.fn();
-    if (hook_every_ != 0 && fired_ % hook_every_ == 0) hook_fn_();
-    return true;
-  }
-  std::size_t b = 0;
-  std::size_t i = 0;
-  if (!calendar_find_next(&b, &i)) return false;
+  drop_dead();
+  if (heap_.empty()) return false;
   if (fire_budget_ != 0 && fired_ >= fire_budget_) throw EventBudgetExceeded(fire_budget_);
-  auto& vec = buckets_[b];
-  Entry e = std::move(vec[i]);
-  vec[i] = std::move(vec.back());  // self-move-safe when i is the back
-  vec.pop_back();
-  --ring_stored_;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
   release(e.id);
   ++fired_;
   now_ = e.time;
-  calendar_maybe_resize();
   e.fn();
   if (hook_every_ != 0 && fired_ % hook_every_ == 0) hook_fn_();
   return true;
 }
 
 void EventQueue::save_state(snapshot::StateWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(kind_));
+  w.u8(kHeapBackend);
   w.f64(now_);
   w.u64(next_seq_);
   w.u64(fired_);
@@ -357,19 +143,11 @@ void EventQueue::save_state(snapshot::StateWriter& w) const {
   for (const std::uint32_t s : free_slots_) w.u32(s);
   // Live entries only, in seq order: tombstones are skipped at fire time
   // anyway, so they cannot affect the restored trajectory, and seq order
-  // makes the serialization canonical regardless of backend layout.
+  // makes the serialization canonical regardless of heap layout.
   std::vector<const Entry*> live;
   live.reserve(live_);
-  const auto gather = [this, &live](const std::vector<Entry>& vec) {
-    for (const Entry& e : vec) {
-      if (is_live(e.id)) live.push_back(&e);
-    }
-  };
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    gather(heap_);
-  } else {
-    for (const auto& vec : buckets_) gather(vec);
-    gather(overflow_);
+  for (const Entry& e : heap_) {
+    if (is_live(e.id)) live.push_back(&e);
   }
   std::sort(live.begin(), live.end(),
             [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
@@ -387,11 +165,14 @@ void EventQueue::restore_state(snapshot::StateReader& r, const RebuildFn& rebuil
   if (next_seq_ != 0 || !generations_.empty() || now_ != 0.0 || fired_ != 0) {
     throw std::logic_error("EventQueue::restore_state: queue is not pristine");
   }
-  const auto kind = static_cast<SchedulerKind>(r.u8());
-  if (kind != kind_) {
-    throw SnapshotError(SnapshotFault::kSchedulerMismatch,
-                        std::string("snapshot was taken under the '") + to_string(kind) +
-                            "' scheduler, this queue uses '" + to_string(kind_) + "'");
+  const std::uint8_t backend = r.u8();
+  if (backend == kCalendarBackend) {
+    throw SnapshotError(SnapshotFault::kContextMismatch,
+                        "snapshot was taken under the removed calendar-queue scheduler; every "
+                        "engine now uses the binary heap");
+  }
+  if (backend != kHeapBackend) {
+    throw SnapshotError(SnapshotFault::kCorrupt, "queue snapshot: unknown scheduler byte");
   }
   const double now = r.f64();
   if (!std::isfinite(now)) {
@@ -478,20 +259,9 @@ void EventQueue::restore_state(snapshot::StateReader& r, const RebuildFn& rebuil
   free_slots_.reserve(generations_.capacity());
   live_ = static_cast<std::size_t>(n_live);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    Entry stored{entries[i].time, entries[i].seq, entries[i].id, std::move(callbacks[i])};
-    if (kind_ == SchedulerKind::kBinaryHeap) {
-      heap_.push_back(std::move(stored));
-    } else {
-      overflow_.push_back(std::move(stored));
-    }
+    heap_.push_back(Entry{entries[i].time, entries[i].seq, entries[i].id, std::move(callbacks[i])});
   }
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-  } else if (!overflow_.empty()) {
-    // Re-bin from scratch: the ring's bucket layout is derived state and
-    // never affects the (time, seq) fire order.
-    calendar_rebuild();
-  }
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 std::uint64_t EventQueue::run_until(double t_end) {

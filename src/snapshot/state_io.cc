@@ -11,7 +11,6 @@ const char* to_string(SnapshotFault fault) noexcept {
     case SnapshotFault::kCorrupt: return "corrupt";
     case SnapshotFault::kVersionMismatch: return "version-mismatch";
     case SnapshotFault::kKindMismatch: return "kind-mismatch";
-    case SnapshotFault::kSchedulerMismatch: return "scheduler-mismatch";
     case SnapshotFault::kContextMismatch: return "context-mismatch";
   }
   return "unknown";

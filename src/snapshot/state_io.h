@@ -17,7 +17,6 @@ enum class SnapshotFault : std::uint8_t {
   kCorrupt,           ///< bad magic, checksum mismatch, or impossible field
   kVersionMismatch,   ///< written by a different snapshot format version
   kKindMismatch,      ///< snapshot of a different state kind
-  kSchedulerMismatch, ///< queue state from the other scheduler backend
   kContextMismatch,   ///< params/seed/spec differ from the saved run
 };
 

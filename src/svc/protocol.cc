@@ -112,10 +112,7 @@ void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
     } else if (key == "max_events") {
       spec->watchdog.max_events = require_count(v, key);
     } else if (key == "scheduler") {
-      const std::string kind = require_string(v, key);
-      if (kind == "heap") spec->scheduler = sim::SchedulerKind::kBinaryHeap;
-      else if (kind == "calendar") spec->scheduler = sim::SchedulerKind::kCalendar;
-      else fail("unknown scheduler '" + kind + "' (heap|calendar)");
+      fail("spec key 'scheduler' was removed: every engine now uses the binary-heap event queue");
     } else {
       fail("unknown spec key '" + key + "'");
     }

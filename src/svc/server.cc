@@ -336,8 +336,7 @@ void CampaignServer::worker_loop(std::size_t worker) {
           r.spec.seed, t.rep, r.spec.on_failure, &probe, r.spec.fault_injection, snap_ptr,
           [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
             return run_replication(ps.params, r.engine, seed, r.spec.transient, r.spec.horizon,
-                                   attempt_probe, r.spec.watchdog.max_events, r.spec.scheduler,
-                                   snap_ptr);
+                                   attempt_probe, r.spec.watchdog.max_events, {}, snap_ptr);
           });
       metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
       if (outcome.ok) metrics_->shard(worker).absorb(probe);

@@ -327,37 +327,31 @@ TEST(EventQueue, ManyEventsStressOrder) {
 TEST(EventQueue, RejectsNonFiniteScheduleTimes) {
   // A NaN time would silently poison the ordering comparator (NaN compares
   // false against everything) and reorder every later event; infinities
-  // would park events that can never fire.  All are rejected up front, on
-  // both backends, with the queue left untouched.
+  // would park events that can never fire.  All are rejected up front,
+  // with the queue left untouched.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (const auto kind :
-       {ckptsim::sim::SchedulerKind::kBinaryHeap, ckptsim::sim::SchedulerKind::kCalendar}) {
-    EventQueue q(kind);
-    EXPECT_THROW(q.schedule(nan, [] {}), std::invalid_argument);
-    EXPECT_THROW(q.schedule(inf, [] {}), std::invalid_argument);
-    EXPECT_THROW(q.schedule(-inf, [] {}), std::invalid_argument);
-    EXPECT_THROW(q.schedule_in(nan, [] {}), std::invalid_argument);
-    EXPECT_THROW(q.schedule_in(inf, [] {}), std::invalid_argument);
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.stats().scheduled, 0u);
-  }
+  EventQueue q;
+  EXPECT_THROW(q.schedule(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule(-inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(inf, [] {}), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.stats().scheduled, 0u);
 }
 
 TEST(EventQueue, RejectsNonFiniteRunUntil) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (const auto kind :
-       {ckptsim::sim::SchedulerKind::kBinaryHeap, ckptsim::sim::SchedulerKind::kCalendar}) {
-    EventQueue q(kind);
-    q.schedule(1.0, [] {});
-    EXPECT_THROW(q.run_until(nan), std::invalid_argument);
-    EXPECT_THROW(q.run_until(inf), std::invalid_argument);
-    // The failed calls fired nothing and left the clock alone.
-    EXPECT_EQ(q.fired(), 0u);
-    EXPECT_DOUBLE_EQ(q.now(), 0.0);
-    EXPECT_EQ(q.run_until(2.0), 1u);  // still usable afterwards
-  }
+  EventQueue q;
+  q.schedule(1.0, [] {});
+  EXPECT_THROW(q.run_until(nan), std::invalid_argument);
+  EXPECT_THROW(q.run_until(inf), std::invalid_argument);
+  // The failed calls fired nothing and left the clock alone.
+  EXPECT_EQ(q.fired(), 0u);
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);
+  EXPECT_EQ(q.run_until(2.0), 1u);  // still usable afterwards
 }
 
 TEST(EventQueue, PeakDeadIsRecordedBeforeLazyTombstoneRemoval) {
@@ -372,54 +366,6 @@ TEST(EventQueue, PeakDeadIsRecordedBeforeLazyTombstoneRemoval) {
   for (auto& h : doomed) q.cancel(h);
   EXPECT_DOUBLE_EQ(q.peek_time(), 100.0);  // triggers lazy removal
   EXPECT_GE(q.stats().peak_dead, 24u);
-}
-
-TEST(EventQueue, CalendarBasicOrderAndClock) {
-  EventQueue q(ckptsim::sim::SchedulerKind::kCalendar);
-  EXPECT_EQ(q.scheduler(), ckptsim::sim::SchedulerKind::kCalendar);
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  EventHandle h2 = q.schedule(2.0, [&] { order.push_back(2); });
-  q.schedule(2.0, [&] { order.push_back(4); });  // same-time tie
-  EXPECT_TRUE(q.cancel(h2));
-  EXPECT_EQ(q.run_until(5.0), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 4, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 5.0);
-}
-
-TEST(EventQueue, CalendarHandlesFarFutureAndWindowJumps) {
-  // Events far beyond the initial window land in the overflow year; firing
-  // them requires the window to jump across a long empty stretch.
-  EventQueue q(ckptsim::sim::SchedulerKind::kCalendar);
-  std::vector<double> fired;
-  for (const double t : {1e9, 5.0, 1e6, 2.5, 1e12}) {
-    q.schedule(t, [&fired, &q] { fired.push_back(q.now()); });
-  }
-  q.run_all();
-  EXPECT_EQ(fired, (std::vector<double>{2.5, 5.0, 1e6, 1e9, 1e12}));
-}
-
-TEST(EventQueue, CalendarSurvivesResizeChurn) {
-  // Push the live count up and down across the resize thresholds while
-  // draining; ordering must hold throughout.
-  EventQueue q(ckptsim::sim::SchedulerKind::kCalendar);
-  double last = -1.0;
-  bool monotone = true;
-  for (int i = 0; i < 5000; ++i) {
-    const double t = static_cast<double>((i * 7919) % 1000);
-    q.schedule(t, [&, t] {
-      if (t < last) monotone = false;
-      last = t;
-    });
-    if (i % 3 == 0) {
-      // interleave draining with scheduling to move the window forward
-      (void)q.run_until(q.now());
-    }
-  }
-  q.run_all();
-  EXPECT_TRUE(monotone);
-  EXPECT_EQ(q.fired(), 5000u);
 }
 
 }  // namespace

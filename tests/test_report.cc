@@ -274,6 +274,24 @@ TEST(CliTest, SuggestsNearMisses) {
   EXPECT_EQ(Cli::suggest("positional", known), "");
 }
 
+TEST(CliTest, BenchSpecRejectsRemovedScheduler) {
+  // Every engine uses the binary heap; naming a scheduler in any spelling
+  // is an error that says so, not a silently ignored knob.
+  for (const char* arg : {"--scheduler=heap", "--scheduler=calendar", "--scheduler="}) {
+    const char* argv[] = {"prog", arg};
+    try {
+      (void)bench_spec(Cli(2, argv));
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'--scheduler' was removed"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("binary-heap"), std::string::npos) << e.what();
+    }
+  }
+  const char* spaced[] = {"prog", "--scheduler", "calendar"};
+  EXPECT_THROW((void)bench_spec(Cli(3, spaced)), std::invalid_argument);
+}
+
 TEST(CliTest, BenchSpecOverrides) {
   const char* argv[] = {"prog", "--seed", "99", "--reps", "2", "--horizon-hours", "100"};
   const Cli cli(7, argv);

@@ -1,11 +1,10 @@
 // Snapshot layer (src/snapshot) and event-granular crash-resume: the
 // load-bearing properties are (1) restore is bit-identical — a replication
 // killed at any event count and resumed from its snapshot produces exactly
-// the golden trajectory and %.17g results of an uninterrupted run (the SAN
-// executor under both scheduler backends) — and (2) restore is
-// all-or-nothing — a snapshot truncated or corrupted at ANY byte offset, or
-// taken under a different format version / state kind / scheduler / run
-// context / failure-trace content, is rejected with a structured
+// the golden trajectory and %.17g results of an uninterrupted run — and (2)
+// restore is all-or-nothing — a snapshot truncated or corrupted at ANY byte
+// offset, or taken under a different format version / state kind / removed
+// scheduler / run context / failure-trace content, is rejected with a structured
 // SnapshotError, never partially loaded (the mirror of the torn-journal
 // tests in test_journal.cc).
 #include <gtest/gtest.h>
@@ -62,7 +61,6 @@ using ckptsim::SnapshotSpec;
 using ckptsim::SweepSeries;
 using ckptsim::sim::EventBudgetExceeded;
 using ckptsim::sim::fnv1a64;
-using ckptsim::sim::SchedulerKind;
 using ckptsim::snapshot::decode_snapshot;
 using ckptsim::snapshot::encode_snapshot;
 using ckptsim::snapshot::kKindDesModel;
@@ -533,9 +531,9 @@ std::string san_step_trace(ckptsim::san::Executor& exec, std::size_t steps) {
   return s;
 }
 
-std::uint64_t san_resumed_checksum(std::size_t cut, std::size_t steps, SchedulerKind scheduler) {
+std::uint64_t san_resumed_checksum(std::size_t cut, std::size_t steps) {
   const ckptsim::SanCheckpointModel san1{Parameters{}};
-  ckptsim::san::Executor e1(san1.model(), 20260805, scheduler);
+  ckptsim::san::Executor e1(san1.model(), 20260805);
   std::string trace = san_step_trace(e1, cut);
   StateWriter w;
   e1.save_state(w);
@@ -544,7 +542,7 @@ std::uint64_t san_resumed_checksum(std::size_t cut, std::size_t steps, Scheduler
   // A separately constructed (structurally identical) model instance, as a
   // restarted process would build — and a different constructor seed.
   const ckptsim::SanCheckpointModel san2{Parameters{}};
-  ckptsim::san::Executor e2(san2.model(), 7, scheduler);
+  ckptsim::san::Executor e2(san2.model(), 7);
   StateReader r(payload);
   e2.restore_state(r);
   r.expect_end();
@@ -555,34 +553,39 @@ std::uint64_t san_resumed_checksum(std::size_t cut, std::size_t steps, Scheduler
 TEST(SnapshotSanResume, KillAtVariedStepsReproducesGoldenTrajectory) {
   for (const std::size_t cut : {1u, 777u, 9999u}) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
-    EXPECT_EQ(san_resumed_checksum(cut, 20000, SchedulerKind::kBinaryHeap), kSanGoldenChecksum);
+    EXPECT_EQ(san_resumed_checksum(cut, 20000), kSanGoldenChecksum);
   }
 }
 
-TEST(SnapshotSanResume, CalendarQueueResumesBitIdenticallyToo) {
-  const ckptsim::SanCheckpointModel san{Parameters{}};
-  ckptsim::san::Executor full(san.model(), 20260805, SchedulerKind::kCalendar);
-  const std::uint64_t full_sum = fnv1a64(san_step_trace(full, 5000));
-  EXPECT_EQ(san_resumed_checksum(777, 5000, SchedulerKind::kCalendar), full_sum);
-}
-
-TEST(SnapshotSanResume, SchedulerMismatchIsRejected) {
-  // Executor state records its event-queue backend: a heap snapshot must
-  // not restore into a calendar-queue executor.
+TEST(SnapshotSanResume, CalendarQueueSnapshotIsMismatchNotCorrupt) {
+  // The executor saves its event queue last, opening with a backend byte
+  // (always 0) and the clock.  Byte 1 marks a .snap from the removed
+  // calendar-queue backend: a mismatch, which the drivers report as
+  // kSnapshotMismatch.  Any other byte is corrupt.
   const ckptsim::SanCheckpointModel san1{Parameters{}};
-  ckptsim::san::Executor e1(san1.model(), 20260805, SchedulerKind::kBinaryHeap);
+  ckptsim::san::Executor e1(san1.model(), 20260805);
   (void)san_step_trace(e1, 100);
   StateWriter w;
   e1.save_state(w);
   const std::string payload = w.take();
+  StateWriter head;
+  head.u8(0);
+  head.f64(e1.now());
+  const std::size_t backend = payload.rfind(head.bytes());
+  ASSERT_NE(backend, std::string::npos);
 
-  const ckptsim::SanCheckpointModel san2{Parameters{}};
-  ckptsim::san::Executor e2(san2.model(), 20260805, SchedulerKind::kCalendar);
-  EXPECT_EQ(fault_of([&] {
-              StateReader r(payload);
-              e2.restore_state(r);
-            }),
-            SnapshotFault::kSchedulerMismatch);
+  const auto restore_with = [&](char byte) {
+    std::string bad = payload;
+    bad[backend] = byte;
+    const ckptsim::SanCheckpointModel san2{Parameters{}};
+    ckptsim::san::Executor e2(san2.model(), 20260805);
+    return fault_of([&] {
+      StateReader r(bad);
+      e2.restore_state(r);
+    });
+  };
+  EXPECT_EQ(restore_with(1), SnapshotFault::kContextMismatch);
+  EXPECT_EQ(restore_with(2), SnapshotFault::kCorrupt);
 }
 
 TEST(SnapshotSanResume, KindMismatchRejectsDesSnapshotInSanReader) {
@@ -732,7 +735,7 @@ TEST(SnapshotRunner, StaleContextIsRejectedNotResumed) {
   snap.context =
       ckptsim::snapshot_run_context(params, 42, transient, horizon, EngineKind::kDes, 0);
   EXPECT_THROW((void)ckptsim::run_replication(params, EngineKind::kDes, 7, transient, horizon,
-                                              nullptr, 600, SchedulerKind::kBinaryHeap, &snap),
+                                              nullptr, 600, {}, &snap),
                EventBudgetExceeded);
   ASSERT_TRUE(snapshot_exists(snap.path));
 
@@ -743,14 +746,14 @@ TEST(SnapshotRunner, StaleContextIsRejectedNotResumed) {
       ckptsim::snapshot_run_context(params, 43, transient, horizon, EngineKind::kDes, 0);
   EXPECT_EQ(fault_of([&] {
               (void)ckptsim::run_replication(params, EngineKind::kDes, 7, transient, horizon,
-                                             nullptr, 0, SchedulerKind::kBinaryHeap, &stale);
+                                             nullptr, 0, {}, &stale);
             }),
             SnapshotFault::kContextMismatch);
   EXPECT_TRUE(snapshot_exists(snap.path));
 
   // The original context resumes and completes; the snapshot is retired.
-  (void)ckptsim::run_replication(params, EngineKind::kDes, 7, transient, horizon, nullptr, 0,
-                                 SchedulerKind::kBinaryHeap, &snap);
+  (void)ckptsim::run_replication(params, EngineKind::kDes, 7, transient, horizon, nullptr, 0, {},
+                                 &snap);
   EXPECT_FALSE(snapshot_exists(snap.path));
 }
 

@@ -142,7 +142,7 @@ TEST(SvcProtocol, ParsesParamsAndSpecWithCliUnits) {
       R"({"op":"sweep","id":"a","axis":"processors","values":[8192],"priority":3,)"
       R"("engine":"san","label":"mine",)"
       R"("params":{"mttf_years":5,"interval_min":60,"ckpt_mb":128,"io_failures":false},)"
-      R"("spec":{"reps":7,"seed":9,"horizon_hours":100,"on_failure":"skip","scheduler":"calendar"}})",
+      R"("spec":{"reps":7,"seed":9,"horizon_hours":100,"on_failure":"skip"}})",
       &req, &error))
       << error;
   EXPECT_EQ(req.priority, 3);
@@ -157,7 +157,22 @@ TEST(SvcProtocol, ParsesParamsAndSpecWithCliUnits) {
   EXPECT_EQ(req.spec.seed, 9u);
   EXPECT_DOUBLE_EQ(req.spec.horizon, 100.0 * kHour);
   EXPECT_EQ(req.spec.on_failure.mode, ckptsim::FailurePolicy::Mode::kSkip);
-  EXPECT_EQ(req.spec.scheduler, ckptsim::sim::SchedulerKind::kCalendar);
+}
+
+TEST(SvcProtocol, RemovedSchedulerKeyGetsItsOwnError) {
+  // Every engine runs on the binary heap; a request naming a scheduler is
+  // told so, with one error line, instead of "unknown spec key".
+  for (const char* kind : {"heap", "calendar"}) {
+    CampaignServer server(ServerConfig{});
+    Collector out;
+    server.handle_line(std::string(R"({"op":"sweep","id":"s","axis":"interval","values":[30],)") +
+                           R"("spec":{"reps":2,"scheduler":")" + kind + R"("}})",
+                       out.sink());
+    ASSERT_EQ(out.lines.size(), 1u) << kind;
+    EXPECT_EQ(out.type(0), "error");
+    EXPECT_NE(out.lines[0].find("'scheduler' was removed"), std::string::npos) << out.lines[0];
+    EXPECT_NE(out.lines[0].find("binary-heap"), std::string::npos) << out.lines[0];
+  }
 }
 
 TEST(SvcProtocol, RejectsMalformedAndUnknown) {

@@ -74,10 +74,6 @@ Simulation:
   --reps N --seed N --horizon-hours H --transient-hours T --quick
   --jobs N                replication worker threads    [auto: CKPTSIM_JOBS,
                           then hardware]; results identical for any N
-  --scheduler KIND        event-queue backend: heap | calendar   [heap]
-                          (SAN and multi-job interference; the DES engine
-                          has fixed event slots and no queue);
-                          results are bit-identical either way
   --job-hours W           job-completion mode: makespan of W useful hours
 
 Precision-driven replications (run and sweep modes):
@@ -176,7 +172,7 @@ constexpr ckptsim::report::FlagSpec kFlags[] = {
     {"--optimize-processors", true},                          {"--optimize-policies", true},
     {"--engine", true},         {"--reps", true},             {"--seed", true},
     {"--horizon-hours", true},  {"--transient-hours", true},  {"--quick", false},
-    {"--jobs", true},           {"--scheduler", true},
+    {"--jobs", true},           {"--scheduler", true},  // removed: bench_spec rejects it
     {"--job-hours", true},      {"--rel-precision", true},    {"--min-replications", true},
     {"--max-replications", true},{"--on-failure", true},      {"--max-retries", true},
     {"--max-events", true},     {"--snapshot-every-events", true},
@@ -511,6 +507,7 @@ int main(int argc, char** argv) {
   try {
     report::apply_parameter_flags(cli, &p);
     p.validate();
+    RunSpec spec = report::bench_spec(cli);
     const double job_hours = cli.number("--job-hours", 0.0);
     if (job_hours > 0.0) {
       JobSpec job;
@@ -527,7 +524,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    RunSpec spec = report::bench_spec(cli);
     const double transient_hours = cli.number("--transient-hours", spec.transient / 3600.0);
     spec.transient = transient_hours * 3600.0;
     const std::string engine_name = cli.value("--engine", "des");
