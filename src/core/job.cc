@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/core/runner.h"
 #include "src/model/des_model.h"
 #include "src/sim/rng.h"
 
@@ -34,7 +35,7 @@ void JobSpec::validate() const {
 }
 
 JobResult run_job(const Parameters& params, const JobSpec& spec) {
-  params.validate();
+  validate_reactive_point(params, "run_job");
   spec.validate();
   JobResult result;
   result.replications = spec.replications;

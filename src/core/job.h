@@ -40,7 +40,8 @@ struct JobResult {
 
 /// Simulate the job to completion under `params` (fresh system each
 /// replication, no warm-up: jobs start on an empty, just-checkpointed
-/// machine).  Uses the fast DES engine.
+/// machine).  Uses the fast DES engine, which has no predictor: proactive
+/// parameters throw std::invalid_argument, as in run_model.
 [[nodiscard]] JobResult run_job(const Parameters& params, const JobSpec& spec);
 
 }  // namespace ckptsim

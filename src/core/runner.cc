@@ -120,7 +120,7 @@ void validate_reactive_point(const Parameters& params, const std::string& driver
   if (params.proactive_enabled()) {
     throw std::invalid_argument(driver +
                                 ": proactive fault tolerance runs under proactive::run_proactive "
-                                "(CLI: drop --sweep; a plain run with proactive flags runs it)");
+                                "(CLI: a plain run with proactive flags runs it)");
   }
 }
 

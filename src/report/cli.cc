@@ -89,6 +89,20 @@ std::vector<std::string> Cli::unknown_flags(const std::vector<FlagSpec>& known) 
   return unknown;
 }
 
+std::vector<std::string> Cli::valued_switches(const std::vector<FlagSpec>& known) const {
+  std::vector<std::string> out;
+  for (const std::string& arg : args_) {
+    const std::size_t eq = arg.find('=');
+    if (eq == std::string::npos || arg.rfind("--", 0) != 0) continue;
+    for (const FlagSpec& spec : known) {
+      if (!spec.takes_value && std::string_view(arg).substr(0, eq) == spec.name) {
+        out.push_back(spec.name);
+      }
+    }
+  }
+  return out;
+}
+
 std::string Cli::suggest(std::string_view flag, const std::vector<FlagSpec>& known) {
   if (flag.empty() || flag[0] != '-') return "";  // stray positional, not a typo'd flag
   const std::string name(flag.substr(0, flag.find('=')));

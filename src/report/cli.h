@@ -42,6 +42,11 @@ class Cli {
   [[nodiscard]] std::vector<std::string> unknown_flags(
       const std::vector<FlagSpec>& known) const;
 
+  /// Known switches (flags that take no value) written as `--switch=value`.
+  /// has() never matches them, so a tool must reject them, not ignore them.
+  [[nodiscard]] std::vector<std::string> valued_switches(
+      const std::vector<FlagSpec>& known) const;
+
   /// Closest known flag to `flag` for a "did you mean" hint, or "" when
   /// nothing is plausibly close (edit distance > 3).
   [[nodiscard]] static std::string suggest(std::string_view flag,

@@ -263,6 +263,22 @@ TEST(CliTest, UnknownFlagsDetected) {
   }
 }
 
+TEST(CliTest, SwitchWithValueIsReported) {
+  // has() needs the exact token, so "--quick=1" would silently read as
+  // absent: valued_switches() names it for the tool to reject.  given()
+  // sees every spelling.
+  const std::vector<ckptsim::report::FlagSpec> known = {
+      {"--quick", false}, {"--seed", true}, {"--resume", false}};
+  const char* argv[] = {"prog", "--quick=1", "--seed=7", "--resume"};
+  const Cli cli(4, argv);
+  EXPECT_FALSE(cli.has("--quick"));
+  EXPECT_EQ(cli.valued_switches(known), std::vector<std::string>{"--quick"});
+  EXPECT_TRUE(cli.given("--quick"));
+  EXPECT_TRUE(cli.given("--seed"));
+  EXPECT_TRUE(cli.given("--resume"));
+  EXPECT_FALSE(cli.given("--see"));
+}
+
 TEST(CliTest, SuggestsNearMisses) {
   const std::vector<ckptsim::report::FlagSpec> known = {
       {"--processors", true}, {"--seed", true}, {"--quick", false}};

@@ -62,6 +62,10 @@ void print_help() {
   std::cout <<
       R"(ckptsim_cli — coordinated-checkpointing supercomputer simulator (DSN'05 model)
 
+One mode runs per invocation, the first that applies: job (--job-hours),
+interference, optimize, sweep, proactive (proactive flags), plain.  A flag
+the selected mode does not read is an error.
+
 Machine (defaults = the paper's Table 3):
 )" << ckptsim::parameter_help(false)
             << R"(  --no-failures           turn off every failure process
@@ -163,30 +167,86 @@ Observability (all off by default; never changes results):
 )";
 }
 
-// Every flag besides parameter_flag_specs(); anything else is rejected up
-// front with a "did you mean" hint — a typo'd flag must not silently run
-// the simulation with the default it masked.
-constexpr ckptsim::report::FlagSpec kFlags[] = {
-    {"--optimize", false},      {"--optimize-lo-min", true},  {"--optimize-hi-min", true},
-    {"--optimize-grid", true},  {"--optimize-refine", true},
-    {"--optimize-processors", true},                          {"--optimize-policies", true},
-    {"--engine", true},         {"--reps", true},             {"--seed", true},
-    {"--horizon-hours", true},  {"--transient-hours", true},  {"--quick", false},
-    {"--jobs", true},           {"--scheduler", true},  // removed: bench_spec rejects it
-    {"--job-hours", true},      {"--rel-precision", true},    {"--min-replications", true},
-    {"--max-replications", true},{"--on-failure", true},      {"--max-retries", true},
-    {"--max-events", true},     {"--snapshot-every-events", true},
-    {"--snapshot-dir", true},   {"--interference", true},     {"--pfs-policy", true},
-    {"--pfs-bandwidth-mbs", true},
-    {"--sweep", true},          {"--sweep-values", true},
-    {"--csv", true},            {"--journal", true},          {"--resume", false},
-    {"--progress", false},      {"--metrics-out", true},      {"--chrome-trace", true},
-    {"--help", false},          {"-h", false},
+// One run mode per invocation, picked by select_mode; each flag below names
+// the modes that read it.
+enum Mode : unsigned {
+  kPlain = 1u << 0,         // run_model
+  kProactive = 1u << 1,     // run_proactive: a plain run with proactive parameters
+  kSweep = 1u << 2,         // --sweep
+  kOptimize = 1u << 3,      // --optimize
+  kInterference = 1u << 4,  // --interference
+  kJob = 1u << 5,           // --job-hours
+};
+constexpr unsigned kRunSpecModes = kPlain | kProactive | kSweep | kOptimize | kInterference;
+constexpr unsigned kAllModes = kRunSpecModes | kJob;
+
+const char* mode_name(unsigned mode) {
+  switch (mode) {
+    case kPlain: return "plain";
+    case kProactive: return "proactive";
+    case kSweep: return "sweep";
+    case kOptimize: return "optimize";
+    case kInterference: return "interference";
+    default: return "job";
+  }
+}
+
+struct ModeFlag {
+  ckptsim::report::FlagSpec spec;
+  unsigned modes;  ///< the modes that read the flag
+};
+
+// Every flag besides parameter_flag_specs() (which every mode reads).
+// Anything else is rejected up front with a "did you mean" hint, and so is
+// a flag the selected mode does not read: a typo'd or misplaced flag must
+// not silently run the simulation with the default it masked.
+constexpr ModeFlag kFlags[] = {
+    {{"--optimize", false}, kOptimize},
+    {{"--optimize-lo-min", true}, kOptimize},
+    {{"--optimize-hi-min", true}, kOptimize},
+    {{"--optimize-grid", true}, kOptimize},
+    {{"--optimize-refine", true}, kOptimize},
+    {{"--optimize-processors", true}, kOptimize},
+    {{"--optimize-policies", true}, kOptimize},
+    {{"--engine", true}, kPlain | kSweep},
+    {{"--reps", true}, kAllModes},
+    {{"--seed", true}, kAllModes},
+    {{"--horizon-hours", true}, kRunSpecModes},
+    {{"--transient-hours", true}, kRunSpecModes},
+    {{"--quick", false}, kRunSpecModes},
+    {{"--jobs", true}, kRunSpecModes},
+    {{"--scheduler", true}, kAllModes},  // removed: bench_spec rejects it in every mode
+    {{"--job-hours", true}, kJob},
+    {{"--rel-precision", true}, kRunSpecModes},
+    {{"--min-replications", true}, kRunSpecModes},
+    {{"--max-replications", true}, kRunSpecModes},
+    {{"--on-failure", true}, kRunSpecModes},
+    {{"--max-retries", true}, kRunSpecModes},
+    {{"--max-events", true}, kRunSpecModes},
+    {{"--snapshot-every-events", true}, kRunSpecModes},
+    {{"--snapshot-dir", true}, kRunSpecModes},
+    {{"--interference", true}, kInterference},
+    {{"--pfs-policy", true}, kInterference},
+    {{"--pfs-bandwidth-mbs", true}, kInterference},
+    {{"--sweep", true}, kSweep},
+    {{"--sweep-values", true}, kSweep},
+    {{"--csv", true}, kProactive | kSweep | kOptimize | kInterference},
+    {{"--journal", true}, kSweep | kOptimize},
+    {{"--resume", false}, kSweep | kOptimize},
+    {{"--progress", false}, kRunSpecModes},
+    {{"--metrics-out", true}, kRunSpecModes},
+    {{"--chrome-trace", true}, kPlain | kProactive},
+    {{"--help", false}, kAllModes},
+    {{"-h", false}, kAllModes},
 };
 
 int reject_unknown_flags(const ckptsim::report::Cli& cli) {
   std::vector<ckptsim::report::FlagSpec> known = ckptsim::report::parameter_flag_specs();
-  known.insert(known.end(), std::begin(kFlags), std::end(kFlags));
+  for (const ModeFlag& flag : kFlags) known.push_back(flag.spec);
+  for (const std::string& flag : cli.valued_switches(known)) {
+    std::cerr << "error: '" << flag << "' is a switch and takes no value\n";
+    return 1;
+  }
   const auto unknown = cli.unknown_flags(known);
   if (unknown.empty()) return 0;
   for (const std::string& flag : unknown) {
@@ -197,6 +257,30 @@ int reject_unknown_flags(const ckptsim::report::Cli& cli) {
   }
   std::cerr << "run 'ckptsim_cli --help' for the option list\n";
   return 2;
+}
+
+unsigned select_mode(const ckptsim::report::Cli& cli, const ckptsim::Parameters& p) {
+  if (cli.given("--job-hours")) return kJob;
+  if (cli.given("--interference")) return kInterference;
+  if (cli.given("--optimize")) return kOptimize;
+  if (cli.given("--sweep")) return kSweep;
+  return p.proactive_enabled() ? kProactive : kPlain;
+}
+
+/// Exit status 1, after an error line, when a flag `mode` does not read is
+/// given; 0 otherwise.
+int reject_unread_flags(const ckptsim::report::Cli& cli, unsigned mode) {
+  for (const ModeFlag& flag : kFlags) {
+    if ((flag.modes & mode) != 0 || !cli.given(flag.spec.name)) continue;
+    std::string readers;
+    for (unsigned m = kPlain; m <= kJob; m <<= 1) {
+      if ((flag.modes & m) != 0) readers += std::string(readers.empty() ? "" : ", ") + mode_name(m);
+    }
+    std::cerr << "error: '" << flag.spec.name << "' is not read in " << mode_name(mode)
+              << " mode (only in: " << readers << ")\n";
+    return 1;
+  }
+  return 0;
 }
 
 /// The comma-separated items of `flag`'s value; empty items are skipped.
@@ -507,9 +591,11 @@ int main(int argc, char** argv) {
   try {
     report::apply_parameter_flags(cli, &p);
     p.validate();
-    RunSpec spec = report::bench_spec(cli);
-    const double job_hours = cli.number("--job-hours", 0.0);
-    if (job_hours > 0.0) {
+    RunSpec spec = report::bench_spec(cli);  // first: it names the removed --scheduler
+    const unsigned mode = select_mode(cli, p);
+    if (const int rc = reject_unread_flags(cli, mode); rc != 0) return rc;
+    if (mode == kJob) {
+      const double job_hours = cli.number("--job-hours", 0.0);
       JobSpec job;
       job.work_hours = job_hours;
       job.replications = cli.count("--reps", 5);
@@ -555,25 +641,21 @@ int main(int argc, char** argv) {
     const std::string metrics_path = cli.value("--metrics-out");
     if (!metrics_path.empty()) spec.metrics = &metrics;
 
-    RunMode mode = run_plain_mode;
-    if (!cli.value("--interference").empty()) {
-      mode = run_interference_mode;
-    } else if (cli.has("--optimize")) {
-      mode = run_optimize_mode;
-    } else if (!cli.value("--sweep").empty()) {
-      mode = run_sweep_mode;
-    } else if (p.proactive_enabled()) {
-      mode = run_proactive_mode;
+    RunMode run = run_plain_mode;
+    switch (mode) {
+      case kProactive: run = run_proactive_mode; break;
+      case kSweep: run = run_sweep_mode; break;
+      case kOptimize: run = run_optimize_mode; break;
+      case kInterference: run = run_interference_mode; break;
+      default: break;
     }
-    if (const int rc = mode(p, spec, engine, cli); rc != 0) return rc;
+    if (const int rc = run(p, spec, engine, cli); rc != 0) return rc;
     if (!metrics_path.empty()) {
       metrics.snapshot().write_json(metrics_path);
       std::cout << "wrote " << metrics_path << "\n";
     }
     const std::string trace_path = cli.value("--chrome-trace");
-    if (!trace_path.empty() && (mode == run_plain_mode || mode == run_proactive_mode)) {
-      write_traced_replication(p, spec, trace_path);
-    }
+    if (!trace_path.empty()) write_traced_replication(p, spec, trace_path);
     return 0;
   } catch (const SimError& e) {
     if (e.code() == ErrorCode::kInterrupted) {

@@ -82,13 +82,16 @@ constexpr ckptsim::report::FlagSpec kFlags[] = {
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  const auto unknown =
-      cli.unknown_flags(std::vector<report::FlagSpec>(std::begin(kFlags), std::end(kFlags)));
+  const std::vector<report::FlagSpec> known(std::begin(kFlags), std::end(kFlags));
+  for (const std::string& flag : cli.valued_switches(known)) {
+    std::cerr << "error: '" << flag << "' is a switch and takes no value\n";
+    return 1;
+  }
+  const auto unknown = cli.unknown_flags(known);
   if (!unknown.empty()) {
     for (const std::string& flag : unknown) {
       std::cerr << "ckptsimd: unknown option '" << flag << "'";
-      const std::string hint = report::Cli::suggest(
-          flag, std::vector<report::FlagSpec>(std::begin(kFlags), std::end(kFlags)));
+      const std::string hint = report::Cli::suggest(flag, known);
       if (!hint.empty()) std::cerr << " (did you mean '" << hint << "'?)";
       std::cerr << "\n";
     }
