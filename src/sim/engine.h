@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <string_view>
 
 #include "src/sim/event_queue.h"
@@ -52,7 +50,7 @@ class RateIntegral {
   double integral_ = 0.0; // closed segments + impulses
 };
 
-/// Simulation engine: event queue + named RNG streams + optional tracing.
+/// Simulation engine: event queue + named RNG streams.
 ///
 /// One Engine per replication.  Models own their state and schedule
 /// callbacks on the engine; the engine stays model-agnostic.
@@ -65,7 +63,6 @@ class Engine {
   [[nodiscard]] double now() const noexcept { return queue_.now(); }
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
   [[nodiscard]] const EventQueue& queue() const noexcept { return queue_; }
-  [[nodiscard]] const RngPool& rng_pool() const noexcept { return pool_; }
 
   /// Named RNG substream (same name -> same stream for a given seed).
   [[nodiscard]] Rng stream(std::string_view name) const { return pool_.stream(name); }
@@ -81,20 +78,9 @@ class Engine {
   /// Run the simulation clock to `t_end`.
   void run_until(double t_end) { queue_.run_until(t_end); }
 
-  /// Optional trace sink; when set, models may log state transitions
-  /// through `trace()`. Intended for tests and debugging, not hot paths.
-  void set_trace(std::function<void(double, std::string_view)> sink) {
-    trace_ = std::move(sink);
-  }
-  void trace(std::string_view msg) {
-    if (trace_) trace_(queue_.now(), msg);
-  }
-  [[nodiscard]] bool tracing() const noexcept { return static_cast<bool>(trace_); }
-
  private:
   EventQueue queue_;
   RngPool pool_;
-  std::function<void(double, std::string_view)> trace_;
 };
 
 }  // namespace ckptsim::sim

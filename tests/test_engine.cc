@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
+#include <stdexcept>
 
 #include "src/sim/engine.h"
 
@@ -80,24 +79,6 @@ TEST(Engine, CancelThroughEngine) {
   EXPECT_TRUE(e.cancel(h));
   e.run_until(2.0);
   EXPECT_FALSE(fired);
-}
-
-TEST(Engine, TraceSinkReceivesMessages) {
-  Engine e(1);
-  std::vector<std::pair<double, std::string>> log;
-  e.set_trace([&](double t, std::string_view msg) { log.emplace_back(t, std::string(msg)); });
-  EXPECT_TRUE(e.tracing());
-  e.schedule_in(2.0, [&] { e.trace("fired"); });
-  e.run_until(3.0);
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_DOUBLE_EQ(log[0].first, 2.0);
-  EXPECT_EQ(log[0].second, "fired");
-}
-
-TEST(Engine, TraceWithoutSinkIsNoOp) {
-  Engine e(1);
-  EXPECT_FALSE(e.tracing());
-  e.trace("ignored");  // must not crash
 }
 
 }  // namespace
