@@ -102,7 +102,7 @@ CampaignLedger::CampaignLedger(std::string path) : path_(std::move(path)) {
         std::fprintf(stderr,
                      "ckptsim: ledger '%s': dropping corrupt trailing entry at line %zu "
                      "(crash artifact); %zu pending campaign(s) kept\n",
-                     path_.c_str(), line_no, ids_.size());
+                     path_.c_str(), line_no, pending_.size());
         if (::ftruncate(fd_, static_cast<off_t>(line_offset)) != 0) {
           const int err = errno;
           ::close(fd_);
@@ -126,20 +126,21 @@ CampaignLedger::CampaignLedger(std::string path) : path_(std::move(path)) {
       throw SimError(ErrorCode::kIoError,
                      "ledger '" + path_ + "': repair failed: " + std::strerror(err));
     }
-    // Replay: an admit re-arms the id (a restart may re-admit an already
-    // pending campaign — last request line wins), a retire clears it.
-    const auto it = std::find(ids_.begin(), ids_.end(), entry.id);
-    if (entry.admit) {
-      if (it == ids_.end()) {
-        ids_.push_back(entry.id);
-        requests_.push_back(std::move(entry.request));
-      } else {
-        requests_[static_cast<std::size_t>(it - ids_.begin())] = std::move(entry.request);
-      }
-    } else if (it != ids_.end()) {
-      requests_.erase(requests_.begin() + (it - ids_.begin()));
-      ids_.erase(it);
-    }
+    record(entry.admit, entry.id, std::move(entry.request));
+  }
+}
+
+void CampaignLedger::record(bool admit, const std::string& id, std::string request) {
+  // An admit re-arms the id (a restart may re-admit an already pending
+  // campaign — last request line wins), a retire clears it.
+  const auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [&id](const auto& entry) { return entry.first == id; });
+  if (!admit) {
+    if (it != pending_.end()) pending_.erase(it);
+  } else if (it == pending_.end()) {
+    pending_.emplace_back(id, std::move(request));
+  } else {
+    it->second = std::move(request);
   }
 }
 
@@ -176,13 +177,7 @@ void CampaignLedger::admit(const std::string& id, const std::string& request_lin
 
   const std::lock_guard<std::mutex> lock(mu_);
   append_line(w.str());
-  const auto it = std::find(ids_.begin(), ids_.end(), id);
-  if (it == ids_.end()) {
-    ids_.push_back(id);
-    requests_.push_back(request_line);
-  } else {
-    requests_[static_cast<std::size_t>(it - ids_.begin())] = request_line;
-  }
+  record(true, id, request_line);
 }
 
 void CampaignLedger::retire(const std::string& id) {
@@ -195,16 +190,12 @@ void CampaignLedger::retire(const std::string& id) {
 
   const std::lock_guard<std::mutex> lock(mu_);
   append_line(w.str());
-  const auto it = std::find(ids_.begin(), ids_.end(), id);
-  if (it != ids_.end()) {
-    requests_.erase(requests_.begin() + (it - ids_.begin()));
-    ids_.erase(it);
-  }
+  record(false, id, {});
 }
 
-std::vector<std::string> CampaignLedger::pending() const {
+std::vector<std::pair<std::string, std::string>> CampaignLedger::pending() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return requests_;
+  return pending_;
 }
 
 }  // namespace ckptsim::svc

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ckptsim::svc {
@@ -48,23 +49,23 @@ class CampaignLedger {
   /// Record one completed/cancelled campaign (fsync'd before returning).
   void retire(const std::string& id);
 
-  /// Raw request lines of campaigns admitted but never retired, in
-  /// admission order — what a restarted daemon should re-admit.  Reflects
-  /// the state loaded at construction plus any admit/retire since.
-  [[nodiscard]] std::vector<std::string> pending() const;
+  /// (id, raw request line) of each campaign admitted but never retired,
+  /// in admission order — what a restarted daemon should re-admit.
+  /// Reflects the state loaded at construction plus any admit/retire since.
+  [[nodiscard]] std::vector<std::pair<std::string, std::string>> pending() const;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
   void append_line(std::string line);
+  /// Apply one admit (admit = true) or retire record to the pending set.
+  void record(bool admit, const std::string& id, std::string request);
 
   std::string path_;
   int fd_ = -1;
   mutable std::mutex mu_;
-  // Insertion-ordered pending set: ids_ keeps admission order, requests_
-  // pairs each id with its raw line; retire erases from both.
-  std::vector<std::string> ids_;
-  std::vector<std::string> requests_;
+  // Insertion-ordered pending set: (id, raw request line).
+  std::vector<std::pair<std::string, std::string>> pending_;
 };
 
 }  // namespace ckptsim::svc

@@ -161,7 +161,7 @@ void CampaignServer::run_optimize_request(Request&& req, const Sink& sink) {
   }
 }
 
-void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink) {
+bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink) {
   obs::ServiceCounters& svcc = metrics_->service();
   auto c = std::make_shared<Campaign>();
   c->id = req.id;
@@ -176,7 +176,7 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
     lock.unlock();
     svcc.errors.fetch_add(1, std::memory_order_relaxed);
     sink(response_error(r.id, "server is stopping"));
-    return;
+    return false;
   }
   // Checked before every other admission rule: a draining server must say
   // so explicitly — a generic queue-full rejection would invite the client
@@ -185,14 +185,14 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
     lock.unlock();
     svcc.rejected.fetch_add(1, std::memory_order_relaxed);
     sink(response_draining(r.id));
-    return;
+    return false;
   }
   for (const CampaignPtr& existing : campaigns_) {
     if (existing->id == r.id) {
       lock.unlock();
       svcc.errors.fetch_add(1, std::memory_order_relaxed);
       sink(response_error(r.id, "campaign id '" + r.id + "' is already active"));
-      return;
+      return false;
     }
   }
   // Admission control, checked before any cache work: when the queue is
@@ -203,7 +203,7 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
     lock.unlock();
     svcc.rejected.fetch_add(1, std::memory_order_relaxed);
     sink(response_rejected(r.id, depth, config_.max_queue_depth));
-    return;
+    return false;
   }
 
   // Durable admission record, written before any replication runs: if the
@@ -248,7 +248,7 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
     lines.swap(c->outbox);
     lock.unlock();
     for (const std::string& out : lines) sink(out);
-    return;
+    return true;
   }
 
   for (std::size_t i = 0; i < c->points.size(); ++i) {
@@ -263,6 +263,7 @@ void CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
   lock.unlock();
   work_cv_.notify_all();
   flush_outbox(c);
+  return true;
 }
 
 void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
@@ -512,9 +513,23 @@ bool CampaignServer::drained() {
 
 std::size_t CampaignServer::readmit_pending(const Sink& sink) {
   if (ledger_ == nullptr) return 0;
-  const std::vector<std::string> lines = ledger_->pending();
-  for (const std::string& line : lines) handle_line(line, sink);
-  return lines.size();
+  obs::ServiceCounters& svcc = metrics_->service();
+  std::size_t admitted = 0;
+  for (const auto& [id, line] : ledger_->pending()) {
+    svcc.requests.fetch_add(1, std::memory_order_relaxed);
+    Request req;
+    std::string error;
+    if (!parse_request(line, &req, &error)) {
+      // A request this build rejects (a removed key, a stricter check)
+      // would fail the same way on every start: report it once, retire it.
+      svcc.errors.fetch_add(1, std::memory_order_relaxed);
+      sink(response_error(id, error));
+      ledger_->retire(id);
+      continue;
+    }
+    if (submit_sweep(std::move(req), line, sink)) ++admitted;
+  }
+  return admitted;
 }
 
 void CampaignServer::stop() {

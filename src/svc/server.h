@@ -122,8 +122,10 @@ class CampaignServer {
 
   /// Replay the ledger's pending campaigns through the normal request
   /// path (their original clients are gone; `sink` receives the recovered
-  /// streams).  Returns the number of campaigns re-admitted.  Call once at
-  /// startup, before serving.
+  /// streams).  A line this build no longer parses gets its error and is
+  /// retired, so it is not replayed on every start; a line turned away (a
+  /// full queue) stays pending.  Returns the number of campaigns admitted.
+  /// Call once at startup, before serving.
   std::size_t readmit_pending(const Sink& sink);
 
   /// Cancel everything and join the workers.  Idempotent.
@@ -184,7 +186,8 @@ class CampaignServer {
   };
   using CampaignPtr = std::shared_ptr<Campaign>;
 
-  void submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink);
+  /// False when the campaign was turned away (error, draining, full queue).
+  bool submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink);
   /// Admission of a synchronous (non-campaign) request: false after
   /// answering a stopping or draining server's error/"draining" line.
   bool admit_synchronous(const Request& req, const Sink& sink);

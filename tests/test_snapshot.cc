@@ -861,9 +861,10 @@ TEST(CampaignLedger, AdmitRetirePendingSurvivesReopen) {
     ledger.retire("a");
   }
   ckptsim::svc::CampaignLedger reopened(path);
-  const std::vector<std::string> pending = reopened.pending();
+  const auto pending = reopened.pending();
   ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0], R"({"op":"sweep","id":"b"})");
+  EXPECT_EQ(pending[0].first, "b");
+  EXPECT_EQ(pending[0].second, R"({"op":"sweep","id":"b"})");
   reopened.retire("b");
   EXPECT_TRUE(reopened.pending().empty());
 }

@@ -644,6 +644,50 @@ TEST(SvcServer, HigherPriorityCampaignOvertakesOnSharedPool) {
   EXPECT_LT(urgent_done, bulk_done);
 }
 
+TEST(SvcServer, ReadmitRetiresLedgerLinesThatNoLongerParse) {
+  // Pending lines this build rejects (a fractional count, the removed
+  // scheduler key) get their error once and are retired; a line turned
+  // away for capacity stays pending and is not counted as re-admitted.
+  TempFile ledger("readmit_ledger");
+  {
+    ckptsim::svc::CampaignLedger seed(ledger.path);
+    seed.admit("reps", R"({"op":"sweep","id":"reps","axis":"interval","values":[30],)"
+                       R"("spec":{"reps":2.7}})");
+    seed.admit("sched", R"({"op":"sweep","id":"sched","axis":"interval","values":[30],)"
+                        R"("spec":{"reps":2,"scheduler":"calendar"}})");
+    seed.admit("c1", kTinySweep);
+  }
+  ServerConfig full;
+  full.ledger_path = ledger.path;
+  full.max_queue_depth = 0;  // every campaign is turned away
+  for (const std::size_t errors : {2u, 0u}) {
+    CampaignServer server(full);
+    Collector out;
+    EXPECT_EQ(server.readmit_pending(out.sink()), 0u);
+    server.stop();
+    ASSERT_EQ(out.lines.size(), errors + 1);
+    for (std::size_t i = 0; i < errors; ++i) EXPECT_EQ(out.type(i), "error");
+    EXPECT_EQ(out.type(errors), "rejected");
+  }
+  std::ifstream in(ledger.path);
+  std::string line, last;
+  while (std::getline(in, line)) last = line;
+  JsonValue record;
+  ASSERT_TRUE(ckptsim::obs::parse_json(last, &record)) << last;
+  ASSERT_NE(record.find("event"), nullptr);
+  EXPECT_EQ(record.find("event")->scalar, "retire");
+  EXPECT_EQ(record.find("id")->scalar, "sched");
+
+  ServerConfig roomy;
+  roomy.ledger_path = ledger.path;
+  CampaignServer server(roomy);
+  Collector out;
+  EXPECT_EQ(server.readmit_pending(out.sink()), 1u);
+  server.drain();
+  EXPECT_EQ(out.type(out.lines.size() - 1), "done");
+  EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger.path).pending().empty());
+}
+
 TEST(SvcServer, MalformedLinesGetErrorResponses) {
   CampaignServer server(ServerConfig{});
   Collector out;
