@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -617,31 +618,57 @@ TEST(SvcServer, CancelOfUnknownOrCompletedCampaignIsStructuredError) {
 }
 
 TEST(SvcServer, HigherPriorityCampaignOvertakesOnSharedPool) {
-  ServerConfig config;
-  config.workers = 1;
-  CampaignServer server(config);
-  Collector all;  // one shared sink: global emission order is observable
-  server.handle_line(
+  const std::string bulk =
       R"({"op":"sweep","id":"bulk","axis":"interval","values":[15,30,60],)"
-      R"("params":{"processors":4096},"spec":{"reps":3,"horizon_hours":40,"transient_hours":2}})",
-      all.sink());
-  server.handle_line(
+      R"("params":{"processors":4096},"spec":{"reps":3,"horizon_hours":40,"transient_hours":2}})";
+  const std::string urgent =
       R"({"op":"sweep","id":"urgent","priority":5,"axis":"interval","values":[240],)"
-      R"("params":{"processors":4096},"spec":{"reps":1,"horizon_hours":20,"transient_hours":2}})",
-      all.sink());
-  server.drain();
-  std::size_t urgent_done = all.lines.size();
-  std::size_t bulk_done = all.lines.size();
-  for (std::size_t i = 0; i < all.lines.size(); ++i) {
-    if (all.type(i) != "done") continue;
-    const JsonValue v = all.parsed(i);
-    ASSERT_NE(v.find("id"), nullptr);
-    if (v.find("id")->scalar == "urgent") urgent_done = i;
-    if (v.find("id")->scalar == "bulk") bulk_done = i;
+      R"("params":{"processors":4096},"spec":{"reps":1,"horizon_hours":20,"transient_hours":2}})";
+  // The one worker delivers bulk's first point line and, inside the sink,
+  // submits `urgent`: it is held there until urgent is admitted, so bulk
+  // still has 6 queued replications when urgent arrives.  When this thread
+  // delivers that line instead (it was still flushing bulk's "accepted"),
+  // the worker was never held, and the scenario is set up again.
+  const std::thread::id submitter = std::this_thread::get_id();
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    ServerConfig config;
+    config.workers = 1;
+    CampaignServer server(config);
+    Collector all;  // one shared sink: global emission order is observable
+    std::atomic<bool> first_point{true};
+    std::atomic<bool> held{false};
+    CampaignServer::Sink sink;
+    sink = [&](const std::string& line) {
+      all.sink()(line);
+      JsonValue v;
+      if (!first_point.load() || !ckptsim::obs::parse_json(line, &v)) return;
+      const JsonValue* type = v.find("type");
+      const JsonValue* id = v.find("id");
+      if (type == nullptr || id == nullptr || type->scalar != "point" || id->scalar != "bulk") {
+        return;
+      }
+      if (!first_point.exchange(false) || std::this_thread::get_id() == submitter) return;
+      held = true;
+      server.handle_line(urgent, sink);
+    };
+    server.handle_line(bulk, sink);
+    server.drain();
+    if (!held.load()) continue;
+    std::size_t urgent_done = all.lines.size();
+    std::size_t bulk_done = all.lines.size();
+    for (std::size_t i = 0; i < all.lines.size(); ++i) {
+      if (all.type(i) != "done") continue;
+      const JsonValue v = all.parsed(i);
+      ASSERT_NE(v.find("id"), nullptr);
+      if (v.find("id")->scalar == "urgent") urgent_done = i;
+      if (v.find("id")->scalar == "bulk") bulk_done = i;
+    }
+    ASSERT_LT(urgent_done, all.lines.size());
+    ASSERT_LT(bulk_done, all.lines.size());
+    EXPECT_LT(urgent_done, bulk_done);
+    return;
   }
-  ASSERT_LT(urgent_done, all.lines.size());
-  ASSERT_LT(bulk_done, all.lines.size());
-  EXPECT_LT(urgent_done, bulk_done);
+  FAIL() << "the worker never delivered bulk's first point line";
 }
 
 TEST(SvcServer, ReadmitRetiresLedgerLinesThatNoLongerParse) {
