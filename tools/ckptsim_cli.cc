@@ -243,8 +243,8 @@ constexpr ModeFlag kFlags[] = {
 int reject_unknown_flags(const ckptsim::report::Cli& cli) {
   std::vector<ckptsim::report::FlagSpec> known = ckptsim::report::parameter_flag_specs();
   for (const ModeFlag& flag : kFlags) known.push_back(flag.spec);
-  for (const std::string& flag : cli.valued_switches(known)) {
-    std::cerr << "error: '" << flag << "' is a switch and takes no value\n";
+  if (const auto valued = cli.valued_switches(known); !valued.empty()) {
+    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
     return 1;
   }
   const auto unknown = cli.unknown_flags(known);

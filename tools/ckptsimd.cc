@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
   const std::vector<report::FlagSpec> known(std::begin(kFlags), std::end(kFlags));
-  for (const std::string& flag : cli.valued_switches(known)) {
-    std::cerr << "error: '" << flag << "' is a switch and takes no value\n";
+  if (const auto valued = cli.valued_switches(known); !valued.empty()) {
+    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
     return 1;
   }
   const auto unknown = cli.unknown_flags(known);
