@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
 
 namespace {
 
+using ckptsim::sim::EventBudgetExceeded;
 using ckptsim::sim::EventHandle;
 using ckptsim::sim::EventQueue;
+using ckptsim::sim::QueueStats;
 
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
@@ -366,6 +374,218 @@ TEST(EventQueue, PeakDeadIsRecordedBeforeLazyTombstoneRemoval) {
   for (auto& h : doomed) q.cancel(h);
   EXPECT_DOUBLE_EQ(q.peek_time(), 100.0);  // triggers lazy removal
   EXPECT_GE(q.stats().peak_dead, 24u);
+}
+
+/// Reference model of the queue's contract: a map ordered by (time,
+/// insertion sequence), slow but plainly right.  The scripts below drive it
+/// and an EventQueue side by side, recording every firing as (tag, time).
+struct ReferenceQueue {
+  using Key = std::pair<double, std::uint64_t>;
+  std::map<Key, int> pending;
+  std::uint64_t next_seq = 0;
+  double now = 0.0;
+  QueueStats stats;
+  std::vector<std::pair<int, double>> trace;
+
+  Key schedule(int tag, double t) {
+    const Key k{t, next_seq++};
+    pending.emplace(k, tag);
+    ++stats.scheduled;
+    stats.peak_size = std::max(stats.peak_size, pending.size());
+    return k;
+  }
+  bool cancel(const Key& k) {
+    if (pending.erase(k) == 0) return false;
+    ++stats.cancelled;
+    return true;
+  }
+  void fire_next() {
+    const auto it = pending.begin();
+    now = it->first.first;
+    trace.emplace_back(it->second, now);
+    pending.erase(it);
+    ++stats.fired;
+  }
+  std::uint64_t run_until(double t_end) {
+    std::uint64_t n = 0;
+    for (; !pending.empty() && pending.begin()->first.first <= t_end; ++n) fire_next();
+    now = t_end;
+    return n;
+  }
+  std::uint64_t run_all() {
+    std::uint64_t n = 0;
+    for (; !pending.empty(); ++n) fire_next();
+    return n;
+  }
+};
+
+/// An EventQueue whose events record (tag, fire time) when they fire.
+struct Recorded {
+  EventQueue q;
+  std::vector<std::pair<int, double>> trace;
+
+  EventHandle schedule(int tag, double t) {
+    return q.schedule(t, [this, tag] { trace.emplace_back(tag, q.now()); });
+  }
+};
+
+void expect_matches(const Recorded& real, const ReferenceQueue& ref) {
+  EXPECT_EQ(real.trace, ref.trace);
+  EXPECT_EQ(real.q.now(), ref.now);
+  EXPECT_EQ(real.q.size(), ref.pending.size());
+  EXPECT_EQ(real.q.fired(), ref.stats.fired);
+  const QueueStats s = real.q.stats();
+  EXPECT_EQ(s.scheduled, ref.stats.scheduled);
+  EXPECT_EQ(s.fired, ref.stats.fired);
+  EXPECT_EQ(s.cancelled, ref.stats.cancelled);
+  EXPECT_EQ(s.peak_size, ref.stats.peak_size);
+  // compactions / peak_dead are tombstone bookkeeping the reference lacks.
+}
+
+/// Replays one seeded random script: schedule at a random time (sometimes
+/// quantized to force exact ties, sometimes flung 1e7 into the future),
+/// cancel a random handle (possibly fired or already cancelled), or
+/// run_until a random intermediate horizon.
+void run_random_script(std::uint64_t seed, bool quantize) {
+  std::mt19937_64 gen(seed);
+  Recorded real;
+  ReferenceQueue ref;
+  std::vector<EventHandle> handles;
+  std::vector<ReferenceQueue::Key> keys;
+  std::uniform_real_distribution<double> span(0.0, 1000.0);
+  std::uniform_int_distribution<int> op(0, 9);
+  int tag = 0;
+  double horizon = 0.0;
+  for (int i = 0; i < 4000; ++i) {
+    const int kind = op(gen);
+    if (kind < 5) {
+      double t = ref.now + span(gen);
+      if (quantize) t = ref.now + static_cast<int>(span(gen)) % 32;
+      if (op(gen) == 0) t += 1e7;
+      ++tag;
+      handles.push_back(real.schedule(tag, t));
+      keys.push_back(ref.schedule(tag, t));
+    } else if (kind < 8) {
+      if (handles.empty()) continue;
+      const std::size_t k = std::uniform_int_distribution<std::size_t>(0, handles.size() - 1)(gen);
+      EXPECT_EQ(real.q.cancel(handles[k]), ref.cancel(keys[k])) << "op " << i;
+    } else {
+      horizon += span(gen) * 0.5;
+      EXPECT_EQ(real.q.run_until(horizon), ref.run_until(horizon)) << "op " << i;
+    }
+  }
+  EXPECT_EQ(real.q.run_all(), ref.run_all());
+  expect_matches(real, ref);
+}
+
+TEST(EventQueue, RandomScriptsMatchReference) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 20260808ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_random_script(seed, /*quantize=*/false);
+  }
+}
+
+TEST(EventQueue, QuantizedTieScriptsMatchReference) {
+  // Integer-quantized times force many exact time ties, so the order rests
+  // entirely on the insertion-sequence tie-break.
+  for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_random_script(seed, /*quantize=*/true);
+  }
+}
+
+TEST(EventQueue, CancelHeavyChurnMatchesReference) {
+  // The DES failure-timer pattern — a far-future timer re-sampled over and
+  // over, cancelling the previous one — with short events firing in
+  // between, so compaction runs while live entries keep being popped.
+  std::mt19937_64 gen(7);
+  Recorded real;
+  ReferenceQueue ref;
+  std::uniform_real_distribution<double> far(1e3, 1e6);
+  std::uniform_real_distribution<double> near(0.0, 20.0);
+  EventHandle timer;
+  ReferenceQueue::Key timer_key{-1.0, 0};
+  for (int i = 0; i < 20000; ++i) {
+    EXPECT_EQ(real.q.cancel(timer), ref.cancel(timer_key)) << "iteration " << i;
+    const double t = ref.now + far(gen);
+    timer = real.schedule(i, t);
+    timer_key = ref.schedule(i, t);
+    if (i % 10 == 0) {
+      const double s = ref.now + near(gen);
+      real.schedule(-i, s);
+      ref.schedule(-i, s);
+    }
+    if (i % 100 == 0) {
+      const double stop = ref.now + 5.0;
+      EXPECT_EQ(real.q.run_until(stop), ref.run_until(stop)) << "iteration " << i;
+    }
+  }
+  EXPECT_GT(real.q.stats().compactions, 0u);
+  EXPECT_EQ(real.q.run_all(), ref.run_all());
+  expect_matches(real, ref);
+}
+
+TEST(EventQueue, FireBudgetStopsAtExactlyTheBudget) {
+  // The watchdog throws before firing event budget + 1: exactly `budget`
+  // events have run, in order, and the rest stay pending for a caller that
+  // lifts the cap.
+  for (const std::uint64_t budget : {1ULL, 7ULL, 33ULL}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    Recorded real;
+    ReferenceQueue ref;
+    real.q.set_fire_budget(budget);
+    std::mt19937_64 gen(99 + budget);
+    std::uniform_real_distribution<double> span(0.0, 100.0);
+    for (int tag = 0; tag < 64; ++tag) {
+      const double t = span(gen);
+      real.schedule(tag, t);
+      ref.schedule(tag, t);
+    }
+    try {
+      (void)real.q.run_all();
+      ADD_FAILURE() << "fire budget never tripped";
+    } catch (const EventBudgetExceeded& e) {
+      EXPECT_EQ(e.budget(), budget);
+    }
+    for (std::uint64_t i = 0; i < budget; ++i) ref.fire_next();
+    expect_matches(real, ref);
+
+    real.q.set_fire_budget(0);
+    EXPECT_EQ(real.q.run_all(), 64u - budget);
+    (void)ref.run_all();
+    expect_matches(real, ref);
+  }
+}
+
+TEST(EventQueue, SelfReschedulingChainsInterleaveBySequence) {
+  // Callbacks that schedule their own follow-up while firing (the engines'
+  // pattern).  Chains with periods 3 and 7.5 meet at every multiple of 15.
+  // At t = 0 both were scheduled up front, a first; at each later meeting
+  // b's event was scheduled first (b fired at t - 7.5, a at t - 3), so b
+  // fires first.
+  EventQueue q;
+  std::vector<std::pair<char, double>> fired;
+  std::function<void(char, double, int)> chain = [&](char tag, double period, int remaining) {
+    fired.emplace_back(tag, q.now());
+    if (remaining > 1) {
+      (void)q.schedule_in(period, [&chain, tag, period, remaining] {
+        chain(tag, period, remaining - 1);
+      });
+    }
+  };
+  (void)q.schedule(0.0, [&chain] { chain('a', 3.0, 40); });
+  (void)q.schedule(0.0, [&chain] { chain('b', 7.5, 16); });
+  EXPECT_EQ(q.run_until(130.0), 56u);
+  EXPECT_DOUBLE_EQ(q.now(), 130.0);
+
+  std::vector<std::pair<char, double>> expected;
+  for (int i = 0; i < 40; ++i) expected.emplace_back('a', 3.0 * i);
+  for (int i = 0; i < 16; ++i) expected.emplace_back('b', 7.5 * i);
+  std::sort(expected.begin(), expected.end(), [](const auto& x, const auto& y) {
+    if (x.second != y.second) return x.second < y.second;
+    return x.second == 0.0 ? x.first < y.first : x.first > y.first;
+  });
+  EXPECT_EQ(fired, expected);
 }
 
 }  // namespace
