@@ -12,8 +12,9 @@
 // (see test_golden_trajectory.cc for the protocol).
 //
 // Below the pins: the watchdog budget, the fire-budget contract under each
-// failure policy, and the scheduling checks the pending set inherited from
-// sim::EventQueue (non-finite and past event times).
+// failure policy, the scheduling checks the pending set inherited from
+// sim::EventQueue (non-finite and past event times), and the pending set
+// driven beside a reference model through seeded slot scripts.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,8 +26,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/fault.h"
@@ -588,6 +593,162 @@ TEST(DesEngine, ArmingAnArmedSlotThrowsLogicError) {
 TEST(DesEngine, ExtensionEventWithoutAHandlerThrowsLogicError) {
   StrayExtension once(Parameters{}, 1, 1, /*handled=*/false);
   EXPECT_THROW((void)once.run(kTransient, kHorizon), std::logic_error);
+}
+
+// --- the pending set against a reference model ------------------------------
+
+/// Reference model of the slot pending set's contract: a map ordered by
+/// (time, insertion sequence), slow but plainly right, with at most one
+/// pending event per slot.  Fires record (slot, time).
+struct ReferenceSlots {
+  using Key = std::pair<double, std::uint64_t>;
+  static constexpr std::size_t kSlots = 4;
+  std::map<Key, std::size_t> pending;
+  std::optional<Key> armed[kSlots];
+  std::uint64_t next_seq = 0;
+  ckptsim::sim::QueueStats stats;
+  std::vector<std::pair<std::size_t, double>> trace;
+
+  void schedule(std::size_t k, double t) {
+    const Key key{t, next_seq++};
+    pending.emplace(key, k);
+    armed[k] = key;
+    ++stats.scheduled;
+    stats.peak_size = std::max<std::uint64_t>(stats.peak_size, pending.size());
+  }
+  void cancel(std::size_t k) {
+    if (!armed[k]) return;
+    pending.erase(*armed[k]);
+    armed[k].reset();
+    ++stats.cancelled;
+  }
+  void fire_next() {
+    const auto it = pending.begin();
+    trace.emplace_back(it->second, it->first.first);
+    armed[it->second].reset();
+    pending.erase(it);
+    ++stats.fired;
+  }
+};
+
+/// Drives the extension slots from a seeded script beside a ReferenceSlots:
+/// at the end of the warm-up it arms a few slots, and every extension event
+/// pops the reference's next event, then arms free slots at times quantized
+/// to whole minutes (so ties form across slots armed in non-index order),
+/// cancels slots and re-arms the slot that just fired.  Past `max_fires`
+/// the script stops arming and the pending events drain.  The handlers
+/// touch no model state and draw from no model stream.
+class ScriptedSlots final : public DesModel {
+ public:
+  ScriptedSlots(const Parameters& p, std::uint64_t seed, std::uint64_t script_seed,
+                std::size_t max_fires)
+      : DesModel(p, seed), gen_(script_seed), max_fires_(max_fires) {}
+
+  ReferenceSlots ref;
+  std::vector<std::pair<std::size_t, double>> fired;  ///< (slot, now()) as fired
+  ckptsim::sim::QueueStats at_warmup;                  ///< base events only
+
+ protected:
+  void on_warmup_captured() override {
+    at_warmup = queue_stats();
+    for (int i = 0; i < 6; ++i) step(pick(gen_));
+  }
+  void on_extension_event(std::size_t k) override {
+    fired.emplace_back(k, now());
+    ref.fire_next();
+    if (fired.size() >= max_fires_) return;
+    if (coin(gen_) < 0.7) arm(k);
+    const int ops = std::uniform_int_distribution<int>(0, 3)(gen_);
+    for (int i = 0; i < ops; ++i) step(pick(gen_));
+    if (ref.pending.empty()) arm(k);
+  }
+
+ private:
+  void arm(std::size_t k) {
+    if (ref.armed[k]) return;
+    const double t = now() + kMinute * std::uniform_int_distribution<int>(0, 7)(gen_);
+    schedule_at(extension_slot(k), t);
+    ref.schedule(k, t);
+  }
+  void step(std::size_t k) {
+    if (coin(gen_) < 0.7) {
+      arm(k);
+    } else {
+      cancel(extension_slot(k));
+      ref.cancel(k);
+    }
+  }
+
+  std::mt19937_64 gen_;
+  std::uniform_int_distribution<std::size_t> pick{0, ReferenceSlots::kSlots - 1};
+  std::uniform_real_distribution<double> coin{0.0, 1.0};
+  std::size_t max_fires_;
+};
+
+TEST(DesEngine, ExtensionSlotScriptsMatchTheReferenceOnAQuietModel) {
+  // Every failure process and the application I/O are off and the first
+  // checkpoint lies past the horizon, so the extension slots are the only
+  // events that fire: fire order, clock and every queue counter must match
+  // the reference exactly, whether the script is cut by the horizon
+  // (events left pending past it) or drains before it.
+  Parameters p;
+  p.compute_failures_enabled = false;
+  p.io_failures_enabled = false;
+  p.master_failures_enabled = false;
+  p.app_io_enabled = false;
+  p.checkpoint_interval = 1000.0 * kHour;
+  ASSERT_EQ(ReferenceSlots::kSlots, 4u);
+  for (const std::size_t max_fires : {std::size_t{100000}, std::size_t{1500}}) {
+    for (const std::uint64_t script : {1ULL, 2ULL, 3ULL, 20261018ULL}) {
+      SCOPED_TRACE("script " + std::to_string(script) + " max_fires " +
+                   std::to_string(max_fires));
+      ScriptedSlots model(p, 5, script, max_fires);
+      (void)model.run(kTransient, kHorizon);
+      ASSERT_GT(model.fired.size(), 1000u);
+      EXPECT_EQ(model.fired, model.ref.trace);
+      const ckptsim::sim::QueueStats s = model.queue_stats();
+      const ckptsim::sim::QueueStats& base = model.at_warmup;
+      EXPECT_EQ(base.fired, 0u);
+      EXPECT_EQ(base.cancelled, 0u);
+      EXPECT_EQ(s.scheduled, base.scheduled + model.ref.stats.scheduled);
+      EXPECT_EQ(s.fired, model.ref.stats.fired);
+      EXPECT_EQ(s.cancelled, model.ref.stats.cancelled);
+      EXPECT_EQ(s.peak_size, std::max(base.peak_size, base.scheduled + model.ref.stats.peak_size));
+      // What is still armed lies past the end of the run.
+      const double t_end = kTransient + kHorizon;
+      if (max_fires > model.fired.size()) {
+        ASSERT_FALSE(model.ref.pending.empty());
+        EXPECT_GT(model.ref.pending.begin()->first.first, t_end);
+      } else {
+        EXPECT_TRUE(model.ref.pending.empty());
+        EXPECT_LT(model.fired.back().second, t_end);
+      }
+    }
+  }
+}
+
+TEST(DesEngine, ExtensionSlotScriptsMatchTheReferenceBesideBaseEvents) {
+  // On the default model the scripted events interleave with the protocol
+  // and failure events.  The extension events still fire in reference order
+  // at the reference times, the base trajectory is untouched, and the
+  // counters are the plain model's plus the script's.
+  const std::uint64_t seed = ckptsim::sim::replication_seed(kMaster, 0);
+  DesModel base(Parameters{}, seed);
+  const ReplicationResult want = base.run(kTransient, kHorizon);
+  for (const std::uint64_t script : {4ULL, 5ULL}) {
+    SCOPED_TRACE("script " + std::to_string(script));
+    ScriptedSlots model(Parameters{}, seed, script, 100000);
+    const ReplicationResult got = model.run(kTransient, kHorizon);
+    ASSERT_GT(model.fired.size(), 1000u);
+    EXPECT_EQ(model.fired, model.ref.trace);
+    EXPECT_EQ(render(got), render(want));
+    const ckptsim::sim::QueueStats s = model.queue_stats();
+    const ckptsim::sim::QueueStats b = base.queue_stats();
+    EXPECT_EQ(s.scheduled, b.scheduled + model.ref.stats.scheduled);
+    EXPECT_EQ(s.fired, b.fired + model.ref.stats.fired);
+    EXPECT_EQ(s.cancelled, b.cancelled + model.ref.stats.cancelled);
+    EXPECT_GE(s.peak_size, b.peak_size);
+  }
 }
 
 }  // namespace
