@@ -70,7 +70,6 @@ DesModel::DesModel(const Parameters& params, std::uint64_t seed)
            pool_.stream(kSeedNames[2]), pool_.stream(kSeedNames[3]),
            pool_.stream(kSeedNames[4]), pool_.stream(kSeedNames[5]),
            pool_.stream(kSeedNames[6]), pool_.stream(kSeedNames[7])} {
-  std::fill(std::begin(slot_time_), std::end(slot_time_), kEmpty);
   p_.validate();
   if (p_.failure_distribution == FailureDistribution::kWeibull &&
       rates_.independent_rate > 0.0) {
@@ -92,31 +91,37 @@ void DesModel::schedule_at(Slot slot, double t) {
   // never fire.
   if (!std::isfinite(t)) throw std::invalid_argument("DesModel: non-finite event time");
   if (t < now_) throw std::invalid_argument("DesModel: event time in the past");
-  if (slot_time_[slot] != kEmpty) {
+  const std::uint32_t bit = std::uint32_t{1} << slot;
+  if ((armed_ & bit) != 0) {
     throw std::logic_error("DesModel: event slot " + std::to_string(slot) + " already armed");
   }
+  armed_ |= bit;
   slot_time_[slot] = t;
   slot_seq_[slot] = next_seq_++;
-  if (++live_ > peak_live_) peak_live_ = live_;
+  const auto live = static_cast<std::uint64_t>(std::popcount(armed_));
+  if (live > peak_live_) peak_live_ = live;
 }
 
 bool DesModel::fire_next(double t_end) {
-  std::uint32_t best = kNumSlots;
-  double bt = kEmpty;
-  std::uint64_t bs = 0;
-  for (std::uint32_t s = 0; s < kNumSlots; ++s) {
+  // Visit only the armed slots.  (time, seq) pairs are unique, so the
+  // event chosen does not depend on the order the slots are visited in.
+  std::uint32_t mask = armed_;
+  if (mask == 0) return false;
+  std::uint32_t best = static_cast<std::uint32_t>(std::countr_zero(mask));
+  double bt = slot_time_[best];
+  std::uint64_t bs = slot_seq_[best];
+  for (mask &= mask - 1; mask != 0; mask &= mask - 1) {
+    const auto s = static_cast<std::uint32_t>(std::countr_zero(mask));
     const double t = slot_time_[s];
-    if (t == kEmpty) continue;
-    if (best == kNumSlots || t < bt || (t == bt && slot_seq_[s] < bs)) {
+    if (t < bt || (t == bt && slot_seq_[s] < bs)) {
       best = s;
       bt = t;
       bs = slot_seq_[s];
     }
   }
-  if (best == kNumSlots || bt > t_end) return false;
+  if (bt > t_end) return false;
   if (fire_budget_ != 0 && fired_ >= fire_budget_) throw sim::EventBudgetExceeded(fire_budget_);
-  slot_time_[best] = kEmpty;
-  --live_;
+  armed_ &= ~(std::uint32_t{1} << best);
   ++fired_;
   now_ = bt;
   dispatch(static_cast<Slot>(best));
@@ -877,10 +882,8 @@ void DesModel::update_extra_failure_process() {
 
 void DesModel::save_state(snapshot::StateWriter& w) const {
   if (!started_) throw std::logic_error("DesModel::save_state: replication not started");
-  for (std::size_t k = 0; k < kExtensionSlots; ++k) {
-    if (slot_time_[extension_slot(k)] != kEmpty) {
-      throw std::logic_error("DesModel::save_state: subclass events are not serializable");
-    }
+  if ((armed_ >> kNumBaseSlots) != 0) {
+    throw std::logic_error("DesModel::save_state: subclass events are not serializable");
   }
   rng_.fail_compute.save_state(w);
   rng_.fail_io.save_state(w);
@@ -935,8 +938,8 @@ void DesModel::save_state(snapshot::StateWriter& w) const {
   w.u64(cancelled_);
   w.u64(peak_live_);
   for (std::uint32_t s = 0; s < kNumBaseSlots; ++s) {
-    const bool armed = slot_time_[s] != kEmpty;
-    w.f64(slot_time_[s]);
+    const bool armed = ((armed_ >> s) & 1U) != 0;
+    w.f64(armed ? slot_time_[s] : kEmpty);
     w.u64(armed ? slot_seq_[s] : 0);
   }
 }
@@ -1024,7 +1027,7 @@ void DesModel::restore_state(snapshot::StateReader& r) {
   const std::uint64_t peak_live = r.u64();
   double times[kNumBaseSlots];
   std::uint64_t seqs[kNumBaseSlots];
-  std::uint64_t live = 0;
+  std::uint32_t armed = 0;
   for (std::uint32_t s = 0; s < kNumBaseSlots; ++s) {
     times[s] = r.f64();
     seqs[s] = r.u64();
@@ -1042,8 +1045,9 @@ void DesModel::restore_state(snapshot::StateReader& r) {
         throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: duplicate event sequence");
       }
     }
-    ++live;
+    armed |= std::uint32_t{1} << s;
   }
+  const auto live = static_cast<std::uint64_t>(std::popcount(armed));
   // Every scheduled event has fired, been cancelled, or is still armed.
   if (fired > next_seq || cancelled > next_seq - fired ||
       live != next_seq - fired - cancelled || peak_live < live) {
@@ -1051,11 +1055,11 @@ void DesModel::restore_state(snapshot::StateReader& r) {
   }
   std::copy(std::begin(times), std::end(times), slot_time_);
   std::copy(std::begin(seqs), std::end(seqs), slot_seq_);
+  armed_ = armed;
   now_ = now;
   next_seq_ = next_seq;
   fired_ = fired;
   cancelled_ = cancelled;
-  live_ = live;
   peak_live_ = peak_live;
   started_ = true;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -49,10 +50,11 @@ namespace ckptsim {
 ///
 /// Scheduling: the model keeps at most one pending event per kind, so the
 /// pending set is a fixed array of slots, one per event kind, each holding
-/// a (time, insertion-sequence) pair.  The next event is the argmin over
-/// the armed slots (ties in time fire in insertion order, exactly like
-/// sim::EventQueue) and is dispatched by a switch — no heap, no type-erased
-/// callbacks, no allocation.  Subclasses get kExtensionSlots more slots,
+/// a (time, insertion-sequence) pair, and a bit mask records which slots
+/// are armed.  The next event is the argmin over the set bits of the mask
+/// (ties in time fire in insertion order, exactly like sim::EventQueue) and
+/// is dispatched by a switch — no heap, no type-erased callbacks, no
+/// allocation.  Subclasses get kExtensionSlots more slots,
 /// fired through on_extension_event().
 class DesModel {
  public:
@@ -167,6 +169,7 @@ class DesModel {
     kNumSlots = kNumBaseSlots + 4,
   };
   static constexpr std::size_t kExtensionSlots = kNumSlots - kNumBaseSlots;
+  static_assert(kNumSlots <= 32, "the armed-slot mask is 32 bits wide");
   /// Subclass slot `k` (< kExtensionSlots); fires on_extension_event(k).
   [[nodiscard]] static constexpr Slot extension_slot(std::size_t k) noexcept {
     assert(k < kExtensionSlots);
@@ -182,10 +185,10 @@ class DesModel {
   void schedule_in(Slot slot, double dt) { schedule_at(slot, now_ + dt); }
   /// Disarm `slot`; a no-op when it is not armed.
   void cancel(Slot slot) noexcept {
-    if (slot_time_[slot] != kEmpty) {
-      slot_time_[slot] = kEmpty;
+    const std::uint32_t bit = std::uint32_t{1} << slot;
+    if ((armed_ & bit) != 0) {
+      armed_ &= ~bit;
       ++cancelled_;
-      --live_;
     }
   }
   /// Handler of the subclass slots.  The base model arms none and throws
@@ -413,15 +416,16 @@ class DesModel {
  private:
   static constexpr double kEmpty = std::numeric_limits<double>::infinity();
 
-  // Pending set: slot s is armed iff slot_time_[s] != kEmpty; its sequence
-  // number orders it among events scheduled for the same time.
-  double slot_time_[kNumSlots];
+  // Pending set: slot s is armed iff bit s of armed_ is set, and only then
+  // are its time and sequence number meaningful; the sequence number
+  // orders it among events scheduled for the same time.
+  std::uint32_t armed_ = 0;
+  double slot_time_[kNumSlots] = {};
   std::uint64_t slot_seq_[kNumSlots] = {};
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;  ///< = events scheduled so far
   std::uint64_t fired_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::uint64_t live_ = 0;
   std::uint64_t peak_live_ = 0;
   std::uint64_t fire_budget_ = 0;  ///< 0 = unlimited
   std::uint64_t hook_every_ = 0;   ///< 0 = no post-fire hook
