@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/nodelevel/node_level_model.h"
 #include "src/sim/distributions.h"
+#include "src/sim/rng.h"
 
 namespace {
 
@@ -132,6 +136,54 @@ TEST(NodeLevel, StragglerIsTrackedPerCoordination) {
   // No node should dominate: i.i.d. quiesce times make stragglers uniform.
   const auto max_count = *std::max_element(stragglers.begin(), stragglers.end());
   EXPECT_LT(max_count, total / 20u + 5u);
+}
+
+/// The coordination diagnostics of one replication: every straggler count
+/// and the latency summary, doubles at full precision.
+std::string render_coordination(const NodeLevelModel& model) {
+  std::string s;
+  for (const std::uint32_t n : model.straggler_counts()) s += std::to_string(n) + ",";
+  const auto& lat = model.coordination_latency();
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "|%" PRIu64 "|%.17g|%.17g|%.17g|%.17g", lat.count(), lat.mean(),
+                lat.variance(), lat.min(), lat.max());
+  return s + buf;
+}
+
+TEST(NodeLevel, StragglerCountsAndCoordinationLatencyArePinned) {
+  // The per-node maximum's exact output at fixed seeds: which node was the
+  // straggler of each coordination and the latencies drawn.  A change to
+  // how the maximum is drawn must reproduce both bit for bit.
+  struct Pin {
+    bool failures;
+    std::uint64_t seed;
+    std::uint64_t count;
+    std::uint64_t digest;  ///< fnv1a64(render_coordination)
+  };
+  constexpr Pin kPins[] = {
+      {false, 13, 555, 0xf765b0c459636c16ULL},
+      {true, 7, 478, 0x98d41f0915456b4eULL},
+      {true, 21, 461, 0x208ecfed77f00614ULL},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE("failures " + std::to_string(pin.failures) + " seed " +
+                 std::to_string(pin.seed));
+    Parameters p = small_machine();
+    if (!pin.failures) {
+      p.compute_failures_enabled = false;
+      p.io_failures_enabled = false;
+      p.master_failures_enabled = false;
+    }
+    NodeLevelModel model(p, pin.seed);
+    (void)model.run(0.0, 300.0 * kHour);
+    const std::string text = render_coordination(model);
+    char row[96];
+    std::snprintf(row, sizeof row, "{%s, %" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64 "ULL}",
+                  pin.failures ? "true" : "false", pin.seed,
+                  model.coordination_latency().count(), ckptsim::sim::fnv1a64(text));
+    EXPECT_EQ(model.coordination_latency().count(), pin.count) << row;
+    EXPECT_EQ(ckptsim::sim::fnv1a64(text), pin.digest) << row;
+  }
 }
 
 TEST(NodeLevel, NonMaxCoordinationModesDelegateToBase) {
