@@ -33,13 +33,21 @@ double NodeLevelModel::sample_coordination_time() {
   }
   // Explicit maximum over every node's quiesce time; a node's quiesce time
   // is the maximum over its processors' i.i.d. exponential times, sampled
-  // directly from the closed-form per-node distribution.
+  // directly from the closed-form per-node distribution.  The inverse CDF
+  // is non-decreasing, so a node whose draw does not beat the largest one
+  // so far cannot beat `worst`: only record draws (about ln n of them) are
+  // transformed, and `worst` and the straggler come out exactly as if
+  // every node's time were.
   const sim::MaxOfExponentials per_node(p_.processors_per_node, p_.mttq);
   const std::uint64_t n = p_.nodes();
   double worst = 0.0;
+  double record = -1.0;  // below every unit draw
   std::uint64_t straggler = 0;
   for (std::uint64_t node = 0; node < n; ++node) {
-    const double t = per_node.sample(rng_quiesce_);
+    const double u = rng_quiesce_.uniform();
+    if (u <= record) continue;
+    record = u;
+    const double t = per_node.sample_from_unit(u);
     if (t > worst) {
       worst = t;
       straggler = node;

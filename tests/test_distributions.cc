@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sim/distributions.h"
 #include "src/sim/rng.h"
@@ -69,6 +73,51 @@ TEST(MaxOfExponentials, HarmonicNumberMean) {
   EXPECT_NEAR(d.mean(), 2.0 * 25.0 / 12.0, 1e-12);
   const Summary s = sample_many(d);
   EXPECT_NEAR(s.mean(), d.mean(), 0.08);
+}
+
+TEST(MaxOfExponentials, SampleFromUnitIsNonDecreasing) {
+  // The node-level engine transforms only the unit draws that beat the
+  // largest so far, which reproduces the per-node maximum exactly only
+  // because the transform never decreases.  Check it over sorted random
+  // draws and over walks of consecutive doubles near 0, 0.5 and 1.  Near 0
+  // the walks start at the smallest normal double and at 2^-64: 0 is
+  // transformed as the smallest normal, so subnormal inputs map below it,
+  // but Rng::uniform() never returns one (its least positive value is
+  // 2^-64).
+  const auto walk = [](const MaxOfExponentials& d, double from, double to, int steps) {
+    double u = from;
+    double prev = d.sample_from_unit(u);
+    for (int i = 0; i < steps && u < to; ++i) {
+      u = std::nextafter(u, to);
+      const double t = d.sample_from_unit(u);
+      if (t < prev) return u;
+      prev = t;
+    }
+    return -1.0;  // no violation
+  };
+  Rng rng(20261018);
+  std::vector<double> draws(200000);
+  for (double& u : draws) u = rng.uniform();
+  std::sort(draws.begin(), draws.end());
+  const double below_one = std::nextafter(1.0, 0.0);
+  for (const std::uint64_t n : {1ULL, 2ULL, 8ULL, 16ULL, 1000ULL, 1ULL << 20, 1ULL << 30}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const MaxOfExponentials d(n, 3.0);
+    for (std::size_t i = 1; i < draws.size(); ++i) {
+      ASSERT_LE(d.sample_from_unit(draws[i - 1]), d.sample_from_unit(draws[i]))
+          << "u " << draws[i - 1] << " -> " << draws[i];
+    }
+    const double min_normal = std::ldexp(1.0, -1022);
+    EXPECT_EQ(d.sample_from_unit(0.0), d.sample_from_unit(min_normal));
+    EXPECT_EQ(walk(d, min_normal, 1.0, 100000), -1.0);
+    EXPECT_EQ(walk(d, std::ldexp(1.0, -64), 1.0, 100000), -1.0);
+    double low = 0.5;
+    for (int i = 0; i < 50000; ++i) low = std::nextafter(low, 0.0);
+    EXPECT_EQ(walk(d, low, 1.0, 100000), -1.0);
+    double high = below_one;
+    for (int i = 0; i < 100000; ++i) high = std::nextafter(high, 0.0);
+    EXPECT_EQ(walk(d, high, below_one, 100000), -1.0);
+  }
 }
 
 TEST(MaxOfExponentials, LogarithmicGrowth) {
