@@ -93,6 +93,27 @@ struct FigureHarness {
 
   int run_or_throw(int argc, const char* const* argv) const {
     const ckptsim::report::Cli cli(argc, argv);
+    // Only the flags read here and by bench_spec: a typo'd flag (--rep 3)
+    // must not run the full-fidelity default it masked, and the figures
+    // run the DES engine only, so --engine is unknown too.
+    std::vector<ckptsim::report::FlagSpec> known = ckptsim::report::bench_spec_flags();
+    known.insert(known.end(), {{"--journal", true},
+                               {"--resume", false},
+                               {"--progress", false},
+                               {"--metrics-out", true}});
+    if (const auto valued = cli.valued_switches(known); !valued.empty()) {
+      std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
+      return 1;
+    }
+    if (const auto unknown = cli.unknown_flags(known); !unknown.empty()) {
+      for (const std::string& flag : unknown) {
+        std::cerr << "error: unknown option '" << flag << "'";
+        const std::string hint = ckptsim::report::Cli::suggest(flag, known);
+        if (!hint.empty()) std::cerr << " (did you mean '" << hint << "'?)";
+        std::cerr << "\n";
+      }
+      return 1;
+    }
     ckptsim::RunSpec spec = ckptsim::report::bench_spec(cli);
     detail::arm_sigint();
     spec.cancel = &detail::interrupt_flag();

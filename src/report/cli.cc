@@ -147,7 +147,8 @@ RunSpec bench_spec(const Cli& cli) {
   spec.exec.jobs = cli.count("--jobs", 0);
   // Precision-driven mode: --rel-precision enables the sequential stopper
   // (off by default, so plain invocations stay byte-identical); the bounds
-  // flags refine the round schedule only when it is on.
+  // flags refine the round schedule only when it is on, so without it they
+  // are an error rather than a silently ignored knob.
   spec.sequential.rel_precision = cli.number("--rel-precision", 0.0);
   spec.sequential.min_replications =
       cli.count("--min-replications", spec.sequential.min_replications);
@@ -157,7 +158,24 @@ RunSpec bench_spec(const Cli& cli) {
     throw std::invalid_argument(
         "'--scheduler' was removed: every engine now uses the binary-heap event queue");
   }
+  if (!spec.sequential.enabled()) {
+    for (const char* flag : {"--min-replications", "--max-replications"}) {
+      if (cli.given(flag)) {
+        throw std::invalid_argument(std::string("'") + flag +
+                                    "' needs '--rel-precision': without it the fixed --reps "
+                                    "count runs");
+      }
+    }
+  }
   return spec;
+}
+
+std::vector<FlagSpec> bench_spec_flags() {
+  return {{"--quick", false},          {"--seed", true},
+          {"--reps", true},            {"--horizon-hours", true},
+          {"--jobs", true},            {"--rel-precision", true},
+          {"--min-replications", true}, {"--max-replications", true},
+          {"--scheduler", true}};
 }
 
 }  // namespace ckptsim::report

@@ -71,9 +71,13 @@ void apply_parameter_flags(const Cli& cli, Parameters* p);
 /// precision-driven replications (sequential stopping at relative CI
 /// half-width R, bounded by `--min-replications` / `--max-replications`);
 /// without it the fixed `--reps` count is used and output is byte-identical
-/// to earlier builds.  The removed `--scheduler` flag throws
-/// std::invalid_argument: every engine uses the binary-heap event queue.
+/// to earlier builds, and either bound flag throws std::invalid_argument.
+/// The removed `--scheduler` flag throws too: every engine uses the
+/// binary-heap event queue.
 [[nodiscard]] RunSpec bench_spec(const Cli& cli);
+/// The flags bench_spec reads (`--scheduler` included, so that naming it
+/// reaches bench_spec's error).
+[[nodiscard]] std::vector<FlagSpec> bench_spec_flags();
 
 /// True when quick mode is active (flag or environment).
 [[nodiscard]] bool quick_mode(const Cli& cli);

@@ -117,6 +117,31 @@ void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
       fail("unknown spec key '" + key + "'");
     }
   }
+  // The bounds act only under sequential stopping and the retry budget
+  // only under retry: without their switch they are an error, not a key
+  // that silently does nothing.
+  if (!spec->sequential.enabled()) {
+    for (const char* key : {"min_replications", "max_replications"}) {
+      if (obj.find(key) != nullptr) {
+        fail(std::string("spec key '") + key +
+             "' needs 'rel_precision': without it the fixed 'reps' count runs");
+      }
+    }
+  }
+  if (obj.find("max_retries") != nullptr &&
+      spec->on_failure.mode != FailurePolicy::Mode::kRetry) {
+    fail("spec key 'max_retries' needs \"on_failure\":\"retry\"");
+  }
+}
+
+/// Fail when the request's "params" object sets `key`, which `by` overrides
+/// at every point the request runs.
+void reject_overridden_param(const obs::JsonValue& root, const char* key, const std::string& by) {
+  const obs::JsonValue* params = root.find("params");
+  if (params != nullptr && params->find(key) != nullptr) {
+    fail(std::string("params key '") + key + "' is overridden by " + by +
+         ", which sets it at every point");
+  }
 }
 
 void parse_sweep(const obs::JsonValue& root, Request* out) {
@@ -154,6 +179,7 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
   if (out->axis != "interval" && out->axis != "processors") {
     fail("sweep requires axis \"interval\" or \"processors\"");
   }
+  reject_overridden_param(root, axis_key(out->axis), "axis \"" + out->axis + "\"");
   if (out->values.empty()) {
     out->values = out->axis == "interval" ? figure4_interval_axis_minutes()
                                           : figure4_processor_axis();
@@ -259,6 +285,14 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
     }
   }
   if (out->id.empty()) fail("optimize requires a non-empty 'id'");
+  // The search sets the processor count and policy of every candidate when
+  // it is given candidates for them.  (It sets the interval too, but
+  // "interval_min" stays accepted here: the parameter-table tests drive
+  // every params key through this op.)
+  if (!out->opt.processor_candidates.empty()) {
+    reject_overridden_param(root, "processors", "key 'processors'");
+  }
+  if (!out->opt.policies.empty()) reject_overridden_param(root, "proactive_policy", "key 'policies'");
   // Same up-front contract as sweep: validate the search space and every
   // (policy, interval-endpoint) combination the searcher will instantiate.
   try {
@@ -278,6 +312,10 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
 }
 
 }  // namespace
+
+const char* axis_key(const std::string& axis) {
+  return axis == "interval" ? "interval_min" : "processors";
+}
 
 Parameters apply_axis(const std::string& axis, Parameters base, double x) {
   if (axis == "interval") {

@@ -57,6 +57,12 @@ namespace ckptsim::svc {
 /// confidence, rel_precision, min_replications, max_replications,
 /// on_failure ("fail"|"retry"|"skip"), max_retries, max_events.  The removed
 /// key `scheduler` gets its own error: every engine uses the binary heap.
+/// min_replications / max_replications need rel_precision, and max_retries
+/// needs "on_failure":"retry".
+///
+/// A `params` key the request itself overrides is an error: a sweep's axis
+/// field (interval_min or processors), and under optimize processors /
+/// proactive_policy beside a non-empty processors / policies list.
 ///
 /// Parsing is strict: an unknown key anywhere, a wrong type, or a value
 /// that fails Parameters/RunSpec validation rejects the whole request —
@@ -81,6 +87,11 @@ struct Request {
 /// one-line description on any syntax, schema, or validation failure;
 /// `*out` is fully populated (axis applied defaults, validated) on success.
 [[nodiscard]] bool parse_request(std::string_view line, Request* out, std::string* error);
+
+/// The params key a sweep along `axis` sets at every point: "interval_min"
+/// for "interval", "processors" for "processors".  A request (or command
+/// line) that also sets it is rejected: the axis would override it.
+[[nodiscard]] const char* axis_key(const std::string& axis);
 
 /// Parameters of one sweep point: `base` with `axis` set to `x`, exactly as
 /// the CLI's --sweep mode applies it (interval in minutes, processors as a

@@ -88,13 +88,15 @@ Precision-driven replications (run and sweep modes):
                           points stay CRN-paired by replication index [off]
   --min-replications N    first round / floor             [5]
   --max-replications N    replication budget ceiling      [64]
+                          (both bounds need --rel-precision)
 
 Fault tolerance (run and sweep modes):
   --on-failure MODE       fail | retry | skip           [fail]
                           fail: rethrow the first failure (by index)
                           retry: re-run failed replications, derived seeds
                           skip: drop failed replications, report them
-  --max-retries N         extra attempts per replication (retry mode) [2]
+  --max-retries N         extra attempts per replication; needs
+                          --on-failure retry                  [2]
   --max-events N          per-replication event watchdog, 0 = unlimited [0]
   --snapshot-every-events N  capture a crash-resume snapshot of each
                           replication every N fired events (0 = off);
@@ -104,7 +106,8 @@ Fault tolerance (run and sweep modes):
                           uninterrupted run; stale or corrupt snapshots
                           are rejected, never partially loaded [0]
   --snapshot-dir DIR      directory for replication snapshots (created if
-                          missing; snapshots are deleted on completion)
+                          missing; snapshots are deleted on completion);
+                          needs --snapshot-every-events
   SIGINT (^C) cancels cooperatively: in-flight work finishes, completed
   sweep points are journaled, partial artifacts are flushed atomically.
 
@@ -141,12 +144,15 @@ Optimizer (grid + golden-section, CRN-paired candidates):
   --optimize-refine N     golden-section iterations           [10]
   --optimize-processors a,b,c   processor counts to compare   [--processors]
   --optimize-policies a,b,c     proactive policies to compare [--proactive-policy]
+  The search sets the interval, so --interval-min is an error here, and so
+  are --processors and --proactive-policy beside the list that replaces them.
   --journal FILE / --resume     reuse the sweep journal: a killed search
                           resumed recomputes only unfinished candidates
   --csv FILE              write every evaluated candidate
 
 Sweep (crash-safe parameter studies):
-  --sweep AXIS            interval (minutes) | processors
+  --sweep AXIS            interval (minutes) | processors; the axis's own
+                          flag (--interval-min, --processors) is an error
   --sweep-values a,b,c    explicit x values              [paper's axis]
   --csv FILE              write the series CSV (atomic temp+rename)
   --journal FILE          append each completed point (fsync'd JSONL);
@@ -283,6 +289,41 @@ int reject_unread_flags(const ckptsim::report::Cli& cli, unsigned mode) {
   return 0;
 }
 
+/// Exit status 1, after an error line, when a parameter flag is given that
+/// the mode sets itself at every point it runs: a sweep's axis field, and
+/// the optimizer's interval plus the processor count and policy when it is
+/// given candidates for them (without candidates, --processors and
+/// --proactive-policy are the optimizer's one candidate each); 0 otherwise.
+int reject_overridden_flags(const ckptsim::report::Cli& cli, unsigned mode) {
+  struct Override {
+    const char* key;  ///< the overridden parameter's key
+    std::string by;   ///< the flag that overrides it
+  };
+  std::vector<Override> overrides;
+  if (mode == kSweep) {
+    const std::string axis = cli.value("--sweep");
+    if (axis == "interval" || axis == "processors") {
+      overrides.push_back({ckptsim::svc::axis_key(axis), "--sweep " + axis});
+    }
+  } else if (mode == kOptimize) {
+    overrides.push_back({"interval_min", "--optimize"});
+    if (cli.given("--optimize-processors")) {
+      overrides.push_back({"processors", "--optimize-processors"});
+    }
+    if (cli.given("--optimize-policies")) {
+      overrides.push_back({"proactive_policy", "--optimize-policies"});
+    }
+  }
+  for (const Override& o : overrides) {
+    const char* flag = ckptsim::cli_flag(*ckptsim::find_parameter_key(o.key));
+    if (!cli.given(flag)) continue;
+    std::cerr << "error: '" << flag << "' is overridden by '" << o.by
+              << "', which sets it at every point\n";
+    return 1;
+  }
+  return 0;
+}
+
 /// The comma-separated items of `flag`'s value; empty items are skipped.
 std::vector<std::string> list_items(const std::string& csv_list, const char* flag) {
   std::vector<std::string> items;
@@ -329,6 +370,9 @@ ckptsim::FailurePolicy parse_policy(const ckptsim::report::Cli& cli) {
     throw std::invalid_argument("unknown --on-failure '" + mode + "' (fail|retry|skip)");
   }
   policy.max_retries = cli.count("--max-retries", 2);
+  if (cli.given("--max-retries") && policy.mode != ckptsim::FailurePolicy::Mode::kRetry) {
+    throw std::invalid_argument("'--max-retries' needs '--on-failure retry'");
+  }
   return policy;
 }
 
@@ -594,6 +638,7 @@ int main(int argc, char** argv) {
     RunSpec spec = report::bench_spec(cli);  // first: it names the removed --scheduler
     const unsigned mode = select_mode(cli, p);
     if (const int rc = reject_unread_flags(cli, mode); rc != 0) return rc;
+    if (const int rc = reject_overridden_flags(cli, mode); rc != 0) return rc;
     if (mode == kJob) {
       const double job_hours = cli.number("--job-hours", 0.0);
       JobSpec job;
@@ -623,6 +668,9 @@ int main(int argc, char** argv) {
     spec.watchdog.max_events = cli.count("--max-events", 0);
     spec.snapshot_every_events = cli.count("--snapshot-every-events", 0);
     spec.snapshot_dir = cli.value("--snapshot-dir");
+    if (spec.snapshot_every_events == 0 && cli.given("--snapshot-dir")) {
+      throw std::invalid_argument("'--snapshot-dir' needs '--snapshot-every-events N' (N > 0)");
+    }
     if (spec.snapshot_every_events > 0) {
       if (spec.snapshot_dir.empty()) {
         std::cerr << "error: --snapshot-every-events requires --snapshot-dir\n";

@@ -51,7 +51,8 @@ void print_help() {
                   a restarted daemon resumes interrupted replications from
                   these snapshots, bit-identical to an uninterrupted run [0]
   --snapshot-dir DIR  directory for replication snapshots (created if
-                  missing; required with --snapshot-every-events)
+                  missing; required with --snapshot-every-events and an
+                  error without it)
   --jobs N        simulation worker threads [auto: CKPTSIM_JOBS, hardware]
   --max-queue N   campaigns queued+running before requests are rejected [8]
   --metrics-out FILE  write the metrics JSON snapshot on shutdown
@@ -113,6 +114,10 @@ int main(int argc, char** argv) {
     config.ledger_path = cli.value("--ledger");
     config.snapshot_every_events = cli.count("--snapshot-every-events", 0);
     config.snapshot_dir = cli.value("--snapshot-dir");
+    if (config.snapshot_every_events == 0 && cli.given("--snapshot-dir")) {
+      std::cerr << "error: '--snapshot-dir' needs '--snapshot-every-events N' (N > 0)\n";
+      return 1;
+    }
     svc::CampaignServer server(config);
     if (server.cache().loaded() > 0) {
       std::cerr << "ckptsimd: cache '" << config.cache_path << "': " << server.cache().loaded()
