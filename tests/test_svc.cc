@@ -795,6 +795,31 @@ TEST(SvcServer, ReadmitRetiresLedgerLinesThatNoLongerParse) {
   EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger.path).pending().empty());
 }
 
+TEST(SvcServer, ReadmitRetiresLedgerLinesWithKnobsThatWereIgnored) {
+  // A campaign an older build admitted while silently ignoring a knob (an
+  // overridden axis field, a sub-knob without its switch) is answered
+  // with one error on restart and retired, not re-run.
+  TempFile ledger("readmit_knobs_ledger");
+  {
+    ckptsim::svc::CampaignLedger seed(ledger.path);
+    seed.admit("axis", R"({"op":"sweep","id":"axis","axis":"interval","values":[30],)"
+                       R"("params":{"interval_min":45},"spec":{"reps":2}})");
+    seed.admit("bounds", R"({"op":"sweep","id":"bounds","axis":"interval","values":[30],)"
+                         R"("spec":{"reps":2,"min_replications":9}})");
+  }
+  ServerConfig config;
+  config.ledger_path = ledger.path;
+  CampaignServer server(config);
+  Collector out;
+  EXPECT_EQ(server.readmit_pending(out.sink()), 0u);
+  server.stop();
+  ASSERT_EQ(out.lines.size(), 2u);
+  EXPECT_EQ(out.type(0), "error");
+  EXPECT_EQ(out.type(1), "error");
+  EXPECT_EQ(server.metrics().service().snapshot().replications_run, 0u);
+  EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger.path).pending().empty());
+}
+
 TEST(SvcServer, MalformedLinesGetErrorResponses) {
   CampaignServer server(ServerConfig{});
   Collector out;
