@@ -4,13 +4,18 @@
 //
 // Invoked with --engine-json=PATH the binary instead runs a fixed engine
 // harness and writes BENCH_engine.json: events/sec and firings/sec of the
-// event queue and the SAN executor (incremental vs forced full-rescan
-// refresh), plus heap allocations per event in steady state — the CI smoke
-// step asserts the latter is zero.
+// event queue, the SAN executor (incremental vs forced full-rescan
+// refresh) and the DES engine, plus heap allocations per event in steady
+// state — the CI smoke step asserts the latter is zero.  Each section's
+// work is sized so that one run lasts at least a second, and the section
+// runs several times: events_per_sec is the mean over the runs, with its
+// 95% confidence half-width beside it.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +31,8 @@
 #include "src/sim/distributions.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
+#include "src/stats/confidence.h"
+#include "src/stats/summary.h"
 
 // --- global allocation counter ----------------------------------------------
 // Counts every heap allocation in the process so the engine harness can
@@ -212,18 +219,63 @@ struct EngineSample {
   double seconds = 0.0;
 };
 
-void write_sample(ckptsim::obs::JsonWriter& w, const char* name, const EngineSample& s) {
+/// Timed runs per section, and the least time one run must take.
+constexpr int kRuns = 5;
+constexpr double kMinRunSeconds = 1.0;
+
+/// kRuns runs of one section's work: the per-run counts, and events/sec
+/// across the runs.
+struct Section {
+  EngineSample total;  ///< summed over the runs
+  ckptsim::stats::Summary events_per_sec;
+};
+
+/// The work scale at which `run(scale)` lasts at least kMinRunSeconds with
+/// 25% to spare for the spread between runs: start at 1 and grow by the
+/// missing factor (aiming at 1.5x the bound, at least doubling).  The run
+/// that reaches it doubles as the warm-up.
+template <typename Run>
+std::uint64_t calibrate(const Run& run) {
+  std::uint64_t scale = 1;
+  for (;;) {
+    const double seconds = run(scale).seconds;
+    if (seconds >= 1.25 * kMinRunSeconds) return scale;
+    const double grow = std::clamp(1.5 * kMinRunSeconds / std::max(seconds, 1e-6), 2.0, 1024.0);
+    scale = static_cast<std::uint64_t>(std::ceil(static_cast<double>(scale) * grow));
+  }
+}
+
+template <typename Run>
+Section measure(const Run& run, std::uint64_t scale) {
+  Section s;
+  for (int i = 0; i < kRuns; ++i) {
+    const EngineSample r = run(scale);
+    s.total.events += r.events;
+    s.total.firings += r.firings;
+    s.total.allocs += r.allocs;
+    s.total.enabling_evals += r.enabling_evals;
+    s.total.seconds += r.seconds;
+    s.events_per_sec.add(r.seconds > 0.0 ? static_cast<double>(r.events) / r.seconds : 0.0);
+  }
+  return s;
+}
+
+void write_section(ckptsim::obs::JsonWriter& w, const char* name, const Section& s) {
+  const EngineSample& t = s.total;
+  const auto per_event = [&t](std::uint64_t n) {
+    return t.events > 0 ? static_cast<double>(n) / static_cast<double>(t.events) : 0.0;
+  };
   w.key(name);
   w.begin_object();
-  w.kv("events", s.events);
-  w.kv("firings", s.firings);
-  w.kv("seconds", s.seconds);
-  w.kv("events_per_sec", s.seconds > 0.0 ? static_cast<double>(s.events) / s.seconds : 0.0);
-  w.kv("firings_per_sec", s.seconds > 0.0 ? static_cast<double>(s.firings) / s.seconds : 0.0);
-  w.kv("allocs_per_event",
-       s.events > 0 ? static_cast<double>(s.allocs) / static_cast<double>(s.events) : 0.0);
-  w.kv("enabling_evals_per_event",
-       s.events > 0 ? static_cast<double>(s.enabling_evals) / static_cast<double>(s.events) : 0.0);
+  w.kv("runs", static_cast<std::uint64_t>(kRuns));
+  w.kv("events", t.events / kRuns);  // per run: every run does the same work
+  w.kv("firings", t.firings / kRuns);
+  w.kv("seconds", t.seconds / kRuns);
+  w.kv("events_per_sec", s.events_per_sec.mean());
+  w.kv("events_per_sec_ci95", ckptsim::stats::mean_confidence(s.events_per_sec).half_width);
+  w.kv("firings_per_sec", t.seconds > 0.0 ? static_cast<double>(t.firings) / t.seconds : 0.0);
+  w.kv("allocs_per_event", per_event(t.allocs));
+  w.kv("enabling_evals_per_event", per_event(t.enabling_evals));
   w.end_object();
 }
 
@@ -292,31 +344,40 @@ EngineSample run_des(const Parameters& p, std::size_t reps, double horizon) {
   return s;
 }
 
+/// An incremental and a full-rescan SAN executor section, each over a
+/// window of `horizon - warm` seconds per unit of its own scale, and the
+/// incremental refresh's events/sec over the full rescan's.
+void write_executor_pair(ckptsim::obs::JsonWriter& w, const std::string& name,
+                         const ckptsim::san::Model& m, double warm, double horizon) {
+  const auto window = [&m, warm, horizon](bool full) {
+    return [&m, warm, horizon, full](std::uint64_t scale) {
+      return run_executor_window(m, full, warm,
+                                 warm + (horizon - warm) * static_cast<double>(scale));
+    };
+  };
+  const Section inc = measure(window(false), calibrate(window(false)));
+  const Section full = measure(window(true), calibrate(window(true)));
+  write_section(w, name.c_str(), inc);
+  write_section(w, (name + "_full_rescan").c_str(), full);
+  const double full_eps = full.events_per_sec.mean();
+  w.kv(name + "_speedup_vs_full_rescan",
+       full_eps > 0.0 ? inc.events_per_sec.mean() / full_eps : 0.0);
+}
+
 int run_engine_report(const std::string& path) {
   ckptsim::obs::JsonWriter w;
   w.begin_object();
   w.kv("schema", "ckptsim/bench-engine/v1");
 
-  write_sample(w, "event_queue", run_queue_window(2'000'000));
+  const auto queue = [](std::uint64_t scale) { return run_queue_window(2'000'000 * scale); };
+  write_section(w, "event_queue", measure(queue, calibrate(queue)));
 
   // The paper's 12-submodel checkpoint model: the real hot path.
   const ckptsim::SanCheckpointModel model{Parameters{}};
-  const double warm = 100.0 * kHour, horizon = 2100.0 * kHour;
-  const auto ckpt_inc = run_executor_window(model.model(), false, warm, horizon);
-  const auto ckpt_full = run_executor_window(model.model(), true, warm, horizon);
-  write_sample(w, "san_checkpoint", ckpt_inc);
-  write_sample(w, "san_checkpoint_full_rescan", ckpt_full);
-  w.kv("san_checkpoint_speedup_vs_full_rescan",
-       ckpt_inc.seconds > 0.0 ? ckpt_full.seconds / ckpt_inc.seconds : 0.0);
+  write_executor_pair(w, "san_checkpoint", model.model(), 100.0 * kHour, 2100.0 * kHour);
 
   // The wide net: per-event work must not scale with model size.
-  const auto wide = make_wide_model(128);
-  const auto wide_inc = run_executor_window(wide, false, 50.0, 1050.0);
-  const auto wide_full = run_executor_window(wide, true, 50.0, 1050.0);
-  write_sample(w, "san_wide_128", wide_inc);
-  write_sample(w, "san_wide_128_full_rescan", wide_full);
-  w.kv("san_wide_128_speedup_vs_full_rescan",
-       wide_inc.seconds > 0.0 ? wide_full.seconds / wide_inc.seconds : 0.0);
+  write_executor_pair(w, "san_wide_128", make_wide_model(128), 50.0, 1050.0);
 
   // The DES engine at the paper's largest machine (256K processors), one
   // replication at a time as the drivers run it.  The window includes
@@ -324,7 +385,10 @@ int run_engine_report(const std::string& path) {
   // allocs_per_event is amortized-small instead of zero.
   Parameters big;
   big.num_processors = 262144;
-  write_sample(w, "des_256k", run_des(big, /*reps=*/8, /*horizon=*/600.0 * kHour));
+  const auto des = [&big](std::uint64_t scale) {
+    return run_des(big, /*reps=*/8 * scale, /*horizon=*/600.0 * kHour);
+  };
+  write_section(w, "des_256k", measure(des, calibrate(des)));
 
   w.end_object();
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -292,7 +292,9 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
   if (!out->opt.processor_candidates.empty()) {
     reject_overridden_param(root, "processors", "key 'processors'");
   }
-  if (!out->opt.policies.empty()) reject_overridden_param(root, "proactive_policy", "key 'policies'");
+  if (!out->opt.policies.empty()) {
+    reject_overridden_param(root, "proactive_policy", "key 'policies'");
+  }
   // Same up-front contract as sweep: validate the search space and every
   // (policy, interval-endpoint) combination the searcher will instantiate.
   try {

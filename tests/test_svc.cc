@@ -294,7 +294,8 @@ TEST(SvcProtocol, KeepsKnobsTheRequestReads) {
   // optimizer's base processors and policy when it has no list for them,
   // and the sub-knobs beside their switch.
   for (const char* line : {
-           R"({"op":"sweep","id":"a","axis":"interval","values":[30],"params":{"processors":8192}})",
+           R"({"op":"sweep","id":"a","axis":"interval","values":[30],)"
+           R"("params":{"processors":8192}})",
            R"({"op":"sweep","id":"a","axis":"processors","values":[8192],)"
            R"("params":{"interval_min":45}})",
            R"({"op":"optimize","id":"o","grid":3,"refine":0,)"
