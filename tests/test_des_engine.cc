@@ -6,15 +6,18 @@
 // EventCounts, the queue telemetry (scheduled / fired / cancelled / live
 // peak) and the full EventLog, for the configurations that exercise
 // distinct handler paths, the node-level subclass, job-completion mode and
-// trace replay.  The constants were captured from the event-queue engine
-// this one replaced.  Any change to event order, RNG consumption or
-// sampling moves a constant; re-pin only for an intentional model change
-// (see test_golden_trajectory.cc for the protocol).
+// trace replay.  The grid constants were captured from the event-queue
+// engine this one replaced; the application-cycle edge cases and the
+// unlogged job runs were captured from the slot engine before its
+// application events got their own loop.  Any change to event order, RNG
+// consumption or sampling moves a constant; re-pin only for an intentional
+// model change (see test_golden_trajectory.cc for the protocol).
 //
 // Below the pins: the watchdog budget, the fire-budget contract under each
 // failure policy, the scheduling checks the pending set inherited from
-// sim::EventQueue (non-finite and past event times), and the pending set
-// driven beside a reference model through seeded slot scripts.
+// sim::EventQueue (non-finite and past event times), the pending set
+// driven beside a reference model through seeded slot scripts, and runs
+// without an event log checked against the same runs with one.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -40,7 +43,9 @@
 #include "src/model/parameters.h"
 #include "src/nodelevel/node_level_model.h"
 #include "src/obs/metrics.h"
+#include "src/proactive/proactive_model.h"
 #include "src/sim/rng.h"
+#include "src/snapshot/state_io.h"
 #include "src/trace/event_log.h"
 
 namespace {
@@ -186,9 +191,23 @@ Observed observe_runner(const Parameters& params, std::uint64_t seed) {
 /// defaults, correlated propagation windows, the generic-correlated toggle
 /// (both smooth and phase-switching), Weibull interarrivals, incremental
 /// dump chains, synchronous FS writes, and a nonzero coordination timeout.
+/// Then the application-cycle edge cases: writes that outlast the 3-minute
+/// cycle (400 MB per node is a 204.8 s write), so bursts queue behind them;
+/// bursts with no data to write; no bursts at all (compute fraction 1);
+/// and a write that ends exactly when the next burst begins (compute
+/// fraction 0.5 with a 90 s write), a tie broken by insertion order.
 Parameters config(const std::string& name) {
   Parameters p;
-  if (name == "correlated") {
+  if (name == "long_writes") {
+    p.app_io_data_per_node = 400.0 * ckptsim::units::kMB;
+  } else if (name == "no_app_data") {
+    p.app_io_data_per_node = 0.0;
+  } else if (name == "compute_only") {
+    p.compute_fraction = 1.0;
+  } else if (name == "toggle_write_tie") {
+    p.compute_fraction = 0.5;
+    p.app_io_data_per_node = 175781250.0;  // 64 nodes x 175.78125 MB / 125 MB/s = 90 s
+  } else if (name == "correlated") {
     p.prob_correlated = 0.3;
     p.correlated_window = 5.0 * kMinute;
   } else if (name == "generic_smooth") {
@@ -265,6 +284,42 @@ TEST(DesEngine, RunReplicationReportsPinnedResultsAndTelemetry) {
   }
 }
 
+// The application-cycle edge cases, same seeds and window as the grid.
+constexpr Pin kAppCyclePins[] = {
+    {"long_writes", 0, 0x51f2146f5ab5250eULL, 0x7229385b56376380ULL,
+     2426, 2311, 110, 6, 0xd3b1df6db93f6939ULL},
+    {"long_writes", 1, 0xc870fe888c67b6e0ULL, 0x038d074e1af8db68ULL,
+     2434, 2311, 117, 6, 0x443d6d883200ac49ULL},
+    {"no_app_data", 0, 0xfdc9d34e1ec8349cULL, 0x8de32fedd627c819ULL,
+     1818, 1703, 111, 6, 0x5c1ad16af373b93fULL},
+    {"no_app_data", 1, 0xe1cab0fc4a43951dULL, 0x5d34650275233c28ULL,
+     1822, 1700, 117, 6, 0xbd5554453988164dULL},
+    {"compute_only", 0, 0xfdc9d34e1ec8349cULL, 0x4117e9dd2dfd567bULL,
+     365, 331, 30, 5, 0x7aaaca877f765eedULL},
+    {"compute_only", 1, 0xe1cab0fc4a43951dULL, 0x229bf1cb2311ed1cULL,
+     366, 328, 34, 5, 0x04c0102c7874e663ULL},
+    {"toggle_write_tie", 0, 0xfdc9d34e1ec8349cULL, 0x19297ed24698512eULL,
+     2513, 2398, 111, 6, 0x29249f49f8d73e63ULL},
+    {"toggle_write_tie", 1, 0x4f2cdddec83c11deULL, 0x0f4c2e93e0ecb423ULL,
+     2533, 2407, 120, 6, 0xb7a76117be1de6baULL},
+};
+
+TEST(DesEngine, ApplicationCycleEdgeCasesArePinned) {
+  // The tie is exact only if the write and the compute phase are the same
+  // double.
+  const Parameters tie = config("toggle_write_tie");
+  ASSERT_EQ(tie.app_fs_write_time(), tie.app_compute_phase());
+  ASSERT_EQ(tie.app_compute_phase(), 90.0);
+  ASSERT_EQ(config("long_writes").app_fs_write_time(), 204.8);
+  for (const Pin& pin : kAppCyclePins) {
+    SCOPED_TRACE(std::string(pin.config) + " rep " + std::to_string(pin.rep));
+    const std::uint64_t seed = ckptsim::sim::replication_seed(kMaster, pin.rep);
+    DesModel model(config(pin.config), seed);
+    expect_matches(observe_model(model, kTransient, kHorizon), pin, /*check_log=*/true);
+    expect_matches(observe_runner(config(pin.config), seed), pin, /*check_log=*/false);
+  }
+}
+
 Parameters small_machine() {
   Parameters p;
   p.num_processors = 8192;  // 1024 nodes, 16 I/O groups
@@ -299,17 +354,24 @@ struct JobRun {
   double makespan = 0.0;
   std::uint64_t fired = 0;
   std::uint64_t log = 0;
+  std::uint64_t counts = 0;  ///< fnv1a64(render(EventCounts))
+  ckptsim::sim::QueueStats queue;
 };
 
-JobRun run_job(const Parameters& p, std::uint64_t seed, double work, double max_time) {
+JobRun run_job(const Parameters& p, std::uint64_t seed, double work, double max_time,
+               bool with_log = true) {
   EventLog log(1 << 18);
+  EventCounts counts;
   DesModel model(p, seed);
-  model.set_event_log(&log);
+  if (with_log) model.set_event_log(&log);
+  model.set_event_counts(&counts);
   JobRun out;
   out.makespan = model.run_until_work(work, max_time);
   EXPECT_FALSE(log.dropped_any());
-  out.fired = model.queue_stats().fired;
+  out.queue = model.queue_stats();
+  out.fired = out.queue.fired;
   out.log = log_checksum(log);
+  out.counts = fnv1a64(render(counts));
   return out;
 }
 
@@ -325,6 +387,43 @@ TEST(DesEngine, JobCompletionMakespansArePinned) {
   EXPECT_TRUE(std::isinf(missed.makespan));
   EXPECT_EQ(missed.fired, 557u);
   EXPECT_EQ(missed.log, 0xeddca2fb780cd992ULL) << std::hex << missed.log;
+}
+
+TEST(DesEngine, JobCompletionWithoutAnEventLogIsPinned) {
+  // The same job runs with and without an event log attached; both must
+  // give the pinned makespan, per-kind counts and queue telemetry.
+  struct JobPin {
+    const char* config;
+    std::uint64_t seed;
+    double max_hours;
+    double makespan;
+    std::uint64_t counts, scheduled, fired, cancelled, peak_size;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const JobPin pins[] = {
+      {"defaults", 4, 4000.0, 0x1.78250f4653f78p+17, 0x953f381b00f08cbbULL, 3002, 2548, 449, 7},
+      {"long_writes", 4, 4000.0, 0x1.88de985948afcp+17, 0xf86412e1ade3c6a9ULL, 3039, 2570, 463,
+       7},
+      {"toggle_write_tie", 4, 4000.0, 0x1.78250f4653f78p+17, 0x670647a04a8c4af4ULL, 3035, 2581,
+       449, 7},
+      {"no_app_data", 6, 4000.0, 0x1.66de169696218p+17, 0xefb1a48cf1024fe8ULL, 2233, 1824, 404, 7},
+      {"long_writes", 5, 10.0, kInf, 0x933db396a1f77f79ULL, 599, 535, 57, 7},
+  };
+  for (const JobPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.config) + " seed " + std::to_string(pin.seed));
+    Parameters p = config(pin.config);
+    p.num_processors = 131072;  // system MTBF ~ 32 min: rollbacks re-arm the job event
+    const JobRun plain = run_job(p, pin.seed, 20.0 * kHour, pin.max_hours * kHour, false);
+    const JobRun logged = run_job(p, pin.seed, 20.0 * kHour, pin.max_hours * kHour, true);
+    for (const JobRun* run : {&plain, &logged}) {
+      EXPECT_EQ(run->makespan, pin.makespan) << std::hexfloat << run->makespan;
+      EXPECT_EQ(run->counts, pin.counts) << std::hex << "0x" << run->counts;
+      EXPECT_EQ(run->queue.scheduled, pin.scheduled);
+      EXPECT_EQ(run->queue.fired, pin.fired);
+      EXPECT_EQ(run->queue.cancelled, pin.cancelled);
+      EXPECT_EQ(run->queue.peak_size, pin.peak_size);
+    }
+  }
 }
 
 /// Trace file removed at scope exit.
@@ -748,6 +847,163 @@ TEST(DesEngine, ExtensionSlotScriptsMatchTheReferenceBesideBaseEvents) {
     EXPECT_EQ(s.fired, b.fired + model.ref.stats.fired);
     EXPECT_EQ(s.cancelled, b.cancelled + model.ref.stats.cancelled);
     EXPECT_GE(s.peak_size, b.peak_size);
+  }
+}
+
+// --- unlogged runs against the event-log path ------------------------------
+
+/// What one replication reports that could tell two event paths apart: the
+/// result, the per-kind counts, the queue telemetry, and one digest per
+/// post-fire hook call.
+struct PathRun {
+  std::string result;
+  std::string counts;
+  std::uint64_t scheduled = 0, fired = 0, cancelled = 0, peak_size = 0;
+  std::vector<std::uint64_t> hooks;
+};
+
+/// Runs `go` on `model` with or without an event log attached.  A nonzero
+/// `every` installs a post-fire hook every `every` events that records the
+/// digest of the model's save_state bytes, or only the fired count when
+/// `save_bytes` is false (save_state refuses armed extension slots).
+template <typename Go>
+PathRun observe_path(DesModel& model, bool with_log, std::uint64_t every, bool save_bytes,
+                     Go&& go) {
+  EventLog log(1 << 18);
+  EventCounts counts;
+  if (with_log) model.set_event_log(&log);
+  model.set_event_counts(&counts);
+  PathRun out;
+  if (every != 0) {
+    model.set_fire_hook(every, [&model, &out, save_bytes] {
+      if (!save_bytes) {
+        out.hooks.push_back(model.queue_stats().fired);
+        return;
+      }
+      ckptsim::snapshot::StateWriter w;
+      model.save_state(w);
+      out.hooks.push_back(fnv1a64(w.bytes()));
+    });
+  }
+  out.result = go();
+  EXPECT_FALSE(log.dropped_any());
+  out.counts = render(counts);
+  const ckptsim::sim::QueueStats q = model.queue_stats();
+  out.scheduled = q.scheduled;
+  out.fired = q.fired;
+  out.cancelled = q.cancelled;
+  out.peak_size = q.peak_size;
+  return out;
+}
+
+void expect_same_path(const PathRun& logged, const PathRun& plain, std::uint64_t every) {
+  EXPECT_EQ(plain.result, logged.result);
+  EXPECT_EQ(plain.counts, logged.counts);
+  EXPECT_EQ(plain.scheduled, logged.scheduled);
+  EXPECT_EQ(plain.fired, logged.fired);
+  EXPECT_EQ(plain.cancelled, logged.cancelled);
+  EXPECT_EQ(plain.peak_size, logged.peak_size);
+  EXPECT_EQ(logged.hooks.size(), every == 0 ? 0 : logged.fired / every);
+  ASSERT_EQ(plain.hooks.size(), logged.hooks.size());
+  for (std::size_t i = 0; i < plain.hooks.size(); ++i) {
+    ASSERT_EQ(plain.hooks[i], logged.hooks[i]) << "hook call " << i << " of every " << every;
+  }
+}
+
+constexpr std::uint64_t kHookPeriods[] = {0, 1, 7, 1000};
+
+/// save_state renders every RNG stream as text, so a hook on every event
+/// dominates these runs: they observe 10 hours after the warm-up.
+constexpr double kPathHorizon = 10.0 * kHour;
+
+class UnloggedPath : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(UnloggedPath, MatchesTheEventLogPath) {
+  // An attached event log sends every event through the ordinary handlers:
+  // that is the reference path.  Without one, every result, count, queue
+  // statistic, hook call and snapshot byte must be the same, with hooks
+  // every 1, 7 and 1000 events (hooks see the model mid-run, so they catch
+  // an insertion sequence a result would not).
+  const std::string name = GetParam();
+  const TraceFile trace("node,time\n3,1800\n17,5400\n17,5400.5\n900,20000\n4,40000.25\n");
+  Parameters params = config(name);
+  if (name == "trace") params.failure_trace_path = trace.path;
+  for (const std::size_t rep : {0, 1}) {
+    const std::uint64_t seed = ckptsim::sim::replication_seed(kMaster, rep);
+    for (const std::uint64_t every : kHookPeriods) {
+      SCOPED_TRACE("rep " + std::to_string(rep) + " hook every " + std::to_string(every));
+      const auto path = [&params, seed, every](bool with_log) {
+        DesModel model(params, seed);
+        return observe_path(model, with_log, every, true,
+                            [&model] { return render(model.run(kTransient, kPathHorizon)); });
+      };
+      expect_same_path(path(true), path(false), every);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DesEngine, UnloggedPath,
+                         ::testing::Values("defaults", "correlated", "generic_smooth",
+                                           "generic_toggle", "weibull", "incremental",
+                                           "sync_fs_write", "timeout_maxexp", "long_writes",
+                                           "no_app_data", "compute_only", "toggle_write_tie",
+                                           "trace"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+std::string render(const ckptsim::proactive::ProactiveReplication& r) {
+  const ckptsim::proactive::ProactiveCounters& c = r.pro;
+  return render(r.rep) + "|" + std::to_string(c.predictions_true) + "," +
+         std::to_string(c.false_alarms) + "," + std::to_string(c.proactive_ckpts) + "," +
+         std::to_string(c.actions_skipped) + "," + std::to_string(c.migrations) + "," +
+         std::to_string(c.migrations_wasted) + "," + std::to_string(c.failures_absorbed) + "," +
+         std::to_string(c.rescales) + "," + std::to_string(c.repairs);
+}
+
+TEST(DesEngine, UnloggedSubclassRunsMatchTheEventLogPath) {
+  // The node-level and proactive models arm extension slots, which
+  // save_state refuses, so their hooks record only the fired count.
+  SpatialCorrelation spatial;
+  spatial.probability = 0.5;
+  spatial.factor = 500.0;
+  spatial.window = 180.0;
+  Parameters predicted;
+  predicted.predictor_enabled = true;
+  predicted.predictor_precision = 0.8;
+  predicted.predictor_recall = 0.7;
+  predicted.predictor_lead_time = 5.0 * kMinute;
+  for (const std::size_t rep : {0, 1}) {
+    const std::uint64_t seed = ckptsim::sim::replication_seed(kMaster, rep);
+    for (const std::uint64_t every : kHookPeriods) {
+      for (const double probability : {0.0, 0.5}) {
+        SCOPED_TRACE("node level, spatial " + std::to_string(probability) + " rep " +
+                     std::to_string(rep) + " hook every " + std::to_string(every));
+        SpatialCorrelation s = spatial;
+        s.probability = probability;
+        const auto path = [&s, seed, every](bool with_log) {
+          NodeLevelModel model(small_machine(), s, seed);
+          return observe_path(model, with_log, every, false,
+                              [&model] { return render(model.run(0.0, 100.0 * kHour)); });
+        };
+        expect_same_path(path(true), path(false), every);
+      }
+      for (const ckptsim::ProactivePolicy policy :
+           {ckptsim::ProactivePolicy::kNone, ckptsim::ProactivePolicy::kProactiveCheckpoint,
+            ckptsim::ProactivePolicy::kMigrate, ckptsim::ProactivePolicy::kMalleable}) {
+        SCOPED_TRACE(std::string("proactive ") + ckptsim::to_string(policy) + " rep " +
+                     std::to_string(rep) + " hook every " + std::to_string(every));
+        Parameters p = predicted;
+        p.proactive_policy = policy;
+        const auto path = [&p, seed, every](bool with_log) {
+          ckptsim::proactive::ProactiveModel model(p, seed);
+          return observe_path(model, with_log, every, false, [&model] {
+            return render(model.run_replication(kTransient, kHorizon));
+          });
+        };
+        expect_same_path(path(true), path(false), every);
+      }
+    }
   }
 }
 
