@@ -103,14 +103,29 @@ void DesModel::schedule_at(Slot slot, double t) {
 }
 
 bool DesModel::fire_next(double t_end) {
-  // Visit only the armed slots.  (time, seq) pairs are unique, so the
-  // event chosen does not depend on the order the slots are visited in.
-  std::uint32_t mask = armed_;
-  if (mask == 0) return false;
-  std::uint32_t best = static_cast<std::uint32_t>(std::countr_zero(mask));
-  double bt = slot_time_[best];
-  std::uint64_t bs = slot_seq_[best];
-  for (mask &= mask - 1; mask != 0; mask &= mask - 1) {
+  constexpr std::uint32_t kAppSlots =
+      (std::uint32_t{1} << kSlotAppToggle) | (std::uint32_t{1} << kSlotAppWrite);
+  if (armed_ == 0) return false;
+  // Visit only the armed slots, the application pair last.  (time, seq)
+  // pairs are unique, so the event chosen does not depend on the order the
+  // slots are visited in.  Armed times are finite, so the first armed slot
+  // beats the (kEmpty, max) start.
+  const std::uint32_t cold = armed_ & ~kAppSlots;
+  std::uint32_t best = kNumSlots;
+  double bt = kEmpty;
+  std::uint64_t bs = std::numeric_limits<std::uint64_t>::max();
+  for (std::uint32_t mask = cold; mask != 0; mask &= mask - 1) {
+    const auto s = static_cast<std::uint32_t>(std::countr_zero(mask));
+    const double t = slot_time_[s];
+    if (t < bt || (t == bt && slot_seq_[s] < bs)) {
+      best = s;
+      bt = t;
+      bs = slot_seq_[s];
+    }
+  }
+  const double cold_time = bt;
+  const std::uint64_t cold_seq = bs;
+  for (std::uint32_t mask = armed_ & kAppSlots; mask != 0; mask &= mask - 1) {
     const auto s = static_cast<std::uint32_t>(std::countr_zero(mask));
     const double t = slot_time_[s];
     if (t < bt || (t == bt && slot_seq_[s] < bs)) {
@@ -120,6 +135,14 @@ bool DesModel::fire_next(double t_end) {
     }
   }
   if (bt > t_end) return false;
+  // An application event comes first: while nothing but the cycle reacts
+  // to it, fire the cycle in one loop up to the earliest other event.
+  if (((std::uint32_t{1} << best) & kAppSlots) != 0 && compute_ == ComputeState::kExecuting &&
+      !quiesce_requested_ && !want_dump_ && !recovery_wait_io_ && log_ == nullptr &&
+      fire_app_cycle(t_end, cold_time, cold_seq, static_cast<std::uint64_t>(std::popcount(cold))) !=
+          0) {
+    return true;
+  }
   if (fire_budget_ != 0 && fired_ >= fire_budget_) throw sim::EventBudgetExceeded(fire_budget_);
   armed_ &= ~(std::uint32_t{1} << best);
   ++fired_;
@@ -559,6 +582,119 @@ void DesModel::on_app_toggle() {
       schedule_in(kSlotAppToggle, workload_.compute_phase);
     }
   }
+}
+
+std::uint64_t DesModel::fire_app_cycle(double t_end, double cold_time, std::uint64_t cold_seq,
+                                       std::uint64_t cold_live) {
+  // Room: the watchdog budget (spent: leave the throw to the generic path)
+  // and the next hook boundary.
+  std::uint64_t room = std::numeric_limits<std::uint64_t>::max();
+  if (fire_budget_ != 0) {
+    if (fired_ >= fire_budget_) return 0;
+    room = fire_budget_ - fired_;
+  }
+  if (hook_every_ != 0) room = std::min(room, hook_every_ - fired_ % hook_every_);
+
+  constexpr std::uint32_t kToggleBit = std::uint32_t{1} << kSlotAppToggle;
+  constexpr std::uint32_t kWriteBit = std::uint32_t{1} << kSlotAppWrite;
+  bool toggle_armed = (armed_ & kToggleBit) != 0;
+  bool write_armed = (armed_ & kWriteBit) != 0;
+  double toggle_time = slot_time_[kSlotAppToggle];
+  double write_time = slot_time_[kSlotAppWrite];
+  std::uint64_t toggle_seq = slot_seq_[kSlotAppToggle];
+  std::uint64_t write_seq = slot_seq_[kSlotAppWrite];
+  AppPhase phase = app_phase_;
+  IoState io = io_;
+  std::uint32_t pending = pending_app_writes_;
+  std::uint64_t seq = next_seq_;
+  std::uint64_t peak = peak_live_;
+  double now = now_;
+  std::uint64_t to_io = 0;
+  std::uint64_t to_compute = 0;
+  const bool writes_data = p_.app_io_data_per_node > 0.0;
+
+  // Each iteration is one event of on_app_toggle / on_app_write_done, with
+  // try_start_io_work's write start and schedule_at's bookkeeping inlined:
+  // the same state changes, times and sequence numbers in the same order.
+  // The live count is the other armed slots plus the armed pair.
+  std::uint64_t fired = 0;
+  for (; fired < room; ++fired) {
+    const bool toggle_first =
+        toggle_armed && (!write_armed || toggle_time < write_time ||
+                         (toggle_time == write_time && toggle_seq < write_seq));
+    if (!toggle_first && !write_armed) break;
+    const double t = toggle_first ? toggle_time : write_time;
+    const std::uint64_t s = toggle_first ? toggle_seq : write_seq;
+    if (t > t_end || !(t < cold_time || (t == cold_time && s < cold_seq))) break;
+    if (toggle_first && phase == AppPhase::kCompute) {
+      // Compute -> I/O burst.
+      const double next = t + workload_.io_phase;
+      if (!std::isfinite(next)) break;  // schedule_at throws on the generic path
+      phase = AppPhase::kIo;
+      ++to_io;
+      toggle_time = next;
+      toggle_seq = seq++;
+      peak = std::max(peak, cold_live + 1 + (write_armed ? 1 : 0));
+    } else if (toggle_first) {
+      // I/O burst -> compute: the burst's data queues for the I/O nodes,
+      // and a write started at once takes its sequence number before the
+      // next toggle.
+      const bool start = writes_data && io == IoState::kIdle;
+      const double write_end = t + io_timing_.app_write;
+      const double next = t + workload_.compute_phase;
+      if (!std::isfinite(next) || (start && !std::isfinite(write_end))) break;
+      phase = AppPhase::kCompute;
+      ++to_compute;
+      if (start) {
+        io = IoState::kWritingAppData;
+        write_armed = true;
+        write_time = write_end;
+        write_seq = seq++;
+        peak = std::max(peak, cold_live + 1);  // the toggle is disarmed here
+      } else if (writes_data) {
+        ++pending;
+      }
+      toggle_time = next;
+      toggle_seq = seq++;
+      peak = std::max(peak, cold_live + 1 + (write_armed ? 1 : 0));
+    } else if (pending > 0) {
+      // Write done; the next queued write starts.
+      const double write_end = t + io_timing_.app_write;
+      if (!std::isfinite(write_end)) break;
+      --pending;
+      io = IoState::kWritingAppData;
+      write_time = write_end;
+      write_seq = seq++;
+      peak = std::max(peak, cold_live + 1 + (toggle_armed ? 1 : 0));
+    } else {
+      // Write done; the I/O nodes go idle.
+      io = IoState::kIdle;
+      write_armed = false;
+    }
+    now = t;
+  }
+  if (fired == 0) return 0;
+
+  armed_ = (armed_ & ~(kToggleBit | kWriteBit)) | (toggle_armed ? kToggleBit : 0) |
+           (write_armed ? kWriteBit : 0);
+  slot_time_[kSlotAppToggle] = toggle_time;
+  slot_time_[kSlotAppWrite] = write_time;
+  slot_seq_[kSlotAppToggle] = toggle_seq;
+  slot_seq_[kSlotAppWrite] = write_seq;
+  app_phase_ = phase;
+  io_ = io;
+  pending_app_writes_ = pending;
+  next_seq_ = seq;
+  peak_live_ = peak;
+  now_ = now;
+  fired_ += fired;
+  if (event_counts_ != nullptr) {
+    event_counts_->counts[static_cast<std::size_t>(trace::EventKind::kAppPhaseIo)] += to_io;
+    event_counts_->counts[static_cast<std::size_t>(trace::EventKind::kAppPhaseCompute)] +=
+        to_compute;
+  }
+  if (hook_every_ != 0 && fired_ % hook_every_ == 0) hook_();
+  return fired;
 }
 
 // ---------------------------------------------------------------------------

@@ -56,6 +56,15 @@ namespace ckptsim {
 /// is dispatched by a switch — no heap, no type-erased callbacks, no
 /// allocation.  Subclasses get kExtensionSlots more slots,
 /// fired through on_extension_event().
+///
+/// Application cycle: the phase toggles and the application writes are
+/// most of a replication's events and draw no random number, so while the
+/// model executes with no quiesce pending, fire_next() fires them in one
+/// tight loop (fire_app_cycle) up to the next other event, making the same
+/// state changes, insertion sequence numbers and counts as the handlers.
+/// An attached event log sends every event through dispatch() and the
+/// ordinary handlers instead: that is the reference path, and the tests
+/// (tests/test_des_engine.cc) check runs without a log against it.
 class DesModel {
  public:
   /// `params` is validated on construction; `seed` drives all stochastic
@@ -415,6 +424,16 @@ class DesModel {
 
  private:
   static constexpr double kEmpty = std::numeric_limits<double>::infinity();
+
+  /// Fire application events (kSlotAppToggle, kSlotAppWrite) while the
+  /// next one is due by `t_end` and before (`cold_time`, `cold_seq`), the
+  /// earliest other armed slot, of which `cold_live` are armed.  Stops at
+  /// the watchdog budget and at the next post-fire hook boundary, then
+  /// calls the hook if it is due.  Returns the number fired; 0 leaves the
+  /// next event to dispatch().  Only for an executing model with no
+  /// quiesce pending and no event log.
+  std::uint64_t fire_app_cycle(double t_end, double cold_time, std::uint64_t cold_seq,
+                               std::uint64_t cold_live);
 
   // Pending set: slot s is armed iff bit s of armed_ is set, and only then
   // are its time and sequence number meaningful; the sequence number
