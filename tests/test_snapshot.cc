@@ -385,6 +385,41 @@ TEST(SnapshotDesResume, ChainedKillsResumeAcrossMultipleSnapshots) {
   expect_same_replication(result, full.run(0.0, 60.0 * kHour));
 }
 
+TEST(SnapshotDesResume, UnloggedCapturesLandOnEveryBoundaryAndResume) {
+  // Without an event log the application cycle fires in its own loop; the
+  // capture hook must still run at every multiple of its period, and a
+  // resume from the last capture must finish bit-identically.
+  DesModel full(Parameters{}, 20260805);
+  const ReplicationResult full_result = full.run(0.0, 60.0 * kHour);
+  for (const std::uint64_t every : {1ULL, 7ULL, 97ULL, 1000ULL}) {
+    SCOPED_TRACE("every=" + std::to_string(every));
+    DesModel m1(Parameters{}, 20260805);
+    std::string payload;
+    std::vector<std::uint64_t> captured_at;
+    m1.set_fire_hook(every, [&] {
+      captured_at.push_back(m1.queue_stats().fired);
+      StateWriter w;
+      m1.save_state(w);
+      payload = w.take();
+    });
+    const std::uint64_t kill_at = 2 * every + every / 2 + 1;
+    m1.set_event_budget(kill_at);
+    EXPECT_THROW((void)m1.run(0.0, 60.0 * kHour), EventBudgetExceeded);
+    EXPECT_EQ(m1.queue_stats().fired, kill_at);
+    std::vector<std::uint64_t> boundaries;
+    for (std::uint64_t n = every; n <= kill_at; n += every) boundaries.push_back(n);
+    EXPECT_EQ(captured_at, boundaries);
+
+    DesModel m2(Parameters{}, 1);
+    StateReader r(payload);
+    m2.restore_state(r);
+    r.expect_end();
+    expect_same_replication(m2.continue_run(0.0, 60.0 * kHour), full_result);
+    EXPECT_EQ(m2.queue_stats().fired, full.queue_stats().fired);
+    EXPECT_EQ(m2.queue_stats().scheduled, full.queue_stats().scheduled);
+  }
+}
+
 /// The state of the golden replication after exactly `at` fired events.
 std::string des_payload_at(std::uint64_t at) {
   std::string payload;
