@@ -1,6 +1,7 @@
 #include "src/svc/daemon.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -93,6 +94,11 @@ void TcpDaemon::run(const std::atomic<bool>& stop) {
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // The sink sends each response line on its own; with Nagle's algorithm
+    // a line sent while the previous one is unacknowledged would wait for
+    // the client's delayed ACK (40 ms or more on Linux).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto conn = std::make_shared<Connection>(fd);
     {
       const std::lock_guard<std::mutex> lock(conns_mu_);

@@ -5,10 +5,14 @@
 // restart, and a cold service run is bit-identical to the CLI's sweep().
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +28,7 @@
 #include "src/obs/json_value.h"
 #include "src/obs/metrics.h"
 #include "src/svc/cache.h"
+#include "src/svc/daemon.h"
 #include "src/svc/ledger.h"
 #include "src/svc/protocol.h"
 #include "src/svc/server.h"
@@ -968,6 +973,123 @@ TEST(SvcServer, DuplicateActiveCampaignIdIsRejected) {
   ASSERT_EQ(second.lines.size(), 1u);
   EXPECT_EQ(second.type(0), "error");
   server.stop();
+}
+
+// --- TCP transport ----------------------------------------------------------
+
+/// Blocking loopback client: sends request lines and reads response lines,
+/// each stamped with the steady clock when its newline arrived.
+class LineClient {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit LineClient(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    timeval timeout{};
+    timeout.tv_sec = 30;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                                       sizeof addr) == 0;
+  }
+  ~LineClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  LineClient(const LineClient&) = delete;
+  LineClient& operator=(const LineClient&) = delete;
+
+  [[nodiscard]] bool connected() const noexcept { return connected_; }
+
+  [[nodiscard]] bool send_line(const std::string& line) {
+    const std::string framed = line + '\n';
+    return ::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(framed.size());
+  }
+
+  /// The next response line; false on timeout or hang-up.  A complete line
+  /// is only ever found in the bytes of the latest recv, so that recv's
+  /// time is when the line arrived.
+  [[nodiscard]] bool read_line(std::string* line, Clock::time_point* at) {
+    for (;;) {
+      const std::size_t nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        *line = buf_.substr(0, nl);
+        buf_.erase(0, nl + 1);
+        *at = last_recv_;
+        return true;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n <= 0) return false;
+      last_recv_ = Clock::now();
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  std::string buf_;
+  Clock::time_point last_recv_;
+};
+
+TEST(TcpDaemon, RepliesAreNotHeldForTheClientsDelayedAck) {
+  // A cached sweep is answered with an accepted line, one line per point
+  // and a done line, each sent on its own.  With Nagle's algorithm on the
+  // socket, every line after the first waits for the client's delayed ACK
+  // (40 ms or more on Linux), so accepted -> done takes that long even
+  // though the daemon has the whole reply at once.
+  CampaignServer server(ServerConfig{});  // memory-only result cache
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  std::atomic<bool> stop{false};
+  std::thread accept_loop([&daemon, &stop] { daemon.run(stop); });
+  std::vector<double> gaps_ms;
+  {
+    LineClient client(daemon.port());
+    ASSERT_TRUE(client.connected());
+    // The first submission fills the cache; the 20 after it are hits.
+    for (int i = 0; i <= 20; ++i) {
+      ASSERT_TRUE(client.send_line(kTinySweep));
+      LineClient::Clock::time_point accepted{};
+      LineClient::Clock::time_point done{};
+      std::size_t points = 0;
+      for (bool finished = false; !finished;) {
+        std::string line;
+        LineClient::Clock::time_point at;
+        ASSERT_TRUE(client.read_line(&line, &at)) << "submission " << i;
+        JsonValue v;
+        ASSERT_TRUE(ckptsim::obs::parse_json(line, &v)) << line;
+        const JsonValue* type = v.find("type");
+        ASSERT_NE(type, nullptr) << line;
+        if (type->scalar == "accepted") {
+          accepted = at;
+        } else if (type->scalar == "point") {
+          ++points;
+        } else {
+          ASSERT_EQ(type->scalar, "done") << line;
+          done = at;
+          finished = true;
+        }
+      }
+      EXPECT_EQ(points, 2u);
+      if (i > 0) {
+        gaps_ms.push_back(std::chrono::duration<double, std::milli>(done - accepted).count());
+      }
+    }
+  }
+  stop.store(true);
+  accept_loop.join();
+  server.stop();
+  EXPECT_EQ(server.cache().hits(), 40u);
+  ASSERT_EQ(gaps_ms.size(), 20u);
+  std::vector<double> sorted = gaps_ms;
+  std::sort(sorted.begin(), sorted.end());
+  const double median = (sorted[9] + sorted[10]) / 2.0;
+  std::string all;
+  for (const double g : gaps_ms) all += std::to_string(g) + " ";
+  EXPECT_LT(median, 10.0) << "accepted -> done gaps (ms): " << all;
 }
 
 }  // namespace
