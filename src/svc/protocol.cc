@@ -285,10 +285,9 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
     }
   }
   if (out->id.empty()) fail("optimize requires a non-empty 'id'");
-  // The search sets the processor count and policy of every candidate when
-  // it is given candidates for them.  (It sets the interval too, but
-  // "interval_min" stays accepted here: the parameter-table tests drive
-  // every params key through this op.)
+  // The search sets the interval of every candidate, and its processor
+  // count and policy when it is given candidates for them.
+  reject_overridden_param(root, "interval_min", "the interval search");
   if (!out->opt.processor_candidates.empty()) {
     reject_overridden_param(root, "processors", "key 'processors'");
   }

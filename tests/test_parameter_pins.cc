@@ -230,7 +230,14 @@ TEST(ParameterPins, EveryProtocolKeyKeepsItsMeaning) {
     params += "\":";
     params += pin.json_value;
     if (needs_predictor(pin.key)) params += ",\"predictor_lead_s\":300";
-    const std::string line = R"({"op":"optimize","id":"pin","params":{)" + params + "}}";
+    // The optimizer reads every key but the interval, which its search
+    // sets; a processors sweep reads the interval (and refuses the
+    // proactive keys).
+    const std::string line =
+        std::string(pin.key) == "interval_min"
+            ? R"({"op":"sweep","id":"pin","axis":"processors","values":[8192],"params":{)" +
+                  params + "}}"
+            : R"({"op":"optimize","id":"pin","params":{)" + params + "}}";
     ckptsim::svc::Request req;
     std::string error;
     ASSERT_TRUE(ckptsim::svc::parse_request(line, &req, &error)) << line << ": " << error;

@@ -172,11 +172,15 @@ TEST(ParameterTable, EverySurfaceSetsAKeyedRowAlike) {
     Parameters from_cli;
     ckptsim::report::apply_parameter_flags(cli, &from_cli);
 
-    // Protocol: "params": {"key": value}.
+    // Protocol: "params": {"key": value}, through the optimizer, or for the
+    // interval its search sets, through a processors sweep.
     std::string json = text;
     if (field.kind() == KeyKind::kChoice || field.kind() == KeyKind::kPath) json = '"' + text + '"';
-    const std::string line = std::string(R"({"op":"optimize","id":"t","params":{")") +
-                             field.key + "\":" + json + "}}";
+    const std::string op = std::string(field.key) == "interval_min"
+                               ? R"("op":"sweep","axis":"processors","values":[8192])"
+                               : R"("op":"optimize")";
+    const std::string line =
+        "{" + op + R"(,"id":"t","params":{")" + field.key + "\":" + json + "}}";
     ckptsim::svc::Request req;
     std::string error;
     ASSERT_TRUE(ckptsim::svc::parse_request(line, &req, &error)) << line << ": " << error;

@@ -250,6 +250,8 @@ TEST(SvcProtocol, RejectsKnobsTheRequestWouldIgnore) {
       {R"({"op":"sweep","id":"a","axis":"processors","values":[8192],)"
        R"("params":{"processors":65536}})",
        "params key 'processors' is overridden by axis \"processors\""},
+      {R"({"op":"optimize","id":"o","grid":3,"refine":0,"params":{"interval_min":45}})",
+       "params key 'interval_min' is overridden by the interval search"},
       {R"({"op":"optimize","id":"o","grid":3,"refine":0,"processors":[8192],)"
        R"("params":{"processors":4096}})",
        "params key 'processors' is overridden by key 'processors'"},
