@@ -45,8 +45,12 @@ double MaxOfExponentials::sample_from_unit(double u) const noexcept {
   // Inversion: U^(1/n) is the max of n uniforms; transform through the
   // exponential quantile.  Computed in log space to stay accurate for
   // n up to ~2^30 (Figure 5 scales to a billion processors).
-  // log(1 - u^{1/n}) = log(-expm1(log(u)/n))
-  const double log_u = std::log(u <= 0.0 ? std::numeric_limits<double>::min() : u);
+  // log(1 - u^{1/n}) = log(-expm1(log(u)/n)).  0 and the subnormals are
+  // all transformed as the smallest normal double, which keeps the
+  // transform non-decreasing down to 0.
+  const double log_u = std::log(u < std::numeric_limits<double>::min()
+                                    ? std::numeric_limits<double>::min()
+                                    : u);
   const double inner = -std::expm1(log_u / static_cast<double>(n_));
   return -per_item_mean_ * std::log(inner);
 }

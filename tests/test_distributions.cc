@@ -80,10 +80,10 @@ TEST(MaxOfExponentials, SampleFromUnitIsNonDecreasing) {
   // largest so far, which reproduces the per-node maximum exactly only
   // because the transform never decreases.  Check it over sorted random
   // draws and over walks of consecutive doubles near 0, 0.5 and 1.  Near 0
-  // the walks start at the smallest normal double and at 2^-64: 0 is
-  // transformed as the smallest normal, so subnormal inputs map below it,
-  // but Rng::uniform() never returns one (its least positive value is
-  // 2^-64).
+  // the walks start at 0 itself (up through the smallest subnormals), just
+  // below the smallest normal double (across it), and at 2^-64, the least
+  // positive value Rng::uniform() returns; a walk over the powers of two
+  // covers the rest of the subnormal range.
   const auto walk = [](const MaxOfExponentials& d, double from, double to, int steps) {
     double u = from;
     double prev = d.sample_from_unit(u);
@@ -109,6 +109,14 @@ TEST(MaxOfExponentials, SampleFromUnitIsNonDecreasing) {
     }
     const double min_normal = std::ldexp(1.0, -1022);
     EXPECT_EQ(d.sample_from_unit(0.0), d.sample_from_unit(min_normal));
+    EXPECT_EQ(walk(d, 0.0, 1.0, 100000), -1.0);
+    double below_normal = min_normal;
+    for (int i = 0; i < 50000; ++i) below_normal = std::nextafter(below_normal, 0.0);
+    EXPECT_EQ(walk(d, below_normal, 1.0, 100000), -1.0);
+    for (int e = -1074; e < -1022; ++e) {
+      EXPECT_LE(d.sample_from_unit(std::ldexp(1.0, e)), d.sample_from_unit(std::ldexp(1.0, e + 1)))
+          << "2^" << e;
+    }
     EXPECT_EQ(walk(d, min_normal, 1.0, 100000), -1.0);
     EXPECT_EQ(walk(d, std::ldexp(1.0, -64), 1.0, 100000), -1.0);
     double low = 0.5;
