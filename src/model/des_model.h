@@ -308,7 +308,8 @@ class DesModel {
 
   // --- plumbing ---
   void start();
-  /// Fire the next event if it is due at or before `t_end`; false (nothing
+  /// Fire the next event if it is due at or before `t_end` (an application
+  /// event may bring a run of them, see fire_app_cycle); false (nothing
   /// fired) otherwise.
   bool fire_next(double t_end);
   void dispatch(Slot slot);

@@ -1,8 +1,9 @@
 // Service layer (src/svc): request protocol, content-addressed result
-// cache, and the campaign server.  The load-bearing property is end-to-end
-// memoization: a repeated sweep request returns byte-identical results from
-// the cache with zero new simulation work, including across a daemon
-// restart, and a cold service run is bit-identical to the CLI's sweep().
+// cache, the campaign server and its TCP transport.  The load-bearing
+// property is end-to-end memoization: a repeated sweep request returns
+// byte-identical results from the cache with zero new simulation work,
+// including across a daemon restart, and a cold service run is
+// bit-identical to the CLI's sweep().
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
