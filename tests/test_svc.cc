@@ -1038,6 +1038,24 @@ class LineClient {
   Clock::time_point last_recv_;
 };
 
+/// A TcpDaemon's accept loop on its own thread, stopped and joined on
+/// destruction, so a failed assertion cannot leave the thread running.
+class AcceptLoop {
+ public:
+  explicit AcceptLoop(ckptsim::svc::TcpDaemon& daemon)
+      : thread_([&daemon, this] { daemon.run(stop_); }) {}
+  ~AcceptLoop() {
+    stop_.store(true);
+    thread_.join();
+  }
+  AcceptLoop(const AcceptLoop&) = delete;
+  AcceptLoop& operator=(const AcceptLoop&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 TEST(TcpDaemon, RepliesAreNotHeldForTheClientsDelayedAck) {
   // A cached sweep is answered with an accepted line, one line per point
   // and a done line, each sent on its own.  With Nagle's algorithm on the
@@ -1046,10 +1064,9 @@ TEST(TcpDaemon, RepliesAreNotHeldForTheClientsDelayedAck) {
   // though the daemon has the whole reply at once.
   CampaignServer server(ServerConfig{});  // memory-only result cache
   ckptsim::svc::TcpDaemon daemon(server, 0);
-  std::atomic<bool> stop{false};
-  std::thread accept_loop([&daemon, &stop] { daemon.run(stop); });
   std::vector<double> gaps_ms;
   {
+    const AcceptLoop loop(daemon);
     LineClient client(daemon.port());
     ASSERT_TRUE(client.connected());
     // The first submission fills the cache; the 20 after it are hits.
@@ -1082,8 +1099,6 @@ TEST(TcpDaemon, RepliesAreNotHeldForTheClientsDelayedAck) {
       }
     }
   }
-  stop.store(true);
-  accept_loop.join();
   server.stop();
   EXPECT_EQ(server.cache().hits(), 40u);
   ASSERT_EQ(gaps_ms.size(), 20u);
