@@ -24,6 +24,24 @@ namespace {
 
 constexpr int kJournalSchema = 1;
 
+/// One journal entry as a newline-terminated JSON line.
+std::string journal_line(std::uint64_t fingerprint, double x, const RunResult& result) {
+  obs::JsonWriter w;
+  w.begin_object();
+  w.kv("schema", kJournalSchema);
+  // Hex string: JSON numbers are doubles and cannot carry 64 hash bits.
+  char fp_hex[17];
+  std::snprintf(fp_hex, sizeof fp_hex, "%016llx", static_cast<unsigned long long>(fingerprint));
+  w.kv("fp", fp_hex);
+  w.kv("x", x);
+  w.key("result");
+  write_run_result(w, result);
+  w.end_object();
+  std::string line = w.str();
+  line += '\n';
+  return line;
+}
+
 enum class EntryStatus { kOk, kBad, kSchemaMismatch };
 
 EntryStatus parse_entry(const obs::JsonValue& entry, std::uint64_t* fp, RunResult* result) {
@@ -232,24 +250,27 @@ bool SweepJournal::lookup(std::uint64_t fingerprint, RunResult* out) const {
 }
 
 void SweepJournal::record(std::uint64_t fingerprint, double x, const RunResult& result) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", kJournalSchema);
-  // Hex string: JSON numbers are doubles and cannot carry 64 hash bits.
-  char fp_hex[17];
-  std::snprintf(fp_hex, sizeof fp_hex, "%016llx", static_cast<unsigned long long>(fingerprint));
-  w.kv("fp", fp_hex);
-  w.kv("x", x);
-  w.key("result");
-  write_run_result(w, result);
-  w.end_object();
-  std::string line = w.str();
-  line += '\n';
-
+  append(journal_line(fingerprint, x, result));
   const std::lock_guard<std::mutex> lock(mu_);
+  entries_[fingerprint] = result;
+}
+
+void SweepJournal::record_all(const std::vector<Entry>& entries) {
+  if (entries.empty()) return;
+  std::string lines;
+  for (const Entry& e : entries) lines += journal_line(e.fingerprint, e.x, e.result);
+  append(lines);
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const Entry& e : entries) entries_[e.fingerprint] = e.result;
+}
+
+void SweepJournal::append(const std::string& lines) {
+  // append_mu_, not mu_: lookups keep answering from entries_ while the
+  // fsync waits on the disk.
+  const std::lock_guard<std::mutex> lock(append_mu_);
   std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + written, line.size() - written);
+  while (written < lines.size()) {
+    const ssize_t n = ::write(fd_, lines.data() + written, lines.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw SimError(ErrorCode::kIoError,
@@ -261,7 +282,6 @@ void SweepJournal::record(std::uint64_t fingerprint, double x, const RunResult& 
     throw SimError(ErrorCode::kIoError,
                    "journal '" + path_ + "': fsync failed: " + std::strerror(errno));
   }
-  entries_[fingerprint] = result;
 }
 
 }  // namespace ckptsim

@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/core/results.h"
 #include "src/core/runner.h"
@@ -62,13 +63,29 @@ class SweepJournal {
   /// entry visible to subsequent lookup() calls.
   void record(std::uint64_t fingerprint, double x, const RunResult& result);
 
+  /// One completed point of record_all().
+  struct Entry {
+    std::uint64_t fingerprint = 0;
+    double x = 0.0;
+    RunResult result;
+  };
+
+  /// Append several completed points with one write and one fsync (a group
+  /// commit); otherwise as record().  After a crash mid-append the loader
+  /// keeps the batch's complete lines and drops a torn last one.
+  void record_all(const std::vector<Entry>& entries);
+
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
+  /// Write `lines` at the end of the file and fsync.
+  void append(const std::string& lines);
+
   std::string path_;
   int fd_ = -1;
   std::size_t loaded_ = 0;
-  mutable std::mutex mu_;
+  std::mutex append_mu_;   ///< one append (write + fsync) at a time
+  mutable std::mutex mu_;  ///< guards entries_
   std::map<std::uint64_t, RunResult> entries_;
 };
 

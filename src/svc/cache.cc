@@ -1,5 +1,7 @@
 #include "src/svc/cache.h"
 
+#include <algorithm>
+
 namespace ckptsim::svc {
 
 ResultCache::ResultCache(const std::string& path) {
@@ -27,22 +29,39 @@ bool ResultCache::lookup(std::uint64_t fingerprint, RunResult* out) {
 }
 
 void ResultCache::insert(std::uint64_t fingerprint, double x, const RunResult& result) {
+  insert_all({SweepJournal::Entry{fingerprint, x, result}});
+}
+
+void ResultCache::insert_all(const std::vector<SweepJournal::Entry>& entries) {
   if (journal_ != nullptr) {
     // Dedup-and-append under one lock: concurrent campaigns computing the
     // same cold point both finalize, but only the first append lands in
     // the journal.  The winner's and loser's results are bit-identical
     // (same fingerprint means same simulated work), so dropping the second
-    // loses nothing.  Inserts are rare (one per cold point), so holding
-    // mu_ across the fsync is off every hot path.
+    // loses nothing.  The lock is insert_mu_, not mu_: lookups and the
+    // hit/miss tally never wait for an insert's fsync.
+    std::size_t appended = 0;
+    {
+      const std::lock_guard<std::mutex> lock(insert_mu_);
+      std::vector<SweepJournal::Entry> fresh;
+      for (const SweepJournal::Entry& e : entries) {
+        RunResult existing;
+        const bool seen = std::any_of(fresh.begin(), fresh.end(), [&](const auto& f) {
+          return f.fingerprint == e.fingerprint;
+        });
+        if (!seen && !journal_->lookup(e.fingerprint, &existing)) fresh.push_back(e);
+      }
+      journal_->record_all(fresh);
+      appended = fresh.size();
+    }
     const std::lock_guard<std::mutex> lock(mu_);
-    RunResult existing;
-    if (journal_->lookup(fingerprint, &existing)) return;
-    journal_->record(fingerprint, x, result);
-    ++inserted_;
+    inserted_ += appended;
     return;
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  if (mem_.emplace(fingerprint, result).second) ++inserted_;
+  for (const SweepJournal::Entry& e : entries) {
+    if (mem_.emplace(e.fingerprint, e.result).second) ++inserted_;
+  }
 }
 
 std::uint64_t ResultCache::hits() const {

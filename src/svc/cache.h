@@ -5,6 +5,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/core/journal.h"
 #include "src/core/results.h"
@@ -49,6 +50,10 @@ class ResultCache {
   /// on the same cold point never double-append.
   void insert(std::uint64_t fingerprint, double x, const RunResult& result);
 
+  /// Store several completed points, with one fsync when persistent (a
+  /// group commit); otherwise as insert().
+  void insert_all(const std::vector<SweepJournal::Entry>& entries);
+
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   [[nodiscard]] std::size_t size() const;
@@ -56,6 +61,7 @@ class ResultCache {
 
  private:
   std::unique_ptr<SweepJournal> journal_;  ///< null in memory-only mode
+  std::mutex insert_mu_;  ///< serializes persistent inserts (held across the fsync)
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, RunResult> mem_;  ///< memory-only store
   std::size_t loaded_ = 0;

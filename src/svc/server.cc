@@ -52,6 +52,7 @@ CampaignServer::CampaignServer(ServerConfig config)
   for (std::size_t i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
+  if (cache_.persistent()) store_thread_ = std::thread([this] { store_loop(); });
 }
 
 CampaignServer::~CampaignServer() { stop(); }
@@ -423,25 +424,76 @@ void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
 void CampaignServer::finalize_point(const CampaignPtr& c, std::size_t point) {
   PointState& ps = c->points[point];
   const Request& r = c->req;
-  obs::ServiceCounters& svcc = metrics_->service();
   ps.finalized = true;
-  --c->unfinalized;
   if (const auto* f = ps.reps.fatal(r.spec.on_failure)) {
     // Unlike sweep(), one bad point fails alone: its error line carries the
     // sweep-style context and the campaign's other points proceed.
+    --c->unfinalized;
     ++c->failed;
-    svcc.errors.fetch_add(1, std::memory_order_relaxed);
+    metrics_->service().errors.fetch_add(1, std::memory_order_relaxed);
     c->outbox.push_back(response_error(
         c->id, "point x = " + std::to_string(ps.x) + ": " + describe_failure(f->failure)));
     return;
   }
-  const RunResult result = aggregate_point(ps.reps, r.spec.confidence_level, ps.params);
   // Insert before the "point" line is queued: by the time a client reads
-  // the response, the entry is fsync'd and survives a daemon restart.
-  cache_.insert(ps.fingerprint, ps.x, result);
-  metrics_->record_point(obs::PointRecord{r.label, ps.x, result.replications, result.rounds});
-  svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
-  c->outbox.push_back(response_point(c->id, ps.x, /*cached=*/false, result));
+  // the response, the entry is fsync'd and survives a daemon restart.  A
+  // persistent insert waits on the disk, so the store thread makes it; the
+  // point counts as in flight until then, so a cancel or a drain waits for
+  // its line.
+  PendingStore s{c, point, aggregate_point(ps.reps, r.spec.confidence_level, ps.params)};
+  ++c->inflight;
+  if (!cache_.persistent()) {
+    cache_.insert(ps.fingerprint, ps.x, s.result);
+    publish_point(s);
+    return;
+  }
+  stores_.push_back(std::move(s));
+  store_cv_.notify_one();
+}
+
+void CampaignServer::store_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    store_cv_.wait(lock, [this] { return !stores_.empty() || stores_closed_; });
+    if (stores_.empty()) return;
+    std::vector<PendingStore> batch;
+    batch.swap(stores_);
+    lock.unlock();
+    std::vector<SweepJournal::Entry> entries;
+    entries.reserve(batch.size());
+    for (const PendingStore& s : batch) {
+      const PointState& ps = s.campaign->points[s.point];
+      entries.push_back(SweepJournal::Entry{ps.fingerprint, ps.x, s.result});
+    }
+    cache_.insert_all(entries);
+    lock.lock();
+    std::vector<CampaignPtr> flush;
+    for (const PendingStore& s : batch) {
+      publish_point(s);
+      const CampaignPtr& c = s.campaign;
+      if (!c->outbox.empty() && !c->flushing) {
+        c->flushing = true;
+        ++flushers_;
+        flush.push_back(c);
+      }
+    }
+    lock.unlock();
+    for (const CampaignPtr& c : flush) flush_outbox(c);
+    lock.lock();
+  }
+}
+
+void CampaignServer::publish_point(const PendingStore& s) {
+  Campaign& c = *s.campaign;
+  const PointState& ps = c.points[s.point];
+  --c.inflight;
+  --c.unfinalized;
+  metrics_->record_point(
+      obs::PointRecord{c.req.label, ps.x, s.result.replications, s.result.rounds});
+  metrics_->service().points_completed.fetch_add(1, std::memory_order_relaxed);
+  // stop() retires every campaign: its sink is going away with the server.
+  if (!c.retired) c.outbox.push_back(response_point(c.id, ps.x, /*cached=*/false, s.result));
+  maybe_retire(s.campaign);
 }
 
 void CampaignServer::maybe_retire(const CampaignPtr& c) {
@@ -556,6 +608,14 @@ void CampaignServer::stop() {
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
+  // The workers queue no more points: the store thread inserts what they
+  // left (finished points stay cached) and exits.
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stores_closed_ = true;
+  }
+  store_cv_.notify_all();
+  if (store_thread_.joinable()) store_thread_.join();
   idle_cv_.notify_all();
 }
 

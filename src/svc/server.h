@@ -66,7 +66,11 @@ struct ServerConfig {
 /// line — the moment its last replication completes, exactly mirroring
 /// sweep()'s per-point countdown, so results are bit-identical to the CLI's
 /// sweep for the same request (and therefore to the cache entries a CLI
-/// --journal run would have produced).
+/// --journal run would have produced).  With a persistent cache the insert,
+/// an fsync, is the store thread's: it appends every point finished
+/// meanwhile with one fsync and only then queues their "point" lines, so no
+/// worker waits on the disk and no line names an entry a crash could lose.
+/// A memory-only cache is filled by the worker that finished the point.
 ///
 /// Adaptive campaigns (spec.rel_precision > 0) keep each point's rounds in
 /// the driver's PointRounds: when a round completes, the stopper either
@@ -171,8 +175,8 @@ class CampaignServer {
     std::optional<stats::SequentialStopper> stopper;  ///< set when adaptive
     std::vector<PointState> points;
     std::deque<Task> ready;      ///< tasks awaiting a worker
-    std::size_t inflight = 0;    ///< tasks running right now
-    std::size_t unfinalized = 0; ///< points not yet finalized
+    std::size_t inflight = 0;    ///< tasks running, plus points awaiting the store thread
+    std::size_t unfinalized = 0; ///< points whose point or error line is not yet queued
     std::size_t cached = 0;      ///< points restored from the cache
     std::size_t failed = 0;      ///< points failed under fail/retry policy
     std::atomic<bool> cancelled{false};
@@ -185,6 +189,13 @@ class CampaignServer {
     bool flushing = false;
   };
   using CampaignPtr = std::shared_ptr<Campaign>;
+
+  /// A finished point awaiting its cache insert.
+  struct PendingStore {
+    CampaignPtr campaign;
+    std::size_t point = 0;
+    RunResult result;
+  };
 
   /// False when the campaign was turned away (error, draining, full queue).
   bool submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink);
@@ -209,8 +220,16 @@ class CampaignServer {
   /// Caller holds mu_; emissions go to the campaign outbox.
   void on_task_done(const CampaignPtr& c, const Task& t,
                     detail::Outcome<ReplicationResult>&& outcome);
-  /// Aggregate + cache + emit one completed point.  Caller holds mu_.
+  /// Aggregate one completed point and cache and publish it, through the
+  /// store thread when the cache is persistent (a failed point emits its
+  /// error line instead).  Caller holds mu_.
   void finalize_point(const CampaignPtr& c, std::size_t point);
+  /// The store thread of a persistent cache: insert the queued points in
+  /// one batch, then publish them, until stop() closes the queue.
+  void store_loop();
+  /// Emit a point already in the cache, ending its in-flight count.
+  /// Caller holds mu_.
+  void publish_point(const PendingStore& s);
   /// Schedule the next `batch` replications of `point`.  Caller holds mu_.
   void schedule_round(const CampaignPtr& c, std::size_t point, std::size_t batch);
   /// Emit "done"/"cancelled" and retire the campaign once nothing is left.
@@ -232,12 +251,16 @@ class CampaignServer {
   std::condition_variable work_cv_;  ///< workers: ready task or stopping
   std::condition_variable idle_cv_;  ///< drain(): campaign list emptied
   std::list<CampaignPtr> campaigns_;
+  std::condition_variable store_cv_;  ///< store thread: points queued or closing
+  std::vector<PendingStore> stores_;  ///< finished points awaiting their insert
+  bool stores_closed_ = false;        ///< set by stop() once the workers are joined
   std::size_t flushers_ = 0;  ///< outbox drains in progress (any campaign)
   std::uint64_t serve_seq_ = 0;
   bool stopping_ = false;
   bool draining_ = false;  ///< guarded by mu_
   std::atomic<bool> shutdown_{false};
   std::vector<std::thread> threads_;
+  std::thread store_thread_;  ///< only with a persistent cache
 };
 
 }  // namespace ckptsim::svc

@@ -391,6 +391,26 @@ TEST(SvcCache, PersistentRoundTripSurvivesReopenByteIdentically) {
   EXPECT_EQ(reopened.misses(), 1u);
 }
 
+TEST(SvcCache, InsertAllAppendsEachNewFingerprintOnce) {
+  TempFile file("cache_insert_all");
+  const RunResult r15 = run_point(15.0);
+  const RunResult r30 = run_point(30.0);
+  {
+    ResultCache cache(file.path);
+    cache.insert(100, 15.0, r15);
+    // One batch: a fingerprint already stored and a fingerprint twice.
+    cache.insert_all({{100, 15.0, r15}, {200, 30.0, r30}, {200, 30.0, r30}, {300, 15.0, r15}});
+    EXPECT_EQ(cache.size(), 3u);
+  }
+  ResultCache reopened(file.path);
+  EXPECT_EQ(reopened.loaded(), 3u);
+  RunResult out;
+  ASSERT_TRUE(reopened.lookup(200, &out));
+  EXPECT_EQ(canonical(out), canonical(r30));
+  ASSERT_TRUE(reopened.lookup(300, &out));
+  EXPECT_EQ(canonical(out), canonical(r15));
+}
+
 TEST(SvcCache, ConcurrentInsertAndLookupIsSafe) {
   TempFile file("cache_concurrent");
   ResultCache cache(file.path);
@@ -468,6 +488,67 @@ TEST(SvcServer, RepeatedSweepIsServedFromCacheWithZeroNewWork) {
   EXPECT_EQ(warm_points, cold_points);
   EXPECT_EQ(server.metrics().service().snapshot().replications_run, cold_replications);
   EXPECT_EQ(server.cache().hits(), 2u);
+}
+
+TEST(SvcServer, PersistentCacheHoldsEveryPointBeforeItsLine) {
+  // Concurrent campaigns on four workers finish points while the store
+  // thread appends earlier ones: whenever a cold "point" line reaches a
+  // client, the journal already holds a complete entry for it and for
+  // every cold point line sent before it.
+  TempFile file("server_store_order");
+  const std::vector<std::string> requests = {
+      R"({"op":"sweep","id":"a","axis":"interval","values":[15,30,60,120],)"
+      R"("params":{"processors":4096},"spec":{"reps":3,"horizon_hours":40,"transient_hours":2}})",
+      R"({"op":"sweep","id":"b","axis":"processors","values":[2048,4096,8192],)"
+      R"("spec":{"reps":2,"horizon_hours":40,"transient_hours":2}})",
+      R"({"op":"sweep","id":"c","axis":"interval","values":[20,40,80],)"
+      R"("params":{"processors":8192},"spec":{"reps":2,"horizon_hours":60,"transient_hours":2}})",
+  };
+  std::mutex mu;
+  std::size_t cold_lines = 0;
+  std::vector<std::string> persisted_short;
+  Collector out;
+  const CampaignServer::Sink sink = [&](const std::string& line) {
+    out.sink()(line);
+    if (line.find("\"cached\": false") == std::string::npos) return;
+    const std::lock_guard<std::mutex> lock(mu);
+    ++cold_lines;
+    std::ifstream in(file.path);
+    std::size_t entries = 0;
+    std::string entry;
+    while (std::getline(in, entry)) entries += in.eof() ? 0 : 1;
+    if (entries < cold_lines) persisted_short.push_back(line);
+  };
+  ServerConfig config;
+  config.workers = 4;
+  config.cache_path = file.path;
+  {
+    CampaignServer server(config);
+    for (const std::string& request : requests) server.handle_line(request, sink);
+    server.drain();
+    server.stop();
+  }
+  EXPECT_EQ(cold_lines, 10u);
+  EXPECT_TRUE(persisted_short.empty()) << persisted_short.size() << " line(s), first: "
+                                       << persisted_short.front();
+
+  // The same requests on a memory-only server stream the same point lines.
+  Collector memory;
+  {
+    CampaignServer server(ServerConfig{});
+    for (const std::string& request : requests) server.handle_line(request, memory.sink());
+    server.drain();
+  }
+  const auto points = [](const std::vector<std::string>& lines) {
+    std::vector<std::string> kept;
+    for (const std::string& line : lines) {
+      if (line.find("\"type\": \"point\"") != std::string::npos) kept.push_back(line);
+    }
+    std::sort(kept.begin(), kept.end());
+    return kept;
+  };
+  EXPECT_EQ(points(out.lines), points(memory.lines));
+  EXPECT_EQ(ResultCache(file.path).loaded(), 10u);
 }
 
 TEST(SvcServer, CacheSurvivesServerRestart) {
