@@ -10,7 +10,7 @@ namespace ckptsim {
 /// Structured error taxonomy for the execution drivers.  Every failure a
 /// replication can suffer maps to one code, so multi-hour sweeps can
 /// classify, retry, or skip failures instead of dying on the first
-/// exception torn out of ThreadPool::wait.
+/// exception torn out of WorkerPool::Lane::wait.
 enum class ErrorCode {
   kInvalidParameter,      ///< Parameters / spec validation rejected the input
   kNonFiniteReward,       ///< a replication produced NaN/Inf rewards

@@ -146,7 +146,7 @@ struct RunSpec {
   /// What to do when a replication fails (throws, livelocks, blows the
   /// watchdog budget, or yields non-finite rewards).  The default fail-fast
   /// rethrows the first failure by replication index — deterministic,
-  /// unlike the first-by-wall-clock error ThreadPool::wait would surface.
+  /// unlike the first-by-wall-clock error WorkerPool::Lane::wait would surface.
   FailurePolicy on_failure;
 
   /// Per-replication progress guard (0 = unlimited events).

@@ -1,9 +1,10 @@
 #include "src/core/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ckptsim {
 
@@ -18,118 +19,134 @@ std::size_t ExecSpec::resolve() const {
   return hw > 0 ? hw : 1;
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = 1;
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+WorkerPool::Lane::Lane(WorkerPool& pool, int priority) : pool_(pool), priority_(priority) {
+  const std::lock_guard<std::mutex> lock(pool_.mu_);
+  pool_.lanes_.push_back(this);
+}
+
+WorkerPool::Lane::~Lane() {
+  std::deque<Task> dropped;
+  {
+    std::unique_lock<std::mutex> lock(pool_.mu_);
+    dropped.swap(queue_);
+    idle_.wait(lock, [this] { return running_ == 0; });
+    pool_.lanes_.erase(std::find(pool_.lanes_.begin(), pool_.lanes_.end(), this));
   }
 }
 
-ThreadPool::~ThreadPool() {
+void WorkerPool::Lane::submit(Task task) {
+  if (!task) throw std::invalid_argument("WorkerPool::Lane::submit: empty task");
+  {
+    const std::lock_guard<std::mutex> lock(pool_.mu_);
+    queue_.push_back(std::move(task));
+  }
+  pool_.work_cv_.notify_one();
+}
+
+std::size_t WorkerPool::Lane::drop() {
+  std::deque<Task> dropped;
+  {
+    const std::lock_guard<std::mutex> lock(pool_.mu_);
+    dropped.swap(queue_);
+    if (running_ == 0) idle_.notify_all();
+  }
+  // The dropped tasks are destroyed on return, outside the lock: their
+  // captures may run destructors that take it.
+  return dropped.size();
+}
+
+void WorkerPool::Lane::wait() {
+  std::unique_lock<std::mutex> lock(pool_.mu_);
+  idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+  if (error_) {
+    const std::exception_ptr error = std::exchange(error_, nullptr);
+    lock.unlock();
+    std::rethrow_exception(error);
+  }
+}
+
+WorkerPool::WorkerPool(std::size_t threads) {
+  threads = std::max<std::size_t>(threads, 1);
+  threads_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
+    threads_.emplace_back([this, i] { work(i); });
+  }
+}
+
+WorkerPool::~WorkerPool() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  task_ready_.notify_all();
-  for (auto& w : workers_) w.join();
+  work_cv_.notify_all();
+  for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  if (!task) throw std::invalid_argument("ThreadPool::submit: empty task");
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++unfinished_;
+WorkerPool::Lane* WorkerPool::pick() {
+  // Highest priority first; among equals the least recently served, so
+  // lanes of one priority share the workers instead of running in turn.
+  Lane* best = nullptr;
+  for (Lane* lane : lanes_) {
+    if (lane->queue_.empty()) continue;
+    if (best == nullptr || lane->priority_ > best->priority_ ||
+        (lane->priority_ == best->priority_ && lane->last_served_ < best->last_served_)) {
+      best = lane;
+    }
   }
-  task_ready_.notify_one();
+  return best;
 }
 
-void ThreadPool::wait() {
+void WorkerPool::work(std::size_t worker) {
   std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return unfinished_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err;
-    std::swap(err, first_error_);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-std::size_t ThreadPool::suppressed_errors() const noexcept {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return suppressed_errors_;
-}
-
-void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+    Lane* const lane = pick();
+    if (lane == nullptr) {
+      if (stop_) return;  // stopping, and nothing queued anywhere
+      work_cv_.wait(lock);
+      continue;
     }
+    Task task = std::move(lane->queue_.front());
+    lane->queue_.pop_front();
+    ++lane->running_;
+    lane->last_served_ = ++serve_seq_;
+    lock.unlock();
+    std::exception_ptr error;
     try {
-      task();
+      task(worker);
     } catch (...) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) {
-        first_error_ = std::current_exception();
-      } else {
-        ++suppressed_errors_;
-      }
+      error = std::current_exception();
     }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (--unfinished_ == 0) all_done_.notify_all();
+    std::deque<Task> dropped;
+    lock.lock();
+    if (error) {
+      if (!lane->error_) lane->error_ = error;
+      dropped.swap(lane->queue_);
     }
+    if (--lane->running_ == 0 && lane->queue_.empty()) lane->idle_.notify_all();
+    // That was the pool's last touch of `lane`.  Only now release the
+    // task's captures, which may own the lane, outside the lock that the
+    // lane's destructor takes.
+    lock.unlock();
+    dropped.clear();
+    task = nullptr;
+    lock.lock();
   }
 }
-
-namespace {
-
-/// The loop behind parallel_for_workers and parallel_for_indexed.
-void for_each_index(std::size_t jobs, std::size_t count,
-                    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (count == 0) return;
-  const std::size_t workers = std::min(jobs == 0 ? std::size_t{1} : jobs, count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(0, i);
-    return;
-  }
-  ThreadPool pool(workers);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> bail{false};
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([&, w] {
-      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-        if (bail.load(std::memory_order_relaxed)) return;
-        try {
-          body(w, i);
-        } catch (...) {
-          bail.store(true, std::memory_order_relaxed);
-          throw;  // captured by the pool; rethrown from wait()
-        }
-      }
-    });
-  }
-  pool.wait();
-}
-
-}  // namespace
 
 void parallel_for_workers(std::size_t jobs, std::size_t count,
                           const std::function<void(std::size_t, std::size_t)>& body) {
   if (!body) throw std::invalid_argument("parallel_for_workers: empty body");
-  for_each_index(jobs, count, body);
-}
-
-void parallel_for_indexed(std::size_t jobs, std::size_t count,
-                          const std::function<void(std::size_t)>& body) {
-  if (!body) throw std::invalid_argument("parallel_for_indexed: empty body");
-  for_each_index(jobs, count, [&body](std::size_t, std::size_t i) { body(i); });
+  const std::size_t workers = std::min(std::max<std::size_t>(jobs, 1), count);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
+    return;
+  }
+  WorkerPool pool(workers);
+  WorkerPool::Lane lane(pool);
+  for (std::size_t i = 0; i < count; ++i) {
+    lane.submit([&body, i](std::size_t worker) { body(worker, i); });
+  }
+  lane.wait();
 }
 
 }  // namespace ckptsim

@@ -102,8 +102,8 @@ struct MetricsSnapshot {
 /// Hot-path contract: a worker only ever touches its own shard (plain,
 /// non-atomic increments — no locks, no contended cache lines; shards are
 /// cache-line aligned to avoid false sharing).  The parallel drivers
-/// establish the necessary happens-before edges (ThreadPool::wait joins the
-/// batch before any shard is read), so `snapshot()` must only be called
+/// establish the necessary happens-before edges (WorkerPool::Lane::wait ends
+/// each round before any shard is read), so `snapshot()` must only be called
 /// outside a parallel region.  Collection never touches the simulation
 /// RNGs or orderings, so results stay bit-identical with metrics on.
 class Metrics {
