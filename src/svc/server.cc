@@ -20,10 +20,17 @@ bool blank(std::string_view line) {
   return line.find_first_not_of(" \t\r\n") == std::string_view::npos;
 }
 
+/// Worker i owns metrics shard i, so the pool is never wider than an
+/// external registry (mirrors the drivers' clamp).
+std::size_t pool_width(const ServerConfig& config) {
+  const std::size_t n = ExecSpec{.jobs = config.workers}.resolve();
+  return config.metrics != nullptr ? std::min(n, config.metrics->workers()) : n;
+}
+
 }  // namespace
 
 CampaignServer::CampaignServer(ServerConfig config)
-    : config_(std::move(config)), cache_(config_.cache_path) {
+    : config_(std::move(config)), cache_(config_.cache_path), pool_(pool_width(config_)) {
   if (!config_.ledger_path.empty()) {
     ledger_ = std::make_unique<CampaignLedger>(config_.ledger_path);
   }
@@ -38,19 +45,11 @@ CampaignServer::CampaignServer(ServerConfig config)
                                               "': " + std::strerror(errno));
     }
   }
-  std::size_t n = ExecSpec{config_.workers}.resolve();
   if (config_.metrics != nullptr) {
     metrics_ = config_.metrics;
-    // Worker i owns metrics shard i, so the pool can never be wider than
-    // the registry (mirrors the drivers' clamp).
-    n = std::min(n, metrics_->workers());
   } else {
-    owned_metrics_ = std::make_unique<obs::Metrics>(n);
+    owned_metrics_ = std::make_unique<obs::Metrics>(pool_.size());
     metrics_ = owned_metrics_.get();
-  }
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
   }
   if (cache_.persistent()) store_thread_ = std::thread([this] { store_loop(); });
 }
@@ -86,97 +85,19 @@ void CampaignServer::handle_line(std::string_view line, const Sink& sink) {
       submit_sweep(std::move(req), line, sink);
       return;
     case Request::Op::kInterference:
-      run_interference_request(std::move(req), sink);
-      return;
     case Request::Op::kOptimize:
-      run_optimize_request(std::move(req), sink);
+      run_op(std::move(req), sink);
       return;
   }
 }
 
-bool CampaignServer::admit_synchronous(const Request& req, const Sink& sink) {
+bool CampaignServer::admit(const std::string& id, const Sink& sink,
+                           std::unique_lock<std::mutex>& lock) {
   obs::ServiceCounters& svcc = metrics_->service();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      svcc.errors.fetch_add(1, std::memory_order_relaxed);
-      sink(response_error(req.id, "server is stopping"));
-      return false;
-    }
-    if (draining_) {
-      svcc.rejected.fetch_add(1, std::memory_order_relaxed);
-      sink(response_draining(req.id));
-      return false;
-    }
-  }
-  svcc.accepted.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void CampaignServer::run_interference_request(Request&& req, const Sink& sink) {
-  if (!admit_synchronous(req, sink)) return;
-  obs::ServiceCounters& svcc = metrics_->service();
-  sink(response_accepted(req.id, req.mix.jobs.size(), /*cached=*/0));
-  try {
-    const platform::InterferenceResult result = platform::run_interference(req.mix, req.spec);
-    for (const platform::InterferenceJobResult& job : result.jobs) {
-      sink(response_job(req.id, job));
-      svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
-    }
-    sink(response_platform(req.id, req.mix, result));
-    svcc.replications_run.fetch_add(result.replications * req.mix.jobs.size(),
-                                    std::memory_order_relaxed);
-    sink(response_done(req.id, req.mix.jobs.size(), /*cached=*/0, /*failed=*/0));
-  } catch (const std::exception& e) {
-    svcc.errors.fetch_add(1, std::memory_order_relaxed);
-    sink(response_error(req.id, std::string("interference run failed: ") + e.what()));
-  }
-}
-
-void CampaignServer::run_optimize_request(Request&& req, const Sink& sink) {
-  if (!admit_synchronous(req, sink)) return;
-  obs::ServiceCounters& svcc = metrics_->service();
-  // Candidate count is search-dependent (memo hits shrink it), so the
-  // accepted line reports the planned upper bound per (policy, procs) pair:
-  // the coarse grid plus the golden-section evaluations.
-  const std::size_t combos =
-      std::max<std::size_t>(1, req.opt.policies.size()) *
-      std::max<std::size_t>(1, req.opt.processor_candidates.size());
-  const std::size_t planned =
-      combos * (req.opt.grid + (req.opt.refine_iters > 0 ? req.opt.refine_iters + 1 : 0));
-  sink(response_accepted(req.id, planned, /*cached=*/0));
-  try {
-    std::size_t evaluated = 0;
-    const OptimizeObserver observer = [&](const OptimizeCandidate& c) {
-      sink(response_candidate(req.id, c));
-      ++evaluated;
-      svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
-    };
-    const OptimumPolicy best =
-        optimize(req.params, req.spec, req.opt, /*journal=*/nullptr, observer);
-    sink(response_optimum(req.id, best));
-    sink(response_done(req.id, evaluated, /*cached=*/0, /*failed=*/0));
-  } catch (const std::exception& e) {
-    svcc.errors.fetch_add(1, std::memory_order_relaxed);
-    sink(response_error(req.id, std::string("optimize run failed: ") + e.what()));
-  }
-}
-
-bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink) {
-  obs::ServiceCounters& svcc = metrics_->service();
-  auto c = std::make_shared<Campaign>();
-  c->id = req.id;
-  c->priority = req.priority;
-  c->sink = sink;
-  if (req.spec.sequential.enabled()) c->stopper.emplace(req.spec.sequential);
-  c->req = std::move(req);
-  const Request& r = c->req;
-
-  std::unique_lock<std::mutex> lock(mu_);
   if (stopping_) {
     lock.unlock();
     svcc.errors.fetch_add(1, std::memory_order_relaxed);
-    sink(response_error(r.id, "server is stopping"));
+    sink(response_error(id, "server is stopping"));
     return false;
   }
   // Checked before every other admission rule: a draining server must say
@@ -185,14 +106,14 @@ bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
   if (draining_) {
     lock.unlock();
     svcc.rejected.fetch_add(1, std::memory_order_relaxed);
-    sink(response_draining(r.id));
+    sink(response_draining(id));
     return false;
   }
   for (const CampaignPtr& existing : campaigns_) {
-    if (existing->id == r.id) {
+    if (existing->id == id) {
       lock.unlock();
       svcc.errors.fetch_add(1, std::memory_order_relaxed);
-      sink(response_error(r.id, "campaign id '" + r.id + "' is already active"));
+      sink(response_error(id, "campaign id '" + id + "' is already active"));
       return false;
     }
   }
@@ -203,9 +124,102 @@ bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
     const std::size_t depth = campaigns_.size();
     lock.unlock();
     svcc.rejected.fetch_add(1, std::memory_order_relaxed);
-    sink(response_rejected(r.id, depth, config_.max_queue_depth));
+    sink(response_rejected(id, depth, config_.max_queue_depth));
     return false;
   }
+  return true;
+}
+
+void CampaignServer::run_op(Request&& req, const Sink& sink) {
+  obs::ServiceCounters& svcc = metrics_->service();
+  const auto c = std::make_shared<Campaign>(pool_, /*priority=*/0);
+  c->id = req.id;
+  c->op = true;
+  c->inflight = 1;  // until the op ends: drained() waits for it
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!admit(c->id, sink, lock)) return;
+    campaigns_.push_back(c);
+    svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
+                           std::memory_order_relaxed);
+  }
+  svcc.accepted.fetch_add(1, std::memory_order_relaxed);
+  req.spec.exec.lane = &c->lane;
+  req.spec.cancel = &c->cancelled;
+  std::vector<std::string> closing;  // the lines that end a complete run
+  std::size_t replications = 0;      // interference: replications_run
+  std::string failure;
+  try {
+    if (req.op == Request::Op::kInterference) {
+      sink(response_accepted(req.id, req.mix.jobs.size(), /*cached=*/0));
+      const platform::InterferenceResult result = platform::run_interference(req.mix, req.spec);
+      for (const platform::InterferenceJobResult& job : result.jobs) {
+        closing.push_back(response_job(req.id, job));
+      }
+      closing.push_back(response_platform(req.id, req.mix, result));
+      replications = result.replications * req.mix.jobs.size();
+      closing.push_back(response_done(req.id, req.mix.jobs.size(), /*cached=*/0, /*failed=*/0));
+    } else {
+      // Candidate count is search-dependent (memo hits shrink it), so the
+      // accepted line reports the planned upper bound per (policy, procs)
+      // pair: the coarse grid plus the golden-section evaluations.
+      const std::size_t combos =
+          std::max<std::size_t>(1, req.opt.policies.size()) *
+          std::max<std::size_t>(1, req.opt.processor_candidates.size());
+      const std::size_t planned =
+          combos * (req.opt.grid + (req.opt.refine_iters > 0 ? req.opt.refine_iters + 1 : 0));
+      sink(response_accepted(req.id, planned, /*cached=*/0));
+      std::size_t evaluated = 0;
+      const OptimizeObserver observer = [&](const OptimizeCandidate& candidate) {
+        sink(response_candidate(req.id, candidate));
+        ++evaluated;
+        svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
+      };
+      const OptimumPolicy best =
+          optimize(req.params, req.spec, req.opt, /*journal=*/nullptr, observer);
+      closing.push_back(response_optimum(req.id, best));
+      closing.push_back(response_done(req.id, evaluated, /*cached=*/0, /*failed=*/0));
+    }
+  } catch (const std::exception& e) {
+    failure = std::string(req.op == Request::Op::kInterference ? "interference" : "optimize") +
+              " run failed: " + e.what();
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  // Off the list before the flag is read: a cancel either finds the op and
+  // ends its stream, or answers unknown_campaign.
+  campaigns_.remove(c);
+  svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
+                         std::memory_order_relaxed);
+  idle_cv_.notify_all();
+  const bool draining = draining_;
+  const bool stopped = c->retired;  // by stop(): the sink is going away with the server
+  lock.unlock();
+  if (stopped) return;
+  if (c->cancelled.load(std::memory_order_relaxed)) {
+    sink(draining ? response_draining(req.id) : response_cancelled(req.id));
+  } else if (!failure.empty()) {
+    svcc.errors.fetch_add(1, std::memory_order_relaxed);
+    sink(response_error(req.id, failure));
+  } else {
+    if (req.op == Request::Op::kInterference) {
+      svcc.points_completed.fetch_add(req.mix.jobs.size(), std::memory_order_relaxed);
+      svcc.replications_run.fetch_add(replications, std::memory_order_relaxed);
+    }
+    for (const std::string& line : closing) sink(line);
+  }
+}
+
+bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink) {
+  obs::ServiceCounters& svcc = metrics_->service();
+  auto c = std::make_shared<Campaign>(pool_, req.priority);
+  c->id = req.id;
+  c->sink = sink;
+  if (req.spec.sequential.enabled()) c->stopper.emplace(req.spec.sequential);
+  c->req = std::move(req);
+  const Request& r = c->req;
+
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!admit(r.id, sink, lock)) return false;
 
   // Durable admission record, written before any replication runs: if the
   // process dies — SIGKILL included — from here on, a restart finds the
@@ -262,7 +276,6 @@ bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
   c->flushing = true;
   ++flushers_;
   lock.unlock();
-  work_cv_.notify_all();
   flush_outbox(c);
   return true;
 }
@@ -289,10 +302,13 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
   }
   svcc.cancelled.fetch_add(1, std::memory_order_relaxed);
   // Cooperative, like RunSpec::cancel: raise the flag, drop queued work,
-  // let in-flight replications finish.
+  // let in-flight replications finish.  An op's own thread ends its stream.
   c->cancelled.store(true, std::memory_order_relaxed);
-  c->ready.clear();
-  maybe_retire(c);
+  const std::size_t dropped = c->lane.drop();
+  if (!c->op) {
+    c->inflight -= dropped;
+    maybe_retire(c);
+  }
   const bool flush = !c->outbox.empty() && !c->flushing;
   if (flush) {
     c->flushing = true;
@@ -305,85 +321,51 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
   if (flush) flush_outbox(c);
 }
 
-void CampaignServer::worker_loop(std::size_t worker) {
+void CampaignServer::run_task(const CampaignPtr& c, const Task& t, std::size_t worker) {
+  detail::Outcome<ReplicationResult> outcome;
+  if (!c->cancelled.load(std::memory_order_relaxed)) {
+    const Request& r = c->req;
+    const PointState& ps = c->points[t.point];
+    // Event-granular crash-resume, keyed by the point's cache fingerprint
+    // (unique per simulated work, filename-safe for any campaign id) plus
+    // the replication index; drain_stop_ parks the replication at its
+    // next snapshot boundary when the daemon drains.
+    char fp_hex[17];
+    std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
+                  static_cast<unsigned long long>(ps.fingerprint));
+    SnapshotSpec snap =
+        replication_snapshot(ps.params, r.spec, r.engine, t.rep, config_.snapshot_every_events,
+                             config_.snapshot_dir + "/" + fp_hex + "-");
+    snap.stop = &drain_stop_;
+    const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
+    const obs::WorkerTimer timer(metrics_, worker);
+    obs::ReplicationProbe probe;
+    outcome = detail::guard_attempts(
+        r.spec.seed, t.rep, r.spec.on_failure, &probe, r.spec.fault_injection, snap_ptr,
+        [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
+          return run_replication(ps.params, r.engine, seed, r.spec.transient, r.spec.horizon,
+                                 attempt_probe, r.spec.watchdog.max_events, {}, snap_ptr);
+        });
+    metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
+    if (outcome.ok) metrics_->shard(worker).absorb(probe);
+  }
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    CampaignPtr c;
-    Task t;
-    if (!pick_task(&c, &t)) {
-      if (stopping_) return;
-      work_cv_.wait(lock);
-      continue;
-    }
-    lock.unlock();
-    detail::Outcome<ReplicationResult> outcome;
-    if (!c->cancelled.load(std::memory_order_relaxed)) {
-      const Request& r = c->req;
-      const PointState& ps = c->points[t.point];
-      // Event-granular crash-resume, keyed by the point's cache fingerprint
-      // (unique per simulated work, filename-safe for any campaign id) plus
-      // the replication index; drain_stop_ parks the replication at its
-      // next snapshot boundary when the daemon drains.
-      char fp_hex[17];
-      std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
-                    static_cast<unsigned long long>(ps.fingerprint));
-      SnapshotSpec snap =
-          replication_snapshot(ps.params, r.spec, r.engine, t.rep, config_.snapshot_every_events,
-                               config_.snapshot_dir + "/" + fp_hex + "-");
-      snap.stop = &drain_stop_;
-      const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
-      const obs::WorkerTimer timer(metrics_, worker);
-      obs::ReplicationProbe probe;
-      outcome = detail::guard_attempts(
-          r.spec.seed, t.rep, r.spec.on_failure, &probe, r.spec.fault_injection, snap_ptr,
-          [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
-            return run_replication(ps.params, r.engine, seed, r.spec.transient, r.spec.horizon,
-                                   attempt_probe, r.spec.watchdog.max_events, {}, snap_ptr);
-          });
-      metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
-      if (outcome.ok) metrics_->shard(worker).absorb(probe);
-    }
-    lock.lock();
-    on_task_done(c, t, std::move(outcome));
-    const bool flush = !c->outbox.empty() && !c->flushing;
-    if (flush) {
-      c->flushing = true;
-      ++flushers_;
-    }
-    lock.unlock();
-    if (flush) flush_outbox(c);
-    lock.lock();
+  on_task_done(c, t, std::move(outcome));
+  const bool flush = !c->outbox.empty() && !c->flushing;
+  if (flush) {
+    c->flushing = true;
+    ++flushers_;
   }
-}
-
-bool CampaignServer::pick_task(CampaignPtr* campaign, Task* task) {
-  // A draining server starts nothing new: ready tasks stay queued (and
-  // ledgered) for the restarted daemon.
-  if (draining_) return false;
-  // Highest priority first; round-robin (least recently served) among
-  // equals, so concurrent campaigns of one priority share the pool fairly
-  // instead of running in submission order.
-  CampaignPtr best;
-  for (const CampaignPtr& c : campaigns_) {
-    if (c->ready.empty()) continue;
-    if (best == nullptr || c->priority > best->priority ||
-        (c->priority == best->priority && c->last_served < best->last_served)) {
-      best = c;
-    }
-  }
-  if (best == nullptr) return false;
-  *task = best->ready.front();
-  best->ready.pop_front();
-  ++best->inflight;
-  best->last_served = ++serve_seq_;
-  *campaign = std::move(best);
-  return true;
+  lock.unlock();
+  if (flush) flush_outbox(c);
 }
 
 void CampaignServer::schedule_round(const CampaignPtr& c, std::size_t point, std::size_t batch) {
   PointRounds<ReplicationResult>& reps = c->points[point].reps;
   for (std::size_t rep = reps.open(batch); rep < reps.scheduled(); ++rep) {
-    c->ready.push_back(Task{point, rep});
+    // The task owns the campaign, and with it the lane it is queued on.
+    c->lane.submit([this, c, t = Task{point, rep}](std::size_t worker) { run_task(c, t, worker); });
+    ++c->inflight;
   }
 }
 
@@ -412,8 +394,9 @@ void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
         [](const ReplicationResult& r) { return r.useful_fraction; },
         c->req.spec.confidence_level);
     if (next != 0) {
-      schedule_round(c, t.point, next);
-      work_cv_.notify_all();
+      // A draining server opens no round: the point stays unfinished, and
+      // pending in the ledger, for the restarted daemon.
+      if (!draining_) schedule_round(c, t.point, next);
       return;
     }
   }
@@ -545,12 +528,16 @@ void CampaignServer::begin_drain() {
   // campaign's snapshot hook after this sees the flag at the very next
   // boundary.
   drain_stop_.store(true, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) return;
-    draining_ = true;
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (draining_) return;
+  draining_ = true;
+  // Nothing queued starts: a sweep's dropped replications stay pending in
+  // the ledger for the restarted daemon; an op ends with "draining".
+  for (const CampaignPtr& c : campaigns_) {
+    if (c->op) c->cancelled.store(true, std::memory_order_relaxed);
+    const std::size_t dropped = c->lane.drop();
+    if (!c->op) c->inflight -= dropped;
   }
-  work_cv_.notify_all();
 }
 
 bool CampaignServer::drained() {
@@ -586,9 +573,10 @@ std::size_t CampaignServer::readmit_pending(const Sink& sink) {
 
 void CampaignServer::stop() {
   // In-flight replications park at their next snapshot boundary (when
-  // snapshots are on) instead of running to completion, so join is prompt
-  // and their progress survives in the snapshot files.
+  // snapshots are on) instead of running to completion, so the wait is
+  // prompt and their progress survives in the snapshot files.
   drain_stop_.store(true, std::memory_order_relaxed);
+  std::list<CampaignPtr> listed;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return;
@@ -596,19 +584,20 @@ void CampaignServer::stop() {
     for (const CampaignPtr& c : campaigns_) {
       c->cancelled.store(true, std::memory_order_relaxed);
       c->retired = true;  // suppress terminal lines: the sinks are dying too
-      c->ready.clear();
+      const std::size_t dropped = c->lane.drop();
+      if (!c->op) c->inflight -= dropped;
     }
     // The sockets are going away with us; drop the campaigns rather than
-    // emitting into the void.  In-flight workers still hold their own
-    // shared_ptrs, so per-campaign state stays valid until they land.
-    campaigns_.clear();
+    // emitting into the void.  Running tasks own their campaign, so its
+    // state stays valid until they land.
+    listed.swap(campaigns_);
     metrics_->service().queue_depth.store(0, std::memory_order_relaxed);
   }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
+  // An op's lane is its own thread's to wait on.
+  for (const CampaignPtr& c : listed) {
+    if (!c->op) c->lane.wait();
   }
-  // The workers queue no more points: the store thread inserts what they
+  // The lanes queue no more points: the store thread inserts what they
   // left (finished points stay cached) and exits.
   {
     const std::lock_guard<std::mutex> lock(mu_);

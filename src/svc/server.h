@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/runner.h"
+#include "src/core/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/stats/sequential.h"
 #include "src/svc/cache.h"
@@ -28,9 +29,9 @@ struct ServerConfig {
   /// Worker threads simulating replications; 0 = auto (CKPTSIM_JOBS, then
   /// hardware concurrency), exactly like RunSpec's ExecSpec.
   std::size_t workers = 0;
-  /// Admission control: campaigns concurrently queued or running.  A sweep
-  /// arriving while this many campaigns are in flight gets a "rejected"
-  /// backpressure response instead of unbounded queue growth.
+  /// Admission control: campaigns and ops concurrently queued or running.
+  /// A sweep or op arriving while this many are in flight gets a
+  /// "rejected" backpressure response instead of unbounded queue growth.
   std::size_t max_queue_depth = 8;
   /// Result-cache journal path; empty = memory-only (tests, benches).
   std::string cache_path;
@@ -57,11 +58,13 @@ struct ServerConfig {
 /// the --once stdin mode both drive this same object, as do the in-process
 /// tests and the throughput bench.
 ///
-/// Scheduling: the unit of work is one replication (the driver's guarded
-/// attempt around run_replication), not one campaign, so concurrent
-/// campaigns share the pool fairly instead of convoying: workers always
-/// pick from the highest-priority campaign with ready work and round-robin
-/// among equals (least recently served first).  Each point finalizes —
+/// Scheduling: the server owns one core::WorkerPool and gives every
+/// campaign a lane at its priority.  The unit of work is one replication
+/// (the driver's guarded attempt around run_replication), not one
+/// campaign, so concurrent campaigns share the pool fairly instead of
+/// convoying: workers always take from the highest-priority lane with
+/// queued work and round-robin among equals (least recently served
+/// first).  Each point finalizes —
 /// aggregation in replication-index order, cache insert, streamed "point"
 /// line — the moment its last replication completes, exactly mirroring
 /// sweep()'s per-point countdown, so results are bit-identical to the CLI's
@@ -89,6 +92,12 @@ struct ServerConfig {
 /// a "cancel" request raises the campaign's flag, queued tasks are
 /// dropped, in-flight replications finish, then one "cancelled" line is
 /// emitted.  Points finalized before the cancel stay cached.
+///
+/// The interference and optimize ops pass the sweeps' admission and are
+/// listed beside the campaigns, each with a lane at priority 0 that its
+/// replications run on.  They run on the requesting thread, with no cache
+/// entry and no ledger record; a cancel or a drain drops their queued
+/// replications and ends their stream with "cancelled" or "draining".
 class CampaignServer {
  public:
   /// One response line (no trailing newline).  Called from connection and
@@ -112,16 +121,18 @@ class CampaignServer {
   /// Block until no campaign is queued or running (tests, --once mode).
   void drain();
 
-  /// Graceful drain (SIGTERM): stop handing tasks to workers, reject new
-  /// campaigns with an explicit "draining" response, and make in-flight
+  /// Graceful drain (SIGTERM): drop every queued replication, reject new
+  /// requests with an explicit "draining" response, and make in-flight
   /// replications park themselves at their next snapshot boundary (the
   /// snapshot is written, then the replication unwinds).  Campaigns caught
   /// mid-flight stay pending in the ledger, so a restarted daemon
-  /// re-admits them and resumes bit-identically.  Idempotent.
+  /// re-admits them and resumes bit-identically; a running op ends with
+  /// "draining".  Idempotent.
   void begin_drain();
 
-  /// True once begin_drain() was called and no replication is in flight
-  /// and no response stream is mid-flush — the daemon can exit.
+  /// True once begin_drain() was called and no replication is in flight,
+  /// no op is listed and no response stream is mid-flush — the daemon can
+  /// exit.
   [[nodiscard]] bool drained();
 
   /// Replay the ledger's pending campaigns through the normal request
@@ -132,7 +143,9 @@ class CampaignServer {
   /// Call once at startup, before serving.
   std::size_t readmit_pending(const Sink& sink);
 
-  /// Cancel everything and join the workers.  Idempotent.
+  /// Cancel everything and wait for the campaigns' running replications.
+  /// Ops still running on other threads must end before the server is
+  /// destroyed.  Idempotent.
   void stop();
 
   /// True once a "shutdown" request was received; the transport layer polls
@@ -142,7 +155,7 @@ class CampaignServer {
   }
 
   /// Resolved worker-pool width.
-  [[nodiscard]] std::size_t workers() const noexcept { return threads_.size(); }
+  [[nodiscard]] std::size_t workers() const noexcept { return pool_.size(); }
 
   [[nodiscard]] const ResultCache& cache() const noexcept { return cache_; }
 
@@ -167,21 +180,24 @@ class CampaignServer {
     bool finalized = false;
   };
 
+  /// A sweep campaign, or an op listed while it runs (`op`).  Its lane's
+  /// tasks own it, so it lives until the last of them is released.
   struct Campaign {
+    Campaign(WorkerPool& pool, int priority) : lane(pool, priority) {}
     std::string id;
-    int priority = 0;
     Request req;  ///< immutable after admission
     Sink sink;
     std::optional<stats::SequentialStopper> stopper;  ///< set when adaptive
     std::vector<PointState> points;
-    std::deque<Task> ready;      ///< tasks awaiting a worker
-    std::size_t inflight = 0;    ///< tasks running, plus points awaiting the store thread
+    WorkerPool::Lane lane;       ///< the campaign's replications
+    bool op = false;             ///< an op: its own thread ends its stream
+    std::size_t inflight = 0;    ///< tasks queued or running, plus points awaiting the
+                                 ///< store thread; 1 for a listed op
     std::size_t unfinalized = 0; ///< points whose point or error line is not yet queued
     std::size_t cached = 0;      ///< points restored from the cache
     std::size_t failed = 0;      ///< points failed under fail/retry policy
     std::atomic<bool> cancelled{false};
-    bool retired = false;           ///< terminal line emitted, off the list
-    std::uint64_t last_served = 0;  ///< round-robin recency stamp
+    bool retired = false;  ///< terminal line emitted, off the list
     // Ordered response queue: appended under mu_, drained FIFO by a single
     // flusher at a time, so lines reach the sink in generation order even
     // though several workers finalize points concurrently.
@@ -197,25 +213,22 @@ class CampaignServer {
     RunResult result;
   };
 
+  /// Admission of a sweep or an op, in order: a stopping server (error), a
+  /// draining one ("draining"), an id already listed (error), a full queue
+  /// ("rejected").  False after answering `sink`, with `lock` released;
+  /// true with `lock` on mu_ still held.
+  bool admit(const std::string& id, const Sink& sink, std::unique_lock<std::mutex>& lock);
   /// False when the campaign was turned away (error, draining, full queue).
   bool submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink);
-  /// Admission of a synchronous (non-campaign) request: false after
-  /// answering a stopping or draining server's error/"draining" line.
-  bool admit_synchronous(const Request& req, const Sink& sink);
-  /// Run one interference request synchronously on the caller's thread and
-  /// stream accepted / job / platform / done lines through `sink`.  The run
-  /// is not a campaign: no cache entry, no ledger record, no cancel handle
-  /// (its worker pool is the request's own spec.exec, not the server's).
-  void run_interference_request(Request&& req, const Sink& sink);
-  /// Run one optimizer search synchronously on the caller's thread and
-  /// stream accepted / candidate / optimum / done lines through `sink`.
-  /// Same non-campaign contract as run_interference_request.
-  void run_optimize_request(Request&& req, const Sink& sink);
+  /// Admit an interference or optimize request and run it on the caller's
+  /// thread, its replications on the lane of its listing, streaming
+  /// accepted / job / platform / done or accepted / candidate / optimum /
+  /// done lines through `sink`.  No cache entry, no ledger record.
+  void run_op(Request&& req, const Sink& sink);
   void cancel_campaign(const std::string& id, const Sink& sink);
-  void worker_loop(std::size_t worker);
-  /// Pop the next task under the fairness policy; false when nothing is
-  /// ready.  Caller holds mu_.
-  bool pick_task(CampaignPtr* campaign, Task* task);
+  /// Replication `t` of `c` on pool thread `worker`: simulate it, then
+  /// record it and flush what it finalized.
+  void run_task(const CampaignPtr& c, const Task& t, std::size_t worker);
   /// Record a completed task, finalizing its point / campaign as needed.
   /// Caller holds mu_; emissions go to the campaign outbox.
   void on_task_done(const CampaignPtr& c, const Task& t,
@@ -230,7 +243,8 @@ class CampaignServer {
   /// Emit a point already in the cache, ending its in-flight count.
   /// Caller holds mu_.
   void publish_point(const PendingStore& s);
-  /// Schedule the next `batch` replications of `point`.  Caller holds mu_.
+  /// Queue the next `batch` replications of `point` on the campaign's lane.
+  /// Caller holds mu_.
   void schedule_round(const CampaignPtr& c, std::size_t point, std::size_t batch);
   /// Emit "done"/"cancelled" and retire the campaign once nothing is left.
   /// Caller holds mu_.
@@ -248,18 +262,18 @@ class CampaignServer {
   std::atomic<bool> drain_stop_{false};
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  ///< workers: ready task or stopping
   std::condition_variable idle_cv_;  ///< drain(): campaign list emptied
-  std::list<CampaignPtr> campaigns_;
+  /// Declared after what its tasks lock and before what holds campaigns,
+  /// so it is joined after the campaigns go and before the lock does.
+  WorkerPool pool_;
+  std::list<CampaignPtr> campaigns_;  ///< sweeps queued or running, and ops running
   std::condition_variable store_cv_;  ///< store thread: points queued or closing
   std::vector<PendingStore> stores_;  ///< finished points awaiting their insert
-  bool stores_closed_ = false;        ///< set by stop() once the workers are joined
+  bool stores_closed_ = false;        ///< set by stop() once the lanes are idle
   std::size_t flushers_ = 0;  ///< outbox drains in progress (any campaign)
-  std::uint64_t serve_seq_ = 0;
   bool stopping_ = false;
   bool draining_ = false;  ///< guarded by mu_
   std::atomic<bool> shutdown_{false};
-  std::vector<std::thread> threads_;
   std::thread store_thread_;  ///< only with a persistent cache
 };
 

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,8 +20,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +84,37 @@ struct Collector {
     const JsonValue v = parsed(i);
     const JsonValue* t = v.find("type");
     return t != nullptr ? t->scalar : "";
+  }
+  /// Index of the first line of `type` for campaign `id`, or lines.size().
+  [[nodiscard]] std::size_t find(const std::string& type, const std::string& id) {
+    const std::lock_guard<std::mutex> lock(mu);
+    return find_locked(type, id);
+  }
+  /// Wait up to 30 s for a line of `type` for campaign `id`.
+  [[nodiscard]] bool await(const std::string& type, const std::string& id) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (;;) {
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        if (find_locked(type, id) < lines.size()) return true;
+      }
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t find_locked(const std::string& type, const std::string& id) const {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      JsonValue v;
+      if (!ckptsim::obs::parse_json(lines[i], &v)) continue;
+      const JsonValue* t = v.find("type");
+      const JsonValue* line_id = v.find("id");
+      if (t != nullptr && line_id != nullptr && t->scalar == type && line_id->scalar == id) {
+        return i;
+      }
+    }
+    return lines.size();
   }
 };
 
@@ -1059,6 +1096,179 @@ TEST(SvcServer, DuplicateActiveCampaignIdIsRejected) {
   server.stop();
 }
 
+// --- Ops on the shared pool --------------------------------------------------
+
+/// An interference op of 4 replications of two jobs over 50000 h: long
+/// enough to still be running while a test acts on it.
+std::string long_op(const std::string& id) {
+  return R"({"op":"interference","id":")" + id +
+         R"(","jobs":"a:procs=4096;b:procs=8192,interval_min=15",)"
+         R"("spec":{"reps":4,"horizon_hours":50000,"transient_hours":1}})";
+}
+
+/// A priority-5 sweep of 8 replications over 50000 h that keeps a
+/// 1-worker server busy while priority-0 work queues behind it.
+std::string blocker_sweep(const std::string& id) {
+  return R"({"op":"sweep","id":")" + id +
+         R"(","priority":5,"axis":"interval","values":[30],"params":{"processors":8192},)"
+         R"("spec":{"reps":8,"horizon_hours":50000,"transient_hours":10}})";
+}
+
+/// A request handled on its own thread (an op runs on the requesting
+/// thread until it ends), joined on destruction.
+class Requester {
+ public:
+  Requester(CampaignServer& server, std::string line, CampaignServer::Sink sink)
+      : thread_([&server, line = std::move(line), sink = std::move(sink)] {
+          server.handle_line(line, sink);
+        }) {}
+  ~Requester() { thread_.join(); }
+  Requester(const Requester&) = delete;
+  Requester& operator=(const Requester&) = delete;
+
+ private:
+  std::thread thread_;
+};
+
+TEST(SvcServer, OpAndSweepIdsCollideWhileEitherIsActive) {
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  Collector out;
+  // An op named like an active sweep is turned away...
+  server.handle_line(blocker_sweep("dup"), out.sink());
+  Collector op;
+  server.handle_line(long_op("dup"), op.sink());
+  ASSERT_EQ(op.lines.size(), 1u);
+  EXPECT_EQ(op.type(0), "error");
+  EXPECT_NE(op.lines[0].find("already active"), std::string::npos) << op.lines[0];
+  // ...and so is a sweep named like an active op, queued behind "dup".
+  Collector running;
+  {
+    const Requester requester(server, long_op("busy"), running.sink());
+    ASSERT_TRUE(running.await("accepted", "busy"));
+    Collector sweep;
+    server.handle_line(R"({"op":"sweep","id":"busy","axis":"interval","values":[30]})",
+                       sweep.sink());
+    ASSERT_EQ(sweep.lines.size(), 1u);
+    EXPECT_EQ(sweep.type(0), "error");
+    EXPECT_NE(sweep.lines[0].find("already active"), std::string::npos) << sweep.lines[0];
+    Collector canceller;
+    server.handle_line(R"({"op":"cancel","id":"busy"})", canceller.sink());
+    server.handle_line(R"({"op":"cancel","id":"dup"})", canceller.sink());
+  }
+  server.drain();
+  EXPECT_EQ(running.type(running.lines.size() - 1), "cancelled");
+}
+
+TEST(SvcServer, OpsCountTowardMaxQueue) {
+  ServerConfig config;
+  config.workers = 1;
+  config.max_queue_depth = 1;
+  CampaignServer server(config);
+  // A running op fills the queue for a sweep...
+  Collector op;
+  {
+    const Requester requester(server, long_op("op"), op.sink());
+    ASSERT_TRUE(op.await("accepted", "op"));
+    Collector sweep;
+    server.handle_line(kTinySweep, sweep.sink());
+    ASSERT_EQ(sweep.lines.size(), 1u);
+    ASSERT_EQ(sweep.type(0), "rejected");
+    const JsonValue rejected = sweep.parsed(0);
+    ASSERT_NE(rejected.find("max_queue_depth"), nullptr);
+    EXPECT_EQ(rejected.find("max_queue_depth")->uint(), 1u);
+    Collector canceller;
+    server.handle_line(R"({"op":"cancel","id":"op"})", canceller.sink());
+  }
+  EXPECT_EQ(op.type(op.lines.size() - 1), "cancelled");
+  // ...and a running sweep for an op.
+  Collector sweep;
+  server.handle_line(blocker_sweep("sweep"), sweep.sink());
+  Collector turned_away;
+  server.handle_line(long_op("op2"), turned_away.sink());
+  ASSERT_EQ(turned_away.lines.size(), 1u);
+  EXPECT_EQ(turned_away.type(0), "rejected");
+  server.stop();
+  EXPECT_EQ(server.metrics().service().snapshot().rejected, 2u);
+}
+
+TEST(SvcServer, CancelOfARunningOpEndsItsStreamCancelled) {
+  // The op's replications queue behind a priority-5 sweep on the one
+  // worker, so none of them has started when the cancel drops them: the
+  // op ends before the sweep does, which it could not if any of its
+  // replications still had to run.
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  Collector all;  // one sink: global emission order is observable
+  server.handle_line(blocker_sweep("blocker"), all.sink());
+  {
+    const Requester requester(server, long_op("op"), all.sink());
+    ASSERT_TRUE(all.await("accepted", "op"));
+    Collector canceller;
+    server.handle_line(R"({"op":"cancel","id":"op"})", canceller.sink());
+    ASSERT_EQ(canceller.lines.size(), 1u);
+    EXPECT_EQ(canceller.type(0), "cancelled");
+  }
+  server.drain();
+  const std::size_t op_cancelled = all.find("cancelled", "op");
+  const std::size_t blocker_done = all.find("done", "blocker");
+  ASSERT_LT(op_cancelled, all.lines.size());
+  ASSERT_LT(blocker_done, all.lines.size());
+  EXPECT_LT(op_cancelled, blocker_done);
+  EXPECT_EQ(all.find("job", "op"), all.lines.size());
+  EXPECT_EQ(all.find("done", "op"), all.lines.size());
+  EXPECT_EQ(server.metrics().service().snapshot().cancelled, 1u);
+}
+
+TEST(SvcServer, DrainMidOpEndsItsStreamDraining) {
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  Collector all;
+  server.handle_line(blocker_sweep("blocker"), all.sink());
+  {
+    const Requester requester(server, long_op("op"), all.sink());
+    ASSERT_TRUE(all.await("accepted", "op"));
+    server.begin_drain();
+  }
+  ASSERT_FALSE(all.lines.empty());
+  EXPECT_LT(all.find("draining", "op"), all.lines.size());
+  EXPECT_EQ(all.find("done", "op"), all.lines.size());
+  // The blocker's queued replications were dropped; its running one ends.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!server.drained() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(server.drained());
+  server.stop();
+  EXPECT_EQ(all.find("done", "blocker"), all.lines.size());
+}
+
+TEST(SvcServer, OpRunsBehindAHigherPrioritySweepOnTheSharedPool) {
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  Collector all;
+  server.handle_line(
+      R"({"op":"sweep","id":"urgent","priority":5,"axis":"interval","values":[15,30],)"
+      R"("params":{"processors":8192},"spec":{"reps":2,"horizon_hours":20000,"transient_hours":10}})",
+      all.sink());
+  // The op runs on this thread; its priority-0 replications queue behind
+  // the sweep's on the one worker.
+  server.handle_line(
+      R"({"op":"interference","id":"op","jobs":"a:procs=4096;b:procs=8192,interval_min=15",)"
+      R"("spec":{"reps":2,"horizon_hours":12,"transient_hours":1}})",
+      all.sink());
+  server.drain();
+  const std::size_t urgent_done = all.find("done", "urgent");
+  const std::size_t op_done = all.find("done", "op");
+  ASSERT_LT(urgent_done, all.lines.size());
+  ASSERT_LT(op_done, all.lines.size());
+  EXPECT_LT(urgent_done, op_done);
+}
+
 // --- TCP transport ----------------------------------------------------------
 
 /// Blocking loopback client: sends request lines and reads response lines,
@@ -1067,9 +1277,10 @@ class LineClient {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit LineClient(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+  explicit LineClient(std::uint16_t port, int timeout_s = 30)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
     timeval timeout{};
-    timeout.tv_sec = 30;
+    timeout.tv_sec = timeout_s;
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
