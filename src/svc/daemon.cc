@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -69,8 +70,19 @@ TcpDaemon::TcpDaemon(CampaignServer& server, std::uint16_t port) : server_(serve
 
 TcpDaemon::~TcpDaemon() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (std::thread& t : readers_) {
-    if (t.joinable()) t.join();
+  for (Reader& r : readers_) {
+    if (r.thread.joinable()) r.thread.join();
+  }
+}
+
+void TcpDaemon::reap_readers() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (!it->conn->reader_done.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->thread.join();
+    it = readers_.erase(it);
   }
 }
 
@@ -81,6 +93,7 @@ void TcpDaemon::run(const std::atomic<bool>& stop) {
   // nothing is running.  A "shutdown" request keeps the old immediate exit.
   bool draining = false;
   while (!server_.shutdown_requested()) {
+    reap_readers();
     if (stop.load(std::memory_order_relaxed) && !draining) {
       server_.begin_drain();
       draining = true;
@@ -93,30 +106,30 @@ void TcpDaemon::run(const std::atomic<bool>& stop) {
     if (ready < 0 && errno != EINTR) break;
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
+    if (fd < 0) {
+      // Out of descriptors (EMFILE) the connection stays pending and poll
+      // reports it again at once: wait for readers to free some instead of
+      // spinning.
+      if (errno != EINTR) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      continue;
+    }
     // The sink sends each response line on its own; with Nagle's algorithm
     // a line sent while the previous one is unacknowledged would wait for
     // the client's delayed ACK (40 ms or more on Linux).
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto conn = std::make_shared<Connection>(fd);
-    {
-      const std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-    }
-    readers_.emplace_back([this, conn] { serve_connection(conn); });
+    readers_.push_back(Reader{conn, std::thread([this, conn] {
+                                serve_connection(conn);
+                                conn->reader_done.store(true, std::memory_order_release);
+                              })});
   }
   // Unblock every reader (recv returns 0 after SHUT_RD) and join them so no
   // request arrives after this point; campaign sinks may still write to the
   // sockets until the caller stops the server — the shared_ptrs keep the
   // fds alive for them.
-  {
-    const std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) ::shutdown(conn->fd, SHUT_RD);
-  }
-  for (std::thread& t : readers_) {
-    if (t.joinable()) t.join();
-  }
+  for (const Reader& r : readers_) ::shutdown(r.conn->fd, SHUT_RD);
+  for (Reader& r : readers_) r.thread.join();
   readers_.clear();
 }
 

@@ -3,10 +3,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "src/svc/server.h"
 
@@ -24,7 +24,9 @@ void serve_stream(CampaignServer& server, std::FILE* in, std::FILE* out);
 /// number of concurrent clients, and feeds each connection's lines to the
 /// shared CampaignServer.  Each connection gets a reader thread and a
 /// write-serialized sink; response lines for a campaign go to the
-/// connection that submitted it.
+/// connection that submitted it.  The accept loop joins the reader of a
+/// closed connection on its next pass; the socket closes once no campaign
+/// sink holds it.
 class TcpDaemon {
  public:
   /// Binds and listens; `port` 0 picks an ephemeral port (read it back via
@@ -53,16 +55,21 @@ class TcpDaemon {
     ~Connection();
     int fd;
     std::mutex write_mu;
+    std::atomic<bool> reader_done{false};  ///< raised as the reader returns
+  };
+  struct Reader {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
   };
 
   void serve_connection(const std::shared_ptr<Connection>& conn);
+  /// Join the readers that returned and let go of their connections.
+  void reap_readers();
 
   CampaignServer& server_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;
+  std::list<Reader> readers_;  ///< touched by run() and the destructor only
 };
 
 }  // namespace ckptsim::svc

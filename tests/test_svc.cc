@@ -1402,4 +1402,125 @@ TEST(TcpDaemon, RepliesAreNotHeldForTheClientsDelayedAck) {
   EXPECT_LT(median, 10.0) << "accepted -> done gaps (ms): " << all;
 }
 
+/// Descriptors this process has open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Answer to one ping on a fresh connection, or "" when none came.
+std::string ping(std::uint16_t port, int timeout_s = 30) {
+  LineClient client(port, timeout_s);
+  std::string line;
+  LineClient::Clock::time_point at;
+  if (!client.connected() || !client.send_line(R"({"op":"ping"})") ||
+      !client.read_line(&line, &at)) {
+    return "";
+  }
+  return line;
+}
+
+TEST(TcpDaemon, ClosedConnectionsAreReleased) {
+  CampaignServer server(ServerConfig{});
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  {
+    const AcceptLoop loop(daemon);
+    const std::size_t before = open_fds();
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_NE(ping(daemon.port()).find("pong"), std::string::npos) << "cycle " << i;
+    }
+    // Each pass of the accept loop (at least every 200 ms) joins the
+    // readers of closed connections and lets go of their sockets.
+    std::size_t after = open_fds();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (after > before && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      after = open_fds();
+    }
+    EXPECT_LE(after, before);
+  }
+  server.stop();
+}
+
+/// CPU seconds (user + system, all threads) process `pid` has used.
+double cpu_seconds(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  std::getline(in, stat);
+  // Fields after the parenthesized command: state is field 3, utime 14
+  // and stime 15, in clock ticks.
+  std::istringstream fields(stat.substr(stat.rfind(')') + 2));
+  std::string field;
+  double ticks = 0.0;
+  for (int i = 3; i <= 15 && fields >> field; ++i) {
+    if (i >= 14) ticks += std::stod(field);
+  }
+  return ticks / static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+/// A forked child process, killed and reaped on destruction.
+struct Child {
+  pid_t pid = -1;
+  ~Child() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+};
+
+TEST(TcpDaemon, BacksOffWhenOutOfDescriptorsAndServesOnceTheyFree) {
+  // The daemon runs in a child process whose descriptor limit is 32.  The
+  // test holds more connections than that, so the daemon's accept fails
+  // with EMFILE while the rest wait in the listen backlog.
+  int port_pipe[2];
+  ASSERT_EQ(::pipe(port_pipe), 0);
+  Child child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    ::close(port_pipe[0]);
+    try {
+      const rlimit limit{32, 32};
+      if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
+      ServerConfig config;
+      config.workers = 1;
+      CampaignServer server(config);
+      ckptsim::svc::TcpDaemon daemon(server, 0);
+      const std::uint16_t port = daemon.port();
+      if (::write(port_pipe[1], &port, sizeof port) != static_cast<ssize_t>(sizeof port)) {
+        ::_exit(3);
+      }
+      ::close(port_pipe[1]);
+      const std::atomic<bool> stop{false};
+      daemon.run(stop);
+    } catch (...) {
+      ::_exit(4);
+    }
+    ::_exit(0);
+  }
+  ::close(port_pipe[1]);
+  std::uint16_t port = 0;
+  ASSERT_EQ(::read(port_pipe[0], &port, sizeof port), static_cast<ssize_t>(sizeof port));
+  ::close(port_pipe[0]);
+  ASSERT_NE(ping(port).find("pong"), std::string::npos);
+  std::vector<std::unique_ptr<LineClient>> held;
+  for (int i = 0; i < 40; ++i) {
+    held.push_back(std::make_unique<LineClient>(port));
+    ASSERT_TRUE(held.back()->connected()) << "connection " << i;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // accept until EMFILE
+  const double cpu_before = cpu_seconds(child.pid);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(cpu_seconds(child.pid) - cpu_before, 0.2) << "the accept loop spins";
+  held.clear();
+  const auto closed = std::chrono::steady_clock::now();
+  EXPECT_NE(ping(port, 5).find("pong"), std::string::npos);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - closed).count(),
+            1.0);
+}
+
 }  // namespace
