@@ -234,7 +234,7 @@ struct Replicated {
 /// of `what.points` points in global rounds on one lane of a worker pool.
 /// The lane is `spec.exec.lane` when set; otherwise the call makes one
 /// pool of min(spec.exec.resolve(), its replication budget, the metrics
-/// registry's shards) threads, or runs inline when that is 1.  Never call
+/// registry's shards) threads.  Never call
 /// it from a task of the pool it targets: a waiting worker can starve the
 /// pool.  With a lane, a metrics registry with fewer shards than the
 /// lane's pool has workers is a std::invalid_argument.
@@ -271,49 +271,18 @@ void replicate(const RunSpec& spec, const Replicated<R>& what) {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<std::pair<std::size_t, std::size_t>> tasks;  // (point, replication)
   std::atomic<std::size_t> bail_at{kNone};  // task of the round's earliest fatal failure
-  const auto run = [&](std::size_t worker, std::size_t k) {
-    if (k > bail_at.load(std::memory_order_relaxed) || cancelled()) return;  // abandoned
-    const auto [p, r] = tasks[k];
-    const obs::WorkerTimer timer(spec.metrics, worker);
-    obs::ReplicationProbe probe;
-    const SnapshotSpec snap = what.snapshot ? what.snapshot(p, r) : SnapshotSpec{};
-    const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
-    detail::Outcome<R> outcome = detail::guard_attempts(
-        spec.seed, r, spec.on_failure, spec.metrics != nullptr ? &probe : nullptr,
-        spec.fault_injection, snap_ptr,
-        [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
-          return what.attempt(p, seed, attempt_probe, snap_ptr);
-        });
-    if (!outcome.ok && spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
-      std::size_t seen = bail_at.load();
-      while (k < seen && !bail_at.compare_exchange_weak(seen, k)) {
-      }
-    }
-    if (outcome.ok && spec.metrics != nullptr) spec.metrics->shard(worker).absorb(probe);
-    if (spec.progress != nullptr) spec.progress->tick();
-    if (!points[p].land(r, std::move(outcome))) return;
-    if (points[p].fatal(spec.on_failure) != nullptr) return;
-    next[p] = points[p].next_round(what.reward, spec.confidence_level);
-    if (next[p] == 0) what.finish(p, points[p]);
-  };
-  // Declared after everything its tasks read, so a lane or pool torn down
-  // by an exception never outlives their state.
+  // Declared after everything its tasks read, so a pool torn down by an
+  // exception never outlives their state.
   std::optional<WorkerPool> own_pool;
   std::optional<WorkerPool::Lane> own_lane;
   WorkerPool::Lane* lane = spec.exec.lane;
-  if (lane != nullptr) {
-    if (spec.metrics != nullptr && spec.metrics->workers() < lane->pool().size()) {
-      throw std::invalid_argument(
-          "replicate: the metrics registry has fewer shards than the lane's pool has workers");
-    }
-  } else {
+  if (lane == nullptr) {
     std::size_t jobs = std::min(spec.exec.resolve(), budget);
     if (spec.metrics != nullptr) jobs = std::min(jobs, spec.metrics->workers());
-    if (jobs > 1) {
-      own_pool.emplace(jobs);
-      own_lane.emplace(*own_pool);
-      lane = &*own_lane;
-    }
+    lane = &own_lane.emplace(own_pool.emplace(jobs));
+  } else if (spec.metrics != nullptr && spec.metrics->workers() < lane->pool().size()) {
+    throw std::invalid_argument(
+        "replicate: the metrics registry has fewer shards than the lane's pool has workers");
   }
   for (;;) {
     tasks.clear();
@@ -326,16 +295,36 @@ void replicate(const RunSpec& spec, const Replicated<R>& what) {
     }
     if (tasks.empty()) break;
     bail_at.store(kNone);
-    if (lane == nullptr) {
-      for (std::size_t k = 0; k < tasks.size(); ++k) run(0, k);
-    } else {
-      for (std::size_t k = 0; k < tasks.size(); ++k) {
-        lane->submit([&run, k](std::size_t worker) { run(worker, k); });
-      }
-      // A cancel that raced the submissions still drops every queued task.
-      if (cancelled()) lane->drop();
-      lane->wait();
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      lane->submit([&, k](std::size_t worker) {
+        if (k > bail_at.load(std::memory_order_relaxed) || cancelled()) return;  // abandoned
+        const auto [p, r] = tasks[k];
+        const obs::WorkerTimer timer(spec.metrics, worker);
+        obs::ReplicationProbe probe;
+        const SnapshotSpec snap = what.snapshot ? what.snapshot(p, r) : SnapshotSpec{};
+        const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
+        detail::Outcome<R> outcome = detail::guard_attempts(
+            spec.seed, r, spec.on_failure, spec.metrics != nullptr ? &probe : nullptr,
+            spec.fault_injection, snap_ptr,
+            [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
+              return what.attempt(p, seed, attempt_probe, snap_ptr);
+            });
+        if (!outcome.ok && spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
+          std::size_t seen = bail_at.load();
+          while (k < seen && !bail_at.compare_exchange_weak(seen, k)) {
+          }
+        }
+        if (outcome.ok && spec.metrics != nullptr) spec.metrics->shard(worker).absorb(probe);
+        if (spec.progress != nullptr) spec.progress->tick();
+        if (!points[p].land(r, std::move(outcome))) return;
+        if (points[p].fatal(spec.on_failure) != nullptr) return;
+        next[p] = points[p].next_round(what.reward, spec.confidence_level);
+        if (next[p] == 0) what.finish(p, points[p]);
+      });
     }
+    // A cancel that raced the submissions still drops every queued task.
+    if (cancelled()) lane->drop();
+    lane->wait();
     if (bail_at.load() != kNone || cancelled()) break;
   }
   if (spec.metrics != nullptr) {

@@ -25,13 +25,10 @@ WorkerPool::Lane::Lane(WorkerPool& pool, int priority) : pool_(pool), priority_(
 }
 
 WorkerPool::Lane::~Lane() {
-  std::deque<Task> dropped;
-  {
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    dropped.swap(queue_);
-    idle_.wait(lock, [this] { return running_ == 0; });
-    pool_.lanes_.erase(std::find(pool_.lanes_.begin(), pool_.lanes_.end(), this));
-  }
+  drop();
+  std::unique_lock<std::mutex> lock(pool_.mu_);
+  idle_.wait(lock, [this] { return running_ == 0; });
+  pool_.lanes_.erase(std::find(pool_.lanes_.begin(), pool_.lanes_.end(), this));
 }
 
 void WorkerPool::Lane::submit(Task task) {
@@ -99,35 +96,27 @@ WorkerPool::Lane* WorkerPool::pick() {
 void WorkerPool::work(std::size_t worker) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Lane* const lane = pick();
-    if (lane == nullptr) {
-      if (stop_) return;  // stopping, and nothing queued anywhere
-      work_cv_.wait(lock);
-      continue;
-    }
+    Lane* lane = nullptr;
+    work_cv_.wait(lock, [&] { return (lane = pick()) != nullptr || stop_; });
+    if (lane == nullptr) return;  // stopping, and nothing queued anywhere
     Task task = std::move(lane->queue_.front());
     lane->queue_.pop_front();
     ++lane->running_;
     lane->last_served_ = ++serve_seq_;
     lock.unlock();
-    std::exception_ptr error;
     try {
       task(worker);
     } catch (...) {
-      error = std::current_exception();
+      lane->drop();  // the lane lives while one of its tasks runs
+      const std::lock_guard<std::mutex> relock(mu_);
+      if (!lane->error_) lane->error_ = std::current_exception();
     }
-    std::deque<Task> dropped;
     lock.lock();
-    if (error) {
-      if (!lane->error_) lane->error_ = error;
-      dropped.swap(lane->queue_);
-    }
     if (--lane->running_ == 0 && lane->queue_.empty()) lane->idle_.notify_all();
     // That was the pool's last touch of `lane`.  Only now release the
     // task's captures, which may own the lane, outside the lock that the
     // lane's destructor takes.
     lock.unlock();
-    dropped.clear();
     task = nullptr;
     lock.lock();
   }

@@ -94,40 +94,32 @@ void CampaignServer::handle_line(std::string_view line, const Sink& sink) {
 bool CampaignServer::admit(const std::string& id, const Sink& sink,
                            std::unique_lock<std::mutex>& lock) {
   obs::ServiceCounters& svcc = metrics_->service();
+  std::atomic<std::uint64_t>* counter = &svcc.errors;
+  std::string refusal;
   if (stopping_) {
-    lock.unlock();
-    svcc.errors.fetch_add(1, std::memory_order_relaxed);
-    sink(response_error(id, "server is stopping"));
-    return false;
+    refusal = response_error(id, "server is stopping");
+  } else if (draining_) {
+    // Checked before every other admission rule: a draining server must
+    // say so explicitly — a generic queue-full rejection would invite the
+    // client to retry against a process that is about to exit.
+    counter = &svcc.rejected;
+    refusal = response_draining(id);
+  } else if (std::any_of(campaigns_.begin(), campaigns_.end(),
+                         [&id](const CampaignPtr& c) { return c->id == id; })) {
+    refusal = response_error(id, "campaign id '" + id + "' is already active");
+  } else if (campaigns_.size() >= config_.max_queue_depth) {
+    // Admission control, checked before any cache work: when the queue is
+    // full the cheapest possible answer — a rejection line — is the whole
+    // point of backpressure.
+    counter = &svcc.rejected;
+    refusal = response_rejected(id, campaigns_.size(), config_.max_queue_depth);
+  } else {
+    return true;
   }
-  // Checked before every other admission rule: a draining server must say
-  // so explicitly — a generic queue-full rejection would invite the client
-  // to retry against a process that is about to exit.
-  if (draining_) {
-    lock.unlock();
-    svcc.rejected.fetch_add(1, std::memory_order_relaxed);
-    sink(response_draining(id));
-    return false;
-  }
-  for (const CampaignPtr& existing : campaigns_) {
-    if (existing->id == id) {
-      lock.unlock();
-      svcc.errors.fetch_add(1, std::memory_order_relaxed);
-      sink(response_error(id, "campaign id '" + id + "' is already active"));
-      return false;
-    }
-  }
-  // Admission control, checked before any cache work: when the queue is
-  // full the cheapest possible answer — a rejection line — is the whole
-  // point of backpressure.
-  if (campaigns_.size() >= config_.max_queue_depth) {
-    const std::size_t depth = campaigns_.size();
-    lock.unlock();
-    svcc.rejected.fetch_add(1, std::memory_order_relaxed);
-    sink(response_rejected(id, depth, config_.max_queue_depth));
-    return false;
-  }
-  return true;
+  lock.unlock();
+  counter->fetch_add(1, std::memory_order_relaxed);
+  sink(refusal);
+  return false;
 }
 
 void CampaignServer::run_op(Request&& req, const Sink& sink) {
@@ -146,19 +138,20 @@ void CampaignServer::run_op(Request&& req, const Sink& sink) {
   svcc.accepted.fetch_add(1, std::memory_order_relaxed);
   req.spec.exec.lane = &c->lane;
   req.spec.cancel = &c->cancelled;
-  std::vector<std::string> closing;  // the lines that end a complete run
-  std::size_t replications = 0;      // interference: replications_run
+  const bool interference = req.op == Request::Op::kInterference;
   std::string failure;
   try {
-    if (req.op == Request::Op::kInterference) {
+    if (interference) {
       sink(response_accepted(req.id, req.mix.jobs.size(), /*cached=*/0));
       const platform::InterferenceResult result = platform::run_interference(req.mix, req.spec);
       for (const platform::InterferenceJobResult& job : result.jobs) {
-        closing.push_back(response_job(req.id, job));
+        sink(response_job(req.id, job));
+        svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
       }
-      closing.push_back(response_platform(req.id, req.mix, result));
-      replications = result.replications * req.mix.jobs.size();
-      closing.push_back(response_done(req.id, req.mix.jobs.size(), /*cached=*/0, /*failed=*/0));
+      sink(response_platform(req.id, req.mix, result));
+      svcc.replications_run.fetch_add(result.replications * req.mix.jobs.size(),
+                                      std::memory_order_relaxed);
+      sink(response_done(req.id, req.mix.jobs.size(), /*cached=*/0, /*failed=*/0));
     } else {
       // Candidate count is search-dependent (memo hits shrink it), so the
       // accepted line reports the planned upper bound per (policy, procs)
@@ -177,36 +170,27 @@ void CampaignServer::run_op(Request&& req, const Sink& sink) {
       };
       const OptimumPolicy best =
           optimize(req.params, req.spec, req.opt, /*journal=*/nullptr, observer);
-      closing.push_back(response_optimum(req.id, best));
-      closing.push_back(response_done(req.id, evaluated, /*cached=*/0, /*failed=*/0));
+      sink(response_optimum(req.id, best));
+      sink(response_done(req.id, evaluated, /*cached=*/0, /*failed=*/0));
     }
   } catch (const std::exception& e) {
-    failure = std::string(req.op == Request::Op::kInterference ? "interference" : "optimize") +
-              " run failed: " + e.what();
+    failure = std::string(interference ? "interference" : "optimize") + " run failed: " + e.what();
   }
   std::unique_lock<std::mutex> lock(mu_);
-  // Off the list before the flag is read: a cancel either finds the op and
-  // ends its stream, or answers unknown_campaign.
   campaigns_.remove(c);
   svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
                          std::memory_order_relaxed);
   idle_cv_.notify_all();
-  const bool draining = draining_;
-  const bool stopped = c->retired;  // by stop(): the sink is going away with the server
+  // A retired op was stopped: its sink is going away with the server.
+  if (failure.empty() || c->retired) return;
+  // A run stopped by its flag ends with why: a cancel or a drain.
+  const bool stopped = c->cancelled.load(std::memory_order_relaxed);
+  const std::string last = !stopped  ? response_error(req.id, failure)
+                           : draining_ ? response_draining(req.id)
+                                       : response_cancelled(req.id);
   lock.unlock();
-  if (stopped) return;
-  if (c->cancelled.load(std::memory_order_relaxed)) {
-    sink(draining ? response_draining(req.id) : response_cancelled(req.id));
-  } else if (!failure.empty()) {
-    svcc.errors.fetch_add(1, std::memory_order_relaxed);
-    sink(response_error(req.id, failure));
-  } else {
-    if (req.op == Request::Op::kInterference) {
-      svcc.points_completed.fetch_add(req.mix.jobs.size(), std::memory_order_relaxed);
-      svcc.replications_run.fetch_add(replications, std::memory_order_relaxed);
-    }
-    for (const std::string& line : closing) sink(line);
-  }
+  if (!stopped) svcc.errors.fetch_add(1, std::memory_order_relaxed);
+  sink(last);
 }
 
 bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink) {
@@ -273,8 +257,7 @@ bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, cons
   campaigns_.push_back(c);
   svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
                          std::memory_order_relaxed);
-  c->flushing = true;
-  ++flushers_;
+  claim_flush(*c);  // the accepted line is queued, and nobody flushes yet
   lock.unlock();
   flush_outbox(c);
   return true;
@@ -309,11 +292,7 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
     c->inflight -= dropped;
     maybe_retire(c);
   }
-  const bool flush = !c->outbox.empty() && !c->flushing;
-  if (flush) {
-    c->flushing = true;
-    ++flushers_;
-  }
+  const bool flush = claim_flush(*c);
   lock.unlock();
   // Immediate ack to the canceller; the campaign's own stream terminates
   // with its own "cancelled" line once in-flight work drains.
@@ -321,11 +300,12 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
   if (flush) flush_outbox(c);
 }
 
-void CampaignServer::run_task(const CampaignPtr& c, const Task& t, std::size_t worker) {
+void CampaignServer::run_task(const CampaignPtr& c, std::size_t point, std::size_t rep,
+                              std::size_t worker) {
   detail::Outcome<ReplicationResult> outcome;
   if (!c->cancelled.load(std::memory_order_relaxed)) {
     const Request& r = c->req;
-    const PointState& ps = c->points[t.point];
+    const PointState& ps = c->points[point];
     // Event-granular crash-resume, keyed by the point's cache fingerprint
     // (unique per simulated work, filename-safe for any campaign id) plus
     // the replication index; drain_stop_ parks the replication at its
@@ -334,14 +314,14 @@ void CampaignServer::run_task(const CampaignPtr& c, const Task& t, std::size_t w
     std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
                   static_cast<unsigned long long>(ps.fingerprint));
     SnapshotSpec snap =
-        replication_snapshot(ps.params, r.spec, r.engine, t.rep, config_.snapshot_every_events,
+        replication_snapshot(ps.params, r.spec, r.engine, rep, config_.snapshot_every_events,
                              config_.snapshot_dir + "/" + fp_hex + "-");
     snap.stop = &drain_stop_;
     const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
     const obs::WorkerTimer timer(metrics_, worker);
     obs::ReplicationProbe probe;
     outcome = detail::guard_attempts(
-        r.spec.seed, t.rep, r.spec.on_failure, &probe, r.spec.fault_injection, snap_ptr,
+        r.spec.seed, rep, r.spec.on_failure, &probe, r.spec.fault_injection, snap_ptr,
         [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
           return run_replication(ps.params, r.engine, seed, r.spec.transient, r.spec.horizon,
                                  attempt_probe, r.spec.watchdog.max_events, {}, snap_ptr);
@@ -350,12 +330,8 @@ void CampaignServer::run_task(const CampaignPtr& c, const Task& t, std::size_t w
     if (outcome.ok) metrics_->shard(worker).absorb(probe);
   }
   std::unique_lock<std::mutex> lock(mu_);
-  on_task_done(c, t, std::move(outcome));
-  const bool flush = !c->outbox.empty() && !c->flushing;
-  if (flush) {
-    c->flushing = true;
-    ++flushers_;
-  }
+  on_task_done(c, point, rep, std::move(outcome));
+  const bool flush = claim_flush(*c);
   lock.unlock();
   if (flush) flush_outbox(c);
 }
@@ -364,12 +340,12 @@ void CampaignServer::schedule_round(const CampaignPtr& c, std::size_t point, std
   PointRounds<ReplicationResult>& reps = c->points[point].reps;
   for (std::size_t rep = reps.open(batch); rep < reps.scheduled(); ++rep) {
     // The task owns the campaign, and with it the lane it is queued on.
-    c->lane.submit([this, c, t = Task{point, rep}](std::size_t worker) { run_task(c, t, worker); });
+    c->lane.submit([this, c, point, rep](std::size_t worker) { run_task(c, point, rep, worker); });
     ++c->inflight;
   }
 }
 
-void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
+void CampaignServer::on_task_done(const CampaignPtr& c, std::size_t point, std::size_t rep,
                                   detail::Outcome<ReplicationResult>&& outcome) {
   --c->inflight;
   if (!outcome.ok && outcome.failure.code == ErrorCode::kInterrupted) {
@@ -386,8 +362,8 @@ void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
     maybe_retire(c);
     return;
   }
-  PointRounds<ReplicationResult>& reps = c->points[t.point].reps;
-  if (!reps.land(t.rep, std::move(outcome))) return;
+  PointRounds<ReplicationResult>& reps = c->points[point].reps;
+  if (!reps.land(rep, std::move(outcome))) return;
   // Round complete: the stop/continue decision of ckptsim::replicate.
   if (reps.fatal(c->req.spec.on_failure) == nullptr) {
     const std::size_t next = reps.next_round(
@@ -396,11 +372,11 @@ void CampaignServer::on_task_done(const CampaignPtr& c, const Task& t,
     if (next != 0) {
       // A draining server opens no round: the point stays unfinished, and
       // pending in the ledger, for the restarted daemon.
-      if (!draining_) schedule_round(c, t.point, next);
+      if (!draining_) schedule_round(c, point, next);
       return;
     }
   }
-  finalize_point(c, t.point);
+  finalize_point(c, point);
   maybe_retire(c);
 }
 
@@ -453,12 +429,7 @@ void CampaignServer::store_loop() {
     std::vector<CampaignPtr> flush;
     for (const PendingStore& s : batch) {
       publish_point(s);
-      const CampaignPtr& c = s.campaign;
-      if (!c->outbox.empty() && !c->flushing) {
-        c->flushing = true;
-        ++flushers_;
-        flush.push_back(c);
-      }
+      if (claim_flush(*s.campaign)) flush.push_back(s.campaign);
     }
     lock.unlock();
     for (const CampaignPtr& c : flush) flush_outbox(c);
@@ -497,6 +468,13 @@ void CampaignServer::maybe_retire(const CampaignPtr& c) {
   metrics_->service().queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
                                         std::memory_order_relaxed);
   idle_cv_.notify_all();
+}
+
+bool CampaignServer::claim_flush(Campaign& c) {
+  if (c.outbox.empty() || c.flushing) return false;
+  c.flushing = true;
+  ++flushers_;
+  return true;
 }
 
 void CampaignServer::flush_outbox(const CampaignPtr& c) {

@@ -163,12 +163,6 @@ class CampaignServer {
   [[nodiscard]] obs::Metrics& metrics() noexcept { return *metrics_; }
 
  private:
-  /// One replication of one point of one campaign.
-  struct Task {
-    std::size_t point = 0;
-    std::size_t rep = 0;
-  };
-
   /// Mutable per-point state while a campaign runs.  `params` and `fp` are
   /// written once at admission (under mu_) and read-only afterwards;
   /// everything else is guarded by mu_.
@@ -226,12 +220,12 @@ class CampaignServer {
   /// done lines through `sink`.  No cache entry, no ledger record.
   void run_op(Request&& req, const Sink& sink);
   void cancel_campaign(const std::string& id, const Sink& sink);
-  /// Replication `t` of `c` on pool thread `worker`: simulate it, then
-  /// record it and flush what it finalized.
-  void run_task(const CampaignPtr& c, const Task& t, std::size_t worker);
+  /// Replication `rep` of `point` of `c` on pool thread `worker`: simulate
+  /// it, then record it and flush what it finalized.
+  void run_task(const CampaignPtr& c, std::size_t point, std::size_t rep, std::size_t worker);
   /// Record a completed task, finalizing its point / campaign as needed.
   /// Caller holds mu_; emissions go to the campaign outbox.
-  void on_task_done(const CampaignPtr& c, const Task& t,
+  void on_task_done(const CampaignPtr& c, std::size_t point, std::size_t rep,
                     detail::Outcome<ReplicationResult>&& outcome);
   /// Aggregate one completed point and cache and publish it, through the
   /// store thread when the cache is persistent (a failed point emits its
@@ -249,6 +243,10 @@ class CampaignServer {
   /// Emit "done"/"cancelled" and retire the campaign once nothing is left.
   /// Caller holds mu_.
   void maybe_retire(const CampaignPtr& c);
+  /// Claim `c`'s outbox for a flush when it holds lines and nobody flushes
+  /// it; on true, call flush_outbox(c) once mu_ is released.  Caller holds
+  /// mu_.
+  bool claim_flush(Campaign& c);
   /// Drain `c`'s outbox through its sink without holding mu_.
   void flush_outbox(const CampaignPtr& c);
 
