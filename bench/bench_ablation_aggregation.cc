@@ -1,10 +1,15 @@
 // Ablation: the paper's all-nodes-as-one-unit aggregation (Sec. 4) against
 // the disaggregated per-node engine, plus the spatial-correlation extension
 // the paper names as future work ("We consider temporal correlations in our
-// model, but not spatial").
+// model, but not spatial").  Replications run across `--jobs` threads (0 =
+// auto); each fills its own slot and the sums run in replication order
+// afterwards, so the output is the same for any job count.
 #include <chrono>
 #include <iostream>
+#include <string>
+#include <vector>
 
+#include "src/core/thread_pool.h"
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
 #include "src/nodelevel/node_level_model.h"
@@ -15,7 +20,23 @@
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  // A typo'd flag must not run the default it masked.
+  const std::vector<report::FlagSpec> known = {{"--quick", false}, {"--jobs", true}};
+  if (const auto valued = cli.valued_switches(known); !valued.empty()) {
+    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
+    return 1;
+  }
+  if (const auto unknown = cli.unknown_flags(known); !unknown.empty()) {
+    for (const std::string& flag : unknown) {
+      std::cerr << "error: unknown option '" << flag << "'";
+      const std::string hint = report::Cli::suggest(flag, known);
+      if (!hint.empty()) std::cerr << " (did you mean '" << hint << "'?)";
+      std::cerr << "\n";
+    }
+    return 1;
+  }
   const bool quick = report::quick_mode(cli);
+  const std::size_t jobs = ExecSpec{.jobs = cli.count("--jobs", 0)}.resolve();
   const double transient = 20.0 * units::kHour;
   const double horizon = (quick ? 400.0 : 1500.0) * units::kHour;
   const std::size_t reps = quick ? 3 : 5;
@@ -29,19 +50,27 @@ int main(int argc, char** argv) {
     Parameters p;
     p.num_processors = procs;
     p.mttf_node = 0.5 * units::kYear;
-    stats::Summary agg, node, coord;
+    std::vector<double> agg_runs(reps);
+    std::vector<double> node_runs(reps);
+    std::vector<stats::Summary> coord_runs(reps);
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
+    parallel_for_workers(jobs, reps, [&](std::size_t, std::size_t r) {
       DesModel a(p, 1000 + r);
-      agg.add(a.run(transient, horizon).useful_fraction);
-    }
+      agg_runs[r] = a.run(transient, horizon).useful_fraction;
+    });
     const auto t1 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
+    parallel_for_workers(jobs, reps, [&](std::size_t, std::size_t r) {
       NodeLevelModel b(p, 2000 + r);
-      node.add(b.run(transient, horizon).useful_fraction);
-      coord.merge(b.coordination_latency());
-    }
+      node_runs[r] = b.run(transient, horizon).useful_fraction;
+      coord_runs[r] = b.coordination_latency();
+    });
     const auto t2 = std::chrono::steady_clock::now();
+    stats::Summary agg, node, coord;
+    for (std::size_t r = 0; r < reps; ++r) {
+      agg.add(agg_runs[r]);
+      node.add(node_runs[r]);
+      coord.merge(coord_runs[r]);
+    }
     table.add_row(
         {report::Table::integer(static_cast<double>(procs)),
          report::Table::num(agg.mean(), 4), report::Table::num(node.mean(), 4),
@@ -69,16 +98,29 @@ int main(int argc, char** argv) {
     spatial.probability = ps;
     spatial.factor = 400.0;
     spatial.window = 180.0;
+    struct Run {
+      double fraction = 0.0;
+      std::uint64_t windows = 0;
+      std::uint64_t spatial_failures = 0;
+      double cluster = 0.0;
+    };
+    std::vector<Run> runs(reps);
+    parallel_for_workers(jobs, reps, [&](std::size_t, std::size_t r) {
+      NodeLevelModel model(p, spatial, 3000 + r);
+      runs[r].fraction = model.run(transient, horizon).useful_fraction;
+      runs[r].windows = model.spatial_windows();
+      for (const auto f : model.spatial_failures_per_node()) runs[r].spatial_failures += f;
+      runs[r].cluster = model.same_group_fraction();
+    });
     stats::Summary fraction;
     std::uint64_t windows = 0;
     std::uint64_t spatial_failures = 0;
     double cluster = 0.0;
-    for (std::size_t r = 0; r < reps; ++r) {
-      NodeLevelModel model(p, spatial, 3000 + r);
-      fraction.add(model.run(transient, horizon).useful_fraction);
-      windows += model.spatial_windows();
-      for (const auto f : model.spatial_failures_per_node()) spatial_failures += f;
-      cluster += model.same_group_fraction();
+    for (const Run& run : runs) {
+      fraction.add(run.fraction);
+      windows += run.windows;
+      spatial_failures += run.spatial_failures;
+      cluster += run.cluster;
     }
     spatial_table.add_row({report::Table::num(ps, 2), report::Table::num(fraction.mean(), 4),
                            report::Table::integer(static_cast<double>(windows)),
