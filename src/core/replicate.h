@@ -234,10 +234,10 @@ struct Replicated {
 /// of `what.points` points in global rounds on one lane of a worker pool.
 /// The lane is `spec.exec.lane` when set; otherwise the call makes one
 /// pool of min(spec.exec.resolve(), its replication budget, the metrics
-/// registry's shards) threads.  Never call
-/// it from a task of the pool it targets: a waiting worker can starve the
-/// pool.  With a lane, a metrics registry with fewer shards than the
-/// lane's pool has workers is a std::invalid_argument.
+/// registry's shards) threads.  Never call it from a task of the pool it
+/// targets: a waiting worker can starve the pool.  With a lane, a metrics
+/// registry with fewer shards than the lane's pool has workers is a
+/// std::invalid_argument.
 ///
 /// Fixed mode is one round of `spec.replications`; adaptive mode
 /// (spec.sequential) dispatches every active point's next SequentialStopper
