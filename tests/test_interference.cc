@@ -126,6 +126,29 @@ TEST(PfsServer, GrantIsExclusiveAndFifo) {
   EXPECT_FALSE(pfs.grant_held_by(1));
 }
 
+TEST(PfsServer, GrantReleasedBeforeDeliveryPassesOnAtTheSameInstant) {
+  // Job 0 is granted the idle server and releases it before its zero-delay
+  // delivery fires (a failure between grant and delivery), so job 1 is
+  // granted at once.  Both deliveries fire at t = 0, in grant order, and
+  // job 0's finds that it no longer holds the grant.
+  Engine engine(1);
+  PfsServer pfs(engine, 100.0, PfsPolicy::kBlockingCooperative);
+  struct Delivery {
+    std::size_t job;
+    double time;
+    bool held;
+    bool operator==(const Delivery&) const = default;
+  };
+  std::vector<Delivery> delivered;
+  pfs.request_grant(0, [&] { delivered.push_back({0, engine.now(), pfs.grant_held_by(0)}); });
+  pfs.request_grant(1, [&] { delivered.push_back({1, engine.now(), pfs.grant_held_by(1)}); });
+  pfs.release_grant(0);
+  EXPECT_TRUE(pfs.grant_held_by(1));
+  engine.run_until(0.0);
+  const std::vector<Delivery> expected = {{0, 0.0, false}, {1, 0.0, true}};
+  EXPECT_EQ(delivered, expected);
+}
+
 TEST(PfsServer, LongRunReachesQuiescenceWithoutLivelock) {
   // Regression: late in a long run the last sliver of a transfer implies a
   // completion delay below the fp resolution of `now`; the server must
