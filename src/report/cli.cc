@@ -30,8 +30,17 @@ bool Cli::given(std::string_view flag) const {
 std::string Cli::value(std::string_view key, std::string fallback) const {
   const std::string prefix = std::string(key) + "=";
   for (std::size_t i = 0; i < args_.size(); ++i) {
-    if (args_[i] == key && i + 1 < args_.size()) return args_[i + 1];
-    if (args_[i].rfind(prefix, 0) == 0) return args_[i].substr(prefix.size());
+    std::string v;
+    if (args_[i] == key) {
+      if (i + 1 < args_.size()) v = args_[i + 1];
+    } else if (args_[i].rfind(prefix, 0) == 0) {
+      v = args_[i].substr(prefix.size());
+    } else {
+      continue;
+    }
+    // Given, but with nothing to read: an error, not the fallback.
+    if (v.empty()) throw std::invalid_argument("'" + std::string(key) + "' expects a value");
+    return v;
   }
   return fallback;
 }

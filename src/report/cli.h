@@ -26,6 +26,9 @@ class Cli {
   [[nodiscard]] bool has(std::string_view flag) const;
   /// True when `flag` appears at all: as a switch, `flag value` or `flag=value`.
   [[nodiscard]] bool given(std::string_view flag) const;
+  /// `key`'s value (`key value` or `key=value`), or `fallback` when `key` is
+  /// absent.  A `key` given with no value (the last token, `key=`, or
+  /// followed by an empty token) throws std::invalid_argument naming it.
   [[nodiscard]] std::string value(std::string_view key, std::string fallback = "") const;
   /// `key`'s value through parse_number / parse_count (parameter_table.h),
   /// or `fallback` when absent.

@@ -197,6 +197,25 @@ TEST(CliTest, FlagsAndValues) {
   EXPECT_DOUBLE_EQ(cli.number("--absent", 5.0), 5.0);
 }
 
+TEST(CliTest, ValueFlagGivenNoValueIsRejected) {
+  // Last on the line, written --flag=, or followed by an empty token: an
+  // error naming the flag, not the fallback a missing flag reads as.
+  const char* last[] = {"prog", "--quick", "--reps"};
+  const char* inline_empty[] = {"prog", "--reps=", "--quick"};
+  const char* empty_token[] = {"prog", "--reps", "", "--quick"};
+  for (const Cli& cli : {Cli(3, last), Cli(3, inline_empty), Cli(4, empty_token)}) {
+    try {
+      (void)cli.value("--reps", "3");
+      ADD_FAILURE() << "a value flag given no value was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'--reps' expects a value"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)bench_spec(cli), std::invalid_argument);
+    EXPECT_EQ(cli.value("--seed", "7"), "7");  // an absent flag still falls back
+  }
+}
+
 TEST(CliTest, RejectsNonNumeric) {
   const char* argv[] = {"prog", "--seed", "abc"};
   const Cli cli(3, argv);
