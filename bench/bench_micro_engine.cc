@@ -1,10 +1,10 @@
-// google-benchmark microbenchmarks of the simulation substrates: event
-// queue throughput, RNG streams, coordination-latency sampling, and
+// google-benchmark microbenchmarks of the simulation substrates: pending
+// set throughput, RNG streams, coordination-latency sampling, and
 // events/second of both model engines.
 //
 // Invoked with --engine-json=PATH the binary instead runs a fixed engine
 // harness and writes BENCH_engine.json: events/sec and firings/sec of the
-// event queue, the SAN executor (incremental vs forced full-rescan
+// pending set, the SAN executor (incremental vs forced full-rescan
 // refresh) and the DES engine, plus heap allocations per event in steady
 // state — the CI smoke step asserts the latter is zero.  Each section's
 // work is sized so that one run lasts at least a second, and the section
@@ -29,7 +29,7 @@
 #include "src/obs/json.h"
 #include "src/san/executor.h"
 #include "src/sim/distributions.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/pending_set.h"
 #include "src/sim/rng.h"
 #include "src/stats/confidence.h"
 #include "src/stats/summary.h"
@@ -68,27 +68,27 @@ namespace {
 using ckptsim::Parameters;
 using ckptsim::units::kHour;
 
-void BM_EventQueueScheduleFire(benchmark::State& state) {
-  ckptsim::sim::EventQueue q;
+void BM_PendingSetArmFire(benchmark::State& state) {
+  ckptsim::sim::PendingSet q(1);
   std::uint64_t counter = 0;
   for (auto _ : state) {
-    q.schedule_in(1.0, [&counter] { ++counter; });
-    q.step();
+    q.arm_in(0, 1.0);
+    q.step([&counter](std::uint32_t) { ++counter; });
   }
   benchmark::DoNotOptimize(counter);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventQueueScheduleFire);
+BENCHMARK(BM_PendingSetArmFire);
 
-void BM_EventQueueScheduleCancel(benchmark::State& state) {
-  ckptsim::sim::EventQueue q;
+void BM_PendingSetArmDisarm(benchmark::State& state) {
+  ckptsim::sim::PendingSet q(1);
   for (auto _ : state) {
-    auto h = q.schedule_in(1.0, [] {});
-    q.cancel(h);
+    q.arm_in(0, 1.0);
+    q.disarm(0);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventQueueScheduleCancel);
+BENCHMARK(BM_PendingSetArmDisarm);
 
 void BM_RngExponential(benchmark::State& state) {
   ckptsim::sim::Rng rng(1);
@@ -303,15 +303,14 @@ EngineSample run_executor_window(const ckptsim::san::Model& m, bool full_rescan,
   return s;
 }
 
-EngineSample run_queue_window(std::uint64_t events) {
-  ckptsim::sim::EventQueue q;
+EngineSample run_pending_set_window(std::uint64_t events) {
+  ckptsim::sim::PendingSet q(1);
   std::uint64_t counter = 0;
-  // Self-rescheduling payload mirroring the executor's callback shape
-  // (pointer + index); warm-up settles the heap capacity and slot table.
+  // One key armed and fired over and over, the fire callback counting.
   const auto pump = [&q, &counter](std::uint64_t n) {
     for (std::uint64_t i = 0; i < n; ++i) {
-      q.schedule_in(1.0, [&counter] { ++counter; });
-      q.step();
+      q.arm_in(0, 1.0);
+      q.step([&counter](std::uint32_t) { ++counter; });
     }
   };
   pump(10'000);
@@ -321,6 +320,7 @@ EngineSample run_queue_window(std::uint64_t events) {
   pump(events);
   s.seconds = seconds_since(t0);
   s.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  benchmark::DoNotOptimize(counter);
   s.events = events;
   s.firings = events;
   return s;
@@ -369,8 +369,10 @@ int run_engine_report(const std::string& path) {
   w.begin_object();
   w.kv("schema", "ckptsim/bench-engine/v1");
 
-  const auto queue = [](std::uint64_t scale) { return run_queue_window(2'000'000 * scale); };
-  write_section(w, "event_queue", measure(queue, calibrate(queue)));
+  const auto pending = [](std::uint64_t scale) {
+    return run_pending_set_window(2'000'000 * scale);
+  };
+  write_section(w, "pending_set", measure(pending, calibrate(pending)));
 
   // The paper's 12-submodel checkpoint model: the real hot path.
   const ckptsim::SanCheckpointModel model{Parameters{}};

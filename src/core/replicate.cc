@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "src/san/executor.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/pending_set.h"
 #include "src/snapshot/file.h"
 #include "src/snapshot/state_io.h"
 

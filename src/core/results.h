@@ -8,7 +8,7 @@
 
 #include "src/core/fault.h"
 #include "src/core/thread_pool.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/pending_set.h"
 #include "src/stats/confidence.h"
 #include "src/stats/sequential.h"
 #include "src/stats/summary.h"

@@ -86,9 +86,8 @@ DesModel::DesModel(const Parameters& params, std::uint64_t seed)
 // pending set
 
 void DesModel::schedule_at(Slot slot, double t) {
-  // The checks sim::EventQueue::schedule makes: a NaN time would never win
-  // the argmin (silently dropping the event) and an infinite one could
-  // never fire.
+  // A NaN time would never win the argmin (silently dropping the event)
+  // and an infinite one could never fire.
   if (!std::isfinite(t)) throw std::invalid_argument("DesModel: non-finite event time");
   if (t < now_) throw std::invalid_argument("DesModel: event time in the past");
   const std::uint32_t bit = std::uint32_t{1} << slot;
@@ -1151,8 +1150,9 @@ void DesModel::restore_state(snapshot::StateReader& r) {
     }
     trace_next_ = cursor;
   }
-  // Pending set, validated as strictly as sim::EventQueue::restore_state
-  // validates its entries before anything is armed.
+  // Pending set: every armed time finite and at or after the clock, every
+  // sequence number below the counter and distinct, and the counters
+  // consistent with the armed slots, all checked before anything is armed.
   const double now = r.f64();
   if (!std::isfinite(now)) {
     throw SnapshotError(SnapshotFault::kCorrupt, "des snapshot: non-finite clock");

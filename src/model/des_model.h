@@ -14,7 +14,8 @@
 #include "src/model/parameters.h"
 #include "src/model/workload.h"
 #include "src/sim/distributions.h"
-#include "src/sim/engine.h"
+#include "src/sim/pending_set.h"
+#include "src/sim/rate_integral.h"
 #include "src/sim/rng.h"
 #include "src/trace/event_log.h"
 
@@ -52,7 +53,7 @@ namespace ckptsim {
 /// pending set is a fixed array of slots, one per event kind, each holding
 /// a (time, insertion-sequence) pair, and a bit mask records which slots
 /// are armed.  The next event is the argmin over the set bits of the mask
-/// (ties in time fire in insertion order, exactly like sim::EventQueue) and
+/// (ties in time fire in insertion order, so runs are deterministic) and
 /// is dispatched by a switch — no heap, no type-erased callbacks, no
 /// allocation.  Subclasses get kExtensionSlots more slots,
 /// fired through on_extension_event().
@@ -139,9 +140,8 @@ class DesModel {
   void set_event_counts(trace::EventCounts* counts) noexcept { event_counts_ = counts; }
 
   /// Pending-set statistics of this replication (obs metrics registry):
-  /// scheduled / fired / cancelled and the live-event peak, counted as
-  /// sim::EventQueue counts them.  compactions and peak_dead are always 0
-  /// (a slot array has no tombstones).
+  /// slots armed, events fired, armed slots cancelled, and the peak number
+  /// of armed slots.
   [[nodiscard]] sim::QueueStats queue_stats() const noexcept;
 
   /// Watchdog: cap this replication at `max_events` fired events (0 =
@@ -187,9 +187,9 @@ class DesModel {
 
   /// Current simulation time.
   [[nodiscard]] double now() const noexcept { return now_; }
-  /// Arm `slot` at absolute time `t`.  Like sim::EventQueue::schedule, a
-  /// non-finite or past time throws std::invalid_argument; arming a slot
-  /// that is already armed throws std::logic_error.
+  /// Arm `slot` at absolute time `t`.  A non-finite or past time throws
+  /// std::invalid_argument; arming a slot that is already armed throws
+  /// std::logic_error.
   void schedule_at(Slot slot, double t);
   void schedule_in(Slot slot, double dt) { schedule_at(slot, now_ + dt); }
   /// Disarm `slot`; a no-op when it is not armed.
@@ -314,7 +314,7 @@ class DesModel {
   bool fire_next(double t_end);
   void dispatch(Slot slot);
   /// Advance the clock to `t_end` (finite), firing every event due by then;
-  /// on return now() == t_end, like sim::EventQueue::run_until.
+  /// on return now() == t_end, even when nothing fired.
   void run_until(double t_end);
   void schedule_failure_processes();
   void reschedule(Slot slot, sim::Rng& rng, double rate);

@@ -96,9 +96,7 @@ std::string MetricsSnapshot::to_json() const {
   w.kv("scheduled", queue.scheduled);
   w.kv("fired", queue.fired);
   w.kv("cancelled", queue.cancelled);
-  w.kv("compactions", queue.compactions);
   w.kv("peak_size", static_cast<std::uint64_t>(queue.peak_size));
-  w.kv("peak_dead", static_cast<std::uint64_t>(queue.peak_dead));
   w.end_object();
 
   if (!points.empty()) {

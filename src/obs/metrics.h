@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/pending_set.h"
 #include "src/trace/event_log.h"
 
 namespace ckptsim::obs {

@@ -16,10 +16,12 @@ namespace ckptsim::platform {
 using trace::EventKind;
 
 InterferenceModel::InterferenceModel(const JobMix& mix, std::uint64_t seed)
-    : mix_(mix), engine_(seed) {
+    : mix_(mix), pending_(kJobEvents * mix.jobs.size() + 2) {
   mix_.validate();
-  pfs_ = std::make_unique<PfsServer>(engine_, mix_.resolved_bandwidth(), mix_.pfs.policy);
   const std::size_t k = mix_.jobs.size();
+  pfs_ = std::make_unique<PfsServer>(pending_, pfs_key(), key(0, kGrant),
+                                     mix_.resolved_bandwidth(), mix_.pfs.policy);
+  const sim::RngPool streams(seed);
   jobs_.reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
     Job job;
@@ -40,9 +42,9 @@ InterferenceModel::InterferenceModel(const JobMix& mix, std::uint64_t seed)
                                     ")");
     }
     const std::string tag = std::to_string(j);
-    job.fail = engine_.stream(tag + "/fail");
-    job.coord = engine_.stream(tag + "/coord");
-    job.recover = engine_.stream(tag + "/recover");
+    job.fail = streams.stream(tag + "/fail");
+    job.coord = streams.stream(tag + "/coord");
+    job.recover = streams.stream(tag + "/recover");
     jobs_.push_back(std::move(job));
   }
 }
@@ -58,49 +60,58 @@ void InterferenceModel::set_event_counts(trace::EventCounts* counts) noexcept {
 }
 
 void InterferenceModel::set_event_budget(std::uint64_t max_events) noexcept {
-  engine_.queue().set_fire_budget(max_events);
+  pending_.set_fire_budget(max_events);
 }
 
-sim::QueueStats InterferenceModel::queue_stats() const noexcept {
-  return engine_.queue().stats();
-}
+sim::QueueStats InterferenceModel::queue_stats() const noexcept { return pending_.stats(); }
 
 void InterferenceModel::note(EventKind kind, double value) {
-  if (log_ != nullptr) log_->record(engine_.now(), kind, value);
+  if (log_ != nullptr) log_->record(pending_.now(), kind, value);
   if (counts_ != nullptr) counts_->bump(kind);
 }
 
 void InterferenceModel::start() {
   for (Job& job : jobs_) {
     job.useful.set_rate(0.0, 1.0);
-    engine_.cancel(job.ev_init);
-    job.ev_init = engine_.schedule_in(job.p.checkpoint_interval + job.first_offset,
-                                      [this, j = job.index] { on_ckpt_init(jobs_[j]); });
+    pending_.arm_in(key(job.index, kInit), job.p.checkpoint_interval + job.first_offset);
     schedule_next_failure(job);
   }
   started_ = true;
 }
 
+void InterferenceModel::fire(sim::PendingSet::Key k) {
+  if (k == pfs_key()) return pfs_->complete();
+  if (k == warmup_key()) return capture_warmup();
+  Job& job = jobs_[k % jobs_.size()];
+  switch (static_cast<JobEvent>(k / jobs_.size())) {
+    case kInit: return on_ckpt_init(job);
+    case kCoord: return on_coordination_done(job);
+    case kFail: return on_failure(job);
+    case kRecover: return on_recovery_done(job);
+    case kGrant: return on_grant(job);
+    case kJobEvents: break;
+  }
+  throw std::logic_error("InterferenceModel: unknown event key " + std::to_string(k));
+}
+
 void InterferenceModel::schedule_next_init(Job& job) {
-  engine_.cancel(job.ev_init);
-  job.ev_init = engine_.schedule_in(job.p.checkpoint_interval,
-                                    [this, j = job.index] { on_ckpt_init(jobs_[j]); });
+  pending_.disarm(key(job.index, kInit));
+  pending_.arm_in(key(job.index, kInit), job.p.checkpoint_interval);
 }
 
 void InterferenceModel::schedule_next_failure(Job& job) {
-  engine_.cancel(job.ev_fail);
+  pending_.disarm(key(job.index, kFail));
   if (job.trace != nullptr) {
     // Trace replay: the same plug point the exponential process uses, so a
     // recorded log drives this job under every PFS policy identically.
     if (job.trace_next >= job.trace->size()) return;
     const double t = job.trace->events()[job.trace_next++].time;
-    const double dt = t > engine_.now() ? t - engine_.now() : 0.0;
-    job.ev_fail = engine_.schedule_in(dt, [this, j = job.index] { on_failure(jobs_[j]); });
+    const double now = pending_.now();
+    pending_.arm_in(key(job.index, kFail), t > now ? t - now : 0.0);
     return;
   }
   const double mean = 1.0 / job.p.system_failure_rate();
-  job.ev_fail = engine_.schedule_in(job.fail.exponential_mean(mean),
-                                    [this, j = job.index] { on_failure(jobs_[j]); });
+  pending_.arm_in(key(job.index, kFail), job.fail.exponential_mean(mean));
 }
 
 double InterferenceModel::sample_coordination_time(Job& job) {
@@ -124,29 +135,29 @@ void InterferenceModel::on_ckpt_init(Job& job) {
   if (mix_.pfs.policy == PfsPolicy::kBlockingCooperative) {
     // Cooperative checkpointing: keep computing until the PFS is ours.
     job.waiting_grant = true;
-    pfs_->request_grant(job.index, [this, j = job.index] {
-      Job& owner = jobs_[j];
-      if (!owner.waiting_grant) {
-        // A failure revoked the reservation between grant and delivery.
-        if (pfs_->grant_held_by(j)) pfs_->release_grant(j);
-        return;
-      }
-      owner.waiting_grant = false;
-      owner.holds_grant = true;
-      begin_coordination(owner);
-    });
+    pfs_->request_grant(job.index);
     return;
   }
   begin_coordination(job);
 }
 
+void InterferenceModel::on_grant(Job& job) {
+  if (!job.waiting_grant) {
+    // A failure revoked the reservation between grant and delivery.
+    if (pfs_->grant_held_by(job.index)) pfs_->release_grant(job.index);
+    return;
+  }
+  job.waiting_grant = false;
+  job.holds_grant = true;
+  begin_coordination(job);
+}
+
 void InterferenceModel::begin_coordination(Job& job) {
   job.state = JobState::kCoordinating;
-  job.useful.set_rate(engine_.now(), 0.0);
+  job.useful.set_rate(pending_.now(), 0.0);
   note(EventKind::kQuiesceStarted, static_cast<double>(job.index));
-  engine_.cancel(job.ev_coord);
-  job.ev_coord = engine_.schedule_in(sample_coordination_time(job),
-                                     [this, j = job.index] { on_coordination_done(jobs_[j]); });
+  pending_.disarm(key(job.index, kCoord));
+  pending_.arm_in(key(job.index, kCoord), sample_coordination_time(job));
 }
 
 void InterferenceModel::on_coordination_done(Job& job) {
@@ -166,10 +177,10 @@ void InterferenceModel::on_dump_done(Job& job) {
   ++job.commits;
   // The useful rate has been 0 since the quiesce point, so the integral's
   // current value is exactly the committed rollback target.
-  job.work_at_commit = job.useful.value(engine_.now());
+  job.work_at_commit = job.useful.value(pending_.now());
   note(EventKind::kCkptCommitted, static_cast<double>(job.index));
   job.state = JobState::kComputing;
-  job.useful.set_rate(engine_.now(), 1.0);
+  job.useful.set_rate(pending_.now(), 1.0);
   schedule_next_init(job);
 }
 
@@ -177,9 +188,9 @@ void InterferenceModel::on_failure(Job& job) {
   ++job.failures;
   note(EventKind::kComputeFailure, static_cast<double>(job.index));
   // Abort whatever the job was doing.
-  engine_.cancel(job.ev_init);
-  engine_.cancel(job.ev_coord);
-  engine_.cancel(job.ev_recover);
+  pending_.disarm(key(job.index, kInit));
+  pending_.disarm(key(job.index, kCoord));
+  pending_.disarm(key(job.index, kRecover));
   if (job.io_req != 0) {
     pfs_->cancel(job.io_req);
     job.io_req = 0;
@@ -195,12 +206,12 @@ void InterferenceModel::on_failure(Job& job) {
     job.holds_grant = false;
   }
   // Roll back to the last committed checkpoint.
-  const double loss = job.useful.value(engine_.now()) - job.work_at_commit;
+  const double loss = job.useful.value(pending_.now()) - job.work_at_commit;
   if (loss > 0.0) {
     job.useful.impulse(-loss);
     note(EventKind::kRollback, loss);
   }
-  job.useful.set_rate(engine_.now(), 0.0);
+  job.useful.set_rate(pending_.now(), 0.0);
   // Recovery stage 1: re-read the checkpoint through the contended PFS
   // (recovery bypasses the cooperative reservation — a failed job cannot
   // compute while waiting, so blocking it saves nothing).
@@ -215,17 +226,27 @@ void InterferenceModel::on_stage1_done(Job& job) {
   job.io_req = 0;
   job.state = JobState::kRecovering2;
   note(EventKind::kRecoveryStage2, static_cast<double>(job.index));
-  engine_.cancel(job.ev_recover);
-  job.ev_recover =
-      engine_.schedule_in(job.recover.exponential_mean(job.p.mttr_compute),
-                          [this, j = job.index] { on_recovery_done(jobs_[j]); });
+  pending_.disarm(key(job.index, kRecover));
+  pending_.arm_in(key(job.index, kRecover), job.recover.exponential_mean(job.p.mttr_compute));
 }
 
 void InterferenceModel::on_recovery_done(Job& job) {
   note(EventKind::kRecoveryDone, static_cast<double>(job.index));
   job.state = JobState::kComputing;
-  job.useful.set_rate(engine_.now(), 1.0);
+  job.useful.set_rate(pending_.now(), 1.0);
   schedule_next_init(job);
+}
+
+void InterferenceModel::capture_warmup() {
+  const double now = pending_.now();
+  pfs_busy_at_warmup_ = pfs_->busy_seconds(now);
+  for (Job& job : jobs_) {
+    job.useful_at_warmup = job.useful.value(now);
+    job.stretch_at_warmup = pfs_->stretch_sum(job.index);
+    job.completed_at_warmup = pfs_->completed(job.index);
+    job.commits_at_warmup = job.commits;
+    job.failures_at_warmup = job.failures;
+  }
 }
 
 InterferenceReplication InterferenceModel::run(double transient, double horizon) {
@@ -234,19 +255,9 @@ InterferenceReplication InterferenceModel::run(double transient, double horizon)
     throw std::invalid_argument("InterferenceModel::run: transient must be >= 0, horizon > 0");
   }
   start();
-  engine_.schedule_at(transient, [this] {
-    const double now = engine_.now();
-    pfs_busy_at_warmup_ = pfs_->busy_seconds(now);
-    for (Job& job : jobs_) {
-      job.useful_at_warmup = job.useful.value(now);
-      job.stretch_at_warmup = pfs_->stretch_sum(job.index);
-      job.completed_at_warmup = pfs_->completed(job.index);
-      job.commits_at_warmup = job.commits;
-      job.failures_at_warmup = job.failures;
-    }
-  });
+  pending_.arm(warmup_key(), transient);
   const double t_end = transient + horizon;
-  engine_.run_until(t_end);
+  pending_.run_until(t_end, [this](sim::PendingSet::Key k) { fire(k); });
 
   InterferenceReplication out;
   out.jobs.reserve(jobs_.size());

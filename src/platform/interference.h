@@ -10,7 +10,9 @@
 #include "src/model/parameters.h"
 #include "src/platform/job_mix.h"
 #include "src/platform/pfs.h"
-#include "src/sim/engine.h"
+#include "src/sim/pending_set.h"
+#include "src/sim/rate_integral.h"
+#include "src/sim/rng.h"
 #include "src/stats/confidence.h"
 #include "src/stats/summary.h"
 #include "src/trace/event_log.h"
@@ -32,16 +34,19 @@ struct InterferenceReplication {
   double pfs_utilization = 0.0;  ///< busy fraction of the observation span
 };
 
-/// K-job interference model on one DES engine: each job runs the
+/// K-job interference model on one pending set: each job runs the
 /// compute -> coordinate -> dump -> commit checkpoint cycle of the paper's
 /// aggregated model, with every checkpoint dump and recovery stage-1 read
 /// issued as a byte-counted transfer against the one shared PfsServer.
+/// Each job's checkpoint initiation, coordination, failure, recovery and
+/// grant delivery, the PFS completion and the warm-up mark each have a key
+/// of their own, so all of them fire on one (time, arming order) clock.
 ///
-/// Per-job stochastic processes draw from named engine substreams
-/// ("<j>/fail", "<j>/coord", "<j>/recover"), so for a fixed seed the
-/// failure trajectory of every job is identical under every PFS policy —
-/// the common-random-numbers contract that makes policies comparable
-/// pairwise.  The PfsServer draws nothing.
+/// Per-job stochastic processes draw from named substreams of the
+/// replication seed ("<j>/fail", "<j>/coord", "<j>/recover"), so for a
+/// fixed seed the failure trajectory of every job is identical under every
+/// PFS policy — the common-random-numbers contract that makes policies
+/// comparable pairwise.  The PfsServer draws nothing.
 ///
 /// Scope: independent exponential compute failures per job (the mix
 /// validator rejects Weibull); I/O-node and master failures, correlated
@@ -81,16 +86,19 @@ class InterferenceModel {
     kRecovering2,  ///< recovery stage 2: reinitialise (exponential)
   };
 
+  /// Job j's event e has key e * K + j; the PFS completion and the warm-up
+  /// mark follow the K * kJobEvents job keys.
+  enum JobEvent : std::uint32_t { kInit, kCoord, kFail, kRecover, kGrant, kJobEvents };
+
   struct Job {
     Parameters p;
     std::size_t index = 0;
     double dump_bytes = 0.0;     ///< nodes * checkpoint_size_per_node
     double first_offset = 0.0;   ///< staggered initiation offset
     JobState state = JobState::kComputing;
-    // Placeholder seeds; the constructor overwrites each from the engine's
-    // named substreams ("<j>/fail" etc.) before any draw.
+    // Placeholder seeds; the constructor overwrites each from the
+    // replication's named substreams ("<j>/fail" etc.) before any draw.
     sim::Rng fail{0}, coord{0}, recover{0};
-    sim::EventHandle ev_init, ev_coord, ev_fail, ev_recover;
     PfsServer::RequestId io_req = 0;  ///< 0 = no transfer in flight
     // Trace-driven failure replay (null = exponential process).
     std::shared_ptr<const FailureTrace> trace;
@@ -109,8 +117,17 @@ class InterferenceModel {
     std::uint64_t failures_at_warmup = 0;
   };
 
+  [[nodiscard]] sim::PendingSet::Key key(std::size_t job, JobEvent e) const noexcept {
+    return static_cast<sim::PendingSet::Key>(e * mix_.jobs.size() + job);
+  }
+  [[nodiscard]] sim::PendingSet::Key pfs_key() const noexcept { return key(0, kJobEvents); }
+  [[nodiscard]] sim::PendingSet::Key warmup_key() const noexcept { return pfs_key() + 1; }
+
   void start();
+  void fire(sim::PendingSet::Key k);
+  void capture_warmup();
   void on_ckpt_init(Job& job);
+  void on_grant(Job& job);
   void begin_coordination(Job& job);
   void on_coordination_done(Job& job);
   void on_dump_done(Job& job);
@@ -123,7 +140,7 @@ class InterferenceModel {
   void note(trace::EventKind kind, double value);
 
   JobMix mix_;
-  sim::Engine engine_;
+  sim::PendingSet pending_;
   std::unique_ptr<PfsServer> pfs_;
   std::vector<Job> jobs_;
   double pfs_busy_at_warmup_ = 0.0;

@@ -33,8 +33,13 @@ bool pfs_policy_from_string(const std::string& name, PfsPolicy* out) noexcept {
   return true;
 }
 
-PfsServer::PfsServer(sim::Engine& engine, double bandwidth, PfsPolicy policy)
-    : engine_(engine), bandwidth_(bandwidth), policy_(policy) {
+PfsServer::PfsServer(sim::PendingSet& pending, sim::PendingSet::Key complete_key,
+                     sim::PendingSet::Key first_grant_key, double bandwidth, PfsPolicy policy)
+    : pending_(pending),
+      complete_key_(complete_key),
+      first_grant_key_(first_grant_key),
+      bandwidth_(bandwidth),
+      policy_(policy) {
   if (!std::isfinite(bandwidth) || bandwidth <= 0.0) {
     throw std::invalid_argument("PfsServer: bandwidth must be finite and > 0 (got " +
                                 std::to_string(bandwidth) + ")");
@@ -42,7 +47,7 @@ PfsServer::PfsServer(sim::Engine& engine, double bandwidth, PfsPolicy policy)
 }
 
 void PfsServer::note(trace::EventKind kind, double value) {
-  if (log_ != nullptr) log_->record(engine_.now(), kind, value);
+  if (log_ != nullptr) log_->record(pending_.now(), kind, value);
   if (counts_ != nullptr) counts_->bump(kind);
 }
 
@@ -72,10 +77,15 @@ void PfsServer::advance(double now) {
   }
 }
 
+void PfsServer::complete() {
+  advance(pending_.now());
+  reconcile();
+}
+
 void PfsServer::reconcile() {
-  const double now = engine_.now();
+  const double now = pending_.now();
   std::vector<Transfer> finished;
-  engine_.cancel(ev_complete_);
+  pending_.disarm(complete_key_);
   for (;;) {
     // Detach finished transfers (arrival order).  Under a serial discipline
     // only the head receives bandwidth, so only a finished head completes.
@@ -106,10 +116,7 @@ void PfsServer::reconcile() {
       dt = min_remaining * n / bandwidth_;
     }
     if (now + dt > now) {
-      ev_complete_ = engine_.schedule_in(dt, [this] {
-        advance(engine_.now());
-        reconcile();
-      });
+      pending_.arm_in(complete_key_, dt);
       break;
     }
     // dt is below the fp resolution of `now` (late in a long run, an event
@@ -156,13 +163,13 @@ PfsServer::RequestId PfsServer::submit(std::size_t job, double bytes,
     throw std::invalid_argument("PfsServer::submit: byte count must be finite and > 0 (got " +
                                 std::to_string(bytes) + ")");
   }
-  advance(engine_.now());
+  advance(pending_.now());
   Transfer t;
   t.id = next_id_++;
   t.job = job;
   t.bytes = bytes;
   t.remaining = bytes;
-  t.submitted = engine_.now();
+  t.submitted = pending_.now();
   t.done = std::move(done);
   inflight_.push_back(std::move(t));
   note(trace::EventKind::kPfsRequestQueued, static_cast<double>(job));
@@ -172,7 +179,7 @@ PfsServer::RequestId PfsServer::submit(std::size_t job, double bytes,
 }
 
 bool PfsServer::cancel(RequestId id) {
-  advance(engine_.now());
+  advance(pending_.now());
   for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
     if (it->id == id) {
       inflight_.erase(it);
@@ -184,21 +191,23 @@ bool PfsServer::cancel(RequestId id) {
   return false;
 }
 
-void PfsServer::request_grant(std::size_t job, std::function<void()> granted) {
-  grant_queue_.emplace_back(job, std::move(granted));
-  if (grant_busy_) return;
+void PfsServer::request_grant(std::size_t job) {
+  grant_queue_.push_back(job);
+  if (!grant_busy_) grant_next();
+}
+
+void PfsServer::grant_next() {
   grant_busy_ = true;
-  grant_holder_ = grant_queue_.front().first;
-  std::function<void()> cb = std::move(grant_queue_.front().second);
+  grant_holder_ = grant_queue_.front();
   grant_queue_.pop_front();
   // Grants always arrive as events (never synchronously inside the
   // requester's call) so the model sees one consistent re-entry point.
-  engine_.schedule_in(0.0, std::move(cb));
+  pending_.arm_in(first_grant_key_ + static_cast<sim::PendingSet::Key>(grant_holder_), 0.0);
 }
 
 bool PfsServer::cancel_grant(std::size_t job) {
   for (auto it = grant_queue_.begin(); it != grant_queue_.end(); ++it) {
-    if (it->first == job) {
+    if (*it == job) {
       grant_queue_.erase(it);
       return true;
     }
@@ -212,12 +221,7 @@ void PfsServer::release_grant(std::size_t job) {
                            " does not hold the reservation");
   }
   grant_busy_ = false;
-  if (grant_queue_.empty()) return;
-  grant_busy_ = true;
-  grant_holder_ = grant_queue_.front().first;
-  std::function<void()> cb = std::move(grant_queue_.front().second);
-  grant_queue_.pop_front();
-  engine_.schedule_in(0.0, std::move(cb));
+  if (!grant_queue_.empty()) grant_next();
 }
 
 bool PfsServer::grant_held_by(std::size_t job) const noexcept {

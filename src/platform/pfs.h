@@ -6,7 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/engine.h"
+#include "src/sim/pending_set.h"
+#include "src/sim/rate_integral.h"
 #include "src/trace/event_log.h"
 
 namespace ckptsim::platform {
@@ -40,9 +41,14 @@ enum class PfsPolicy {
 /// Shared-bandwidth transfer server: the single contended PFS of an
 /// interference mix.  Jobs submit byte-counted transfer requests; the
 /// server serves them under the configured discipline (processor sharing
-/// or one-at-a-time FCFS), fires each request's completion callback at the
+/// or one-at-a-time FCFS), calls each request's completion callback at the
 /// exact finish time, and accounts utilization (busy-time integral) and
 /// per-job stretch (actual service span / uncontended ideal).
+///
+/// The server's events live in its owner's pending set, under keys the
+/// owner hands it: one completion key, re-armed at the next finish time
+/// (the owner calls complete() when it fires), and one grant-delivery key
+/// per job.
 ///
 /// Fully deterministic — the server draws no random numbers, so two runs
 /// with the same submission sequence replay identically and the RNG-stream
@@ -51,9 +57,12 @@ class PfsServer {
  public:
   using RequestId = std::uint64_t;
 
-  /// `bandwidth` is aggregate bytes/s; throws std::invalid_argument unless
-  /// finite and > 0 (degenerate PFS configs must fail loudly).
-  PfsServer(sim::Engine& engine, double bandwidth, PfsPolicy policy);
+  /// Events go into `pending`: the completion under `complete_key`, job
+  /// j's grant delivery under `first_grant_key + j`.  `bandwidth` is
+  /// aggregate bytes/s; throws std::invalid_argument unless finite and > 0
+  /// (degenerate PFS configs must fail loudly).
+  PfsServer(sim::PendingSet& pending, sim::PendingSet::Key complete_key,
+            sim::PendingSet::Key first_grant_key, double bandwidth, PfsPolicy policy);
   PfsServer(const PfsServer&) = delete;
   PfsServer& operator=(const PfsServer&) = delete;
 
@@ -66,15 +75,22 @@ class PfsServer {
   /// false when the id is unknown / already completed.
   bool cancel(RequestId id);
 
+  /// The completion key fired: finish the transfers done by now, call
+  /// their callbacks and re-arm the key at the next finish time.
+  void complete();
+
   // --- exclusive reservation (kBlockingCooperative) ----------------------
-  /// Queue `job` for the exclusive PFS grant; `granted` fires (as a
-  /// zero-delay event, never synchronously) once every earlier holder has
-  /// released.  An idle server grants immediately (still via the queue).
-  void request_grant(std::size_t job, std::function<void()> granted);
+  /// Queue `job` for the exclusive PFS grant.  Once every earlier holder
+  /// has released, `job` holds it and its grant key is armed at that
+  /// instant (delivery is an event, never synchronous).  An idle server
+  /// grants at once.  The owner handles the delivery: by then `job` may
+  /// have released the grant again (grant_held_by says).
+  void request_grant(std::size_t job);
   /// Drop a not-yet-granted reservation request.  Returns false when `job`
   /// is not waiting.
   bool cancel_grant(std::size_t job);
-  /// Release the grant `job` holds, passing it to the next waiter.
+  /// Release the grant `job` holds, passing it to the next waiter.  Throws
+  /// std::logic_error when `job` does not hold it.
   void release_grant(std::size_t job);
   [[nodiscard]] bool grant_held_by(std::size_t job) const noexcept;
 
@@ -125,20 +141,23 @@ class PfsServer {
   /// Complete finished transfers, re-arm the next completion event, and
   /// refresh the busy rate; fires completion callbacks last.
   void reconcile();
+  /// Hand the grant to the first waiter and arm its delivery.
+  void grant_next();
   void note(trace::EventKind kind, double value);
 
-  sim::Engine& engine_;
+  sim::PendingSet& pending_;
+  sim::PendingSet::Key complete_key_;
+  sim::PendingSet::Key first_grant_key_;
   double bandwidth_;
   PfsPolicy policy_;
   std::vector<Transfer> inflight_;  ///< arrival order; front is the FCFS head
   double last_advance_ = 0.0;
-  sim::EventHandle ev_complete_;
   RequestId next_id_ = 1;
 
   // exclusive reservation state
   bool grant_busy_ = false;
   std::size_t grant_holder_ = 0;
-  std::deque<std::pair<std::size_t, std::function<void()>>> grant_queue_;
+  std::deque<std::size_t> grant_queue_;  ///< waiting jobs, in request order
 
   sim::RateIntegral busy_;
   std::vector<double> stretch_sum_;        // indexed by job

@@ -9,22 +9,18 @@
 namespace ckptsim::san {
 
 Executor::Executor(const Model& model, std::uint64_t seed)
-    : model_(model), marking_(0, 0), rng_(seed) {}
+    : model_(model), marking_(0, 0), pending_(model.activity_count()), rng_(seed) {}
 
-void Executor::ensure_started() {
-  if (started_) return;
+void Executor::init_structure() {
   started_ = true;
   marking_ = model_.initial_marking();
-  marking_.enable_dirty_tracking();
   rewards_.bind(model_);
-  firing_counts_.assign(model_.activity_count(), 0);
-  timed_.assign(model_.activity_count(), TimedState{});
-  candidate_.assign(model_.activity_count(), 0);
-  is_timed_.assign(model_.activity_count(), 0);
-  instantaneous_order_.clear();
-  resample_order_.clear();
-  timed_candidates_.clear();
-  for (std::uint32_t i = 0; i < model_.activity_count(); ++i) {
+  const auto n = static_cast<std::uint32_t>(model_.activity_count());
+  firing_counts_.assign(n, 0);
+  timed_.assign(n, TimedState{});
+  candidate_.assign(n, 0);
+  is_timed_.assign(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
     const ActivitySpec& spec = model_.activity(ActivityId{i});
     if (spec.timed) {
       is_timed_[i] = 1;
@@ -38,24 +34,30 @@ void Executor::ensure_started() {
                      return model_.activity(ActivityId{a}).priority >
                             model_.activity(ActivityId{b}).priority;
                    });
+}
+
+void Executor::ensure_started() {
+  if (started_) return;
+  init_structure();
+  marking_.enable_dirty_tracking();
   // First refresh evaluates everything; incremental tracking takes over
   // from the resulting (clean) state.
   seen_version_ = marking_.version();
   for (std::uint32_t i = 0; i < model_.activity_count(); ++i) add_candidate(i);
-  last_accrual_ = queue_.now();
+  last_accrual_ = pending_.now();
   refresh();
 }
 
 void Executor::accrue_to_now() {
-  const double dt = queue_.now() - last_accrual_;
+  const double dt = pending_.now() - last_accrual_;
   if (dt > 0.0) {
     rewards_.accrue(marking_, dt);
-    last_accrual_ = queue_.now();
+    last_accrual_ = pending_.now();
   }
 }
 
 void Executor::apply_gate_effects(const ActivitySpec& spec) {
-  Context ctx{marking_, queue_.now(), rng_};
+  Context ctx{marking_, pending_.now(), rng_};
   // SAN firing order: input arcs, input-gate functions, output arcs,
   // output-gate functions; the chosen case's effects follow in fire().
   for (const auto& arc : spec.input_arcs) marking_.add_tokens(arc.place, -arc.multiplicity);
@@ -95,13 +97,13 @@ void Executor::fire(std::uint32_t activity_idx) {
         break;
       }
     }
-    Context ctx{marking_, queue_.now(), rng_};
+    Context ctx{marking_, pending_.now(), rng_};
     for (const auto& arc : chosen->output_arcs) marking_.add_tokens(arc.place, arc.multiplicity);
     for (const auto& gate : chosen->output_gates) gate.fire(ctx);
   }
   ++firing_counts_[activity_idx];
   ++total_firings_;
-  rewards_.on_fire(ActivityId{activity_idx}, marking_, queue_.now());
+  rewards_.on_fire(ActivityId{activity_idx}, marking_, pending_.now());
 }
 
 void Executor::propagate_marking_changes() {
@@ -176,21 +178,21 @@ void Executor::reconcile_timed(std::uint32_t idx) {
     if (dt < 0.0) {
       throw std::logic_error("Executor: negative latency from activity '" + spec.name + "'");
     }
-    st.handle = queue_.schedule_in(dt, [this, idx] { on_timed_complete(idx); });
+    pending_.arm_in(idx, dt);
     st.enabled = true;
     st.marking_version = marking_.version();
   } else if (!en && st.enabled) {
-    queue_.cancel(st.handle);
+    pending_.disarm(idx);
     st.enabled = false;
     ++total_aborts_;
   } else if (en && st.enabled && spec.reactivation == Reactivation::kResample &&
              st.marking_version != marking_.version()) {
-    queue_.cancel(st.handle);
+    pending_.disarm(idx);
     const double dt = spec.latency(marking_, rng_);
     if (dt < 0.0) {
       throw std::logic_error("Executor: negative latency from activity '" + spec.name + "'");
     }
-    st.handle = queue_.schedule_in(dt, [this, idx] { on_timed_complete(idx); });
+    pending_.arm_in(idx, dt);
     st.marking_version = marking_.version();
   }
 }
@@ -198,7 +200,6 @@ void Executor::reconcile_timed(std::uint32_t idx) {
 void Executor::on_timed_complete(std::uint32_t activity_idx) {
   accrue_to_now();
   timed_[activity_idx].enabled = false;
-  timed_[activity_idx].handle.clear();
   // The activity's activation state changed even if its enabling inputs did
   // not: it must be reconsidered (typically to re-activate itself).
   add_candidate(activity_idx);
@@ -208,13 +209,13 @@ void Executor::on_timed_complete(std::uint32_t activity_idx) {
 
 void Executor::run_until(double t_end) {
   ensure_started();
-  queue_.run_until(t_end);
+  pending_.run_until(t_end, [this](std::uint32_t idx) { on_timed_complete(idx); });
   accrue_to_now();
 }
 
 bool Executor::step() {
   ensure_started();
-  return queue_.step();
+  return pending_.step([this](std::uint32_t idx) { on_timed_complete(idx); });
 }
 
 std::uint64_t Executor::firings(std::string_view activity) const {
@@ -238,55 +239,26 @@ void Executor::save_state(snapshot::StateWriter& w) const {
   w.u64(total_aborts_);
   w.u64(firing_counts_.size());
   for (const std::uint64_t c : firing_counts_) w.u64(c);
-  // Activation state, including handle ids: restore maps them back to
-  // on_timed_complete callbacks when rebuilding the queue (which is why the
-  // queue is serialized last).
   w.u64(timed_.size());
   for (const TimedState& st : timed_) {
     w.b(st.enabled);
-    w.u64(st.handle.id);
     w.u64(st.marking_version);
   }
   w.u64(candidate_.size());
   for (const std::uint8_t c : candidate_) w.u8(c);
   w.u64(timed_candidates_.size());
   for (const std::uint32_t idx : timed_candidates_) w.u32(idx);
-  queue_.save_state(w);
+  pending_.save_state(w);
 }
 
 void Executor::restore_state(snapshot::StateReader& r) {
   using snapshot::SnapshotError;
   using snapshot::SnapshotFault;
   if (started_) throw std::logic_error("Executor::restore_state: executor already started");
-  const std::uint32_t n = static_cast<std::uint32_t>(model_.activity_count());
-  // Structural init, exactly as ensure_started does it — the dynamic state
-  // is then overwritten from the snapshot and refresh() is NOT run (the
-  // saved state is already quiescent).
-  started_ = true;
-  marking_ = model_.initial_marking();
-  rewards_.bind(model_);
-  firing_counts_.assign(n, 0);
-  timed_.assign(n, TimedState{});
-  candidate_.assign(n, 0);
-  is_timed_.assign(n, 0);
-  instantaneous_order_.clear();
-  resample_order_.clear();
-  timed_candidates_.clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const ActivitySpec& spec = model_.activity(ActivityId{i});
-    if (spec.timed) {
-      is_timed_[i] = 1;
-      if (spec.reactivation == Reactivation::kResample) resample_order_.push_back(i);
-    } else {
-      instantaneous_order_.push_back(i);
-    }
-  }
-  std::stable_sort(instantaneous_order_.begin(), instantaneous_order_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return model_.activity(ActivityId{a}).priority >
-                            model_.activity(ActivityId{b}).priority;
-                   });
-
+  // The dynamic state is overwritten from the snapshot and refresh() is NOT
+  // run: the saved state is already quiescent.
+  init_structure();
+  const auto n = static_cast<std::uint32_t>(model_.activity_count());
   marking_.restore_state(r);
   rng_.restore_state(r);
   rewards_.restore_state(r);
@@ -306,17 +278,14 @@ void Executor::restore_state(snapshot::StateReader& r) {
     throw SnapshotError(SnapshotFault::kCorrupt,
                         "executor snapshot: activation table size mismatch");
   }
-  std::size_t enabled_count = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     TimedState& st = timed_[i];
     st.enabled = r.b();
-    st.handle.id = r.u64();
     st.marking_version = r.u64();
-    if (st.enabled != (st.handle.id != 0) || (st.enabled && is_timed_[i] == 0)) {
+    if (st.enabled && is_timed_[i] == 0) {
       throw SnapshotError(SnapshotFault::kCorrupt,
                           "executor snapshot: inconsistent activation state");
     }
-    if (st.enabled) ++enabled_count;
   }
   const std::uint64_t n_cand = r.u64();
   if (n_cand != n) {
@@ -337,21 +306,13 @@ void Executor::restore_state(snapshot::StateReader& r) {
                           "executor snapshot: timed-candidate index out of range");
     }
   }
-  // Rebuild the queue: every live entry must be one enabled activity's
-  // pending completion, matched by handle id.
-  std::size_t rebuilt = 0;
-  queue_.restore_state(r, [this, &rebuilt](std::uint64_t id) -> sim::EventQueue::Callback {
-    for (std::uint32_t i = 0; i < timed_.size(); ++i) {
-      if (timed_[i].enabled && timed_[i].handle.id == id) {
-        ++rebuilt;
-        return [this, i] { on_timed_complete(i); };
-      }
+  // Exactly the enabled activities have an armed completion.
+  pending_.restore_state(r);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (timed_[i].enabled != pending_.armed(i)) {
+      throw SnapshotError(SnapshotFault::kCorrupt,
+                          "executor snapshot: activation state disagrees with the pending set");
     }
-    return {};
-  });
-  if (rebuilt != enabled_count || queue_.size() != enabled_count) {
-    throw SnapshotError(SnapshotFault::kCorrupt,
-                        "executor snapshot: activation state disagrees with the queue");
   }
 }
 

@@ -9,7 +9,7 @@
 #include "src/san/marking.h"
 #include "src/san/model.h"
 #include "src/san/reward.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/pending_set.h"
 #include "src/sim/rng.h"
 
 namespace ckptsim::san {
@@ -30,10 +30,12 @@ class LivelockError : public std::runtime_error {
 ///
 /// Semantics (matching Möbius simulation semantics):
 ///  * A timed activity is *activated* when it becomes enabled: its latency
-///    is sampled and a completion is scheduled.  If the activity becomes
-///    disabled before completing, the completion is *aborted*.  A marking
-///    change that keeps it enabled leaves the completion in place
-///    (Reactivation::kKeep) or resamples it (Reactivation::kResample).
+///    is sampled and its completion armed in the pending set, keyed by the
+///    activity's index.  If the activity becomes disabled before
+///    completing, the completion is *aborted*.  A marking change that keeps
+///    it enabled leaves the completion in place (Reactivation::kKeep) or
+///    resamples it (Reactivation::kResample).  Completions fire in (time,
+///    arming order).
 ///  * Enabled instantaneous activities fire before any time passes,
 ///    highest priority first (ties in definition order), repeating until no
 ///    instantaneous activity is enabled.  A livelock guard throws after
@@ -74,7 +76,7 @@ class Executor {
   /// Returns false when no timed activity is scheduled.
   bool step();
 
-  [[nodiscard]] double now() const noexcept { return queue_.now(); }
+  [[nodiscard]] double now() const noexcept { return pending_.now(); }
   [[nodiscard]] const Marking& marking() const noexcept { return marking_; }
   [[nodiscard]] Marking& marking() noexcept { return marking_; }
 
@@ -82,28 +84,28 @@ class Executor {
   [[nodiscard]] std::uint64_t firings(std::string_view activity) const;
   [[nodiscard]] std::uint64_t total_firings() const noexcept { return total_firings_; }
 
-  /// Activations aborted: scheduled completions cancelled because the
+  /// Activations aborted: armed completions disarmed because the
   /// activity became disabled before firing (Möbius abort semantics;
   /// reactivation resampling is not counted).
   [[nodiscard]] std::uint64_t total_aborts() const noexcept { return total_aborts_; }
 
-  /// Event-queue statistics of this replication (obs metrics registry).
-  [[nodiscard]] sim::QueueStats queue_stats() const noexcept { return queue_.stats(); }
+  /// Pending-set statistics of this replication (obs metrics registry).
+  [[nodiscard]] sim::QueueStats queue_stats() const noexcept { return pending_.stats(); }
 
   /// Watchdog: cap timed completions at `max_events` fired events (0 =
   /// unlimited); the run throws sim::EventBudgetExceeded past the cap.
   void set_event_budget(std::uint64_t max_events) noexcept {
-    queue_.set_fire_budget(max_events);
+    pending_.set_fire_budget(max_events);
   }
 
   /// Zero reward accumulators at the current time (end of warm-up).
   void reset_rewards() { rewards_.reset(now()); }
 
-  /// Post-fire hook forwarded to the event queue — the snapshot layer's
+  /// Post-fire hook forwarded to the pending set — the snapshot layer's
   /// periodic capture boundary (same instant as the fire-budget watchdog).
   /// Set before the run starts.
   void set_fire_hook(std::uint64_t every, std::function<void()> hook) {
-    queue_.set_fire_hook(every, std::move(hook));
+    pending_.set_fire_hook(every, std::move(hook));
   }
 
   /// Force re-evaluation of enabling conditions after an external marking
@@ -124,7 +126,7 @@ class Executor {
 
   /// Serialize the full mid-run state: marking (with dirty tracking), RNG
   /// stream position, reward accumulators, per-activity activation state,
-  /// counters, and the event queue.  Requires a started executor (throws
+  /// counters, and the pending set.  Requires a started executor (throws
   /// std::logic_error otherwise).  Continuing a restored executor is
   /// bit-identical to never having stopped.
   void save_state(snapshot::StateWriter& w) const;
@@ -132,19 +134,22 @@ class Executor {
   /// Restore onto a freshly constructed executor over the same model (the
   /// constructor seed is irrelevant — the stream position is restored).
   /// All structural re-initialization (activity orders, reward binding)
-  /// happens here; queue callbacks are rebuilt from the saved handle ids.
-  /// Any inconsistency throws snapshot::SnapshotError before the executor
-  /// is considered restored.
+  /// happens here.  Any inconsistency throws snapshot::SnapshotError before
+  /// the executor is considered restored, among them an armed completion
+  /// on an activity saved as not enabled, and an enabled activity with no
+  /// armed completion.
   void restore_state(snapshot::StateReader& r);
 
  private:
   struct TimedState {
-    bool enabled = false;
-    sim::EventHandle handle;
+    bool enabled = false;               // its completion is armed
     std::uint64_t marking_version = 0;  // version when the latency was sampled
   };
 
   void ensure_started();
+  /// Start the run's structures from the initial marking: tables sized to
+  /// the model, activities sorted into timed / instantaneous orders.
+  void init_structure();
   void refresh();
   void fire(std::uint32_t activity_idx);
   void apply_gate_effects(const ActivitySpec& spec);
@@ -169,7 +174,7 @@ class Executor {
 
   const Model& model_;
   Marking marking_;
-  sim::EventQueue queue_;
+  sim::PendingSet pending_;  // keyed by activity index
   sim::Rng rng_;
   RewardSet rewards_;
   std::vector<TimedState> timed_;

@@ -1,4 +1,4 @@
-#include "src/sim/engine.h"
+#include "src/sim/rate_integral.h"
 
 #include <stdexcept>
 

@@ -1,11 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <string_view>
-
-#include "src/sim/event_queue.h"
-#include "src/sim/rng.h"
-
 namespace ckptsim::snapshot {
 class StateReader;
 class StateWriter;
@@ -48,39 +42,6 @@ class RateIntegral {
   double rate_ = 0.0;
   double since_ = 0.0;    // time the current rate became effective
   double integral_ = 0.0; // closed segments + impulses
-};
-
-/// Simulation engine: event queue + named RNG streams.
-///
-/// One Engine per replication.  Models own their state and schedule
-/// callbacks on the engine; the engine stays model-agnostic.
-class Engine {
- public:
-  /// `seed` drives every stream in this replication; two engines with the
-  /// same seed replay identically.
-  explicit Engine(std::uint64_t seed) : pool_(seed) {}
-
-  [[nodiscard]] double now() const noexcept { return queue_.now(); }
-  [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
-  [[nodiscard]] const EventQueue& queue() const noexcept { return queue_; }
-
-  /// Named RNG substream (same name -> same stream for a given seed).
-  [[nodiscard]] Rng stream(std::string_view name) const { return pool_.stream(name); }
-
-  EventHandle schedule_in(double dt, EventQueue::Callback fn) {
-    return queue_.schedule_in(dt, std::move(fn));
-  }
-  EventHandle schedule_at(double t, EventQueue::Callback fn) {
-    return queue_.schedule(t, std::move(fn));
-  }
-  bool cancel(EventHandle& h) noexcept { return queue_.cancel(h); }
-
-  /// Run the simulation clock to `t_end`.
-  void run_until(double t_end) { queue_.run_until(t_end); }
-
- private:
-  EventQueue queue_;
-  RngPool pool_;
 };
 
 }  // namespace ckptsim::sim

@@ -9,8 +9,9 @@ namespace ckptsim::snapshot {
 /// Bump on ANY payload-layout change: restore of a different version must be
 /// rejected (kVersionMismatch), never guessed at.  Version 2: the DES payload
 /// carries the fixed-slot pending set and, trace-driven, the trace's content
-/// hash.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// hash.  Version 3: the SAN payload carries the executor's pending set keyed
+/// by activity, with no event handle ids and no scheduler byte.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// State kinds carried by the container.  A reader must name the kind it
 /// expects; anything else is rejected (kKindMismatch) before the payload is

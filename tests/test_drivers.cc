@@ -476,7 +476,7 @@ TEST(Drivers, StudyErrorAndCancelTextIsPinned) {
     const std::atomic<bool> cancelled{true};
     spec.cancel = &cancelled;
     text += "\n" + error_text([&] { (void)s.study->run(spec); });
-    expect_pinned(text, 0xb6a0f074e27b2de9ULL, jobs);
+    expect_pinned(text, 0x211de1b183cc58e3ULL, jobs);
   }
 }
 
@@ -592,7 +592,9 @@ TEST(Drivers, ProactiveAndInterferenceWatchdogKillsAreStructuredErrors) {
 //
 // A watchdog kill keeps the replication's last snapshot (it is the resume
 // point), so a skip-mode run under a small budget leaves one file per
-// replication: the names and bytes each driver writes.
+// replication: the names and bytes each driver writes.  The bytes include
+// the container header, so a snapshot format-version bump moves these pins
+// even when no payload byte changes.
 
 RunSpec snapshot_spec(std::size_t jobs, const std::string& dir) {
   RunSpec spec = small_spec(jobs);
@@ -609,7 +611,7 @@ TEST(Drivers, RunModelSnapshotFilesArePinned) {
     TempDir dir("snap_run_" + std::to_string(jobs));
     const std::string text =
         render(ckptsim::run_model(small_machine(), snapshot_spec(jobs, dir.path))) + "\n";
-    expect_pinned(text + directory_listing(dir.path), 0x27f618a74e3c92c7ULL, jobs);
+    expect_pinned(text + directory_listing(dir.path), 0x000e3a87505e457cULL, jobs);
   }
 }
 
@@ -618,7 +620,7 @@ TEST(Drivers, SweepSnapshotFilesArePinned) {
     TempDir dir("snap_sweep_" + std::to_string(jobs));
     const std::string text = render(ckptsim::sweep("drivers", small_machine(), {30.0, 60.0},
                                                    apply_interval, snapshot_spec(jobs, dir.path)));
-    expect_pinned(text + directory_listing(dir.path), 0x5fd255390650bc3eULL, jobs);
+    expect_pinned(text + directory_listing(dir.path), 0xc6abf78d159f979aULL, jobs);
   }
 }
 
@@ -662,7 +664,7 @@ TEST(Drivers, DaemonSnapshotFilesAndPointErrorsArePinned) {
     server.drain();
     server.stop();
     expect_pinned(sorted_lines(out.lines) + directory_listing(config.snapshot_dir),
-                  0xa303398d818bbf10ULL, jobs);
+                  0x4a5f918ab951a682ULL, jobs);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -19,7 +20,7 @@
 #include "src/platform/interference.h"
 #include "src/platform/job_mix.h"
 #include "src/platform/pfs.h"
-#include "src/sim/engine.h"
+#include "src/sim/pending_set.h"
 #include "src/sim/rng.h"
 #include "src/trace/event_log.h"
 
@@ -36,22 +37,54 @@ using ckptsim::platform::parse_job_mix;
 using ckptsim::platform::PfsPolicy;
 using ckptsim::platform::PfsServer;
 using ckptsim::platform::run_interference;
-using ckptsim::sim::Engine;
 using ckptsim::sim::fnv1a64;
+using ckptsim::sim::PendingSet;
 using ckptsim::trace::EventLog;
 using ckptsim::units::kHour;
 using ckptsim::units::kMinute;
 
 // ---------------------------------------------------------------- PfsServer
 
+/// A PfsServer on its own pending set, as an owner runs it: key 0 is the
+/// server's completion, key 1 + j job j's grant delivery, and kTimer one
+/// event of the test's own.  Grant deliveries are recorded in firing order.
+struct PfsRig {
+  static constexpr PendingSet::Key kComplete = 0;
+  static constexpr PendingSet::Key kFirstGrant = 1;
+  static constexpr PendingSet::Key kTimer = 3;
+  struct Delivery {
+    std::size_t job;
+    double time;
+    bool held;  ///< the job still held the grant when its delivery fired
+    bool operator==(const Delivery&) const = default;
+  };
+
+  PendingSet pending{4};
+  PfsServer pfs;
+  std::vector<Delivery> delivered;
+  std::function<void()> timer;
+
+  PfsRig(double bandwidth, PfsPolicy policy)
+      : pfs(pending, kComplete, kFirstGrant, bandwidth, policy) {}
+  [[nodiscard]] double now() const { return pending.now(); }
+  void run_until(double t_end) {
+    pending.run_until(t_end, [this](PendingSet::Key key) {
+      if (key == kComplete) return pfs.complete();
+      if (key == kTimer) return timer();
+      const std::size_t job = key - kFirstGrant;
+      delivered.push_back({job, pending.now(), pfs.grant_held_by(job)});
+    });
+  }
+};
+
 TEST(PfsServer, FairShareStretchesConcurrentTransfers) {
-  Engine engine(1);
-  PfsServer pfs(engine, /*bandwidth=*/100.0, PfsPolicy::kFairShare);
+  PfsRig rig(/*bandwidth=*/100.0, PfsPolicy::kFairShare);
+  PfsServer& pfs = rig.pfs;
   int done_a = 0, done_b = 0;
   double t_a = -1.0, t_b = -1.0;
-  pfs.submit(0, 1000.0, [&] { ++done_a; t_a = engine.now(); });
-  pfs.submit(1, 1000.0, [&] { ++done_b; t_b = engine.now(); });
-  engine.run_until(100.0);
+  pfs.submit(0, 1000.0, [&] { ++done_a; t_a = rig.now(); });
+  pfs.submit(1, 1000.0, [&] { ++done_b; t_b = rig.now(); });
+  rig.run_until(100.0);
   EXPECT_EQ(done_a, 1);
   EXPECT_EQ(done_b, 1);
   // Two equal transfers under processor sharing each see half the
@@ -66,14 +99,14 @@ TEST(PfsServer, FairShareStretchesConcurrentTransfers) {
 }
 
 TEST(PfsServer, FcfsServesOneTransferAtATimeInArrivalOrder) {
-  Engine engine(1);
-  PfsServer pfs(engine, 100.0, PfsPolicy::kFcfs);
+  PfsRig rig(100.0, PfsPolicy::kFcfs);
+  PfsServer& pfs = rig.pfs;
   double t_a = -1.0, t_b = -1.0;
-  pfs.submit(0, 1000.0, [&] { t_a = engine.now(); });
-  pfs.submit(1, 500.0, [&] { t_b = engine.now(); });
+  pfs.submit(0, 1000.0, [&] { t_a = rig.now(); });
+  pfs.submit(1, 500.0, [&] { t_b = rig.now(); });
   EXPECT_EQ(pfs.active_now(), 1u);
   EXPECT_EQ(pfs.queued_now(), 1u);
-  engine.run_until(100.0);
+  rig.run_until(100.0);
   EXPECT_DOUBLE_EQ(t_a, 10.0);  // full bandwidth, arrival order
   EXPECT_DOUBLE_EQ(t_b, 15.0);  // waited 10 s, then 5 s of service
   EXPECT_DOUBLE_EQ(pfs.stretch_sum(0), 1.0);
@@ -81,46 +114,46 @@ TEST(PfsServer, FcfsServesOneTransferAtATimeInArrivalOrder) {
 }
 
 TEST(PfsServer, CancelRemovesQueuedTransfer) {
-  Engine engine(1);
-  PfsServer pfs(engine, 100.0, PfsPolicy::kFcfs);
+  PfsRig rig(100.0, PfsPolicy::kFcfs);
+  PfsServer& pfs = rig.pfs;
   int done_b = 0;
   pfs.submit(0, 1000.0, [] {});
   const PfsServer::RequestId b = pfs.submit(1, 1000.0, [&] { ++done_b; });
   EXPECT_TRUE(pfs.cancel(b));
   EXPECT_FALSE(pfs.cancel(b));  // already gone
-  engine.run_until(100.0);
+  rig.run_until(100.0);
   EXPECT_EQ(done_b, 0);
   EXPECT_EQ(pfs.completed_total(), 1u);
   EXPECT_EQ(pfs.cancelled_total(), 1u);
 }
 
 TEST(PfsServer, SubmitRejectsDegenerateByteCounts) {
-  Engine engine(1);
-  PfsServer pfs(engine, 100.0, PfsPolicy::kFairShare);
+  PfsRig rig(100.0, PfsPolicy::kFairShare);
+  PfsServer& pfs = rig.pfs;
   EXPECT_THROW(pfs.submit(0, 0.0, [] {}), std::invalid_argument);
   EXPECT_THROW(pfs.submit(0, -1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(pfs.submit(0, std::nan(""), [] {}), std::invalid_argument);
   EXPECT_THROW(pfs.submit(0, std::numeric_limits<double>::infinity(), [] {}),
                std::invalid_argument);
-  EXPECT_THROW(PfsServer(engine, 0.0, PfsPolicy::kFairShare), std::invalid_argument);
-  EXPECT_THROW(PfsServer(engine, std::nan(""), PfsPolicy::kFairShare), std::invalid_argument);
+  EXPECT_THROW(PfsServer(rig.pending, 0, 1, 0.0, PfsPolicy::kFairShare), std::invalid_argument);
+  EXPECT_THROW(PfsServer(rig.pending, 0, 1, std::nan(""), PfsPolicy::kFairShare),
+               std::invalid_argument);
 }
 
 TEST(PfsServer, GrantIsExclusiveAndFifo) {
-  Engine engine(1);
-  PfsServer pfs(engine, 100.0, PfsPolicy::kBlockingCooperative);
-  std::vector<std::size_t> order;
-  pfs.request_grant(0, [&] { order.push_back(0); });
-  pfs.request_grant(1, [&] { order.push_back(1); });
-  engine.run_until(1.0);
+  PfsRig rig(100.0, PfsPolicy::kBlockingCooperative);
+  PfsServer& pfs = rig.pfs;
+  pfs.request_grant(0);
+  pfs.request_grant(1);
+  rig.run_until(1.0);
   // Only the first grant is delivered until the holder releases.
-  ASSERT_EQ(order.size(), 1u);
+  ASSERT_EQ(rig.delivered.size(), 1u);
   EXPECT_TRUE(pfs.grant_held_by(0));
   EXPECT_THROW(pfs.release_grant(1), std::logic_error);  // not the holder
   pfs.release_grant(0);
-  engine.run_until(2.0);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[1], 1u);
+  rig.run_until(2.0);
+  ASSERT_EQ(rig.delivered.size(), 2u);
+  EXPECT_EQ(rig.delivered[1].job, 1u);
   EXPECT_TRUE(pfs.grant_held_by(1));
   pfs.release_grant(1);
   EXPECT_FALSE(pfs.grant_held_by(1));
@@ -131,36 +164,68 @@ TEST(PfsServer, GrantReleasedBeforeDeliveryPassesOnAtTheSameInstant) {
   // delivery fires (a failure between grant and delivery), so job 1 is
   // granted at once.  Both deliveries fire at t = 0, in grant order, and
   // job 0's finds that it no longer holds the grant.
-  Engine engine(1);
-  PfsServer pfs(engine, 100.0, PfsPolicy::kBlockingCooperative);
-  struct Delivery {
-    std::size_t job;
-    double time;
-    bool held;
-    bool operator==(const Delivery&) const = default;
-  };
-  std::vector<Delivery> delivered;
-  pfs.request_grant(0, [&] { delivered.push_back({0, engine.now(), pfs.grant_held_by(0)}); });
-  pfs.request_grant(1, [&] { delivered.push_back({1, engine.now(), pfs.grant_held_by(1)}); });
+  PfsRig rig(100.0, PfsPolicy::kBlockingCooperative);
+  PfsServer& pfs = rig.pfs;
+  pfs.request_grant(0);
+  pfs.request_grant(1);
   pfs.release_grant(0);
   EXPECT_TRUE(pfs.grant_held_by(1));
-  engine.run_until(0.0);
-  const std::vector<Delivery> expected = {{0, 0.0, false}, {1, 0.0, true}};
-  EXPECT_EQ(delivered, expected);
+  rig.run_until(0.0);
+  const std::vector<PfsRig::Delivery> expected = {{0, 0.0, false}, {1, 0.0, true}};
+  EXPECT_EQ(rig.delivered, expected);
+}
+
+TEST(PfsServer, CompletionKeyIsArmedForTheNextFinishTime) {
+  PfsRig rig(100.0, PfsPolicy::kFairShare);
+  PfsServer& pfs = rig.pfs;
+  EXPECT_FALSE(rig.pending.armed(PfsRig::kComplete));
+  pfs.submit(0, 1000.0, [] {});
+  EXPECT_DOUBLE_EQ(rig.pending.peek_time(), 10.0);
+  // A second transfer halves the first one's share: both now finish at 20.
+  pfs.submit(1, 1000.0, [] {});
+  EXPECT_TRUE(rig.pending.armed(PfsRig::kComplete));
+  EXPECT_DOUBLE_EQ(rig.pending.peek_time(), 20.0);
+  rig.run_until(100.0);
+  EXPECT_FALSE(rig.pending.armed(PfsRig::kComplete));  // idle: nothing to finish
+  const PfsServer::RequestId id = pfs.submit(0, 500.0, [] {});
+  EXPECT_TRUE(pfs.cancel(id));
+  EXPECT_FALSE(rig.pending.armed(PfsRig::kComplete));
+}
+
+TEST(PfsServer, QueuedGrantIsArmedOnlyWhenTheHolderReleases) {
+  PfsRig rig(100.0, PfsPolicy::kBlockingCooperative);
+  PfsServer& pfs = rig.pfs;
+  pfs.request_grant(0);
+  pfs.request_grant(1);
+  EXPECT_TRUE(rig.pending.armed(PfsRig::kFirstGrant));
+  EXPECT_FALSE(rig.pending.armed(PfsRig::kFirstGrant + 1));
+  rig.run_until(3.0);
+  pfs.release_grant(0);
+  EXPECT_TRUE(rig.pending.armed(PfsRig::kFirstGrant + 1));
+  EXPECT_DOUBLE_EQ(rig.pending.peek_time(), 3.0);  // delivered at the release instant
+  // A waiter that gives up is never granted.
+  pfs.request_grant(0);
+  EXPECT_TRUE(pfs.cancel_grant(0));
+  EXPECT_FALSE(pfs.cancel_grant(0));
+  rig.run_until(4.0);
+  pfs.release_grant(1);
+  EXPECT_TRUE(rig.pending.empty());
+  EXPECT_FALSE(pfs.grant_held_by(0));
 }
 
 TEST(PfsServer, LongRunReachesQuiescenceWithoutLivelock) {
   // Regression: late in a long run the last sliver of a transfer implies a
   // completion delay below the fp resolution of `now`; the server must
   // finish it instead of rescheduling a zero-advance event forever.
-  Engine engine(1);
-  PfsServer pfs(engine, 1.6e10, PfsPolicy::kFairShare);
+  PfsRig rig(1.6e10, PfsPolicy::kFairShare);
+  PfsServer& pfs = rig.pfs;
   // Jump the clock far out, then overlap two transfers.
-  engine.schedule_at(7.0e6, [&] {
+  rig.timer = [&] {
     pfs.submit(0, 1.0e9, [] {});
     pfs.submit(1, 1.0e9 / 3.0, [] {});  // remainder not representable cleanly
-  });
-  engine.run_until(8.0e6);  // would never return on livelock
+  };
+  rig.pending.arm(PfsRig::kTimer, 7.0e6);
+  rig.run_until(8.0e6);  // would never return on livelock
   EXPECT_EQ(pfs.completed_total(), 2u);
   EXPECT_EQ(pfs.active_now(), 0u);
 }

@@ -66,10 +66,10 @@ TEST(Metrics, ShardAbsorbAddsCountsAndMaxesQueuePeaks) {
   a.events.bump(EventKind::kRollback);
   a.activity_firings = 10;
   a.activity_aborts = 1;
-  a.queue = {100, 90, 10, 2, 50, 8};
+  a.queue = {100, 90, 10, 50};
   ReplicationProbe b;
   b.events.bump(EventKind::kRollback);
-  b.queue = {10, 10, 0, 0, 80, 3};
+  b.queue = {10, 10, 0, 80};
   m.shard(0).absorb(a);
   m.shard(1).absorb(b);
   const MetricsSnapshot s = m.snapshot();
@@ -78,8 +78,8 @@ TEST(Metrics, ShardAbsorbAddsCountsAndMaxesQueuePeaks) {
   EXPECT_EQ(s.activity_firings, 10u);
   EXPECT_EQ(s.activity_aborts, 1u);
   EXPECT_EQ(s.queue.scheduled, 110u);
+  EXPECT_EQ(s.queue.cancelled, 10u);
   EXPECT_EQ(s.queue.peak_size, 80u);  // maxed, not summed
-  EXPECT_EQ(s.queue.peak_dead, 8u);
 }
 
 TEST(Metrics, RunModelCollectionIsThreadCountInvariant) {

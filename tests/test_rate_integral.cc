@@ -2,11 +2,10 @@
 
 #include <stdexcept>
 
-#include "src/sim/engine.h"
+#include "src/sim/rate_integral.h"
 
 namespace {
 
-using ckptsim::sim::Engine;
 using ckptsim::sim::RateIntegral;
 
 TEST(RateIntegral, PiecewiseConstantIntegration) {
@@ -54,31 +53,6 @@ TEST(RateIntegral, NegativeWindowedValueIsPossible) {
   const double at_boundary = r.value(100.0);
   r.impulse(-150.0);
   EXPECT_LT(r.value(100.0) - at_boundary, 0.0);
-}
-
-TEST(Engine, TimeAdvancesWithQueue) {
-  Engine e(1);
-  double seen = -1.0;
-  e.schedule_in(5.0, [&] { seen = e.now(); });
-  e.run_until(10.0);
-  EXPECT_DOUBLE_EQ(seen, 5.0);
-  EXPECT_DOUBLE_EQ(e.now(), 10.0);
-}
-
-TEST(Engine, StreamsAreStableByName) {
-  Engine e(42);
-  auto a = e.stream("failures");
-  auto b = e.stream("failures");
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
-}
-
-TEST(Engine, CancelThroughEngine) {
-  Engine e(1);
-  bool fired = false;
-  auto h = e.schedule_in(1.0, [&] { fired = true; });
-  EXPECT_TRUE(e.cancel(h));
-  e.run_until(2.0);
-  EXPECT_FALSE(fired);
 }
 
 }  // namespace

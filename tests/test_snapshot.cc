@@ -3,8 +3,8 @@
 // killed at any event count and resumed from its snapshot produces exactly
 // the golden trajectory and %.17g results of an uninterrupted run — and (2)
 // restore is all-or-nothing — a snapshot truncated or corrupted at ANY byte
-// offset, or taken under a different format version / state kind / removed
-// scheduler / run context / failure-trace content, is rejected with a structured
+// offset, or taken under a different format version / state kind / run
+// context / failure-trace content, is rejected with a structured
 // SnapshotError, never partially loaded (the mirror of the torn-journal
 // tests in test_journal.cc).
 #include <gtest/gtest.h>
@@ -39,7 +39,7 @@
 #include "src/obs/json.h"
 #include "src/obs/json_value.h"
 #include "src/san/executor.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/pending_set.h"
 #include "src/sim/rng.h"
 #include "src/snapshot/file.h"
 #include "src/snapshot/state_io.h"
@@ -469,7 +469,7 @@ SnapshotFault restore_fault(const std::string& payload) {
 }
 
 TEST(SnapshotDesResume, PendingSetIsValidatedBeforeRestore) {
-  // The checks sim::EventQueue::restore_state made on its entries, on the
+  // The checks sim::PendingSet::restore_state makes on its keys, on the
   // slot array: armed times finite and >= the clock, sequence numbers below
   // the counter and distinct, counters consistent with the armed slots.
   const std::string good = des_payload_at(1000);
@@ -592,35 +592,106 @@ TEST(SnapshotSanResume, KillAtVariedStepsReproducesGoldenTrajectory) {
   }
 }
 
-TEST(SnapshotSanResume, CalendarQueueSnapshotIsMismatchNotCorrupt) {
-  // The executor saves its event queue last, opening with a backend byte
-  // (always 0) and the clock.  Byte 1 marks a .snap from the removed
-  // calendar-queue backend: a mismatch, which the drivers report as
-  // kSnapshotMismatch.  Any other byte is corrupt.
-  const ckptsim::SanCheckpointModel san1{Parameters{}};
-  ckptsim::san::Executor e1(san1.model(), 20260805);
+TEST(SnapshotSanResume, PendingSetIsValidatedBeforeRestore) {
+  // The executor saves its pending set last: the clock, four counters
+  // (scheduled, fired, cancelled, live peak), then (time, seq) per
+  // activity.  Before it come the activation table (u64 count, then per
+  // activity an enabled byte and a u64 marking version), the candidate
+  // table (u64 count and a byte per activity) and the timed-candidate list,
+  // empty at a step boundary (a u64 0).
+  const ckptsim::SanCheckpointModel san{Parameters{}};
+  const std::size_t n = san.model().activity_count();
+  ckptsim::san::Executor e1(san.model(), 20260805);
   (void)san_step_trace(e1, 100);
   StateWriter w;
   e1.save_state(w);
-  const std::string payload = w.take();
-  StateWriter head;
-  head.u8(0);
-  head.f64(e1.now());
-  const std::size_t backend = payload.rfind(head.bytes());
-  ASSERT_NE(backend, std::string::npos);
+  const std::string good = w.take();
+  const std::size_t base = good.size() - (5 * 8 + 16 * n);
+  const std::size_t activation = base - 8 - (8 + n) - (8 + 9 * n);
+  ASSERT_EQ(get_u64(good, base - 8), 0u);
+  ASSERT_EQ(get_u64(good, base - 8 - (8 + n)), n);
+  ASSERT_EQ(get_u64(good, activation), n);
+  const auto key_at = [base](std::size_t i) { return base + 5 * 8 + 16 * i; };
+  const auto enabled_at = [activation](std::size_t i) { return activation + 8 + 9 * i; };
+  std::vector<std::size_t> armed, idle_timed;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isinf(get_f64(good, key_at(i)))) {
+      armed.push_back(i);
+    } else if (san.model().activity(ckptsim::san::ActivityId{static_cast<std::uint32_t>(i)})
+                   .timed) {
+      idle_timed.push_back(i);
+    }
+  }
+  ASSERT_GE(armed.size(), 2u);
+  ASSERT_FALSE(idle_timed.empty());
 
-  const auto restore_with = [&](char byte) {
-    std::string bad = payload;
-    bad[backend] = byte;
-    const ckptsim::SanCheckpointModel san2{Parameters{}};
-    ckptsim::san::Executor e2(san2.model(), 20260805);
-    return fault_of([&] {
-      StateReader r(bad);
-      e2.restore_state(r);
-    });
+  const auto restore = [&san](const std::string& payload) {
+    ckptsim::san::Executor e2(san.model(), 7);
+    StateReader r(payload);
+    e2.restore_state(r);
+    r.expect_end();
   };
-  EXPECT_EQ(restore_with(1), SnapshotFault::kContextMismatch);
-  EXPECT_EQ(restore_with(2), SnapshotFault::kCorrupt);
+  restore(good);
+  const auto mutated = [&good](const std::function<void(std::string&)>& edit) {
+    std::string bad = good;
+    edit(bad);
+    return bad;
+  };
+  const double now = get_f64(good, base);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"time before the clock",
+       mutated([&](std::string& s) { put_f64(s, key_at(armed[0]), now - 1.0); })},
+      {"duplicate seq", mutated([&](std::string& s) {
+         put_u64(s, key_at(armed[1]) + 8, get_u64(s, key_at(armed[0]) + 8));
+       })},
+      {"counters do not add up",
+       mutated([&](std::string& s) { put_u64(s, base + 16, get_u64(s, base + 16) + 1); })},
+      {"armed key on a disabled activity",
+       mutated([&](std::string& s) { s[enabled_at(armed[0])] = 0; })},
+      {"enabled activity with no armed key",
+       mutated([&](std::string& s) { s[enabled_at(idle_timed[0])] = 1; })},
+  };
+  for (const auto& [name, payload] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(fault_of([&] { restore(payload); }), SnapshotFault::kCorrupt);
+  }
+}
+
+TEST(SnapshotSanResume, TruncationInsideThePendingSetIsRejected) {
+  // Every prefix that cuts the activation tables or the pending set fails
+  // as truncated.
+  const ckptsim::SanCheckpointModel san{Parameters{}};
+  const std::size_t n = san.model().activity_count();
+  ckptsim::san::Executor e1(san.model(), 20260805);
+  (void)san_step_trace(e1, 50);
+  StateWriter w;
+  e1.save_state(w);
+  const std::string good = w.take();
+  const std::size_t tables = (8 + 9 * n) + (8 + n) + 8 + (5 * 8 + 16 * n);
+  for (std::size_t len = good.size() - tables; len < good.size(); ++len) {
+    EXPECT_EQ(fault_of([&] {
+                ckptsim::san::Executor e2(san.model(), 7);
+                StateReader r(std::string_view(good).substr(0, len));
+                e2.restore_state(r);
+              }),
+              SnapshotFault::kTruncated)
+        << len;
+  }
+}
+
+TEST(SnapshotSanResume, RestoreNeedsAFreshExecutor) {
+  const ckptsim::SanCheckpointModel san{Parameters{}};
+  ckptsim::san::Executor e1(san.model(), 20260805);
+  (void)san_step_trace(e1, 10);
+  StateWriter w;
+  e1.save_state(w);
+  const std::string payload = w.take();
+  ckptsim::san::Executor started(san.model(), 1);
+  (void)started.step();
+  StateReader r(payload);
+  EXPECT_THROW(started.restore_state(r), std::logic_error);
+  ckptsim::san::Executor fresh(san.model(), 1);
+  EXPECT_THROW((void)fresh.save_state(w), std::logic_error);  // never started
 }
 
 TEST(SnapshotSanResume, KindMismatchRejectsDesSnapshotInSanReader) {
@@ -826,6 +897,27 @@ TEST(SnapshotRunner, VersionOneSnapshotIsMismatchNotCorrupt) {
   RunResult stripped = recovered;
   stripped.failures = {};
   expect_same_run(stripped, clean);
+}
+
+TEST(SnapshotRunner, FormatTwoSanSnapshotIsMismatchNotCorrupt) {
+  // Format 2 saved the SAN executor's event queue with handle ids and a
+  // backend byte; format 3 keys its pending set by activity.  A SAN .snap
+  // left by a format-2 build is a version mismatch, never "corrupt".
+  TempDir dir("san_v2");
+  std::string file = encode_snapshot(kKindSanExecutor, sample_payload());
+  file[8] = 2;  // u32 LE format version at bytes 8..11
+  file[9] = file[10] = file[11] = 0;
+  std::ofstream(dir.file("rep-0.snap"), std::ios::binary) << file;
+  RunSpec spec = fast_spec();
+  spec.replications = 1;
+  spec.snapshot_every_events = 250;
+  spec.snapshot_dir = dir.path;
+  try {
+    (void)ckptsim::run_model(Parameters{}, spec, EngineKind::kSan);
+    FAIL() << "a format-2 SAN snapshot should fail the run under fail-fast";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kSnapshotMismatch) << e.what();
+  }
 }
 
 TEST(SnapshotRunner, RewrittenFailureTraceIsRejectedOnResume) {

@@ -10,7 +10,7 @@
 #include "src/core/runner.h"
 #include "src/model/des_model.h"
 #include "src/model/parameters.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/pending_set.h"
 #include "src/sim/rng.h"
 
 namespace {
@@ -31,18 +31,18 @@ RunSpec fast_spec() {
   return s;
 }
 
-TEST(Watchdog, EventQueueEnforcesFireBudget) {
-  ckptsim::sim::EventQueue q;
+TEST(Watchdog, PendingSetEnforcesFireBudget) {
+  ckptsim::sim::PendingSet q(10);
   q.set_fire_budget(3);
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(static_cast<double>(i), [] {});
-  }
+  for (std::uint32_t k = 0; k < 10; ++k) q.arm(k, static_cast<double>(k));
+  int fired = 0;
   try {
-    q.run_until(100.0);
+    q.run_until(100.0, [&fired](std::uint32_t) { ++fired; });
     FAIL() << "expected EventBudgetExceeded";
   } catch (const ckptsim::sim::EventBudgetExceeded& e) {
     EXPECT_EQ(e.budget(), 3u);
   }
+  EXPECT_EQ(fired, 3);
 }
 
 TEST(Watchdog, TinyBudgetFailsFastWithEventBudgetExceeded) {
