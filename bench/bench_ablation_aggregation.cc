@@ -20,21 +20,7 @@
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  // A typo'd flag must not run the default it masked.
-  const std::vector<report::FlagSpec> known = {{"--quick", false}, {"--jobs", true}};
-  if (const auto valued = cli.valued_switches(known); !valued.empty()) {
-    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
-    return 1;
-  }
-  if (const auto unknown = cli.unknown_flags(known); !unknown.empty()) {
-    for (const std::string& flag : unknown) {
-      std::cerr << "error: unknown option '" << flag << "'";
-      const std::string hint = report::Cli::suggest(flag, known);
-      if (!hint.empty()) std::cerr << " (did you mean '" << hint << "'?)";
-      std::cerr << "\n";
-    }
-    return 1;
-  }
+  if (const int rc = cli.check_flags({{"--quick", false}, {"--jobs", true}}); rc != 0) return rc;
   const bool quick = report::quick_mode(cli);
   const std::size_t jobs = ExecSpec{.jobs = cli.count("--jobs", 0)}.resolve();
   const double transient = 20.0 * units::kHour;

@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags({{"--quick", false}}); rc != 0) return rc;
   const bool quick = report::quick_mode(cli);
 
   // A job needing 10^7 processor-hours of useful work: the machine-level

@@ -151,14 +151,10 @@ constexpr ckptsim::report::FlagSpec kFlags[] = {
 
 int main(int argc, char** argv) {
   const ckptsim::report::Cli cli(argc, argv);
-  const auto unknown =
-      cli.unknown_flags(std::vector<ckptsim::report::FlagSpec>(std::begin(kFlags), std::end(kFlags)));
-  if (!unknown.empty() || cli.has("--help") || cli.has("-h")) {
-    for (const std::string& flag : unknown) {
-      std::cerr << "bench_service_throughput: unknown option '" << flag << "'\n";
-    }
+  if (const int rc = cli.check_flags({std::begin(kFlags), std::end(kFlags)}); rc != 0) return rc;
+  if (cli.has("--help") || cli.has("-h")) {
     std::cerr << "usage: bench_service_throughput [--quick] [--out FILE] [--jobs N]\n";
-    return unknown.empty() ? 0 : 2;
+    return 0;
   }
   const bool quick = cli.has("--quick");
   std::string out_path = cli.value("--out");
@@ -188,7 +184,7 @@ int main(int argc, char** argv) {
       // A fresh server per client count: clean counters, a cold cache, and
       // enough queue headroom that closed-loop clients are never rejected.
       ckptsim::svc::ServerConfig config;
-      config.workers = static_cast<std::size_t>(cli.number("--jobs", 0.0));
+      config.workers = cli.count("--jobs", 0);
       config.max_queue_depth = clients + 1;
       CampaignServer server(config);
       const PhaseSample cold = run_phase(server, clients, /*warm=*/false, w);

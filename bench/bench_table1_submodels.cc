@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags({{"--quick", false}}); rc != 0) return rc;
   Parameters p;
   // Enable every optional mechanism so the inventory is complete.
   p.timeout = 120.0;

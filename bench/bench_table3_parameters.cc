@@ -11,6 +11,7 @@
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags({{"--quick", false}}); rc != 0) return rc;
   const Parameters p;
   std::cout << "=== Table 3: Model Parameters ===\n\n";
 

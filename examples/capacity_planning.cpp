@@ -18,6 +18,11 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags(report::run_flag_specs(
+          kBenchKnob, {{"--mttf-years", true}, {"--mttr-min", true}}));
+      rc != 0) {
+    return rc;
+  }
 
   Parameters base;
   base.coordination = CoordinationMode::kFixedQuiesce;  // the paper's base model

@@ -22,10 +22,14 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags(report::run_flag_specs(
+          kBenchKnob, {{"--processors", true}, {"--abort-prob", true}}));
+      rc != 0) {
+    return rc;
+  }
 
   Parameters machine;
-  machine.num_processors =
-      static_cast<std::uint64_t>(cli.number("--processors", 65536));
+  machine.num_processors = cli.count("--processors", 65536);
   machine.mttf_node = 3.0 * units::kYear;
   const double abort_prob = cli.number("--abort-prob", 0.01);
 

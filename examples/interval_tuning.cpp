@@ -20,10 +20,13 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob, {{"--processors", true}}));
+      rc != 0) {
+    return rc;
+  }
 
   Parameters machine;
-  machine.num_processors =
-      static_cast<std::uint64_t>(cli.number("--processors", 131072));
+  machine.num_processors = cli.count("--processors", 131072);
   machine.coordination = CoordinationMode::kFixedQuiesce;
 
   const IoTiming timing(machine);

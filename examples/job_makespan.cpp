@@ -6,6 +6,7 @@
 //
 //   $ ./job_makespan [--quick] [--work-hours W] [--processors N] [--trace]
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "src/core/job.h"
@@ -15,13 +16,19 @@
 #include "src/report/table.h"
 #include "src/trace/event_log.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags({{"--quick", false},
+                                      {"--processors", true},
+                                      {"--work-hours", true},
+                                      {"--trace", false}});
+      rc != 0) {
+    return rc;
+  }
 
   Parameters machine;
-  machine.num_processors =
-      static_cast<std::uint64_t>(cli.number("--processors", 131072));
+  machine.num_processors = cli.count("--processors", 131072);
   machine.coordination = CoordinationMode::kFixedQuiesce;
 
   JobSpec job;
@@ -68,4 +75,7 @@ int main(int argc, char** argv) {
     std::cout << "\nlast events:\n" << log.tail(25);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

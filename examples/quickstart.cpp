@@ -12,6 +12,7 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
+  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob)); rc != 0) return rc;
 
   // 1. Describe the machine (defaults are the paper's Table 3: a
   //    BlueGene/L-class system with 64K processors, 8 per node).

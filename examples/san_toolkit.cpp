@@ -6,14 +6,17 @@
 //   $ ./san_toolkit
 #include <iostream>
 
+#include "src/report/cli.h"
 #include "src/report/table.h"
 #include "src/san/ctmc.h"
 #include "src/san/executor.h"
 #include "src/san/model.h"
 #include "src/san/study.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ckptsim;
+  // Nothing here is sized by replications: --quick changes nothing.
+  if (const int rc = report::Cli(argc, argv).check_flags({{"--quick", false}}); rc != 0) return rc;
   using san::ActivitySpec;
   using san::InputArc;
   using san::Marking;

@@ -118,14 +118,30 @@ const char* cli_flag(const ParameterField& field) {
   static const std::vector<std::string> flags = [] {
     std::vector<std::string> out;
     for (const ParameterField& f : kFields) {
-      std::string flag = f.kind() == KeyKind::kFlag ? "--no-" : "--";
-      flag += f.key != nullptr ? f.key : "";
-      std::replace(flag.begin(), flag.end(), '_', '-');
-      out.push_back(f.cli != nullptr ? f.cli : f.key != nullptr ? flag : "");
+      std::string flag = f.key == nullptr ? "" : key_flag(f.key);
+      if (!flag.empty() && f.kind() == KeyKind::kFlag) flag.insert(2, "no-");
+      out.push_back(f.cli != nullptr ? f.cli : flag);
     }
     return out;
   }();
   return flags[static_cast<std::size_t>(&field - kFields)].c_str();
+}
+
+std::string key_flag(std::string_view key) {
+  std::string flag = "--" + std::string(key);
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
+}
+
+std::size_t parse_choice(std::string_view text, std::string_view choices, std::string_view name) {
+  const auto names = choice_names(choices);
+  const auto it = std::find(names.begin(), names.end(), text);
+  if (it == names.end()) bad_value(name, "one of " + std::string(choices), text);
+  return static_cast<std::size_t>(it - names.begin());
+}
+
+std::string_view choice_name(std::string_view choices, std::size_t index) {
+  return choice_names(choices)[index];
 }
 
 std::uint64_t parse_count(std::string_view text, std::string_view name, std::uint64_t max) {
@@ -198,10 +214,7 @@ void set_parameter(const ParameterField& field, std::string_view text, std::stri
           if (text != "true" && text != "false") bad_value(name, "true or false", text);
           value = text == "true";
         } else if constexpr (std::is_enum_v<T>) {
-          const auto names = choice_names(field.choices);
-          const auto it = std::find(names.begin(), names.end(), text);
-          if (it == names.end()) bad_value(name, std::string("one of ") + field.choices, text);
-          value = static_cast<T>(it - names.begin());
+          value = static_cast<T>(parse_choice(text, field.choices, name));
         } else if constexpr (std::is_integral_v<T>) {
           value = static_cast<T>(parse_count(text, name, std::numeric_limits<T>::max()));
         } else {
@@ -238,12 +251,23 @@ void append_field_value(std::string& out, const ParameterField& field, const Par
       field.member);
 }
 
-std::string parameter_help(bool extensions) {
+const char* metavar(KeyKind kind) {
   constexpr const char* kMetavars[] = {" N", " X", "", " NAME", " FILE"};  // by KeyKind
+  return kMetavars[static_cast<int>(kind)];
+}
+
+std::string help_line(const std::string& flag, const std::string& doc,
+                      const std::string& fallback) {
   const auto pad = [](std::string s, std::size_t width) {
     s.resize(std::max(width, s.size() + 1), ' ');
     return s;
   };
+  std::string line = "  " + pad(flag, 24) + doc;
+  if (!fallback.empty()) line = pad(line, 56) + "[" + fallback + "]";
+  return line + "\n";
+}
+
+std::string parameter_help(bool extensions) {
   const Parameters defaults;
   std::string out;
   for (const ParameterField& f : kFields) {
@@ -253,7 +277,7 @@ std::string parameter_help(bool extensions) {
     if (f.choices != nullptr) doc += std::string(" (") + f.choices + ")";
     std::string fallback;  // the default in the key's unit; none for flags and paths
     append_field_value(fallback, f, defaults);
-    if (kind == KeyKind::kChoice) fallback = choice_names(f.choices)[std::stoul(fallback)];
+    if (kind == KeyKind::kChoice) fallback = choice_name(f.choices, std::stoul(fallback));
     if (kind == KeyKind::kNumber) {
       char buf[48];
       std::snprintf(buf, sizeof buf, "%g%s%s",
@@ -262,10 +286,7 @@ std::string parameter_help(bool extensions) {
       fallback = std::get<double P::*>(f.member) == &P::weibull_shape ? "" : buf;
     }
     if (kind == KeyKind::kFlag || kind == KeyKind::kPath) fallback.clear();
-    std::string line =
-        "  " + pad(cli_flag(f) + std::string(kMetavars[static_cast<int>(kind)]), 24) + doc;
-    if (!fallback.empty()) line = pad(line, 56) + "[" + fallback + "]";
-    out += line + "\n";
+    out += help_line(cli_flag(f) + std::string(metavar(kind)), doc, fallback);
   }
   return out;
 }

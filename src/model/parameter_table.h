@@ -64,6 +64,9 @@ struct ParameterField {
 /// The CLI flag of a settable row of parameter_fields().
 [[nodiscard]] const char* cli_flag(const ParameterField& field);
 
+/// The CLI flag a key derives: "--" plus the key with '_' replaced by '-'.
+[[nodiscard]] std::string key_flag(std::string_view key);
+
 /// Set `field` on `*p` from its key's text ("true" | "false" for a kFlag).
 /// A bad value throws std::invalid_argument naming `name`.
 void set_parameter(const ParameterField& field, std::string_view text, std::string_view name,
@@ -85,8 +88,22 @@ void append_field_value(std::string& out, const ParameterField& field, const Par
 /// finite number, or std::invalid_argument names `name`.
 [[nodiscard]] double parse_number(std::string_view text, std::string_view name);
 
+/// The index of `text` among `choices` ("a|b|c"); a name that is not one
+/// of them throws std::invalid_argument naming `name`.
+[[nodiscard]] std::size_t parse_choice(std::string_view text, std::string_view choices,
+                                       std::string_view name);
+/// The name of choice `index` of `choices`.
+[[nodiscard]] std::string_view choice_name(std::string_view choices, std::size_t index);
+
 /// --help lines (flag, doc, default) of the settable always-on rows, or
 /// with `extensions` of the proactive and trace rows.
 [[nodiscard]] std::string parameter_help(bool extensions);
+
+/// One --help line: `flag` (with its metavar) padded to a column, `doc`,
+/// and `fallback` in brackets unless it is empty.
+[[nodiscard]] std::string help_line(const std::string& flag, const std::string& doc,
+                                    const std::string& fallback);
+/// The metavar a key of `kind` takes in --help (" N", " X", ...).
+[[nodiscard]] const char* metavar(KeyKind kind);
 
 }  // namespace ckptsim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 #include <utility>
 
@@ -78,6 +79,21 @@ std::vector<FlagSpec> parameter_flag_specs() {
   return specs;
 }
 
+int Cli::check_flags(const std::vector<FlagSpec>& known) const {
+  if (const auto valued = valued_switches(known); !valued.empty()) {
+    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
+    return 1;
+  }
+  const auto unknown = unknown_flags(known);
+  if (unknown.empty()) return 0;
+  std::cerr << "error: unknown option '" << unknown.front() << "'";
+  if (const std::string hint = suggest(unknown.front(), known); !hint.empty()) {
+    std::cerr << " (did you mean '" << hint << "'?)";
+  }
+  std::cerr << "\n";
+  return 1;
+}
+
 std::vector<std::string> Cli::unknown_flags(const std::vector<FlagSpec>& known) const {
   std::vector<std::string> unknown;
   for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -146,45 +162,28 @@ bool quick_mode(const Cli& cli) {
   return env != nullptr && std::string_view(env) != "0" && std::string_view(env) != "";
 }
 
-RunSpec bench_spec(const Cli& cli) {
+RunSpec run_spec(const Cli& cli, RunSurface surface) {
   RunSpec spec = quick_mode(cli) ? RunSpec::quick() : RunSpec{};
-  spec.seed = cli.count("--seed", spec.seed);
-  spec.replications = cli.count("--reps", spec.replications);
-  const double horizon_hours = cli.number("--horizon-hours", spec.horizon / 3600.0);
-  spec.horizon = horizon_hours * 3600.0;
-  // 0 = auto: ExecSpec::resolve() falls back to CKPTSIM_JOBS, then hardware.
-  spec.exec.jobs = cli.count("--jobs", 0);
-  // Precision-driven mode: --rel-precision enables the sequential stopper
-  // (off by default, so plain invocations stay byte-identical); the bounds
-  // flags refine the round schedule only when it is on, so without it they
-  // are an error rather than a silently ignored knob.
-  spec.sequential.rel_precision = cli.number("--rel-precision", 0.0);
-  spec.sequential.min_replications =
-      cli.count("--min-replications", spec.sequential.min_replications);
-  spec.sequential.max_replications =
-      cli.count("--max-replications", spec.sequential.max_replications);
-  if (cli.given("--scheduler")) {
-    throw std::invalid_argument(
-        "'--scheduler' was removed: every engine now uses the binary-heap event queue");
+  for (const RunField& field : run_fields()) {
+    if ((field.surfaces & surface) == 0) continue;
+    const char* flag = run_flag(field);
+    const std::string text = cli.value(flag);
+    if (!text.empty()) set_run_field(field, text, std::string("'") + flag + "'", &spec);
   }
-  if (!spec.sequential.enabled()) {
-    for (const char* flag : {"--min-replications", "--max-replications"}) {
-      if (cli.given(flag)) {
-        throw std::invalid_argument(std::string("'") + flag +
-                                    "' needs '--rel-precision': without it the fixed --reps "
-                                    "count runs");
-      }
-    }
-  }
+  if (cli.given("--scheduler")) reject_removed_scheduler("'--scheduler'");
+  check_run_rules(spec, surface, [&cli](const RunField& f) { return cli.given(run_flag(f)); });
   return spec;
 }
 
-std::vector<FlagSpec> bench_spec_flags() {
-  return {{"--quick", false},          {"--seed", true},
-          {"--reps", true},            {"--horizon-hours", true},
-          {"--jobs", true},            {"--rel-precision", true},
-          {"--min-replications", true}, {"--max-replications", true},
-          {"--scheduler", true}};
+std::vector<FlagSpec> run_flag_specs(RunSurface surface, std::initializer_list<FlagSpec> extra) {
+  std::vector<FlagSpec> specs{{"--quick", false}, {"--scheduler", true}};
+  for (const RunField& field : run_fields()) {
+    if ((field.surfaces & surface) != 0) specs.push_back({run_flag(field), true});
+  }
+  specs.insert(specs.end(), extra);
+  return specs;
 }
+
+RunSpec bench_spec(const Cli& cli) { return run_spec(cli, kBenchKnob); }
 
 }  // namespace ckptsim::report

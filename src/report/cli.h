@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/results.h"
+#include "src/core/run_table.h"
 #include "src/model/parameters.h"
 
 namespace ckptsim::report {
@@ -37,16 +39,22 @@ class Cli {
       std::string_view key, std::uint64_t fallback,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
 
+  /// The one flag check every tool runs first.  Exit status 1, after an
+  /// "error:" line on stderr, for a known switch written with a value
+  /// (`--quick=1`: has() would not see it), or else for an argument not in
+  /// `known`, with a "did you mean" hint when a known flag is close; 0 when
+  /// every argument is known.  A typo'd flag must not silently run with the
+  /// default it masked.
+  [[nodiscard]] int check_flags(const std::vector<FlagSpec>& known) const;
+
   /// Arguments not covered by `known`: misspelled flags and stray
   /// positional tokens.  A known value-taking flag consumes the following
   /// token (unless written as --key=value), so option values are never
-  /// misreported.  Tools reject when this is non-empty — a typo'd flag
-  /// must not silently run with the default it masked.
+  /// misreported.
   [[nodiscard]] std::vector<std::string> unknown_flags(
       const std::vector<FlagSpec>& known) const;
 
   /// Known switches (flags that take no value) written as `--switch=value`.
-  /// has() never matches them, so a tool must reject them, not ignore them.
   [[nodiscard]] std::vector<std::string> valued_switches(
       const std::vector<FlagSpec>& known) const;
 
@@ -65,22 +73,20 @@ void apply_parameter_flags(const Cli& cli, Parameters* p);
 /// The flags apply_parameter_flags reads.
 [[nodiscard]] std::vector<FlagSpec> parameter_flag_specs();
 
-/// RunSpec for a bench invocation: defaults to the full-fidelity spec, and
-/// shrinks to RunSpec::quick() when `--quick` is passed or the environment
-/// variable CKPTSIM_QUICK is set (used by CI).  `--seed N`, `--reps N`,
-/// `--horizon-hours H`, and `--jobs N` override individual fields (jobs
-/// falls back to CKPTSIM_JOBS, then to the hardware thread count; results
-/// are identical for any value).  `--rel-precision R` switches the run to
-/// precision-driven replications (sequential stopping at relative CI
-/// half-width R, bounded by `--min-replications` / `--max-replications`);
-/// without it the fixed `--reps` count is used and output is byte-identical
-/// to earlier builds, and either bound flag throws std::invalid_argument.
-/// The removed `--scheduler` flag throws too: every engine uses the
-/// binary-heap event queue.
+/// The RunSpec the command line gives on `surface`: the full-fidelity spec,
+/// or RunSpec::quick() when `--quick` is passed or the environment variable
+/// CKPTSIM_QUICK is set (used by CI), with the flag of each run_fields() row
+/// that `surface` accepts applied (`--jobs` 0 = auto: CKPTSIM_JOBS, then the
+/// hardware thread count; results are identical for any value).  A bad
+/// value, a knob without its switch (check_run_rules) and the removed
+/// `--scheduler` throw std::invalid_argument.
+[[nodiscard]] RunSpec run_spec(const Cli& cli, RunSurface surface);
+/// The flags run_spec reads on `surface` (`--quick`, and `--scheduler`, so
+/// that naming it reaches run_spec's error), then `extra`.
+[[nodiscard]] std::vector<FlagSpec> run_flag_specs(RunSurface surface,
+                                                   std::initializer_list<FlagSpec> extra = {});
+/// run_spec for the benches and examples.
 [[nodiscard]] RunSpec bench_spec(const Cli& cli);
-/// The flags bench_spec reads (`--scheduler` included, so that naming it
-/// reaches bench_spec's error).
-[[nodiscard]] std::vector<FlagSpec> bench_spec_flags();
 
 /// True when quick mode is active (flag or environment).
 [[nodiscard]] bool quick_mode(const Cli& cli);

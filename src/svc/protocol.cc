@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/core/result_json.h"
+#include "src/core/run_table.h"
 #include "src/core/sweep.h"
 #include "src/model/failure_trace.h"
 #include "src/model/parameter_table.h"
@@ -56,21 +57,22 @@ std::string require_string(const obs::JsonValue& v, const std::string& key) {
   return v.scalar;
 }
 
+/// The text a table key's JSON value stands for: true | false for a flag,
+/// the string of a choice or path, and a number's own text.
+std::string key_text(const obs::JsonValue& v, KeyKind kind, const std::string& key) {
+  if (kind == KeyKind::kFlag) return require_bool(v, key) ? "true" : "false";
+  if (kind == KeyKind::kChoice || kind == KeyKind::kPath) return require_string(v, key);
+  if (!v.is_number()) fail("key '" + key + "' must be a number");
+  return v.scalar;
+}
+
 /// Apply a "params" object onto the Table-3 defaults: one key per settable
 /// row of the parameter table, in the CLI's units.
 void apply_params(const obs::JsonValue& obj, Parameters* p) {
   for (const auto& [key, v] : obj.members) {
     const ParameterField* field = find_parameter_key(key);
     if (field == nullptr) fail("unknown params key '" + key + "'");
-    const KeyKind kind = field->kind();
-    std::string text = v.scalar;  // a number's own text
-    if (kind == KeyKind::kFlag) {
-      text = require_bool(v, key) ? "true" : "false";
-    } else if (kind == KeyKind::kChoice || kind == KeyKind::kPath) {
-      text = require_string(v, key);
-    } else if (!v.is_number()) {
-      fail("key '" + key + "' must be a number");
-    }
+    const std::string text = key_text(v, field->kind(), key);
     try {
       set_parameter(*field, text, "key '" + key + "'", p);
     } catch (const std::invalid_argument& e) {
@@ -79,68 +81,36 @@ void apply_params(const obs::JsonValue& obj, Parameters* p) {
   }
 }
 
-/// Apply a "spec" object onto the RunSpec defaults.  Only the knobs a
-/// remote client may set: observers, cancel, exec and snapshots stay under
-/// the server's control (they never enter fingerprints, so the cache is
-/// oblivious either way).
+/// Apply a "spec" object onto the RunSpec defaults: one key per run_fields()
+/// row the protocol accepts, then the knob rules.  Observers, cancel, exec
+/// and snapshots stay under the server's control (they never enter
+/// fingerprints, so the cache is oblivious either way).
 void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
-  for (const auto& [key, v] : obj.members) {
-    if (key == "reps") {
-      spec->replications = require_count(v, key);
-    } else if (key == "seed") {
-      spec->seed = require_count(v, key);
-    } else if (key == "horizon_hours") {
-      spec->horizon = require_number(v, key) * 3600.0;
-    } else if (key == "transient_hours") {
-      spec->transient = require_number(v, key) * 3600.0;
-    } else if (key == "confidence") {
-      spec->confidence_level = require_number(v, key);
-    } else if (key == "rel_precision") {
-      spec->sequential.rel_precision = require_number(v, key);
-    } else if (key == "min_replications") {
-      spec->sequential.min_replications = require_count(v, key);
-    } else if (key == "max_replications") {
-      spec->sequential.max_replications = require_count(v, key);
-    } else if (key == "on_failure") {
-      const std::string mode = require_string(v, key);
-      if (mode == "fail") spec->on_failure.mode = FailurePolicy::Mode::kFailFast;
-      else if (mode == "retry") spec->on_failure.mode = FailurePolicy::Mode::kRetry;
-      else if (mode == "skip") spec->on_failure.mode = FailurePolicy::Mode::kSkip;
-      else fail("unknown on_failure '" + mode + "' (fail|retry|skip)");
-    } else if (key == "max_retries") {
-      spec->on_failure.max_retries = require_count(v, key);
-    } else if (key == "max_events") {
-      spec->watchdog.max_events = require_count(v, key);
-    } else if (key == "scheduler") {
-      fail("spec key 'scheduler' was removed: every engine now uses the binary-heap event queue");
-    } else {
-      fail("unknown spec key '" + key + "'");
+  try {
+    for (const auto& [key, v] : obj.members) {
+      if (key == "scheduler") reject_removed_scheduler("spec key 'scheduler'");
+      const RunField* field = find_run_key(key, kSpecKnob);
+      if (field == nullptr) fail("unknown spec key '" + key + "'");
+      set_run_field(*field, key_text(v, field->kind, key), "key '" + key + "'", spec);
     }
-  }
-  // The bounds act only under sequential stopping and the retry budget
-  // only under retry: without their switch they are an error, not a key
-  // that silently does nothing.
-  if (!spec->sequential.enabled()) {
-    for (const char* key : {"min_replications", "max_replications"}) {
-      if (obj.find(key) != nullptr) {
-        fail(std::string("spec key '") + key +
-             "' needs 'rel_precision': without it the fixed 'reps' count runs");
-      }
-    }
-  }
-  if (obj.find("max_retries") != nullptr &&
-      spec->on_failure.mode != FailurePolicy::Mode::kRetry) {
-    fail("spec key 'max_retries' needs \"on_failure\":\"retry\"");
+    check_run_rules(*spec, kSpecKnob,
+                    [&obj](const RunField& f) { return obj.find(f.key) != nullptr; });
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
   }
 }
 
-/// Fail when the request's "params" object sets `key`, which `by` overrides
-/// at every point the request runs.
-void reject_overridden_param(const obs::JsonValue& root, const char* key, const std::string& by) {
+/// Fail when the request's "params" object sets a key that one of
+/// `overriders` sets at every point the request runs.
+void reject_overridden_params(const obs::JsonValue& root, unsigned overriders) {
   const obs::JsonValue* params = root.find("params");
-  if (params != nullptr && params->find(key) != nullptr) {
-    fail(std::string("params key '") + key + "' is overridden by " + by +
-         ", which sets it at every point");
+  if (params == nullptr) return;
+  try {
+    reject_overridden_parameters(overriders, kSpecKnob, [params](const ParameterField& f) {
+      return params->find(f.key) != nullptr;
+    });
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
   }
 }
 
@@ -179,7 +149,7 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
   if (out->axis != "interval" && out->axis != "processors") {
     fail("sweep requires axis \"interval\" or \"processors\"");
   }
-  reject_overridden_param(root, axis_key(out->axis), "axis \"" + out->axis + "\"");
+  reject_overridden_params(root, out->axis == "interval" ? kIntervalAxis : kProcessorsAxis);
   if (out->values.empty()) {
     out->values = out->axis == "interval" ? figure4_interval_axis_minutes()
                                           : figure4_processor_axis();
@@ -287,13 +257,9 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
   if (out->id.empty()) fail("optimize requires a non-empty 'id'");
   // The search sets the interval of every candidate, and its processor
   // count and policy when it is given candidates for them.
-  reject_overridden_param(root, "interval_min", "the interval search");
-  if (!out->opt.processor_candidates.empty()) {
-    reject_overridden_param(root, "processors", "key 'processors'");
-  }
-  if (!out->opt.policies.empty()) {
-    reject_overridden_param(root, "proactive_policy", "key 'policies'");
-  }
+  reject_overridden_params(root, kIntervalSearch |
+                                     (out->opt.processor_candidates.empty() ? 0u : kProcessorList) |
+                                     (out->opt.policies.empty() ? 0u : kPolicyList));
   // Same up-front contract as sweep: validate the search space and every
   // (policy, interval-endpoint) combination the searcher will instantiate.
   try {
@@ -313,10 +279,6 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
 }
 
 }  // namespace
-
-const char* axis_key(const std::string& axis) {
-  return axis == "interval" ? "interval_min" : "processors";
-}
 
 Parameters apply_axis(const std::string& axis, Parameters base, double x) {
   if (axis == "interval") {

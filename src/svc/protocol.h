@@ -88,11 +88,6 @@ struct Request {
 /// `*out` is fully populated (axis applied defaults, validated) on success.
 [[nodiscard]] bool parse_request(std::string_view line, Request* out, std::string* error);
 
-/// The params key a sweep along `axis` sets at every point: "interval_min"
-/// for "interval", "processors" for "processors".  A request (or command
-/// line) that also sets it is rejected: the axis would override it.
-[[nodiscard]] const char* axis_key(const std::string& axis);
-
 /// Parameters of one sweep point: `base` with `axis` set to `x`, exactly as
 /// the CLI's --sweep mode applies it (interval in minutes, processors as a
 /// count) — so service fingerprints match CLI journal fingerprints.  A

@@ -327,34 +327,6 @@ TEST(CliTest, BenchSpecRejectsRemovedScheduler) {
   EXPECT_THROW((void)bench_spec(Cli(3, spaced)), std::invalid_argument);
 }
 
-TEST(CliTest, BenchSpecRejectsReplicationBoundsWithoutRelPrecision) {
-  // The bounds shape the sequential stopper's rounds; without
-  // --rel-precision (or with it at 0, which is off) a fixed --reps count
-  // runs, so either bound would do nothing.
-  for (const char* flag : {"--min-replications", "--max-replications"}) {
-    SCOPED_TRACE(flag);
-    const char* alone[] = {"prog", flag, "9"};
-    try {
-      (void)bench_spec(Cli(3, alone));
-      ADD_FAILURE() << flag << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(std::string("'") + flag + "' needs '--rel-precision'"),
-                std::string::npos)
-          << e.what();
-    }
-    const char* off[] = {"prog", "--rel-precision", "0", flag, "9"};
-    EXPECT_THROW((void)bench_spec(Cli(5, off)), std::invalid_argument);
-    const char* on[] = {"prog", "--rel-precision", "0.05", flag, "9"};
-    EXPECT_NO_THROW((void)bench_spec(Cli(5, on)));
-  }
-  // Every flag bench_spec reads is in bench_spec_flags, so a figure bench
-  // that rejects anything else never rejects one of these.
-  const char* all[] = {"prog",  "--quick",  "--seed",           "3", "--reps", "2",
-                       "--horizon-hours", "5", "--jobs", "1", "--rel-precision", "0.1",
-                       "--min-replications", "3", "--max-replications", "6"};
-  EXPECT_TRUE(Cli(16, all).unknown_flags(ckptsim::report::bench_spec_flags()).empty());
-}
-
 TEST(CliTest, BenchSpecOverrides) {
   const char* argv[] = {"prog", "--seed", "99", "--reps", "2", "--horizon-hours", "100"};
   const Cli cli(7, argv);

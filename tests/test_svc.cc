@@ -274,10 +274,10 @@ TEST(SvcProtocol, RejectsMalformedAndUnknown) {
 }
 
 TEST(SvcProtocol, RejectsKnobsTheRequestWouldIgnore) {
-  // A params key the sweep axis or the optimizer sets at every point, and a
-  // spec key without the switch that enables it, would simulate exactly as
-  // if it were absent.  Each is one error line naming the key, before the
-  // ledger or the cache is touched.
+  // A params key the sweep axis or the optimizer sets at every point would
+  // simulate exactly as if it were absent.  Each is one error line naming
+  // the key, before the ledger or the cache is touched.  (Spec keys without
+  // their switch: RunTable.AKnobWithoutItsSwitchIsOneErrorOnEverySurface.)
   struct Case {
     const char* line;
     const char* message;
@@ -296,16 +296,6 @@ TEST(SvcProtocol, RejectsKnobsTheRequestWouldIgnore) {
       {R"({"op":"optimize","id":"o","grid":3,"refine":0,"policies":["none"],)"
        R"("params":{"proactive_policy":"none"}})",
        "params key 'proactive_policy' is overridden by key 'policies'"},
-      {R"({"op":"sweep","id":"a","axis":"interval","values":[30],"spec":{"min_replications":9}})",
-       "spec key 'min_replications' needs 'rel_precision'"},
-      {R"({"op":"sweep","id":"a","axis":"interval","values":[30],)"
-       R"("spec":{"rel_precision":0,"max_replications":12}})",
-       "spec key 'max_replications' needs 'rel_precision'"},
-      {R"({"op":"sweep","id":"a","axis":"interval","values":[30],"spec":{"max_retries":7}})",
-       "spec key 'max_retries' needs \"on_failure\":\"retry\""},
-      {R"({"op":"sweep","id":"a","axis":"interval","values":[30],)"
-       R"("spec":{"on_failure":"skip","max_retries":7}})",
-       "spec key 'max_retries' needs \"on_failure\":\"retry\""},
   };
   TempFile cache("ignored_knob_cache");
   TempFile ledger("ignored_knob_ledger");

@@ -26,6 +26,7 @@
 #include "src/core/job.h"
 #include "src/core/journal.h"
 #include "src/core/optimizer.h"
+#include "src/core/run_table.h"
 #include "src/core/runner.h"
 #include "src/core/sweep.h"
 #include "src/model/des_model.h"
@@ -75,39 +76,24 @@ Machine (defaults = the paper's Table 3):
 
 Simulation:
   --engine des|san        implementation                [des]
-  --reps N --seed N --horizon-hours H --transient-hours T --quick
-  --jobs N                replication worker threads    [auto: CKPTSIM_JOBS,
-                          then hardware]; results identical for any N
-  --job-hours W           job-completion mode: makespan of W useful hours
+  --job-hours W           job-completion mode: makespan of W useful hours;
+                          it reads --reps [5] and --seed [42] only
+  --quick                 scaled-down run: 3 replications, 400 h horizon,
+                          50 h warm-up (also env CKPTSIM_QUICK=1)
 
-Precision-driven replications (run and sweep modes):
-  --rel-precision R       stop adding replications once the relative 95%-CI
-                          half-width of the useful-work fraction is <= R;
-                          replications run in deterministic rounds, so the
-                          result is bit-identical for any --jobs and sweep
-                          points stay CRN-paired by replication index [off]
-  --min-replications N    first round / floor             [5]
-  --max-replications N    replication budget ceiling      [64]
-                          (both bounds need --rel-precision)
-
-Fault tolerance (run and sweep modes):
-  --on-failure MODE       fail | retry | skip           [fail]
-                          fail: rethrow the first failure (by index)
-                          retry: re-run failed replications, derived seeds
-                          skip: drop failed replications, report them
-  --max-retries N         extra attempts per replication; needs
-                          --on-failure retry                  [2]
-  --max-events N          per-replication event watchdog, 0 = unlimited [0]
-  --snapshot-every-events N  capture a crash-resume snapshot of each
-                          replication every N fired events (0 = off);
-                          requires --snapshot-dir.  Re-running the same
-                          command resumes each interrupted replication
-                          from its snapshot, bit-identical to an
-                          uninterrupted run; stale or corrupt snapshots
-                          are rejected, never partially loaded [0]
-  --snapshot-dir DIR      directory for replication snapshots (created if
-                          missing; snapshots are deleted on completion);
-                          needs --snapshot-every-events
+Run knobs (run, sweep, optimize and interference modes; defaults without
+--quick; also the daemon's "spec" keys):
+)" << ckptsim::run_help(ckptsim::kCliKnob)
+            << R"(  Under --rel-precision R replications run in deterministic rounds until
+  the relative 95%-CI half-width of the useful-work fraction is <= R, so
+  the result is bit-identical for any --jobs and sweep points stay
+  CRN-paired by replication index.  --on-failure fail rethrows the first
+  failure (by index), retry re-runs failed replications with derived
+  seeds, skip drops them and reports them.  With --snapshot-every-events
+  re-running the same command resumes each interrupted replication from
+  its snapshot, bit-identical to an uninterrupted run; stale or corrupt
+  snapshots are rejected, never partially loaded, and a snapshot is
+  deleted when its replication completes.
   SIGINT (^C) cancels cooperatively: in-flight work finishes, completed
   sweep points are journaled, partial artifacts are flushed atomically.
 
@@ -202,10 +188,11 @@ struct ModeFlag {
   unsigned modes;  ///< the modes that read the flag
 };
 
-// Every flag besides parameter_flag_specs() (which every mode reads).
-// Anything else is rejected up front with a "did you mean" hint, and so is
-// a flag the selected mode does not read: a typo'd or misplaced flag must
-// not silently run the simulation with the default it masked.
+// Every flag besides parameter_flag_specs() (which every mode reads) and
+// the run knobs (mode_flags).  Anything else is rejected up front with a
+// "did you mean" hint, and so is a flag the selected mode does not read: a
+// typo'd or misplaced flag must not silently run the simulation with the
+// default it masked.
 constexpr ModeFlag kFlags[] = {
     {{"--optimize", false}, kOptimize},
     {{"--optimize-lo-min", true}, kOptimize},
@@ -215,22 +202,7 @@ constexpr ModeFlag kFlags[] = {
     {{"--optimize-processors", true}, kOptimize},
     {{"--optimize-policies", true}, kOptimize},
     {{"--engine", true}, kPlain | kSweep},
-    {{"--reps", true}, kAllModes},
-    {{"--seed", true}, kAllModes},
-    {{"--horizon-hours", true}, kRunSpecModes},
-    {{"--transient-hours", true}, kRunSpecModes},
-    {{"--quick", false}, kRunSpecModes},
-    {{"--jobs", true}, kRunSpecModes},
-    {{"--scheduler", true}, kAllModes},  // removed: bench_spec rejects it in every mode
     {{"--job-hours", true}, kJob},
-    {{"--rel-precision", true}, kRunSpecModes},
-    {{"--min-replications", true}, kRunSpecModes},
-    {{"--max-replications", true}, kRunSpecModes},
-    {{"--on-failure", true}, kRunSpecModes},
-    {{"--max-retries", true}, kRunSpecModes},
-    {{"--max-events", true}, kRunSpecModes},
-    {{"--snapshot-every-events", true}, kRunSpecModes},
-    {{"--snapshot-dir", true}, kRunSpecModes},
     {{"--interference", true}, kInterference},
     {{"--pfs-policy", true}, kInterference},
     {{"--pfs-bandwidth-mbs", true}, kInterference},
@@ -246,23 +218,16 @@ constexpr ModeFlag kFlags[] = {
     {{"-h", false}, kAllModes},
 };
 
-int reject_unknown_flags(const ckptsim::report::Cli& cli) {
-  std::vector<ckptsim::report::FlagSpec> known = ckptsim::report::parameter_flag_specs();
-  for (const ModeFlag& flag : kFlags) known.push_back(flag.spec);
-  if (const auto valued = cli.valued_switches(known); !valued.empty()) {
-    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
-    return 1;
+/// kFlags, then the run knobs' flags: job mode reads only the replication
+/// count and the seed, and every mode names the removed --scheduler.
+std::vector<ModeFlag> mode_flags() {
+  std::vector<ModeFlag> flags(std::begin(kFlags), std::end(kFlags));
+  for (const ckptsim::report::FlagSpec& spec : ckptsim::report::run_flag_specs(ckptsim::kCliKnob)) {
+    const std::string_view name = spec.name;
+    const bool job = name == "--reps" || name == "--seed" || name == "--scheduler";
+    flags.push_back({spec, job ? kAllModes : kRunSpecModes});
   }
-  const auto unknown = cli.unknown_flags(known);
-  if (unknown.empty()) return 0;
-  for (const std::string& flag : unknown) {
-    std::cerr << "ckptsim_cli: unknown option '" << flag << "'";
-    const std::string hint = ckptsim::report::Cli::suggest(flag, known);
-    if (!hint.empty()) std::cerr << " (did you mean '" << hint << "'?)";
-    std::cerr << "\n";
-  }
-  std::cerr << "run 'ckptsim_cli --help' for the option list\n";
-  return 2;
+  return flags;
 }
 
 unsigned select_mode(const ckptsim::report::Cli& cli, const ckptsim::Parameters& p) {
@@ -275,8 +240,9 @@ unsigned select_mode(const ckptsim::report::Cli& cli, const ckptsim::Parameters&
 
 /// Exit status 1, after an error line, when a flag `mode` does not read is
 /// given; 0 otherwise.
-int reject_unread_flags(const ckptsim::report::Cli& cli, unsigned mode) {
-  for (const ModeFlag& flag : kFlags) {
+int reject_unread_flags(const ckptsim::report::Cli& cli, const std::vector<ModeFlag>& flags,
+                        unsigned mode) {
+  for (const ModeFlag& flag : flags) {
     if ((flag.modes & mode) != 0 || !cli.given(flag.spec.name)) continue;
     std::string readers;
     for (unsigned m = kPlain; m <= kJob; m <<= 1) {
@@ -289,39 +255,20 @@ int reject_unread_flags(const ckptsim::report::Cli& cli, unsigned mode) {
   return 0;
 }
 
-/// Exit status 1, after an error line, when a parameter flag is given that
-/// the mode sets itself at every point it runs: a sweep's axis field, and
-/// the optimizer's interval plus the processor count and policy when it is
-/// given candidates for them (without candidates, --processors and
-/// --proactive-policy are the optimizer's one candidate each); 0 otherwise.
-int reject_overridden_flags(const ckptsim::report::Cli& cli, unsigned mode) {
-  struct Override {
-    const char* key;  ///< the overridden parameter's key
-    std::string by;   ///< the flag that overrides it
-  };
-  std::vector<Override> overrides;
+/// The parameters `mode` sets itself at every point it runs (Overrider
+/// bits): a sweep's axis field, and the optimizer's interval plus the
+/// processor count and policy when it is given candidates for them
+/// (without candidates, --processors and --proactive-policy are the
+/// optimizer's one candidate each).
+unsigned overriders(const ckptsim::report::Cli& cli, unsigned mode) {
+  using namespace ckptsim;
   if (mode == kSweep) {
     const std::string axis = cli.value("--sweep");
-    if (axis == "interval" || axis == "processors") {
-      overrides.push_back({ckptsim::svc::axis_key(axis), "--sweep " + axis});
-    }
-  } else if (mode == kOptimize) {
-    overrides.push_back({"interval_min", "--optimize"});
-    if (cli.given("--optimize-processors")) {
-      overrides.push_back({"processors", "--optimize-processors"});
-    }
-    if (cli.given("--optimize-policies")) {
-      overrides.push_back({"proactive_policy", "--optimize-policies"});
-    }
+    return axis == "interval" ? kIntervalAxis : axis == "processors" ? kProcessorsAxis : 0u;
   }
-  for (const Override& o : overrides) {
-    const char* flag = ckptsim::cli_flag(*ckptsim::find_parameter_key(o.key));
-    if (!cli.given(flag)) continue;
-    std::cerr << "error: '" << flag << "' is overridden by '" << o.by
-              << "', which sets it at every point\n";
-    return 1;
-  }
-  return 0;
+  if (mode != kOptimize) return 0;
+  return kIntervalSearch | (cli.given("--optimize-processors") ? kProcessorList : 0u) |
+         (cli.given("--optimize-policies") ? kPolicyList : 0u);
 }
 
 /// The comma-separated items of `flag`'s value; empty items are skipped.
@@ -355,25 +302,6 @@ bool open_journal(const ckptsim::report::Cli& cli, const char* unit,
               << "(s) loaded from " << path << "\n";
   }
   return true;
-}
-
-ckptsim::FailurePolicy parse_policy(const ckptsim::report::Cli& cli) {
-  ckptsim::FailurePolicy policy;
-  const std::string mode = cli.value("--on-failure", "fail");
-  if (mode == "fail") {
-    policy.mode = ckptsim::FailurePolicy::Mode::kFailFast;
-  } else if (mode == "retry") {
-    policy.mode = ckptsim::FailurePolicy::Mode::kRetry;
-  } else if (mode == "skip") {
-    policy.mode = ckptsim::FailurePolicy::Mode::kSkip;
-  } else {
-    throw std::invalid_argument("unknown --on-failure '" + mode + "' (fail|retry|skip)");
-  }
-  policy.max_retries = cli.count("--max-retries", 2);
-  if (cli.given("--max-retries") && policy.mode != ckptsim::FailurePolicy::Mode::kRetry) {
-    throw std::invalid_argument("'--max-retries' needs '--on-failure retry'");
-  }
-  return policy;
 }
 
 int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec,
@@ -624,7 +552,10 @@ void write_traced_replication(const ckptsim::Parameters& p, const ckptsim::RunSp
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = reject_unknown_flags(cli); rc != 0) return rc;
+  const std::vector<ModeFlag> flags = mode_flags();
+  std::vector<report::FlagSpec> known = report::parameter_flag_specs();
+  for (const ModeFlag& flag : flags) known.push_back(flag.spec);
+  if (const int rc = cli.check_flags(known); rc != 0) return rc;
   if (cli.has("--help") || cli.has("-h")) {
     print_help();
     return 0;
@@ -635,10 +566,12 @@ int main(int argc, char** argv) {
   try {
     report::apply_parameter_flags(cli, &p);
     p.validate();
-    RunSpec spec = report::bench_spec(cli);  // first: it names the removed --scheduler
+    RunSpec spec = report::run_spec(cli, kCliKnob);  // first: it names the removed --scheduler
     const unsigned mode = select_mode(cli, p);
-    if (const int rc = reject_unread_flags(cli, mode); rc != 0) return rc;
-    if (const int rc = reject_overridden_flags(cli, mode); rc != 0) return rc;
+    if (const int rc = reject_unread_flags(cli, flags, mode); rc != 0) return rc;
+    reject_overridden_parameters(overriders(cli, mode), kCliKnob, [&cli](const ParameterField& f) {
+      return cli.given(cli_flag(f));
+    });
     if (mode == kJob) {
       const double job_hours = cli.number("--job-hours", 0.0);
       JobSpec job;
@@ -655,8 +588,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const double transient_hours = cli.number("--transient-hours", spec.transient / 3600.0);
-    spec.transient = transient_hours * 3600.0;
     const std::string engine_name = cli.value("--engine", "des");
     const EngineKind engine =
         engine_name == "san" ? EngineKind::kSan : EngineKind::kDes;
@@ -664,23 +595,12 @@ int main(int argc, char** argv) {
       std::cerr << "unknown --engine '" << engine_name << "' (des|san)\n";
       return 2;
     }
-    spec.on_failure = parse_policy(cli);
-    spec.watchdog.max_events = cli.count("--max-events", 0);
-    spec.snapshot_every_events = cli.count("--snapshot-every-events", 0);
-    spec.snapshot_dir = cli.value("--snapshot-dir");
-    if (spec.snapshot_every_events == 0 && cli.given("--snapshot-dir")) {
-      throw std::invalid_argument("'--snapshot-dir' needs '--snapshot-every-events N' (N > 0)");
-    }
-    if (spec.snapshot_every_events > 0) {
-      if (spec.snapshot_dir.empty()) {
-        std::cerr << "error: --snapshot-every-events requires --snapshot-dir\n";
-        return 2;
-      }
-      if (::mkdir(spec.snapshot_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-        std::cerr << "error: cannot create snapshot dir '" << spec.snapshot_dir << "': "
-                  << std::strerror(errno) << "\n";
-        return 1;
-      }
+    // run_spec's rules give every snapshot period its directory.
+    if (spec.snapshot_every_events > 0 && ::mkdir(spec.snapshot_dir.c_str(), 0755) != 0 &&
+        errno != EEXIST) {
+      std::cerr << "error: cannot create snapshot dir '" << spec.snapshot_dir << "': "
+                << std::strerror(errno) << "\n";
+      return 1;
     }
     spec.cancel = &g_interrupted;
     obs::ProgressReporter progress;

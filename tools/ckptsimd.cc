@@ -83,22 +83,7 @@ constexpr ckptsim::report::FlagSpec kFlags[] = {
 int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  const std::vector<report::FlagSpec> known(std::begin(kFlags), std::end(kFlags));
-  if (const auto valued = cli.valued_switches(known); !valued.empty()) {
-    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
-    return 1;
-  }
-  const auto unknown = cli.unknown_flags(known);
-  if (!unknown.empty()) {
-    for (const std::string& flag : unknown) {
-      std::cerr << "ckptsimd: unknown option '" << flag << "'";
-      const std::string hint = report::Cli::suggest(flag, known);
-      if (!hint.empty()) std::cerr << " (did you mean '" << hint << "'?)";
-      std::cerr << "\n";
-    }
-    std::cerr << "run 'ckptsimd --help' for the option list\n";
-    return 2;
-  }
+  if (const int rc = cli.check_flags({std::begin(kFlags), std::end(kFlags)}); rc != 0) return rc;
   if (cli.has("--help") || cli.has("-h")) {
     print_help();
     return 0;
