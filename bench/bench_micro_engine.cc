@@ -43,25 +43,30 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// None of the replacements is inlined: GCC would otherwise see malloc()
+// or free() where a caller's new or delete was, and warn of a mismatched
+// pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
 }
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return ::operator new(n, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 

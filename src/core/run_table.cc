@@ -114,14 +114,6 @@ const RunField kFields[] = {
 // clang-format on
 #undef KNOB
 
-/// A parameter that `by` sets at every point, and how each surface names `by`.
-struct OverrideRule {
-  Overrider by;
-  const char* key;
-  const char* cli_by;
-  const char* spec_by;
-};
-
 const OverrideRule kOverrides[] = {
     {kIntervalAxis, "interval_min", "'--sweep interval'", "axis \"interval\""},
     {kProcessorsAxis, "processors", "'--sweep processors'", "axis \"processors\""},
@@ -133,6 +125,8 @@ const OverrideRule kOverrides[] = {
 }  // namespace
 
 std::span<const RunField> run_fields() noexcept { return kFields; }
+
+std::span<const OverrideRule> override_rules() noexcept { return kOverrides; }
 
 const RunField* find_run_key(std::string_view key, RunSurface surface) noexcept {
   for (const RunField& f : kFields) {

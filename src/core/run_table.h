@@ -77,6 +77,18 @@ enum Overrider : unsigned {
   kPolicyList = 1u << 4,      ///< the optimizer's policy candidates
 };
 
+/// A parameter that `by` sets at every point it runs, and how the command
+/// line and the protocol name `by`.
+struct OverrideRule {
+  Overrider by;
+  const char* key;  ///< the parameter's key
+  const char* cli_by;
+  const char* spec_by;
+};
+
+/// Every parameter a sweep axis or the optimizer sets itself.
+[[nodiscard]] std::span<const OverrideRule> override_rules() noexcept;
+
 /// The override rule, one check for the CLI and the protocol: throws
 /// std::invalid_argument, in `surface`'s words, when `given` reports a
 /// parameter that one of `overriders` sets at every point.

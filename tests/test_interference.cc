@@ -235,14 +235,14 @@ TEST(PfsServer, LongRunReachesQuiescenceWithoutLivelock) {
 TEST(IoTiming, TransferSecondsRejectsNonFiniteInputs) {
   EXPECT_DOUBLE_EQ(ckptsim::transfer_seconds(1000.0, 100.0), 10.0);
   EXPECT_DOUBLE_EQ(ckptsim::transfer_seconds(0.0, 100.0), 0.0);
-  EXPECT_THROW(ckptsim::transfer_seconds(std::nan(""), 100.0), std::invalid_argument);
-  EXPECT_THROW(ckptsim::transfer_seconds(std::numeric_limits<double>::infinity(), 100.0),
+  EXPECT_THROW((void)ckptsim::transfer_seconds(std::nan(""), 100.0), std::invalid_argument);
+  EXPECT_THROW((void)ckptsim::transfer_seconds(std::numeric_limits<double>::infinity(), 100.0),
                std::invalid_argument);
-  EXPECT_THROW(ckptsim::transfer_seconds(-1.0, 100.0), std::invalid_argument);
-  EXPECT_THROW(ckptsim::transfer_seconds(1000.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(ckptsim::transfer_seconds(1000.0, -5.0), std::invalid_argument);
-  EXPECT_THROW(ckptsim::transfer_seconds(1000.0, std::nan("")), std::invalid_argument);
-  EXPECT_THROW(ckptsim::transfer_seconds(1000.0, std::numeric_limits<double>::infinity()),
+  EXPECT_THROW((void)ckptsim::transfer_seconds(-1.0, 100.0), std::invalid_argument);
+  EXPECT_THROW((void)ckptsim::transfer_seconds(1000.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)ckptsim::transfer_seconds(1000.0, -5.0), std::invalid_argument);
+  EXPECT_THROW((void)ckptsim::transfer_seconds(1000.0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW((void)ckptsim::transfer_seconds(1000.0, std::numeric_limits<double>::infinity()),
                std::invalid_argument);
 }
 

@@ -161,28 +161,82 @@ TEST(RunTable, EverySurfaceSetsARowAlike) {
   }
 }
 
-/// A fresh, empty scratch directory, removed with the object.
-struct ScratchDir {
-  std::string path;
-  ScratchDir()
-      : path(std::string(::testing::TempDir()) + "ckptsim_run_table_" +
-             std::to_string(::getpid())) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
+/// `args` through the CLI binary in an empty scratch directory: exit 1,
+/// exactly "error: `message`", and nothing left behind.
+void expect_cli_error(const std::vector<std::string>& args, const std::string& message) {
+  const std::string dir = std::string(::testing::TempDir()) + "ckptsim_run_table_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string cmd = "cd '" + dir + "' && '" + CKPTSIM_CLI + "'";
+  for (const std::string& a : args) cmd += " '" + a + "'";
+  cmd += " 2>&1";
+  std::string out;
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  char buf[512];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) out.append(buf, n);
+  const int status = ::pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << cmd << "\n" << out;
+  EXPECT_EQ(out, "error: " + message + "\n") << cmd;
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << cmd;
+  std::filesystem::remove_all(dir);
+}
+
+/// A campaign server with a cache and a ledger.  Every line given to
+/// expect_error must fail to parse with exactly `message`, and be answered
+/// with one error line before the cache or the ledger sees it.
+class ProtocolCheck {
+ public:
+  ProtocolCheck() : server_(config()) {}
+  ~ProtocolCheck() {
+    EXPECT_EQ(server_.cache().size(), 0u);
+    EXPECT_EQ(server_.metrics().service().snapshot().replications_run, 0u);
+    server_.stop();
+    EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger_).pending().empty());
+    std::remove(cache_.c_str());
+    std::remove(ledger_.c_str());
   }
-  ~ScratchDir() { std::filesystem::remove_all(path); }
+
+  void expect_error(const std::string& line, const std::string& message) {
+    ckptsim::svc::Request req;
+    std::string error;
+    EXPECT_FALSE(ckptsim::svc::parse_request(line, &req, &error)) << line;
+    EXPECT_EQ(error, message);
+    std::vector<std::string> out;
+    std::mutex mu;
+    server_.handle_line(line, [&](const std::string& l) {
+      const std::lock_guard<std::mutex> lock(mu);
+      out.push_back(l);
+    });
+    server_.drain();
+    ASSERT_EQ(out.size(), 1u) << line;
+    EXPECT_NE(out[0].find("\"error\""), std::string::npos) << out[0];
+    // The message up to its first double quote, which JSON escapes.
+    EXPECT_NE(out[0].find(message.substr(0, message.find('"'))), std::string::npos) << out[0];
+  }
+
+ private:
+  ckptsim::svc::ServerConfig config() {
+    const std::string stem = std::string(::testing::TempDir()) + "ckptsim_run_table_" +
+                             std::to_string(::getpid());
+    cache_ = stem + "_cache.jsonl";
+    ledger_ = stem + "_ledger.jsonl";
+    std::remove(cache_.c_str());
+    std::remove(ledger_.c_str());
+    ckptsim::svc::ServerConfig c;
+    c.cache_path = cache_;
+    c.ledger_path = ledger_;
+    return c;
+  }
+
+  std::string cache_;
+  std::string ledger_;
+  ckptsim::svc::CampaignServer server_;
 };
 
 TEST(RunTable, AKnobWithoutItsSwitchIsOneErrorOnEverySurface) {
-  const std::string cache = std::string(::testing::TempDir()) + "ckptsim_run_table_cache_" +
-                            std::to_string(::getpid()) + ".jsonl";
-  const std::string ledger = cache + ".ledger";
-  std::remove(cache.c_str());
-  std::remove(ledger.c_str());
-  ckptsim::svc::ServerConfig config;
-  config.cache_path = cache;
-  config.ledger_path = ledger;
-  ckptsim::svc::CampaignServer server(config);
+  ProtocolCheck protocol;
   std::size_t needing = 0;
   for (const RunField& field : ckptsim::run_fields()) {
     if (field.needs == nullptr) continue;
@@ -190,26 +244,11 @@ TEST(RunTable, AKnobWithoutItsSwitchIsOneErrorOnEverySurface) {
     ++needing;
     const std::string text = sample_text(field);
     const std::string flag = ckptsim::run_flag(field);
-
-    // The CLI binary: exit 1, the rule's error line, nothing made.
     if ((field.surfaces & ckptsim::kCliKnob) != 0) {
-      const ScratchDir dir;
-      const std::string cmd = "cd '" + dir.path + "' && '" + CKPTSIM_CLI +
-                              "' --quick --reps 2 " + flag + " '" + text + "' 2>&1";
-      std::string out;
-      FILE* pipe = ::popen(cmd.c_str(), "r");
-      ASSERT_NE(pipe, nullptr);
-      char buf[512];
-      for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) out.append(buf, n);
-      const int status = ::pclose(pipe);
-      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << cmd << "\n" << out;
-      EXPECT_EQ(out, std::string("error: ") + field.cli_rule + "\n");
-      EXPECT_TRUE(std::filesystem::is_empty(dir.path)) << cmd;
+      expect_cli_error({"--quick", "--reps", "2", flag, text}, field.cli_rule);
       // With its switch the CLI reads the knob.
       EXPECT_NO_THROW((void)from_flags(with_switch(field), ckptsim::kCliKnob));
     }
-
-    // The benches: bench_spec throws the same words.
     if ((field.surfaces & ckptsim::kBenchKnob) != 0) {
       const char* argv[] = {"bench", flag.c_str(), text.c_str()};
       try {
@@ -219,37 +258,68 @@ TEST(RunTable, AKnobWithoutItsSwitchIsOneErrorOnEverySurface) {
         EXPECT_EQ(std::string(e.what()), field.cli_rule);
       }
     }
-
-    // The protocol: one error line, before the cache or the ledger.
     if ((field.surfaces & ckptsim::kSpecKnob) != 0) {
-      const std::string line = spec_line({{&field, text}});
+      protocol.expect_error(spec_line({{&field, text}}), field.spec_rule);
       ckptsim::svc::Request req;
       std::string error;
-      EXPECT_FALSE(ckptsim::svc::parse_request(line, &req, &error));
-      EXPECT_EQ(error, field.spec_rule);
-      std::vector<std::string> out;
-      std::mutex mu;
-      server.handle_line(line, [&](const std::string& l) {
-        const std::lock_guard<std::mutex> lock(mu);
-        out.push_back(l);
-      });
-      server.drain();
-      ASSERT_EQ(out.size(), 1u);
-      EXPECT_NE(out[0].find("\"error\""), std::string::npos) << out[0];
-      // The rule up to its first double quote, which JSON escapes.
-      const std::string rule = field.spec_rule;
-      EXPECT_NE(out[0].find(rule.substr(0, rule.find('"'))), std::string::npos) << out[0];
       EXPECT_TRUE(ckptsim::svc::parse_request(spec_line(with_switch(field)), &req, &error))
           << error;
     }
   }
   EXPECT_EQ(needing, 5u);
-  EXPECT_EQ(server.cache().size(), 0u);
-  EXPECT_EQ(server.metrics().service().snapshot().replications_run, 0u);
-  server.stop();
-  EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger).pending().empty());
-  std::remove(cache.c_str());
-  std::remove(ledger.c_str());
+}
+
+TEST(RunTable, AParameterTheRunSetsItselfIsOneErrorOnEverySurface) {
+  // How the CLI and the protocol start each run that sets a parameter.
+  struct Run {
+    ckptsim::Overrider by;
+    std::vector<std::string> cli;
+    const char* request;
+  };
+  const std::vector<std::string> optimize = {"--optimize", "--optimize-grid", "3",
+                                             "--optimize-refine", "0"};
+  const auto with = [&optimize](std::vector<std::string> more) {
+    more.insert(more.begin(), optimize.begin(), optimize.end());
+    return more;
+  };
+  const Run runs[] = {
+      {ckptsim::kIntervalAxis, {"--sweep", "interval", "--sweep-values", "30"},
+       R"("op":"sweep","id":"t","axis":"interval","values":[30])"},
+      {ckptsim::kProcessorsAxis, {"--sweep", "processors", "--sweep-values", "8192"},
+       R"("op":"sweep","id":"t","axis":"processors","values":[8192])"},
+      {ckptsim::kIntervalSearch, optimize, R"("op":"optimize","id":"t","grid":3,"refine":0)"},
+      {ckptsim::kProcessorList, with({"--optimize-processors", "8192"}),
+       R"("op":"optimize","id":"t","grid":3,"refine":0,"processors":[8192])"},
+      {ckptsim::kPolicyList, with({"--optimize-policies", "none"}),
+       R"("op":"optimize","id":"t","grid":3,"refine":0,"policies":["none"])"},
+  };
+  ProtocolCheck protocol;
+  for (const ckptsim::OverrideRule& rule : ckptsim::override_rules()) {
+    SCOPED_TRACE(rule.key);
+    const Run* run = nullptr;
+    for (const Run& r : runs) run = r.by == rule.by ? &r : run;
+    ASSERT_NE(run, nullptr);
+    // Any value is overridden: the parameter's default, given explicitly.
+    const ckptsim::ParameterField& field = *ckptsim::find_parameter_key(rule.key);
+    std::string text;
+    ckptsim::append_field_value(text, field, ckptsim::Parameters{});
+    if (field.kind() == KeyKind::kChoice) {
+      text = std::string(ckptsim::choice_name(field.choices, std::stoul(text)));
+    } else if (field.kind() == KeyKind::kNumber) {
+      text = "45";
+    }
+    const std::string flag = ckptsim::cli_flag(field);
+    std::vector<std::string> args = {"--quick", "--reps", "2"};
+    args.insert(args.end(), run->cli.begin(), run->cli.end());
+    args.insert(args.end(), {flag, text});
+    expect_cli_error(args, "'" + flag + "' is overridden by " + rule.cli_by +
+                               ", which sets it at every point");
+    const std::string json = field.kind() == KeyKind::kChoice ? '"' + text + '"' : text;
+    protocol.expect_error(std::string("{") + run->request + R"(,"params":{")" + rule.key +
+                              "\":" + json + "}}",
+                          std::string("params key '") + rule.key + "' is overridden by " +
+                              rule.spec_by + ", which sets it at every point");
+  }
 }
 
 TEST(RunTable, ResultRowsAndOnlyThemChangeTheJournalFingerprint) {

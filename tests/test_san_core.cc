@@ -127,7 +127,7 @@ TEST(Model, ActivityValidation) {
   ActivitySpec empty_gate;
   empty_gate.name = "g";
   empty_gate.timed = false;
-  empty_gate.input_gates = {InputGate{"gate", nullptr, {}}};
+  empty_gate.input_gates = {InputGate{"gate", nullptr, {}, {}}};
   EXPECT_THROW(m.add_activity(empty_gate), std::invalid_argument);
 
   ActivitySpec ok;
@@ -156,7 +156,7 @@ TEST(Model, EnabledChecksArcsAndGates) {
   spec.name = "a";
   spec.timed = false;
   spec.input_arcs = {InputArc{p, 2}};
-  spec.input_gates = {InputGate{"needs_q", [q](const Marking& mk) { return mk.has(q); }, {}}};
+  spec.input_gates = {InputGate{"needs_q", [q](const Marking& mk) { return mk.has(q); }, {}, {}}};
   m.add_activity(spec);
 
   Marking mk = m.initial_marking();

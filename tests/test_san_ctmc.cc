@@ -63,7 +63,7 @@ TEST(Ctmc, MM1KQueueMatchesClosedForm) {
   auto arrive = rate_activity("arrive", lambda);
   arrive.input_gates = {InputGate{
       "not_full", [queue, capacity](const Marking& mk) { return mk.tokens(queue) < capacity; },
-      {}}};
+      {}, {}}};
   arrive.output_arcs = {OutputArc{queue, 1}};
   m.add_activity(std::move(arrive));
   auto serve = rate_activity("serve", mu);
@@ -106,7 +106,7 @@ TEST(Ctmc, BirthDeathMatchesAnalyticModule) {
   const PlaceId failed = m.add_place("failed", 0);
   auto first = rate_activity("first_failure", li);
   first.input_gates = {InputGate{
-      "healthy", [failed](const Marking& mk) { return !mk.has(failed); }, {}}};
+      "healthy", [failed](const Marking& mk) { return !mk.has(failed); }, {}, {}}};
   first.output_arcs = {OutputArc{failed, 1}};
   m.add_activity(std::move(first));
   auto next = rate_activity("next_failure", lc);
@@ -115,12 +115,12 @@ TEST(Ctmc, BirthDeathMatchesAnalyticModule) {
       [failed, truncation](const Marking& mk) {
         return mk.has(failed) && mk.tokens(failed) < static_cast<std::int32_t>(truncation);
       },
-      {}}};
+      {}, {}}};
   next.output_arcs = {OutputArc{failed, 1}};
   m.add_activity(std::move(next));
   auto recover = rate_activity("recover", c.recovery_rate);
   recover.input_gates = {InputGate{
-      "has_failure", [failed](const Marking& mk) { return mk.has(failed); }, {}}};
+      "has_failure", [failed](const Marking& mk) { return mk.has(failed); }, {}, {}}};
   recover.output_gates = {OutputGate{"wipe", [failed](Context& ctx) {
     ctx.marking.set_tokens(failed, 0);
   }}};
@@ -365,7 +365,7 @@ TEST(Ctmc, MarkingDependentRates) {
   const PlaceId q = m.add_place("q", 0);
   auto arrive = rate_activity("arrive", lambda);
   arrive.input_gates = {InputGate{
-      "cap", [q](const Marking& mk) { return mk.tokens(q) < 3; }, {}}};
+      "cap", [q](const Marking& mk) { return mk.tokens(q) < 3; }, {}, {}}};
   arrive.output_arcs = {OutputArc{q, 1}};
   m.add_activity(std::move(arrive));
   ActivitySpec serve;

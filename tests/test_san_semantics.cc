@@ -296,17 +296,17 @@ TEST(Executor, BirthDeathBurstProbabilityMatchesAnalytic) {
   const PlaceId failed = m.add_place("failed", 0);
   auto first = timed_exp("first_failure", li);
   first.input_gates = {InputGate{
-      "healthy", [failed](const Marking& mk) { return !mk.has(failed); }, {}}};
+      "healthy", [failed](const Marking& mk) { return !mk.has(failed); }, {}, {}}};
   first.output_arcs = {OutputArc{failed, 1}};
   m.add_activity(std::move(first));
   auto next = timed_exp("next_failure", lc);
   next.input_gates = {InputGate{
-      "bursting", [failed](const Marking& mk) { return mk.has(failed); }, {}}};
+      "bursting", [failed](const Marking& mk) { return mk.has(failed); }, {}, {}}};
   next.output_arcs = {OutputArc{failed, 1}};
   m.add_activity(std::move(next));
   auto recover = timed_exp("recover", c.recovery_rate);
   recover.input_gates = {InputGate{
-      "has_failure", [failed](const Marking& mk) { return mk.has(failed); }, {}}};
+      "has_failure", [failed](const Marking& mk) { return mk.has(failed); }, {}, {}}};
   recover.output_gates = {OutputGate{"wipe", [failed](Context& ctx) {
     ctx.marking.set_tokens(failed, 0);
   }}};

@@ -273,57 +273,6 @@ TEST(SvcProtocol, RejectsMalformedAndUnknown) {
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"ping","axis":"interval"})", &req, &error));
 }
 
-TEST(SvcProtocol, RejectsKnobsTheRequestWouldIgnore) {
-  // A params key the sweep axis or the optimizer sets at every point would
-  // simulate exactly as if it were absent.  Each is one error line naming
-  // the key, before the ledger or the cache is touched.  (Spec keys without
-  // their switch: RunTable.AKnobWithoutItsSwitchIsOneErrorOnEverySurface.)
-  struct Case {
-    const char* line;
-    const char* message;
-  };
-  const Case cases[] = {
-      {R"({"op":"sweep","id":"a","axis":"interval","values":[30],"params":{"interval_min":45}})",
-       "params key 'interval_min' is overridden by axis \"interval\""},
-      {R"({"op":"sweep","id":"a","axis":"processors","values":[8192],)"
-       R"("params":{"processors":65536}})",
-       "params key 'processors' is overridden by axis \"processors\""},
-      {R"({"op":"optimize","id":"o","grid":3,"refine":0,"params":{"interval_min":45}})",
-       "params key 'interval_min' is overridden by the interval search"},
-      {R"({"op":"optimize","id":"o","grid":3,"refine":0,"processors":[8192],)"
-       R"("params":{"processors":4096}})",
-       "params key 'processors' is overridden by key 'processors'"},
-      {R"({"op":"optimize","id":"o","grid":3,"refine":0,"policies":["none"],)"
-       R"("params":{"proactive_policy":"none"}})",
-       "params key 'proactive_policy' is overridden by key 'policies'"},
-  };
-  TempFile cache("ignored_knob_cache");
-  TempFile ledger("ignored_knob_ledger");
-  ServerConfig config;
-  config.cache_path = cache.path;
-  config.ledger_path = ledger.path;
-  CampaignServer server(config);
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.line);
-    Request req;
-    std::string error;
-    EXPECT_FALSE(ckptsim::svc::parse_request(c.line, &req, &error));
-    EXPECT_NE(error.find(c.message), std::string::npos) << error;
-    Collector out;
-    server.handle_line(c.line, out.sink());
-    server.drain();
-    ASSERT_EQ(out.lines.size(), 1u);
-    EXPECT_EQ(out.type(0), "error");
-    // The message up to its first double quote, which JSON escapes.
-    const std::string head(c.message, std::strcspn(c.message, "\""));
-    EXPECT_NE(out.lines[0].find(head), std::string::npos) << out.lines[0];
-  }
-  EXPECT_EQ(server.cache().size(), 0u);
-  EXPECT_EQ(server.metrics().service().snapshot().replications_run, 0u);
-  server.stop();
-  EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger.path).pending().empty());
-}
-
 TEST(SvcProtocol, KeepsKnobsTheRequestReads) {
   // The same keys where they act: processors on an interval sweep, the
   // optimizer's base processors and policy when it has no list for them,
