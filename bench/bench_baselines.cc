@@ -22,7 +22,6 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob)); rc != 0) return rc;
   const RunSpec spec = report::bench_spec(cli);
 
   Parameters p;

@@ -13,7 +13,6 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob)); rc != 0) return rc;
   const RunSpec spec = report::bench_spec(cli);
 
   std::cout << "=== Time budget vs machine size (base model, MTTF 1 yr, MTTR 10 min, "

@@ -24,7 +24,6 @@ struct Config {
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob)); rc != 0) return rc;
   RunSpec spec = report::bench_spec(cli);
   // The SAN executor is the slow engine: trim the default horizon for this
   // bench, but run an explicit --horizon-hours as given.

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   using namespace ckptsim;
   try {
     const report::Cli cli(argc, argv);
-    if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob)); rc != 0) return rc;
     RunSpec spec = report::bench_spec(cli);
 
     // A deliberately heterogeneous mix: one capability job that dominates

@@ -64,9 +64,7 @@ std::atomic<std::uint64_t> g_alloc_count{0};
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

@@ -26,7 +26,6 @@ std::string verdict(bool ok) { return ok ? "REPRODUCED" : "DIVERGES"; }
 
 int main(int argc, char** argv) try {
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob)); rc != 0) return rc;
   const RunSpec spec = report::bench_spec(cli);
   const std::vector<std::uint64_t> grid{8192, 16384, 32768, 65536, 131072, 262144};
 

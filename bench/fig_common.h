@@ -35,30 +35,6 @@ struct Series {
   ckptsim::Parameters params;
 };
 
-namespace detail {
-/// SIGINT → cooperative cancel: in-flight replications finish, completed
-/// points reach the journal, then the harness exits 130.  A second ^C
-/// restores the default handler for an immediate kill.
-inline std::atomic<bool>& interrupt_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-inline void arm_sigint() {
-  std::signal(SIGINT, [](int) {
-    interrupt_flag().store(true, std::memory_order_relaxed);
-    std::signal(SIGINT, SIG_DFL);
-  });
-}
-inline bool file_non_empty(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  return size > 0;
-}
-}  // namespace detail
-
 enum class Metric { kTotalUsefulWork, kUsefulFraction };
 
 struct FigureHarness {
@@ -96,47 +72,20 @@ struct FigureHarness {
     // Only the flags read here and by bench_spec: a typo'd flag (--rep 3)
     // must not run the full-fidelity default it masked, and the figures
     // run the DES engine only, so --engine is unknown too.
-    if (const int rc = cli.check_flags(ckptsim::report::run_flag_specs(
-            ckptsim::kBenchKnob, {{"--journal", true},
-                                  {"--resume", false},
-                                  {"--progress", false},
-                                  {"--metrics-out", true}}));
-        rc != 0) {
-      return rc;
-    }
-    ckptsim::RunSpec spec = ckptsim::report::bench_spec(cli);
-    detail::arm_sigint();
-    spec.cancel = &detail::interrupt_flag();
+    ckptsim::RunSpec spec = ckptsim::report::bench_spec(
+        cli, {{"--journal", true}, {"--resume", false}, {"--progress", false},
+              {"--metrics-out", true}});
     // Crash-safe sweeps (--journal FILE [--resume]): every completed point
     // is appended to an fsync'd JSONL journal; a killed run restarted with
     // --resume recomputes only the missing points and the final CSV is
     // bit-identical to an uninterrupted run.  One journal spans all series
     // of the figure (fingerprints disambiguate).
     std::optional<ckptsim::SweepJournal> journal;
-    const std::string journal_path = cli.value("--journal");
-    if (!journal_path.empty()) {
-      if (!cli.has("--resume") && detail::file_non_empty(journal_path)) {
-        std::cerr << "error: journal '" << journal_path
-                  << "' exists; pass --resume to continue it or delete the file\n";
-        return 2;
-      }
-      journal.emplace(journal_path);
-      if (journal->loaded() > 0) {
-        std::cout << "resuming: " << journal->loaded() << " completed point(s) loaded from "
-                  << journal_path << "\n";
-      }
-    }
-    // Optional run telemetry (--progress, --metrics-out FILE): the metrics
-    // registry accumulates across every series of the figure, so the JSON
-    // artifact covers the whole sweep campaign.
-    ckptsim::obs::ProgressReporter progress;
-    if (cli.has("--progress")) spec.progress = &progress;
-    std::optional<ckptsim::obs::Metrics> metrics;
-    const std::string metrics_path = cli.value("--metrics-out");
-    if (!metrics_path.empty()) {
-      metrics.emplace(spec.exec.resolve());
-      spec.metrics = &*metrics;
-    }
+    if (!ckptsim::report::open_journal(cli, "point", &journal)) return 2;
+    // SIGINT, --progress and --metrics-out FILE: the metrics registry
+    // accumulates across every series of the figure, so the JSON artifact
+    // covers the whole sweep campaign, and a cancelled run exits 130.
+    const ckptsim::report::RunObservers observers(cli, &spec);
     std::cout << "=== " << figure_id << ": " << title << " ===\n";
     std::cout << (ckptsim::report::quick_mode(cli) ? "[quick mode] " : "")
               << "replications=" << spec.replications << " horizon=" << spec.horizon / 3600.0
@@ -190,10 +139,7 @@ struct FigureHarness {
     }
     csv.close();  // atomic publish (temp+rename); throws on write failure
     std::cout << "\nwrote " << csv_path << "\n";
-    if (metrics.has_value()) {
-      metrics->snapshot().write_json(metrics_path);
-      std::cout << "wrote " << metrics_path << "\n";
-    }
+    observers.write_metrics();
     std::cout << "\n";
     return 0;
   }

@@ -18,11 +18,7 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(
-          kBenchKnob, {{"--mttf-years", true}, {"--mttr-min", true}}));
-      rc != 0) {
-    return rc;
-  }
+  const RunSpec spec = report::bench_spec(cli, {{"--mttf-years", true}, {"--mttr-min", true}});
 
   Parameters base;
   base.coordination = CoordinationMode::kFixedQuiesce;  // the paper's base model
@@ -33,7 +29,6 @@ int main(int argc, char** argv) try {
             << " yr/node, MTTR " << base.mttr_compute / units::kMinute << " min, interval "
             << base.checkpoint_interval / units::kMinute << " min\n\n";
 
-  const RunSpec spec = report::bench_spec(cli);
   const auto optimum = find_optimal_processors(base, spec);
 
   report::Table table({"processors", "useful fraction", "total useful work", "verdict"});

@@ -22,11 +22,7 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(
-          kBenchKnob, {{"--processors", true}, {"--abort-prob", true}}));
-      rc != 0) {
-    return rc;
-  }
+  const RunSpec spec = report::bench_spec(cli, {{"--processors", true}, {"--abort-prob", true}});
 
   Parameters machine;
   machine.num_processors = cli.count("--processors", 65536);
@@ -45,7 +41,6 @@ int main(int argc, char** argv) try {
   std::cout << "Recommended timeout for P(abort) <= " << abort_prob << ": "
             << recommended << " s\n\n";
 
-  const RunSpec spec = report::bench_spec(cli);
   report::Table table({"timeout (s)", "P(abort) analytic", "useful fraction (sim)"});
   for (const double timeout : {20.0, 60.0, 100.0, recommended, 0.0}) {
     Parameters p = machine;

@@ -20,10 +20,7 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob, {{"--processors", true}}));
-      rc != 0) {
-    return rc;
-  }
+  const RunSpec spec = report::bench_spec(cli, {{"--processors", true}});
 
   Parameters machine;
   machine.num_processors = cli.count("--processors", 131072);
@@ -43,7 +40,6 @@ int main(int argc, char** argv) try {
             << "  Daly:  " << analytic::daly_optimal_interval(overhead, mtbf) / units::kMinute
             << " min\n\n";
 
-  const RunSpec spec = report::bench_spec(cli);
   std::vector<double> grid;
   for (const double minutes : {5.0, 10.0, 15.0, 30.0, 60.0, 120.0, 240.0}) {
     grid.push_back(minutes * units::kMinute);

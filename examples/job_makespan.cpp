@@ -19,10 +19,8 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags({{"--quick", false},
-                                      {"--processors", true},
-                                      {"--work-hours", true},
-                                      {"--trace", false}});
+  if (const int rc = cli.check_flags({{"--quick", false}, {"--processors", true},
+                                      {"--work-hours", true}, {"--trace", false}});
       rc != 0) {
     return rc;
   }

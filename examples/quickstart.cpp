@@ -12,7 +12,7 @@
 int main(int argc, char** argv) try {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
-  if (const int rc = cli.check_flags(report::run_flag_specs(kBenchKnob)); rc != 0) return rc;
+  const RunSpec spec = report::bench_spec(cli);  // the simulation controls
 
   // 1. Describe the machine (defaults are the paper's Table 3: a
   //    BlueGene/L-class system with 64K processors, 8 per node).
@@ -25,10 +25,8 @@ int main(int argc, char** argv) try {
   std::cout << "Simulating a coordinated-checkpointing supercomputer:\n"
             << machine.describe() << "\n\n";
 
-  // 2. Pick the simulation controls (steady-state, replicated, 95% CIs).
-  RunSpec spec = report::bench_spec(cli);
-
-  // 3. Run and inspect.
+  // 2. Run with the controls read above (steady-state, replicated, 95% CIs)
+  //    and inspect.
   const RunResult result = run_model(machine, spec);
   std::cout << result.describe() << "\n\n";
 

@@ -71,10 +71,10 @@ const RunField kFields[] = {
          .doc = "discarded warm-up"),
     KNOB("confidence", confidence_level, kSpecKnob, .doc = "confidence level"),
     KNOB("jobs", exec.jobs, kCliKnob | kBenchKnob,
-         .doc = "worker threads, 0 = auto (CKPTSIM_JOBS, then hardware); results identical",
+         .doc = "worker threads, 0 = auto",
          .result = false),
     KNOB("rel_precision", sequential.rel_precision, kEverySurface,
-         .doc = "target relative 95%-CI half-width, 0 = fixed reps"),
+         .doc = "target relative CI half-width, 0 = off"),
     KNOB("min_replications", sequential.min_replications, kEverySurface,
          .doc = "first round / floor", .needs = "rel_precision",
          .switched = [](const RunSpec& s) { return s.sequential.enabled(); },
@@ -100,7 +100,7 @@ const RunField kFields[] = {
     KNOB("max_events", watchdog.max_events, kCliKnob | kSpecKnob,
          .doc = "per-replication event watchdog, 0 = unlimited"),
     KNOB("snapshot_every_events", snapshot_every_events, kCliKnob,
-         .doc = "snapshot every N fired events, 0 = off", .result = false,
+         .doc = "snapshot period in fired events, 0 = off", .result = false,
          .needs = "snapshot_dir",  // 0 is off, and needs no directory
          .switched = [](const RunSpec& s) {
            return s.snapshot_every_events == 0 || !s.snapshot_dir.empty();
@@ -171,11 +171,7 @@ std::string run_help(RunSurface surface) {
     if ((f.surfaces & surface) == 0) continue;
     std::string doc = f.doc;
     if (f.choices != nullptr) doc += std::string(" (") + f.choices + ")";
-    if (f.needs != nullptr) {
-      const std::string_view needs = f.needs;
-      doc += "; needs " + key_flag(needs.substr(0, needs.find(' ')));
-      if (needs.find(' ') != std::string_view::npos) doc += needs.substr(needs.find(' '));
-    }
+    if (f.needs != nullptr) doc += "; needs " + key_flag(f.needs);
     std::string fallback = f.kind == KeyKind::kPath ? "" : f.get(f, defaults);
     if (*f.unit != '\0') fallback += std::string(" ") + f.unit;
     const char* var = f.kind == KeyKind::kPath ? " DIR" : metavar(f.kind);

@@ -1,7 +1,10 @@
 #include "src/report/cli.h"
 
 #include <algorithm>
+#include <atomic>
+#include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <stdexcept>
 #include <utility>
@@ -79,53 +82,39 @@ std::vector<FlagSpec> parameter_flag_specs() {
   return specs;
 }
 
-int Cli::check_flags(const std::vector<FlagSpec>& known) const {
-  if (const auto valued = valued_switches(known); !valued.empty()) {
-    std::cerr << "error: '" << valued.front() << "' is a switch and takes no value\n";
-    return 1;
-  }
-  const auto unknown = unknown_flags(known);
-  if (unknown.empty()) return 0;
-  std::cerr << "error: unknown option '" << unknown.front() << "'";
-  if (const std::string hint = suggest(unknown.front(), known); !hint.empty()) {
-    std::cerr << " (did you mean '" << hint << "'?)";
-  }
-  std::cerr << "\n";
-  return 1;
-}
-
-std::vector<std::string> Cli::unknown_flags(const std::vector<FlagSpec>& known) const {
-  std::vector<std::string> unknown;
-  for (std::size_t i = 0; i < args_.size(); ++i) {
-    const std::string& arg = args_[i];
-    const std::string name = arg.substr(0, arg.find('='));
-    const bool inline_value = name.size() != arg.size();
-    bool matched = false;
+std::string Cli::flag_error(const std::vector<FlagSpec>& known) const {
+  const auto find = [&known](std::string_view name) -> const FlagSpec* {
     for (const FlagSpec& spec : known) {
-      if (name != spec.name) continue;
-      matched = true;
-      if (spec.takes_value && !inline_value) ++i;  // next token is the value
-      break;
+      if (name == spec.name) return &spec;
     }
-    // Report the flag part only: "--sead=9" is a misspelling of "--seed",
-    // and the hint matcher should see the name, not the value.
-    if (!matched) unknown.push_back(arg.rfind("--", 0) == 0 ? name : arg);
-  }
-  return unknown;
-}
-
-std::vector<std::string> Cli::valued_switches(const std::vector<FlagSpec>& known) const {
-  std::vector<std::string> out;
+    return nullptr;
+  };
   for (const std::string& arg : args_) {
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos || arg.rfind("--", 0) != 0) continue;
-    for (const FlagSpec& spec : known) {
-      if (!spec.takes_value && std::string_view(arg).substr(0, eq) == spec.name) {
-        out.push_back(spec.name);
-      }
+    const std::string name = arg.substr(0, arg.find('='));
+    const FlagSpec* spec = arg.rfind("--", 0) == 0 ? find(name) : nullptr;
+    if (spec != nullptr && !spec->takes_value && name != arg) {
+      return "'" + name + "' is a switch and takes no value";
     }
   }
-  return out;
+  for (std::size_t i = 0; i < args_.size(); ++i) {
+    // Name the flag part only: "--sead=9" is a misspelling of "--seed".
+    const std::string name = args_[i].substr(0, args_[i].find('='));
+    const FlagSpec* spec = find(name);
+    if (spec == nullptr) {
+      const std::string unknown = args_[i].rfind("--", 0) == 0 ? name : args_[i];
+      const std::string hint = suggest(unknown, known);
+      return "unknown option '" + unknown + "'" +
+             (hint.empty() ? "" : " (did you mean '" + hint + "'?)");
+    }
+    if (spec->takes_value && name == args_[i]) ++i;  // the next token is the value
+  }
+  return "";
+}
+
+int Cli::check_flags(const std::vector<FlagSpec>& known) const {
+  const std::string error = flag_error(known);
+  if (!error.empty()) std::cerr << "error: " << error << "\n";
+  return error.empty() ? 0 : 1;
 }
 
 std::string Cli::suggest(std::string_view flag, const std::vector<FlagSpec>& known) {
@@ -156,6 +145,45 @@ std::string Cli::suggest(std::string_view flag, const std::vector<FlagSpec>& kno
   return best;
 }
 
+bool open_journal(const Cli& cli, const char* unit, std::optional<SweepJournal>* journal) {
+  const std::string path = cli.value("--journal");
+  if (path.empty()) return true;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (!cli.has("--resume") && !ec && size > 0) {
+    std::cerr << "error: journal '" << path
+              << "' exists; pass --resume to continue it or delete the file\n";
+    return false;
+  }
+  journal->emplace(path);
+  if ((*journal)->loaded() > 0) {
+    std::cout << "resuming: " << (*journal)->loaded() << " completed " << unit
+              << "(s) loaded from " << path << "\n";
+  }
+  return true;
+}
+
+namespace {
+std::atomic<bool> g_interrupted{false};
+}  // namespace
+
+RunObservers::RunObservers(const Cli& cli, RunSpec* spec)
+    : metrics_path_(cli.value("--metrics-out")) {
+  std::signal(SIGINT, [](int) {
+    g_interrupted.store(true, std::memory_order_relaxed);
+    std::signal(SIGINT, SIG_DFL);
+  });
+  spec->cancel = &g_interrupted;
+  if (cli.has("--progress")) spec->progress = &progress_;
+  if (!metrics_path_.empty()) spec->metrics = &metrics_.emplace(spec->exec.resolve());
+}
+
+void RunObservers::write_metrics() const {
+  if (!metrics_.has_value()) return;
+  metrics_->snapshot().write_json(metrics_path_);
+  std::cout << "wrote " << metrics_path_ << "\n";
+}
+
 bool quick_mode(const Cli& cli) {
   if (cli.has("--quick")) return true;
   const char* env = std::getenv("CKPTSIM_QUICK");
@@ -184,6 +212,10 @@ std::vector<FlagSpec> run_flag_specs(RunSurface surface, std::initializer_list<F
   return specs;
 }
 
-RunSpec bench_spec(const Cli& cli) { return run_spec(cli, kBenchKnob); }
+RunSpec bench_spec(const Cli& cli, std::initializer_list<FlagSpec> extra) {
+  const std::string error = cli.flag_error(run_flag_specs(kBenchKnob, extra));
+  if (!error.empty()) throw std::invalid_argument(error);
+  return run_spec(cli, kBenchKnob);
+}
 
 }  // namespace ckptsim::report

@@ -3,13 +3,17 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/core/journal.h"
 #include "src/core/results.h"
 #include "src/core/run_table.h"
 #include "src/model/parameters.h"
+#include "src/obs/metrics.h"
+#include "src/obs/progress.h"
 
 namespace ckptsim::report {
 
@@ -39,24 +43,17 @@ class Cli {
       std::string_view key, std::uint64_t fallback,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
 
-  /// The one flag check every tool runs first.  Exit status 1, after an
-  /// "error:" line on stderr, for a known switch written with a value
-  /// (`--quick=1`: has() would not see it), or else for an argument not in
-  /// `known`, with a "did you mean" hint when a known flag is close; 0 when
-  /// every argument is known.  A typo'd flag must not silently run with the
-  /// default it masked.
+  /// The one flag check every tool runs first: the error for a known switch
+  /// written with a value (`--quick=1`: has() would not see it), or else
+  /// for the first argument not in `known` (a misspelled flag or a stray
+  /// positional token), with a "did you mean" hint when a known flag is
+  /// close; "" when every argument is known.  A known value-taking flag
+  /// consumes the following token (unless written as --key=value), so an
+  /// option's value is never misreported.  A typo'd flag must not silently
+  /// run with the default it masked.
+  [[nodiscard]] std::string flag_error(const std::vector<FlagSpec>& known) const;
+  /// flag_error as an exit status: 1 after an "error:" line on stderr, or 0.
   [[nodiscard]] int check_flags(const std::vector<FlagSpec>& known) const;
-
-  /// Arguments not covered by `known`: misspelled flags and stray
-  /// positional tokens.  A known value-taking flag consumes the following
-  /// token (unless written as --key=value), so option values are never
-  /// misreported.
-  [[nodiscard]] std::vector<std::string> unknown_flags(
-      const std::vector<FlagSpec>& known) const;
-
-  /// Known switches (flags that take no value) written as `--switch=value`.
-  [[nodiscard]] std::vector<std::string> valued_switches(
-      const std::vector<FlagSpec>& known) const;
 
   /// Closest known flag to `flag` for a "did you mean" hint, or "" when
   /// nothing is plausibly close (edit distance > 3).
@@ -85,8 +82,34 @@ void apply_parameter_flags(const Cli& cli, Parameters* p);
 /// that naming it reaches run_spec's error), then `extra`.
 [[nodiscard]] std::vector<FlagSpec> run_flag_specs(RunSurface surface,
                                                    std::initializer_list<FlagSpec> extra = {});
-/// run_spec for the benches and examples.
-[[nodiscard]] RunSpec bench_spec(const Cli& cli);
+/// run_spec for the benches and examples, after the flag check against the
+/// flags it reads and `extra`: a bad flag throws std::invalid_argument.
+[[nodiscard]] RunSpec bench_spec(const Cli& cli, std::initializer_list<FlagSpec> extra = {});
+
+/// Open `--journal FILE` into `*journal` (nothing without the flag) and say
+/// how many completed `unit`s it holds.  False, after an "error:" line, when
+/// the file is non-empty and `--resume` is absent: that protects against
+/// silently mixing runs.
+bool open_journal(const Cli& cli, const char* unit, std::optional<SweepJournal>* journal);
+
+/// The observers a command line attaches to a run, owned for its length:
+/// SIGINT cancels cooperatively (in-flight replications finish, completed
+/// sweep points reach the journal, then the driver throws
+/// SimError(kInterrupted); a second ^C restores the default handler for an
+/// immediate kill), `--progress` prints a heartbeat to stderr, and
+/// `--metrics-out FILE` collects run metrics for write_metrics().  The spec
+/// points into the object, which can be neither copied nor moved.
+class RunObservers {
+ public:
+  RunObservers(const Cli& cli, RunSpec* spec);
+  /// Write the metrics to `--metrics-out` and say so; nothing without it.
+  void write_metrics() const;
+
+ private:
+  obs::ProgressReporter progress_;
+  std::optional<obs::Metrics> metrics_;
+  std::string metrics_path_;
+};
 
 /// True when quick mode is active (flag or environment).
 [[nodiscard]] bool quick_mode(const Cli& cli);

@@ -18,14 +18,11 @@ namespace ckptsim::svc {
 
 namespace {
 
-/// Parse failure carrying the message parse_request returns.  Internal to
-/// this translation unit: the public surface reports via (bool, *error),
-/// the implementation keeps the dozens of "reject this" sites one-liners.
-struct ParseError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-[[noreturn]] void fail(const std::string& message) { throw ParseError(message); }
+/// A request is rejected by throwing std::invalid_argument with the message
+/// parse_request returns: the public surface reports via (bool, *error),
+/// and every "reject this" site, here or in the table conversions and
+/// validations it calls, stays a one-liner.
+[[noreturn]] void fail(const std::string& message) { throw std::invalid_argument(message); }
 
 double require_number(const obs::JsonValue& v, const std::string& key) {
   if (!v.is_number()) fail("key '" + key + "' must be a number");
@@ -40,11 +37,7 @@ double require_number(const obs::JsonValue& v, const std::string& key) {
 std::uint64_t require_count(const obs::JsonValue& v, const std::string& key,
                             std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (!v.is_number()) fail("key '" + key + "' must be a number");
-  try {
-    return parse_count(v.scalar, "key '" + key + "'", max);
-  } catch (const std::invalid_argument& e) {
-    fail(e.what());
-  }
+  return parse_count(v.scalar, "key '" + key + "'", max);
 }
 
 bool require_bool(const obs::JsonValue& v, const std::string& key) {
@@ -73,11 +66,7 @@ void apply_params(const obs::JsonValue& obj, Parameters* p) {
     const ParameterField* field = find_parameter_key(key);
     if (field == nullptr) fail("unknown params key '" + key + "'");
     const std::string text = key_text(v, field->kind(), key);
-    try {
-      set_parameter(*field, text, "key '" + key + "'", p);
-    } catch (const std::invalid_argument& e) {
-      fail(e.what());
-    }
+    set_parameter(*field, text, "key '" + key + "'", p);
   }
 }
 
@@ -86,18 +75,14 @@ void apply_params(const obs::JsonValue& obj, Parameters* p) {
 /// and snapshots stay under the server's control (they never enter
 /// fingerprints, so the cache is oblivious either way).
 void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
-  try {
-    for (const auto& [key, v] : obj.members) {
-      if (key == "scheduler") reject_removed_scheduler("spec key 'scheduler'");
-      const RunField* field = find_run_key(key, kSpecKnob);
-      if (field == nullptr) fail("unknown spec key '" + key + "'");
-      set_run_field(*field, key_text(v, field->kind, key), "key '" + key + "'", spec);
-    }
-    check_run_rules(*spec, kSpecKnob,
-                    [&obj](const RunField& f) { return obj.find(f.key) != nullptr; });
-  } catch (const std::invalid_argument& e) {
-    fail(e.what());
+  for (const auto& [key, v] : obj.members) {
+    if (key == "scheduler") reject_removed_scheduler("spec key 'scheduler'");
+    const RunField* field = find_run_key(key, kSpecKnob);
+    if (field == nullptr) fail("unknown spec key '" + key + "'");
+    set_run_field(*field, key_text(v, field->kind, key), "key '" + key + "'", spec);
   }
+  check_run_rules(*spec, kSpecKnob,
+                  [&obj](const RunField& f) { return obj.find(f.key) != nullptr; });
 }
 
 /// Fail when the request's "params" object sets a key that one of
@@ -105,23 +90,31 @@ void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
 void reject_overridden_params(const obs::JsonValue& root, unsigned overriders) {
   const obs::JsonValue* params = root.find("params");
   if (params == nullptr) return;
-  try {
-    reject_overridden_parameters(overriders, kSpecKnob, [params](const ParameterField& f) {
-      return params->find(f.key) != nullptr;
-    });
-  } catch (const std::invalid_argument& e) {
-    fail(e.what());
+  reject_overridden_parameters(overriders, kSpecKnob, [params](const ParameterField& f) {
+    return params->find(f.key) != nullptr;
+  });
+}
+
+/// Read one of the keys every campaign op takes ("op", "id", "params",
+/// "spec"); false when `key` is none of them.
+bool read_common_key(const std::string& key, const obs::JsonValue& v, Request* out) {
+  if (key == "id") {
+    out->id = require_string(v, key);
+  } else if (key == "params" || key == "spec") {
+    if (!v.is_object()) fail("key '" + key + "' must be an object");
+    if (key == "params") apply_params(v, &out->params);
+    if (key == "spec") apply_spec(v, &out->spec);
+  } else {
+    return key == "op";
   }
+  return true;
 }
 
 void parse_sweep(const obs::JsonValue& root, Request* out) {
   out->op = Request::Op::kSweep;
   for (const auto& [key, v] : root.members) {
-    if (key == "op") {
-      continue;
-    } else if (key == "id") {
-      out->id = require_string(v, key);
-    } else if (key == "priority") {
+    if (read_common_key(key, v, out)) continue;
+    if (key == "priority") {
       out->priority = static_cast<int>(require_count(v, key, 9));
     } else if (key == "axis") {
       out->axis = require_string(v, key);
@@ -135,12 +128,6 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
       if (name == "des") out->engine = EngineKind::kDes;
       else if (name == "san") out->engine = EngineKind::kSan;
       else fail("unknown engine '" + name + "' (des|san)");
-    } else if (key == "params") {
-      if (!v.is_object()) fail("key 'params' must be an object");
-      apply_params(v, &out->params);
-    } else if (key == "spec") {
-      if (!v.is_object()) fail("key 'spec' must be an object");
-      apply_spec(v, &out->spec);
     } else {
       fail("unknown key '" + key + "'");
     }
@@ -157,17 +144,13 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
   if (out->label.empty()) out->label = "sweep " + out->axis;
   // Validate the whole campaign up front: a request that would blow up in a
   // worker thread is rejected at the socket instead.
-  try {
-    out->spec.validate();
-    for (const double x : out->values) {
-      validate_reactive_point(apply_axis(out->axis, out->params, x), "sweep");
-    }
-    // The trace's content keys the cache: an unreadable or malformed file
-    // is answered here, not thrown on the connection thread.
-    if (out->params.trace_driven()) (void)FailureTrace::load(out->params.failure_trace_path);
-  } catch (const std::invalid_argument& e) {
-    fail(e.what());
+  out->spec.validate();
+  for (const double x : out->values) {
+    validate_reactive_point(apply_axis(out->axis, out->params, x), "sweep");
   }
+  // The trace's content keys the cache: an unreadable or malformed file
+  // is answered here, not thrown on the connection thread.
+  if (out->params.trace_driven()) (void)FailureTrace::load(out->params.failure_trace_path);
 }
 
 void parse_interference(const obs::JsonValue& root, Request* out) {
@@ -176,23 +159,14 @@ void parse_interference(const obs::JsonValue& root, Request* out) {
   std::string policy = "fair";
   double pfs_mbs = 0.0;
   for (const auto& [key, v] : root.members) {
-    if (key == "op") {
-      continue;
-    } else if (key == "id") {
-      out->id = require_string(v, key);
-    } else if (key == "jobs") {
+    if (read_common_key(key, v, out)) continue;
+    if (key == "jobs") {
       jobs_spec = require_string(v, key);
     } else if (key == "policy") {
       policy = require_string(v, key);
     } else if (key == "pfs_mbs") {
       pfs_mbs = require_number(v, key);
       if (pfs_mbs < 0.0) fail("key 'pfs_mbs' must be >= 0 (0 = derive)");
-    } else if (key == "params") {
-      if (!v.is_object()) fail("key 'params' must be an object");
-      apply_params(v, &out->params);
-    } else if (key == "spec") {
-      if (!v.is_object()) fail("key 'spec' must be an object");
-      apply_spec(v, &out->spec);
     } else {
       fail("unknown key '" + key + "'");
     }
@@ -201,27 +175,20 @@ void parse_interference(const obs::JsonValue& root, Request* out) {
   if (jobs_spec.empty()) fail("interference requires a non-empty 'jobs' mix spec");
   // Same up-front validation contract as sweep: a mix that would throw in
   // the handler is rejected at the socket with the parser's message.
-  try {
-    out->mix = platform::parse_job_mix(jobs_spec, out->params);
-    if (!platform::pfs_policy_from_string(policy, &out->mix.pfs.policy)) {
-      fail("unknown policy '" + policy + "' (fair|fcfs|coop|stagger)");
-    }
-    if (pfs_mbs > 0.0) out->mix.pfs.bandwidth = pfs_mbs * units::kMB;
-    out->mix.validate();
-    out->spec.validate();
-  } catch (const std::invalid_argument& e) {
-    fail(e.what());
+  out->mix = platform::parse_job_mix(jobs_spec, out->params);
+  if (!platform::pfs_policy_from_string(policy, &out->mix.pfs.policy)) {
+    fail("unknown policy '" + policy + "' (fair|fcfs|coop|stagger)");
   }
+  if (pfs_mbs > 0.0) out->mix.pfs.bandwidth = pfs_mbs * units::kMB;
+  out->mix.validate();
+  out->spec.validate();
 }
 
 void parse_optimize(const obs::JsonValue& root, Request* out) {
   out->op = Request::Op::kOptimize;
   for (const auto& [key, v] : root.members) {
-    if (key == "op") {
-      continue;
-    } else if (key == "id") {
-      out->id = require_string(v, key);
-    } else if (key == "lo_min") {
+    if (read_common_key(key, v, out)) continue;
+    if (key == "lo_min") {
       out->opt.interval_lo = require_number(v, key) * units::kMinute;
     } else if (key == "hi_min") {
       out->opt.interval_hi = require_number(v, key) * units::kMinute;
@@ -237,19 +204,9 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
     } else if (key == "policies") {
       if (!v.is_array()) fail("key 'policies' must be an array of policy names");
       for (const auto& item : v.items) {
-        try {
-          out->opt.policies.push_back(
-              parse_proactive_policy(require_string(item, "policies[]")));
-        } catch (const std::invalid_argument& e) {
-          fail(e.what());
-        }
+        out->opt.policies.push_back(
+            parse_proactive_policy(require_string(item, "policies[]")));
       }
-    } else if (key == "params") {
-      if (!v.is_object()) fail("key 'params' must be an object");
-      apply_params(v, &out->params);
-    } else if (key == "spec") {
-      if (!v.is_object()) fail("key 'spec' must be an object");
-      apply_spec(v, &out->spec);
     } else {
       fail("unknown key '" + key + "'");
     }
@@ -262,19 +219,15 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
                                      (out->opt.policies.empty() ? 0u : kPolicyList));
   // Same up-front contract as sweep: validate the search space and every
   // (policy, interval-endpoint) combination the searcher will instantiate.
-  try {
-    out->opt.validate();
-    out->spec.validate();
-    std::vector<ProactivePolicy> policies = out->opt.policies;
-    if (policies.empty()) policies.push_back(out->params.proactive_policy);
-    for (const ProactivePolicy policy : policies) {
-      Parameters p = out->params;
-      p.proactive_policy = policy;
-      p.checkpoint_interval = out->opt.interval_lo;
-      p.validate();
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(e.what());
+  out->opt.validate();
+  out->spec.validate();
+  std::vector<ProactivePolicy> policies = out->opt.policies;
+  if (policies.empty()) policies.push_back(out->params.proactive_policy);
+  for (const ProactivePolicy policy : policies) {
+    Parameters p = out->params;
+    p.proactive_policy = policy;
+    p.checkpoint_interval = out->opt.interval_lo;
+    p.validate();
   }
 }
 
@@ -337,7 +290,7 @@ bool parse_request(std::string_view line, Request* out, std::string* error) {
            "' (ping|stats|shutdown|cancel|sweep|interference|optimize)");
     }
     return true;
-  } catch (const ParseError& e) {
+  } catch (const std::invalid_argument& e) {
     if (error != nullptr) *error = e.what();
     return false;
   }

@@ -53,12 +53,14 @@ namespace ckptsim::svc {
 /// of the parameter table (src/model/parameter_table.h), the same keys,
 /// units and defaults as ckptsim_cli's flags (see ckptsim_cli --help).
 ///
-/// `spec` keys (all optional): reps, seed, horizon_hours, transient_hours,
-/// confidence, rel_precision, min_replications, max_replications,
-/// on_failure ("fail"|"retry"|"skip"), max_retries, max_events.  The removed
-/// key `scheduler` gets its own error: every engine uses the binary heap.
-/// min_replications / max_replications need rel_precision, and max_retries
-/// needs "on_failure":"retry".
+/// `spec` keys (all optional) are the rows of the run-knob table
+/// (src/core/run_table.h) that the protocol accepts: reps, seed,
+/// horizon_hours, transient_hours, confidence, rel_precision,
+/// min_replications, max_replications, on_failure ("fail"|"retry"|"skip"),
+/// max_retries, max_events.  The removed key `scheduler` gets its own
+/// error: every engine uses the binary heap.  min_replications /
+/// max_replications need rel_precision, and max_retries needs
+/// "on_failure":"retry".
 ///
 /// A `params` key the request itself overrides is an error: a sweep's axis
 /// field (interval_min or processors), and under optimize processors /

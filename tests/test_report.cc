@@ -258,40 +258,39 @@ TEST(CliTest, UnknownFlagsDetected) {
     // Known flags, value-taking both as "--key value" and "--key=value":
     // nothing unknown, and the *values* are never misreported as stray.
     const char* argv[] = {"prog", "--quick", "--seed", "7", "--journal=j.jsonl"};
-    const Cli cli(5, argv);
-    EXPECT_TRUE(cli.unknown_flags(known).empty());
+    EXPECT_EQ(Cli(5, argv).flag_error(known), "");
   }
   {
-    // A typo'd flag and a stray positional token are both surfaced.
-    const char* argv[] = {"prog", "--sed", "7", "--quick", "extra"};
-    const Cli cli(5, argv);
-    const auto unknown = cli.unknown_flags(known);
-    // "--sed" is unknown, so "7" is not consumed as its value.
-    ASSERT_EQ(unknown.size(), 3u);
-    EXPECT_EQ(unknown[0], "--sed");
-    EXPECT_EQ(unknown[1], "7");
-    EXPECT_EQ(unknown[2], "extra");
+    // A typo'd flag is named with its hint; a stray positional token too.
+    const char* argv[] = {"prog", "--sed", "7", "--quick"};
+    EXPECT_EQ(Cli(4, argv).flag_error(known), "unknown option '--sed' (did you mean '--seed'?)");
+    const char* stray[] = {"prog", "--quick", "extra"};
+    EXPECT_EQ(Cli(3, stray).flag_error(known), "unknown option 'extra'");
+    // An unknown flag consumes no value: "7" is stray.
+    const char* value[] = {"prog", "--frobnicate", "7"};
+    const char* after[] = {"prog", "--seed", "7", "8"};
+    EXPECT_EQ(Cli(3, value).flag_error(known), "unknown option '--frobnicate'");
+    EXPECT_EQ(Cli(4, after).flag_error(known), "unknown option '8'");
   }
   {
     // =-form of an unknown flag reports the flag part only.
     const char* argv[] = {"prog", "--sead=9"};
-    const Cli cli(2, argv);
-    const auto unknown = cli.unknown_flags(known);
-    ASSERT_EQ(unknown.size(), 1u);
-    EXPECT_EQ(unknown[0], "--sead");
+    EXPECT_EQ(Cli(2, argv).flag_error(known), "unknown option '--sead' (did you mean '--seed'?)");
   }
 }
 
 TEST(CliTest, SwitchWithValueIsReported) {
   // has() needs the exact token, so "--quick=1" would silently read as
-  // absent: valued_switches() names it for the tool to reject.  given()
-  // sees every spelling.
+  // absent: the flag check names it for the tool to reject, before any
+  // unknown flag.  given() sees every spelling.
   const std::vector<ckptsim::report::FlagSpec> known = {
       {"--quick", false}, {"--seed", true}, {"--resume", false}};
   const char* argv[] = {"prog", "--quick=1", "--seed=7", "--resume"};
   const Cli cli(4, argv);
   EXPECT_FALSE(cli.has("--quick"));
-  EXPECT_EQ(cli.valued_switches(known), std::vector<std::string>{"--quick"});
+  EXPECT_EQ(cli.flag_error(known), "'--quick' is a switch and takes no value");
+  const char* both[] = {"prog", "--sead", "--quick=1"};
+  EXPECT_EQ(Cli(3, both).flag_error(known), "'--quick' is a switch and takes no value");
   EXPECT_TRUE(cli.given("--quick"));
   EXPECT_TRUE(cli.given("--seed"));
   EXPECT_TRUE(cli.given("--resume"));

@@ -8,13 +8,11 @@
 //   $ ckptsim_cli --help
 #include <sys/stat.h>
 
-#include <atomic>
+#include <bit>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <iterator>
 #include <optional>
@@ -48,17 +46,6 @@
 
 namespace {
 
-// SIGINT requests cooperative cancellation: the drivers finish in-flight
-// replications, journal every completed sweep point, then throw
-// SimError(kInterrupted).  A second ^C falls back to the default handler
-// (immediate kill) so a wedged run can still be stopped.
-std::atomic<bool> g_interrupted{false};
-
-void on_sigint(int) {
-  g_interrupted.store(true, std::memory_order_relaxed);
-  std::signal(SIGINT, SIG_DFL);
-}
-
 void print_help() {
   std::cout <<
       R"(ckptsim_cli — coordinated-checkpointing supercomputer simulator (DSN'05 model)
@@ -81,19 +68,16 @@ Simulation:
   --quick                 scaled-down run: 3 replications, 400 h horizon,
                           50 h warm-up (also env CKPTSIM_QUICK=1)
 
-Run knobs (run, sweep, optimize and interference modes; defaults without
---quick; also the daemon's "spec" keys):
+Run knobs (every mode but job; defaults without --quick).  The daemon's
+"spec" object takes the same knobs but --jobs and the snapshot pair, as
+keys: --max-events N is "max_events": N.
 )" << ckptsim::run_help(ckptsim::kCliKnob)
-            << R"(  Under --rel-precision R replications run in deterministic rounds until
-  the relative 95%-CI half-width of the useful-work fraction is <= R, so
-  the result is bit-identical for any --jobs and sweep points stay
-  CRN-paired by replication index.  --on-failure fail rethrows the first
-  failure (by index), retry re-runs failed replications with derived
-  seeds, skip drops them and reports them.  With --snapshot-every-events
-  re-running the same command resumes each interrupted replication from
-  its snapshot, bit-identical to an uninterrupted run; stale or corrupt
-  snapshots are rejected, never partially loaded, and a snapshot is
-  deleted when its replication completes.
+            << R"(  Results are identical for any --jobs (0: CKPTSIM_JOBS, then hardware).
+  --rel-precision R adds replications in deterministic rounds until the
+  useful-work fraction's relative 95%-CI half-width is <= R.  --on-failure
+  retry re-runs a failed replication with a derived seed; skip drops it.
+  Re-running a snapshotted command resumes each interrupted replication,
+  bit-identical to an uninterrupted run; a stale snapshot is rejected.
   SIGINT (^C) cancels cooperatively: in-flight work finishes, completed
   sweep points are journaled, partial artifacts are flushed atomically.
 
@@ -173,14 +157,9 @@ constexpr unsigned kRunSpecModes = kPlain | kProactive | kSweep | kOptimize | kI
 constexpr unsigned kAllModes = kRunSpecModes | kJob;
 
 const char* mode_name(unsigned mode) {
-  switch (mode) {
-    case kPlain: return "plain";
-    case kProactive: return "proactive";
-    case kSweep: return "sweep";
-    case kOptimize: return "optimize";
-    case kInterference: return "interference";
-    default: return "job";
-  }
+  constexpr const char* kNames[] = {"plain",    "proactive",    "sweep",
+                                    "optimize", "interference", "job"};
+  return kNames[std::countr_zero(mode)];
 }
 
 struct ModeFlag {
@@ -238,21 +217,18 @@ unsigned select_mode(const ckptsim::report::Cli& cli, const ckptsim::Parameters&
   return p.proactive_enabled() ? kProactive : kPlain;
 }
 
-/// Exit status 1, after an error line, when a flag `mode` does not read is
-/// given; 0 otherwise.
-int reject_unread_flags(const ckptsim::report::Cli& cli, const std::vector<ModeFlag>& flags,
-                        unsigned mode) {
+/// Throws std::invalid_argument when a flag `mode` does not read is given.
+void reject_unread_flags(const ckptsim::report::Cli& cli, const std::vector<ModeFlag>& flags,
+                         unsigned mode) {
   for (const ModeFlag& flag : flags) {
     if ((flag.modes & mode) != 0 || !cli.given(flag.spec.name)) continue;
     std::string readers;
     for (unsigned m = kPlain; m <= kJob; m <<= 1) {
       if ((flag.modes & m) != 0) readers += std::string(readers.empty() ? "" : ", ") + mode_name(m);
     }
-    std::cerr << "error: '" << flag.spec.name << "' is not read in " << mode_name(mode)
-              << " mode (only in: " << readers << ")\n";
-    return 1;
+    throw std::invalid_argument("'" + std::string(flag.spec.name) + "' is not read in " +
+                                mode_name(mode) + " mode (only in: " + readers + ")");
   }
-  return 0;
 }
 
 /// The parameters `mode` sets itself at every point it runs (Overrider
@@ -280,28 +256,6 @@ std::vector<std::string> list_items(const std::string& csv_list, const char* fla
   }
   if (items.empty()) throw std::invalid_argument(std::string(flag) + ": no values given");
   return items;
-}
-
-/// Open --journal into `*journal` (nothing without the flag).  False, after
-/// an error line, when the file is non-empty and --resume is absent: that
-/// protects against silently mixing runs.
-bool open_journal(const ckptsim::report::Cli& cli, const char* unit,
-                  std::optional<ckptsim::SweepJournal>* journal) {
-  const std::string path = cli.value("--journal");
-  if (path.empty()) return true;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!cli.has("--resume") && !ec && size > 0) {
-    std::cerr << "error: journal '" << path
-              << "' exists; pass --resume to continue it or delete the file\n";
-    return false;
-  }
-  journal->emplace(path);
-  if ((*journal)->loaded() > 0) {
-    std::cout << "resuming: " << (*journal)->loaded() << " completed " << unit
-              << "(s) loaded from " << path << "\n";
-  }
-  return true;
 }
 
 int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec,
@@ -379,7 +333,7 @@ int run_sweep_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec
   }
 
   std::optional<SweepJournal> journal;
-  if (!open_journal(cli, "point", &journal)) return 2;
+  if (!report::open_journal(cli, "point", &journal)) return 2;
 
   const SweepSeries series = sweep(
       "sweep " + axis, base, xs,
@@ -481,7 +435,7 @@ int run_optimize_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& s
   }
 
   std::optional<SweepJournal> journal;
-  if (!open_journal(cli, "candidate", &journal)) return 2;
+  if (!report::open_journal(cli, "candidate", &journal)) return 2;
 
   // Stream each candidate as it completes — the searcher's order is
   // deterministic, so this log is byte-identical across repeats.
@@ -560,7 +514,6 @@ int main(int argc, char** argv) {
     print_help();
     return 0;
   }
-  std::signal(SIGINT, on_sigint);
 
   Parameters p;
   try {
@@ -568,7 +521,7 @@ int main(int argc, char** argv) {
     p.validate();
     RunSpec spec = report::run_spec(cli, kCliKnob);  // first: it names the removed --scheduler
     const unsigned mode = select_mode(cli, p);
-    if (const int rc = reject_unread_flags(cli, flags, mode); rc != 0) return rc;
+    reject_unread_flags(cli, flags, mode);
     reject_overridden_parameters(overriders(cli, mode), kCliKnob, [&cli](const ParameterField& f) {
       return cli.given(cli_flag(f));
     });
@@ -602,26 +555,13 @@ int main(int argc, char** argv) {
                 << std::strerror(errno) << "\n";
       return 1;
     }
-    spec.cancel = &g_interrupted;
-    obs::ProgressReporter progress;
-    if (cli.has("--progress")) spec.progress = &progress;
-    obs::Metrics metrics(spec.exec.resolve());
-    const std::string metrics_path = cli.value("--metrics-out");
-    if (!metrics_path.empty()) spec.metrics = &metrics;
+    const report::RunObservers observers(cli, &spec);  // SIGINT, --progress, --metrics-out
 
-    RunMode run = run_plain_mode;
-    switch (mode) {
-      case kProactive: run = run_proactive_mode; break;
-      case kSweep: run = run_sweep_mode; break;
-      case kOptimize: run = run_optimize_mode; break;
-      case kInterference: run = run_interference_mode; break;
-      default: break;
-    }
-    if (const int rc = run(p, spec, engine, cli); rc != 0) return rc;
-    if (!metrics_path.empty()) {
-      metrics.snapshot().write_json(metrics_path);
-      std::cout << "wrote " << metrics_path << "\n";
-    }
+    // By mode bit, as the Mode enum orders them.
+    constexpr RunMode kRuns[] = {run_plain_mode, run_proactive_mode, run_sweep_mode,
+                                 run_optimize_mode, run_interference_mode};
+    if (const int rc = kRuns[std::countr_zero(mode)](p, spec, engine, cli); rc != 0) return rc;
+    observers.write_metrics();
     const std::string trace_path = cli.value("--chrome-trace");
     if (!trace_path.empty()) write_traced_replication(p, spec, trace_path);
     return 0;
