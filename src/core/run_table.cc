@@ -144,11 +144,6 @@ const char* run_flag(const RunField& field) {
   return flags[static_cast<std::size_t>(&field - kFields)].c_str();
 }
 
-void set_run_field(const RunField& field, std::string_view text, std::string_view name,
-                   RunSpec* spec) {
-  field.set(field, text, name, spec);
-}
-
 void check_run_rules(const RunSpec& spec, RunSurface surface,
                      const std::function<bool(const RunField&)>& given) {
   for (const RunField& f : kFields) {
@@ -164,11 +159,11 @@ void reject_removed_scheduler(std::string_view name) {
                               " was removed: every engine now uses the binary-heap event queue");
 }
 
-std::string run_help(RunSurface surface) {
+std::string run_help() {
   const RunSpec defaults;
   std::string out;
   for (const RunField& f : kFields) {
-    if ((f.surfaces & surface) == 0) continue;
+    if ((f.surfaces & kCliKnob) == 0) continue;
     std::string doc = f.doc;
     if (f.choices != nullptr) doc += std::string(" (") + f.choices + ")";
     if (f.needs != nullptr) doc += "; needs " + key_flag(f.needs);

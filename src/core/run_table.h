@@ -28,6 +28,8 @@ struct RunField {
   const char* key;
   KeyKind kind;
   unsigned surfaces;  ///< RunSurface bits of the surfaces that accept the key
+  /// Set the row (passed first) on the spec from its key's text; a bad
+  /// value throws std::invalid_argument naming `name`.
   void (*set)(const RunField&, std::string_view text, std::string_view name, RunSpec*);
   std::string (*get)(const RunField&, const RunSpec&);  ///< the value in the key's unit
   double scale = 1.0;
@@ -50,11 +52,6 @@ struct RunField {
 /// The CLI flag of a row.
 [[nodiscard]] const char* run_flag(const RunField& field);
 
-/// Set `field` on `*spec` from its key's text; a bad value throws
-/// std::invalid_argument naming `name`.
-void set_run_field(const RunField& field, std::string_view text, std::string_view name,
-                   RunSpec* spec);
-
 /// The knob rules, the one check every surface runs after reading its knobs:
 /// throws std::invalid_argument, in `surface`'s words, for the first row
 /// `given` reports whose switch is off in `spec`.
@@ -65,8 +62,8 @@ void check_run_rules(const RunSpec& spec, RunSurface surface,
 /// std::invalid_argument saying why it is gone.
 [[noreturn]] void reject_removed_scheduler(std::string_view name);
 
-/// --help lines (flag, doc, default) of the rows `surface` accepts.
-[[nodiscard]] std::string run_help(RunSurface surface);
+/// --help lines (flag, doc, default) of the rows ckptsim_cli accepts.
+[[nodiscard]] std::string run_help();
 
 /// What sets a parameter itself at every point of a run, as bits.
 enum Overrider : unsigned {

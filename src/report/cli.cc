@@ -196,7 +196,7 @@ RunSpec run_spec(const Cli& cli, RunSurface surface) {
     if ((field.surfaces & surface) == 0) continue;
     const char* flag = run_flag(field);
     const std::string text = cli.value(flag);
-    if (!text.empty()) set_run_field(field, text, std::string("'") + flag + "'", &spec);
+    if (!text.empty()) field.set(field, text, std::string("'") + flag + "'", &spec);
   }
   if (cli.given("--scheduler")) reject_removed_scheduler("'--scheduler'");
   check_run_rules(spec, surface, [&cli](const RunField& f) { return cli.given(run_flag(f)); });

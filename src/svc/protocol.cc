@@ -79,7 +79,7 @@ void apply_spec(const obs::JsonValue& obj, RunSpec* spec) {
     if (key == "scheduler") reject_removed_scheduler("spec key 'scheduler'");
     const RunField* field = find_run_key(key, kSpecKnob);
     if (field == nullptr) fail("unknown spec key '" + key + "'");
-    set_run_field(*field, key_text(v, field->kind, key), "key '" + key + "'", spec);
+    field->set(*field, key_text(v, field->kind, key), "key '" + key + "'", spec);
   }
   check_run_rules(*spec, kSpecKnob,
                   [&obj](const RunField& f) { return obj.find(f.key) != nullptr; });

@@ -332,17 +332,17 @@ TEST(RunTable, ResultRowsAndOnlyThemChangeTheJournalFingerprint) {
     RunSpec base;
     const auto set = with_switch(field);
     for (std::size_t i = 1; i < set.size(); ++i) {
-      ckptsim::set_run_field(*set[i].first, set[i].second, "switch", &base);
+      set[i].first->set(*set[i].first, set[i].second, "switch", &base);
     }
     RunSpec changed = base;
-    ckptsim::set_run_field(field, set[0].second, "sample", &changed);
+    field.set(field, set[0].second, "sample", &changed);
     EXPECT_NE(knobs(changed), knobs(base));
     EXPECT_EQ(fingerprint(changed) != fingerprint(base), field.result);
   }
 }
 
 TEST(RunTable, HelpListsEveryCliRow) {
-  const std::string help = ckptsim::run_help(ckptsim::kCliKnob);
+  const std::string help = ckptsim::run_help();
   for (const RunField& field : ckptsim::run_fields()) {
     const bool listed = help.find(std::string("  ") + ckptsim::run_flag(field) + " ") !=
                         std::string::npos;

@@ -71,7 +71,7 @@ Simulation:
 Run knobs (every mode but job; defaults without --quick).  The daemon's
 "spec" object takes the same knobs but --jobs and the snapshot pair, as
 keys: --max-events N is "max_events": N.
-)" << ckptsim::run_help(ckptsim::kCliKnob)
+)" << ckptsim::run_help()
             << R"(  Results are identical for any --jobs (0: CKPTSIM_JOBS, then hardware).
   --rel-precision R adds replications in deterministic rounds until the
   useful-work fraction's relative 95%-CI half-width is <= R.  --on-failure
