@@ -224,7 +224,9 @@ TEST(CliTest, RejectsNonNumeric) {
   const char* junk_argv[] = {"prog", "--reps", "2x", "--mttf-years", "2yr"};
   const Cli junk(5, junk_argv);
   EXPECT_THROW((void)junk.number("--mttf-years", 1.0), std::invalid_argument);
-  EXPECT_THROW((void)bench_spec(junk), std::invalid_argument);
+  // (bench_spec alone: it rejects --mttf-years as a flag it does not read.)
+  const char* reps_argv[] = {"prog", "--reps", "2x"};
+  EXPECT_THROW((void)bench_spec(Cli(3, reps_argv)), std::invalid_argument);
   // Counts are whole numbers, read exactly: no truncation, no wrap-around.
   for (const char* bad : {"2.7", "-8", "1e30"}) {
     const char* count_argv[] = {"prog", "--reps", bad};
