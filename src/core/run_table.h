@@ -22,8 +22,8 @@ enum RunSurface : unsigned {
 /// key; the CLI flag derives from it as for parameters ("--" plus the key
 /// with '_' replaced by '-').  The value is read as `kind` says, in the
 /// key's unit (member value = key value * `scale`).  A knob that acts only
-/// under a switch (`needs`) is an error without it, in the words each
-/// surface has always used for it.
+/// under a switch (`needs`) is an error without it, worded `cli_rule` on
+/// the command lines and `spec_rule` in the protocol.
 struct RunField {
   const char* key;
   KeyKind kind;
