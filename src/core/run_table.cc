@@ -70,8 +70,7 @@ const RunField kFields[] = {
     KNOB("transient_hours", transient, kCliKnob | kSpecKnob, .scale = units::kHour, .unit = "h",
          .doc = "discarded warm-up"),
     KNOB("confidence", confidence_level, kSpecKnob, .doc = "confidence level"),
-    KNOB("jobs", exec.jobs, kCliKnob | kBenchKnob,
-         .doc = "worker threads, 0 = auto",
+    KNOB("jobs", exec.jobs, kCliKnob | kBenchKnob, .doc = "worker threads, 0 = auto",
          .result = false),
     KNOB("rel_precision", sequential.rel_precision, kEverySurface,
          .doc = "target relative CI half-width, 0 = off"),

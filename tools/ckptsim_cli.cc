@@ -69,8 +69,8 @@ Simulation:
                           50 h warm-up (also env CKPTSIM_QUICK=1)
 
 Run knobs (every mode but job; defaults without --quick).  The daemon's
-"spec" object takes the same knobs but --jobs and the snapshot pair, as
-keys: --max-events N is "max_events": N.
+"spec" object takes these knobs but --jobs and the snapshot pair, plus
+"confidence", as keys: --max-events N is "max_events": N.
 )" << ckptsim::run_help()
             << R"(  Results are identical for any --jobs (0: CKPTSIM_JOBS, then hardware).
   --rel-precision R adds replications in deterministic rounds until the
