@@ -152,11 +152,11 @@ constexpr ckptsim::report::FlagSpec kFlags[] = {
 int main(int argc, char** argv) {
   const ckptsim::report::Cli cli(argc, argv);
   if (const int rc = cli.check_flags({std::begin(kFlags), std::end(kFlags)}); rc != 0) return rc;
-  if (cli.has("--help") || cli.has("-h")) {
+  if (cli.given("--help") || cli.given("-h")) {
     std::cerr << "usage: bench_service_throughput [--quick] [--out FILE] [--jobs N]\n";
     return 0;
   }
-  const bool quick = cli.has("--quick");
+  const bool quick = cli.given("--quick");
   std::string out_path = cli.value("--out");
   if (out_path.empty()) out_path = "BENCH_service.json";
 

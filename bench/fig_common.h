@@ -7,9 +7,6 @@
 // the paper), writes a CSV next to the binary, and echoes the paper's
 // expected shape so the output is self-checking.
 
-#include <atomic>
-#include <csignal>
-#include <cstdio>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -22,8 +19,6 @@
 #include "src/core/runner.h"
 #include "src/core/sweep.h"
 #include "src/model/parameters.h"
-#include "src/obs/metrics.h"
-#include "src/obs/progress.h"
 #include "src/report/cli.h"
 #include "src/report/csv.h"
 #include "src/report/table.h"

@@ -69,7 +69,7 @@ int main(int argc, char** argv) try {
   std::cout << "\nwork rolled back across the run: " << lost / 3600.0 << " h ("
             << 100.0 * lost / (makespan > 0 ? makespan : 1.0) << "% of the makespan)\n";
 
-  if (cli.has("--trace")) {
+  if (cli.given("--trace")) {
     std::cout << "\nlast events:\n" << log.tail(25);
   }
   return 0;

@@ -17,13 +17,6 @@ Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
 }
 
-bool Cli::has(std::string_view flag) const {
-  for (const auto& a : args_) {
-    if (a == flag) return true;
-  }
-  return false;
-}
-
 bool Cli::given(std::string_view flag) const {
   for (const auto& a : args_) {
     if (a.rfind(flag, 0) == 0 && (a.size() == flag.size() || a[flag.size()] == '=')) return true;
@@ -64,10 +57,10 @@ void apply_parameter_flags(const Cli& cli, Parameters* p) {
     if (field.key == nullptr) continue;
     const char* flag = cli_flag(field);
     const bool no_value = field.kind() == KeyKind::kFlag;  // --no-KEY sets KEY false
-    const std::string text = no_value ? (cli.has(flag) ? "false" : "") : cli.value(flag);
+    const std::string text = no_value ? (cli.given(flag) ? "false" : "") : cli.value(flag);
     if (!text.empty()) set_parameter(field, text, std::string("'").append(flag) + "'", p);
   }
-  if (cli.has("--no-failures")) {
+  if (cli.given("--no-failures")) {
     p->compute_failures_enabled = false;
     p->io_failures_enabled = false;
     p->master_failures_enabled = false;
@@ -82,7 +75,7 @@ std::vector<FlagSpec> parameter_flag_specs() {
   return specs;
 }
 
-std::string Cli::flag_error(const std::vector<FlagSpec>& known) const {
+std::vector<std::string> Cli::flag_errors(const std::vector<FlagSpec>& known) const {
   const auto find = [&known](std::string_view name) -> const FlagSpec* {
     for (const FlagSpec& spec : known) {
       if (name == spec.name) return &spec;
@@ -93,9 +86,10 @@ std::string Cli::flag_error(const std::vector<FlagSpec>& known) const {
     const std::string name = arg.substr(0, arg.find('='));
     const FlagSpec* spec = arg.rfind("--", 0) == 0 ? find(name) : nullptr;
     if (spec != nullptr && !spec->takes_value && name != arg) {
-      return "'" + name + "' is a switch and takes no value";
+      return {"'" + name + "' is a switch and takes no value"};
     }
   }
+  std::vector<std::string> errors;
   for (std::size_t i = 0; i < args_.size(); ++i) {
     // Name the flag part only: "--sead=9" is a misspelling of "--seed".
     const std::string name = args_[i].substr(0, args_[i].find('='));
@@ -103,18 +97,19 @@ std::string Cli::flag_error(const std::vector<FlagSpec>& known) const {
     if (spec == nullptr) {
       const std::string unknown = args_[i].rfind("--", 0) == 0 ? name : args_[i];
       const std::string hint = suggest(unknown, known);
-      return "unknown option '" + unknown + "'" +
-             (hint.empty() ? "" : " (did you mean '" + hint + "'?)");
+      errors.push_back("unknown option '" + unknown + "'" +
+                       (hint.empty() ? "" : " (did you mean '" + hint + "'?)"));
+    } else if (spec->takes_value && name == args_[i]) {
+      ++i;  // the next token is the value
     }
-    if (spec->takes_value && name == args_[i]) ++i;  // the next token is the value
   }
-  return "";
+  return errors;
 }
 
 int Cli::check_flags(const std::vector<FlagSpec>& known) const {
-  const std::string error = flag_error(known);
-  if (!error.empty()) std::cerr << "error: " << error << "\n";
-  return error.empty() ? 0 : 1;
+  const std::vector<std::string> errors = flag_errors(known);
+  for (const std::string& error : errors) std::cerr << "error: " << error << "\n";
+  return errors.empty() ? 0 : 1;
 }
 
 std::string Cli::suggest(std::string_view flag, const std::vector<FlagSpec>& known) {
@@ -150,7 +145,7 @@ bool open_journal(const Cli& cli, const char* unit, std::optional<SweepJournal>*
   if (path.empty()) return true;
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
-  if (!cli.has("--resume") && !ec && size > 0) {
+  if (!cli.given("--resume") && !ec && size > 0) {
     std::cerr << "error: journal '" << path
               << "' exists; pass --resume to continue it or delete the file\n";
     return false;
@@ -174,7 +169,7 @@ RunObservers::RunObservers(const Cli& cli, RunSpec* spec)
     std::signal(SIGINT, SIG_DFL);
   });
   spec->cancel = &g_interrupted;
-  if (cli.has("--progress")) spec->progress = &progress_;
+  if (cli.given("--progress")) spec->progress = &progress_;
   if (!metrics_path_.empty()) spec->metrics = &metrics_.emplace(spec->exec.resolve());
 }
 
@@ -185,7 +180,7 @@ void RunObservers::write_metrics() const {
 }
 
 bool quick_mode(const Cli& cli) {
-  if (cli.has("--quick")) return true;
+  if (cli.given("--quick")) return true;
   const char* env = std::getenv("CKPTSIM_QUICK");
   return env != nullptr && std::string_view(env) != "0" && std::string_view(env) != "";
 }
@@ -213,8 +208,12 @@ std::vector<FlagSpec> run_flag_specs(RunSurface surface, std::initializer_list<F
 }
 
 RunSpec bench_spec(const Cli& cli, std::initializer_list<FlagSpec> extra) {
-  const std::string error = cli.flag_error(run_flag_specs(kBenchKnob, extra));
-  if (!error.empty()) throw std::invalid_argument(error);
+  const std::vector<std::string> errors = cli.flag_errors(run_flag_specs(kBenchKnob, extra));
+  if (!errors.empty()) {
+    std::string text = errors.front();
+    for (std::size_t i = 1; i < errors.size(); ++i) text += "\nerror: " + errors[i];
+    throw std::invalid_argument(text);
+  }
   return run_spec(cli, kBenchKnob);
 }
 

@@ -29,8 +29,9 @@ class Cli {
  public:
   Cli(int argc, const char* const* argv);
 
-  [[nodiscard]] bool has(std::string_view flag) const;
-  /// True when `flag` appears at all: as a switch, `flag value` or `flag=value`.
+  /// True when `flag` appears at all: as a switch, `flag value` or
+  /// `flag=value`.  It reads switches too: the flag check has already
+  /// rejected a switch given a value.
   [[nodiscard]] bool given(std::string_view flag) const;
   /// `key`'s value (`key value` or `key=value`), or `fallback` when `key` is
   /// absent.  A `key` given with no value (the last token, `key=`, or
@@ -44,15 +45,16 @@ class Cli {
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
 
   /// The one flag check every tool runs first: the error for a known switch
-  /// written with a value (`--quick=1`: has() would not see it), or else
-  /// for the first argument not in `known` (a misspelled flag or a stray
+  /// written with a value (`--quick=1`: no switch takes one), or else
+  /// one for each argument not in `known` (a misspelled flag or a stray
   /// positional token), with a "did you mean" hint when a known flag is
-  /// close; "" when every argument is known.  A known value-taking flag
+  /// close; empty when every argument is known.  A known value-taking flag
   /// consumes the following token (unless written as --key=value), so an
   /// option's value is never misreported.  A typo'd flag must not silently
   /// run with the default it masked.
-  [[nodiscard]] std::string flag_error(const std::vector<FlagSpec>& known) const;
-  /// flag_error as an exit status: 1 after an "error:" line on stderr, or 0.
+  [[nodiscard]] std::vector<std::string> flag_errors(const std::vector<FlagSpec>& known) const;
+  /// flag_errors as an exit status: 1 after an "error:" line each on
+  /// stderr, or 0.
   [[nodiscard]] int check_flags(const std::vector<FlagSpec>& known) const;
 
   /// Closest known flag to `flag` for a "did you mean" hint, or "" when
@@ -83,7 +85,8 @@ void apply_parameter_flags(const Cli& cli, Parameters* p);
 [[nodiscard]] std::vector<FlagSpec> run_flag_specs(RunSurface surface,
                                                    std::initializer_list<FlagSpec> extra = {});
 /// run_spec for the benches and examples, after the flag check against the
-/// flags it reads and `extra`: a bad flag throws std::invalid_argument.
+/// flags it reads and `extra`: bad flags throw std::invalid_argument, its
+/// text a line each once the caller prints "error: " before it.
 [[nodiscard]] RunSpec bench_spec(const Cli& cli, std::initializer_list<FlagSpec> extra = {});
 
 /// Open `--journal FILE` into `*journal` (nothing without the flag) and say

@@ -168,7 +168,7 @@ TEST(ParameterTable, EverySurfaceSetsAKeyedRowAlike) {
     std::vector<const char*> argv = {"prog", flag.c_str()};
     if (field.kind() != KeyKind::kFlag) argv.push_back(text.c_str());
     const ckptsim::report::Cli cli(static_cast<int>(argv.size()), argv.data());
-    EXPECT_EQ(cli.flag_error(ckptsim::report::parameter_flag_specs()), "");
+    EXPECT_TRUE(cli.flag_errors(ckptsim::report::parameter_flag_specs()).empty());
     Parameters from_cli;
     ckptsim::report::apply_parameter_flags(cli, &from_cli);
 

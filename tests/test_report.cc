@@ -188,8 +188,8 @@ TEST(AtomicFileTest, FailureThrowsAndCleansUpTemp) {
 TEST(CliTest, FlagsAndValues) {
   const char* argv[] = {"prog", "--quick", "--seed", "7", "--name=bench", "--reps", "2"};
   const Cli cli(7, argv);
-  EXPECT_TRUE(cli.has("--quick"));
-  EXPECT_FALSE(cli.has("--verbose"));
+  EXPECT_TRUE(cli.given("--quick"));
+  EXPECT_FALSE(cli.given("--verbose"));
   EXPECT_EQ(cli.value("--seed"), "7");
   EXPECT_EQ(cli.value("--name"), "bench");
   EXPECT_EQ(cli.value("--missing", "fallback"), "fallback");
@@ -254,45 +254,54 @@ TEST(CliTest, BenchSpecQuickFlag) {
 }
 
 TEST(CliTest, UnknownFlagsDetected) {
+  using Errors = std::vector<std::string>;
   const std::vector<ckptsim::report::FlagSpec> known = {
       {"--quick", false}, {"--seed", true}, {"--journal", true}};
   {
     // Known flags, value-taking both as "--key value" and "--key=value":
     // nothing unknown, and the *values* are never misreported as stray.
     const char* argv[] = {"prog", "--quick", "--seed", "7", "--journal=j.jsonl"};
-    EXPECT_EQ(Cli(5, argv).flag_error(known), "");
+    EXPECT_EQ(Cli(5, argv).flag_errors(known), Errors{});
   }
   {
-    // A typo'd flag is named with its hint; a stray positional token too.
-    const char* argv[] = {"prog", "--sed", "7", "--quick"};
-    EXPECT_EQ(Cli(4, argv).flag_error(known), "unknown option '--sed' (did you mean '--seed'?)");
-    const char* stray[] = {"prog", "--quick", "extra"};
-    EXPECT_EQ(Cli(3, stray).flag_error(known), "unknown option 'extra'");
-    // An unknown flag consumes no value: "7" is stray.
-    const char* value[] = {"prog", "--frobnicate", "7"};
+    // A typo'd flag and a stray positional token are all surfaced, each on
+    // its own: "--sed" is unknown, so "7" is not consumed as its value.
+    const char* argv[] = {"prog", "--sed", "7", "--quick", "extra"};
+    const Errors all = {"unknown option '--sed' (did you mean '--seed'?)", "unknown option '7'",
+                        "unknown option 'extra'"};
+    EXPECT_EQ(Cli(5, argv).flag_errors(known), all);
+    // bench_spec throws them as one text, a line each under "error: ".
+    try {
+      (void)bench_spec(Cli(5, argv));
+      ADD_FAILURE() << "bench_spec accepted unknown flags";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                all[0] + "\nerror: " + all[1] + "\nerror: " + all[2]);
+    }
+    // A stray token after a flag's value is named too.
     const char* after[] = {"prog", "--seed", "7", "8"};
-    EXPECT_EQ(Cli(3, value).flag_error(known), "unknown option '--frobnicate'");
-    EXPECT_EQ(Cli(4, after).flag_error(known), "unknown option '8'");
+    EXPECT_EQ(Cli(4, after).flag_errors(known), Errors{"unknown option '8'"});
   }
   {
     // =-form of an unknown flag reports the flag part only.
     const char* argv[] = {"prog", "--sead=9"};
-    EXPECT_EQ(Cli(2, argv).flag_error(known), "unknown option '--sead' (did you mean '--seed'?)");
+    EXPECT_EQ(Cli(2, argv).flag_errors(known),
+              Errors{"unknown option '--sead' (did you mean '--seed'?)"});
   }
 }
 
 TEST(CliTest, SwitchWithValueIsReported) {
-  // has() needs the exact token, so "--quick=1" would silently read as
-  // absent: the flag check names it for the tool to reject, before any
-  // unknown flag.  given() sees every spelling.
+  // No switch takes a value, so "--quick=1" is not a way to say --quick:
+  // the flag check names it for the tool to reject, before any unknown
+  // flag.  given() sees every spelling.
+  using Errors = std::vector<std::string>;
   const std::vector<ckptsim::report::FlagSpec> known = {
       {"--quick", false}, {"--seed", true}, {"--resume", false}};
   const char* argv[] = {"prog", "--quick=1", "--seed=7", "--resume"};
   const Cli cli(4, argv);
-  EXPECT_FALSE(cli.has("--quick"));
-  EXPECT_EQ(cli.flag_error(known), "'--quick' is a switch and takes no value");
+  EXPECT_EQ(cli.flag_errors(known), Errors{"'--quick' is a switch and takes no value"});
   const char* both[] = {"prog", "--sead", "--quick=1"};
-  EXPECT_EQ(Cli(3, both).flag_error(known), "'--quick' is a switch and takes no value");
+  EXPECT_EQ(Cli(3, both).flag_errors(known), Errors{"'--quick' is a switch and takes no value"});
   EXPECT_TRUE(cli.given("--quick"));
   EXPECT_TRUE(cli.given("--seed"));
   EXPECT_TRUE(cli.given("--resume"));

@@ -91,7 +91,7 @@ RunSpec from_flags(const std::vector<std::pair<const RunField*, std::string>>& s
   std::vector<const char*> argv = {"prog"};
   for (const std::string& a : args) argv.push_back(a.c_str());
   const ckptsim::report::Cli cli(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(cli.flag_error(ckptsim::report::run_flag_specs(surface)), "");
+  EXPECT_TRUE(cli.flag_errors(ckptsim::report::run_flag_specs(surface)).empty());
   return ckptsim::report::run_spec(cli, surface);
 }
 
@@ -154,8 +154,8 @@ TEST(RunTable, EverySurfaceSetsARowAlike) {
     for (const auto surface : {ckptsim::kCliKnob, ckptsim::kBenchKnob}) {
       if ((field.surfaces & surface) != 0) continue;
       const char* argv[] = {"prog", ckptsim::run_flag(field), "1"};
-      EXPECT_NE(ckptsim::report::Cli(3, argv).flag_error(ckptsim::report::run_flag_specs(surface)),
-                "");
+      EXPECT_FALSE(
+          ckptsim::report::Cli(3, argv).flag_errors(ckptsim::report::run_flag_specs(surface)).empty());
     }
   }
 }

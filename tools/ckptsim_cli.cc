@@ -8,7 +8,6 @@
 //   $ ckptsim_cli --help
 #include <sys/stat.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +32,6 @@
 #include "src/proactive/proactive_model.h"
 #include "src/proactive/run.h"
 #include "src/obs/chrome_trace.h"
-#include "src/obs/metrics.h"
-#include "src/obs/progress.h"
 #include "src/platform/interference.h"
 #include "src/platform/job_mix.h"
 #include "src/report/cli.h"
@@ -157,9 +154,14 @@ constexpr unsigned kRunSpecModes = kPlain | kProactive | kSweep | kOptimize | kI
 constexpr unsigned kAllModes = kRunSpecModes | kJob;
 
 const char* mode_name(unsigned mode) {
-  constexpr const char* kNames[] = {"plain",    "proactive",    "sweep",
-                                    "optimize", "interference", "job"};
-  return kNames[std::countr_zero(mode)];
+  switch (mode) {
+    case kPlain: return "plain";
+    case kProactive: return "proactive";
+    case kSweep: return "sweep";
+    case kOptimize: return "optimize";
+    case kInterference: return "interference";
+    default: return "job";
+  }
 }
 
 struct ModeFlag {
@@ -510,7 +512,7 @@ int main(int argc, char** argv) {
   std::vector<report::FlagSpec> known = report::parameter_flag_specs();
   for (const ModeFlag& flag : flags) known.push_back(flag.spec);
   if (const int rc = cli.check_flags(known); rc != 0) return rc;
-  if (cli.has("--help") || cli.has("-h")) {
+  if (cli.given("--help") || cli.given("-h")) {
     print_help();
     return 0;
   }
@@ -557,10 +559,15 @@ int main(int argc, char** argv) {
     }
     const report::RunObservers observers(cli, &spec);  // SIGINT, --progress, --metrics-out
 
-    // By mode bit, as the Mode enum orders them.
-    constexpr RunMode kRuns[] = {run_plain_mode, run_proactive_mode, run_sweep_mode,
-                                 run_optimize_mode, run_interference_mode};
-    if (const int rc = kRuns[std::countr_zero(mode)](p, spec, engine, cli); rc != 0) return rc;
+    RunMode run = run_plain_mode;
+    switch (mode) {
+      case kProactive: run = run_proactive_mode; break;
+      case kSweep: run = run_sweep_mode; break;
+      case kOptimize: run = run_optimize_mode; break;
+      case kInterference: run = run_interference_mode; break;
+      default: break;
+    }
+    if (const int rc = run(p, spec, engine, cli); rc != 0) return rc;
     observers.write_metrics();
     const std::string trace_path = cli.value("--chrome-trace");
     if (!trace_path.empty()) write_traced_replication(p, spec, trace_path);

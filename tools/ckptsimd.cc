@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/core/fault.h"
+#include "src/core/run_table.h"
 #include "src/obs/metrics.h"
 #include "src/report/cli.h"
 #include "src/svc/daemon.h"
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   using namespace ckptsim;
   const report::Cli cli(argc, argv);
   if (const int rc = cli.check_flags({std::begin(kFlags), std::end(kFlags)}); rc != 0) return rc;
-  if (cli.has("--help") || cli.has("-h")) {
+  if (cli.given("--help") || cli.given("-h")) {
     print_help();
     return 0;
   }
@@ -99,8 +100,9 @@ int main(int argc, char** argv) {
     config.ledger_path = cli.value("--ledger");
     config.snapshot_every_events = cli.count("--snapshot-every-events", 0);
     config.snapshot_dir = cli.value("--snapshot-dir");
+    // The snapshot_dir row's rule; the server words the reverse one itself.
     if (config.snapshot_every_events == 0 && cli.given("--snapshot-dir")) {
-      std::cerr << "error: '--snapshot-dir' needs '--snapshot-every-events N' (N > 0)\n";
+      std::cerr << "error: " << find_run_key("snapshot_dir", kCliKnob)->cli_rule << "\n";
       return 1;
     }
     svc::CampaignServer server(config);
@@ -121,7 +123,7 @@ int main(int argc, char** argv) {
       std::cerr << "ckptsimd: re-admitted " << readmitted << " pending campaign(s)" << std::endl;
     }
 
-    if (cli.has("--once")) {
+    if (cli.given("--once")) {
       svc::serve_stream(server, stdin, stdout);
     } else {
       svc::TcpDaemon daemon(server, static_cast<std::uint16_t>(cli.count("--port", 0, 65535)));
