@@ -40,6 +40,7 @@ int main(int argc, char** argv) try {
                  report::Table::num(b.recovering, 5), report::Table::num(b.rebooting, 5),
                  report::Table::num(r.useful_fraction.mean, 5)});
   }
+  csv.close();  // atomic publish (temp+rename); throws on write failure
   std::cout << table.render() << "\n";
   std::cout << "reading: at the paper's 128K-processor optimum, 'useful' is ~0.44 —\n"
                "the other ~56% splits into rolled-back rework (the dominant loss),\n"

@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
     const std::string csv_path = "interference.csv";
     report::CsvWriter csv(csv_path,
                           {"policy", "job", "useful_fraction", "ci_half_width", "dump_stretch",
-                           "commits", "failures", "pfs_utilization", "replications"},
-                          report::CsvWriter::WriteMode::kAtomic);
+                           "commits", "failures", "pfs_utilization", "replications"});
 
     // Per-job failure counts from the first policy; every later policy must
     // reproduce them exactly (the CRN contract).

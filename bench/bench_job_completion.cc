@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
                  report::Table::num(r.makespan_ci.half_width, 3),
                  report::Table::num(r.mean_efficiency(spec.work_hours), 5)});
   }
+  csv.close();  // atomic publish (temp+rename); throws on write failure
   std::cout << table.render() << "\n";
   std::cout << "expected shape: the makespan is minimised near the Fig. 4a optimum\n"
                "(~128K processors at these parameters) — beyond it, extra processors\n"

@@ -65,8 +65,7 @@ int main(int argc, char** argv) {
                            "total_useful_work", "replications", "failures_checksum",
                            "predictions_true", "false_alarms", "proactive_ckpts",
                            "actions_skipped", "migrations", "migrations_wasted",
-                           "failures_absorbed", "rescales", "repairs"},
-                          report::CsvWriter::WriteMode::kAtomic);
+                           "failures_absorbed", "rescales", "repairs"});
 
     // True-failure checksum from the first config; every later config must
     // reproduce it exactly (the CRN contract).

@@ -18,8 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/durable_file.h"
 #include "src/obs/json.h"
-#include "src/report/atomic_file.h"
 #include "src/report/cli.h"
 #include "src/svc/server.h"
 
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     jw.end_array();
     jw.kv("clean", all_clean);
     jw.end_object();
-    ckptsim::report::write_file_atomic(out_path, jw.str() + "\n");
+    ckptsim::durable::replace_file(out_path, jw.str() + "\n");
     std::cout << jw.str() << "\n";
     std::cerr << "wrote " << out_path << "\n";
     // A warm phase that simulated anything, or any error/rejection, fails

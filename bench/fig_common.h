@@ -101,8 +101,7 @@ struct FigureHarness {
     const std::string csv_path = figure_id + ".csv";
     ckptsim::report::CsvWriter csv(csv_path,
                                    {"figure", "series", x_name, "useful_fraction",
-                                    "ci_half_width", "total_useful_work"},
-                                   ckptsim::report::CsvWriter::WriteMode::kAtomic);
+                                    "ci_half_width", "total_useful_work"});
     for (std::size_t i = 0; i < xs.size(); ++i) {
       std::vector<std::string> row{format_x(xs[i])};
       for (const auto& r : results) {

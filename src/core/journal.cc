@@ -1,16 +1,10 @@
 #include "src/core/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 #include <utility>
 
-#include "src/core/fault.h"
 #include "src/core/result_json.h"
 #include "src/model/failure_trace.h"
 #include "src/model/parameter_table.h"
@@ -42,23 +36,21 @@ std::string journal_line(std::uint64_t fingerprint, double x, const RunResult& r
   return line;
 }
 
-enum class EntryStatus { kOk, kBad, kSchemaMismatch };
-
-EntryStatus parse_entry(const obs::JsonValue& entry, std::uint64_t* fp, RunResult* result) {
-  if (!entry.is_object()) return EntryStatus::kBad;
+durable::LineStatus parse_entry(const obs::JsonValue& entry, std::uint64_t* fp,
+                                RunResult* result) {
+  using durable::LineStatus;
+  if (!entry.is_object()) return LineStatus::kBad;
   const obs::JsonValue* schema = entry.find("schema");
-  if (schema == nullptr) return EntryStatus::kBad;
-  if (schema->uint() != kJournalSchema) return EntryStatus::kSchemaMismatch;
+  if (schema == nullptr) return LineStatus::kBad;
+  if (schema->uint() != kJournalSchema) return LineStatus::kSchemaMismatch;
   const obs::JsonValue* fp_hex = entry.find("fp");
   const obs::JsonValue* result_v = entry.find("result");
-  if (fp_hex == nullptr || !fp_hex->is_string() || result_v == nullptr) {
-    return EntryStatus::kBad;
-  }
+  if (fp_hex == nullptr || !fp_hex->is_string() || result_v == nullptr) return LineStatus::kBad;
   char* end = nullptr;
   *fp = std::strtoull(fp_hex->scalar.c_str(), &end, 16);
-  if (end == nullptr || *end != '\0' || fp_hex->scalar.empty()) return EntryStatus::kBad;
-  if (!read_run_result(*result_v, result)) return EntryStatus::kBad;
-  return EntryStatus::kOk;
+  if (end == nullptr || *end != '\0' || fp_hex->scalar.empty()) return LineStatus::kBad;
+  if (!read_run_result(*result_v, result)) return LineStatus::kBad;
+  return LineStatus::kOk;
 }
 
 std::string format_double(double d) {
@@ -145,101 +137,18 @@ std::uint64_t journal_fingerprint(const std::string& label, const Parameters& p,
   return sim::fnv1a64(s);
 }
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
-  fd_ = ::open(path_.c_str(), O_CREAT | O_RDWR | O_APPEND | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    throw SimError(ErrorCode::kIoError,
-                   "journal '" + path_ + "': open failed: " + std::strerror(errno));
-  }
-  // Load whatever a previous run completed.
-  std::string content;
-  char buf[65536];
-  ssize_t got = 0;
-  while ((got = ::read(fd_, buf, sizeof buf)) > 0) content.append(buf, static_cast<size_t>(got));
-  if (got < 0) {
-    const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
-    throw SimError(ErrorCode::kIoError,
-                   "journal '" + path_ + "': read failed: " + std::strerror(err));
-  }
-  std::size_t line_start = 0;
-  std::size_t line_no = 0;
-  while (line_start < content.size()) {
-    const std::size_t nl = content.find('\n', line_start);
-    const bool torn = nl == std::string::npos;  // SIGKILL mid-append
-    const std::string_view line(content.data() + line_start,
-                                (torn ? content.size() : nl) - line_start);
-    const std::size_t line_offset = line_start;
-    line_start = torn ? content.size() : nl + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    obs::JsonValue entry;
-    RunResult result;
-    std::uint64_t fp = 0;
-    EntryStatus status = EntryStatus::kBad;
-    if (obs::parse_json(line, &entry)) status = parse_entry(entry, &fp, &result);
-    if (status != EntryStatus::kOk) {
-      // A schema mismatch anywhere is a different-version journal the user
-      // should look at, never something to silently discard.  Truncation
-      // cannot manufacture one (a cut schema-1 line fails to parse long
-      // before its version number reads differently), so this stays fatal
-      // even on the final line.
-      if (status == EntryStatus::kSchemaMismatch) {
-        const int err_fd = fd_;
-        fd_ = -1;
-        ::close(err_fd);
-        throw SimError(ErrorCode::kJournalMismatch,
-                       "journal '" + path_ + "': entry at line " + std::to_string(line_no) +
-                           " has an unsupported schema version");
-      }
-      // An unparseable *final* line is the signature of a crash mid-append
-      // (truncated record, with or without the trailing newline making it
-      // in): drop the fragment with a warning and truncate it away so
-      // subsequent appends never concatenate onto the garbage — every
-      // fully-journaled point before it stays resumable.  An unparseable
-      // interior line is real corruption and stays fatal.
-      const bool is_tail = content.find_first_not_of('\n', line_start) == std::string::npos;
-      if (is_tail) {
-        std::fprintf(stderr,
-                     "ckptsim: journal '%s': dropping corrupt trailing entry at line %zu "
-                     "(crash artifact); %zu completed point(s) kept\n",
-                     path_.c_str(), line_no, entries_.size());
-        if (::ftruncate(fd_, static_cast<off_t>(line_offset)) != 0) {
-          const int err = errno;
-          ::close(fd_);
-          fd_ = -1;
-          throw SimError(ErrorCode::kIoError, "journal '" + path_ + "': truncate failed: " +
-                                                  std::strerror(err));
-        }
-        break;
-      }
-      const int err_fd = fd_;
-      fd_ = -1;
-      ::close(err_fd);
-      throw SimError(ErrorCode::kJournalCorrupt,
-                     "journal '" + path_ + "': unparseable entry at line " +
-                         std::to_string(line_no));
-    }
-    // A crash can cut an append exactly at the newline: the record is
-    // complete but unterminated.  Terminate it now (O_APPEND lands the byte
-    // at end-of-file) so the next record() starts a fresh line instead of
-    // concatenating onto this one.
-    if (torn && ::write(fd_, "\n", 1) != 1) {
-      const int err = errno;
-      ::close(fd_);
-      fd_ = -1;
-      throw SimError(ErrorCode::kIoError,
-                     "journal '" + path_ + "': repair failed: " + std::strerror(err));
-    }
-    entries_[fp] = std::move(result);
-  }
-  loaded_ = entries_.size();
-}
-
-SweepJournal::~SweepJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
+SweepJournal::SweepJournal(std::string path)
+    : log_(
+          std::move(path), "journal",
+          [this](const obs::JsonValue& line) {
+            std::uint64_t fp = 0;
+            RunResult result;
+            const durable::LineStatus status = parse_entry(line, &fp, &result);
+            if (status == durable::LineStatus::kOk) entries_[fp] = std::move(result);
+            return status;
+          },
+          [this] { return std::to_string(entries_.size()) + " completed point(s)"; }),
+      loaded_(entries_.size()) {}
 
 bool SweepJournal::lookup(std::uint64_t fingerprint, RunResult* out) const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -250,7 +159,7 @@ bool SweepJournal::lookup(std::uint64_t fingerprint, RunResult* out) const {
 }
 
 void SweepJournal::record(std::uint64_t fingerprint, double x, const RunResult& result) {
-  append(journal_line(fingerprint, x, result));
+  log_.append(journal_line(fingerprint, x, result));
   const std::lock_guard<std::mutex> lock(mu_);
   entries_[fingerprint] = result;
 }
@@ -259,29 +168,11 @@ void SweepJournal::record_all(const std::vector<Entry>& entries) {
   if (entries.empty()) return;
   std::string lines;
   for (const Entry& e : entries) lines += journal_line(e.fingerprint, e.x, e.result);
-  append(lines);
+  // The log's lock, not mu_, covers the fsync: lookups keep answering from
+  // entries_ while it waits on the disk.
+  log_.append(lines);
   const std::lock_guard<std::mutex> lock(mu_);
   for (const Entry& e : entries) entries_[e.fingerprint] = e.result;
-}
-
-void SweepJournal::append(const std::string& lines) {
-  // append_mu_, not mu_: lookups keep answering from entries_ while the
-  // fsync waits on the disk.
-  const std::lock_guard<std::mutex> lock(append_mu_);
-  std::size_t written = 0;
-  while (written < lines.size()) {
-    const ssize_t n = ::write(fd_, lines.data() + written, lines.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw SimError(ErrorCode::kIoError,
-                     "journal '" + path_ + "': write failed: " + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd_) != 0) {
-    throw SimError(ErrorCode::kIoError,
-                   "journal '" + path_ + "': fsync failed: " + std::strerror(errno));
-  }
 }
 
 }  // namespace ckptsim

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/durable_file.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
 #include "src/model/parameters.h"
@@ -32,10 +33,11 @@ namespace ckptsim {
 
 /// Append-only, crash-safe journal of completed sweep points.
 ///
-/// One JSON object per line (schema-versioned), fsync'd after every append:
-/// a SIGKILL can lose at most the in-flight line, which the loader detects
-/// as a torn trailing fragment and ignores.  Doubles are stored as %.17g so
-/// a resumed sweep's CSV is byte-identical to an uninterrupted run's.
+/// One JSON object per line (schema-versioned) in a durable::AppendLog,
+/// fsync'd after every append: a SIGKILL can lose at most the in-flight
+/// line, which the next open drops as a torn tail.  Doubles are stored as
+/// %.17g so a resumed sweep's CSV is byte-identical to an uninterrupted
+/// run's.
 ///
 /// Usage: construct with a path (loads whatever a previous run completed),
 /// pass to sweep() — it skips journaled points and appends each point as
@@ -48,7 +50,6 @@ class SweepJournal {
   /// opened, kJournalCorrupt on an unparseable non-final line, and
   /// kJournalMismatch on a schema-version mismatch.
   explicit SweepJournal(std::string path);
-  ~SweepJournal();
 
   SweepJournal(const SweepJournal&) = delete;
   SweepJournal& operator=(const SweepJournal&) = delete;
@@ -75,18 +76,13 @@ class SweepJournal {
   /// keeps the batch's complete lines and drops a torn last one.
   void record_all(const std::vector<Entry>& entries);
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::string& path() const noexcept { return log_.path(); }
 
  private:
-  /// Write `lines` at the end of the file and fsync.
-  void append(const std::string& lines);
-
-  std::string path_;
-  int fd_ = -1;
-  std::size_t loaded_ = 0;
-  std::mutex append_mu_;   ///< one append (write + fsync) at a time
-  mutable std::mutex mu_;  ///< guards entries_
+  mutable std::mutex mu_;  ///< guards entries_; the log's own lock covers the fsync
   std::map<std::uint64_t, RunResult> entries_;
+  durable::AppendLog log_;  ///< after entries_: opening it loads them
+  std::size_t loaded_ = 0;
 };
 
 }  // namespace ckptsim

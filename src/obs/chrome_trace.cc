@@ -4,8 +4,8 @@
 #include <array>
 #include <stdexcept>
 
+#include "src/core/durable_file.h"
 #include "src/obs/json.h"
-#include "src/report/atomic_file.h"
 
 namespace ckptsim::obs {
 
@@ -213,7 +213,7 @@ std::string to_chrome_trace_json(const trace::EventLog& log) {
 
 void write_chrome_trace(const std::string& path, const trace::EventLog& log) {
   // Atomic publish: a crash mid-write never leaves a torn trace.
-  report::write_file_atomic(path, to_chrome_trace_json(log) + '\n');
+  durable::replace_file(path, to_chrome_trace_json(log) + '\n');
 }
 
 }  // namespace ckptsim::obs

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/core/durable_file.h"
 #include "src/obs/json.h"
-#include "src/report/atomic_file.h"
 
 namespace ckptsim::obs {
 
@@ -155,7 +155,7 @@ std::string MetricsSnapshot::to_json() const {
 
 void MetricsSnapshot::write_json(const std::string& path) const {
   // Atomic publish: a crash mid-write never leaves a torn snapshot.
-  report::write_file_atomic(path, to_json() + '\n');
+  durable::replace_file(path, to_json() + '\n');
 }
 
 }  // namespace ckptsim::obs

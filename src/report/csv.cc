@@ -1,22 +1,12 @@
 #include "src/report/csv.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <stdexcept>
-
-#include "src/report/atomic_file.h"
+#include <utility>
 
 namespace ckptsim::report {
 
-CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& header,
-                     WriteMode mode)
-    : path_(path),
-      mode_(mode),
-      out_(mode == WriteMode::kAtomic ? path + ".tmp" : path),
-      columns_(header.size()) {
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open '" + path + "'");
+CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& header)
+    : file_(path), columns_(header.size()) {
   if (header.empty()) throw std::invalid_argument("CsvWriter: empty header");
   write_row(header);
 }
@@ -30,10 +20,10 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    out_ << escape(cells[i]) << (i + 1 < cells.size() ? "," : "");
+    if (i > 0) text_ += ',';
+    text_ += escape(cells[i]);
   }
-  out_ << '\n';
-  if (!out_) failed_ = true;
+  text_ += '\n';
 }
 
 std::string CsvWriter::escape(const std::string& cell) {
@@ -47,53 +37,17 @@ std::string CsvWriter::escape(const std::string& cell) {
   return quoted;
 }
 
-void CsvWriter::publish() {
-  const std::string tmp = path_ + ".tmp";
-  if (failed_) {
-    std::remove(tmp.c_str());  // never replace a good file with a torn one
-    return;
-  }
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CLOEXEC);
-  if (fd < 0) {
-    failed_ = true;
-    return;
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    std::remove(tmp.c_str());
-    failed_ = true;
-    return;
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    failed_ = true;
-    return;
-  }
-  detail::fsync_parent_dir(path_);
-  published_ = true;
-}
-
 void CsvWriter::close() {
-  if (out_.is_open()) {
-    out_.flush();
-    if (!out_) failed_ = true;
-    out_.close();
-    if (out_.fail()) failed_ = true;
-    if (mode_ == WriteMode::kAtomic) publish();
-  }
-  if (failed_) throw std::runtime_error("CsvWriter: write failed (disk full or I/O error)");
+  if (std::exchange(closed_, true)) return;
+  file_.write(text_);
+  file_.commit();
 }
 
 CsvWriter::~CsvWriter() {
-  // Best-effort close only: destructors must not throw.  Callers that need
-  // the error call close() themselves or check ok().
-  if (out_.is_open()) {
-    out_.flush();
-    if (!out_) failed_ = true;
-    out_.close();
-    if (out_.fail()) failed_ = true;
-    if (mode_ == WriteMode::kAtomic && !published_) publish();
+  // Best-effort publish only: destructors must not throw.
+  try {
+    close();
+  } catch (const std::exception&) {
   }
 }
 

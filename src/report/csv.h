@@ -1,43 +1,31 @@
 #pragma once
 
-#include <fstream>
 #include <string>
 #include <vector>
+
+#include "src/core/durable_file.h"
 
 namespace ckptsim::report {
 
 /// Minimal CSV writer (RFC-4180 quoting) — each bench drops a CSV next to
-/// its textual output so figures can be re-plotted externally.
+/// its textual output so figures can be re-plotted externally.  The file is
+/// published whole through a durable::Replacement: a crash mid-run never
+/// leaves a torn CSV, and an existing file is only ever replaced by a
+/// complete one.
 class CsvWriter {
  public:
-  /// How rows reach the target file.
-  enum class WriteMode {
-    /// Stream rows directly to `path` (historical behaviour).
-    kDirect,
-    /// Buffer rows and publish the whole file via temp-file + fsync +
-    /// rename on close(): a crash mid-run never leaves a torn CSV, and an
-    /// existing file is only ever replaced by a complete one.
-    kAtomic,
-  };
-
-  /// Opens the target for writing and emits the header row.  Throws
-  /// std::runtime_error when the file (kDirect) or its sibling temp file
-  /// (kAtomic) cannot be created.
-  CsvWriter(const std::string& path, const std::vector<std::string>& header,
-            WriteMode mode = WriteMode::kDirect);
+  /// Opens the temp file beside `path` and buffers the header row.  Throws
+  /// std::runtime_error when the temp file cannot be created.
+  CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   /// Rows must match the header width.
   void add_row(const std::vector<std::string>& cells);
 
-  /// Flush and close, verifying the stream: throws std::runtime_error when
-  /// the underlying writes failed (disk full, I/O error).  In kAtomic mode
-  /// this is also the publish point (fsync + rename).  The destructor
-  /// closes without throwing, so callers that care about durability must
-  /// call close() explicitly (the bench harness does) or check ok().
+  /// Publish: write the rows, fsync and rename over the target.  Throws
+  /// std::runtime_error when a step fails (disk full, I/O error); the old
+  /// file then stays.  The destructor publishes without throwing, so
+  /// callers that care about the error call close() (the benches do).
   void close();
-
-  /// True while every write and flush so far has succeeded.
-  [[nodiscard]] bool ok() const noexcept { return !failed_; }
 
   ~CsvWriter();
   CsvWriter(const CsvWriter&) = delete;
@@ -45,15 +33,12 @@ class CsvWriter {
 
  private:
   void write_row(const std::vector<std::string>& cells);
-  void publish();  ///< kAtomic: fsync the temp file and rename it into place
   static std::string escape(const std::string& cell);
 
-  std::string path_;
-  WriteMode mode_;
-  std::ofstream out_;
+  durable::Replacement file_;
+  std::string text_;
   std::size_t columns_;
-  bool failed_ = false;
-  bool published_ = false;
+  bool closed_ = false;
 };
 
 }  // namespace ckptsim::report

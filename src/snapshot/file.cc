@@ -1,13 +1,12 @@
 #include "src/snapshot/file.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <stdexcept>
 
+#include "src/core/durable_file.h"
 #include "src/sim/rng.h"
 #include "src/snapshot/state_io.h"
 
@@ -18,9 +17,14 @@ namespace {
 constexpr char kMagic[8] = {'c', 'k', 'p', 't', 's', 'n', 'a', 'p'};
 constexpr std::size_t kHeaderSize = 32;
 
-[[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
-  throw SnapshotError(SnapshotFault::kIo,
-                      "snapshot '" + path + "': " + what + ": " + std::strerror(errno));
+/// Runs one durable-file step; its failure is SnapshotError(kIo).
+template <class Step>
+auto io(const Step& step) {
+  try {
+    return step();
+  } catch (const std::runtime_error& e) {
+    throw SnapshotError(SnapshotFault::kIo, std::string("snapshot ") + e.what());
+  }
 }
 
 }  // namespace
@@ -82,59 +86,11 @@ std::string decode_snapshot(std::string_view bytes, std::uint32_t expected_kind)
 
 void write_snapshot_file(const std::string& path, std::uint32_t kind,
                          std::string_view payload) {
-  const std::string bytes = encode_snapshot(kind, payload);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) throw_errno("open failed", tmp);
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      errno = err;
-      throw_errno("write failed", tmp);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    errno = err;
-    throw_errno("fsync failed", tmp);
-  }
-  if (::close(fd) != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    errno = err;
-    throw_errno("close failed", tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    errno = err;
-    throw_errno("rename failed", path);
-  }
+  io([&] { durable::replace_file(path, encode_snapshot(kind, payload)); });
 }
 
 std::string read_snapshot_file(const std::string& path, std::uint32_t expected_kind) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw_errno("open failed", path);
-  std::string bytes;
-  char buf[65536];
-  ssize_t got = 0;
-  while ((got = ::read(fd, buf, sizeof buf)) > 0) bytes.append(buf, static_cast<size_t>(got));
-  if (got < 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    throw_errno("read failed", path);
-  }
-  ::close(fd);
-  return decode_snapshot(bytes, expected_kind);
+  return decode_snapshot(io([&] { return durable::read_file(path); }), expected_kind);
 }
 
 bool snapshot_exists(const std::string& path) {

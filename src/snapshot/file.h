@@ -37,8 +37,9 @@ inline constexpr std::uint32_t kKindSanExecutor = 2;
 /// Validate the container and return the payload.  Throws SnapshotError.
 [[nodiscard]] std::string decode_snapshot(std::string_view bytes, std::uint32_t expected_kind);
 
-/// Atomic write: temp file in the same directory + fsync + rename, so a
-/// crash mid-write can never leave a torn file under the final name.
+/// Atomic write through durable::replace_file: temp file in the same
+/// directory, fsync, rename and directory fsync, so a crash mid-write can
+/// never leave a torn file under the final name.  Throws SnapshotError(kIo).
 void write_snapshot_file(const std::string& path, std::uint32_t kind, std::string_view payload);
 
 /// Read + decode_snapshot.  A missing file throws SnapshotError(kIo);

@@ -6,15 +6,16 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/durable_file.h"
+
 namespace ckptsim::svc {
 
 /// Crash-safe record of admitted-but-unfinished campaigns, kept beside the
 /// result cache.
 ///
-/// One JSON object per line, fsync'd after every append, exactly the sweep
-/// journal's durability contract: a SIGKILL loses at most the in-flight
-/// line, which the loader drops as a torn trailing fragment.  Two record
-/// kinds:
+/// One JSON object per line in a durable::AppendLog, fsync'd after every
+/// append, as the sweep journal is: a SIGKILL loses at most the in-flight
+/// line, which the next open drops as a torn tail.  Two record kinds:
 ///
 ///   {"schema":1,"event":"admit","id":"c1","request":"<raw request line>"}
 ///   {"schema":1,"event":"retire","id":"c1"}
@@ -38,7 +39,6 @@ class CampaignLedger {
   /// sweep journal does: kIoError on unopenable files, kJournalCorrupt on
   /// an unparseable interior line, kJournalMismatch on a schema bump.
   explicit CampaignLedger(std::string path);
-  ~CampaignLedger();
 
   CampaignLedger(const CampaignLedger&) = delete;
   CampaignLedger& operator=(const CampaignLedger&) = delete;
@@ -54,18 +54,16 @@ class CampaignLedger {
   /// Reflects the state loaded at construction plus any admit/retire since.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> pending() const;
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::string& path() const noexcept { return log_.path(); }
 
  private:
-  void append_line(std::string line);
   /// Apply one admit (admit = true) or retire record to the pending set.
   void record(bool admit, const std::string& id, std::string request);
 
-  std::string path_;
-  int fd_ = -1;
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< held across each append, so file and pending_ agree
   // Insertion-ordered pending set: (id, raw request line).
   std::vector<std::pair<std::string, std::string>> pending_;
+  durable::AppendLog log_;  ///< after pending_: opening it loads them
 };
 
 }  // namespace ckptsim::svc

@@ -1,21 +1,27 @@
-// Durable files: the bytes every journal, ledger, snapshot, CSV and JSON
-// writer puts on disk, and the torn-tail rule the two JSON-lines logs (the
-// sweep journal and the campaign ledger) share.  The byte pins hold any
-// refactor of the writers to the formats earlier builds wrote and read; the
-// JsonLinesLog suite runs every damaged-file case against both logs.
+// Durable files (src/core/durable_file): the bytes every journal, ledger,
+// snapshot, CSV and JSON writer puts on disk, the torn-tail rule the two
+// JSON-lines logs (the sweep journal and the campaign ledger) share, and
+// each durable write failing.  The byte pins hold the writers to the
+// formats earlier builds wrote and read; the JsonLinesLog suite runs every
+// damaged-file case against both logs.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/core/durable_file.h"
 #include "src/core/fault.h"
 #include "src/core/journal.h"
 #include "src/core/results.h"
@@ -403,5 +409,162 @@ INSTANTIATE_TEST_SUITE_P(Owners, JsonLinesLog, ::testing::Values(journal_owner()
                          [](const ::testing::TestParamInfo<LogOwner>& info) {
                            return info.param.name;
                          });
+
+
+// --- The durable-file operations --------------------------------------------
+
+TEST(DurableFile, ReplaceWritesContentAndLeavesNoTemp) {
+  TempDir dir("replace");
+  const std::string path = dir.file("a.txt");
+  ckptsim::durable::replace_file(path, "old");
+  ckptsim::durable::replace_file(path, "hello\n");
+  EXPECT_EQ(read_file(path), "hello\n");
+  EXPECT_EQ(ckptsim::durable::read_file(path), "hello\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(DurableFile, UncommittedReplacementRemovesItsTempAndKeepsTheOldFile) {
+  TempDir dir("uncommitted");
+  const std::string path = dir.file("a.txt");
+  ckptsim::durable::replace_file(path, "old");
+  {
+    ckptsim::durable::Replacement file(path);
+    file.write("new");
+    EXPECT_TRUE(std::filesystem::exists(path + ".tmp"));
+  }
+  EXPECT_EQ(read_file(path), "old");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(DurableFile, BadDirectoryFailsAtConstructionAndMissingFileFailsToRead) {
+  EXPECT_THROW(ckptsim::durable::Replacement("/nonexistent-dir/x.txt"), std::runtime_error);
+  EXPECT_THROW(ckptsim::durable::replace_file("/nonexistent-dir/x.txt", "data"),
+               std::runtime_error);
+  EXPECT_THROW((void)ckptsim::durable::read_file("/nonexistent-dir/x.txt"), std::runtime_error);
+}
+
+// --- Every durable write, failing -------------------------------------------
+//
+// Each case runs one write in a forked child whose files may not grow past
+// a limit (RLIMIT_FSIZE, with SIGXFSZ ignored), so the write stops with
+// EFBIG after a partial write.  The limit binds the child only.  The child
+// exits 0 when the write threw its type and code and the owner kept what it
+// held; other codes name the first check that failed.
+
+int run_with_file_size_limit(rlim_t limit, const std::function<int()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const struct rlimit rl{limit, limit};
+    int rc = 90;  // setrlimit failed
+    if (::setrlimit(RLIMIT_FSIZE, &rl) == 0) {
+      try {
+        rc = body();
+      } catch (...) {
+        rc = 91;  // the write threw the wrong type
+      }
+    }
+    ::_exit(rc);
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(DurableWriteFailure, JournalAppendThrowsIoErrorAndKeepsEveryEarlierEntry) {
+  TempDir dir("journal_full");
+  const std::string path = dir.file("j.jsonl");
+  journal_owner().append(path, 1, 2);
+  const std::string before = read_file(path);
+  const int rc = run_with_file_size_limit(before.size() + 100, [&] {
+    SweepJournal journal(path);
+    try {
+      journal.record(3, 45.0, sample_result(3, false));
+      return 1;
+    } catch (const SimError& e) {
+      if (e.code() != ErrorCode::kIoError) return 2;
+    }
+    RunResult r;
+    if (!journal.lookup(1, &r) || !journal.lookup(2, &r) || journal.lookup(3, &r)) return 3;
+    return 0;
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(read_file(path).size(), before.size() + 100);  // the partial line
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(journal_owner().load(path), (std::vector<int>{1, 2}));
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("dropping corrupt trailing entry at line 3"),
+            std::string::npos);
+  EXPECT_EQ(read_file(path), before);
+}
+
+TEST(DurableWriteFailure, LedgerAdmitThrowsIoErrorAndKeepsEveryEarlierCampaign) {
+  TempDir dir("ledger_full");
+  const std::string path = dir.file("l.jsonl");
+  ledger_owner().append(path, 1, 2);
+  const std::string before = read_file(path);
+  const int rc = run_with_file_size_limit(before.size() + 20, [&] {
+    CampaignLedger ledger(path);
+    try {
+      ledger.admit(ledger_id(3), ledger_request(3));
+      return 1;
+    } catch (const SimError& e) {
+      if (e.code() != ErrorCode::kIoError) return 2;
+    }
+    const auto pending = ledger.pending();
+    if (pending.size() != 2 || pending[0].first != "c1" || pending[1].first != "c2") return 3;
+    return 0;
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(read_file(path).size(), before.size() + 20);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ledger_owner().load(path), (std::vector<int>{1, 2}));
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("dropping corrupt trailing entry at line 3"),
+            std::string::npos);
+  EXPECT_EQ(read_file(path), before);
+}
+
+TEST(DurableWriteFailure, SnapshotWriteThrowsIoAndLeavesTheOldSnapshot) {
+  TempDir dir("snap_full");
+  const std::string path = dir.file("a.snap");
+  ckptsim::snapshot::write_snapshot_file(path, ckptsim::snapshot::kKindDesModel, "old payload");
+  const std::string before = read_file(path);
+  const int rc = run_with_file_size_limit(before.size(), [&] {
+    try {
+      ckptsim::snapshot::write_snapshot_file(path, ckptsim::snapshot::kKindDesModel,
+                                             std::string(4096, 'n'));
+      return 1;
+    } catch (const ckptsim::snapshot::SnapshotError& e) {
+      return e.fault() == ckptsim::snapshot::SnapshotFault::kIo ? 0 : 2;
+    }
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(DurableWriteFailure, CsvCloseThrowsAndLeavesTheOldFile) {
+  TempDir dir("csv_full");
+  const std::string path = dir.file("a.csv");
+  {
+    ckptsim::report::CsvWriter csv(path, {"a", "b"});
+    csv.add_row({"1", "2"});
+    csv.close();
+  }
+  const std::string before = read_file(path);
+  const int rc = run_with_file_size_limit(64, [&] {
+    ckptsim::report::CsvWriter csv(path, {"a", "b"});
+    const std::string big(256, 'x');
+    for (int i = 0; i < 16; ++i) csv.add_row({big, big});
+    try {
+      csv.close();
+      return 1;
+    } catch (const std::runtime_error&) {
+      return 0;
+    }
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
 
 }  // namespace

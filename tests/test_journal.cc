@@ -273,143 +273,6 @@ TEST(SweepJournal, CancelledSweepJournalsCompletedPoints) {
   EXPECT_LT(reloaded.loaded(), xs.size());
 }
 
-TEST(SweepJournal, TornTrailingLineIsDropped) {
-  const TempFile tmp("torn");
-  {
-    SweepJournal journal(tmp.path);
-    journal.record(1, 15.0, RunResult{});
-    journal.record(2, 30.0, RunResult{});
-  }
-  // SIGKILL mid-append: an incomplete line with no trailing newline.
-  {
-    std::ofstream out(tmp.path, std::ios::app | std::ios::binary);
-    out << "{\"schema\":1,\"fp\":\"00000000000000";  // truncated
-  }
-  SweepJournal journal(tmp.path);
-  EXPECT_EQ(journal.loaded(), 2u);
-  RunResult r;
-  EXPECT_TRUE(journal.lookup(1, &r));
-  EXPECT_TRUE(journal.lookup(2, &r));
-}
-
-TEST(SweepJournal, TruncationAtEveryByteOffsetOfLastRecordRecovers) {
-  // Exhaustive crash simulation: a journal killed mid-append can be cut at
-  // any byte of its trailing record.  For every such truncation the loader
-  // must keep every earlier point, drop the torn tail (repairing the file
-  // with ftruncate), and leave a journal that accepts a clean re-append.
-  const TempFile tmp("every_offset");
-  {
-    SweepJournal journal(tmp.path);
-    journal.record(1, 15.0, RunResult{});
-    journal.record(2, 30.0, RunResult{});
-  }
-  const std::string full = read_file(tmp.path);
-  const std::size_t last_start = full.find('\n') + 1;
-  ASSERT_GT(last_start, 0u);
-  ASSERT_LT(last_start, full.size());
-
-  ::testing::internal::CaptureStderr();  // the tail warning would spam the log
-  for (std::size_t cut = last_start; cut < full.size(); ++cut) {
-    {
-      std::ofstream out(tmp.path, std::ios::trunc | std::ios::binary);
-      out.write(full.data(), static_cast<std::streamsize>(cut));
-    }
-    {
-      SweepJournal journal(tmp.path);
-      RunResult r;
-      ASSERT_TRUE(journal.lookup(1, &r)) << "cut at byte " << cut;
-      if (cut == full.size() - 1) {
-        // Only the newline is missing: the record is complete, must be
-        // kept, and the loader re-terminates the line.
-        ASSERT_EQ(journal.loaded(), 2u) << "cut at byte " << cut;
-      } else {
-        // Mid-record cut: the torn tail is dropped (and truncated away),
-        // every earlier point kept.
-        ASSERT_EQ(journal.loaded(), 1u) << "cut at byte " << cut;
-        ASSERT_FALSE(journal.lookup(2, &r)) << "cut at byte " << cut;
-        journal.record(2, 30.0, RunResult{});
-      }
-    }
-    // Either repair leaves a journal a third open loads in full, cleanly.
-    SweepJournal reloaded(tmp.path);
-    ASSERT_EQ(reloaded.loaded(), 2u) << "cut at byte " << cut;
-    RunResult r;
-    ASSERT_TRUE(reloaded.lookup(1, &r)) << "cut at byte " << cut;
-    ASSERT_TRUE(reloaded.lookup(2, &r)) << "cut at byte " << cut;
-  }
-  const std::string warnings = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(warnings.find("dropping"), std::string::npos) << warnings.substr(0, 400);
-}
-
-TEST(SweepJournal, CorruptInteriorLineThrows) {
-  // Garbage *followed by* a valid record is real corruption, not a crash
-  // artifact — an unparseable line is only droppable at the tail.
-  const TempFile tmp("corrupt");
-  {
-    SweepJournal journal(tmp.path);
-    journal.record(1, 15.0, RunResult{});
-    journal.record(2, 30.0, RunResult{});
-  }
-  const std::string full = read_file(tmp.path);
-  const std::size_t second = full.find('\n') + 1;
-  {
-    std::ofstream out(tmp.path, std::ios::trunc | std::ios::binary);
-    out << full.substr(0, second) << "this is not json\n" << full.substr(second);
-  }
-  try {
-    SweepJournal journal(tmp.path);
-    FAIL() << "expected SimError";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kJournalCorrupt);
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
-  }
-}
-
-TEST(SweepJournal, CorruptNewlineTerminatedTailIsDroppedNotFatal) {
-  // The original shape of the interior-corruption test: garbage as the
-  // *final* (newline-terminated) line.  A crash can land the newline before
-  // the kill, so this is a crash artifact and must be dropped, not fatal.
-  const TempFile tmp("corrupt_tail");
-  {
-    SweepJournal journal(tmp.path);
-    journal.record(1, 15.0, RunResult{});
-  }
-  {
-    std::ofstream out(tmp.path, std::ios::app | std::ios::binary);
-    out << "this is not json\n";
-  }
-  ::testing::internal::CaptureStderr();
-  SweepJournal journal(tmp.path);
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(journal.loaded(), 1u);
-  RunResult r;
-  EXPECT_TRUE(journal.lookup(1, &r));
-  EXPECT_NE(warning.find("dropping"), std::string::npos) << warning;
-}
-
-TEST(SweepJournal, SchemaMismatchThrows) {
-  const TempFile tmp("schema");
-  {
-    std::ofstream out(tmp.path, std::ios::binary);
-    out << "{\"schema\":999,\"fp\":\"0000000000000001\",\"result\":{}}\n";
-  }
-  try {
-    SweepJournal journal(tmp.path);
-    FAIL() << "expected SimError";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kJournalMismatch);
-  }
-}
-
-TEST(SweepJournal, UnopenablePathThrowsIoError) {
-  try {
-    SweepJournal journal("/nonexistent-dir/journal.jsonl");
-    FAIL() << "expected SimError";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kIoError);
-  }
-}
-
 TEST(SweepJournal, StaleFingerprintsAreIgnoredNotSpliced) {
   // A journal written under one seed must not satisfy lookups for another:
   // the resumed sweep recomputes instead of splicing in wrong results.

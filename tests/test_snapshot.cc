@@ -6,7 +6,7 @@
 // offset, or taken under a different format version / state kind / run
 // context / failure-trace content, is rejected with a structured
 // SnapshotError, never partially loaded (the mirror of the torn-journal
-// tests in test_journal.cc).
+// tests in test_durable_files.cc).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -994,46 +994,6 @@ TEST(CampaignLedger, AdmitRetirePendingSurvivesReopen) {
   EXPECT_EQ(pending[0].second, R"({"op":"sweep","id":"b"})");
   reopened.retire("b");
   EXPECT_TRUE(reopened.pending().empty());
-}
-
-TEST(CampaignLedger, TornTrailingLineIsDroppedInteriorCorruptionIsFatal) {
-  TempDir dir("ledger_torn");
-  const std::string path = dir.file("ledger.jsonl");
-  {
-    ckptsim::svc::CampaignLedger ledger(path);
-    ledger.admit("a", R"({"op":"sweep","id":"a"})");
-  }
-  {
-    // SIGKILL mid-append: an unterminated fragment after the valid records.
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << R"({"schema":1,"event":"admit","id":"b)";
-  }
-  ckptsim::svc::CampaignLedger repaired(path);
-  ASSERT_EQ(repaired.pending().size(), 1u);  // the torn admit is dropped
-
-  {
-    // Corruption in the interior (a valid line follows) is NOT repairable.
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "garbage interior line\n";
-    out << R"({"schema":1,"event":"admit","id":"c","request":"x"})" << "\n";
-  }
-  try {
-    ckptsim::svc::CampaignLedger broken(path);
-    FAIL() << "interior corruption should be fatal";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kJournalCorrupt);
-  }
-
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << R"({"schema":2,"event":"admit","id":"c","request":"x"})" << "\n";
-  }
-  try {
-    ckptsim::svc::CampaignLedger bumped(path);
-    FAIL() << "schema bump should be rejected";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kJournalMismatch);
-  }
 }
 
 /// Thread-safe response collector (mirrors test_svc.cc).

@@ -296,8 +296,7 @@ int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpe
     report::CsvWriter csv(csv_path,
                           {"job", "policy", "useful_fraction", "ci_half_width",
                            "dump_stretch", "commits", "failures", "pfs_utilization",
-                           "replications"},
-                          report::CsvWriter::WriteMode::kAtomic);
+                           "replications"});
     for (const auto& job : r.jobs) {
       csv.add_row({job.name, std::string(to_string(mix.pfs.policy)),
                    report::Table::num(job.useful_fraction.mean, 6),
@@ -355,8 +354,7 @@ int run_sweep_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec
   if (!csv_path.empty()) {
     report::CsvWriter csv(csv_path,
                           {x_name, "useful_fraction", "ci_half_width", "total_useful_work",
-                           "replications", "skipped", "recovered"},
-                          report::CsvWriter::WriteMode::kAtomic);
+                           "replications", "skipped", "recovered"});
     for (const auto& point : series.points) {
       csv.add_row({report::Table::num(point.x, 6),
                    report::Table::num(point.result.useful_fraction.mean, 6),
@@ -391,8 +389,7 @@ int run_proactive_mode(const ckptsim::Parameters& p, const ckptsim::RunSpec& spe
                           {"policy", "useful_fraction", "ci_half_width", "total_useful_work",
                            "replications", "failures_checksum", "predictions_true",
                            "false_alarms", "proactive_ckpts", "actions_skipped", "migrations",
-                           "migrations_wasted", "failures_absorbed", "rescales", "repairs"},
-                          report::CsvWriter::WriteMode::kAtomic);
+                           "migrations_wasted", "failures_absorbed", "rescales", "repairs"});
     csv.add_row({std::string(to_string(p.proactive_policy)),
                  report::Table::num(r.run.useful_fraction.mean, 6),
                  report::Table::num(r.run.useful_fraction.half_width, 6),
@@ -456,8 +453,7 @@ int run_optimize_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& s
   if (!csv_path.empty()) {
     report::CsvWriter csv(csv_path,
                           {"interval_min", "policy", "processors", "total_useful_work",
-                           "useful_fraction", "refined"},
-                          report::CsvWriter::WriteMode::kAtomic);
+                           "useful_fraction", "refined"});
     for (const auto& c : best.evaluated) {
       csv.add_row({report::Table::num(c.interval / units::kMinute, 6),
                    std::string(to_string(c.policy)), std::to_string(c.processors),
