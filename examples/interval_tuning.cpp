@@ -25,6 +25,7 @@ int main(int argc, char** argv) try {
   Parameters machine;
   machine.num_processors = cli.count("--processors", 131072);
   machine.coordination = CoordinationMode::kFixedQuiesce;
+  machine.validate();  // before the first line printed about the machine
 
   const IoTiming timing(machine);
   const double mtbf = 1.0 / machine.system_failure_rate();

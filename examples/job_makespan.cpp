@@ -28,6 +28,7 @@ int main(int argc, char** argv) try {
   Parameters machine;
   machine.num_processors = cli.count("--processors", 131072);
   machine.coordination = CoordinationMode::kFixedQuiesce;
+  machine.validate();  // before the first line printed about the machine
 
   JobSpec job;
   job.work_hours = cli.number("--work-hours", 72.0);

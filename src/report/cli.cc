@@ -116,7 +116,7 @@ std::string Cli::suggest(std::string_view flag, const std::vector<FlagSpec>& kno
   if (flag.empty() || flag[0] != '-') return "";  // stray positional, not a typo'd flag
   const std::string name(flag.substr(0, flag.find('=')));
   std::string best;
-  std::size_t best_distance = 4;  // hints only for near-misses
+  std::size_t best_distance = 3;  // hints only for near-misses: at most 2 edits
   for (const FlagSpec& spec : known) {
     const std::string_view candidate = spec.name;
     // Levenshtein distance, two-row rolling table.
@@ -137,7 +137,9 @@ std::string Cli::suggest(std::string_view flag, const std::vector<FlagSpec>& kno
       best = spec.name;
     }
   }
-  return best;
+  // ...and within half the typed name: "--bogus" is no typo of "--jobs".
+  const std::size_t typed = name.size() - std::min(name.find_first_not_of('-'), name.size());
+  return 2 * best_distance <= typed ? best : "";
 }
 
 bool open_journal(const Cli& cli, const char* unit, std::optional<SweepJournal>* journal) {

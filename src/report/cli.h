@@ -58,7 +58,8 @@ class Cli {
   [[nodiscard]] int check_flags(const std::vector<FlagSpec>& known) const;
 
   /// Closest known flag to `flag` for a "did you mean" hint, or "" when
-  /// nothing is plausibly close (edit distance > 3).
+  /// nothing is plausibly close: more than 2 edits away, or more edits than
+  /// half the typed name's length (without its dashes).
   [[nodiscard]] static std::string suggest(std::string_view flag,
                                            const std::vector<FlagSpec>& known);
 

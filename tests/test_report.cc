@@ -224,6 +224,15 @@ TEST(CliTest, UnknownFlagsDetected) {
     EXPECT_EQ(Cli(2, argv).flag_errors(known),
               Errors{"unknown option '--sead' (did you mean '--seed'?)"});
   }
+  {
+    // A far-off flag gets no hint: "--bogus" is 3 edits from "--jobs".
+    const std::vector<ckptsim::report::FlagSpec> with_jobs = {{"--quick", false},
+                                                              {"--jobs", true}};
+    const char* argv[] = {"prog", "--bogus", "--quik"};
+    EXPECT_EQ(Cli(3, argv).flag_errors(with_jobs),
+              (Errors{"unknown option '--bogus'",
+                      "unknown option '--quik' (did you mean '--quick'?)"}));
+  }
 }
 
 TEST(CliTest, SwitchWithValueIsReported) {

@@ -265,9 +265,10 @@ int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpe
   using namespace ckptsim;
   platform::JobMix mix = platform::parse_job_mix(cli.value("--interference"), base);
   const std::string policy = cli.value("--pfs-policy", "fair");
+  // The daemon's spellings, aliases included; any other value is the usual
+  // error naming the choices.
   if (!platform::pfs_policy_from_string(policy, &mix.pfs.policy)) {
-    std::cerr << "unknown --pfs-policy '" << policy << "' (fair|fcfs|coop|stagger)\n";
-    return 2;
+    (void)parse_choice(policy, "fair|fcfs|coop|stagger", "'--pfs-policy'");
   }
   const double mbs = cli.number("--pfs-bandwidth-mbs", 0.0);
   if (mbs > 0.0) mix.pfs.bandwidth = mbs * units::kMB;
@@ -316,11 +317,7 @@ int run_sweep_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec
                    ckptsim::EngineKind engine, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
   const std::string axis = cli.value("--sweep");
-  if (axis != "interval" && axis != "processors") {
-    std::cerr << "unknown --sweep '" << axis << "' (interval|processors)\n";
-    return 2;
-  }
-  const bool interval = axis == "interval";
+  const bool interval = parse_choice(axis, "interval|processors", "'--sweep'") == 0;
   const std::string x_name = interval ? "interval_min" : "processors";
   std::vector<double> xs =
       interval ? figure4_interval_axis_minutes() : figure4_processor_axis();
@@ -539,13 +536,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const std::string engine_name = cli.value("--engine", "des");
-    const EngineKind engine =
-        engine_name == "san" ? EngineKind::kSan : EngineKind::kDes;
-    if (engine_name != "san" && engine_name != "des") {
-      std::cerr << "unknown --engine '" << engine_name << "' (des|san)\n";
-      return 2;
-    }
+    const auto engine =
+        static_cast<EngineKind>(parse_choice(cli.value("--engine", "des"), "des|san", "'--engine'"));
     // run_spec's rules give every snapshot period its directory.
     if (spec.snapshot_every_events > 0 && ::mkdir(spec.snapshot_dir.c_str(), 0755) != 0 &&
         errno != EEXIST) {
