@@ -45,7 +45,9 @@ durable::LineStatus parse_entry(const obs::JsonValue& entry, std::uint64_t* fp,
   if (schema->uint() != kJournalSchema) return LineStatus::kSchemaMismatch;
   const obs::JsonValue* fp_hex = entry.find("fp");
   const obs::JsonValue* result_v = entry.find("result");
-  if (fp_hex == nullptr || !fp_hex->is_string() || result_v == nullptr) return LineStatus::kBad;
+  if (fp_hex == nullptr || !fp_hex->is_string() || result_v == nullptr) {
+    return LineStatus::kBad;
+  }
   char* end = nullptr;
   *fp = std::strtoull(fp_hex->scalar.c_str(), &end, 16);
   if (end == nullptr || *end != '\0' || fp_hex->scalar.empty()) return LineStatus::kBad;

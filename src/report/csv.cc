@@ -1,5 +1,6 @@
 #include "src/report/csv.h"
 
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -44,10 +45,12 @@ void CsvWriter::close() {
 }
 
 CsvWriter::~CsvWriter() {
-  // Best-effort publish only: destructors must not throw.
+  // Publish without throwing, as destructors must not: callers that need
+  // the error call close() themselves.
   try {
     close();
-  } catch (const std::exception&) {
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ckptsim: CSV not published: %s\n", e.what());
   }
 }
 
