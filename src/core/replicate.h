@@ -126,12 +126,12 @@ auto guard_attempts(std::uint64_t master_seed, std::size_t rep, const FailurePol
 
 /// One point's replications: outcomes by replication index, round sizes,
 /// the stop/continue decision, and the reduction of the outcomes to
-/// successes plus FailureAccounting.  ckptsim::replicate keeps one per
-/// point, and so does the campaign server.  Fixed points run one round;
-/// adaptive points (a non-null stopper) run SequentialStopper rounds and
-/// record their sizes.  land() may run concurrently for distinct
-/// replications; everything else belongs to the thread that landed a
-/// round's last replication, or to callers that serialize access.
+/// successes plus FailureAccounting.  A ReplicationRun keeps one per
+/// point.  Fixed points run one round; adaptive points (a non-null
+/// stopper) run SequentialStopper rounds and record their sizes.  land()
+/// may run concurrently for distinct replications; everything else belongs
+/// to the thread that landed a round's last replication, or to callers
+/// that serialize access.
 template <typename R>
 class PointRounds {
  public:
@@ -145,8 +145,6 @@ class PointRounds {
     unlanded_->store(size, std::memory_order_relaxed);
     return begin;
   }
-
-  [[nodiscard]] std::size_t scheduled() const noexcept { return outcomes_.size(); }
 
   /// Store replication `rep`'s outcome; true for the call that lands the
   /// open round's last replication (which then sees every outcome).  A
@@ -221,128 +219,190 @@ struct Replicated {
   /// Runs once per point, on the worker that lands the last replication of
   /// its final round: aggregate, and journal or cache as needed.
   std::function<void(std::size_t point, const PointRounds<R>& rounds)> finish{};
-  /// Snapshot control of (point, replication); unset = no snapshots.
+  /// Snapshot control of (point, replication); unset = no snapshots.  Called
+  /// once per replication, as it starts.
   std::function<SnapshotSpec(std::size_t point, std::size_t rep)> snapshot{};
   std::string progress_label{};  ///< progress heartbeat label
   std::string cancelled{};       ///< context of the SimError(kInterrupted)
   /// Prefix naming `point` in the failure text; unset = none.
   std::function<std::string(std::size_t point)> failure_context{};
+  /// Runs once per point that a failure fails (fail or retry policy), on the
+  /// worker that lands the failing round, with the point's first failed
+  /// replication; the point opens no further round and the other points run
+  /// on.  Unset = fail fast: wait() throws the failure.
+  std::function<void(std::size_t point, const ReplicationFailure& failure)> fatal{};
 };
 
-/// The replication driver behind run_model, sweep, san::Study::run,
-/// run_proactive and multi-job run_interference: independent replications
-/// of `what.points` points in global rounds on one lane of a worker pool.
-/// The lane is `spec.exec.lane` when set; otherwise the call makes one
-/// pool of min(spec.exec.resolve(), its replication budget, the metrics
-/// registry's shards) threads.  Never call it from a task of the pool it
+/// One replicate() call as an object: independent replications of
+/// `what.points` points, each point in its own rounds, on one lane of a
+/// worker pool.  Construction queues every point's first round on the lane;
+/// wait() blocks until the run ends and throws as replicate() does.
+///
+/// The lane is `spec.exec.lane` when set; otherwise the run makes one pool
+/// of min(spec.exec.resolve(), its replication budget, the metrics
+/// registry's shards) threads.  Never wait from a task of the pool the run
 /// targets: a waiting worker can starve the pool.  With a lane, a metrics
 /// registry with fewer shards than the lane's pool has workers is a
-/// std::invalid_argument.
+/// std::invalid_argument.  `spec` must outlive the run, and no other work
+/// may use its lane meanwhile.
 ///
 /// Fixed mode is one round of `spec.replications`; adaptive mode
-/// (spec.sequential) dispatches every active point's next SequentialStopper
-/// round together.  Replication r of every point seeds from
+/// (spec.sequential) runs SequentialStopper rounds, and the worker that
+/// lands a point's round opens that point's next one, with no barrier
+/// across points.  Replication r of every point seeds from
 /// sim::replication_seed(spec.seed, r) whichever round runs it, so results
 /// are bit-identical for any job count and points stay CRN-paired.
 ///
-/// A failure that fails its point (fail-fast, retries exhausted) stops
-/// scheduling, but the replications before it in (point, replication)
-/// order still run, so the failure thrown — the smallest such index — is
-/// the same for any job count.  `spec.cancel` abandons unstarted
-/// replications and throws SimError(kInterrupted, what.cancelled).
+/// Without `what.fatal`, a failure that fails its point (fail-fast, retries
+/// exhausted) abandons the replications after it in (point, replication)
+/// order and the rounds of later points; earlier points run to their end.
+/// wait() then throws the first failed replication of the smallest failing
+/// point, the same for any job count.  `spec.cancel` abandons unstarted
+/// replications and opens no round; a replication a drain parks
+/// (kInterrupted through SnapshotSpec::stop) lands nothing.  Either way
+/// wait() throws SimError(kInterrupted, what.cancelled).
 template <typename R>
-void replicate(const RunSpec& spec, const Replicated<R>& what) {
-  std::optional<stats::SequentialStopper> stopper;
-  if (spec.sequential.enabled()) stopper.emplace(spec.sequential);
-  std::vector<PointRounds<R>> points;
-  std::vector<std::size_t> next;  // size of each point's next round; 0 = none
-  for (std::size_t p = 0; p < what.points; ++p) {
-    points.emplace_back(stopper ? &*stopper : nullptr);
-    next.push_back(stopper ? stopper->initial_round() : spec.replications);
-  }
-  // The budget ceiling, not a promise: adaptive points usually stop early.
-  const std::size_t budget =
-      what.points * (stopper ? spec.sequential.max_replications : spec.replications);
-  if (spec.progress != nullptr) spec.progress->begin(what.progress_label, budget);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto cancelled = [&spec] {
-    return spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed);
-  };
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::pair<std::size_t, std::size_t>> tasks;  // (point, replication)
-  std::atomic<std::size_t> bail_at{kNone};  // task of the round's earliest fatal failure
-  // Declared after everything its tasks read, so a pool torn down by an
-  // exception never outlives their state.
-  std::optional<WorkerPool> own_pool;
-  std::optional<WorkerPool::Lane> own_lane;
-  WorkerPool::Lane* lane = spec.exec.lane;
-  if (lane == nullptr) {
-    std::size_t jobs = std::min(spec.exec.resolve(), budget);
-    if (spec.metrics != nullptr) jobs = std::min(jobs, spec.metrics->workers());
-    lane = &own_lane.emplace(own_pool.emplace(jobs));
-  } else if (spec.metrics != nullptr && spec.metrics->workers() < lane->pool().size()) {
-    throw std::invalid_argument(
-        "replicate: the metrics registry has fewer shards than the lane's pool has workers");
-  }
-  for (;;) {
-    tasks.clear();
-    for (std::size_t p = 0; p < what.points; ++p) {
-      if (next[p] == 0) continue;
-      for (std::size_t r = points[p].open(next[p]); r < points[p].scheduled(); ++r) {
-        tasks.emplace_back(p, r);
-      }
-      next[p] = 0;
+class ReplicationRun {
+ public:
+  ReplicationRun(const RunSpec& spec, Replicated<R> what) : spec_(spec), what_(std::move(what)) {
+    if (spec.sequential.enabled()) stopper_.emplace(spec.sequential);
+    points_.reserve(what_.points);
+    for (std::size_t p = 0; p < what_.points; ++p) {
+      points_.emplace_back(stopper_ ? &*stopper_ : nullptr);
     }
-    if (tasks.empty()) break;
-    bail_at.store(kNone);
-    for (std::size_t k = 0; k < tasks.size(); ++k) {
-      lane->submit([&, k](std::size_t worker) {
-        if (k > bail_at.load(std::memory_order_relaxed) || cancelled()) return;  // abandoned
-        const auto [p, r] = tasks[k];
-        const obs::WorkerTimer timer(spec.metrics, worker);
-        obs::ReplicationProbe probe;
-        const SnapshotSpec snap = what.snapshot ? what.snapshot(p, r) : SnapshotSpec{};
-        const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
-        detail::Outcome<R> outcome = detail::guard_attempts(
-            spec.seed, r, spec.on_failure, spec.metrics != nullptr ? &probe : nullptr,
-            spec.fault_injection, snap_ptr,
-            [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
-              return what.attempt(p, seed, attempt_probe, snap_ptr);
-            });
-        if (!outcome.ok && spec.on_failure.mode != FailurePolicy::Mode::kSkip) {
-          std::size_t seen = bail_at.load();
-          while (k < seen && !bail_at.compare_exchange_weak(seen, k)) {
-          }
-        }
-        if (outcome.ok && spec.metrics != nullptr) spec.metrics->shard(worker).absorb(probe);
-        if (spec.progress != nullptr) spec.progress->tick();
-        if (!points[p].land(r, std::move(outcome))) return;
-        if (points[p].fatal(spec.on_failure) != nullptr) return;
-        next[p] = points[p].next_round(what.reward, spec.confidence_level);
-        if (next[p] == 0) what.finish(p, points[p]);
-      });
+    // The budget ceiling, not a promise: adaptive points usually stop early.
+    const std::size_t budget =
+        what_.points * (stopper_ ? spec.sequential.max_replications : spec.replications);
+    if (spec.progress != nullptr) spec.progress->begin(what_.progress_label, budget);
+    lane_ = spec.exec.lane;
+    if (lane_ == nullptr) {
+      std::size_t jobs = std::min(spec.exec.resolve(), budget);
+      if (spec.metrics != nullptr) jobs = std::min(jobs, spec.metrics->workers());
+      lane_ = &own_lane_.emplace(own_pool_.emplace(jobs));
+    } else if (spec.metrics != nullptr && spec.metrics->workers() < lane_->pool().size()) {
+      throw std::invalid_argument(
+          "replicate: the metrics registry has fewer shards than the lane's pool has workers");
+    }
+    for (std::size_t p = 0; p < what_.points; ++p) {
+      open_round(p, stopper_ ? stopper_->initial_round() : spec.replications);
     }
     // A cancel that raced the submissions still drops every queued task.
-    if (cancelled()) lane->drop();
-    lane->wait();
-    if (bail_at.load() != kNone || cancelled()) break;
+    if (cancelled()) lane_->drop();
   }
-  if (spec.metrics != nullptr) {
-    spec.metrics->add_wall_seconds(std::chrono::duration_cast<std::chrono::duration<double>>(
-                                       std::chrono::steady_clock::now() - t0)
-                                       .count());
+
+  /// Drops what is queued and waits for what runs: no task outlives the run.
+  ~ReplicationRun() {
+    lane_->drop();
+    try {
+      lane_->wait();
+    } catch (...) {  // a task's error is wait()'s to report, never the destructor's
+    }
   }
-  if (spec.progress != nullptr) spec.progress->finish();
-  if (cancelled()) throw SimError(ErrorCode::kInterrupted, what.cancelled);
-  for (std::size_t p = 0; p < what.points; ++p) {
-    const detail::Outcome<R>* f = points[p].fatal(spec.on_failure);
-    if (f == nullptr) continue;
-    throw SimError(spec.on_failure.mode == FailurePolicy::Mode::kRetry
-                       ? ErrorCode::kRetriesExhausted
-                       : f->failure.code,
-                   (what.failure_context ? what.failure_context(p) : std::string()) +
-                       describe_failure(f->failure));
+
+  ReplicationRun(const ReplicationRun&) = delete;
+  ReplicationRun& operator=(const ReplicationRun&) = delete;
+
+  /// Block until every round has landed or been abandoned.  Rethrows a
+  /// task's exception; throws SimError(kInterrupted) after a cancel or a
+  /// parked replication, then the fail-fast failure.  Call once.
+  void wait() {
+    lane_->wait();
+    if (own_pool_ && spec_.metrics != nullptr) {
+      spec_.metrics->add_wall_seconds(std::chrono::duration_cast<std::chrono::duration<double>>(
+                                          std::chrono::steady_clock::now() - t0_)
+                                          .count());
+    }
+    if (spec_.progress != nullptr) spec_.progress->finish();
+    if (cancelled() || parked_.load()) throw SimError(ErrorCode::kInterrupted, what_.cancelled);
+    if (what_.fatal) return;
+    for (std::size_t p = 0; p < what_.points; ++p) {
+      const detail::Outcome<R>* f = points_[p].fatal(spec_.on_failure);
+      if (f == nullptr) continue;
+      throw SimError(spec_.on_failure.mode == FailurePolicy::Mode::kRetry
+                         ? ErrorCode::kRetriesExhausted
+                         : f->failure.code,
+                     (what_.failure_context ? what_.failure_context(p) : std::string()) +
+                         describe_failure(f->failure));
+    }
   }
+
+ private:
+  static constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+  /// (point, replication) as one number ordered like the pair.
+  static std::uint64_t key(std::size_t p, std::size_t r) {
+    return (static_cast<std::uint64_t>(p) << 32) | r;
+  }
+
+  [[nodiscard]] bool cancelled() const {
+    return spec_.cancel != nullptr && spec_.cancel->load(std::memory_order_relaxed);
+  }
+
+  /// Queue a round of `size` replications of point `p`, which has none in
+  /// flight.  Its first tasks may land the round and open the next one
+  /// before this loop ends, so the bound is fixed up front.
+  void open_round(std::size_t p, std::size_t size) {
+    const std::size_t begin = points_[p].open(size);
+    for (std::size_t r = begin; r < begin + size; ++r) {
+      lane_->submit([this, p, r](std::size_t worker) { run_replication(worker, p, r); });
+    }
+  }
+
+  void run_replication(std::size_t worker, std::size_t p, std::size_t r) {
+    if (cancelled() || key(p, r) > bail_.load(std::memory_order_relaxed)) return;  // abandoned
+    const obs::WorkerTimer timer(spec_.metrics, worker);
+    obs::ReplicationProbe probe;
+    const SnapshotSpec snap = what_.snapshot ? what_.snapshot(p, r) : SnapshotSpec{};
+    const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
+    detail::Outcome<R> outcome = detail::guard_attempts(
+        spec_.seed, r, spec_.on_failure, spec_.metrics != nullptr ? &probe : nullptr,
+        spec_.fault_injection, snap_ptr,
+        [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
+          return what_.attempt(p, seed, attempt_probe, snap_ptr);
+        });
+    if (spec_.progress != nullptr) spec_.progress->tick();
+    if (outcome.ok && spec_.metrics != nullptr) spec_.metrics->shard(worker).absorb(probe);
+    if (!outcome.ok && outcome.failure.code == ErrorCode::kInterrupted) {
+      parked_.store(true);  // its snapshot is the resume point
+      return;
+    }
+    if (!outcome.ok && !what_.fatal && spec_.on_failure.mode != FailurePolicy::Mode::kSkip) {
+      std::uint64_t seen = bail_.load();
+      while (key(p, r) < seen && !bail_.compare_exchange_weak(seen, key(p, r))) {
+      }
+    }
+    if (!points_[p].land(r, std::move(outcome))) return;
+    if (const detail::Outcome<R>* f = points_[p].fatal(spec_.on_failure)) {
+      if (what_.fatal) what_.fatal(p, f->failure);
+      return;
+    }
+    const std::size_t next = points_[p].next_round(what_.reward, spec_.confidence_level);
+    if (next == 0) {
+      what_.finish(p, points_[p]);
+    } else if (!cancelled() && key(p, 0) < bail_.load()) {
+      open_round(p, next);
+    }
+  }
+
+  const RunSpec& spec_;
+  const Replicated<R> what_;
+  std::optional<stats::SequentialStopper> stopper_;
+  std::vector<PointRounds<R>> points_;
+  std::atomic<std::uint64_t> bail_{kNone};  ///< key of the earliest fail-fast failure
+  std::atomic<bool> parked_{false};
+  const std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
+  WorkerPool::Lane* lane_ = nullptr;
+  // Declared after everything its tasks read, so a pool torn down by an
+  // exception never outlives their state.
+  std::optional<WorkerPool> own_pool_;
+  std::optional<WorkerPool::Lane> own_lane_;
+};
+
+/// The replication driver behind run_model, sweep, san::Study::run,
+/// run_proactive and multi-job run_interference: a ReplicationRun, waited
+/// for.
+template <typename R>
+void replicate(const RunSpec& spec, const Replicated<R>& what) {
+  ReplicationRun<R>(spec, what).wait();
 }
 
 }  // namespace ckptsim

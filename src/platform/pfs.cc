@@ -24,15 +24,6 @@ const char* to_string(PfsPolicy policy) noexcept {
   return "unknown";
 }
 
-bool pfs_policy_from_string(const std::string& name, PfsPolicy* out) noexcept {
-  if (name == "fair" || name == "fair-share") *out = PfsPolicy::kFairShare;
-  else if (name == "fcfs") *out = PfsPolicy::kFcfs;
-  else if (name == "coop" || name == "cooperative") *out = PfsPolicy::kBlockingCooperative;
-  else if (name == "stagger" || name == "staggered") *out = PfsPolicy::kStaggered;
-  else return false;
-  return true;
-}
-
 PfsServer::PfsServer(sim::PendingSet& pending, sim::PendingSet::Key complete_key,
                      sim::PendingSet::Key first_grant_key, double bandwidth, PfsPolicy policy)
     : pending_(pending),

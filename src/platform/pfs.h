@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/pending_set.h"
@@ -32,11 +33,11 @@ enum class PfsPolicy {
   kStaggered,
 };
 
-[[nodiscard]] const char* to_string(PfsPolicy policy) noexcept;
+/// The policies' one spelling each, in enum order: the choices that
+/// `parse_choice` reads for `--pfs-policy` and the protocol's "policy".
+inline constexpr std::string_view kPfsPolicies = "fair|fcfs|coop|stagger";
 
-/// Inverse of to_string plus the CLI spellings (fair|fcfs|coop|stagger).
-/// Returns false when `name` matches no policy.
-[[nodiscard]] bool pfs_policy_from_string(const std::string& name, PfsPolicy* out) noexcept;
+[[nodiscard]] const char* to_string(PfsPolicy policy) noexcept;
 
 /// Shared-bandwidth transfer server: the single contended PFS of an
 /// interference mix.  Jobs submit byte-counted transfer requests; the

@@ -27,6 +27,17 @@ std::size_t pool_width(const ServerConfig& config) {
   return config.metrics != nullptr ? std::min(n, config.metrics->workers()) : n;
 }
 
+/// The points an op's accepted line announces: an interference run's jobs,
+/// or the optimizer's planned upper bound per (policy, procs) pair — the
+/// coarse grid plus the golden-section evaluations (memo hits shrink the
+/// real count).
+std::size_t op_points(const Request& req) {
+  if (req.op == Request::Op::kInterference) return req.mix.jobs.size();
+  const std::size_t combos = std::max<std::size_t>(1, req.opt.policies.size()) *
+                             std::max<std::size_t>(1, req.opt.processor_candidates.size());
+  return combos * (req.opt.grid + (req.opt.refine_iters > 0 ? req.opt.refine_iters + 1 : 0));
+}
+
 }  // namespace
 
 CampaignServer::CampaignServer(ServerConfig config)
@@ -82,11 +93,9 @@ void CampaignServer::handle_line(std::string_view line, const Sink& sink) {
       cancel_campaign(req.id, sink);
       return;
     case Request::Op::kSweep:
-      submit_sweep(std::move(req), line, sink);
-      return;
     case Request::Op::kInterference:
     case Request::Op::kOptimize:
-      run_op(std::move(req), sink);
+      submit(std::move(req), line, sink);
       return;
   }
 }
@@ -105,7 +114,7 @@ bool CampaignServer::admit(const std::string& id, const Sink& sink,
     counter = &svcc.rejected;
     refusal = response_draining(id);
   } else if (std::any_of(campaigns_.begin(), campaigns_.end(),
-                         [&id](const CampaignPtr& c) { return c->id == id; })) {
+                         [&id](const CampaignPtr& c) { return c->req.id == id; })) {
     refusal = response_error(id, "campaign id '" + id + "' is already active");
   } else if (campaigns_.size() >= config_.max_queue_depth) {
     // Admission control, checked before any cache work: when the queue is
@@ -122,159 +131,210 @@ bool CampaignServer::admit(const std::string& id, const Sink& sink,
   return false;
 }
 
-void CampaignServer::run_op(Request&& req, const Sink& sink) {
+bool CampaignServer::submit(Request&& req, std::string_view raw_line, const Sink& sink) {
   obs::ServiceCounters& svcc = metrics_->service();
-  const auto c = std::make_shared<Campaign>(pool_, /*priority=*/0);
-  c->id = req.id;
-  c->op = true;
-  c->inflight = 1;  // until the op ends: drained() waits for it
+  const auto c = std::make_shared<Campaign>(pool_, std::move(req), sink);
+  std::vector<std::thread> ended;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!admit(c->id, sink, lock)) return;
-    campaigns_.push_back(c);
+    if (!admit(c->req.id, sink, lock)) return false;
+    campaigns_.push_back(c);  // holds the id and a queue slot from here on
     svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
                            std::memory_order_relaxed);
+    ended.swap(ended_);
   }
+  for (std::thread& t : ended) t.join();
   svcc.accepted.fetch_add(1, std::memory_order_relaxed);
-  req.spec.exec.lane = &c->lane;
-  req.spec.cancel = &c->cancelled;
-  const bool interference = req.op == Request::Op::kInterference;
-  std::string failure;
-  try {
-    if (interference) {
-      sink(response_accepted(req.id, req.mix.jobs.size(), /*cached=*/0));
-      const platform::InterferenceResult result = platform::run_interference(req.mix, req.spec);
-      for (const platform::InterferenceJobResult& job : result.jobs) {
-        sink(response_job(req.id, job));
-        svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
-      }
-      sink(response_platform(req.id, req.mix, result));
-      svcc.replications_run.fetch_add(result.replications * req.mix.jobs.size(),
-                                      std::memory_order_relaxed);
-      sink(response_done(req.id, req.mix.jobs.size(), /*cached=*/0, /*failed=*/0));
-    } else {
-      // Candidate count is search-dependent (memo hits shrink it), so the
-      // accepted line reports the planned upper bound per (policy, procs)
-      // pair: the coarse grid plus the golden-section evaluations.
-      const std::size_t combos =
-          std::max<std::size_t>(1, req.opt.policies.size()) *
-          std::max<std::size_t>(1, req.opt.processor_candidates.size());
-      const std::size_t planned =
-          combos * (req.opt.grid + (req.opt.refine_iters > 0 ? req.opt.refine_iters + 1 : 0));
-      sink(response_accepted(req.id, planned, /*cached=*/0));
-      std::size_t evaluated = 0;
-      const OptimizeObserver observer = [&](const OptimizeCandidate& candidate) {
-        sink(response_candidate(req.id, candidate));
-        ++evaluated;
-        svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
-      };
-      const OptimumPolicy best =
-          optimize(req.params, req.spec, req.opt, /*journal=*/nullptr, observer);
-      sink(response_optimum(req.id, best));
-      sink(response_done(req.id, evaluated, /*cached=*/0, /*failed=*/0));
+  const bool sweep = c->req.op == Request::Op::kSweep;
+  if (sweep) {
+    // Durable admission record, written outside mu_ and before `accepted`
+    // or any replication: if the process dies — SIGKILL included — from
+    // here on, a restart finds the request line in the ledger and
+    // re-admits it.
+    if (ledger_ != nullptr) ledger_->admit(c->req.id, std::string(raw_line));
+    start_sweep(*c);
+    if (!c->run) {
+      drive(c);  // served wholly from the cache: nothing to wait for
+      return true;
     }
-  } catch (const std::exception& e) {
-    failure = std::string(interference ? "interference" : "optimize") + " run failed: " + e.what();
   }
   std::unique_lock<std::mutex> lock(mu_);
-  campaigns_.remove(c);
-  svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
-                         std::memory_order_relaxed);
-  idle_cv_.notify_all();
-  // A retired op was stopped: its sink is going away with the server.
-  if (failure.empty() || c->retired) return;
-  // A run stopped by its flag ends with why: a cancel or a drain.
-  const bool stopped = c->cancelled.load(std::memory_order_relaxed);
-  const std::string last = !stopped  ? response_error(req.id, failure)
-                           : draining_ ? response_draining(req.id)
-                                       : response_cancelled(req.id);
+  if (!sweep) c->outbox.push_back(response_accepted(c->req.id, op_points(c->req), /*cached=*/0));
+  c->driver = std::thread([this, c] { drive(c); });
+  ++drivers_;
+  const bool flush = claim_flush(*c);  // the accepted line, unless a worker took it
   lock.unlock();
-  if (!stopped) svcc.errors.fetch_add(1, std::memory_order_relaxed);
-  sink(last);
+  if (flush) flush_outbox(*c);
+  return true;
 }
 
-bool CampaignServer::submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink) {
+void CampaignServer::start_sweep(Campaign& c) {
   obs::ServiceCounters& svcc = metrics_->service();
-  auto c = std::make_shared<Campaign>(pool_, req.priority);
-  c->id = req.id;
-  c->sink = sink;
-  if (req.spec.sequential.enabled()) c->stopper.emplace(req.spec.sequential);
-  c->req = std::move(req);
-  const Request& r = c->req;
-
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!admit(r.id, sink, lock)) return false;
-
-  // Durable admission record, written before any replication runs: if the
-  // process dies — SIGKILL included — from here on, a restart finds the
-  // request line in the ledger and re-admits it.
-  if (ledger_ != nullptr) ledger_->admit(r.id, std::string(raw_line));
-
+  Request& r = c.req;
   // Materialize every point and restore what the cache already holds.  The
   // fingerprint is exactly the sweep journal's, so a CLI --journal file
   // warms this lookup and vice versa.
-  c->points.resize(r.values.size());
-  std::vector<std::pair<std::size_t, RunResult>> restored;
-  for (std::size_t i = 0; i < r.values.size(); ++i) {
-    PointState& ps = c->points[i];
-    ps.reps = PointRounds<ReplicationResult>(c->stopper ? &*c->stopper : nullptr);
-    ps.x = r.values[i];
-    ps.params = apply_axis(r.axis, r.params, ps.x);
-    ps.fingerprint = journal_fingerprint(r.label, ps.params, r.spec, r.engine, ps.x);
+  std::vector<std::string> lines(1);  // the accepted line goes first
+  for (const double x : r.values) {
+    Point& pt = c.points.emplace_back();
+    pt.x = x;
+    pt.params = apply_axis(r.axis, r.params, x);
+    pt.fingerprint = journal_fingerprint(r.label, pt.params, r.spec, r.engine, x);
     RunResult hit;
-    if (cache_.lookup(ps.fingerprint, &hit)) {
-      ps.finalized = true;
-      ++c->cached;
+    if (cache_.lookup(pt.fingerprint, &hit)) {
+      ++c.cached;
       svcc.cache_hits.fetch_add(1, std::memory_order_relaxed);
       svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
-      restored.emplace_back(i, std::move(hit));
+      lines.push_back(response_point(r.id, x, /*cached=*/true, hit));
     } else {
       svcc.cache_misses.fetch_add(1, std::memory_order_relaxed);
+      c.pending.push_back(c.points.size() - 1);
     }
   }
-  c->unfinalized = c->points.size() - c->cached;
-  svcc.accepted.fetch_add(1, std::memory_order_relaxed);
-  c->outbox.push_back(response_accepted(c->id, c->points.size(), c->cached));
-  for (const auto& [i, hit] : restored) {
-    c->outbox.push_back(response_point(c->id, c->points[i].x, /*cached=*/true, hit));
+  lines[0] = response_accepted(r.id, c.points.size(), c.cached);
+  {
+    // Queued before the first round: no point line can precede them.
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::string& line : lines) c.outbox.push_back(std::move(line));
   }
+  if (c.pending.empty()) return;
+  r.spec.metrics = metrics_;
+  Campaign* const cp = &c;
+  c.run.emplace(
+      r.spec,
+      Replicated<ReplicationResult>{
+          .points = c.pending.size(),
+          .attempt = [cp](std::size_t q, std::uint64_t seed, obs::ReplicationProbe* probe,
+                          const SnapshotSpec* snapshot) {
+            const Request& req = cp->req;
+            return run_replication(cp->points[cp->pending[q]].params, req.engine, seed,
+                                   req.spec.transient, req.spec.horizon, probe,
+                                   req.spec.watchdog.max_events, {}, snapshot);
+          },
+          .reward = [](const ReplicationResult& rep) { return rep.useful_fraction; },
+          .finish = [this, cp](std::size_t q, const PointRounds<ReplicationResult>& rounds) {
+            finish_point(*cp, cp->pending[q], rounds);
+          },
+          .snapshot = [this, cp](std::size_t q, std::size_t rep) {
+            // Called once per replication run: the stats op counts them.
+            metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
+            // Event-granular crash-resume, keyed by the point's cache
+            // fingerprint (unique per simulated work, filename-safe for any
+            // campaign id) plus the replication index; drain_stop_ parks the
+            // replication at its next snapshot boundary when the daemon
+            // drains.
+            const Point& pt = cp->points[cp->pending[q]];
+            char fp_hex[17];
+            std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
+                          static_cast<unsigned long long>(pt.fingerprint));
+            SnapshotSpec snap = replication_snapshot(
+                pt.params, cp->req.spec, cp->req.engine, rep, config_.snapshot_every_events,
+                config_.snapshot_dir + "/" + fp_hex + "-");
+            snap.stop = &drain_stop_;
+            return snap;
+          },
+          .fatal = [this, cp](std::size_t q, const ReplicationFailure& failure) {
+            // Unlike sweep(), one bad point fails alone: its error line
+            // carries the sweep-style context and the other points proceed.
+            cp->failed.fetch_add(1, std::memory_order_relaxed);
+            metrics_->service().errors.fetch_add(1, std::memory_order_relaxed);
+            emit(*cp, response_error(cp->req.id, "point x = " +
+                                                     std::to_string(cp->points[cp->pending[q]].x) +
+                                                     ": " + describe_failure(failure)));
+          }});
+}
 
-  if (c->unfinalized == 0) {
-    // Fully served from the cache: reply on this thread, never queue.
-    if (ledger_ != nullptr) ledger_->retire(c->id);
-    c->outbox.push_back(response_done(c->id, c->points.size(), c->cached, 0));
-    std::deque<std::string> lines;
-    lines.swap(c->outbox);
-    lock.unlock();
-    for (const std::string& out : lines) sink(out);
-    return true;
+void CampaignServer::drive(const CampaignPtr& c) {
+  const Request& req = c->req;
+  const bool sweep = req.op == Request::Op::kSweep;
+  std::size_t points = c->points.size();
+  std::string failure;
+  bool interrupted = false;
+  try {
+    if (c->run) c->run->wait();
+    if (!sweep) points = run_op(*c);
+  } catch (const std::exception& e) {
+    const auto* sim = dynamic_cast<const SimError*>(&e);
+    interrupted = sim != nullptr && sim->code() == ErrorCode::kInterrupted;
+    failure = std::string(sweep                                    ? "sweep"
+                          : req.op == Request::Op::kInterference ? "interference"
+                                                                 : "optimize") +
+              " run failed: " + e.what();
   }
-
-  for (std::size_t i = 0; i < c->points.size(); ++i) {
-    if (c->points[i].finalized) continue;
-    schedule_round(c, i, c->stopper ? c->stopper->initial_round() : r.spec.replications);
+  std::unique_lock<std::mutex> lock(mu_);
+  // Points on their way to the store thread end before the stream does.
+  idle_cv_.wait(lock, [&c] { return c->storing == 0; });
+  // The one ending rule.  stop() ends every stream silently: the sinks are
+  // going away with the server.
+  std::string last;
+  if (stopping_) {
+  } else if (c->cancelled) {
+    last = response_cancelled(req.id);
+  } else if (interrupted) {
+    if (!sweep) last = response_draining(req.id);  // a drained sweep stays pending
+  } else if (!failure.empty()) {
+    metrics_->service().errors.fetch_add(1, std::memory_order_relaxed);
+    last = response_error(req.id, failure);
+  } else {
+    last = response_done(req.id, points, c->cached, c->failed.load());
   }
-  campaigns_.push_back(c);
-  svcc.queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
-                         std::memory_order_relaxed);
-  claim_flush(*c);  // the accepted line is queued, and nobody flushes yet
   lock.unlock();
-  flush_outbox(c);
-  return true;
+  // A sweep that reached its terminal line leaves the ledger, outside mu_
+  // and while its id is listed, so a campaign that reuses the id is never
+  // retired by this one.  A drain or stop() retires nothing.
+  if (sweep && !last.empty() && ledger_ != nullptr) ledger_->retire(req.id);
+  lock.lock();
+  if (!last.empty() && !stopping_) c->outbox.push_back(std::move(last));
+  campaigns_.remove(c);
+  metrics_->service().queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
+                                        std::memory_order_relaxed);
+  idle_cv_.notify_all();
+  const bool flush = claim_flush(*c);
+  lock.unlock();
+  if (flush) flush_outbox(*c);
+  // Handed over only once the thread sends nothing more, so joining it
+  // never waits on a client's socket.
+  lock.lock();
+  if (c->driver.joinable()) {
+    ended_.push_back(std::move(c->driver));
+    --drivers_;
+    idle_cv_.notify_all();
+  }
+}
+
+std::size_t CampaignServer::run_op(Campaign& c) {
+  obs::ServiceCounters& svcc = metrics_->service();
+  const Request& req = c.req;
+  if (req.op == Request::Op::kInterference) {
+    const platform::InterferenceResult result = platform::run_interference(req.mix, req.spec);
+    for (const platform::InterferenceJobResult& job : result.jobs) {
+      emit(c, response_job(req.id, job));
+      svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
+    }
+    emit(c, response_platform(req.id, req.mix, result));
+    svcc.replications_run.fetch_add(result.replications * req.mix.jobs.size(),
+                                    std::memory_order_relaxed);
+    return req.mix.jobs.size();
+  }
+  std::size_t evaluated = 0;
+  const OptimumPolicy best =
+      optimize(req.params, req.spec, req.opt, /*journal=*/nullptr,
+               [&](const OptimizeCandidate& candidate) {
+                 emit(c, response_candidate(req.id, candidate));
+                 ++evaluated;
+                 svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
+               });
+  emit(c, response_optimum(req.id, best));
+  return evaluated;
 }
 
 void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
   obs::ServiceCounters& svcc = metrics_->service();
   std::unique_lock<std::mutex> lock(mu_);
-  CampaignPtr c;
-  for (const CampaignPtr& existing : campaigns_) {
-    if (existing->id == id) {
-      c = existing;
-      break;
-    }
-  }
-  if (c == nullptr) {
-    // Unknown id and already-completed campaign land here alike (retired
+  const auto it = std::find_if(campaigns_.begin(), campaigns_.end(),
+                               [&id](const CampaignPtr& c) { return c->req.id == id; });
+  if (it == campaigns_.end()) {
+    // Unknown id and already-completed campaign land here alike (ended
     // campaigns leave campaigns_); both must answer with a structured,
     // machine-readable error — not a silent drop or a bare message.
     lock.unlock();
@@ -284,130 +344,38 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
     return;
   }
   svcc.cancelled.fetch_add(1, std::memory_order_relaxed);
-  // Cooperative, like RunSpec::cancel: raise the flag, drop queued work,
-  // let in-flight replications finish.  An op's own thread ends its stream.
-  c->cancelled.store(true, std::memory_order_relaxed);
-  const std::size_t dropped = c->lane.drop();
-  if (!c->op) {
-    c->inflight -= dropped;
-    maybe_retire(c);
-  }
-  const bool flush = claim_flush(*c);
+  // Cooperative, like RunSpec::cancel: raise the flag and drop the queued
+  // replications; running ones finish and their outcomes are discarded.
+  // The campaign's driver ends its stream with its own "cancelled" line.
+  Campaign& c = **it;
+  c.cancelled = true;
+  c.stop.store(true, std::memory_order_relaxed);
+  c.lane.drop();
   lock.unlock();
-  // Immediate ack to the canceller; the campaign's own stream terminates
-  // with its own "cancelled" line once in-flight work drains.
   sink(response_cancelled(id));
-  if (flush) flush_outbox(c);
 }
 
-void CampaignServer::run_task(const CampaignPtr& c, std::size_t point, std::size_t rep,
-                              std::size_t worker) {
-  detail::Outcome<ReplicationResult> outcome;
-  if (!c->cancelled.load(std::memory_order_relaxed)) {
-    const Request& r = c->req;
-    const PointState& ps = c->points[point];
-    // Event-granular crash-resume, keyed by the point's cache fingerprint
-    // (unique per simulated work, filename-safe for any campaign id) plus
-    // the replication index; drain_stop_ parks the replication at its
-    // next snapshot boundary when the daemon drains.
-    char fp_hex[17];
-    std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
-                  static_cast<unsigned long long>(ps.fingerprint));
-    SnapshotSpec snap =
-        replication_snapshot(ps.params, r.spec, r.engine, rep, config_.snapshot_every_events,
-                             config_.snapshot_dir + "/" + fp_hex + "-");
-    snap.stop = &drain_stop_;
-    const SnapshotSpec* const snap_ptr = snap.enabled() ? &snap : nullptr;
-    const obs::WorkerTimer timer(metrics_, worker);
-    obs::ReplicationProbe probe;
-    outcome = detail::guard_attempts(
-        r.spec.seed, rep, r.spec.on_failure, &probe, r.spec.fault_injection, snap_ptr,
-        [&](std::uint64_t seed, obs::ReplicationProbe* attempt_probe) {
-          return run_replication(ps.params, r.engine, seed, r.spec.transient, r.spec.horizon,
-                                 attempt_probe, r.spec.watchdog.max_events, {}, snap_ptr);
-        });
-    metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
-    if (outcome.ok) metrics_->shard(worker).absorb(probe);
-  }
+void CampaignServer::finish_point(Campaign& c, std::size_t point,
+                                  const PointRounds<ReplicationResult>& rounds) {
+  const Point& pt = c.points[point];
+  RunResult result = aggregate_point(rounds, c.req.spec.confidence_level, pt.params);
   std::unique_lock<std::mutex> lock(mu_);
-  on_task_done(c, point, rep, std::move(outcome));
-  const bool flush = claim_flush(*c);
-  lock.unlock();
-  if (flush) flush_outbox(c);
-}
-
-void CampaignServer::schedule_round(const CampaignPtr& c, std::size_t point, std::size_t batch) {
-  PointRounds<ReplicationResult>& reps = c->points[point].reps;
-  for (std::size_t rep = reps.open(batch); rep < reps.scheduled(); ++rep) {
-    // The task owns the campaign, and with it the lane it is queued on.
-    c->lane.submit([this, c, point, rep](std::size_t worker) { run_task(c, point, rep, worker); });
-    ++c->inflight;
-  }
-}
-
-void CampaignServer::on_task_done(const CampaignPtr& c, std::size_t point, std::size_t rep,
-                                  detail::Outcome<ReplicationResult>&& outcome) {
-  --c->inflight;
-  if (!outcome.ok && outcome.failure.code == ErrorCode::kInterrupted) {
-    // Drain stop: the replication parked itself in its snapshot.  Nothing
-    // is recorded — the campaign stays pending in the ledger, and the
-    // restarted daemon resumes this replication from the snapshot,
-    // bit-identical to never having stopped.
-    idle_cv_.notify_all();
-    return;
-  }
-  if (c->cancelled.load(std::memory_order_relaxed)) {
-    // The outcome is discarded: the point can no longer finalize, and the
-    // campaign retires once the last in-flight task lands here.
-    maybe_retire(c);
-    return;
-  }
-  PointRounds<ReplicationResult>& reps = c->points[point].reps;
-  if (!reps.land(rep, std::move(outcome))) return;
-  // Round complete: the stop/continue decision of ckptsim::replicate.
-  if (reps.fatal(c->req.spec.on_failure) == nullptr) {
-    const std::size_t next = reps.next_round(
-        [](const ReplicationResult& r) { return r.useful_fraction; },
-        c->req.spec.confidence_level);
-    if (next != 0) {
-      // A draining server opens no round: the point stays unfinished, and
-      // pending in the ledger, for the restarted daemon.
-      if (!draining_) schedule_round(c, point, next);
-      return;
-    }
-  }
-  finalize_point(c, point);
-  maybe_retire(c);
-}
-
-void CampaignServer::finalize_point(const CampaignPtr& c, std::size_t point) {
-  PointState& ps = c->points[point];
-  const Request& r = c->req;
-  ps.finalized = true;
-  if (const auto* f = ps.reps.fatal(r.spec.on_failure)) {
-    // Unlike sweep(), one bad point fails alone: its error line carries the
-    // sweep-style context and the campaign's other points proceed.
-    --c->unfinalized;
-    ++c->failed;
-    metrics_->service().errors.fetch_add(1, std::memory_order_relaxed);
-    c->outbox.push_back(response_error(
-        c->id, "point x = " + std::to_string(ps.x) + ": " + describe_failure(f->failure)));
-    return;
-  }
+  if (c.cancelled || stopping_) return;  // a late outcome
   // Insert before the "point" line is queued: by the time a client reads
   // the response, the entry is fsync'd and survives a daemon restart.  A
   // persistent insert waits on the disk, so the store thread makes it; the
-  // point counts as in flight until then, so a cancel or a drain waits for
-  // its line.
-  PendingStore s{c, point, aggregate_point(ps.reps, r.spec.confidence_level, ps.params)};
-  ++c->inflight;
-  if (!cache_.persistent()) {
-    cache_.insert(ps.fingerprint, ps.x, s.result);
-    publish_point(s);
+  // campaign's driver waits for it before ending the stream.
+  if (cache_.persistent()) {
+    ++c.storing;
+    stores_.push_back(PendingStore{c.shared_from_this(), point, std::move(result)});
+    store_cv_.notify_one();
     return;
   }
-  stores_.push_back(std::move(s));
-  store_cv_.notify_one();
+  cache_.insert(pt.fingerprint, pt.x, result);
+  publish_point(c, point, result);
+  const bool flush = claim_flush(c);
+  lock.unlock();
+  if (flush) flush_outbox(c);
 }
 
 void CampaignServer::store_loop() {
@@ -421,53 +389,39 @@ void CampaignServer::store_loop() {
     std::vector<SweepJournal::Entry> entries;
     entries.reserve(batch.size());
     for (const PendingStore& s : batch) {
-      const PointState& ps = s.campaign->points[s.point];
-      entries.push_back(SweepJournal::Entry{ps.fingerprint, ps.x, s.result});
+      const Point& pt = s.campaign->points[s.point];
+      entries.push_back(SweepJournal::Entry{pt.fingerprint, pt.x, s.result});
     }
     cache_.insert_all(entries);
     lock.lock();
     std::vector<CampaignPtr> flush;
     for (const PendingStore& s : batch) {
-      publish_point(s);
+      publish_point(*s.campaign, s.point, s.result);
+      --s.campaign->storing;
       if (claim_flush(*s.campaign)) flush.push_back(s.campaign);
     }
+    idle_cv_.notify_all();
     lock.unlock();
-    for (const CampaignPtr& c : flush) flush_outbox(c);
+    for (const CampaignPtr& c : flush) flush_outbox(*c);
     lock.lock();
   }
 }
 
-void CampaignServer::publish_point(const PendingStore& s) {
-  Campaign& c = *s.campaign;
-  const PointState& ps = c.points[s.point];
-  --c.inflight;
-  --c.unfinalized;
-  metrics_->record_point(
-      obs::PointRecord{c.req.label, ps.x, s.result.replications, s.result.rounds});
+void CampaignServer::publish_point(Campaign& c, std::size_t point, const RunResult& result) {
+  const Point& pt = c.points[point];
+  metrics_->record_point(obs::PointRecord{c.req.label, pt.x, result.replications, result.rounds});
   metrics_->service().points_completed.fetch_add(1, std::memory_order_relaxed);
-  // stop() retires every campaign: its sink is going away with the server.
-  if (!c.retired) c.outbox.push_back(response_point(c.id, ps.x, /*cached=*/false, s.result));
-  maybe_retire(s.campaign);
+  // stop() ends every stream: its sink is going away with the server.
+  if (!stopping_) c.outbox.push_back(response_point(c.req.id, pt.x, /*cached=*/false, result));
 }
 
-void CampaignServer::maybe_retire(const CampaignPtr& c) {
-  if (c->retired) return;
-  if (c->cancelled.load(std::memory_order_relaxed)) {
-    if (c->inflight != 0) return;
-    c->outbox.push_back(response_cancelled(c->id));
-  } else {
-    if (c->unfinalized != 0 || c->inflight != 0) return;
-    c->outbox.push_back(response_done(c->id, c->points.size(), c->cached, c->failed));
-  }
-  c->retired = true;
-  // The campaign reached its terminal line on its own (done, or a
-  // client-requested cancel): retire it from the ledger.  Shutdown and
-  // drain deliberately never get here, so their campaigns stay pending.
-  if (ledger_ != nullptr) ledger_->retire(c->id);
-  campaigns_.remove(c);
-  metrics_->service().queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
-                                        std::memory_order_relaxed);
-  idle_cv_.notify_all();
+void CampaignServer::emit(Campaign& c, std::string line) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (c.cancelled || stopping_) return;
+  c.outbox.push_back(std::move(line));
+  const bool flush = claim_flush(c);
+  lock.unlock();
+  if (flush) flush_outbox(c);
 }
 
 bool CampaignServer::claim_flush(Campaign& c) {
@@ -477,26 +431,26 @@ bool CampaignServer::claim_flush(Campaign& c) {
   return true;
 }
 
-void CampaignServer::flush_outbox(const CampaignPtr& c) {
+void CampaignServer::flush_outbox(Campaign& c) {
   for (;;) {
     std::deque<std::string> batch;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      if (c->outbox.empty()) {
-        c->flushing = false;
+      if (c.outbox.empty()) {
+        c.flushing = false;
         --flushers_;
         idle_cv_.notify_all();
         return;
       }
-      batch.swap(c->outbox);
+      batch.swap(c.outbox);
     }
-    for (const std::string& line : batch) c->sink(line);
+    for (const std::string& line : batch) c.sink(line);
   }
 }
 
 void CampaignServer::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  // Wait for the response streams too: a retired campaign's last lines may
+  // Wait for the response streams too: an ended campaign's last lines may
   // still be in a flusher's hands.
   idle_cv_.wait(lock, [this] { return campaigns_.empty() && flushers_ == 0; });
 }
@@ -507,25 +461,16 @@ void CampaignServer::begin_drain() {
   // boundary.
   drain_stop_.store(true, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (draining_) return;
   draining_ = true;
-  // Nothing queued starts: a sweep's dropped replications stay pending in
-  // the ledger for the restarted daemon; an op ends with "draining".
   for (const CampaignPtr& c : campaigns_) {
-    if (c->op) c->cancelled.store(true, std::memory_order_relaxed);
-    const std::size_t dropped = c->lane.drop();
-    if (!c->op) c->inflight -= dropped;
+    c->stop.store(true, std::memory_order_relaxed);
+    c->lane.drop();
   }
 }
 
 bool CampaignServer::drained() {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (!draining_) return false;
-  if (flushers_ != 0) return false;
-  for (const CampaignPtr& c : campaigns_) {
-    if (c->inflight != 0) return false;
-  }
-  return true;
+  return draining_ && campaigns_.empty() && flushers_ == 0;
 }
 
 std::size_t CampaignServer::readmit_pending(const Sink& sink) {
@@ -544,7 +489,7 @@ std::size_t CampaignServer::readmit_pending(const Sink& sink) {
       ledger_->retire(id);
       continue;
     }
-    if (submit_sweep(std::move(req), line, sink)) ++admitted;
+    if (submit(std::move(req), line, sink)) ++admitted;
   }
   return admitted;
 }
@@ -554,36 +499,27 @@ void CampaignServer::stop() {
   // snapshots are on) instead of running to completion, so the wait is
   // prompt and their progress survives in the snapshot files.
   drain_stop_.store(true, std::memory_order_relaxed);
-  std::list<CampaignPtr> listed;
+  std::vector<std::thread> drivers;
   {
-    const std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) return;
     stopping_ = true;
     for (const CampaignPtr& c : campaigns_) {
-      c->cancelled.store(true, std::memory_order_relaxed);
-      c->retired = true;  // suppress terminal lines: the sinks are dying too
-      const std::size_t dropped = c->lane.drop();
-      if (!c->op) c->inflight -= dropped;
+      c->stop.store(true, std::memory_order_relaxed);
+      c->lane.drop();
     }
-    // The sockets are going away with us; drop the campaigns rather than
-    // emitting into the void.  Running tasks own their campaign, so its
-    // state stays valid until they land.
-    listed.swap(campaigns_);
-    metrics_->service().queue_depth.store(0, std::memory_order_relaxed);
+    idle_cv_.wait(lock, [this] { return campaigns_.empty() && drivers_ == 0; });
+    drivers.swap(ended_);
   }
-  // An op's lane is its own thread's to wait on.
-  for (const CampaignPtr& c : listed) {
-    if (!c->op) c->lane.wait();
-  }
-  // The lanes queue no more points: the store thread inserts what they
-  // left (finished points stay cached) and exits.
+  for (std::thread& t : drivers) t.join();
+  // No campaign queues a point any more: the store thread inserts what
+  // they left (finished points stay cached) and exits.
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stores_closed_ = true;
   }
   store_cv_.notify_all();
   if (store_thread_.joinable()) store_thread_.join();
-  idle_cv_.notify_all();
 }
 
 }  // namespace ckptsim::svc

@@ -12,12 +12,12 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/runner.h"
 #include "src/core/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/stats/sequential.h"
 #include "src/svc/cache.h"
 #include "src/svc/ledger.h"
 #include "src/svc/protocol.h"
@@ -53,56 +53,49 @@ struct ServerConfig {
 };
 
 /// The ckptsimd campaign scheduler: accepts parsed request lines, runs
-/// sweep campaigns on a worker pool, and streams response lines back
-/// through per-connection sinks.  Transport-agnostic — the TCP daemon and
-/// the --once stdin mode both drive this same object, as do the in-process
-/// tests and the throughput bench.
+/// sweep campaigns and ops on a worker pool, and streams response lines
+/// back through per-connection sinks.  Transport-agnostic — the TCP daemon
+/// and the --once stdin mode both drive this same object, as do the
+/// in-process tests and the throughput bench.
 ///
 /// Scheduling: the server owns one core::WorkerPool and gives every
-/// campaign a lane at its priority.  The unit of work is one replication
-/// (the driver's guarded attempt around run_replication), not one
-/// campaign, so concurrent campaigns share the pool fairly instead of
-/// convoying: workers always take from the highest-priority lane with
-/// queued work and round-robin among equals (least recently served
-/// first).  Each point finalizes —
-/// aggregation in replication-index order, cache insert, streamed "point"
-/// line — the moment its last replication completes, exactly mirroring
-/// sweep()'s per-point countdown, so results are bit-identical to the CLI's
-/// sweep for the same request (and therefore to the cache entries a CLI
-/// --journal run would have produced).  With a persistent cache the insert,
-/// an fsync, is the store thread's: it appends every point finished
-/// meanwhile with one fsync and only then queues their "point" lines, so no
-/// worker waits on the disk and no line names an entry a crash could lose.
-/// A memory-only cache is filled by the worker that finished the point.
+/// campaign a lane at its priority (ops: 0).  A sweep is one
+/// ckptsim::ReplicationRun on that lane, built on the requesting thread, so
+/// its first round is queued when handle_line returns; an op is its library
+/// call (run_interference, optimize), whose runs target the same lane.  The
+/// unit of work is one replication, so concurrent campaigns share the pool
+/// fairly instead of convoying: workers always take from the
+/// highest-priority lane with queued work and round-robin among equals
+/// (least recently served first).  Each point finalizes — aggregation in
+/// replication-index order, cache insert, streamed "point" line — on the
+/// worker that lands its last round, and each point opens its own rounds,
+/// so adaptive campaigns interleave with fixed ones and results are
+/// bit-identical to the CLI's sweep for the same request (and therefore to
+/// the cache entries a CLI --journal run would have produced).  With a
+/// persistent cache the insert, an fsync, is the store thread's: it appends
+/// every point finished meanwhile with one fsync and only then queues their
+/// "point" lines, so no worker waits on the disk and no line names an entry
+/// a crash could lose.  A memory-only cache is filled by the worker that
+/// finished the point.
 ///
-/// Adaptive campaigns (spec.rel_precision > 0) keep each point's rounds in
-/// the driver's PointRounds: when a round completes, the stopper either
-/// stops the point or schedules the next batch, exactly as in
-/// ckptsim::replicate.  No cross-point barrier is needed, so adaptive
-/// campaigns interleave with fixed ones on the same pool and still
-/// reproduce an adaptive sweep's replication counts bit-identically.
+/// Every admitted campaign has one driver thread, which waits on the
+/// campaign's run or op and then ends it by one rule: "done" when it
+/// finished, "cancelled" after a client cancel (whose late outcomes are
+/// discarded), "draining" for an op a drain stopped and nothing for a
+/// drained sweep.  A sweep served wholly from the cache ends on the
+/// requesting thread instead.  So no request blocks its connection.
 ///
 /// Failure semantics differ from sweep() deliberately: a replication
 /// failure under the fail/retry policies fails *that point* (an "error"
 /// line with the point's context) and the campaign continues — a service
 /// should not tear down a 20-point campaign for one bad point.  Skip-mode
-/// accounting matches sweep() exactly.
-///
-/// Cancellation reuses the cooperative flag pattern of RunSpec::cancel:
-/// a "cancel" request raises the campaign's flag, queued tasks are
-/// dropped, in-flight replications finish, then one "cancelled" line is
-/// emitted.  Points finalized before the cancel stay cached.
-///
-/// The interference and optimize ops pass the sweeps' admission and are
-/// listed beside the campaigns, each with a lane at priority 0 that its
-/// replications run on.  They run on the requesting thread, with no cache
-/// entry and no ledger record; a cancel or a drain drops their queued
-/// replications and ends their stream with "cancelled" or "draining".
+/// accounting matches sweep() exactly.  Ops keep no cache entry and no
+/// ledger record.
 class CampaignServer {
  public:
-  /// One response line (no trailing newline).  Called from connection and
-  /// worker threads; per-campaign emission is serialized and FIFO, so a
-  /// sink never sees "done" before the campaign's last "point".
+  /// One response line (no trailing newline).  Called from connection,
+  /// worker and driver threads; per-campaign emission is serialized and
+  /// FIFO, so a sink never sees "done" before the campaign's last "point".
   using Sink = std::function<void(const std::string&)>;
 
   explicit CampaignServer(ServerConfig config);
@@ -112,27 +105,27 @@ class CampaignServer {
   CampaignServer& operator=(const CampaignServer&) = delete;
 
   /// Handle one request line from a client.  Immediate responses (pong,
-  /// stats, errors, rejections, cache-only campaigns) are emitted on the
-  /// caller's thread; streamed campaign responses arrive on worker threads
-  /// through the same sink.  Never throws on bad input — malformed lines
-  /// produce "error" responses.
+  /// stats, errors, rejections, cancel acks, accepted lines) are emitted on
+  /// the caller's thread; streamed campaign responses arrive on worker and
+  /// driver threads through the same sink.  Never throws on bad input —
+  /// malformed lines produce "error" responses.
   void handle_line(std::string_view line, const Sink& sink);
 
   /// Block until no campaign is queued or running (tests, --once mode).
   void drain();
 
-  /// Graceful drain (SIGTERM): drop every queued replication, reject new
-  /// requests with an explicit "draining" response, and make in-flight
-  /// replications park themselves at their next snapshot boundary (the
-  /// snapshot is written, then the replication unwinds).  Campaigns caught
-  /// mid-flight stay pending in the ledger, so a restarted daemon
-  /// re-admits them and resumes bit-identically; a running op ends with
+  /// Graceful drain (SIGTERM): raise every campaign's flag, so nothing
+  /// queued starts and no new round opens; reject new requests with an
+  /// explicit "draining" response; and make in-flight replications park
+  /// themselves at their next snapshot boundary (the snapshot is written,
+  /// then the replication unwinds).  Sweeps caught mid-flight end without a
+  /// terminal line and stay pending in the ledger, so a restarted daemon
+  /// re-admits them and resumes bit-identically; an op ends with
   /// "draining".  Idempotent.
   void begin_drain();
 
-  /// True once begin_drain() was called and no replication is in flight,
-  /// no op is listed and no response stream is mid-flush — the daemon can
-  /// exit.
+  /// True once begin_drain() was called, every campaign has ended and no
+  /// response stream is mid-flush — the daemon can exit.
   [[nodiscard]] bool drained();
 
   /// Replay the ledger's pending campaigns through the normal request
@@ -143,9 +136,8 @@ class CampaignServer {
   /// Call once at startup, before serving.
   std::size_t readmit_pending(const Sink& sink);
 
-  /// Cancel everything and wait for the campaigns' running replications.
-  /// Ops still running on other threads must end before the server is
-  /// destroyed.  Idempotent.
+  /// Cancel everything, wait for every campaign to end and join its driver.
+  /// No line is emitted and nothing is retired.  Idempotent.
   void stop();
 
   /// True once a "shutdown" request was received; the transport layer polls
@@ -163,40 +155,41 @@ class CampaignServer {
   [[nodiscard]] obs::Metrics& metrics() noexcept { return *metrics_; }
 
  private:
-  /// Mutable per-point state while a campaign runs.  `params` and `fp` are
-  /// written once at admission (under mu_) and read-only afterwards;
-  /// everything else is guarded by mu_.
-  struct PointState {
+  /// One sweep point, fixed at admission.
+  struct Point {
     double x = 0.0;
     Parameters params;
     std::uint64_t fingerprint = 0;
-    PointRounds<ReplicationResult> reps;  ///< outcomes, rounds, stop decision
-    bool finalized = false;
   };
 
-  /// A sweep campaign, or an op listed while it runs (`op`).  Its lane's
-  /// tasks own it, so it lives until the last of them is released.
-  struct Campaign {
-    Campaign(WorkerPool& pool, int priority) : lane(pool, priority) {}
-    std::string id;
-    Request req;  ///< immutable after admission
+  /// An admitted sweep or op.  Its driver thread owns it until the
+  /// campaign ends.  `req` and the points are fixed once its run starts;
+  /// fields marked (mu_) are guarded by mu_.
+  struct Campaign : std::enable_shared_from_this<Campaign> {
+    Campaign(WorkerPool& pool, Request&& r, Sink s)
+        : req(std::move(r)), sink(std::move(s)), lane(pool, req.priority) {
+      req.spec.exec.lane = &lane;
+      req.spec.cancel = &stop;
+    }
+    Request req;  ///< spec.exec.lane and spec.cancel point at the two below
     Sink sink;
-    std::optional<stats::SequentialStopper> stopper;  ///< set when adaptive
-    std::vector<PointState> points;
-    WorkerPool::Lane lane;       ///< the campaign's replications
-    bool op = false;             ///< an op: its own thread ends its stream
-    std::size_t inflight = 0;    ///< tasks queued or running, plus points awaiting the
-                                 ///< store thread; 1 for a listed op
-    std::size_t unfinalized = 0; ///< points whose point or error line is not yet queued
-    std::size_t cached = 0;      ///< points restored from the cache
-    std::size_t failed = 0;      ///< points failed under fail/retry policy
-    std::atomic<bool> cancelled{false};
-    bool retired = false;  ///< terminal line emitted, off the list
+    WorkerPool::Lane lane;           ///< the campaign's replications
+    std::atomic<bool> stop{false};   ///< raised by a cancel, a drain or stop()
+    std::vector<Point> points;       ///< a sweep's points
+    std::vector<std::size_t> pending;  ///< the points its run simulates
+    std::size_t cached = 0;            ///< points restored from the cache
+    std::atomic<std::size_t> failed{0};  ///< points failed under fail/retry policy
+    std::size_t storing = 0;         ///< points awaiting the store thread (mu_)
+    bool cancelled = false;          ///< by a client (mu_)
     // Ordered response queue: appended under mu_, drained FIFO by a single
     // flusher at a time, so lines reach the sink in generation order even
-    // though several workers finalize points concurrently.
-    std::deque<std::string> outbox;
-    bool flushing = false;
+    // though several threads emit concurrently.
+    std::deque<std::string> outbox;  ///< (mu_)
+    bool flushing = false;           ///< (mu_)
+    std::thread driver;              ///< (mu_) handed to ended_ when it ends
+    /// A sweep's replications; declared last, so it goes before the lane
+    /// and the state its tasks read.
+    std::optional<ReplicationRun<ReplicationResult>> run;
   };
   using CampaignPtr = std::shared_ptr<Campaign>;
 
@@ -212,43 +205,35 @@ class CampaignServer {
   /// ("rejected").  False after answering `sink`, with `lock` released;
   /// true with `lock` on mu_ still held.
   bool admit(const std::string& id, const Sink& sink, std::unique_lock<std::mutex>& lock);
+  /// Admit a sweep or an op, queue its accepted line and start its driver.
   /// False when the campaign was turned away (error, draining, full queue).
-  bool submit_sweep(Request&& req, std::string_view raw_line, const Sink& sink);
-  /// Admit an interference or optimize request and run it on the caller's
-  /// thread, its replications on the lane of its listing, streaming
-  /// accepted / job / platform / done or accepted / candidate / optimum /
-  /// done lines through `sink`.  No cache entry, no ledger record.
-  void run_op(Request&& req, const Sink& sink);
+  bool submit(Request&& req, std::string_view raw_line, const Sink& sink);
+  /// Restore a sweep's cached points, queue its accepted and cached lines,
+  /// and build the run of the rest, which queues their first round.
+  void start_sweep(Campaign& c);
+  /// The driver: wait on the campaign's run or op, then end it.
+  void drive(const CampaignPtr& c);
+  /// An op's library call, streaming its lines; returns the count its
+  /// "done" line reports.
+  std::size_t run_op(Campaign& c);
   void cancel_campaign(const std::string& id, const Sink& sink);
-  /// Replication `rep` of `point` of `c` on pool thread `worker`: simulate
-  /// it, then record it and flush what it finalized.
-  void run_task(const CampaignPtr& c, std::size_t point, std::size_t rep, std::size_t worker);
-  /// Record a completed task, finalizing its point / campaign as needed.
-  /// Caller holds mu_; emissions go to the campaign outbox.
-  void on_task_done(const CampaignPtr& c, std::size_t point, std::size_t rep,
-                    detail::Outcome<ReplicationResult>&& outcome);
-  /// Aggregate one completed point and cache and publish it, through the
-  /// store thread when the cache is persistent (a failed point emits its
-  /// error line instead).  Caller holds mu_.
-  void finalize_point(const CampaignPtr& c, std::size_t point);
+  /// A sweep point's last round landed: aggregate it, then cache and
+  /// publish it, through the store thread when the cache is persistent.
+  void finish_point(Campaign& c, std::size_t point, const PointRounds<ReplicationResult>& rounds);
   /// The store thread of a persistent cache: insert the queued points in
   /// one batch, then publish them, until stop() closes the queue.
   void store_loop();
-  /// Emit a point already in the cache, ending its in-flight count.
-  /// Caller holds mu_.
-  void publish_point(const PendingStore& s);
-  /// Queue the next `batch` replications of `point` on the campaign's lane.
-  /// Caller holds mu_.
-  void schedule_round(const CampaignPtr& c, std::size_t point, std::size_t batch);
-  /// Emit "done"/"cancelled" and retire the campaign once nothing is left.
-  /// Caller holds mu_.
-  void maybe_retire(const CampaignPtr& c);
+  /// Queue the line of a point already in the cache.  Caller holds mu_.
+  void publish_point(Campaign& c, std::size_t point, const RunResult& result);
+  /// Queue `line` on `c`'s stream and flush it, unless a client cancel or
+  /// stop() discards the campaign's late lines.
+  void emit(Campaign& c, std::string line);
   /// Claim `c`'s outbox for a flush when it holds lines and nobody flushes
   /// it; on true, call flush_outbox(c) once mu_ is released.  Caller holds
   /// mu_.
   bool claim_flush(Campaign& c);
   /// Drain `c`'s outbox through its sink without holding mu_.
-  void flush_outbox(const CampaignPtr& c);
+  void flush_outbox(Campaign& c);
 
   ServerConfig config_;
   std::unique_ptr<obs::Metrics> owned_metrics_;
@@ -260,14 +245,17 @@ class CampaignServer {
   std::atomic<bool> drain_stop_{false};
 
   std::mutex mu_;
-  std::condition_variable idle_cv_;  ///< drain(): campaign list emptied
+  /// drain(), stop() and drivers: a campaign ended, or a point was stored.
+  std::condition_variable idle_cv_;
   /// Declared after what its tasks lock and before what holds campaigns,
   /// so it is joined after the campaigns go and before the lock does.
   WorkerPool pool_;
-  std::list<CampaignPtr> campaigns_;  ///< sweeps queued or running, and ops running
+  std::list<CampaignPtr> campaigns_;  ///< admitted and not yet ended
+  std::size_t drivers_ = 0;           ///< driver threads not yet in ended_
+  std::vector<std::thread> ended_;    ///< driver threads done sending, to join
   std::condition_variable store_cv_;  ///< store thread: points queued or closing
   std::vector<PendingStore> stores_;  ///< finished points awaiting their insert
-  bool stores_closed_ = false;        ///< set by stop() once the lanes are idle
+  bool stores_closed_ = false;        ///< set by stop() once every campaign ended
   std::size_t flushers_ = 0;  ///< outbox drains in progress (any campaign)
   bool stopping_ = false;
   bool draining_ = false;  ///< guarded by mu_

@@ -1,8 +1,8 @@
 // Statistical validation of the confidence-interval machinery: on processes
 // with KNOWN means, the empirical coverage of a nominal 95% interval over
 // many deterministic seeds must land near 95%.  These tests gate the whole
-// stats layer — a wrong t-table, a std_error bug, or a broken batch cutter
-// shows up here as coverage drifting out of [0.92, 0.98].
+// stats layer — a wrong t-table or a std_error bug shows up here as
+// coverage drifting out of [0.92, 0.98].
 //
 // Every experiment derives its seed from sim::replication_seed(master, e),
 // so the observed coverage is an exact, reproducible number — the bounds
@@ -15,14 +15,12 @@
 #include <random>
 
 #include "src/sim/rng.h"
-#include "src/stats/batch_means.h"
 #include "src/stats/confidence.h"
 #include "src/stats/summary.h"
 
 namespace {
 
 using ckptsim::sim::Rng;
-using ckptsim::stats::BatchMeans;
 using ckptsim::stats::ConfidenceInterval;
 using ckptsim::stats::Summary;
 using ckptsim::stats::mean_confidence;
@@ -69,37 +67,6 @@ TEST(CiCoverage, UniformMeanSmallSample) {
   const double coverage =
       summary_coverage(7117, 2000, 10, 0.5, [](Rng& rng) { return rng.uniform(); });
   EXPECT_GE(coverage, kLo);
-  EXPECT_LE(coverage, kHi);
-}
-
-TEST(CiCoverage, BatchMeansOnAr1Process) {
-  // AR(1): x_{t+1} = mu + phi (x_t - mu) + eps, eps ~ N(0, 1), phi = 0.7.
-  // Raw observations are strongly autocorrelated (a naive per-observation
-  // CI would cover far below 95%); batches of 200 >> the ~3.3-step
-  // autocorrelation time make the batch means nearly independent, which is
-  // exactly the property BatchMeans exists to provide.
-  constexpr double kMu = 5.0;
-  constexpr double kPhi = 0.7;
-  constexpr std::size_t kExperiments = 400;
-  constexpr std::size_t kObservations = 20000;
-  constexpr std::size_t kBatch = 200;
-  std::size_t covered = 0;
-  for (std::size_t e = 0; e < kExperiments; ++e) {
-    Rng rng(ckptsim::sim::replication_seed(515151, e));
-    std::normal_distribution<double> noise(0.0, 1.0);
-    // Start at a draw from the stationary law N(mu, 1 / (1 - phi^2)) so no
-    // burn-in bias enters the batch means.
-    double x = kMu + noise(rng.engine()) / std::sqrt(1.0 - kPhi * kPhi);
-    BatchMeans bm(kBatch);
-    for (std::size_t t = 0; t < kObservations; ++t) {
-      bm.add(x);
-      x = kMu + kPhi * (x - kMu) + noise(rng.engine());
-    }
-    ASSERT_EQ(bm.batches(), kObservations / kBatch);
-    if (bm.confidence(0.95).contains(kMu)) ++covered;
-  }
-  const double coverage = static_cast<double>(covered) / static_cast<double>(kExperiments);
-  EXPECT_GE(coverage, kLo) << "batch-means CI undercovers on an AR(1) process";
   EXPECT_LE(coverage, kHi);
 }
 

@@ -391,6 +391,26 @@ TEST(Drivers, SweepErrorAndCancelTextIsPinned) {
   }
 }
 
+TEST(Drivers, SweepAdaptiveErrorTextIsPinned) {
+  for (const std::size_t jobs : kJobCounts) {
+    RunSpec spec = small_spec(jobs);
+    adaptive(spec);
+    spec.sequential.rel_precision = 1e-9;  // every point runs to its budget
+    // Point 1 (a 1-minute interval) runs over the event budget in its first
+    // round; point 0 (240 minutes) stays under it and fails only at the
+    // injected replication 6, which its third round reaches.  The sweep
+    // fails with the smallest failing point, whichever round failed first.
+    spec.watchdog.max_events = 6500;
+    spec.fault_injection = [](std::size_t rep, std::size_t) {
+      if (rep == 6) throw std::runtime_error("injected on 6");
+    };
+    const std::string text = error_text([&] {
+      (void)ckptsim::sweep("drivers", small_machine(), {240.0, 1.0}, apply_interval, spec);
+    });
+    expect_pinned(text, 0x93776fa5d2bfd6adULL, jobs);
+  }
+}
+
 // ----------------------------------------------------------------- san study
 
 /// Two-state on/off model (on -> off at rate 1, off -> on at rate 3) with a

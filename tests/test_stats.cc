@@ -6,14 +6,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/stats/batch_means.h"
 #include "src/stats/confidence.h"
 #include "src/stats/histogram.h"
 #include "src/stats/summary.h"
 
 namespace {
 
-using ckptsim::stats::BatchMeans;
 using ckptsim::stats::ConfidenceInterval;
 using ckptsim::stats::Histogram;
 using ckptsim::stats::mean_confidence;
@@ -21,7 +19,6 @@ using ckptsim::stats::normal_critical;
 using ckptsim::stats::normal_quantile;
 using ckptsim::stats::student_t_critical;
 using ckptsim::stats::Summary;
-using ckptsim::stats::TimeBatchMeans;
 
 TEST(Summary, EmptyStateIsSafe) {
   Summary s;
@@ -213,49 +210,6 @@ TEST(MeanConfidence, CoverageOnNormalData) {
   const double coverage = static_cast<double>(covered) / trials;
   EXPECT_GT(coverage, 0.90);
   EXPECT_LT(coverage, 0.99);
-}
-
-TEST(BatchMeans, CutsBatchesCorrectly) {
-  BatchMeans bm(10);
-  for (int i = 0; i < 95; ++i) bm.add(1.0);
-  EXPECT_EQ(bm.batches(), 9u);  // the partial 10th batch is not counted
-  EXPECT_EQ(bm.observations(), 95u);
-  EXPECT_DOUBLE_EQ(bm.mean(), 1.0);
-}
-
-TEST(BatchMeans, ReducesVarianceOfCorrelatedStream) {
-  // AR(1)-like positively correlated stream: batch means should have a
-  // tighter spread than raw observations scaled naively.
-  std::mt19937_64 gen(3);
-  std::normal_distribution<double> noise(0.0, 1.0);
-  BatchMeans bm(100);
-  Summary raw;
-  double x = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    x = 0.9 * x + noise(gen);
-    bm.add(x);
-    raw.add(x);
-  }
-  EXPECT_NEAR(bm.mean(), raw.mean(), 1e-9);
-  EXPECT_NEAR(bm.mean(), 0.0, 0.5);
-}
-
-TEST(BatchMeans, RejectsZeroBatch) { EXPECT_THROW(BatchMeans(0), std::invalid_argument); }
-
-TEST(TimeBatchMeans, IntegratesAcrossBoundaries) {
-  TimeBatchMeans tbm(10.0);
-  tbm.accumulate(1.0, 25.0);  // crosses two batch boundaries
-  EXPECT_EQ(tbm.batches(), 2u);
-  EXPECT_DOUBLE_EQ(tbm.mean(), 1.0);
-  tbm.accumulate(3.0, 5.0);  // completes the third batch: rate 1 for 5s, 3 for 5s
-  EXPECT_EQ(tbm.batches(), 3u);
-  EXPECT_NEAR(tbm.batch_summary().max(), 2.0, 1e-12);
-}
-
-TEST(TimeBatchMeans, RejectsBadInput) {
-  EXPECT_THROW(TimeBatchMeans(0.0), std::invalid_argument);
-  TimeBatchMeans tbm(1.0);
-  EXPECT_THROW(tbm.accumulate(1.0, -1.0), std::invalid_argument);
 }
 
 TEST(Histogram, CountsAndEdges) {

@@ -800,18 +800,22 @@ TEST(SvcServer, HigherPriorityCampaignOvertakesOnSharedPool) {
     server.handle_line(bulk, sink);
     server.drain();
     if (!held.load()) continue;
-    std::size_t urgent_done = all.lines.size();
-    std::size_t bulk_done = all.lines.size();
+    // Point lines leave in the order the worker finishes the points; the
+    // done lines come from each campaign's driver thread.
+    std::size_t urgent_point = all.lines.size();
+    std::size_t bulk_last_point = all.lines.size();
     for (std::size_t i = 0; i < all.lines.size(); ++i) {
-      if (all.type(i) != "done") continue;
+      if (all.type(i) != "point") continue;
       const JsonValue v = all.parsed(i);
       ASSERT_NE(v.find("id"), nullptr);
-      if (v.find("id")->scalar == "urgent") urgent_done = i;
-      if (v.find("id")->scalar == "bulk") bulk_done = i;
+      if (v.find("id")->scalar == "urgent") urgent_point = i;
+      if (v.find("id")->scalar == "bulk") bulk_last_point = i;
     }
-    ASSERT_LT(urgent_done, all.lines.size());
-    ASSERT_LT(bulk_done, all.lines.size());
-    EXPECT_LT(urgent_done, bulk_done);
+    ASSERT_LT(urgent_point, all.lines.size());
+    ASSERT_LT(bulk_last_point, all.lines.size());
+    EXPECT_LT(urgent_point, bulk_last_point);
+    EXPECT_LT(all.find("done", "urgent"), all.lines.size());
+    EXPECT_LT(all.find("done", "bulk"), all.lines.size());
     return;
   }
   FAIL() << "the worker never delivered bulk's first point line";
@@ -932,10 +936,13 @@ TEST(SvcProtocol, ParsesInterferenceRequest) {
   EXPECT_EQ(req.mix.pfs.policy, ckptsim::platform::PfsPolicy::kFcfs);
   EXPECT_DOUBLE_EQ(req.mix.pfs.bandwidth, 2000.0 * ckptsim::units::kMB);
   EXPECT_EQ(req.spec.replications, 2u);
-  // Rejections: missing jobs, bad policy, bad mix.
+  // Rejections: missing jobs, bad policy (a removed alias too), bad mix.
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"interference","id":"x"})", &req, &error));
   EXPECT_FALSE(ckptsim::svc::parse_request(
       R"({"op":"interference","id":"x","jobs":"a","policy":"bogus"})", &req, &error));
+  EXPECT_FALSE(ckptsim::svc::parse_request(
+      R"({"op":"interference","id":"x","jobs":"a","policy":"fair-share"})", &req, &error));
+  EXPECT_EQ(error, "key 'policy' expects one of fair|fcfs|coop|stagger, got 'fair-share'");
   EXPECT_FALSE(ckptsim::svc::parse_request(
       R"({"op":"interference","id":"x","jobs":"a:nope=1"})", &req, &error));
   EXPECT_FALSE(ckptsim::svc::parse_request(
@@ -951,7 +958,8 @@ TEST(SvcServer, InterferenceRequestStreamsJobAndPlatformLines) {
       R"({"op":"interference","id":"ix","jobs":"a:procs=4096;b:procs=8192,interval_min=15",)"
       R"("spec":{"reps":2,"horizon_hours":12,"transient_hours":1}})",
       out.sink());
-  // Synchronous: accepted, one "job" line per job, one "platform", done.
+  server.drain();
+  // accepted, one "job" line per job, one "platform", done.
   ASSERT_EQ(out.lines.size(), 5u);
   EXPECT_EQ(out.type(0), "accepted");
   EXPECT_EQ(out.type(1), "job");
@@ -979,6 +987,7 @@ TEST(SvcServer, InterferenceRequestRejectsIgnoredKnobWithErrorLine) {
       R"({"op":"interference","id":"ix","jobs":"a:procs=4096;b:procs=8192",)"
       R"("spec":{"reps":2,"horizon_hours":12,"on_failure":"skip"}})",
       out.sink());
+  server.drain();
   ASSERT_EQ(out.lines.size(), 2u);
   EXPECT_EQ(out.type(0), "accepted");
   EXPECT_EQ(out.type(1), "error");
@@ -1010,6 +1019,7 @@ TEST(SvcServer, OptimizeRequestRejectsIgnoredKnobWithErrorLine) {
       R"("params":{"processors":8192,"predictor_recall":0.5},)"
       R"("spec":{"reps":2,"horizon_hours":12,"on_failure":"retry"}})",
       out.sink());
+  server.drain();
   ASSERT_EQ(out.lines.size(), 2u);
   EXPECT_EQ(out.type(0), "accepted");
   EXPECT_EQ(out.type(1), "error");
@@ -1053,22 +1063,6 @@ std::string blocker_sweep(const std::string& id) {
          R"("spec":{"reps":8,"horizon_hours":50000,"transient_hours":10}})";
 }
 
-/// A request handled on its own thread (an op runs on the requesting
-/// thread until it ends), joined on destruction.
-class Requester {
- public:
-  Requester(CampaignServer& server, std::string line, CampaignServer::Sink sink)
-      : thread_([&server, line = std::move(line), sink = std::move(sink)] {
-          server.handle_line(line, sink);
-        }) {}
-  ~Requester() { thread_.join(); }
-  Requester(const Requester&) = delete;
-  Requester& operator=(const Requester&) = delete;
-
- private:
-  std::thread thread_;
-};
-
 TEST(SvcServer, OpAndSweepIdsCollideWhileEitherIsActive) {
   ServerConfig config;
   config.workers = 1;
@@ -1083,19 +1077,17 @@ TEST(SvcServer, OpAndSweepIdsCollideWhileEitherIsActive) {
   EXPECT_NE(op.lines[0].find("already active"), std::string::npos) << op.lines[0];
   // ...and so is a sweep named like an active op, queued behind "dup".
   Collector running;
-  {
-    const Requester requester(server, long_op("busy"), running.sink());
-    ASSERT_TRUE(running.await("accepted", "busy"));
-    Collector sweep;
-    server.handle_line(R"({"op":"sweep","id":"busy","axis":"interval","values":[30]})",
-                       sweep.sink());
-    ASSERT_EQ(sweep.lines.size(), 1u);
-    EXPECT_EQ(sweep.type(0), "error");
-    EXPECT_NE(sweep.lines[0].find("already active"), std::string::npos) << sweep.lines[0];
-    Collector canceller;
-    server.handle_line(R"({"op":"cancel","id":"busy"})", canceller.sink());
-    server.handle_line(R"({"op":"cancel","id":"dup"})", canceller.sink());
-  }
+  server.handle_line(long_op("busy"), running.sink());
+  ASSERT_TRUE(running.await("accepted", "busy"));
+  Collector sweep;
+  server.handle_line(R"({"op":"sweep","id":"busy","axis":"interval","values":[30]})",
+                     sweep.sink());
+  ASSERT_EQ(sweep.lines.size(), 1u);
+  EXPECT_EQ(sweep.type(0), "error");
+  EXPECT_NE(sweep.lines[0].find("already active"), std::string::npos) << sweep.lines[0];
+  Collector canceller;
+  server.handle_line(R"({"op":"cancel","id":"busy"})", canceller.sink());
+  server.handle_line(R"({"op":"cancel","id":"dup"})", canceller.sink());
   server.drain();
   EXPECT_EQ(running.type(running.lines.size() - 1), "cancelled");
 }
@@ -1107,23 +1099,22 @@ TEST(SvcServer, OpsCountTowardMaxQueue) {
   CampaignServer server(config);
   // A running op fills the queue for a sweep...
   Collector op;
-  {
-    const Requester requester(server, long_op("op"), op.sink());
-    ASSERT_TRUE(op.await("accepted", "op"));
-    Collector sweep;
-    server.handle_line(kTinySweep, sweep.sink());
-    ASSERT_EQ(sweep.lines.size(), 1u);
-    ASSERT_EQ(sweep.type(0), "rejected");
-    const JsonValue rejected = sweep.parsed(0);
-    ASSERT_NE(rejected.find("max_queue_depth"), nullptr);
-    EXPECT_EQ(rejected.find("max_queue_depth")->uint(), 1u);
-    Collector canceller;
-    server.handle_line(R"({"op":"cancel","id":"op"})", canceller.sink());
-  }
+  server.handle_line(long_op("op"), op.sink());
+  ASSERT_TRUE(op.await("accepted", "op"));
+  Collector sweep;
+  server.handle_line(kTinySweep, sweep.sink());
+  ASSERT_EQ(sweep.lines.size(), 1u);
+  ASSERT_EQ(sweep.type(0), "rejected");
+  const JsonValue rejected = sweep.parsed(0);
+  ASSERT_NE(rejected.find("max_queue_depth"), nullptr);
+  EXPECT_EQ(rejected.find("max_queue_depth")->uint(), 1u);
+  Collector canceller;
+  server.handle_line(R"({"op":"cancel","id":"op"})", canceller.sink());
+  server.drain();
   EXPECT_EQ(op.type(op.lines.size() - 1), "cancelled");
   // ...and a running sweep for an op.
-  Collector sweep;
-  server.handle_line(blocker_sweep("sweep"), sweep.sink());
+  Collector blocker;
+  server.handle_line(blocker_sweep("sweep"), blocker.sink());
   Collector turned_away;
   server.handle_line(long_op("op2"), turned_away.sink());
   ASSERT_EQ(turned_away.lines.size(), 1u);
@@ -1142,14 +1133,12 @@ TEST(SvcServer, CancelOfARunningOpEndsItsStreamCancelled) {
   CampaignServer server(config);
   Collector all;  // one sink: global emission order is observable
   server.handle_line(blocker_sweep("blocker"), all.sink());
-  {
-    const Requester requester(server, long_op("op"), all.sink());
-    ASSERT_TRUE(all.await("accepted", "op"));
-    Collector canceller;
-    server.handle_line(R"({"op":"cancel","id":"op"})", canceller.sink());
-    ASSERT_EQ(canceller.lines.size(), 1u);
-    EXPECT_EQ(canceller.type(0), "cancelled");
-  }
+  server.handle_line(long_op("op"), all.sink());
+  ASSERT_TRUE(all.await("accepted", "op"));
+  Collector canceller;
+  server.handle_line(R"({"op":"cancel","id":"op"})", canceller.sink());
+  ASSERT_EQ(canceller.lines.size(), 1u);
+  EXPECT_EQ(canceller.type(0), "cancelled");
   server.drain();
   const std::size_t op_cancelled = all.find("cancelled", "op");
   const std::size_t blocker_done = all.find("done", "blocker");
@@ -1167,20 +1156,18 @@ TEST(SvcServer, DrainMidOpEndsItsStreamDraining) {
   CampaignServer server(config);
   Collector all;
   server.handle_line(blocker_sweep("blocker"), all.sink());
-  {
-    const Requester requester(server, long_op("op"), all.sink());
-    ASSERT_TRUE(all.await("accepted", "op"));
-    server.begin_drain();
-  }
-  ASSERT_FALSE(all.lines.empty());
-  EXPECT_LT(all.find("draining", "op"), all.lines.size());
-  EXPECT_EQ(all.find("done", "op"), all.lines.size());
+  server.handle_line(long_op("op"), all.sink());
+  ASSERT_TRUE(all.await("accepted", "op"));
+  server.begin_drain();
   // The blocker's queued replications were dropped; its running one ends.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (!server.drained() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_TRUE(server.drained());
+  ASSERT_FALSE(all.lines.empty());
+  EXPECT_LT(all.find("draining", "op"), all.lines.size());
+  EXPECT_EQ(all.find("done", "op"), all.lines.size());
   server.stop();
   EXPECT_EQ(all.find("done", "blocker"), all.lines.size());
 }
@@ -1194,18 +1181,24 @@ TEST(SvcServer, OpRunsBehindAHigherPrioritySweepOnTheSharedPool) {
       R"({"op":"sweep","id":"urgent","priority":5,"axis":"interval","values":[15,30],)"
       R"("params":{"processors":8192},"spec":{"reps":2,"horizon_hours":20000,"transient_hours":10}})",
       all.sink());
-  // The op runs on this thread; its priority-0 replications queue behind
-  // the sweep's on the one worker.
+  // The op's priority-0 replications queue behind the sweep's on the one
+  // worker, which sends the sweep's point lines as it finishes them; the
+  // op's job lines follow its last replication.
   server.handle_line(
       R"({"op":"interference","id":"op","jobs":"a:procs=4096;b:procs=8192,interval_min=15",)"
       R"("spec":{"reps":2,"horizon_hours":12,"transient_hours":1}})",
       all.sink());
   server.drain();
-  const std::size_t urgent_done = all.find("done", "urgent");
-  const std::size_t op_done = all.find("done", "op");
-  ASSERT_LT(urgent_done, all.lines.size());
-  ASSERT_LT(op_done, all.lines.size());
-  EXPECT_LT(urgent_done, op_done);
+  std::size_t urgent_last_point = all.lines.size();
+  for (std::size_t i = 0; i < all.lines.size(); ++i) {
+    if (all.type(i) == "point") urgent_last_point = i;
+  }
+  const std::size_t op_job = all.find("job", "op");
+  ASSERT_LT(urgent_last_point, all.lines.size());
+  ASSERT_LT(op_job, all.lines.size());
+  EXPECT_LT(urgent_last_point, op_job);
+  EXPECT_LT(all.find("done", "urgent"), all.lines.size());
+  EXPECT_LT(all.find("done", "op"), all.lines.size());
 }
 
 // --- TCP transport ----------------------------------------------------------
@@ -1339,6 +1332,38 @@ TEST(TcpDaemon, RepliesAreNotHeldForTheClientsDelayedAck) {
   std::string all;
   for (const double g : gaps_ms) all += std::to_string(g) + " ";
   EXPECT_LT(median, 10.0) << "accepted -> done gaps (ms): " << all;
+}
+
+TEST(TcpDaemon, OpIsCancellableFromItsOwnConnection) {
+  // The reader thread hands an op to its driver thread and reads on, so a
+  // cancel sent right behind the op on the same connection reaches the op
+  // while it runs: the ack and the op's stream both say "cancelled".
+  ServerConfig config;
+  config.workers = 1;
+  CampaignServer server(config);
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  std::vector<std::string> got;
+  {
+    const AcceptLoop loop(daemon);
+    LineClient client(daemon.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send_line(long_op("op")));
+    ASSERT_TRUE(client.send_line(R"({"op":"cancel","id":"op"})"));
+    for (int i = 0; i < 3; ++i) {
+      std::string line;
+      LineClient::Clock::time_point at;
+      ASSERT_TRUE(client.read_line(&line, &at)) << "line " << i;
+      JsonValue v;
+      ASSERT_TRUE(ckptsim::obs::parse_json(line, &v)) << line;
+      const JsonValue* type = v.find("type");
+      const JsonValue* id = v.find("id");
+      ASSERT_NE(type, nullptr) << line;
+      got.push_back(type->scalar + " " + (id != nullptr ? id->scalar : ""));
+    }
+  }
+  server.stop();
+  // The ack and the stream's last line are the same line, in either order.
+  EXPECT_EQ(got, (std::vector<std::string>{"accepted op", "cancelled op", "cancelled op"}));
 }
 
 /// Descriptors this process has open.

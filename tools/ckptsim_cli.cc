@@ -264,12 +264,8 @@ int run_interference_mode(const ckptsim::Parameters& base, const ckptsim::RunSpe
                           ckptsim::EngineKind, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
   platform::JobMix mix = platform::parse_job_mix(cli.value("--interference"), base);
-  const std::string policy = cli.value("--pfs-policy", "fair");
-  // The daemon's spellings, aliases included; any other value is the usual
-  // error naming the choices.
-  if (!platform::pfs_policy_from_string(policy, &mix.pfs.policy)) {
-    (void)parse_choice(policy, "fair|fcfs|coop|stagger", "'--pfs-policy'");
-  }
+  mix.pfs.policy = static_cast<platform::PfsPolicy>(
+      parse_choice(cli.value("--pfs-policy", "fair"), platform::kPfsPolicies, "'--pfs-policy'"));
   const double mbs = cli.number("--pfs-bandwidth-mbs", 0.0);
   if (mbs > 0.0) mix.pfs.bandwidth = mbs * units::kMB;
   mix.validate();
