@@ -345,7 +345,7 @@ InterferenceResult run_interference(const JobMix& mix, const RunSpec& spec) {
          if (probe != nullptr) probe->queue = model.queue_stats();
          return r;
        },
-       .finish = [&](std::size_t, const PointRounds<InterferenceReplication>& point) {
+       .finish = [&](std::size_t, const auto& point) {
          // Aggregate in replication-index order (bit-identical CIs for
          // any spec.exec job count).
          FailureAccounting unused;  // fail-fast: every replication succeeded

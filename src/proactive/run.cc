@@ -60,7 +60,7 @@ ProactiveResult run_proactive(const Parameters& params, const RunSpec& spec) {
          return r;
        },
        .reward = [](const ProactiveReplication& r) { return r.rep.useful_fraction; },
-       .finish = [&](std::size_t, const PointRounds<ProactiveReplication>& point) {
+       .finish = [&](std::size_t, const auto& point) {
          // Aggregate in replication-index order through the same reducer
          // as run_model, so policy-none output is bit-identical by
          // construction.

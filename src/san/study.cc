@@ -116,7 +116,7 @@ StudyResult Study::run(const StudySpec& spec) const {
          return out;
        },
        .reward = [primary](const RewardMeans& r) { return r.means[primary]; },
-       .finish = [&](std::size_t, const PointRounds<RewardMeans>& point) {
+       .finish = [&](std::size_t, const auto& point) {
          for (const RewardMeans& rep : point.successes(&result.failures)) {
            for (std::size_t k = 0; k < reward_names_.size(); ++k) {
              result.rewards[reward_names_[k]].replicate_means.add(rep.means[k]);

@@ -176,8 +176,8 @@ void parse_interference(const obs::JsonValue& root, Request* out) {
   // Same up-front validation contract as sweep: a mix that would throw in
   // the handler is rejected at the socket with the parser's message.
   out->mix = platform::parse_job_mix(jobs_spec, out->params);
-  out->mix.pfs.policy =
-      static_cast<platform::PfsPolicy>(parse_choice(policy, platform::kPfsPolicies, "key 'policy'"));
+  out->mix.pfs.policy = static_cast<platform::PfsPolicy>(
+      parse_choice(policy, platform::kPfsPolicies, "key 'policy'"));
   if (pfs_mbs > 0.0) out->mix.pfs.bandwidth = pfs_mbs * units::kMB;
   out->mix.validate();
   out->spec.validate();

@@ -212,8 +212,10 @@ void CampaignServer::start_sweep(Campaign& c) {
                                    req.spec.watchdog.max_events, {}, snapshot);
           },
           .reward = [](const ReplicationResult& rep) { return rep.useful_fraction; },
-          .finish = [this, cp](std::size_t q, const PointRounds<ReplicationResult>& rounds) {
-            finish_point(*cp, cp->pending[q], rounds);
+          .finish = [this, cp](std::size_t q, const auto& rounds) {
+            const std::size_t i = cp->pending[q];
+            const Point& pt = cp->points[i];
+            finish_point(*cp, i, aggregate_point(rounds, cp->req.spec.confidence_level, pt.params));
           },
           .snapshot = [this, cp](std::size_t q, std::size_t rep) {
             // Called once per replication run: the stats op counts them.
@@ -355,10 +357,8 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
   sink(response_cancelled(id));
 }
 
-void CampaignServer::finish_point(Campaign& c, std::size_t point,
-                                  const PointRounds<ReplicationResult>& rounds) {
+void CampaignServer::finish_point(Campaign& c, std::size_t point, RunResult result) {
   const Point& pt = c.points[point];
-  RunResult result = aggregate_point(rounds, c.req.spec.confidence_level, pt.params);
   std::unique_lock<std::mutex> lock(mu_);
   if (c.cancelled || stopping_) return;  // a late outcome
   // Insert before the "point" line is queued: by the time a client reads

@@ -217,9 +217,9 @@ class CampaignServer {
   /// "done" line reports.
   std::size_t run_op(Campaign& c);
   void cancel_campaign(const std::string& id, const Sink& sink);
-  /// A sweep point's last round landed: aggregate it, then cache and
-  /// publish it, through the store thread when the cache is persistent.
-  void finish_point(Campaign& c, std::size_t point, const PointRounds<ReplicationResult>& rounds);
+  /// A sweep point's last round landed and aggregated to `result`: cache
+  /// and publish it, through the store thread when the cache is persistent.
+  void finish_point(Campaign& c, std::size_t point, RunResult result);
   /// The store thread of a persistent cache: insert the queued points in
   /// one batch, then publish them, until stop() closes the queue.
   void store_loop();
