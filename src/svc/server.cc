@@ -160,11 +160,12 @@ bool CampaignServer::submit(Request&& req, std::string_view raw_line, const Sink
   }
   std::unique_lock<std::mutex> lock(mu_);
   if (!sweep) c->outbox.push_back(response_accepted(c->req.id, op_points(c->req), /*cached=*/0));
-  c->driver = std::thread([this, c] { drive(c); });
-  ++drivers_;
   const bool flush = claim_flush(*c);  // the accepted line, unless a worker took it
   lock.unlock();
   if (flush) flush_outbox(*c);
+  lock.lock();
+  c->driver = std::thread([this, c] { drive(c); });
+  ++drivers_;
   return true;
 }
 
