@@ -1,19 +1,45 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <mutex>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "src/core/fault.h"
 #include "src/core/optimizer.h"
+#include "src/core/replicate.h"
 #include "src/core/results.h"
 #include "src/core/runner.h"
 #include "src/core/sweep.h"
+#include "src/core/thread_pool.h"
 #include "src/model/parameters.h"
+#include "src/obs/metrics.h"
 #include "src/sim/distributions.h"
+#include "src/sim/rng.h"
 
 namespace {
 
 using ckptsim::CoordinationMode;
 using ckptsim::EngineKind;
+using ckptsim::ErrorCode;
 using ckptsim::Parameters;
+using ckptsim::Replicated;
+using ckptsim::ReplicationFailure;
+using ckptsim::ReplicationRun;
 using ckptsim::RunCounters;
 using ckptsim::RunSpec;
+using ckptsim::SimError;
+using ckptsim::SnapshotSpec;
+using ckptsim::WorkerPool;
+using ckptsim::obs::ReplicationProbe;
+using ckptsim::sim::replication_attempt_seed;
 using ckptsim::units::kHour;
 using ckptsim::units::kMinute;
 using ckptsim::units::kYear;
@@ -168,6 +194,144 @@ TEST(RunSpecTest, QuickIsSmaller) {
   const RunSpec quick = RunSpec::quick();
   EXPECT_LT(quick.horizon, full.horizon);
   EXPECT_LE(quick.replications, full.replications);
+}
+
+// ------------------------------------------------------------ ReplicationRun
+// The one replication loop, driven directly: a synthetic attempt whose
+// result is a pure function of its seed stands in for a model.
+
+double seeded_value(std::uint64_t seed) { return static_cast<double>(seed % 1000) / 1000.0; }
+
+/// `points` points of the synthetic model; finish and fatal are the test's.
+Replicated<double> synthetic(std::size_t points) {
+  return Replicated<double>{
+      .points = points,
+      .attempt = [](std::size_t, std::uint64_t seed, ReplicationProbe*,
+                    const SnapshotSpec*) { return seeded_value(seed); },
+      .reward = [](const double& v) { return v; },
+      .finish = [](std::size_t, const ckptsim::PointRounds<double>&) {},
+      .cancelled = "synthetic run stopped"};
+}
+
+TEST(ReplicationRun, QueuesItsFirstRoundWhenBuiltAndWorkersOpenTheRest) {
+  WorkerPool pool(2);
+  WorkerPool::Lane lane(pool);
+  RunSpec spec;
+  spec.exec.lane = &lane;
+  spec.sequential.rel_precision = 1e-9;  // every point runs to its budget
+  spec.sequential.min_replications = 2;
+  spec.sequential.max_replications = 9;
+  std::atomic<std::size_t> finished{0};
+  std::vector<std::vector<std::uint32_t>> rounds(2);
+  Replicated<double> what = synthetic(2);
+  what.finish = [&](std::size_t p, const ckptsim::PointRounds<double>& r) {
+    rounds[p] = r.rounds();
+    finished.fetch_add(1);
+  };
+  ReplicationRun<double> run(spec, what);
+  // Nobody has waited yet: construction queued both first rounds, and the
+  // workers that land a round open the point's next one themselves.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (finished.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(finished.load(), 2u);
+  run.wait();
+  for (const std::vector<std::uint32_t>& r : rounds) {
+    EXPECT_GT(r.size(), 1u);
+    EXPECT_EQ(std::accumulate(r.begin(), r.end(), 0u), 9u);
+  }
+}
+
+TEST(ReplicationRun, FatalCallbackFailsOnePointAndTheOthersRunOn) {
+  RunSpec spec;
+  spec.replications = 4;
+  spec.exec.jobs = 2;
+  const std::uint64_t bad2 = replication_attempt_seed(spec.seed, 2, 0);
+  const std::uint64_t bad3 = replication_attempt_seed(spec.seed, 3, 0);
+  std::mutex mu;
+  std::vector<std::size_t> finished;
+  std::vector<std::pair<std::size_t, ReplicationFailure>> fatal;
+  Replicated<double> what = synthetic(3);
+  what.attempt = [&](std::size_t p, std::uint64_t seed, ReplicationProbe*, const SnapshotSpec*) {
+    if (p == 1 && (seed == bad2 || seed == bad3)) throw std::runtime_error("point 1 breaks");
+    return seeded_value(seed);
+  };
+  what.finish = [&](std::size_t p, const ckptsim::PointRounds<double>&) {
+    const std::lock_guard<std::mutex> lock(mu);
+    finished.push_back(p);
+  };
+  what.fatal = [&](std::size_t p, const ReplicationFailure& f) {
+    const std::lock_guard<std::mutex> lock(mu);
+    fatal.emplace_back(p, f);
+  };
+  ckptsim::replicate(spec, what);  // no throw: the failure went to the callback
+  std::sort(finished.begin(), finished.end());
+  EXPECT_EQ(finished, (std::vector<std::size_t>{0, 2}));
+  ASSERT_EQ(fatal.size(), 1u);
+  EXPECT_EQ(fatal[0].first, 1u);
+  EXPECT_EQ(fatal[0].second.replication, 2u);  // the point's first failure
+  EXPECT_EQ(fatal[0].second.code, ErrorCode::kModelError);
+  EXPECT_EQ(fatal[0].second.message, "point 1 breaks");
+}
+
+TEST(ReplicationRun, ParkedReplicationLandsNothing) {
+  RunSpec spec;
+  spec.replications = 3;
+  spec.exec.jobs = 2;
+  const std::uint64_t parked = replication_attempt_seed(spec.seed, 1, 0);
+  std::mutex mu;
+  std::vector<std::size_t> finished;
+  std::size_t fatal = 0;
+  Replicated<double> what = synthetic(2);
+  what.attempt = [&](std::size_t p, std::uint64_t seed, ReplicationProbe*, const SnapshotSpec*) {
+    // What a drain does at a snapshot boundary.
+    if (p == 0 && seed == parked) throw SimError(ErrorCode::kInterrupted, "parked");
+    return seeded_value(seed);
+  };
+  what.finish = [&](std::size_t p, const ckptsim::PointRounds<double>&) {
+    const std::lock_guard<std::mutex> lock(mu);
+    finished.push_back(p);
+  };
+  what.fatal = [&](std::size_t, const ReplicationFailure&) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ++fatal;
+  };
+  try {
+    ckptsim::replicate(spec, what);
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInterrupted);
+    EXPECT_NE(std::string(e.what()).find("synthetic run stopped"), std::string::npos) << e.what();
+  }
+  // Point 0's round never completes, so it neither finishes nor fails.
+  EXPECT_EQ(finished, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(fatal, 0u);
+}
+
+TEST(ReplicationRun, AddsWallSecondsOnlyForAPoolItMade) {
+  ckptsim::obs::Metrics metrics(2);
+  RunSpec spec;
+  spec.replications = 4;
+  spec.exec.jobs = 2;
+  spec.metrics = &metrics;
+  Replicated<double> what = synthetic(2);
+  what.attempt = [](std::size_t, std::uint64_t seed, ReplicationProbe*, const SnapshotSpec*) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return seeded_value(seed);
+  };
+  ckptsim::replicate(spec, what);
+  const double own = metrics.snapshot().wall_seconds;
+  EXPECT_GT(own, 0.0);
+  // On a lane the pool's owner keeps the clock: a plain += from concurrent
+  // runs would race.
+  WorkerPool pool(2);
+  WorkerPool::Lane lane(pool);
+  spec.exec.lane = &lane;
+  ckptsim::replicate(spec, what);
+  const ckptsim::obs::MetricsSnapshot after = metrics.snapshot();
+  EXPECT_EQ(after.wall_seconds, own);
+  EXPECT_EQ(after.replications, 16u);  // both runs' replications still count
 }
 
 }  // namespace

@@ -5,10 +5,12 @@
 // trajectories per policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include "src/core/runner.h"
 #include "src/model/io_timing.h"
+#include "src/model/parameter_table.h"
 #include "src/model/parameters.h"
 #include "src/platform/interference.h"
 #include "src/platform/job_mix.h"
@@ -228,6 +231,27 @@ TEST(PfsServer, LongRunReachesQuiescenceWithoutLivelock) {
   rig.run_until(8.0e6);  // would never return on livelock
   EXPECT_EQ(pfs.completed_total(), 2u);
   EXPECT_EQ(pfs.active_now(), 0u);
+}
+
+TEST(PfsServer, PolicyChoicesAreOneSpellingEachInEnumOrder) {
+  // The CLI and the protocol cast parse_choice's index to the enum, so the
+  // choice string must list to_string's names in enum order, and nothing else.
+  using ckptsim::platform::kPfsPolicies;
+  const PfsPolicy policies[] = {PfsPolicy::kFairShare, PfsPolicy::kFcfs,
+                                PfsPolicy::kBlockingCooperative, PfsPolicy::kStaggered};
+  EXPECT_EQ(static_cast<std::size_t>(std::count(kPfsPolicies.begin(), kPfsPolicies.end(), '|')),
+            std::size(policies) - 1);
+  for (const PfsPolicy policy : policies) {
+    const std::string name = ckptsim::platform::to_string(policy);
+    EXPECT_EQ(ckptsim::parse_choice(name, kPfsPolicies, "policy"),
+              static_cast<std::size_t>(policy))
+        << name;
+  }
+  for (const char* alias : {"fair-share", "cooperative", "staggered", "FCFS", ""}) {
+    EXPECT_THROW((void)ckptsim::parse_choice(alias, kPfsPolicies, "policy"),
+                 std::invalid_argument)
+        << alias;
+  }
 }
 
 // -------------------------------------------------------- transfer_seconds
