@@ -219,8 +219,7 @@ struct Replicated {
   /// Runs once per point, on the worker that lands the last replication of
   /// its final round: aggregate, and journal or cache as needed.
   std::function<void(std::size_t point, const PointRounds<R>& rounds)> finish{};
-  /// Snapshot control of (point, replication); unset = no snapshots.  Called
-  /// once per replication, as it starts.
+  /// Snapshot control of (point, replication); unset = no snapshots.
   std::function<SnapshotSpec(std::size_t point, std::size_t rep)> snapshot{};
   std::string progress_label{};  ///< progress heartbeat label
   std::string cancelled{};       ///< context of the SimError(kInterrupted)
@@ -259,8 +258,10 @@ struct Replicated {
 /// wait() then throws the first failed replication of the smallest failing
 /// point, the same for any job count.  `spec.cancel` abandons unstarted
 /// replications and opens no round; a replication a drain parks
-/// (kInterrupted through SnapshotSpec::stop) lands nothing.  Either way
-/// wait() throws SimError(kInterrupted, what.cancelled).
+/// (kInterrupted through SnapshotSpec::stop) lands nothing.  Either way a
+/// point is left unfinished and wait() throws SimError(kInterrupted,
+/// what.cancelled); a run whose every point finished as the flag rose
+/// completed.
 template <typename R>
 class ReplicationRun {
  public:
@@ -303,8 +304,9 @@ class ReplicationRun {
   ReplicationRun& operator=(const ReplicationRun&) = delete;
 
   /// Block until every round has landed or been abandoned.  Rethrows a
-  /// task's exception; throws SimError(kInterrupted) after a cancel or a
-  /// parked replication, then the fail-fast failure.  Call once.
+  /// task's exception; throws SimError(kInterrupted) when a cancel or a
+  /// parked replication left a point unfinished, then the fail-fast
+  /// failure.  Call once.
   void wait() {
     lane_->wait();
     if (own_pool_ && spec_.metrics != nullptr) {
@@ -313,7 +315,11 @@ class ReplicationRun {
                                           .count());
     }
     if (spec_.progress != nullptr) spec_.progress->finish();
-    if (cancelled() || parked_.load()) throw SimError(ErrorCode::kInterrupted, what_.cancelled);
+    // A point that never ended was stopped by a cancel or a drain's park,
+    // unless a fail-fast failure abandoned it.
+    if (ended_.load() < what_.points && (cancelled() || bail_.load() == kNone)) {
+      throw SimError(ErrorCode::kInterrupted, what_.cancelled);
+    }
     if (what_.fatal) return;
     for (std::size_t p = 0; p < what_.points; ++p) {
       const detail::Outcome<R>* f = points_[p].fatal(spec_.on_failure);
@@ -361,25 +367,26 @@ class ReplicationRun {
         });
     if (spec_.progress != nullptr) spec_.progress->tick();
     if (outcome.ok && spec_.metrics != nullptr) spec_.metrics->shard(worker).absorb(probe);
-    if (!outcome.ok && outcome.failure.code == ErrorCode::kInterrupted) {
-      parked_.store(true);  // its snapshot is the resume point
-      return;
-    }
+    // Parked by a drain: its snapshot is the resume point.
+    if (!outcome.ok && outcome.failure.code == ErrorCode::kInterrupted) return;
     if (!outcome.ok && !what_.fatal && spec_.on_failure.mode != FailurePolicy::Mode::kSkip) {
       std::uint64_t seen = bail_.load();
       while (key(p, r) < seen && !bail_.compare_exchange_weak(seen, key(p, r))) {
       }
     }
     if (!points_[p].land(r, std::move(outcome))) return;
-    if (const detail::Outcome<R>* f = points_[p].fatal(spec_.on_failure)) {
-      if (what_.fatal) what_.fatal(p, f->failure);
+    const detail::Outcome<R>* const f = points_[p].fatal(spec_.on_failure);
+    const std::size_t next =
+        f != nullptr ? 0 : points_[p].next_round(what_.reward, spec_.confidence_level);
+    if (next != 0) {
+      if (!cancelled() && key(p, 0) < bail_.load()) open_round(p, next);
       return;
     }
-    const std::size_t next = points_[p].next_round(what_.reward, spec_.confidence_level);
-    if (next == 0) {
+    ended_.fetch_add(1);
+    if (f == nullptr) {
       what_.finish(p, points_[p]);
-    } else if (!cancelled() && key(p, 0) < bail_.load()) {
-      open_round(p, next);
+    } else if (what_.fatal) {
+      what_.fatal(p, f->failure);
     }
   }
 
@@ -388,7 +395,7 @@ class ReplicationRun {
   std::optional<stats::SequentialStopper> stopper_;
   std::vector<PointRounds<R>> points_;
   std::atomic<std::uint64_t> bail_{kNone};  ///< key of the earliest fail-fast failure
-  std::atomic<bool> parked_{false};
+  std::atomic<std::size_t> ended_{0};  ///< points whose last round landed
   const std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
   WorkerPool::Lane* lane_ = nullptr;
   // Declared after everything its tasks read, so a pool torn down by an

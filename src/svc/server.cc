@@ -144,28 +144,36 @@ bool CampaignServer::submit(Request&& req, std::string_view raw_line, const Sink
     ended.swap(ended_);
   }
   for (std::thread& t : ended) t.join();
-  svcc.accepted.fetch_add(1, std::memory_order_relaxed);
   const bool sweep = c->req.op == Request::Op::kSweep;
-  if (sweep) {
+  try {
     // Durable admission record, written outside mu_ and before `accepted`
     // or any replication: if the process dies — SIGKILL included — from
     // here on, a restart finds the request line in the ledger and
     // re-admits it.
-    if (ledger_ != nullptr) ledger_->admit(c->req.id, std::string(raw_line));
-    start_sweep(*c);
-    if (!c->run) {
-      drive(c);  // served wholly from the cache: nothing to wait for
-      return true;
+    if (sweep && ledger_ != nullptr) ledger_->admit(c->req.id, std::string(raw_line));
+    svcc.accepted.fetch_add(1, std::memory_order_relaxed);
+    if (sweep) {
+      start_sweep(*c);
+      if (!c->run) {
+        drive(c);  // served wholly from the cache: nothing to wait for
+        return true;
+      }
     }
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!sweep) c->outbox.push_back(response_accepted(c->req.id, op_points(c->req), /*cached=*/0));
+    flush(*c, lock);  // the accepted line, unless a worker took it
+    c->driver = std::thread([this, c] { drive(c); });
+    ++drivers_;
+  } catch (...) {
+    // A failed ledger append or thread start: unlist the campaign before
+    // the error leaves, so no drain() or stop() waits for a campaign that
+    // no driver ends.
+    c->stop.store(true, std::memory_order_relaxed);
+    c->run.reset();  // drops its queued replications, waits for the running ones
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!std::exchange(c->ended, true)) unlist(*c);
+    throw;
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!sweep) c->outbox.push_back(response_accepted(c->req.id, op_points(c->req), /*cached=*/0));
-  const bool flush = claim_flush(*c);  // the accepted line, unless a worker took it
-  lock.unlock();
-  if (flush) flush_outbox(*c);
-  lock.lock();
-  c->driver = std::thread([this, c] { drive(c); });
-  ++drivers_;
   return true;
 }
 
@@ -174,8 +182,8 @@ void CampaignServer::start_sweep(Campaign& c) {
   Request& r = c.req;
   // Materialize every point and restore what the cache already holds.  The
   // fingerprint is exactly the sweep journal's, so a CLI --journal file
-  // warms this lookup and vice versa.
-  std::vector<std::string> lines(1);  // the accepted line goes first
+  // warms this lookup and vice versa.  Nothing else reads the outbox or
+  // the points until the run below queues the first round.
   for (const double x : r.values) {
     Point& pt = c.points.emplace_back();
     pt.x = x;
@@ -186,18 +194,14 @@ void CampaignServer::start_sweep(Campaign& c) {
       ++c.cached;
       svcc.cache_hits.fetch_add(1, std::memory_order_relaxed);
       svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
-      lines.push_back(response_point(r.id, x, /*cached=*/true, hit));
+      c.outbox.push_back(response_point(r.id, x, /*cached=*/true, hit));
     } else {
       svcc.cache_misses.fetch_add(1, std::memory_order_relaxed);
       c.pending.push_back(c.points.size() - 1);
     }
   }
-  lines[0] = response_accepted(r.id, c.points.size(), c.cached);
-  {
-    // Queued before the first round: no point line can precede them.
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::string& line : lines) c.outbox.push_back(std::move(line));
-  }
+  c.outbox.push_front(response_accepted(r.id, c.points.size(), c.cached));
+  c.unfinished = c.pending.size();
   if (c.pending.empty()) return;
   r.spec.metrics = metrics_;
   Campaign* const cp = &c;
@@ -205,8 +209,9 @@ void CampaignServer::start_sweep(Campaign& c) {
       r.spec,
       Replicated<ReplicationResult>{
           .points = c.pending.size(),
-          .attempt = [cp](std::size_t q, std::uint64_t seed, obs::ReplicationProbe* probe,
-                          const SnapshotSpec* snapshot) {
+          .attempt = [this, cp](std::size_t q, std::uint64_t seed, obs::ReplicationProbe* probe,
+                                const SnapshotSpec* snapshot) {
+            metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
             const Request& req = cp->req;
             return run_replication(cp->points[cp->pending[q]].params, req.engine, seed,
                                    req.spec.transient, req.spec.horizon, probe,
@@ -219,8 +224,6 @@ void CampaignServer::start_sweep(Campaign& c) {
             finish_point(*cp, i, aggregate_point(rounds, cp->req.spec.confidence_level, pt.params));
           },
           .snapshot = [this, cp](std::size_t q, std::size_t rep) {
-            // Called once per replication run: the stats op counts them.
-            metrics_->service().replications_run.fetch_add(1, std::memory_order_relaxed);
             // Event-granular crash-resume, keyed by the point's cache
             // fingerprint (unique per simulated work, filename-safe for any
             // campaign id) plus the replication index; drain_stop_ parks the
@@ -239,11 +242,14 @@ void CampaignServer::start_sweep(Campaign& c) {
           .fatal = [this, cp](std::size_t q, const ReplicationFailure& failure) {
             // Unlike sweep(), one bad point fails alone: its error line
             // carries the sweep-style context and the other points proceed.
-            cp->failed.fetch_add(1, std::memory_order_relaxed);
             metrics_->service().errors.fetch_add(1, std::memory_order_relaxed);
             emit(*cp, response_error(cp->req.id, "point x = " +
                                                      std::to_string(cp->points[cp->pending[q]].x) +
                                                      ": " + describe_failure(failure)));
+            std::unique_lock<std::mutex> lock(mu_);
+            ++cp->failed;
+            if (--cp->unfinished == 0) end_campaign(*cp, lock, cp->points.size());
+            flush(*cp, lock);
           }});
 }
 
@@ -266,12 +272,31 @@ void CampaignServer::drive(const CampaignPtr& c) {
   }
   std::unique_lock<std::mutex> lock(mu_);
   // Points on their way to the store thread end before the stream does.
+  // A sweep whose every point ended is already ended: by the thread that
+  // ended its last point.
   idle_cv_.wait(lock, [&c] { return c->storing == 0; });
-  // The one ending rule.  stop() ends every stream silently: the sinks are
-  // going away with the server.
+  end_campaign(*c, lock, points, failure, interrupted);
+  flush(*c, lock);
+  // Handed over only once the thread sends nothing more, so joining it
+  // never waits on a client's socket.
+  if (c->driver.joinable()) {
+    ended_.push_back(std::move(c->driver));
+    --drivers_;
+    idle_cv_.notify_all();
+  }
+}
+
+void CampaignServer::end_campaign(Campaign& c, std::unique_lock<std::mutex>& lock,
+                                  std::size_t points, const std::string& failure,
+                                  bool interrupted) {
+  if (std::exchange(c.ended, true)) return;
+  const Request& req = c.req;
+  const bool sweep = req.op == Request::Op::kSweep;
+  // stop() ends every stream silently: the sinks are going away with the
+  // server.
   std::string last;
   if (stopping_) {
-  } else if (c->cancelled) {
+  } else if (c.cancelled) {
     last = response_cancelled(req.id);
   } else if (interrupted) {
     if (!sweep) last = response_draining(req.id);  // a drained sweep stays pending
@@ -279,30 +304,29 @@ void CampaignServer::drive(const CampaignPtr& c) {
     metrics_->service().errors.fetch_add(1, std::memory_order_relaxed);
     last = response_error(req.id, failure);
   } else {
-    last = response_done(req.id, points, c->cached, c->failed.load());
+    last = response_done(req.id, points, c.cached, c.failed);
   }
-  lock.unlock();
-  // A sweep that reached its terminal line leaves the ledger, outside mu_
-  // and while its id is listed, so a campaign that reuses the id is never
-  // retired by this one.  A drain or stop() retires nothing.
-  if (sweep && !last.empty() && ledger_ != nullptr) ledger_->retire(req.id);
-  lock.lock();
-  if (!last.empty() && !stopping_) c->outbox.push_back(std::move(last));
-  campaigns_.remove(c);
+  if (sweep && !last.empty() && ledger_ != nullptr) {
+    lock.unlock();
+    try {
+      ledger_->retire(req.id);
+    } catch (const std::exception& e) {
+      // The campaign stays pending: a restart re-admits it and serves its
+      // finished points from the cache.
+      metrics_->service().errors.fetch_add(1, std::memory_order_relaxed);
+      last = response_error(req.id, std::string("cannot retire the campaign: ") + e.what());
+    }
+    lock.lock();
+  }
+  if (!last.empty() && !stopping_) c.outbox.push_back(std::move(last));
+  unlist(c);
+}
+
+void CampaignServer::unlist(const Campaign& c) {
+  campaigns_.remove_if([&c](const CampaignPtr& listed) { return listed.get() == &c; });
   metrics_->service().queue_depth.store(static_cast<std::int64_t>(campaigns_.size()),
                                         std::memory_order_relaxed);
   idle_cv_.notify_all();
-  const bool flush = claim_flush(*c);
-  lock.unlock();
-  if (flush) flush_outbox(*c);
-  // Handed over only once the thread sends nothing more, so joining it
-  // never waits on a client's socket.
-  lock.lock();
-  if (c->driver.joinable()) {
-    ended_.push_back(std::move(c->driver));
-    --drivers_;
-    idle_cv_.notify_all();
-  }
 }
 
 std::size_t CampaignServer::run_op(Campaign& c) {
@@ -336,10 +360,11 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
   std::unique_lock<std::mutex> lock(mu_);
   const auto it = std::find_if(campaigns_.begin(), campaigns_.end(),
                                [&id](const CampaignPtr& c) { return c->req.id == id; });
-  if (it == campaigns_.end()) {
+  if (it == campaigns_.end() || (*it)->ended) {
     // Unknown id and already-completed campaign land here alike (ended
-    // campaigns leave campaigns_); both must answer with a structured,
-    // machine-readable error — not a silent drop or a bare message.
+    // campaigns leave campaigns_, or are on their way out); both must
+    // answer with a structured, machine-readable error — not a silent drop
+    // or a bare message.
     lock.unlock();
     svcc.errors.fetch_add(1, std::memory_order_relaxed);
     sink(response_error_code(id, "unknown_campaign",
@@ -349,7 +374,7 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
   svcc.cancelled.fetch_add(1, std::memory_order_relaxed);
   // Cooperative, like RunSpec::cancel: raise the flag and drop the queued
   // replications; running ones finish and their outcomes are discarded.
-  // The campaign's driver ends its stream with its own "cancelled" line.
+  // Once they have, the campaign's stream ends with its own "cancelled".
   Campaign& c = **it;
   c.cancelled = true;
   c.stop.store(true, std::memory_order_relaxed);
@@ -359,24 +384,25 @@ void CampaignServer::cancel_campaign(const std::string& id, const Sink& sink) {
 }
 
 void CampaignServer::finish_point(Campaign& c, std::size_t point, RunResult result) {
-  const Point& pt = c.points[point];
   std::unique_lock<std::mutex> lock(mu_);
-  if (c.cancelled || stopping_) return;  // a late outcome
-  // Insert before the "point" line is queued: by the time a client reads
-  // the response, the entry is fsync'd and survives a daemon restart.  A
-  // persistent insert waits on the disk, so the store thread makes it; the
-  // campaign's driver waits for it before ending the stream.
-  if (cache_.persistent()) {
-    ++c.storing;
-    stores_.push_back(PendingStore{c.shared_from_this(), point, std::move(result)});
-    store_cv_.notify_one();
-    return;
+  if (!c.cancelled && !stopping_) {  // else a late outcome, discarded
+    // Insert before the "point" line is queued: by the time a client reads
+    // the response, the entry is fsync'd and survives a daemon restart.  A
+    // persistent insert waits on the disk, so the store thread makes it and
+    // ends the point.
+    if (cache_.persistent()) {
+      ++c.storing;
+      stores_.push_back(PendingStore{c.shared_from_this(), point, std::move(result)});
+      store_cv_.notify_one();
+      return;
+    }
+    cache_.insert(c.points[point].fingerprint, c.points[point].x, result);
+    publish_point(c, point, result);
   }
-  cache_.insert(pt.fingerprint, pt.x, result);
-  publish_point(c, point, result);
-  const bool flush = claim_flush(c);
-  lock.unlock();
-  if (flush) flush_outbox(c);
+  // The last of a sweep's points to end ends the sweep, before this
+  // worker takes other work.
+  if (--c.unfinished == 0) end_campaign(c, lock, c.points.size());
+  flush(c, lock);
 }
 
 void CampaignServer::store_loop() {
@@ -395,16 +421,14 @@ void CampaignServer::store_loop() {
     }
     cache_.insert_all(entries);
     lock.lock();
-    std::vector<CampaignPtr> flush;
     for (const PendingStore& s : batch) {
-      publish_point(*s.campaign, s.point, s.result);
-      --s.campaign->storing;
-      if (claim_flush(*s.campaign)) flush.push_back(s.campaign);
+      Campaign& c = *s.campaign;
+      publish_point(c, s.point, s.result);
+      --c.storing;
+      if (--c.unfinished == 0) end_campaign(c, lock, c.points.size());
     }
     idle_cv_.notify_all();
-    lock.unlock();
-    for (const CampaignPtr& c : flush) flush_outbox(*c);
-    lock.lock();
+    for (const PendingStore& s : batch) flush(*s.campaign, lock);
   }
 }
 
@@ -420,32 +444,23 @@ void CampaignServer::emit(Campaign& c, std::string line) {
   std::unique_lock<std::mutex> lock(mu_);
   if (c.cancelled || stopping_) return;
   c.outbox.push_back(std::move(line));
-  const bool flush = claim_flush(c);
-  lock.unlock();
-  if (flush) flush_outbox(c);
+  flush(c, lock);
 }
 
-bool CampaignServer::claim_flush(Campaign& c) {
-  if (c.outbox.empty() || c.flushing) return false;
-  c.flushing = true;
-  ++flushers_;
-  return true;
-}
-
-void CampaignServer::flush_outbox(Campaign& c) {
-  for (;;) {
-    std::deque<std::string> batch;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (c.outbox.empty()) {
-        c.flushing = false;
-        --flushers_;
-        idle_cv_.notify_all();
-        return;
-      }
+void CampaignServer::flush(Campaign& c, std::unique_lock<std::mutex>& lock) {
+  if (!c.flushing && !c.outbox.empty()) {
+    c.flushing = true;
+    ++flushers_;
+    while (!c.outbox.empty()) {
+      std::deque<std::string> batch;
       batch.swap(c.outbox);
+      lock.unlock();
+      for (const std::string& line : batch) c.sink(line);
+      lock.lock();
     }
-    for (const std::string& line : batch) c.sink(line);
+    c.flushing = false;
+    --flushers_;
+    idle_cv_.notify_all();
   }
 }
 

@@ -78,12 +78,17 @@ struct ServerConfig {
 /// a crash could lose.  A memory-only cache is filled by the worker that
 /// finished the point.
 ///
-/// Every admitted campaign has one driver thread, which waits on the
-/// campaign's run or op and then ends it by one rule: "done" when it
-/// finished, "cancelled" after a client cancel (whose late outcomes are
-/// discarded), "draining" for an op a drain stopped and nothing for a
-/// drained sweep.  A sweep served wholly from the cache ends on the
-/// requesting thread instead.  So no request blocks its connection.
+/// A campaign ends once, by one rule: "done" when it finished, "cancelled"
+/// after a client cancel (whose late outcomes are discarded), "draining"
+/// for an op a drain stopped and nothing for a drained sweep.  The thread
+/// that ends a sweep's last point applies it there, so "done" follows the
+/// last "point" line before that worker takes other work, and campaigns
+/// end in the order the pool finishes them.  Every admitted campaign also
+/// has one driver thread, which waits on the campaign's run or op and
+/// applies the rule when nothing did: to every op, and to a sweep a
+/// cancel, a drain or stop() cut short.  A sweep served wholly from the
+/// cache ends on the requesting thread.  So no request blocks its
+/// connection.
 ///
 /// Failure semantics differ from sweep() deliberately: a replication
 /// failure under the fail/retry policies fails *that point* (an "error"
@@ -164,7 +169,7 @@ class CampaignServer {
 
   /// An admitted sweep or op.  Its driver thread owns it until the
   /// campaign ends.  `req` and the points are fixed once its run starts;
-  /// fields marked (mu_) are guarded by mu_.
+  /// fields marked (mu_) are guarded by mu_ from then on.
   struct Campaign : std::enable_shared_from_this<Campaign> {
     Campaign(WorkerPool& pool, Request&& r, Sink s)
         : req(std::move(r)), sink(std::move(s)), lane(pool, req.priority) {
@@ -178,9 +183,11 @@ class CampaignServer {
     std::vector<Point> points;       ///< a sweep's points
     std::vector<std::size_t> pending;  ///< the points its run simulates
     std::size_t cached = 0;            ///< points restored from the cache
-    std::atomic<std::size_t> failed{0};  ///< points failed under fail/retry policy
-    std::size_t storing = 0;         ///< points awaiting the store thread (mu_)
-    bool cancelled = false;          ///< by a client (mu_)
+    std::size_t unfinished = 0;  ///< pending points not yet published or failed (mu_)
+    std::size_t failed = 0;      ///< points failed under fail/retry policy (mu_)
+    std::size_t storing = 0;     ///< points awaiting the store thread (mu_)
+    bool cancelled = false;      ///< by a client (mu_)
+    bool ended = false;          ///< its ending rule ran or runs (mu_)
     // Ordered response queue: appended under mu_, drained FIFO by a single
     // flusher at a time, so lines reach the sink in generation order even
     // though several threads emit concurrently.
@@ -211,8 +218,21 @@ class CampaignServer {
   /// Restore a sweep's cached points, queue its accepted and cached lines,
   /// and build the run of the rest, which queues their first round.
   void start_sweep(Campaign& c);
-  /// The driver: wait on the campaign's run or op, then end it.
+  /// The driver: wait on the campaign's run or op, then end it unless a
+  /// worker or the store thread already did.
   void drive(const CampaignPtr& c);
+  /// The one ending rule, once per campaign: queue its terminal line (none
+  /// after stop() or for a drained sweep) and unlist it.  `points` is the
+  /// count a "done" line reports; `failure` and `interrupted` say how the
+  /// run or op ended.  A sweep with a terminal line leaves the ledger
+  /// first, with mu_ released while the id is still listed, so a campaign
+  /// that reuses the id is never retired by this one.  Caller holds `lock`
+  /// and flushes the outbox.  The thread that ends a sweep's last point
+  /// calls it for a finished sweep; the driver, for the rest.
+  void end_campaign(Campaign& c, std::unique_lock<std::mutex>& lock, std::size_t points,
+                    const std::string& failure = {}, bool interrupted = false);
+  /// Take `c` off the active list.  Caller holds mu_.
+  void unlist(const Campaign& c);
   /// An op's library call, streaming its lines; returns the count its
   /// "done" line reports.
   std::size_t run_op(Campaign& c);
@@ -228,12 +248,11 @@ class CampaignServer {
   /// Queue `line` on `c`'s stream and flush it, unless a client cancel or
   /// stop() discards the campaign's late lines.
   void emit(Campaign& c, std::string line);
-  /// Claim `c`'s outbox for a flush when it holds lines and nobody flushes
-  /// it; on true, call flush_outbox(c) once mu_ is released.  Caller holds
-  /// mu_.
-  bool claim_flush(Campaign& c);
-  /// Drain `c`'s outbox through its sink without holding mu_.
-  void flush_outbox(Campaign& c);
+  /// Send `c`'s queued lines through its sink, mu_ released while it
+  /// sends, unless another thread is already sending them: one flusher per
+  /// campaign keeps its lines in order.  Caller holds `lock`, and holds it
+  /// again on return.
+  void flush(Campaign& c, std::unique_lock<std::mutex>& lock);
 
   ServerConfig config_;
   std::unique_ptr<obs::Metrics> owned_metrics_;

@@ -309,6 +309,29 @@ TEST(ReplicationRun, ParkedReplicationLandsNothing) {
   EXPECT_EQ(fatal, 0u);
 }
 
+TEST(ReplicationRun, FlagRaisedAfterEveryPointFinishedIsNoInterrupt) {
+  // A drain raises every campaign's flag; a run whose points all finished
+  // before anyone looked completed, and says so.
+  WorkerPool pool(2);
+  WorkerPool::Lane lane(pool);
+  std::atomic<bool> cancel{false};
+  RunSpec spec;
+  spec.replications = 3;
+  spec.exec.lane = &lane;
+  spec.cancel = &cancel;
+  std::atomic<std::size_t> finished{0};
+  Replicated<double> what = synthetic(2);
+  what.finish = [&](std::size_t, const ckptsim::PointRounds<double>&) { finished.fetch_add(1); };
+  ReplicationRun<double> run(spec, what);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (finished.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(finished.load(), 2u);
+  cancel.store(true);
+  EXPECT_NO_THROW(run.wait());
+}
+
 TEST(ReplicationRun, AddsWallSecondsOnlyForAPoolItMade) {
   ckptsim::obs::Metrics metrics(2);
   RunSpec spec;

@@ -800,22 +800,18 @@ TEST(SvcServer, HigherPriorityCampaignOvertakesOnSharedPool) {
     server.handle_line(bulk, sink);
     server.drain();
     if (!held.load()) continue;
-    // Point lines leave in the order the worker finishes the points; the
-    // done lines come from each campaign's driver thread.
-    std::size_t urgent_point = all.lines.size();
-    std::size_t bulk_last_point = all.lines.size();
+    std::size_t urgent_done = all.lines.size();
+    std::size_t bulk_done = all.lines.size();
     for (std::size_t i = 0; i < all.lines.size(); ++i) {
-      if (all.type(i) != "point") continue;
+      if (all.type(i) != "done") continue;
       const JsonValue v = all.parsed(i);
       ASSERT_NE(v.find("id"), nullptr);
-      if (v.find("id")->scalar == "urgent") urgent_point = i;
-      if (v.find("id")->scalar == "bulk") bulk_last_point = i;
+      if (v.find("id")->scalar == "urgent") urgent_done = i;
+      if (v.find("id")->scalar == "bulk") bulk_done = i;
     }
-    ASSERT_LT(urgent_point, all.lines.size());
-    ASSERT_LT(bulk_last_point, all.lines.size());
-    EXPECT_LT(urgent_point, bulk_last_point);
-    EXPECT_LT(all.find("done", "urgent"), all.lines.size());
-    EXPECT_LT(all.find("done", "bulk"), all.lines.size());
+    ASSERT_LT(urgent_done, all.lines.size());
+    ASSERT_LT(bulk_done, all.lines.size());
+    EXPECT_LT(urgent_done, bulk_done);
     return;
   }
   FAIL() << "the worker never delivered bulk's first point line";
@@ -1182,23 +1178,17 @@ TEST(SvcServer, OpRunsBehindAHigherPrioritySweepOnTheSharedPool) {
       R"("params":{"processors":8192},"spec":{"reps":2,"horizon_hours":20000,"transient_hours":10}})",
       all.sink());
   // The op's priority-0 replications queue behind the sweep's on the one
-  // worker, which sends the sweep's point lines as it finishes them; the
-  // op's job lines follow its last replication.
+  // worker.
   server.handle_line(
       R"({"op":"interference","id":"op","jobs":"a:procs=4096;b:procs=8192,interval_min=15",)"
       R"("spec":{"reps":2,"horizon_hours":12,"transient_hours":1}})",
       all.sink());
   server.drain();
-  std::size_t urgent_last_point = all.lines.size();
-  for (std::size_t i = 0; i < all.lines.size(); ++i) {
-    if (all.type(i) == "point") urgent_last_point = i;
-  }
-  const std::size_t op_job = all.find("job", "op");
-  ASSERT_LT(urgent_last_point, all.lines.size());
-  ASSERT_LT(op_job, all.lines.size());
-  EXPECT_LT(urgent_last_point, op_job);
-  EXPECT_LT(all.find("done", "urgent"), all.lines.size());
-  EXPECT_LT(all.find("done", "op"), all.lines.size());
+  const std::size_t urgent_done = all.find("done", "urgent");
+  const std::size_t op_done = all.find("done", "op");
+  ASSERT_LT(urgent_done, all.lines.size());
+  ASSERT_LT(op_done, all.lines.size());
+  EXPECT_LT(urgent_done, op_done);
 }
 
 // --- TCP transport ----------------------------------------------------------
@@ -1485,6 +1475,89 @@ TEST(TcpDaemon, BacksOffWhenOutOfDescriptorsAndServesOnceTheyFree) {
   EXPECT_NE(ping(port, 5).find("pong"), std::string::npos);
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - closed).count(),
             1.0);
+}
+
+// --- A ledger that cannot grow ---------------------------------------------
+//
+// Each case runs in a child whose files may not grow past a limit
+// (RLIMIT_FSIZE, with SIGXFSZ ignored), so a ledger append fails with EFBIG.
+
+/// The exit code of `child` once it exits within `seconds`; -1 when a
+/// signal ended it or it is still running (Child's destructor kills it).
+int exit_code_within(Child& child, int seconds) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  for (;;) {
+    int status = 0;
+    const pid_t got = ::waitpid(child.pid, &status, WNOHANG);
+    if (got == child.pid) {
+      child.pid = -1;
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+    if (got < 0 || std::chrono::steady_clock::now() > deadline) return -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+void limit_file_size(rlim_t bytes) {
+  ::signal(SIGXFSZ, SIG_IGN);
+  const rlimit limit{bytes, bytes};
+  if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(90);
+}
+
+TEST(SvcLedgerFull, OnceModeExitsOneWhenTheAdmitFails) {
+  // The failed admit unlists the campaign before the error leaves
+  // handle_line, so the server's teardown does not wait for it.
+  TempFile ledger("full_admit_ledger");
+  TempFile input("full_admit_input");
+  TempFile errors("full_admit_stderr");
+  std::ofstream(input.path) << kTinySweep << "\n";
+  Child child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    limit_file_size(16);
+    std::FILE* in = std::freopen(input.path.c_str(), "r", stdin);
+    std::FILE* out = std::freopen("/dev/null", "w", stdout);
+    std::FILE* err = std::freopen(errors.path.c_str(), "w", stderr);
+    if (in == nullptr || out == nullptr || err == nullptr) ::_exit(91);
+    ::execl(CKPTSIM_DAEMON, "ckptsimd", "--once", "--ledger", ledger.path.c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(92);
+  }
+  EXPECT_EQ(exit_code_within(child, 60), 1) << "ckptsimd hung or crashed";
+  std::stringstream said;
+  said << std::ifstream(errors.path).rdbuf();
+  EXPECT_EQ(said.str().rfind("ckptsimd: ", 0), 0u) << said.str();
+}
+
+TEST(SvcLedgerFull, FailedRetireEndsTheStreamWithAnError) {
+  // Room for the admit record but not the retire: the points stream, the
+  // stream ends with an error line, and the campaign stays pending.
+  TempFile ledger("full_retire_ledger");
+  ckptsim::svc::CampaignLedger(ledger.path).admit("c1", kTinySweep);
+  const auto admitted = std::filesystem::file_size(ledger.path);
+  std::remove(ledger.path.c_str());
+  Child child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    limit_file_size(admitted + 8);
+    ServerConfig config;
+    config.workers = 2;
+    config.ledger_path = ledger.path;
+    Collector out;
+    {
+      CampaignServer server(config);
+      server.handle_line(kTinySweep, out.sink());
+      server.drain();
+    }
+    if (out.lines.size() != 4 || out.type(1) != "point" || out.type(2) != "point") ::_exit(1);
+    if (out.type(3) != "error") ::_exit(2);
+    if (out.lines[3].find("cannot retire the campaign") == std::string::npos) ::_exit(3);
+    if (ckptsim::svc::CampaignLedger(ledger.path).pending().size() != 1) ::_exit(4);
+    ::_exit(0);
+  }
+  EXPECT_EQ(exit_code_within(child, 60), 0);
 }
 
 }  // namespace
