@@ -1525,6 +1525,7 @@ TEST(SvcLedgerFull, OnceModeExitsOneWhenTheAdmitFails) {
     ::_exit(92);
   }
   EXPECT_EQ(exit_code_within(child, 60), 1) << "ckptsimd hung or crashed";
+  // The limit cuts the message short too; its first bytes name the tool.
   std::stringstream said;
   said << std::ifstream(errors.path).rdbuf();
   EXPECT_EQ(said.str().rfind("ckptsimd: ", 0), 0u) << said.str();
