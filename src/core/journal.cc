@@ -1,5 +1,6 @@
 #include "src/core/journal.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -139,18 +140,25 @@ std::uint64_t journal_fingerprint(const std::string& label, const Parameters& p,
   return sim::fnv1a64(s);
 }
 
-SweepJournal::SweepJournal(std::string path)
-    : log_(
-          std::move(path), "journal",
-          [this](const obs::JsonValue& line) {
-            std::uint64_t fp = 0;
-            RunResult result;
-            const durable::LineStatus status = parse_entry(line, &fp, &result);
-            if (status == durable::LineStatus::kOk) entries_[fp] = std::move(result);
-            return status;
-          },
-          [this] { return std::to_string(entries_.size()) + " completed point(s)"; }),
-      loaded_(entries_.size()) {}
+SweepJournal::SweepJournal(std::string path) {
+  if (path.empty()) return;
+  log_.emplace(
+      std::move(path), "journal",
+      [this](const obs::JsonValue& line) {
+        std::uint64_t fp = 0;
+        RunResult result;
+        const durable::LineStatus status = parse_entry(line, &fp, &result);
+        if (status == durable::LineStatus::kOk) entries_[fp] = std::move(result);
+        return status;
+      },
+      [this] { return std::to_string(entries_.size()) + " completed point(s)"; });
+  loaded_ = entries_.size();
+}
+
+std::size_t SweepJournal::size() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
+}
 
 bool SweepJournal::lookup(std::uint64_t fingerprint, RunResult* out) const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -160,21 +168,36 @@ bool SweepJournal::lookup(std::uint64_t fingerprint, RunResult* out) const {
   return true;
 }
 
-void SweepJournal::record(std::uint64_t fingerprint, double x, const RunResult& result) {
-  log_.append(journal_line(fingerprint, x, result));
-  const std::lock_guard<std::mutex> lock(mu_);
-  entries_[fingerprint] = result;
+void SweepJournal::insert(std::uint64_t fingerprint, double x, const RunResult& result) {
+  insert_all({Entry{fingerprint, x, result}});
 }
 
-void SweepJournal::record_all(const std::vector<Entry>& entries) {
-  if (entries.empty()) return;
-  std::string lines;
-  for (const Entry& e : entries) lines += journal_line(e.fingerprint, e.x, e.result);
-  // The log's lock, not mu_, covers the fsync: lookups keep answering from
-  // entries_ while it waits on the disk.
-  log_.append(lines);
+void SweepJournal::insert_all(const std::vector<Entry>& entries) {
+  // Check and append under one lock: two campaigns racing on one cold
+  // point both finish it, but only the first insert lands.  The same
+  // fingerprint means the same simulated work, so the second result is
+  // bit-identical and dropping it loses nothing.  Only inserts take
+  // insert_mu_, so entries_ cannot change between the check and the
+  // store, and mu_ is free while the append waits on the disk.
+  const std::lock_guard<std::mutex> insert_lock(insert_mu_);
+  std::vector<const Entry*> fresh;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (const Entry& e : entries) {
+      const bool batched = std::any_of(fresh.begin(), fresh.end(), [&e](const Entry* f) {
+        return f->fingerprint == e.fingerprint;
+      });
+      if (!batched && !entries_.contains(e.fingerprint)) fresh.push_back(&e);
+    }
+  }
+  if (fresh.empty()) return;
+  if (log_) {
+    std::string lines;
+    for (const Entry* e : fresh) lines += journal_line(e->fingerprint, e->x, e->result);
+    log_->append(lines);
+  }
   const std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries) entries_[e.fingerprint] = e.result;
+  for (const Entry* e : fresh) entries_.emplace(e->fingerprint, e->result);
 }
 
 }  // namespace ckptsim

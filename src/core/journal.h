@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,24 +32,31 @@ namespace ckptsim {
 /// rejected instead of silently resumed.
 [[nodiscard]] std::string parameters_field_string(const Parameters& params);
 
-/// Append-only, crash-safe journal of completed sweep points.
+/// The store of completed points: every sweep journal, the CLI's
+/// `--journal`, the figure benches' and the optimizer's, and the daemon's
+/// result cache.
 ///
 /// One JSON object per line (schema-versioned) in a durable::AppendLog,
 /// fsync'd after every append: a SIGKILL can lose at most the in-flight
 /// line, which the next open drops as a torn tail.  Doubles are stored as
 /// %.17g so a resumed sweep's CSV is byte-identical to an uninterrupted
-/// run's.
+/// run's, and a cache hit's result is the cold run's bit for bit.  With an
+/// empty path the journal is memory-only (tests, benches).
 ///
 /// Usage: construct with a path (loads whatever a previous run completed),
-/// pass to sweep() — it skips journaled points and appends each point as
+/// pass to sweep() — it skips journaled points and inserts each point as
 /// its last replication finishes.  Sharing one journal across the several
-/// series of a figure is fine; fingerprints keep the entries apart.
+/// series of a figure, or across a daemon's campaigns, is fine;
+/// fingerprints keep the entries apart.
+///
+/// Thread-safe: any number of threads may look up and insert concurrently.
 class SweepJournal {
  public:
   /// Opens `path` for append (creating it if missing) and loads every
-  /// complete entry.  Throws SimError(kIoError) when the file cannot be
-  /// opened, kJournalCorrupt on an unparseable non-final line, and
-  /// kJournalMismatch on a schema-version mismatch.
+  /// complete entry; an empty path opens no file.  Throws
+  /// SimError(kIoError) when the file cannot be opened, kJournalCorrupt on
+  /// an unparseable non-final line, and kJournalMismatch on a
+  /// schema-version mismatch.
   explicit SweepJournal(std::string path);
 
   SweepJournal(const SweepJournal&) = delete;
@@ -56,32 +64,38 @@ class SweepJournal {
 
   /// Completed points loaded from a pre-existing file.
   [[nodiscard]] std::size_t loaded() const noexcept { return loaded_; }
+  /// Completed points held, loaded and inserted.
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool persistent() const noexcept { return log_.has_value(); }
 
   /// Fetch a completed point's result; false when `fingerprint` is absent.
+  /// Never waits for an insert's fsync.
   [[nodiscard]] bool lookup(std::uint64_t fingerprint, RunResult* out) const;
 
-  /// Append one completed point and fsync.  Thread-safe; also makes the
-  /// entry visible to subsequent lookup() calls.
-  void record(std::uint64_t fingerprint, double x, const RunResult& result);
+  /// Store one completed point, as insert_all().
+  void insert(std::uint64_t fingerprint, double x, const RunResult& result);
 
-  /// One completed point of record_all().
+  /// One completed point of insert_all().
   struct Entry {
     std::uint64_t fingerprint = 0;
     double x = 0.0;
     RunResult result;
   };
 
-  /// Append several completed points with one write and one fsync (a group
-  /// commit); otherwise as record().  After a crash mid-append the loader
-  /// keeps the batch's complete lines and drops a torn last one.
-  void record_all(const std::vector<Entry>& entries);
-
-  [[nodiscard]] const std::string& path() const noexcept { return log_.path(); }
+  /// Store the entries whose fingerprints the journal does not hold yet,
+  /// each once, with one write and one fsync when persistent (a group
+  /// commit), and make them visible to lookup().  After a crash
+  /// mid-append the loader keeps the batch's complete lines and drops a
+  /// torn last one.
+  void insert_all(const std::vector<Entry>& entries);
 
  private:
-  mutable std::mutex mu_;  ///< guards entries_; the log's own lock covers the fsync
+  mutable std::mutex mu_;  ///< guards entries_; held across no fsync
   std::map<std::uint64_t, RunResult> entries_;
-  durable::AppendLog log_;  ///< after entries_: opening it loads them
+  /// Serializes inserts, from the check for a held fingerprint through the
+  /// append's fsync.
+  std::mutex insert_mu_;
+  std::optional<durable::AppendLog> log_;  ///< empty when memory-only
   std::size_t loaded_ = 0;
 };
 

@@ -130,7 +130,7 @@ class CandidateEvaluator {
     if (journal_ == nullptr || !journal_->lookup(fp, &r)) {
       r = p.proactive_enabled() ? proactive::run_proactive(p, spec_).run
                                 : run_model(p, spec_, EngineKind::kDes);
-      if (journal_ != nullptr) journal_->record(fp, interval, r);
+      if (journal_ != nullptr) journal_->insert(fp, interval, r);
     }
 
     OptimizeCandidate c;

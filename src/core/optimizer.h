@@ -110,10 +110,11 @@ using OptimizeObserver = std::function<void(const OptimizeCandidate&)>;
 /// grid, bracket the argmax with its grid neighbours, then run
 /// `refine_iters` golden-section iterations inside the bracket.
 /// Evaluations are memoised, and when `journal` is non-null every
-/// completed candidate is recorded through the sweep-journal machinery
-/// (fingerprint = candidate parameters + spec + x) — a killed search
-/// resumed with the same journal recomputes only unfinished candidates and
-/// produces byte-identical output.
+/// completed candidate is a journaled point (label "optimize", fingerprint
+/// = candidate parameters + spec + x = the interval) — a killed search
+/// resumed with the same journal, or the daemon's optimize op on its
+/// cache, recomputes only unfinished candidates and produces byte-identical
+/// output.
 [[nodiscard]] OptimumPolicy optimize(const Parameters& base, const RunSpec& spec,
                                      const OptimizeSpec& opt, SweepJournal* journal = nullptr,
                                      const OptimizeObserver& observer = nullptr);

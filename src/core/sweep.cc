@@ -88,7 +88,7 @@ SweepSeries sweep(std::string label, const Parameters& base, const std::vector<d
        .finish = [&](std::size_t q, const PointRounds<ReplicationResult>& point) {
          SweepPoint& sp = series.points[pending[q]];
          sp.result = aggregate_point(point, spec.confidence_level, sp.params);
-         if (journal != nullptr) journal->record(fingerprints[pending[q]], sp.x, sp.result);
+         if (journal != nullptr) journal->insert(fingerprints[pending[q]], sp.x, sp.result);
        },
        .snapshot = [&](std::size_t q, std::size_t rep) {
          // The context embeds the point's own parameters, so a snapshot

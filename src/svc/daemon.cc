@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "src/core/fault.h"
@@ -157,7 +158,15 @@ void TcpDaemon::serve_connection(const std::shared_ptr<Connection>& conn) {
     std::size_t start = 0;
     for (std::size_t nl = pending.find('\n', start); nl != std::string::npos;
          nl = pending.find('\n', start)) {
-      server_.handle_line(std::string_view(pending).substr(start, nl - start), sink);
+      try {
+        server_.handle_line(std::string_view(pending).substr(start, nl - start), sink);
+      } catch (const std::exception& e) {
+        // A request whose handling failed (a ledger append the disk
+        // refused): answer it, id-less like an unparsable line, and serve
+        // on.  The server has already unlisted the campaign.
+        server_.metrics().service().errors.fetch_add(1, std::memory_order_relaxed);
+        sink(response_error("", e.what()));
+      }
       start = nl + 1;
     }
     pending.erase(0, start);

@@ -24,7 +24,9 @@ void serve_stream(CampaignServer& server, std::FILE* in, std::FILE* out);
 /// number of concurrent clients, and feeds each connection's lines to the
 /// shared CampaignServer.  Each connection gets a reader thread and a
 /// write-serialized sink; response lines for a campaign go to the
-/// connection that submitted it.  The accept loop joins the reader of a
+/// connection that submitted it; a request whose handling throws (a
+/// failed ledger append) gets an id-less "error" line there, and the
+/// connection reads on.  The accept loop joins the reader of a
 /// closed connection on its next pass; the socket closes once no campaign
 /// sink holds it.
 class TcpDaemon {

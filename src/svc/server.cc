@@ -133,7 +133,7 @@ bool CampaignServer::admit(const std::string& id, const Sink& sink,
 
 bool CampaignServer::submit(Request&& req, std::string_view raw_line, const Sink& sink) {
   obs::ServiceCounters& svcc = metrics_->service();
-  const auto c = std::make_shared<Campaign>(pool_, std::move(req), sink);
+  const auto c = std::make_shared<Campaign>(pool_, metrics_, std::move(req), sink);
   std::vector<std::thread> ended;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -203,7 +203,6 @@ void CampaignServer::start_sweep(Campaign& c) {
   c.outbox.push_front(response_accepted(r.id, c.points.size(), c.cached));
   c.unfinished = c.pending.size();
   if (c.pending.empty()) return;
-  r.spec.metrics = metrics_;
   Campaign* const cp = &c;
   c.run.emplace(
       r.spec,
@@ -345,7 +344,7 @@ std::size_t CampaignServer::run_op(Campaign& c) {
   }
   std::size_t evaluated = 0;
   const OptimumPolicy best =
-      optimize(req.params, req.spec, req.opt, /*journal=*/nullptr,
+      optimize(req.params, req.spec, req.opt, &cache_,
                [&](const OptimizeCandidate& candidate) {
                  emit(c, response_candidate(req.id, candidate));
                  ++evaluated;

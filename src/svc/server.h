@@ -15,10 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/journal.h"
 #include "src/core/runner.h"
 #include "src/core/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/svc/cache.h"
 #include "src/svc/ledger.h"
 #include "src/svc/protocol.h"
 
@@ -58,6 +58,17 @@ struct ServerConfig {
 /// and the --once stdin mode both drive this same object, as do the
 /// in-process tests and the throughput bench.
 ///
+/// The result cache is a SweepJournal, the store every sweep driver uses:
+/// keyed by `journal_fingerprint`, so two requests collide exactly when
+/// they would simulate identical work and a hit returns the bit-identical
+/// RunResult of the cold run.  With a path it is the fsync'd journal file,
+/// interchangeable with a CLI `--journal` (a sweep journaled on the command
+/// line is a warm cache for the service, and vice versa), and a restarted
+/// daemon reloads every completed point.  The optimize op searches through
+/// it as `ckptsim_cli --optimize --journal` does, so each candidate is a
+/// cached point (label "optimize", x = the interval) and a resubmit or a
+/// restart serves it without simulating.
+///
 /// Scheduling: the server owns one core::WorkerPool and gives every
 /// campaign a lane at its priority (ops: 0).  A sweep is one
 /// ckptsim::ReplicationRun on that lane, built on the requesting thread, so
@@ -94,8 +105,9 @@ struct ServerConfig {
 /// failure under the fail/retry policies fails *that point* (an "error"
 /// line with the point's context) and the campaign continues — a service
 /// should not tear down a 20-point campaign for one bad point.  Skip-mode
-/// accounting matches sweep() exactly.  Ops keep no cache entry and no
-/// ledger record.
+/// accounting matches sweep() exactly.  Every campaign reports into the
+/// server's metrics registry.  The interference op keeps no cache entry,
+/// and no op has a ledger record.
 class CampaignServer {
  public:
   /// One response line (no trailing newline).  Called from connection,
@@ -113,7 +125,8 @@ class CampaignServer {
   /// stats, errors, rejections, cancel acks, accepted lines) are emitted on
   /// the caller's thread; streamed campaign responses arrive on worker and
   /// driver threads through the same sink.  Never throws on bad input —
-  /// malformed lines produce "error" responses.
+  /// malformed lines produce "error" responses.  A failed ledger append
+  /// throws, after the campaign is unlisted.
   void handle_line(std::string_view line, const Sink& sink);
 
   /// Block until no campaign is queued or running (tests, --once mode).
@@ -154,7 +167,8 @@ class CampaignServer {
   /// Resolved worker-pool width.
   [[nodiscard]] std::size_t workers() const noexcept { return pool_.size(); }
 
-  [[nodiscard]] const ResultCache& cache() const noexcept { return cache_; }
+  /// The result cache: the journal of every completed point.
+  [[nodiscard]] const SweepJournal& cache() const noexcept { return cache_; }
 
   /// The registry service counters are reported into (external or owned).
   [[nodiscard]] obs::Metrics& metrics() noexcept { return *metrics_; }
@@ -171,12 +185,15 @@ class CampaignServer {
   /// campaign ends.  `req` and the points are fixed once its run starts;
   /// fields marked (mu_) are guarded by mu_ from then on.
   struct Campaign : std::enable_shared_from_this<Campaign> {
-    Campaign(WorkerPool& pool, Request&& r, Sink s)
+    Campaign(WorkerPool& pool, obs::Metrics* metrics, Request&& r, Sink s)
         : req(std::move(r)), sink(std::move(s)), lane(pool, req.priority) {
       req.spec.exec.lane = &lane;
       req.spec.cancel = &stop;
+      req.spec.metrics = metrics;
     }
-    Request req;  ///< spec.exec.lane and spec.cancel point at the two below
+    /// spec.exec.lane and spec.cancel point at the two below, and
+    /// spec.metrics at the server's registry.
+    Request req;
     Sink sink;
     WorkerPool::Lane lane;           ///< the campaign's replications
     std::atomic<bool> stop{false};   ///< raised by a cancel, a drain or stop()
@@ -257,7 +274,7 @@ class CampaignServer {
   ServerConfig config_;
   std::unique_ptr<obs::Metrics> owned_metrics_;
   obs::Metrics* metrics_ = nullptr;
-  ResultCache cache_;
+  SweepJournal cache_;
   std::unique_ptr<CampaignLedger> ledger_;  ///< null without a ledger path
   /// Raised by begin_drain()/stop(); in-flight replications observe it
   /// through SnapshotSpec::stop and park at their next snapshot boundary.

@@ -110,8 +110,8 @@ TEST(DurablePins, JournalBytesOfRecordAndRecordAll) {
   const std::string path = dir.file("j.jsonl");
   {
     SweepJournal journal(path);
-    journal.record(0xABCDULL, 15.0, sample_result(1, false));
-    journal.record_all({SweepJournal::Entry{0x0123456789ABCDEFULL, 30.0, sample_result(2, true)},
+    journal.insert(0xABCDULL, 15.0, sample_result(1, false));
+    journal.insert_all({SweepJournal::Entry{0x0123456789ABCDEFULL, 30.0, sample_result(2, true)},
                         SweepJournal::Entry{7, 45.5, RunResult{}}});
   }
   const std::string bytes = read_file(path);
@@ -232,7 +232,7 @@ LogOwner journal_owner() {
           [](const std::string& path, int from, int to) {
             SweepJournal journal(path);
             for (int k = from; k <= to; ++k) {
-              journal.record(static_cast<std::uint64_t>(k), 15.0 * k, sample_result(k, k == 2));
+              journal.insert(static_cast<std::uint64_t>(k), 15.0 * k, sample_result(k, k == 2));
             }
           },
           [](const std::string& path) {
@@ -479,7 +479,7 @@ TEST(DurableWriteFailure, JournalAppendThrowsIoErrorAndKeepsEveryEarlierEntry) {
   const int rc = run_with_file_size_limit(before.size() + 100, [&] {
     SweepJournal journal(path);
     try {
-      journal.record(3, 45.0, sample_result(3, false));
+      journal.insert(3, 45.0, sample_result(3, false));
       return 1;
     } catch (const SimError& e) {
       if (e.code() != ErrorCode::kIoError) return 2;

@@ -100,7 +100,7 @@ TEST(SweepJournal, RecordLookupRoundTripsExactly) {
   {
     SweepJournal journal(tmp.path);
     EXPECT_EQ(journal.loaded(), 0u);
-    journal.record(0xDEADBEEFCAFEF00DULL, 30.0, decorated);
+    journal.insert(0xDEADBEEFCAFEF00DULL, 30.0, decorated);
     RunResult same_session;
     ASSERT_TRUE(journal.lookup(0xDEADBEEFCAFEF00DULL, &same_session));
     EXPECT_EQ(same_session.useful_fraction.mean, decorated.useful_fraction.mean);
@@ -301,7 +301,7 @@ TEST(SweepJournal, JournalFileIsOneJsonObjectPerLine) {
   const TempFile tmp("format");
   {
     SweepJournal journal(tmp.path);
-    journal.record(0xABCDULL, 15.0, RunResult{});
+    journal.insert(0xABCDULL, 15.0, RunResult{});
   }
   const std::string content = read_file(tmp.path);
   ASSERT_FALSE(content.empty());

@@ -29,12 +29,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/journal.h"
 #include "src/core/result_json.h"
 #include "src/core/sweep.h"
 #include "src/obs/json.h"
 #include "src/obs/json_value.h"
 #include "src/obs/metrics.h"
-#include "src/svc/cache.h"
 #include "src/svc/daemon.h"
 #include "src/svc/ledger.h"
 #include "src/svc/protocol.h"
@@ -46,11 +46,11 @@ using ckptsim::EngineKind;
 using ckptsim::Parameters;
 using ckptsim::RunResult;
 using ckptsim::RunSpec;
+using ckptsim::SweepJournal;
 using ckptsim::SweepSeries;
 using ckptsim::obs::JsonValue;
 using ckptsim::svc::CampaignServer;
 using ckptsim::svc::Request;
-using ckptsim::svc::ResultCache;
 using ckptsim::svc::ServerConfig;
 using ckptsim::units::kHour;
 using ckptsim::units::kMinute;
@@ -328,7 +328,7 @@ RunResult run_point(double interval_min) {
 }
 
 TEST(SvcCache, MemoryOnlyInsertAndLookup) {
-  ResultCache cache("");
+  SweepJournal cache("");
   EXPECT_FALSE(cache.persistent());
   const RunResult r = run_point(30.0);
   RunResult out;
@@ -338,8 +338,6 @@ TEST(SvcCache, MemoryOnlyInsertAndLookup) {
   ASSERT_TRUE(cache.lookup(1, &out));
   EXPECT_EQ(canonical(out), canonical(r));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(SvcCache, PersistentRoundTripSurvivesReopenByteIdentically) {
@@ -347,7 +345,7 @@ TEST(SvcCache, PersistentRoundTripSurvivesReopenByteIdentically) {
   const RunResult r15 = run_point(15.0);
   const RunResult r30 = run_point(30.0);
   {
-    ResultCache cache(file.path);
+    SweepJournal cache(file.path);
     EXPECT_TRUE(cache.persistent());
     EXPECT_EQ(cache.loaded(), 0u);
     cache.insert(100, 15.0, r15);
@@ -355,7 +353,7 @@ TEST(SvcCache, PersistentRoundTripSurvivesReopenByteIdentically) {
     cache.insert(100, 15.0, r15);  // duplicate never double-appends
     EXPECT_EQ(cache.size(), 2u);
   }
-  ResultCache reopened(file.path);
+  SweepJournal reopened(file.path);
   EXPECT_EQ(reopened.loaded(), 2u);
   RunResult out;
   ASSERT_TRUE(reopened.lookup(100, &out));
@@ -363,8 +361,6 @@ TEST(SvcCache, PersistentRoundTripSurvivesReopenByteIdentically) {
   ASSERT_TRUE(reopened.lookup(200, &out));
   EXPECT_EQ(canonical(out), canonical(r30));
   EXPECT_FALSE(reopened.lookup(300, &out));
-  EXPECT_EQ(reopened.hits(), 2u);
-  EXPECT_EQ(reopened.misses(), 1u);
 }
 
 TEST(SvcCache, InsertAllAppendsEachNewFingerprintOnce) {
@@ -372,13 +368,13 @@ TEST(SvcCache, InsertAllAppendsEachNewFingerprintOnce) {
   const RunResult r15 = run_point(15.0);
   const RunResult r30 = run_point(30.0);
   {
-    ResultCache cache(file.path);
+    SweepJournal cache(file.path);
     cache.insert(100, 15.0, r15);
     // One batch: a fingerprint already stored and a fingerprint twice.
     cache.insert_all({{100, 15.0, r15}, {200, 30.0, r30}, {200, 30.0, r30}, {300, 15.0, r15}});
     EXPECT_EQ(cache.size(), 3u);
   }
-  ResultCache reopened(file.path);
+  SweepJournal reopened(file.path);
   EXPECT_EQ(reopened.loaded(), 3u);
   RunResult out;
   ASSERT_TRUE(reopened.lookup(200, &out));
@@ -389,7 +385,7 @@ TEST(SvcCache, InsertAllAppendsEachNewFingerprintOnce) {
 
 TEST(SvcCache, ConcurrentInsertAndLookupIsSafe) {
   TempFile file("cache_concurrent");
-  ResultCache cache(file.path);
+  SweepJournal cache(file.path);
   const RunResult r = run_point(30.0);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kKeys = 16;
@@ -407,7 +403,7 @@ TEST(SvcCache, ConcurrentInsertAndLookupIsSafe) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
   // Racing inserts of the same fingerprint must not have double-appended.
-  ResultCache reopened(file.path);
+  SweepJournal reopened(file.path);
   EXPECT_EQ(reopened.loaded(), static_cast<std::size_t>(kKeys));
 }
 
@@ -463,7 +459,7 @@ TEST(SvcServer, RepeatedSweepIsServedFromCacheWithZeroNewWork) {
   std::sort(warm_points.begin(), warm_points.end());
   EXPECT_EQ(warm_points, cold_points);
   EXPECT_EQ(server.metrics().service().snapshot().replications_run, cold_replications);
-  EXPECT_EQ(server.cache().hits(), 2u);
+  EXPECT_EQ(server.metrics().service().snapshot().cache_hits, 2u);
 }
 
 TEST(SvcServer, PersistentCacheHoldsEveryPointBeforeItsLine) {
@@ -524,7 +520,7 @@ TEST(SvcServer, PersistentCacheHoldsEveryPointBeforeItsLine) {
     return kept;
   };
   EXPECT_EQ(points(out.lines), points(memory.lines));
-  EXPECT_EQ(ResultCache(file.path).loaded(), 10u);
+  EXPECT_EQ(SweepJournal(file.path).loaded(), 10u);
 }
 
 TEST(SvcServer, CacheSurvivesServerRestart) {
@@ -1022,6 +1018,61 @@ TEST(SvcServer, OptimizeRequestRejectsIgnoredKnobWithErrorLine) {
   EXPECT_NE(out.lines[1].find("on_failure"), std::string::npos) << out.lines[1];
 }
 
+TEST(SvcServer, RepeatedOptimizeIsServedFromTheCache) {
+  // Every candidate is a cached point: a resubmit, and a server restarted
+  // on the same file, answer the op without simulating.
+  TempFile file("optimize_cache");
+  const auto request = [](const std::string& id) {
+    return R"({"op":"optimize","id":")" + id + R"(","grid":3,"refine":1,)"
+           R"("params":{"processors":8192},)"
+           R"("spec":{"reps":2,"horizon_hours":12,"transient_hours":1}})";
+  };
+  // The op's candidate and optimum lines with its id taken out.
+  const auto answer = [](const Collector& out, const std::string& id) {
+    const std::string tag = R"("id": ")" + id + R"(", )";
+    std::vector<std::string> kept;
+    for (const std::string& line : out.lines) {
+      if (line.find(R"("type": "candidate")") == std::string::npos &&
+          line.find(R"("type": "optimum")") == std::string::npos) {
+        continue;
+      }
+      std::string bare = line;
+      const std::size_t at = bare.find(tag);
+      EXPECT_NE(at, std::string::npos) << line;
+      if (at != std::string::npos) bare.erase(at, tag.size());
+      kept.push_back(bare);
+    }
+    return kept;
+  };
+  ServerConfig config;
+  config.workers = 2;
+  config.cache_path = file.path;
+  std::vector<std::string> cold;
+  {
+    CampaignServer server(config);
+    Collector first;
+    server.handle_line(request("o1"), first.sink());
+    server.drain();
+    cold = answer(first, "o1");
+    const std::uint64_t simulated = server.metrics().snapshot().replications;
+    EXPECT_GT(simulated, 0u);
+    Collector second;
+    server.handle_line(request("o2"), second.sink());
+    server.drain();
+    EXPECT_EQ(answer(second, "o2"), cold);
+    EXPECT_EQ(server.metrics().snapshot().replications, simulated);
+  }
+  // Every line but the optimum names a candidate.
+  ASSERT_GT(cold.size(), 1u);
+  CampaignServer restarted(config);
+  EXPECT_EQ(restarted.cache().loaded(), cold.size() - 1);
+  Collector third;
+  restarted.handle_line(request("o3"), third.sink());
+  restarted.drain();
+  EXPECT_EQ(answer(third, "o3"), cold);
+  EXPECT_EQ(restarted.metrics().snapshot().replications, 0u);
+}
+
 TEST(SvcServer, DuplicateActiveCampaignIdIsRejected) {
   ServerConfig config;
   config.workers = 1;
@@ -1314,7 +1365,7 @@ TEST(TcpDaemon, RepliesAreNotHeldForTheClientsDelayedAck) {
     }
   }
   server.stop();
-  EXPECT_EQ(server.cache().hits(), 40u);
+  EXPECT_EQ(server.metrics().service().snapshot().cache_hits, 40u);
   ASSERT_EQ(gaps_ms.size(), 20u);
   std::vector<double> sorted = gaps_ms;
   std::sort(sorted.begin(), sorted.end());
@@ -1529,6 +1580,59 @@ TEST(SvcLedgerFull, OnceModeExitsOneWhenTheAdmitFails) {
   std::stringstream said;
   said << std::ifstream(errors.path).rdbuf();
   EXPECT_EQ(said.str().rfind("ckptsimd: ", 0), 0u) << said.str();
+}
+
+TEST(SvcLedgerFull, TcpDaemonAnswersAFailedAdmitAndServesOn) {
+  // No room for the admit record: the sweep's connection gets one error
+  // line naming the ledger, and the daemon serves on, that connection and
+  // the next.
+  TempFile ledger("full_tcp_ledger");
+  int port_pipe[2];
+  ASSERT_EQ(::pipe(port_pipe), 0);
+  Child child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    ::close(port_pipe[0]);
+    limit_file_size(0);
+    try {
+      ServerConfig config;
+      config.workers = 1;
+      config.ledger_path = ledger.path;
+      CampaignServer server(config);
+      ckptsim::svc::TcpDaemon daemon(server, 0);
+      const std::uint16_t port = daemon.port();
+      if (::write(port_pipe[1], &port, sizeof port) != static_cast<ssize_t>(sizeof port)) {
+        ::_exit(3);
+      }
+      ::close(port_pipe[1]);
+      const std::atomic<bool> stop{false};
+      daemon.run(stop);
+    } catch (...) {
+      ::_exit(4);
+    }
+    ::_exit(0);
+  }
+  ::close(port_pipe[1]);
+  std::uint16_t port = 0;
+  ASSERT_EQ(::read(port_pipe[0], &port, sizeof port), static_cast<ssize_t>(sizeof port));
+  ::close(port_pipe[0]);
+  LineClient client(port);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_line(kTinySweep));
+  std::string line;
+  LineClient::Clock::time_point at;
+  ASSERT_TRUE(client.read_line(&line, &at)) << "the daemon hung up";
+  JsonValue error;
+  ASSERT_TRUE(ckptsim::obs::parse_json(line, &error)) << line;
+  ASSERT_NE(error.find("type"), nullptr) << line;
+  EXPECT_EQ(error.find("type")->scalar, "error") << line;
+  EXPECT_NE(line.find("ledger '" + ledger.path + "'"), std::string::npos) << line;
+  // The sweep's answer was that one line: the next is the ping's.
+  ASSERT_TRUE(client.send_line(R"({"op":"ping"})"));
+  ASSERT_TRUE(client.read_line(&line, &at));
+  EXPECT_NE(line.find("pong"), std::string::npos) << line;
+  EXPECT_NE(ping(port).find("pong"), std::string::npos);
 }
 
 TEST(SvcLedgerFull, FailedRetireEndsTheStreamWithAnError) {
