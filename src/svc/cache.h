@@ -4,8 +4,8 @@
 
 namespace ckptsim::svc {
 
-/// The daemon's result cache is the sweep journal.  This name remains for
-/// the benchmark driver's replay, which still spells it.
+/// The daemon's result cache is the sweep journal.  This name remains
+/// because perfbench/src/replay.cc still spells it.
 using ResultCache = SweepJournal;
 
 }  // namespace ckptsim::svc
