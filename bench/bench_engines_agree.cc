@@ -79,7 +79,7 @@ int main(int argc, char** argv) try {
                        report::Table::num(san.useful_fraction.half_width, 4),
                    report::Table::num(
                        std::abs(des.useful_fraction.mean - san.useful_fraction.mean), 4),
-                   report::Table::integer(des_ms), report::Table::integer(san_ms)});
+                   report::Table::num(des_ms, 2), report::Table::num(san_ms, 2)});
   }
   std::cout << table.render();
   std::cout << "\nthe two engines implement the same documented semantics; differences\n"

@@ -78,10 +78,11 @@ int main(int argc, char** argv) {
       {san::RateRewardSpec{"availability",
                            [available](const Marking& mk) { return available(mk) ? 1.0 : 0.0; }}},
       {});
-  san::StudySpec spec;
+  RunSpec spec;
   spec.transient = 100.0;
   spec.horizon = 20000.0;
   spec.replications = 10;
+  spec.seed = 1;
   const auto result = study.run(spec);
   const auto& measure = result.reward("availability");
   std::cout << "simulated availability = " << measure.interval.mean << " +/- "

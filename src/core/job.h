@@ -19,7 +19,7 @@ struct JobSpec {
   double confidence_level = 0.95;
 
   /// Throws std::invalid_argument naming the first violated constraint
-  /// (called once at run_job entry, mirroring RunSpec/StudySpec).
+  /// (called once at run_job entry, mirroring RunSpec).
   void validate() const;
 };
 

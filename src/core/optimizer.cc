@@ -123,17 +123,19 @@ class CandidateEvaluator {
     p.checkpoint_interval = interval;
 
     RunResult r;
+    OptimizeCandidate c;
     const std::uint64_t fp =
         journal_ != nullptr
             ? journal_fingerprint("optimize", p, spec_, EngineKind::kDes, interval)
             : 0;
-    if (journal_ == nullptr || !journal_->lookup(fp, &r)) {
+    c.cached = journal_ != nullptr && journal_->lookup(fp, &r);
+    if (!c.cached) {
       r = p.proactive_enabled() ? proactive::run_proactive(p, spec_).run
                                 : run_model(p, spec_, EngineKind::kDes);
       if (journal_ != nullptr) journal_->insert(fp, interval, r);
+      c.replications = r.replications + r.failures.skipped.size();
     }
 
-    OptimizeCandidate c;
     c.interval = interval;
     c.policy = policy;
     c.processors = processors;

@@ -79,6 +79,8 @@ struct OptimizeCandidate {
   double total_useful_work = 0.0;
   double useful_fraction = 0.0;
   bool refined = false;  ///< evaluated by the golden-section stage
+  bool cached = false;   ///< the journal held it, so nothing was simulated
+  std::size_t replications = 0;  ///< replications simulated for it (skipped ones included)
 };
 
 /// Result of the hybrid search.  `evaluated` lists every candidate in

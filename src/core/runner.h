@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 
 #include "src/core/fault.h"
 #include "src/core/replicate.h"
@@ -19,6 +20,10 @@ enum class EngineKind {
   kDes,  ///< hand-coded discrete-event engine (fast; default)
   kSan,  ///< the Table-1 SAN submodels on the generic SAN executor
 };
+
+/// The engines' one spelling each, in enum order: the choices that
+/// `parse_choice` reads for `--engine` and the protocol's "engine".
+inline constexpr std::string_view kEngines = "des|san";
 
 /// Simulate `params` under `spec` and aggregate replications into a
 /// RunResult (useful-work fraction CI, total useful work, counters).

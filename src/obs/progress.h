@@ -11,7 +11,7 @@ namespace ckptsim::obs {
 
 /// Rate-limited progress heartbeat for long multi-replication runs.
 ///
-/// Attached to a RunSpec/StudySpec (off by default), the parallel drivers
+/// Attached to a RunSpec (off by default), the parallel drivers
 /// call `begin` before a region, `tick` from workers as units complete, and
 /// `finish` at the end.  Lines go to stderr (or an injected stream) showing
 /// completed/total units, wall-clock elapsed, and an ETA extrapolated from

@@ -9,19 +9,6 @@
 
 namespace ckptsim::san {
 
-void StudySpec::validate() const {
-  auto fail = [](const std::string& msg) { throw std::invalid_argument("StudySpec: " + msg); };
-  if (replications == 0) fail("need >= 1 replication");
-  if (!(horizon > 0.0) || !std::isfinite(horizon)) fail("horizon must be finite and > 0");
-  if (!(transient >= 0.0) || !std::isfinite(transient)) {
-    fail("transient must be finite and >= 0");
-  }
-  if (!(confidence_level > 0.0 && confidence_level < 1.0)) {
-    fail("confidence_level must be in (0, 1)");
-  }
-  sequential.validate();
-}
-
 const StudyMeasure& StudyResult::reward(const std::string& name) const {
   const auto it = rewards.find(name);
   if (it == rewards.end()) {
@@ -35,16 +22,13 @@ Study::Study(const Model& model, std::vector<RateRewardSpec> rate_rewards,
     : model_(model),
       rate_rewards_(std::move(rate_rewards)),
       impulse_rewards_(std::move(impulse_rewards)) {
-  for (const auto& r : rate_rewards_) {
-    if (std::find(reward_names_.begin(), reward_names_.end(), r.name) == reward_names_.end()) {
-      reward_names_.push_back(r.name);
+  const auto add_name = [this](const std::string& name) {
+    if (std::find(reward_names_.begin(), reward_names_.end(), name) == reward_names_.end()) {
+      reward_names_.push_back(name);
     }
-  }
-  for (const auto& r : impulse_rewards_) {
-    if (std::find(reward_names_.begin(), reward_names_.end(), r.name) == reward_names_.end()) {
-      reward_names_.push_back(r.name);
-    }
-  }
+  };
+  for (const auto& r : rate_rewards_) add_name(r.name);
+  for (const auto& r : impulse_rewards_) add_name(r.name);
 }
 
 namespace {
@@ -63,33 +47,29 @@ std::string nonfinite_reason(const RewardMeans& r) {
 
 }  // namespace
 
-StudyResult Study::run(const StudySpec& spec) const {
+StudyResult Study::run(const RunSpec& spec, const std::string& precision_reward) const {
   spec.validate();
+  if (spec.snapshot_every_events > 0) {
+    throw std::invalid_argument("Study: snapshot_every_events is not supported");
+  }
   // Resolve the reward the stopper watches (default: first registered).
   std::size_t primary = 0;
   if (spec.sequential.enabled()) {
     if (reward_names_.empty()) {
       throw std::invalid_argument("Study: sequential stopping needs at least one reward");
     }
-    if (!spec.precision_reward.empty()) {
-      const auto it =
-          std::find(reward_names_.begin(), reward_names_.end(), spec.precision_reward);
+    if (!precision_reward.empty()) {
+      const auto it = std::find(reward_names_.begin(), reward_names_.end(), precision_reward);
       if (it == reward_names_.end()) {
-        throw std::invalid_argument("Study: precision_reward '" + spec.precision_reward +
+        throw std::invalid_argument("Study: precision_reward '" + precision_reward +
                                     "' is not a registered reward");
       }
       primary = static_cast<std::size_t>(it - reward_names_.begin());
     }
   }
-  const RunSpec run{.transient = spec.transient, .horizon = spec.horizon,
-                    .replications = spec.replications, .seed = spec.seed,
-                    .confidence_level = spec.confidence_level, .exec = spec.exec,
-                    .sequential = spec.sequential, .metrics = spec.metrics,
-                    .progress = spec.progress, .on_failure = spec.on_failure,
-                    .cancel = spec.cancel};
   StudyResult result;
   replicate<RewardMeans>(
-      run,
+      spec,
       {.attempt = [&](std::size_t, std::uint64_t seed, obs::ReplicationProbe* probe,
                       const SnapshotSpec*) {
          Executor exec(model_, seed);

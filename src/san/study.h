@@ -1,67 +1,19 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/fault.h"
-#include "src/core/thread_pool.h"
+#include "src/core/results.h"
 #include "src/san/executor.h"
 #include "src/san/model.h"
 #include "src/san/reward.h"
 #include "src/stats/confidence.h"
-#include "src/stats/sequential.h"
 #include "src/stats/summary.h"
 
-namespace ckptsim::obs {
-class Metrics;
-class ProgressReporter;
-}  // namespace ckptsim::obs
-
 namespace ckptsim::san {
-
-/// Controls for a steady-state simulation study: independent replications
-/// with an initial transient discard, mirroring the paper's experimental
-/// setup ("steady-state simulation ... with an initial transient period of
-/// 1000 hours ... confidence level is 95%").
-struct StudySpec {
-  double transient = 0.0;      ///< warm-up span discarded from rewards
-  double horizon = 1.0;        ///< observed span after the warm-up
-  std::size_t replications = 5;
-  std::uint64_t seed = 1;      ///< master seed; replication r uses seed+r mixing
-  double confidence_level = 0.95;
-  ExecSpec exec;  ///< worker threads; results are identical for any jobs
-
-  /// Precision-driven replication control, mirroring RunSpec::sequential:
-  /// when enabled, `replications` is ignored and deterministic rounds run
-  /// until the relative CI half-width of `precision_reward` meets the
-  /// target.  Replication r keeps its canonical seed in every round, so
-  /// adaptive results are bit-identical for any `exec` job count.
-  stats::SequentialSpec sequential;
-  /// Reward variable the stopper watches; empty = the first registered
-  /// reward.  Must name a registered reward when sequential is enabled.
-  std::string precision_reward;
-
-  /// Optional run telemetry (src/obs), off by default; not owned.  Same
-  /// contract as RunSpec: attaching never changes study results.
-  obs::Metrics* metrics = nullptr;
-  obs::ProgressReporter* progress = nullptr;
-
-  /// Failure handling, mirroring RunSpec: fail-fast rethrows the failure
-  /// with the smallest replication index, retry re-runs with derived
-  /// attempt seeds (transient failures keep the canonical seed), skip
-  /// drops the replication into StudyResult::failures.
-  FailurePolicy on_failure;
-  /// Per-replication activity-firing budget (0 = unlimited).
-  WatchdogSpec watchdog;
-  /// Cooperative cancellation; not owned.  See RunSpec::cancel.
-  const std::atomic<bool>* cancel = nullptr;
-
-  /// Throws std::invalid_argument naming the first violated constraint.
-  void validate() const;
-};
 
 /// Per-reward study output.
 struct StudyMeasure {
@@ -87,7 +39,10 @@ struct StudyResult {
 };
 
 /// Runs independent replications of one SAN model and aggregates the
-/// time-averaged reward variables with confidence intervals.
+/// time-averaged reward variables with confidence intervals: a
+/// steady-state study with an initial transient discard, as in the paper
+/// ("an initial transient period of 1000 hours ... confidence level is
+/// 95%").
 class Study {
  public:
   /// The model must outlive the study.  Reward specs are replicated into
@@ -95,7 +50,15 @@ class Study {
   Study(const Model& model, std::vector<RateRewardSpec> rate_rewards,
         std::vector<ImpulseRewardSpec> impulse_rewards);
 
-  [[nodiscard]] StudyResult run(const StudySpec& spec) const;
+  /// Replicate under `spec`, with `spec.transient` and `spec.horizon` in
+  /// model time units.  Under `spec.sequential` the stopper watches
+  /// `precision_reward`, which must name a registered reward; empty means
+  /// the first one.  Every other knob means what it means to run_model,
+  /// except that a study's attempts take no snapshots: a
+  /// `snapshot_every_events` above 0 throws std::invalid_argument, as do
+  /// the checks of RunSpec::validate.
+  [[nodiscard]] StudyResult run(const RunSpec& spec,
+                                const std::string& precision_reward = {}) const;
 
  private:
   const Model& model_;

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,7 +11,9 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/fault.h"
 
@@ -39,16 +42,115 @@ void serve_stream(CampaignServer& server, std::FILE* in, std::FILE* out) {
   server.drain();
 }
 
-TcpDaemon::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
+namespace {
+
+/// One client socket, shared between the loop and the campaign sinks that
+/// outlive its requests; the fd closes when the last reference drops.
+struct Connection {
+  Connection(int fd, int wake_fd) : fd(fd), wake_fd(wake_fd) {}
+  ~Connection() { ::close(fd); }
+
+  /// The sink: queue `line`, send it at once when nothing was queued
+  /// before it, and wake the loop for what the socket did not take.
+  void send_line(const std::string& line) {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (closed) return;
+    const bool idle = out.empty();
+    out += line;
+    out += '\n';
+    if (idle) {
+      write_queued();
+      if (out.empty()) return;    // the usual case: the line left on this thread
+      eventfd_write(wake_fd, 1);  // the loop polls for room from now on
+    }
+    if (out.size() > TcpDaemon::kMaxQueuedBytes) {
+      // A client that stopped reading is hung up rather than buffered
+      // without bound; its campaigns run on and fill the cache.
+      ::shutdown(fd, SHUT_RDWR);
+      closed = true;
+      std::string().swap(out);
+    }
+  }
+
+  /// The loop's write: what the socket takes of the queue, without
+  /// blocking; after the `last` one the sinks drop their lines.  Returns
+  /// whether bytes are left.
+  bool flush(bool last = false) {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (!out.empty()) write_queued();
+    if (last) {
+      closed = true;
+      out.clear();
+    }
+    return !out.empty();
+  }
+
+  /// Send what is queued without blocking.  Caller holds mu.
+  void write_queued() {
+    // MSG_NOSIGNAL: a client that hung up mid-campaign must not SIGPIPE the
+    // daemon; its remaining lines are simply dropped.
+    const ssize_t n = ::send(fd, out.data(), out.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n >= 0) {
+      out.erase(0, static_cast<std::size_t>(n));
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      closed = true;
+      out.clear();
+    }
+  }
+
+  const int fd;
+  const int wake_fd;
+  std::string in;       ///< received bytes not yet framed (loop only)
+  bool reading = true;  ///< until end of file or an error (loop only)
+  std::mutex mu;
+  std::string out;      ///< framed lines the socket has not taken (mu)
+  bool closed = false;  ///< hung up, over the cap or run() returned: lines are dropped (mu)
+};
+
+/// Read what `conn` sent and hand each complete line to `server`.
+void read_requests(CampaignServer& server, const std::shared_ptr<Connection>& conn) {
+  char buf[65536];
+  const ssize_t n = ::recv(conn->fd, buf, sizeof buf, MSG_DONTWAIT);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) return;
+  if (n <= 0) {
+    // The end of the requests.  A client that half-closed still gets
+    // every line its campaigns send.
+    conn->reading = false;
+    return;
+  }
+  conn->in.append(buf, static_cast<std::size_t>(n));
+  const CampaignServer::Sink sink = [conn](const std::string& line) { conn->send_line(line); };
+  std::size_t start = 0;
+  for (std::size_t nl = conn->in.find('\n'); nl != std::string::npos;
+       nl = conn->in.find('\n', start)) {
+    try {
+      server.handle_line(std::string_view(conn->in).substr(start, nl - start), sink);
+    } catch (const std::exception& e) {
+      // A request whose handling failed (a ledger append the disk
+      // refused): answer it, id-less like an unparsable line, and serve
+      // on.  The server has already unlisted the campaign.
+      server.metrics().service().errors.fetch_add(1, std::memory_order_relaxed);
+      sink(response_error("", e.what()));
+    }
+    start = nl + 1;
+    if (server.shutdown_requested()) break;
+  }
+  conn->in.erase(0, start);
 }
 
+}  // namespace
+
 TcpDaemon::TcpDaemon(CampaignServer& server, std::uint16_t port) : server_(server) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw SimError(ErrorCode::kIoError,
-                   std::string("ckptsimd: socket: ") + std::strerror(errno));
-  }
+  const auto fail = [this](const std::string& what) {
+    const std::string why = std::strerror(errno);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    throw SimError(ErrorCode::kIoError, "ckptsimd: " + what + ": " + why);
+  };
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (listen_fd_ < 0) fail("socket");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) fail("eventfd");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr{};
@@ -57,11 +159,7 @@ TcpDaemon::TcpDaemon(CampaignServer& server, std::uint16_t port) : server_(serve
   addr.sin_port = htons(port);
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
       ::listen(listen_fd_, 64) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw SimError(ErrorCode::kIoError,
-                   "ckptsimd: cannot listen on 127.0.0.1:" + std::to_string(port) + ": " + why);
+    fail("cannot listen on 127.0.0.1:" + std::to_string(port));
   }
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
@@ -70,108 +168,78 @@ TcpDaemon::TcpDaemon(CampaignServer& server, std::uint16_t port) : server_(serve
 }
 
 TcpDaemon::~TcpDaemon() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (Reader& r : readers_) {
-    if (r.thread.joinable()) r.thread.join();
-  }
-}
-
-void TcpDaemon::reap_readers() {
-  for (auto it = readers_.begin(); it != readers_.end();) {
-    if (!it->conn->reader_done.load(std::memory_order_acquire)) {
-      ++it;
-      continue;
-    }
-    it->thread.join();
-    it = readers_.erase(it);
-  }
+  ::close(listen_fd_);
+  ::close(wake_fd_);
 }
 
 void TcpDaemon::run(const std::atomic<bool>& stop) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<std::shared_ptr<Connection>> conns;
+  std::vector<std::shared_ptr<Connection>> polled;  ///< the connection of fds[2 + i]
+  std::vector<pollfd> fds;
+  Clock::time_point accept_at{};  ///< out of descriptors, the listener rests until then
   // SIGTERM/SIGINT first puts the server into graceful drain: new sweep
   // requests get an explicit "draining" response while in-flight
   // replications park at their next snapshot boundary; the loop exits once
   // nothing is running.  A "shutdown" request keeps the old immediate exit.
   bool draining = false;
   while (!server_.shutdown_requested()) {
-    reap_readers();
     if (stop.load(std::memory_order_relaxed) && !draining) {
       server_.begin_drain();
       draining = true;
     }
     if (draining && server_.drained()) break;
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    // Short poll timeout so signal- and shutdown-flags are noticed promptly
+    // Write what each socket takes of its queue, and poll each connection
+    // only for what it can use: one that reads nothing more and has nothing
+    // queued stays out, or a hung-up peer's POLLHUP would wake the loop
+    // again and again.  Once no campaign sink holds it either, it leaves
+    // the loop and its socket closes.
+    const Clock::time_point now = Clock::now();
+    const bool listening = now >= accept_at;
+    fds.assign({pollfd{wake_fd_, POLLIN, 0}, pollfd{listening ? listen_fd_ : -1, POLLIN, 0}});
+    polled.clear();
+    std::erase_if(conns, [&](const std::shared_ptr<Connection>& c) {
+      const bool held = c.use_count() > 1;  // read first: a sink may queue a line, then let go
+      const bool queued = c->flush();
+      if (!c->reading && !queued) return !held;
+      const short events = static_cast<short>((c->reading ? POLLIN : 0) | (queued ? POLLOUT : 0));
+      fds.push_back(pollfd{c->fd, events, 0});
+      polled.push_back(c);
+      return false;
+    });
+    // A short timeout, so the stop and shutdown flags are noticed promptly
     // even when no client ever connects.
-    const int ready = ::poll(&pfd, 1, 200);
+    const auto timeout = listening ? std::chrono::milliseconds(200)
+                                   : std::chrono::ceil<std::chrono::milliseconds>(accept_at - now);
+    const int ready = ::poll(fds.data(), fds.size(), static_cast<int>(timeout.count()));
     if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      // Out of descriptors (EMFILE) the connection stays pending and poll
-      // reports it again at once: wait for readers to free some instead of
-      // spinning.
-      if (errno != EINTR) std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      continue;
-    }
-    // The sink sends each response line on its own; with Nagle's algorithm
-    // a line sent while the previous one is unacknowledged would wait for
-    // the client's delayed ACK (40 ms or more on Linux).
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto conn = std::make_shared<Connection>(fd);
-    readers_.push_back(Reader{conn, std::thread([this, conn] {
-                                serve_connection(conn);
-                                conn->reader_done.store(true, std::memory_order_release);
-                              })});
-  }
-  // Unblock every reader (recv returns 0 after SHUT_RD) and join them so no
-  // request arrives after this point; campaign sinks may still write to the
-  // sockets until the caller stops the server — the shared_ptrs keep the
-  // fds alive for them.
-  for (const Reader& r : readers_) ::shutdown(r.conn->fd, SHUT_RD);
-  for (Reader& r : readers_) r.thread.join();
-  readers_.clear();
-}
-
-void TcpDaemon::serve_connection(const std::shared_ptr<Connection>& conn) {
-  const CampaignServer::Sink sink = [conn](const std::string& line) {
-    const std::lock_guard<std::mutex> lock(conn->write_mu);
-    std::string framed = line;
-    framed += '\n';
-    std::size_t off = 0;
-    while (off < framed.size()) {
-      // MSG_NOSIGNAL: a client that hung up mid-campaign must not SIGPIPE
-      // the daemon; the remaining lines are simply dropped.
-      const ssize_t n =
-          ::send(conn->fd, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) return;
-      off += static_cast<std::size_t>(n);
-    }
-  };
-  std::string pending;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
-    if (n <= 0) break;
-    pending.append(buf, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = pending.find('\n', start); nl != std::string::npos;
-         nl = pending.find('\n', start)) {
-      try {
-        server_.handle_line(std::string_view(pending).substr(start, nl - start), sink);
-      } catch (const std::exception& e) {
-        // A request whose handling failed (a ledger append the disk
-        // refused): answer it, id-less like an unparsable line, and serve
-        // on.  The server has already unlisted the campaign.
-        server_.metrics().service().errors.fetch_add(1, std::memory_order_relaxed);
-        sink(response_error("", e.what()));
+    if (ready <= 0) continue;
+    eventfd_t woken = 0;
+    if (fds[0].revents != 0) eventfd_read(wake_fd_, &woken);
+    for (std::size_t i = 0; i < polled.size() && !server_.shutdown_requested(); ++i) {
+      if (polled[i]->reading && (fds[2 + i].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
+        read_requests(server_, polled[i]);
       }
-      start = nl + 1;
     }
-    pending.erase(0, start);
-    if (server_.shutdown_requested()) break;
+    if ((fds[1].revents & POLLIN) == 0) continue;
+    for (int fd; (fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK)) >= 0;) {
+      // The sink sends each response line on its own; with Nagle's
+      // algorithm a line sent while the previous one is unacknowledged
+      // would wait for the client's delayed ACK (40 ms or more on Linux).
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      conns.push_back(std::make_shared<Connection>(fd, wake_fd_));
+    }
+    // Out of descriptors (EMFILE) the connection stays pending and poll
+    // reports it again at once: rest the listener instead of spinning, and
+    // serve the connections there are until some close.
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+      accept_at = Clock::now() + std::chrono::milliseconds(100);
+    }
   }
+  // The last write; from here on the sinks drop their lines, and a socket
+  // closes with the last campaign that holds it.
+  for (const std::shared_ptr<Connection>& c : conns) c->flush(/*last=*/true);
 }
 
 }  // namespace ckptsim::svc

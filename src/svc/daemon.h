@@ -1,12 +1,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <thread>
 
 #include "src/svc/server.h"
 
@@ -22,15 +19,25 @@ void serve_stream(CampaignServer& server, std::FILE* in, std::FILE* out);
 /// TCP transport of ckptsimd: listens on 127.0.0.1 (loopback only — the
 /// daemon is a local compute service, not a network product), accepts any
 /// number of concurrent clients, and feeds each connection's lines to the
-/// shared CampaignServer.  Each connection gets a reader thread and a
-/// write-serialized sink; response lines for a campaign go to the
-/// connection that submitted it; a request whose handling throws (a
-/// failed ledger append) gets an id-less "error" line there, and the
-/// connection reads on.  The accept loop joins the reader of a
-/// closed connection on its next pass; the socket closes once no campaign
-/// sink holds it.
+/// shared CampaignServer.  One poll loop, on the thread that calls run(),
+/// owns the listening socket and every connection: it reads without
+/// blocking, frames lines, calls handle_line for each (a request whose
+/// handling throws, a failed ledger append, gets an id-less "error" line
+/// and the connection reads on), and writes what a connection has queued.
+/// Response lines for a campaign go to the connection that submitted it.
+/// A connection's sink never blocks: with nothing queued it sends on the
+/// emitting thread, and it queues what the socket does not take for the
+/// loop to write.  So a client that stops reading holds no server thread;
+/// once its queue passes kMaxQueuedBytes it is hung up and its later lines
+/// are dropped, while its campaigns run on and fill the cache.  A
+/// connection leaves the loop once it sends nothing more, has nothing left
+/// to write and no campaign sink holds it; its socket closes with the last
+/// reference.
 class TcpDaemon {
  public:
+  /// Bytes a connection may have queued before it is shut down.
+  static constexpr std::size_t kMaxQueuedBytes = std::size_t{4} << 20;
+
   /// Binds and listens; `port` 0 picks an ephemeral port (read it back via
   /// port()).  Throws SimError(kIoError) when the socket cannot be set up.
   TcpDaemon(CampaignServer& server, std::uint16_t port);
@@ -42,36 +49,20 @@ class TcpDaemon {
   /// The bound port (resolved when constructed with port 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Accept loop.  Returns once `stop` becomes true (signal handler) or
-  /// the server saw a "shutdown" request; on the way out every connection
-  /// is shut down and its reader joined, so no thread touches the sockets
-  /// after this returns.  Campaigns still running are left to the caller
+  /// The loop.  Returns after a "shutdown" request, or once `stop` became
+  /// true (signal handler) and the server drained.  On the way out each
+  /// connection gets one last non-blocking write of its queue; from then
+  /// on sinks drop their lines, so no thread sends on a socket or wakes
+  /// the loop after this returns, and a socket closes with the last sink
+  /// that holds it.  Campaigns still running are left to the caller
   /// (CampaignServer::stop cancels them).
   void run(const std::atomic<bool>& stop);
 
  private:
-  /// One client socket shared between its reader thread and the campaign
-  /// sinks that outlive it; the fd closes when the last reference drops.
-  struct Connection {
-    explicit Connection(int fd) : fd(fd) {}
-    ~Connection();
-    int fd;
-    std::mutex write_mu;
-    std::atomic<bool> reader_done{false};  ///< raised as the reader returns
-  };
-  struct Reader {
-    std::shared_ptr<Connection> conn;
-    std::thread thread;
-  };
-
-  void serve_connection(const std::shared_ptr<Connection>& conn);
-  /// Join the readers that returned and let go of their connections.
-  void reap_readers();
-
   CampaignServer& server_;
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: a sink queued bytes for the loop to write
   std::uint16_t port_ = 0;
-  std::list<Reader> readers_;  ///< touched by run() and the destructor only
 };
 
 }  // namespace ckptsim::svc

@@ -124,18 +124,14 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
     } else if (key == "label") {
       out->label = require_string(v, key);
     } else if (key == "engine") {
-      const std::string name = require_string(v, key);
-      if (name == "des") out->engine = EngineKind::kDes;
-      else if (name == "san") out->engine = EngineKind::kSan;
-      else fail("unknown engine '" + name + "' (des|san)");
+      out->engine =
+          static_cast<EngineKind>(parse_choice(require_string(v, key), kEngines, "key 'engine'"));
     } else {
       fail("unknown key '" + key + "'");
     }
   }
   if (out->id.empty()) fail("sweep requires a non-empty 'id'");
-  if (out->axis != "interval" && out->axis != "processors") {
-    fail("sweep requires axis \"interval\" or \"processors\"");
-  }
+  (void)parse_choice(out->axis, kSweepAxes, "key 'axis'");
   reject_overridden_params(root, out->axis == "interval" ? kIntervalAxis : kProcessorsAxis);
   if (out->values.empty()) {
     out->values = out->axis == "interval" ? figure4_interval_axis_minutes()

@@ -97,6 +97,10 @@ struct Request {
 /// std::invalid_argument.
 [[nodiscard]] Parameters apply_axis(const std::string& axis, Parameters base, double x);
 
+/// The sweep axes' one spelling each: the choices that `parse_choice` reads
+/// for `--sweep` and the protocol's "axis".
+inline constexpr std::string_view kSweepAxes = "interval|processors";
+
 // --- Response lines (each returns one JSON object, no trailing newline) ---
 
 /// {"type":"error",...} — malformed or failed request.

@@ -150,7 +150,7 @@ bool CampaignServer::submit(Request&& req, std::string_view raw_line, const Sink
     // or any replication: if the process dies — SIGKILL included — from
     // here on, a restart finds the request line in the ledger and
     // re-admits it.
-    if (sweep && ledger_ != nullptr) ledger_->admit(c->req.id, std::string(raw_line));
+    if (ledger_ != nullptr) ledger_->admit(c->req.id, std::string(raw_line));
     svcc.accepted.fetch_add(1, std::memory_order_relaxed);
     if (sweep) {
       start_sweep(*c);
@@ -276,8 +276,8 @@ void CampaignServer::drive(const CampaignPtr& c) {
   idle_cv_.wait(lock, [&c] { return c->storing == 0; });
   end_campaign(*c, lock, points, failure, interrupted);
   flush(*c, lock);
-  // Handed over only once the thread sends nothing more, so joining it
-  // never waits on a client's socket.
+  // Handed over only once the thread sends nothing more, so the join of
+  // the next admission waits for nothing but the thread's return.
   if (c->driver.joinable()) {
     ended_.push_back(std::move(c->driver));
     --drivers_;
@@ -305,7 +305,8 @@ void CampaignServer::end_campaign(Campaign& c, std::unique_lock<std::mutex>& loc
   } else {
     last = response_done(req.id, points, c.cached, c.failed);
   }
-  if (sweep && !last.empty() && ledger_ != nullptr) {
+  // A drained campaign, sweep or op, stays pending for the next start.
+  if (!last.empty() && !interrupted && ledger_ != nullptr) {
     lock.unlock();
     try {
       ledger_->retire(req.id);
@@ -348,6 +349,10 @@ std::size_t CampaignServer::run_op(Campaign& c) {
                [&](const OptimizeCandidate& candidate) {
                  emit(c, response_candidate(req.id, candidate));
                  ++evaluated;
+                 if (candidate.cached) ++c.cached;
+                 (candidate.cached ? svcc.cache_hits : svcc.cache_misses)
+                     .fetch_add(1, std::memory_order_relaxed);
+                 svcc.replications_run.fetch_add(candidate.replications, std::memory_order_relaxed);
                  svcc.points_completed.fetch_add(1, std::memory_order_relaxed);
                });
   emit(c, response_optimum(req.id, best));

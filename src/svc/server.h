@@ -106,13 +106,17 @@ struct ServerConfig {
 /// line with the point's context) and the campaign continues — a service
 /// should not tear down a 20-point campaign for one bad point.  Skip-mode
 /// accounting matches sweep() exactly.  Every campaign reports into the
-/// server's metrics registry.  The interference op keeps no cache entry,
-/// and no op has a ledger record.
+/// server's metrics registry, the optimize op's candidates included (a
+/// candidate counts as a cache hit or miss, and its replications as run).
+/// Every campaign, sweep or op, has a ledger record; the interference op
+/// keeps no cache entry.
 class CampaignServer {
  public:
-  /// One response line (no trailing newline).  Called from connection,
-  /// worker and driver threads; per-campaign emission is serialized and
-  /// FIFO, so a sink never sees "done" before the campaign's last "point".
+  /// One response line (no trailing newline).  Called from the thread that
+  /// handles the request and from worker, store and driver threads;
+  /// per-campaign emission is serialized and FIFO, so a sink never sees
+  /// "done" before the campaign's last "point".  A sink must not block: it
+  /// holds whichever of those threads produced the line.
   using Sink = std::function<void(const std::string&)>;
 
   explicit CampaignServer(ServerConfig config);
@@ -126,7 +130,10 @@ class CampaignServer {
   /// the caller's thread; streamed campaign responses arrive on worker and
   /// driver threads through the same sink.  Never throws on bad input —
   /// malformed lines produce "error" responses.  A failed ledger append
-  /// throws, after the campaign is unlisted.
+  /// throws, after the campaign is unlisted.  Apart from reading a
+  /// trace-driven request's failure trace, it waits on nothing but the
+  /// ledger's fsyncs (the admit, and the retire of a sweep served wholly
+  /// from the cache), so the TCP transport calls it on its loop.
   void handle_line(std::string_view line, const Sink& sink);
 
   /// Block until no campaign is queued or running (tests, --once mode).

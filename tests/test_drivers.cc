@@ -444,8 +444,8 @@ struct OnOffStudy {
   }
 };
 
-ckptsim::san::StudySpec study_spec(std::size_t jobs) {
-  ckptsim::san::StudySpec spec;
+RunSpec study_spec(std::size_t jobs) {
+  RunSpec spec;
   spec.transient = 20.0;
   spec.horizon = 800.0;
   spec.replications = 5;
@@ -454,10 +454,11 @@ ckptsim::san::StudySpec study_spec(std::size_t jobs) {
   return spec;
 }
 
-std::string study_text(const OnOffStudy& s, ckptsim::san::StudySpec spec) {
+std::string study_text(const OnOffStudy& s, RunSpec spec,
+                       const std::string& precision_reward = {}) {
   FrozenProgress progress;
   spec.progress = &progress.reporter;
-  const std::string text = render(s.study->run(spec)) + "\n";
+  const std::string text = render(s.study->run(spec, precision_reward)) + "\n";
   return text + progress.final_line();
 }
 
@@ -475,8 +476,7 @@ TEST(Drivers, StudyAdaptiveIsPinned) {
     spec.sequential.rel_precision = 0.01;
     spec.sequential.min_replications = 3;
     spec.sequential.max_replications = 24;
-    spec.precision_reward = "toggles";
-    expect_pinned(study_text(s, spec), 0x9bb31e9e3502f4f9ULL, jobs);
+    expect_pinned(study_text(s, spec, "toggles"), 0x9bb31e9e3502f4f9ULL, jobs);
   }
 }
 

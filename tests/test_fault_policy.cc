@@ -283,10 +283,11 @@ TEST(FaultPolicy, StudyWatchdogFailFastThrowsEventBudgetExceeded) {
   const ckptsim::san::PlaceId on = m.place("on");
   ckptsim::san::Study study(
       m, {{"on", [on](const ckptsim::san::Marking& mk) { return mk.has(on) ? 1.0 : 0.0; }}}, {});
-  ckptsim::san::StudySpec spec;
+  RunSpec spec;
   spec.transient = 10.0;
   spec.horizon = 1000.0;
   spec.replications = 3;
+  spec.seed = 1;
   spec.watchdog.max_events = 5;  // the horizon needs far more firings
   try {
     (void)study.run(spec);
@@ -301,10 +302,11 @@ TEST(FaultPolicy, StudyWatchdogSkipAccountsEveryReplication) {
   const ckptsim::san::PlaceId on = m.place("on");
   ckptsim::san::Study study(
       m, {{"on", [on](const ckptsim::san::Marking& mk) { return mk.has(on) ? 1.0 : 0.0; }}}, {});
-  ckptsim::san::StudySpec spec;
+  RunSpec spec;
   spec.transient = 10.0;
   spec.horizon = 1000.0;
   spec.replications = 3;
+  spec.seed = 1;
   spec.watchdog.max_events = 5;
   spec.on_failure.mode = FailurePolicy::Mode::kSkip;
   const auto result = study.run(spec);
@@ -320,10 +322,11 @@ TEST(FaultPolicy, StudyWithGenerousBudgetMatchesUnbudgetedRun) {
   const ckptsim::san::PlaceId on = m.place("on");
   const auto reward = [on](const ckptsim::san::Marking& mk) { return mk.has(on) ? 1.0 : 0.0; };
   ckptsim::san::Study study(m, {{"on", reward}}, {});
-  ckptsim::san::StudySpec spec;
+  RunSpec spec;
   spec.transient = 10.0;
   spec.horizon = 500.0;
   spec.replications = 4;
+  spec.seed = 1;
   const auto base = study.run(spec);
   spec.watchdog.max_events = 100000000;
   const auto budgeted = study.run(spec);
@@ -335,7 +338,7 @@ TEST(FaultPolicy, StudyWithGenerousBudgetMatchesUnbudgetedRun) {
 TEST(FaultPolicy, StudySpecValidates) {
   const auto m = on_off_model();
   ckptsim::san::Study study(m, {}, {});
-  ckptsim::san::StudySpec bad;
+  RunSpec bad;
   bad.replications = 0;
   EXPECT_THROW((void)study.run(bad), std::invalid_argument);
   bad = {};

@@ -142,10 +142,11 @@ TEST(Metrics, SanStudyReportsFiringsAndAborts) {
 
   Study study(m, {RateRewardSpec{"on", [on](const Marking& mk) { return mk.has(on) ? 1.0 : 0.0; }}},
               {});
-  StudySpec spec;
+  RunSpec spec;
   spec.transient = 10.0;
   spec.horizon = 500.0;
   spec.replications = 4;
+  spec.seed = 1;
   Metrics metrics(2);
   spec.metrics = &metrics;
   spec.exec.jobs = 2;

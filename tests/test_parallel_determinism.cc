@@ -149,12 +149,11 @@ TEST(ParallelDeterminism, StudyRunIsBitIdenticalAcrossJobCounts) {
   using ckptsim::san::Marking;
   using ckptsim::san::RateRewardSpec;
   using ckptsim::san::Study;
-  using ckptsim::san::StudySpec;
   const auto m = on_off_model();
   const auto on = m.place("on");
   Study study(m, {RateRewardSpec{"on", [on](const Marking& mk) { return mk.has(on) ? 1.0 : 0.0; }}},
               {});
-  StudySpec spec;
+  RunSpec spec;
   spec.transient = 50.0;
   spec.horizon = 3000.0;
   spec.replications = 8;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/san/model.h"
 #include "src/san/study.h"
 
 namespace {
 
+using ckptsim::RunSpec;
 using ckptsim::san::ActivitySpec;
 using ckptsim::san::ImpulseRewardSpec;
 using ckptsim::san::InputArc;
@@ -14,7 +17,6 @@ using ckptsim::san::OutputArc;
 using ckptsim::san::PlaceId;
 using ckptsim::san::RateRewardSpec;
 using ckptsim::san::Study;
-using ckptsim::san::StudySpec;
 
 /// Two-state on/off model: on -> off at rate 1, off -> on at rate 3.
 /// Stationary P(on) = 3/4.
@@ -45,10 +47,11 @@ std::vector<RateRewardSpec> on_reward(const Model& m) {
 TEST(SanStudy, EstimatesStationaryProbabilityWithCi) {
   const Model m = on_off_model();
   Study study(m, on_reward(m), {});
-  StudySpec spec;
+  RunSpec spec;
   spec.transient = 50.0;
   spec.horizon = 5000.0;
   spec.replications = 8;
+  spec.seed = 1;
   const auto result = study.run(spec);
   const auto& measure = result.reward("on");
   EXPECT_EQ(measure.replicate_means.count(), 8u);
@@ -66,10 +69,11 @@ TEST(SanStudy, ImpulseRewardsAggregateAsRates) {
   std::vector<ImpulseRewardSpec> impulses{
       ImpulseRewardSpec{"offs", "to_off", [](const Marking&, double) { return 1.0; }}};
   Study study(m, {}, impulses);
-  StudySpec spec;
+  RunSpec spec;
   spec.transient = 50.0;
   spec.horizon = 5000.0;
   spec.replications = 6;
+  spec.seed = 1;
   const auto result = study.run(spec);
   EXPECT_NEAR(result.reward("offs").interval.mean, 0.75, 0.03);
 }
@@ -80,10 +84,11 @@ TEST(SanStudy, SharedNameCombines) {
   std::vector<ImpulseRewardSpec> impulses{
       ImpulseRewardSpec{"on", "to_off", [](const Marking&, double) { return -0.1; }}};
   Study study(m, rates, impulses);
-  StudySpec spec;
+  RunSpec spec;
   spec.transient = 10.0;
   spec.horizon = 2000.0;
   spec.replications = 4;
+  spec.seed = 1;
   const auto result = study.run(spec);
   // Combined variable: 0.75 (rate) - 0.1 * 0.75 (impulses) = 0.675.
   EXPECT_NEAR(result.reward("on").interval.mean, 0.675, 0.03);
@@ -93,7 +98,8 @@ TEST(SanStudy, SharedNameCombines) {
 TEST(SanStudy, DeterministicPerSeed) {
   const Model m = on_off_model();
   Study study(m, on_reward(m), {});
-  StudySpec spec;
+  RunSpec spec;
+  spec.transient = 0.0;
   spec.horizon = 500.0;
   spec.replications = 3;
   spec.seed = 77;
@@ -105,15 +111,42 @@ TEST(SanStudy, DeterministicPerSeed) {
   EXPECT_NE(a.reward("on").interval.mean, c.reward("on").interval.mean);
 }
 
+TEST(SanStudy, HonoursFaultInjection) {
+  // The study hands RunSpec's fault hook to the replication driver, as
+  // run_model does: under skip, the faulted replication is dropped and
+  // accounted, and the others aggregate.
+  const Model m = on_off_model();
+  Study study(m, on_reward(m), {});
+  RunSpec spec;
+  spec.transient = 0.0;
+  spec.horizon = 200.0;
+  spec.replications = 4;
+  spec.seed = 1;
+  spec.on_failure.mode = ckptsim::FailurePolicy::Mode::kSkip;
+  spec.fault_injection = [](std::size_t replication, std::size_t) {
+    if (replication == 2) throw std::runtime_error("injected");
+  };
+  const auto result = study.run(spec);
+  EXPECT_EQ(result.replications, 3u);
+  ASSERT_EQ(result.failures.skipped.size(), 1u);
+  EXPECT_EQ(result.failures.skipped[0].replication, 2u);
+  EXPECT_EQ(result.failures.skipped[0].code, ckptsim::ErrorCode::kInjectedFault);
+}
+
 TEST(SanStudy, Validation) {
   const Model m = on_off_model();
   Study study(m, on_reward(m), {});
-  StudySpec bad;
+  RunSpec bad;
   bad.horizon = 0.0;
   EXPECT_THROW(study.run(bad), std::invalid_argument);
-  StudySpec no_reps;
+  RunSpec no_reps;
   no_reps.replications = 0;
   EXPECT_THROW(study.run(no_reps), std::invalid_argument);
+  // A study's attempts take no snapshots.
+  RunSpec snapshots;
+  snapshots.snapshot_every_events = 1000;
+  snapshots.snapshot_dir = ::testing::TempDir();
+  EXPECT_THROW(study.run(snapshots), std::invalid_argument);
 }
 
 }  // namespace

@@ -427,8 +427,8 @@ ckptsim::san::Model on_off_model() {
   return m;
 }
 
-ckptsim::san::StudySpec adaptive_study_spec(double rel_precision) {
-  ckptsim::san::StudySpec spec;
+RunSpec adaptive_study_spec(double rel_precision) {
+  RunSpec spec;
   spec.transient = 20.0;
   spec.horizon = 800.0;
   spec.seed = 31;
@@ -483,10 +483,8 @@ TEST(AdaptiveStudy, RejectsUnknownPrecisionReward) {
   ckptsim::san::Study study(
       m, {RateRewardSpec{"on", [on](const Marking& mk) { return mk.has(on) ? 1.0 : 0.0; }}}, {});
   auto spec = adaptive_study_spec(0.05);
-  spec.precision_reward = "no_such_reward";
-  EXPECT_THROW((void)study.run(spec), std::invalid_argument);
-  spec.precision_reward = "on";
-  EXPECT_NO_THROW((void)study.run(spec));
+  EXPECT_THROW((void)study.run(spec, "no_such_reward"), std::invalid_argument);
+  EXPECT_NO_THROW((void)study.run(spec, "on"));
 }
 
 }  // namespace

@@ -1089,4 +1089,52 @@ TEST(SvcDrain, DrainedCampaignIsReadmittedAndCompletesByteIdentically) {
   }
 }
 
+TEST(SvcDrain, DrainedOpIsReadmittedAndCompletes) {
+  // An op has a ledger record as a sweep does: a drain ends its stream with
+  // "draining" and leaves it pending, and the next start re-admits it and
+  // serves the candidates the first run finished from the cache.
+  TempDir dir("drained_op");
+  ckptsim::svc::ServerConfig config;
+  config.cache_path = dir.file("cache.jsonl");
+  config.ledger_path = dir.file("ledger.jsonl");
+  config.workers = 2;
+  const std::string op =
+      R"({"op":"optimize","id":"o1","grid":5,"refine":2,"params":{"processors":4096},)"
+      R"("spec":{"reps":2,"horizon_hours":100000,"transient_hours":10}})";
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  {  // Drain once the first of the op's 8 candidates is out.
+    ckptsim::svc::CampaignServer server(config);
+    Collector out;
+    server.handle_line(op, out.sink());
+    for (;;) {
+      {
+        const std::lock_guard<std::mutex> lock(out.mu);
+        if (out.lines.size() >= 2) break;  // accepted, the first candidate
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no candidate came";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.begin_drain();
+    while (!server.drained()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "drain never settled";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.stop();
+    EXPECT_NE(out.lines.back().find(R"("type": "draining")"), std::string::npos)
+        << out.lines.back();
+  }
+  EXPECT_EQ(ckptsim::svc::CampaignLedger(config.ledger_path).pending().size(), 1u);
+  {
+    ckptsim::svc::CampaignServer server(config);
+    Collector recovered;
+    EXPECT_EQ(server.readmit_pending(recovered.sink()), 1u);
+    server.drain();
+    ASSERT_FALSE(recovered.lines.empty());
+    EXPECT_NE(recovered.lines.back().find(R"("type": "done")"), std::string::npos)
+        << recovered.lines.back();
+    EXPECT_GT(server.metrics().service().snapshot().cache_hits, 0u);
+  }
+  EXPECT_TRUE(ckptsim::svc::CampaignLedger(config.ledger_path).pending().empty());
+}
+
 }  // namespace

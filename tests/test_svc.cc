@@ -269,6 +269,15 @@ TEST(SvcProtocol, RejectsMalformedAndUnknown) {
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"sweep","axis":"interval"})", &req, &error));
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"sweep","id":"a"})", &req, &error));
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"cancel"})", &req, &error));
+  // A choice key names its choices.
+  EXPECT_FALSE(ckptsim::svc::parse_request(
+      R"({"op":"sweep","id":"a","axis":"interval","engine":"x"})", &req, &error));
+  EXPECT_NE(error.find("key 'engine' expects one of des|san, got 'x'"), std::string::npos)
+      << error;
+  EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"sweep","id":"a","axis":"x"})", &req, &error));
+  EXPECT_NE(error.find("key 'axis' expects one of interval|processors, got 'x'"),
+            std::string::npos)
+      << error;
   // Simple ops accept no extra keys.
   EXPECT_FALSE(ckptsim::svc::parse_request(R"({"op":"ping","axis":"interval"})", &req, &error));
 }
@@ -1044,33 +1053,57 @@ TEST(SvcServer, RepeatedOptimizeIsServedFromTheCache) {
     }
     return kept;
   };
+  // The "cached" count of the op's done line.
+  const auto done_cached = [](Collector& out, const std::string& id) {
+    const std::size_t at = out.find("done", id);
+    if (at == out.lines.size()) return std::string("no done line");
+    const JsonValue done = out.parsed(at);
+    const JsonValue* cached = done.find("cached");
+    return cached != nullptr ? cached->scalar : std::string("no cached key");
+  };
   ServerConfig config;
   config.workers = 2;
   config.cache_path = file.path;
   std::vector<std::string> cold;
+  std::uint64_t candidates = 0;
   {
     CampaignServer server(config);
     Collector first;
     server.handle_line(request("o1"), first.sink());
     server.drain();
     cold = answer(first, "o1");
+    ASSERT_GT(cold.size(), 1u);
+    candidates = cold.size() - 1;  // every line but the optimum names a candidate
     const std::uint64_t simulated = server.metrics().snapshot().replications;
     EXPECT_GT(simulated, 0u);
+    ckptsim::obs::ServiceSnapshot svc = server.metrics().service().snapshot();
+    EXPECT_EQ(svc.cache_misses, candidates);
+    EXPECT_EQ(svc.cache_hits, 0u);
+    EXPECT_EQ(svc.replications_run, simulated);
+    EXPECT_EQ(done_cached(first, "o1"), "0");
     Collector second;
     server.handle_line(request("o2"), second.sink());
     server.drain();
     EXPECT_EQ(answer(second, "o2"), cold);
     EXPECT_EQ(server.metrics().snapshot().replications, simulated);
+    svc = server.metrics().service().snapshot();
+    EXPECT_EQ(svc.cache_hits, candidates);
+    EXPECT_EQ(svc.cache_misses, candidates);
+    EXPECT_EQ(svc.replications_run, simulated);
+    EXPECT_EQ(done_cached(second, "o2"), std::to_string(candidates));
   }
-  // Every line but the optimum names a candidate.
-  ASSERT_GT(cold.size(), 1u);
   CampaignServer restarted(config);
-  EXPECT_EQ(restarted.cache().loaded(), cold.size() - 1);
+  EXPECT_EQ(restarted.cache().loaded(), candidates);
   Collector third;
   restarted.handle_line(request("o3"), third.sink());
   restarted.drain();
   EXPECT_EQ(answer(third, "o3"), cold);
   EXPECT_EQ(restarted.metrics().snapshot().replications, 0u);
+  const ckptsim::obs::ServiceSnapshot svc = restarted.metrics().service().snapshot();
+  EXPECT_EQ(svc.cache_hits, candidates);
+  EXPECT_EQ(svc.cache_misses, 0u);
+  EXPECT_EQ(svc.replications_run, 0u);
+  EXPECT_EQ(done_cached(third, "o3"), std::to_string(candidates));
 }
 
 TEST(SvcServer, DuplicateActiveCampaignIdIsRejected) {
@@ -1276,6 +1309,9 @@ class LineClient {
            static_cast<ssize_t>(framed.size());
   }
 
+  /// Send nothing more (the daemon reads end of file) and keep reading.
+  void half_close() { ::shutdown(fd_, SHUT_WR); }
+
   /// The next response line; false on timeout or hang-up.  A complete line
   /// is only ever found in the bytes of the latest recv, so that recv's
   /// time is when the line arrived.
@@ -1437,8 +1473,8 @@ TEST(TcpDaemon, ClosedConnectionsAreReleased) {
     for (int i = 0; i < 200; ++i) {
       ASSERT_NE(ping(daemon.port()).find("pong"), std::string::npos) << "cycle " << i;
     }
-    // Each pass of the accept loop (at least every 200 ms) joins the
-    // readers of closed connections and lets go of their sockets.
+    // Each pass of the loop (at least every 200 ms) lets go of the sockets
+    // of closed connections.
     std::size_t after = open_fds();
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
     while (after > before && std::chrono::steady_clock::now() < deadline) {
@@ -1526,6 +1562,214 @@ TEST(TcpDaemon, BacksOffWhenOutOfDescriptorsAndServesOnceTheyFree) {
   EXPECT_NE(ping(port, 5).find("pong"), std::string::npos);
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - closed).count(),
             1.0);
+}
+
+/// A 1000-point interval sweep of one short replication per point: about
+/// 1 MB of point lines, simulated in a few tens of milliseconds.  Sweeps
+/// with different seeds share no cache entry.
+std::string wide_sweep(const std::string& id, int seed) {
+  std::string values;
+  for (int x = 10; x < 1010; ++x) {
+    if (x > 10) values += ',';
+    values += std::to_string(x);
+  }
+  return R"({"op":"sweep","id":")" + id + R"(","axis":"interval","values":[)" + values +
+         R"(],"params":{"processors":4096},)"
+         R"("spec":{"reps":1,"horizon_hours":2,"transient_hours":0.5,"seed":)" +
+         std::to_string(seed) + "}}";
+}
+
+/// A client with a 4 KiB receive buffer that submits 12 wide sweeps (about
+/// 12 MB of replies) and reads nothing until asked to.
+class StalledClient {
+ public:
+  static constexpr int kSweeps = 12;
+
+  explicit StalledClient(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    const int rcvbuf = 4096;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    sent_ = fd_ >= 0 &&
+            ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
+    for (int i = 0; i < kSweeps && sent_; ++i) {
+      const std::string line = wide_sweep("stalled" + std::to_string(i), i + 1) + '\n';
+      sent_ = ::send(fd_, line.data(), line.size(), MSG_NOSIGNAL) ==
+              static_cast<ssize_t>(line.size());
+    }
+  }
+  ~StalledClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  StalledClient(const StalledClient&) = delete;
+  StalledClient& operator=(const StalledClient&) = delete;
+
+  [[nodiscard]] bool sent() const noexcept { return sent_; }
+
+  /// Read until the daemon hangs up; the bytes read, or -1 on a timeout.
+  [[nodiscard]] long long read_to_eof() {
+    timeval timeout{};
+    timeout.tv_sec = 30;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    long long total = 0;
+    char chunk[65536];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n == 0) return total;
+      if (n < 0) return -1;
+      total += n;
+    }
+  }
+
+ private:
+  int fd_;
+  bool sent_ = false;
+};
+
+/// Read a sweep's stream up to its terminal line; the types in order.
+std::vector<std::string> read_stream(LineClient& client) {
+  std::vector<std::string> types;
+  for (;;) {
+    std::string line;
+    LineClient::Clock::time_point at;
+    if (!client.read_line(&line, &at)) return types;
+    JsonValue v;
+    const JsonValue* type = ckptsim::obs::parse_json(line, &v) ? v.find("type") : nullptr;
+    types.push_back(type != nullptr ? type->scalar : line);
+    if (types.back() != "accepted" && types.back() != "point") return types;
+  }
+}
+
+TEST(TcpDaemon, StalledClientHoldsNoServerThread) {
+  // The stalled client's point lines come from the workers.  When nothing
+  // is queued a line is sent on the worker without blocking, and what the
+  // socket does not take waits in the connection's queue; so the other
+  // client's sweep runs and ends meanwhile.  Once the queue passes its cap
+  // the stalled client is hung up, and its campaigns run on into the cache.
+  ServerConfig config;
+  config.workers = 2;
+  config.max_queue_depth = 16;
+  CampaignServer server(config);
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  const AcceptLoop loop(daemon);
+  StalledClient stalled(daemon.port());
+  ASSERT_TRUE(stalled.sent());
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  {
+    LineClient other(daemon.port(), 10);
+    ASSERT_TRUE(other.connected());
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(other.send_line(kTinySweep));
+    EXPECT_EQ(read_stream(other),
+              (std::vector<std::string>{"accepted", "point", "point", "done"}));
+    EXPECT_LT(std::chrono::steady_clock::now() - sent, std::chrono::seconds(10));
+  }
+  const ckptsim::obs::ServiceCounters& svcc = server.metrics().service();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (svcc.queue_depth.load() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(svcc.queue_depth.load(), 0) << "the stalled client's campaigns did not finish";
+  EXPECT_EQ(svcc.snapshot().cache_misses, 2u + 1000u * StalledClient::kSweeps);
+  // Hung up before the whole reply: what the kernel and the queue held.
+  const long long got = stalled.read_to_eof();
+  EXPECT_GT(got, 0);
+  EXPECT_LT(got, 1000000LL * StalledClient::kSweeps);
+  LineClient again(daemon.port());
+  ASSERT_TRUE(again.connected());
+  ASSERT_TRUE(again.send_line(wide_sweep("again", 1)));  // the first stalled sweep
+  std::string line;
+  LineClient::Clock::time_point at;
+  ASSERT_TRUE(again.read_line(&line, &at));
+  EXPECT_NE(line.find(R"("points": 1000, "cached": 1000)"), std::string::npos) << line;
+  const std::vector<std::string> rest = read_stream(again);
+  ASSERT_EQ(rest.size(), 1001u);
+  EXPECT_EQ(rest.back(), "done");
+  EXPECT_EQ(svcc.snapshot().cache_hits, 1000u);
+}
+
+TEST(TcpDaemon, DrainExitsWhileAStalledClientStaysConnected) {
+  // No server thread waits on the stalled client, so a drain ends once the
+  // campaigns do, however much of their reply the client left unread.
+  ServerConfig config;
+  config.workers = 2;
+  config.max_queue_depth = 16;
+  CampaignServer server(config);
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> returned{false};
+  std::thread loop([&] {
+    daemon.run(stop);
+    returned.store(true);
+  });
+  {
+    StalledClient stalled(daemon.port());
+    EXPECT_TRUE(stalled.sent());
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    stop.store(true);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(returned.load()) << "run() waits for the stalled client";
+  }  // hanging up lets a run() that waits on the client return
+  loop.join();
+  server.stop();
+}
+
+/// Threads this process runs.
+std::size_t threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(TcpDaemon, ConnectionsCostNoThread) {
+  CampaignServer server(ServerConfig{});
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  const AcceptLoop loop(daemon);
+  ASSERT_NE(ping(daemon.port()).find("pong"), std::string::npos);
+  const std::size_t before = threads();
+  std::vector<std::unique_ptr<LineClient>> clients;
+  for (int i = 0; i < 16; ++i) {
+    clients.push_back(std::make_unique<LineClient>(daemon.port()));
+    LineClient& client = *clients.back();
+    ASSERT_TRUE(client.connected()) << "connection " << i;
+    ASSERT_TRUE(client.send_line(R"({"op":"ping"})"));
+    std::string line;
+    LineClient::Clock::time_point at;
+    ASSERT_TRUE(client.read_line(&line, &at)) << "connection " << i;
+    EXPECT_NE(line.find("pong"), std::string::npos) << line;
+  }
+  EXPECT_EQ(threads(), before);
+}
+
+TEST(TcpDaemon, HalfClosedClientGetsItsReplies) {
+  // The client sends its sweep and then nothing more, and starts reading
+  // only once its reply has outgrown the socket buffers: the loop, which
+  // has read the client's end of file, writes the rest of the queue.
+  CampaignServer server(ServerConfig{});
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  std::vector<std::string> types;
+  {
+    const AcceptLoop loop(daemon);
+    LineClient client(daemon.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send_line(wide_sweep("half", 1)));
+    client.half_close();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    types = read_stream(client);
+  }
+  server.stop();
+  ASSERT_EQ(types.size(), 1002u);
+  EXPECT_EQ(types.front(), "accepted");
+  EXPECT_EQ(std::count(types.begin(), types.end(), "point"), 1000);
+  EXPECT_EQ(types.back(), "done");
 }
 
 // --- A ledger that cannot grow ---------------------------------------------

@@ -313,7 +313,7 @@ int run_sweep_mode(const ckptsim::Parameters& base, const ckptsim::RunSpec& spec
                    ckptsim::EngineKind engine, const ckptsim::report::Cli& cli) {
   using namespace ckptsim;
   const std::string axis = cli.value("--sweep");
-  const bool interval = parse_choice(axis, "interval|processors", "'--sweep'") == 0;
+  const bool interval = parse_choice(axis, svc::kSweepAxes, "'--sweep'") == 0;
   const std::string x_name = interval ? "interval_min" : "processors";
   std::vector<double> xs =
       interval ? figure4_interval_axis_minutes() : figure4_processor_axis();
@@ -533,7 +533,7 @@ int main(int argc, char** argv) {
     }
 
     const auto engine =
-        static_cast<EngineKind>(parse_choice(cli.value("--engine", "des"), "des|san", "'--engine'"));
+        static_cast<EngineKind>(parse_choice(cli.value("--engine", "des"), kEngines, "'--engine'"));
     // run_spec's rules give every snapshot period its directory.
     if (spec.snapshot_every_events > 0 && ::mkdir(spec.snapshot_dir.c_str(), 0755) != 0 &&
         errno != EEXIST) {
