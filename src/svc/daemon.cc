@@ -199,7 +199,9 @@ void TcpDaemon::run(const std::atomic<bool>& stop) {
     fds.assign({pollfd{wake_fd_, POLLIN, 0}, pollfd{listening ? listen_fd_ : -1, POLLIN, 0}});
     polled.clear();
     std::erase_if(conns, [&](const std::shared_ptr<Connection>& c) {
-      const bool held = c.use_count() > 1;  // read first: a sink may queue a line, then let go
+      // Only the loop makes new references, so a count of 1 stays 1.  Read
+      // it first: a sink may queue a line, then let go.
+      const bool held = c.use_count() > 1;
       const bool queued = c->flush();
       if (!c->reading && !queued) return !held;
       const short events = static_cast<short>((c->reading ? POLLIN : 0) | (queued ? POLLOUT : 0));

@@ -1673,10 +1673,9 @@ TEST(TcpDaemon, StalledClientHoldsNoServerThread) {
   }
   ASSERT_EQ(svcc.queue_depth.load(), 0) << "the stalled client's campaigns did not finish";
   EXPECT_EQ(svcc.snapshot().cache_misses, 2u + 1000u * StalledClient::kSweeps);
-  // Hung up before the whole reply: what the kernel and the queue held.
-  const long long got = stalled.read_to_eof();
-  EXPECT_GT(got, 0);
-  EXPECT_LT(got, 1000000LL * StalledClient::kSweeps);
+  // Hung up once its queue passed the cap: it reads what the kernel
+  // holds, then end of file.
+  EXPECT_GT(stalled.read_to_eof(), 0);
   LineClient again(daemon.port());
   ASSERT_TRUE(again.connected());
   ASSERT_TRUE(again.send_line(wide_sweep("again", 1)));  // the first stalled sweep
