@@ -22,13 +22,16 @@ Study::Study(const Model& model, std::vector<RateRewardSpec> rate_rewards,
     : model_(model),
       rate_rewards_(std::move(rate_rewards)),
       impulse_rewards_(std::move(impulse_rewards)) {
-  const auto add_name = [this](const std::string& name) {
-    if (std::find(reward_names_.begin(), reward_names_.end(), name) == reward_names_.end()) {
-      reward_names_.push_back(name);
+  for (const auto& r : rate_rewards_) {
+    if (std::find(reward_names_.begin(), reward_names_.end(), r.name) == reward_names_.end()) {
+      reward_names_.push_back(r.name);
     }
-  };
-  for (const auto& r : rate_rewards_) add_name(r.name);
-  for (const auto& r : impulse_rewards_) add_name(r.name);
+  }
+  for (const auto& r : impulse_rewards_) {
+    if (std::find(reward_names_.begin(), reward_names_.end(), r.name) == reward_names_.end()) {
+      reward_names_.push_back(r.name);
+    }
+  }
 }
 
 namespace {

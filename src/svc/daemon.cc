@@ -44,31 +44,35 @@ void serve_stream(CampaignServer& server, std::FILE* in, std::FILE* out) {
 
 namespace {
 
+/// How long after a stop a drained loop may go on writing what its
+/// connections have queued.
+constexpr std::chrono::seconds kLastWrites{1};
+
 /// One client socket, shared between the loop and the campaign sinks that
 /// outlive its requests; the fd closes when the last reference drops.
 struct Connection {
   Connection(int fd, int wake_fd) : fd(fd), wake_fd(wake_fd) {}
   ~Connection() { ::close(fd); }
 
-  /// The sink: queue `line`, send it at once when nothing was queued
-  /// before it, and wake the loop for what the socket did not take.
+  /// The sink: queue `line` and send what the socket takes of the queue,
+  /// and wake the loop when bytes are left where none were.  Sending on
+  /// every line, not only the first, lets a client that reads keep up with
+  /// a burst from the loop itself (a sweep served from the cache), which
+  /// cannot write the queue until the burst is over.
   void send_line(const std::string& line) {
     const std::lock_guard<std::mutex> lock(mu);
     if (closed) return;
     const bool idle = out.empty();
     out += line;
     out += '\n';
-    if (idle) {
-      write_queued();
-      if (out.empty()) return;    // the usual case: the line left on this thread
-      eventfd_write(wake_fd, 1);  // the loop polls for room from now on
-    }
+    write_queued();
+    if (out.empty()) return;              // the usual case: the line left on this thread
+    if (idle) eventfd_write(wake_fd, 1);  // the loop polls for room from now on
     if (out.size() > TcpDaemon::kMaxQueuedBytes) {
       // A client that stopped reading is hung up rather than buffered
       // without bound; its campaigns run on and fill the cache.
       ::shutdown(fd, SHUT_RDWR);
-      closed = true;
-      std::string().swap(out);
+      drop();
     }
   }
 
@@ -78,10 +82,7 @@ struct Connection {
   bool flush(bool last = false) {
     const std::lock_guard<std::mutex> lock(mu);
     if (!out.empty()) write_queued();
-    if (last) {
-      closed = true;
-      out.clear();
-    }
+    if (last) drop();
     return !out.empty();
   }
 
@@ -93,9 +94,14 @@ struct Connection {
     if (n >= 0) {
       out.erase(0, static_cast<std::size_t>(n));
     } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-      closed = true;
-      out.clear();
+      drop();
     }
+  }
+
+  /// Drop what is queued and every later line.  Caller holds mu.
+  void drop() {
+    closed = true;
+    std::string().swap(out);
   }
 
   const int fd;
@@ -180,35 +186,46 @@ void TcpDaemon::run(const std::atomic<bool>& stop) {
   Clock::time_point accept_at{};  ///< out of descriptors, the listener rests until then
   // SIGTERM/SIGINT first puts the server into graceful drain: new sweep
   // requests get an explicit "draining" response while in-flight
-  // replications park at their next snapshot boundary; the loop exits once
-  // nothing is running.  A "shutdown" request keeps the old immediate exit.
+  // replications park at their next snapshot boundary.  Once nothing is
+  // running the loop exits when every queue is written, so a client that
+  // reads gets every line, its op's "draining" included; or, for a client
+  // that does not read, once kLastWrites has passed since the stop, so a
+  // drain that took that long already is not held up further.  A
+  // "shutdown" request keeps the old immediate exit.
   bool draining = false;
+  Clock::time_point writes_end{};  ///< draining: from then on queued lines do not hold the exit
   while (!server_.shutdown_requested()) {
+    const Clock::time_point now = Clock::now();
     if (stop.load(std::memory_order_relaxed) && !draining) {
       server_.begin_drain();
       draining = true;
+      writes_end = now + kLastWrites;
     }
-    if (draining && server_.drained()) break;
+    // Before the flush: a drained server queues no more campaign lines, so
+    // the flush below sees every one of them.
+    const bool drained = draining && server_.drained();
     // Write what each socket takes of its queue, and poll each connection
     // only for what it can use: one that reads nothing more and has nothing
     // queued stays out, or a hung-up peer's POLLHUP would wake the loop
     // again and again.  Once no campaign sink holds it either, it leaves
     // the loop and its socket closes.
-    const Clock::time_point now = Clock::now();
     const bool listening = now >= accept_at;
     fds.assign({pollfd{wake_fd_, POLLIN, 0}, pollfd{listening ? listen_fd_ : -1, POLLIN, 0}});
     polled.clear();
+    bool any_queued = false;
     std::erase_if(conns, [&](const std::shared_ptr<Connection>& c) {
       // Only the loop makes new references, so a count of 1 stays 1.  Read
       // it first: a sink may queue a line, then let go.
       const bool held = c.use_count() > 1;
       const bool queued = c->flush();
+      any_queued = any_queued || queued;
       if (!c->reading && !queued) return !held;
       const short events = static_cast<short>((c->reading ? POLLIN : 0) | (queued ? POLLOUT : 0));
       fds.push_back(pollfd{c->fd, events, 0});
       polled.push_back(c);
       return false;
     });
+    if (drained && (!any_queued || now >= writes_end)) break;
     // A short timeout, so the stop and shutdown flags are noticed promptly
     // even when no client ever connects.
     const auto timeout = listening ? std::chrono::milliseconds(200)

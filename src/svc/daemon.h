@@ -25,14 +25,13 @@ void serve_stream(CampaignServer& server, std::FILE* in, std::FILE* out);
 /// handling throws, a failed ledger append, gets an id-less "error" line
 /// and the connection reads on), and writes what a connection has queued.
 /// Response lines for a campaign go to the connection that submitted it.
-/// A connection's sink never blocks: with nothing queued it sends on the
-/// emitting thread, and it queues what the socket does not take for the
-/// loop to write.  So a client that stops reading holds no server thread;
-/// once its queue passes kMaxQueuedBytes it is hung up and its later lines
-/// are dropped, while its campaigns run on and fill the cache.  A
-/// connection leaves the loop once it sends nothing more, has nothing left
-/// to write and no campaign sink holds it; its socket closes with the last
-/// reference.
+/// A connection's sink never blocks: it sends what the socket takes on the
+/// emitting thread, and queues the rest for the loop to write.  So a
+/// client that stops reading holds no server thread; once its queue passes
+/// kMaxQueuedBytes it is hung up and its later lines are dropped, while its
+/// campaigns run on and fill the cache.  A connection leaves the loop once
+/// it sends nothing more, has nothing left to write and no campaign sink
+/// holds it; its socket closes with the last reference.
 class TcpDaemon {
  public:
   /// Bytes a connection may have queued before it is shut down.
@@ -50,12 +49,14 @@ class TcpDaemon {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// The loop.  Returns after a "shutdown" request, or once `stop` became
-  /// true (signal handler) and the server drained.  On the way out each
-  /// connection gets one last non-blocking write of its queue; from then
-  /// on sinks drop their lines, so no thread sends on a socket or wakes
-  /// the loop after this returns, and a socket closes with the last sink
-  /// that holds it.  Campaigns still running are left to the caller
-  /// (CampaignServer::stop cancels them).
+  /// true (signal handler), the server drained and every queue is written
+  /// (a client that does not read is given up on a second after the stop,
+  /// or at once if the drain took longer).  On the
+  /// way out each connection gets one last non-blocking write of its
+  /// queue; from then on sinks drop their lines, so no thread sends on a
+  /// socket or wakes the loop after this returns, and a socket closes with
+  /// the last sink that holds it.  Campaigns still running are left to the
+  /// caller (CampaignServer::stop cancels them).
   void run(const std::atomic<bool>& stop);
 
  private:

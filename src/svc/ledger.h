@@ -20,10 +20,11 @@ namespace ckptsim::svc {
 ///   {"schema":1,"event":"admit","id":"c1","request":"<raw request line>"}
 ///   {"schema":1,"event":"retire","id":"c1"}
 ///
-/// `admit` is appended the moment a sweep passes admission control, before
-/// any replication runs, and carries the request line verbatim; `retire` is
-/// appended when the campaign emits its terminal line ("done", or a
-/// client-requested "cancelled").  A daemon that dies — SIGKILL included —
+/// `admit` is appended the moment a campaign, sweep or op, passes admission
+/// control, before any replication runs, and carries the request line
+/// verbatim; `retire` is appended when the campaign ends any way but a
+/// drain ("done", an "error", or a client-requested "cancelled"), so a
+/// drained campaign stays pending.  A daemon that dies — SIGKILL included —
 /// therefore leaves every unfinished campaign's full request on disk, and a
 /// restart replays the pending lines through the normal request path:
 /// completed points come back from the result cache, interrupted

@@ -131,11 +131,10 @@ void parse_sweep(const obs::JsonValue& root, Request* out) {
     }
   }
   if (out->id.empty()) fail("sweep requires a non-empty 'id'");
-  (void)parse_choice(out->axis, kSweepAxes, "key 'axis'");
-  reject_overridden_params(root, out->axis == "interval" ? kIntervalAxis : kProcessorsAxis);
+  const bool interval = parse_choice(out->axis, kSweepAxes, "key 'axis'") == 0;
+  reject_overridden_params(root, interval ? kIntervalAxis : kProcessorsAxis);
   if (out->values.empty()) {
-    out->values = out->axis == "interval" ? figure4_interval_axis_minutes()
-                                          : figure4_processor_axis();
+    out->values = interval ? figure4_interval_axis_minutes() : figure4_processor_axis();
   }
   if (out->label.empty()) out->label = "sweep " + out->axis;
   // Validate the whole campaign up front: a request that would blow up in a
@@ -229,7 +228,7 @@ void parse_optimize(const obs::JsonValue& root, Request* out) {
 }  // namespace
 
 Parameters apply_axis(const std::string& axis, Parameters base, double x) {
-  if (axis == "interval") {
+  if (parse_choice(axis, kSweepAxes, "axis") == 0) {
     base.checkpoint_interval = x * units::kMinute;
   } else {
     char text[32];

@@ -92,9 +92,9 @@ struct Request {
 
 /// Parameters of one sweep point: `base` with `axis` set to `x`, exactly as
 /// the CLI's --sweep mode applies it (interval in minutes, processors as a
-/// count) — so service fingerprints match CLI journal fingerprints.  A
-/// processors value that is not a count (parse_count) throws
-/// std::invalid_argument.
+/// count) — so service fingerprints match CLI journal fingerprints.  An
+/// axis not in kSweepAxes, or a processors value that is not a count
+/// (parse_count), throws std::invalid_argument.
 [[nodiscard]] Parameters apply_axis(const std::string& axis, Parameters base, double x);
 
 /// The sweep axes' one spelling each: the choices that `parse_choice` reads

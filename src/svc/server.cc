@@ -305,8 +305,10 @@ void CampaignServer::end_campaign(Campaign& c, std::unique_lock<std::mutex>& loc
   } else {
     last = response_done(req.id, points, c.cached, c.failed);
   }
-  // A drained campaign, sweep or op, stays pending for the next start.
-  if (!last.empty() && !interrupted && ledger_ != nullptr) {
+  // A drained campaign, sweep or op, stays pending for the next start; a
+  // cancel interrupts a campaign too, and retires it like any other end.
+  const bool drained = interrupted && !c.cancelled;
+  if (!last.empty() && !drained && ledger_ != nullptr) {
     lock.unlock();
     try {
       ledger_->retire(req.id);

@@ -36,9 +36,10 @@ struct ServerConfig {
   /// Result-cache journal path; empty = memory-only (tests, benches).
   std::string cache_path;
   /// Campaign-ledger path (fsync'd JSONL beside the cache): admitted
-  /// campaigns are recorded before any replication runs and retired on
-  /// completion, so a restart re-admits whatever a crash or drain left
-  /// unfinished.  Empty = no ledger (campaigns die with the process).
+  /// campaigns are recorded before any replication runs and retired when
+  /// they end ("done", "error" or "cancelled"), so a restart re-admits
+  /// whatever a crash or drain left unfinished.  Empty = no ledger
+  /// (campaigns die with the process).
   std::string ledger_path;
   /// Event-granular crash-resume of in-flight replications: every
   /// `snapshot_every_events` fired events each replication snapshots its
@@ -248,11 +249,13 @@ class CampaignServer {
   /// The one ending rule, once per campaign: queue its terminal line (none
   /// after stop() or for a drained sweep) and unlist it.  `points` is the
   /// count a "done" line reports; `failure` and `interrupted` say how the
-  /// run or op ended.  A sweep with a terminal line leaves the ledger
-  /// first, with mu_ released while the id is still listed, so a campaign
-  /// that reuses the id is never retired by this one.  Caller holds `lock`
-  /// and flushes the outbox.  The thread that ends a sweep's last point
-  /// calls it for a finished sweep; the driver, for the rest.
+  /// run or op ended.  A campaign with a terminal line other than a
+  /// drained op's "draining" leaves the ledger first (a cancel interrupts
+  /// a run too, but retires it), with mu_ released while the id is still
+  /// listed, so a campaign that reuses the id is never retired by this
+  /// one.  Caller holds `lock` and flushes the outbox.  The thread that
+  /// ends a sweep's last point calls it for a finished sweep; the driver,
+  /// for the rest.
   void end_campaign(Campaign& c, std::unique_lock<std::mutex>& lock, std::size_t points,
                     const std::string& failure = {}, bool interrupted = false);
   /// Take `c` off the active list.  Caller holds mu_.

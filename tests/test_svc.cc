@@ -1230,6 +1230,42 @@ TEST(SvcServer, CancelOfARunningOpEndsItsStreamCancelled) {
   EXPECT_EQ(server.metrics().service().snapshot().cancelled, 1u);
 }
 
+TEST(SvcServer, CancelledSweepAndOpLeaveTheLedger) {
+  // A cancel interrupts a campaign as a drain does, but its client wants
+  // no more of it: a cancelled sweep or op is retired, not left pending
+  // for the next start to simulate again.  Both run on the one worker, so
+  // the sweep has points that have not started when the cancels come.
+  const TempFile ledger("cancel_ledger");
+  ServerConfig config;
+  config.workers = 1;
+  config.ledger_path = ledger.path;
+  {
+    CampaignServer server(config);
+    Collector all;
+    server.handle_line(
+        R"({"op":"sweep","id":"sweep","axis":"interval","values":[30,60,90],)"
+        R"("params":{"processors":8192},)"
+        R"("spec":{"reps":4,"horizon_hours":50000,"transient_hours":10}})",
+        all.sink());
+    server.handle_line(
+        R"({"op":"optimize","id":"opt","grid":5,"refine":2,"params":{"processors":4096},)"
+        R"("spec":{"reps":2,"horizon_hours":100000,"transient_hours":10}})",
+        all.sink());
+    ASSERT_TRUE(all.await("accepted", "sweep"));
+    ASSERT_TRUE(all.await("accepted", "opt"));
+    Collector canceller;
+    server.handle_line(R"({"op":"cancel","id":"sweep"})", canceller.sink());
+    server.handle_line(R"({"op":"cancel","id":"opt"})", canceller.sink());
+    ASSERT_TRUE(all.await("cancelled", "sweep"));
+    ASSERT_TRUE(all.await("cancelled", "opt"));
+    server.drain();
+    EXPECT_EQ(all.find("done", "sweep"), all.lines.size());
+    EXPECT_EQ(all.find("optimum", "opt"), all.lines.size());
+    EXPECT_EQ(server.metrics().service().snapshot().cancelled, 2u);
+  }
+  EXPECT_TRUE(ckptsim::svc::CampaignLedger(ledger.path).pending().empty());
+}
+
 TEST(SvcServer, DrainMidOpEndsItsStreamDraining) {
   ServerConfig config;
   config.workers = 1;
@@ -1283,11 +1319,13 @@ class LineClient {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit LineClient(std::uint16_t port, int timeout_s = 30)
+  /// `rcvbuf` > 0 sets the socket's receive buffer (SO_RCVBUF).
+  explicit LineClient(std::uint16_t port, int timeout_s = 30, int rcvbuf = 0)
       : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
     timeval timeout{};
     timeout.tv_sec = timeout_s;
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    if (rcvbuf > 0) ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -1564,12 +1602,12 @@ TEST(TcpDaemon, BacksOffWhenOutOfDescriptorsAndServesOnceTheyFree) {
             1.0);
 }
 
-/// A 1000-point interval sweep of one short replication per point: about
-/// 1 MB of point lines, simulated in a few tens of milliseconds.  Sweeps
-/// with different seeds share no cache entry.
-std::string wide_sweep(const std::string& id, int seed) {
+/// An interval sweep of `points` (1000: about 1 MB of point lines,
+/// simulated in a few tens of milliseconds) of one short replication each.
+/// Sweeps with different seeds share no cache entry.
+std::string wide_sweep(const std::string& id, int seed, int points = 1000) {
   std::string values;
-  for (int x = 10; x < 1010; ++x) {
+  for (int x = 10; x < 10 + points; ++x) {
     if (x > 10) values += ',';
     values += std::to_string(x);
   }
@@ -1768,6 +1806,99 @@ TEST(TcpDaemon, HalfClosedClientGetsItsReplies) {
   ASSERT_EQ(types.size(), 1002u);
   EXPECT_EQ(types.front(), "accepted");
   EXPECT_EQ(std::count(types.begin(), types.end(), "point"), 1000);
+  EXPECT_EQ(types.back(), "done");
+}
+
+/// The first `count` lines of a reply, read as fast as they come: how many
+/// arrived before a timeout or a hang-up, their bytes and the last one.
+struct Reply {
+  std::size_t lines = 0;
+  std::size_t bytes = 0;
+  std::string last;
+};
+Reply read_lines(LineClient& client, std::size_t count) {
+  Reply reply;
+  std::string line;
+  LineClient::Clock::time_point at;
+  while (reply.lines < count && client.read_line(&line, &at)) {
+    ++reply.lines;
+    reply.bytes += line.size() + 1;
+    reply.last = std::move(line);
+  }
+  return reply;
+}
+
+TEST(TcpDaemon, ReadingClientGetsAWarmReplyLargerThanTheQueueCap) {
+  // A sweep served wholly from the cache is sent by the loop itself, which
+  // cannot write a connection's queue until the sweep's last line is made.
+  // The client (a 4 KiB receive buffer, as StalledClient's) leaves a first
+  // warm reply (about 3.8 MB, under the cap) unread, so bytes are queued
+  // when the second (about 5 MB) starts, and then reads both.  Each line
+  // sends what the socket takes of the queue, so the client gets both
+  // replies; were lines sent only onto an empty queue, none of the second
+  // would leave until it was all made, and the client would be hung up
+  // once the queue passed kMaxQueuedBytes.
+  constexpr std::size_t kFirst = 4500;
+  constexpr std::size_t kSecond = 6000;
+  CampaignServer server(ServerConfig{});
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  const AcceptLoop loop(daemon);
+  {  // The cold run, which puts every point of both replies in the cache.
+    LineClient cold(daemon.port());
+    ASSERT_TRUE(cold.connected());
+    ASSERT_TRUE(cold.send_line(wide_sweep("cold", 1, static_cast<int>(kSecond))));
+    const Reply reply = read_lines(cold, kSecond + 2);
+    ASSERT_EQ(reply.lines, kSecond + 2);
+    EXPECT_NE(reply.last.find(R"("type": "done")"), std::string::npos) << reply.last;
+  }
+  LineClient client(daemon.port(), 30, /*rcvbuf=*/4096);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_line(wide_sweep("first", 1, static_cast<int>(kFirst))));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // its reply fills the buffers
+  ASSERT_TRUE(client.send_line(wide_sweep("second", 1, static_cast<int>(kSecond))));
+  const Reply first = read_lines(client, kFirst + 2);
+  const Reply second = read_lines(client, kSecond + 2);
+  ASSERT_EQ(first.lines, kFirst + 2);
+  ASSERT_EQ(second.lines, kSecond + 2);
+  EXPECT_GT(second.bytes, ckptsim::svc::TcpDaemon::kMaxQueuedBytes);
+  EXPECT_NE(second.last.find(R"("type": "done")"), std::string::npos) << second.last;
+  EXPECT_NE(second.last.find(R"("id": "second")"), std::string::npos) << second.last;
+  EXPECT_EQ(server.metrics().service().snapshot().cache_hits, kFirst + kSecond);
+}
+
+TEST(TcpDaemon, DrainWritesWhatAClientThatReadsLateHasQueued) {
+  // The client's 4500-point reply (about 3.8 MB, under the cap) outgrows
+  // its socket buffers and waits in its queue; the client reads only once
+  // the drain has settled.  The drained loop writes on until the queue is
+  // empty, so every line arrives.
+  constexpr std::uint64_t kPoints = 4500;
+  CampaignServer server(ServerConfig{});
+  ckptsim::svc::TcpDaemon daemon(server, 0);
+  std::atomic<bool> stop{false};
+  std::thread loop([&] { daemon.run(stop); });
+  std::vector<std::string> types;
+  {
+    LineClient client(daemon.port(), 30, /*rcvbuf=*/4096);
+    EXPECT_TRUE(client.connected());
+    EXPECT_TRUE(client.send_line(wide_sweep("late", 1, static_cast<int>(kPoints))));
+    // Wait for the campaign to end: every line is queued or sent.
+    const ckptsim::obs::ServiceCounters& svcc = server.metrics().service();
+    const auto ended = [&svcc] {
+      return svcc.points_completed.load() == kPoints && svcc.queue_depth.load() == 0;
+    };
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!ended() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(ended());
+    stop.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));  // the drain settles
+    types = read_stream(client);
+  }
+  loop.join();
+  server.stop();
+  ASSERT_EQ(types.size(), kPoints + 2);
+  EXPECT_EQ(types.front(), "accepted");
   EXPECT_EQ(types.back(), "done");
 }
 
